@@ -12,18 +12,17 @@ import argparse
 import os
 import sys
 
-from . import geometry as geo
 from .checks import run_all
 from .errors import ConfigError, VvlabError
 from .euler import euler_residual
 from .layer import write_profile_snapshots
-from .ns import solve_ns_channel, solve_ns_swirl
 from .study import (
     PRESETS,
     export_report,
     get_preset,
     parse_config_file,
     run_convergence_study,
+    solve_reference,
     solve_study_layer,
 )
 
@@ -102,19 +101,8 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "ns":
-            geom = config.geometry
-            flow = config.euler.build(geom)
-            nu = config.ns.nu or config.nu_list[0]
-            u0 = flow.meta.get("profile") or (lambda x: flow.velocity(0.0, x)[
-                1 if geom.kind == geo.ANNULUS_GAP else 0])
-            if geom.kind == geo.ANNULUS_GAP:
-                sol = solve_ns_swirl(geom, u0, nu, nr=config.ns.n,
-                                     dt=config.ns.dt, t_end=config.ns.t_end,
-                                     store_times=config.t_eval)
-            else:
-                sol = solve_ns_channel(geom, u0, nu, ny=config.ns.n,
-                                       dt=config.ns.dt, t_end=config.ns.t_end,
-                                       store_times=config.t_eval)
+            flow = config.euler.build(config.geometry)
+            sol = solve_reference(config, flow, config.ns.nu or config.nu_list[0])
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, "ns_solution.dat")
             lines = ["# t coord u_comp0 u_comp1 u_comp2"]

@@ -2,13 +2,17 @@
 
 The approximate field is u0 + sqrt(nu) u_b(x, phi/sqrt(nu)) + nu v, layer
 terms cut off inside the collar; the remainder R = (u_nu - ansatz)/nu is
-what the convergence theory bounds uniformly.  In the reduced symmetric
-geometries the Weyl decomposition is exact: gradients are precisely the
-wall-normal component fields (potential by radial quadrature) and the
-divergence-free tangent fields are the remaining components, so the
-projector is idempotent and orthogonal to round-off.  A finite-difference
-Neumann solve is kept alongside as an independent cross-check of the
-potential.
+what the convergence theory bounds uniformly.  The corrector v is driven by
+the slow divergence of u_b, which vanishes here: u_b is tangential and does
+not vary along the wall or across the collar, so v = 0 and the ansatz is
+u0 + sqrt(nu) u_b.
+
+In the reduced symmetric geometries the Weyl decomposition is exact:
+gradients are precisely the wall-normal component fields (potential by
+radial quadrature) and the divergence-free tangent fields are the remaining
+components, so the projector is idempotent and orthogonal to round-off.  A
+finite-difference Neumann solve is kept alongside as an independent
+cross-check of the potential.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import scipy.sparse.linalg as spla
 from . import geometry as geo
 from .errors import AlignmentError, ConfigError, SolverError
 from .euler import BaseFlow
-from .layer import LayerProfile, slow_curl_at_wall, v_wall_value, wall_value
+from .layer import LayerProfile, slow_curl_at_wall
 from .ns import ViscousSolution
-from .spaces import VolumeField, curl_volume, eval_profile_on_wall, volume_norm
+from .spaces import VolumeField, curl_volume, eval_profile_on_wall
 
 
 @dataclass
@@ -39,8 +43,6 @@ class AnsatzBundle:
     u_approx: np.ndarray           # (n_t, 3, n)
     u0_part: np.ndarray
     layer_part: np.ndarray         # already scaled by sqrt(nu)
-    v_part: np.ndarray             # already scaled by nu
-    interp_error_est: float = 0.0
 
     def field_at(self, it: int) -> VolumeField:
         return VolumeField(geom=self.geom, coords=self.coords,
@@ -50,7 +52,11 @@ class AnsatzBundle:
 def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
                     geom: geo.GeometryDescriptor, nu: float,
                     coords: np.ndarray, times=None) -> AnsatzBundle:
-    """Evaluate u0 + sqrt(nu) u_b + nu v on the volume grid at shared times."""
+    """Evaluate u0 + sqrt(nu) u_b on the volume grid at shared times.
+
+    The order-nu corrector v is zero in these geometries (see the module
+    docstring), so u_approx = u0_part + layer_part.
+    """
     if nu <= 0:
         raise ConfigError("nu must be positive")
     if profile.geom.kind != geom.kind:
@@ -63,8 +69,6 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     n_t = len(times)
     u0_part = np.zeros((n_t, 3, n))
     layer_part = np.zeros((n_t, 3, n))
-    v_part = np.zeros((n_t, 3, n))
-    interp_est = 0.0
 
     for jt, (t, it) in enumerate(zip(times, idx)):
         u0_part[jt] = flow.velocity(t, coords)
@@ -73,30 +77,13 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
             vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
             for slot, name in enumerate(w.tangent_names):
                 layer_part[jt, comp[name]] += math.sqrt(nu) * vals[slot]
-            interp_est = max(interp_est, _interp_error_estimate(pf, vals))
-            series = profile.walls[w.wall_id]
-            if series.v is not None:
-                vpf = profile.v_profile(w.wall_id, it)
-                vbar = eval_profile_on_wall(vpf, geom, w.wall_id, coords, nu)[0]
-                v_part[jt] += nu * vbar[None, :] * w.normal[:, None]
 
     return AnsatzBundle(
         nu=nu, geom=geom, coords=np.asarray(coords, dtype=float),
         times=np.asarray(times, dtype=float),
-        u_approx=u0_part + layer_part + v_part,
-        u0_part=u0_part, layer_part=layer_part, v_part=v_part,
-        interp_error_est=interp_est * math.sqrt(nu),
+        u_approx=u0_part + layer_part,
+        u0_part=u0_part, layer_part=layer_part,
     )
-
-
-def _interp_error_estimate(pf, evaluated) -> float:
-    """Crude cubic-interpolation error proxy: node-scale curvature of the
-    profile against the evaluated magnitude scale."""
-    z = pf.grid.z
-    if pf.grid.nz < 4:
-        return 0.0
-    d2 = np.abs(np.diff(pf.values, n=2, axis=-1)).max(initial=0.0)
-    return float(d2) * 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +183,11 @@ class RemainderField:
     values: np.ndarray             # (n_t, 3, n): (u_nu - ansatz)/nu
     p_values: np.ndarray           # Leray-projected part
     g_values: np.ndarray           # gradient part
-    interp_error_est: float = 0.0
 
     def field_at(self, it: int, part: str = "full") -> VolumeField:
         vals = {"full": self.values, "P": self.p_values,
                 "I-P": self.g_values}[part][it]
         return VolumeField(geom=self.geom, coords=self.coords, values=vals)
-
-    def norm_rows(self, specs) -> list:
-        rows = []
-        for it, t in enumerate(self.times):
-            for spec in specs:
-                for part in ("full", "P", "I-P"):
-                    rows.append((float(t), spec if isinstance(spec, str) else spec.label,
-                                 part, volume_norm(self.field_at(it, part), spec)))
-        return rows
 
 
 def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderField:
@@ -235,7 +212,6 @@ def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderFi
         nu=bundle.nu, geom=bundle.geom, coords=bundle.coords,
         times=bundle.times.copy(), values=values,
         p_values=p_values, g_values=g_values,
-        interp_error_est=bundle.interp_error_est / bundle.nu,
     )
 
 
@@ -243,9 +219,10 @@ def remainder_bc_residual(rem: RemainderField, profile: LayerProfile,
                           nu: float) -> tuple:
     """Max-norm residuals of the two remainder wall identities.
 
-    First: R . n + vbar(t, 0) = 0.  Second (tangential, vector magnitude):
+    First: R . n + v(t, 0) . n = 0.  Second (tangential, vector magnitude):
     curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n + curl_x v|_{z=0} x n = 0.
-    The slow curl of v vanishes for wall-normal slow sampling.
+    The corrector v is zero here (see the module docstring), so its terms
+    drop out of both identities.
     """
     geom = rem.geom
     res_n = 0.0
@@ -258,7 +235,7 @@ def remainder_bc_residual(rem: RemainderField, profile: LayerProfile,
         for left, w in zip((True, False), geom.walls()):
             i = 0 if left else -1
             rn = float(vf.values[:, i] @ w.normal)
-            res_n = max(res_n, abs(rn + v_wall_value(profile, w.wall_id, ip)))
+            res_n = max(res_n, abs(rn))
             curl_wall = curl[:, i]
             term_r = np.cross(curl_wall, w.normal)
             cx = slow_curl_at_wall(profile, w.wall_id, ip)

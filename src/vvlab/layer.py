@@ -1,14 +1,11 @@
-"""Boundary-layer profile solver and correctors.
+"""Boundary-layer profile solver and pressure corrector.
 
-The tangential profile u_b(t, s, z) is marched per wall and per slow sample
-(frozen-coefficient parameterization; slow derivatives of the tabulated
-profiles are finite differences across samples).  The slow samples sit on
-the collar grid along the wall-normal direction, but the evolution
-coefficients g, f and the coupling are evaluated at the wall-distance
-frozen boundary point, so a wall whose data vanish produces the zero layer
-exactly; the pressure-corrector coefficients stay extended fields of the
-collar position, which is what gives the tabulated q its slow variation.
-The evolution is
+The tangential profile u_b(t, z) is marched as one column per wall.  The
+evolution coefficients g, f, the coupling and any manufactured forcing are
+evaluated at the wall, so u_b does not vary along the collar and a wall
+whose data vanish produces the zero layer exactly.  The pressure-corrector
+coefficients stay extended fields of the collar position s, which is what
+gives the tabulated q(t, s, z) its slow variation.  The evolution is
 
     d/dt u_b = d2/dz2 u_b - f z d/dz u_b - A_eff u_b + F,
 
@@ -28,7 +25,7 @@ benchmark flows; manufactured runs report the discrepancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +34,7 @@ import scipy.sparse.linalg as spla
 from . import geometry as geo
 from .errors import AlignmentError, ConfigError, StepSizeError
 from .euler import BaseFlow, boundary_data_g
+from .ns import _resolve_store_steps
 from .spaces import FastGrid, ProfileField, diff_along, weighted_norm
 
 # quarter-turn in the tangential wall frame: (a, b) -> (b, -a)
@@ -69,22 +67,27 @@ def _fast_diffusion_matrix(z: np.ndarray):
 
 @dataclass
 class WallLayerSeries:
-    """Stored layer data for one wall."""
+    """Stored layer data for one wall.
+
+    ``ub`` is one column per wall: the coefficients are frozen at the wall,
+    so the layer is the same at every collar sample.  ``s_grid`` and
+    ``s_weights`` are the collar samples, along which q still varies.
+    """
 
     wall_id: str
     tangent_names: tuple
     s_grid: np.ndarray
     s_weights: np.ndarray
-    ub: np.ndarray                 # (n_t, 2, n_s, n_z)
-    g_used: np.ndarray             # (n_t, 2, n_s)
-    f_used: np.ndarray             # (n_t, n_s)
+    ub: np.ndarray                 # (n_t, 2, n_z)
+    g_used: np.ndarray             # (n_t, 2)
+    f_used: np.ndarray             # (n_t,)
     q: np.ndarray | None = None    # (n_t, 1, n_s, n_z)
-    v: np.ndarray | None = None    # (n_t, 1, n_s, n_z), scalar vbar with v = vbar n
 
 
 @dataclass
 class LayerProfile:
-    """Layer solution bundle: tangential profiles and correctors per wall.
+    """Layer solution bundle: tangential profiles and pressure corrector per
+    wall.
 
     The order sqrt(nu) layer pressure is identically zero for this system
     and is not stored.  ``q`` decays at Z_max by construction.
@@ -95,7 +98,6 @@ class LayerProfile:
     times: np.ndarray
     walls: dict
     coupling_mode: str = "cross"
-    slow_axis: str = "normal"
     dt: float = 0.0
 
     def time_index(self, t: float) -> int:
@@ -104,64 +106,41 @@ class LayerProfile:
             raise AlignmentError(f"time {t} not among stored stamps {self.times}")
         return int(idx[0])
 
-    def _pf(self, values, wall, names) -> ProfileField:
-        w = self.walls[wall]
-        return ProfileField(grid=self.grid, s=w.s_grid, s_weights=w.s_weights,
-                            values=values, comp_names=names,
-                            slow_axis=self.slow_axis)
-
     def profile(self, wall: str, it: int) -> ProfileField:
+        """u_b as a one-sample field at the wall coordinate, weighted by the
+        whole collar so slow integrals cover the collar."""
         w = self.walls[wall]
-        return self._pf(w.ub[it], wall, w.tangent_names)
+        return ProfileField(grid=self.grid, s=self.geom.wall(wall).coord,
+                            s_weights=np.sum(w.s_weights),
+                            values=w.ub[it][:, None, :],
+                            comp_names=w.tangent_names)
 
     def q_profile(self, wall: str, it: int) -> ProfileField:
         w = self.walls[wall]
         if w.q is None:
             raise ConfigError("pressure corrector not computed yet")
-        return self._pf(w.q[it], wall, ("q",))
-
-    def v_profile(self, wall: str, it: int) -> ProfileField:
-        w = self.walls[wall]
-        if w.v is None:
-            raise ConfigError("velocity corrector not computed yet")
-        return self._pf(w.v[it], wall, ("vbar",))
-
-
-def _resolve_store_steps(dt, t_end, store_times, store_every):
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ConfigError("t_end must be an integer multiple of dt")
-    if store_times is not None:
-        steps = []
-        for t in store_times:
-            k = int(round(t / dt))
-            if abs(k * dt - t) > 1e-9 * max(t_end, 1.0) or not (0 <= k <= n_steps):
-                raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
-            steps.append(k)
-        return n_steps, sorted(set(steps))
-    every = store_every or max(1, n_steps // 8)
-    steps = list(range(every, n_steps + 1, every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return n_steps, steps
+        return ProfileField(grid=self.grid, s=w.s_grid, s_weights=w.s_weights,
+                            values=w.q[it], comp_names=("q",))
 
 
 def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
                 grid: FastGrid, dt: float, t_end: float,
-                store_times=None, store_every=None,
+                store_times=None,
                 coupling_mode: str = "cross") -> LayerProfile:
     """March the tangential layer system on every wall.
 
-    ``collars`` comes from geometry.build_collar; each collar sample is an
-    independent frozen-coefficient column.  Stability of the explicit
-    stretching term requires max |f| z dt / dz_loc <= 1 over the grid nodes
-    (checked; the benchmarks have f = 0).
+    ``collars`` comes from geometry.build_collar and supplies the collar
+    samples stored with each wall.  Each wall marches one column whose
+    coefficients are evaluated at the wall.  Without ``store_times`` about
+    eight evenly spaced steps are stored, t = 0 included.  Stability of the
+    explicit stretching term requires max |f| z dt / dz_loc <= 1 over the
+    grid nodes (checked; the benchmarks have f = 0).
     """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if coupling_mode not in ("cross", "project"):
         raise ConfigError("coupling_mode must be 'cross' or 'project'")
-    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
+    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
     z = grid.z
     d2, h0 = _fast_diffusion_matrix(z)
     eye = sp.identity(grid.nz, format="csr")
@@ -180,25 +159,19 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
     walls = {}
     for w in geom.walls():
         collar = collars[w.wall_id]
-        s = collar.s_grid
-        n_s = len(s)
-        b = np.zeros((2, n_s, grid.nz))
-        ub_store = np.zeros((len(store_steps), 2, n_s, grid.nz))
-        g_store = np.zeros((len(store_steps), 2, n_s))
-        f_store = np.zeros((len(store_steps), n_s))
-
-        # evolution coefficients at the wall-distance-frozen boundary point:
-        # every wall-normal sample carries the wall trace of g, f and the
-        # coupling (only tangential slow variation reaches the evolution)
-        s_feet = np.full(n_s, w.coord)
+        foot = np.array([w.coord])
+        b = np.zeros((2, grid.nz))
+        ub_store = np.zeros((len(store_steps), 2, grid.nz))
+        g_store = np.zeros((len(store_steps), 2))
+        f_store = np.zeros(len(store_steps))
 
         def coeffs(t):
             g = boundary_data_g(flow, geom, t=t,
-                                samples={w.wall_id: s_feet})[w.wall_id].g
-            f = np.atleast_1d(flow.f_stretch(t, s_feet))
-            a = flow.coupling_matrix(t, w.wall_id, s_feet)
+                                samples={w.wall_id: foot})[w.wall_id].g[:, 0]
+            f = float(np.atleast_1d(flow.f_stretch(t, foot))[0])
+            a = flow.coupling_matrix(t, w.wall_id, foot)[:, :, 0]
             if coupling_mode == "cross":
-                a = np.einsum("ij,jks->iks", _CROSS_J, a)
+                a = np.einsum("ij,jk->ik", _CROSS_J, a)
             return g, f, a
 
         g_now, f_now, a_now = coeffs(0.0)
@@ -210,27 +183,26 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
         for k in range(n_steps):
             t_now = k * dt
             t_next = (k + 1) * dt
-            fmax = float(np.abs(f_now).max(initial=0.0))
-            if fmax * cfl_factor * dt > 1.0:
+            if abs(f_now) * cfl_factor * dt > 1.0:
                 raise StepSizeError(
                     f"explicit stretching term unstable: |f| z dt / dz = "
-                    f"{fmax * cfl_factor * dt:.3g} > 1"
+                    f"{abs(f_now) * cfl_factor * dt:.3g} > 1"
                 )
             g_next, f_next, a_next = (g_now, f_now, a_now) if flow.steady \
                 else coeffs(t_next)
 
             dbdz = diff_along(b, z, axis=-1)
-            expl = -(f_now[None, :, None] * z[None, None, :]) * dbdz
-            expl -= np.einsum("ijs,jsz->isz", a_now, b)
+            expl = -(f_now * z) * dbdz
+            expl -= np.einsum("ij,jz->iz", a_now, b)
             if flow.layer_forcing is not None:
-                expl += flow.layer_forcing(t_now + 0.5 * dt, w.wall_id, s, z)
+                expl += flow.layer_forcing(t_now + 0.5 * dt, w.wall_id, foot, z)[:, 0]
 
-            rhs = (m_plus @ b.reshape(2 * n_s, grid.nz).T).T.reshape(b.shape)
+            rhs = (m_plus @ b.T).T
             rhs += dt * expl
             # CN average of the ghost Neumann source 2 g / h0 at node 0
-            rhs[:, :, 0] += dt * (g_now + g_next) / h0
-            rhs[:, :, -1] = 0.0
-            b = lu.solve(rhs.reshape(2 * n_s, grid.nz).T).T.reshape(b.shape)
+            rhs[:, 0] += dt * (g_now + g_next) / h0
+            rhs[:, -1] = 0.0
+            b = lu.solve(rhs.T).T
 
             g_now, f_now, a_now = g_next, f_next, a_next
             if (k + 1) in out_idx:
@@ -241,7 +213,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
         walls[w.wall_id] = WallLayerSeries(
             wall_id=w.wall_id,
             tangent_names=w.tangent_names,
-            s_grid=s,
+            s_grid=collar.s_grid,
             s_weights=collar.s_weights,
             ub=ub_store,
             g_used=g_store,
@@ -253,7 +225,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
 
 
 # ---------------------------------------------------------------------------
-# correctors
+# pressure corrector and wall traces
 # ---------------------------------------------------------------------------
 
 
@@ -278,118 +250,51 @@ def pressure_corrector_q(profile: LayerProfile, flow: BaseFlow) -> None:
         q = np.zeros((n_t, 1, len(w.s_grid), profile.grid.nz))
         for it, t in enumerate(profile.times):
             c = flow.normal_coupling(t, wall_id, w.s_grid)      # (2, n_s)
-            integrand = np.einsum("cs,csz->sz", c, w.ub[it])
+            integrand = np.einsum("cs,cz->sz", c, w.ub[it])
             q[it, 0] = -_tail_integral(integrand, z)
         w.q = q
-
-
-def slow_divergence(pf: ProfileField, geom: geo.GeometryDescriptor,
-                    wall_id: str) -> np.ndarray:
-    """Tangential slow divergence of a wall profile, shape (n_s, n_z).
-
-    Zero for wall-normal slow sampling (tangential fields that do not vary
-    along the wall are divergence free in both geometries).  For tangential
-    slow sampling the first tangential component is aligned with s and the
-    walls are flat, so div_x u_b = d/ds (u_b . t1).
-    """
-    if pf.slow_axis in ("normal", "none"):
-        return np.zeros((len(pf.s), pf.grid.nz))
-    if pf.slow_axis == "tangential":
-        return diff_along(pf.values[0], pf.s, axis=0)
-    raise ConfigError(f"unknown slow axis {pf.slow_axis!r}")
-
-
-def velocity_corrector_v(profile: LayerProfile, geom: geo.GeometryDescriptor) -> None:
-    """Build the scalar normal corrector vbar with v = vbar n, in place.
-
-    vbar(t, s, z) = int_z^inf div_x u_b dz', the sign fixed by the order
-    sqrt(nu) divergence compatibility div_x u_b + d/dz (v . n) = 0, with
-    vbar(Z_max) = 0.
-    """
-    z = profile.grid.z
-    for wall_id, w in profile.walls.items():
-        n_t = len(profile.times)
-        v = np.zeros((n_t, 1, len(w.s_grid), profile.grid.nz))
-        for it in range(n_t):
-            pf = profile.profile(wall_id, it)
-            div = slow_divergence(pf, geom, wall_id)
-            v[it, 0] = _tail_integral(div, z)
-        w.v = v
 
 
 def grad_q_x(profile: LayerProfile, flow: BaseFlow) -> dict:
     """Slow gradient of the pressure corrector, per wall and stored time.
 
-    grad_x q = -int_z^inf [ (d/ds c) . u_b + c . (d/ds u_b) ] dz' along the
-    slow direction; for wall-normal slow sampling the direction is the
-    extended normal, so the result is returned as a 3-component profile in
-    the geometry frame.  Requires q-style coefficients from the flow.
+    grad_x q = -int_z^inf (d/ds c) . u_b dz' along the collar, which runs
+    along the extended normal; u_b itself does not vary along it.  The
+    result is a 3-component profile in the geometry frame.
     """
-    if profile.slow_axis != "normal":
-        raise ConfigError("grad_q_x implemented for wall-normal slow sampling")
     z = profile.grid.z
     geom = profile.geom
     out = {}
     for wall_id, w in profile.walls.items():
-        wall = geom.wall(wall_id)
         n_t = len(profile.times)
         grads = np.zeros((n_t, 3, len(w.s_grid), profile.grid.nz))
         for it, t in enumerate(profile.times):
-            c = flow.normal_coupling(t, wall_id, w.s_grid)
             dc = flow.normal_coupling_deriv(t, wall_id, w.s_grid)
-            dbds = diff_along(w.ub[it], w.s_grid, axis=1)
-            integrand = (np.einsum("cs,csz->sz", dc, w.ub[it])
-                         + np.einsum("cs,csz->sz", c, dbds))
-            dq_ds = -_tail_integral(integrand, z)
+            integrand = np.einsum("cs,cz->sz", dc, w.ub[it])
             # d/ds runs along the cross coordinate; grad q = (dq/ds) e_coord
             # and the coordinate direction is into_domain * n
-            comp = geom.normal_comp
-            grads[it, comp] = dq_ds * 1.0
+            grads[it, geom.normal_comp] = -_tail_integral(integrand, z)
         out[wall_id] = grads
     return out
 
 
 def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> np.ndarray:
-    """curl_x of the tangential profile at z = 0, wall sample, shape (3,).
+    """curl_x of the tangential profile at z = 0 on the wall, shape (3,).
 
-    Annulus (slow axis radial): curl_x = (0, -d/dr b_ax, d/dr b_th + b_th/r).
-    Channel (slow axis y): curl_x = (d/dy b_z, 0, -d/dy b_x).
+    u_b does not vary along the collar, so only the curvature term of the
+    annulus remains: curl_x = (0, 0, b_th / r).  The channel gives zero.
     """
-    w = profile.walls[wall_id]
-    geom = profile.geom
-    b0 = w.ub[it][:, :, 0]                       # (2, n_s) at z = 0
-    if len(w.s_grid) >= 3:
-        db = diff_along(b0, w.s_grid, axis=-1)
-    else:
-        db = np.zeros_like(b0)
-    # locate the wall sample (distance 0)
-    iw = int(np.argmin(np.abs(w.s_grid - geom.wall(wall_id).coord)))
-    comp = {name: i for i, name in enumerate(w.tangent_names)}
     out = np.zeros(3)
-    if geom.kind == geo.ANNULUS_GAP:
-        r = w.s_grid[iw]
-        out[1] = -db[comp["axial"], iw]
-        out[2] = db[comp["theta"], iw] + b0[comp["theta"], iw] / r
-    else:
-        out[0] = db[comp["z"], iw]
-        out[2] = -db[comp["x"], iw]
+    if profile.geom.kind == geo.ANNULUS_GAP:
+        w = profile.walls[wall_id]
+        b_th = w.ub[it][w.tangent_names.index("theta"), 0]
+        out[2] = b_th / profile.geom.wall(wall_id).coord
     return out
 
 
 def wall_value(profile: LayerProfile, wall_id: str, it: int) -> np.ndarray:
-    """Tangential components of u_b at (z = 0, wall sample), shape (2,)."""
-    w = profile.walls[wall_id]
-    iw = int(np.argmin(np.abs(w.s_grid - profile.geom.wall(wall_id).coord)))
-    return w.ub[it][:, iw, 0]
-
-
-def v_wall_value(profile: LayerProfile, wall_id: str, it: int) -> float:
-    """Scalar vbar at (z = 0, wall sample)."""
-    w = profile.walls[wall_id]
-    if w.v is None:
-        return 0.0
-    iw = int(np.argmin(np.abs(w.s_grid - profile.geom.wall(wall_id).coord)))
-    return float(w.v[it][0, iw, 0])
+    """Tangential components of u_b at z = 0, shape (2,)."""
+    return profile.walls[wall_id].ub[it][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +345,18 @@ def layer_norm_monitor(profile: LayerProfile, idx_list) -> MonitorReport:
 def write_profile_snapshots(profile: LayerProfile, path) -> None:
     """Columnar text dump: wall, t, s, z, tangential components.
 
-    Floats are written with repr (shortest round trip), so identical runs
-    produce bit-identical files.
+    One s per wall, the wall coordinate: the layer does not vary along the
+    collar.  Floats are written with repr (shortest round trip), so
+    identical runs produce bit-identical files.
     """
     lines = ["# wall t s z " + " ".join(
         f"c{i}" for i in range(2))]
     for wall_id in sorted(profile.walls):
         w = profile.walls[wall_id]
+        s = float(profile.geom.wall(wall_id).coord)
         for it, t in enumerate(profile.times):
-            for j, s in enumerate(w.s_grid):
-                for kz, zz in enumerate(profile.grid.z):
-                    comps = " ".join(repr(float(w.ub[it][c, j, kz]))
-                                     for c in range(2))
-                    lines.append(f"{wall_id} {t!r} {float(s)!r} {float(zz)!r} {comps}")
+            for kz, zz in enumerate(profile.grid.z):
+                comps = " ".join(repr(float(w.ub[it][c, kz])) for c in range(2))
+                lines.append(f"{wall_id} {t!r} {s!r} {float(zz)!r} {comps}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

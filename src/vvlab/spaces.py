@@ -140,10 +140,7 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 class ProfileField:
     """Field u(s, z) on a slow grid times a half-line fast grid.
 
-    ``values`` has shape (n_comp, n_s, n_z).  ``slow_axis`` records what the
-    slow samples parameterize: "normal" for samples along the wall-normal
-    direction inside a collar, "tangential" for arc-length samples along a
-    flat wall, "none" for a single abstract sample.
+    ``values`` has shape (n_comp, n_s, n_z).
     """
 
     grid: FastGrid
@@ -151,7 +148,6 @@ class ProfileField:
     s_weights: np.ndarray
     values: np.ndarray
     comp_names: tuple = ("c0",)
-    slow_axis: str = "none"
 
     def __post_init__(self):
         self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
@@ -181,7 +177,7 @@ class ProfileField:
 
 
 def profile_from_callable(fn, grid: FastGrid, s=0.0, s_weight=1.0,
-                          comp_names=("c0",), slow_axis="none") -> ProfileField:
+                          comp_names=("c0",)) -> ProfileField:
     """Sample ``fn(s, z)`` (scalar) or a list of callables onto a ProfileField."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     sw = np.broadcast_to(np.asarray(s_weight, dtype=float), s.shape).copy()
@@ -190,7 +186,7 @@ def profile_from_callable(fn, grid: FastGrid, s=0.0, s_weight=1.0,
     vals = np.stack([np.broadcast_to(f(ss, zz), ss.shape) for f in fns])
     names = tuple(comp_names[: len(fns)]) if len(fns) > 1 else (comp_names[0],)
     return ProfileField(grid=grid, s=s, s_weights=sw, values=vals,
-                        comp_names=names, slow_axis=slow_axis)
+                        comp_names=names)
 
 
 def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
@@ -310,26 +306,30 @@ class NormSpec:
 
 
 def parse_norm(label: str) -> NormSpec:
-    """Parse a norm request string: l2 | linf | h1 | lp:<p> | aniso:k,m,l,p."""
+    """Parse a norm request string: l2 | linf | h1 | lp:<p> | aniso:k,m,l,p.
+
+    The spec's label is canonical: surrounding blanks are stripped and the
+    exponent of lp is written in its shortest form, so "lp:4.0" is "lp:4".
+    """
     s = label.strip()
     if s == "l2":
-        return NormSpec(label=label, kind="lp", p=2.0)
+        return NormSpec(label=s, kind="lp", p=2.0)
     if s == "linf":
-        return NormSpec(label=label, kind="linf", p=math.inf)
+        return NormSpec(label=s, kind="linf", p=math.inf)
     if s == "h1":
-        return NormSpec(label=label, kind="h1", p=2.0)
+        return NormSpec(label=s, kind="h1", p=2.0)
     if s.startswith("lp:"):
         p = float(s.split(":", 1)[1])
         if p < 1:
             raise ConfigError(f"lp norm needs p >= 1, got {label!r}")
-        return NormSpec(label=label, kind="lp", p=p)
+        return NormSpec(label="lp:" + repr(p).removesuffix(".0"), kind="lp", p=p)
     if s.startswith("aniso:"):
         parts = s.split(":", 1)[1].split(",")
         if len(parts) != 4:
             raise ConfigError(f"aniso norm needs k,m,l,p, got {label!r}")
         k, m, l = (int(v) for v in parts[:3])
         p = math.inf if parts[3] in ("inf", "infty") else float(parts[3])
-        return NormSpec(label=label, kind="aniso", p=p,
+        return NormSpec(label=s, kind="aniso", p=p,
                         idx=AnisotropicIndex(k=k, m=m, l=l, p=p))
     raise ConfigError(f"unknown norm string {label!r}")
 
@@ -363,33 +363,23 @@ class LayerEvalResult:
 
 
 def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
-                         wall_id: str, coords: np.ndarray, nu: float,
-                         apply_cutoff: bool = True) -> np.ndarray:
-    """Evaluate U(x, d_w(x)/sqrt(nu)) for one wall on volume coordinates.
+                         wall_id: str, coords: np.ndarray, nu: float) -> np.ndarray:
+    """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
 
-    Piecewise-cubic in z, linear in the slow sample direction, zero beyond
-    Z_max, multiplied by the collar cutoff.  Returns (n_comp, n).
+    ``pf`` holds a single slow sample: the layer does not vary along the
+    collar.  Piecewise-cubic in z, multiplied by the collar cutoff, and zero
+    beyond Z_max and outside the collar, where only zeros would come out;
+    the spline is evaluated on the remaining nodes alone.  Returns
+    (n_comp, n).
     """
+    if len(pf.s) != 1:
+        raise ConfigError("wall evaluation needs a single-sample profile")
     d = geo.wall_distance(geom, wall_id, coords)
     zq = d / math.sqrt(nu)
-    spl = CubicSpline(pf.grid.z, pf.values, axis=-1, extrapolate=False)
-    if len(pf.s) == 1:
-        vals = spl(zq)[:, 0, :]
-    else:
-        on_z = spl(zq)                       # (n_comp, n_s, n)
-        order = np.argsort(pf.s)
-        s_sorted = pf.s[order]
-        on_z = on_z[:, order, :]
-        # vectorized linear interpolation along the slow samples
-        hi = np.clip(np.searchsorted(s_sorted, coords), 1, len(s_sorted) - 1)
-        lo = hi - 1
-        wgt = np.clip((coords - s_sorted[lo]) / (s_sorted[hi] - s_sorted[lo]),
-                      0.0, 1.0)
-        cols = np.arange(len(coords))
-        vals = (1.0 - wgt) * on_z[:, lo, cols] + wgt * on_z[:, hi, cols]
-    vals = np.nan_to_num(vals, nan=0.0)      # beyond Z_max the profile is zero
-    if apply_cutoff:
-        vals = vals * geo.collar_cutoff(geom, d)
+    live = (d < geom.eta) & (zq >= 0.0) & (zq <= pf.grid.z[-1])
+    spl = CubicSpline(pf.grid.z, pf.values[:, 0, :], axis=-1, extrapolate=False)
+    vals = np.zeros((pf.n_comp, len(d)))
+    vals[:, live] = spl(zq[live]) * geo.collar_cutoff(geom, d[live])
     return vals
 
 

@@ -44,8 +44,8 @@ from .euler import (
     swirl_base_flow,
 )
 from .expansion import assemble_ansatz, extract_remainder
-from .layer import LayerProfile, pressure_corrector_q, solve_layer, velocity_corrector_v
-from .ns import solve_ns_channel, solve_ns_swirl
+from .layer import LayerProfile, pressure_corrector_q, solve_layer
+from .ns import ViscousSolution, solve_ns_channel, solve_ns_swirl
 from .spaces import FastGrid, VolumeField, parse_norm, volume_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
@@ -101,7 +101,6 @@ class LayerParams:
     zmax: float | None = None       # None -> automatic truncation height
     dt: float = 1e-4
     t_end: float = 0.5
-    store_every: int | None = None
     coupling_mode: str = "cross"
 
 
@@ -110,7 +109,6 @@ class NsParams:
     n: int = 2048
     dt: float = 2.5e-5
     t_end: float = 0.5
-    store_every: int | None = None
     nu: float | None = None         # standalone solves only
 
 
@@ -139,11 +137,15 @@ class StudyConfig:
         if nus[0] > (self.geometry.eta / 4.0) ** 2 + 1e-15:
             raise ConfigError("max(nu_list) must be <= (eta/4)^2")
         self.nu_list = nus
-        for spec in self.norms:
-            if parse_norm(spec).kind == "aniso":
-                raise ConfigError(
-                    "study norms act on volume fields; aniso norms belong to "
-                    "the layer monitor")
+        specs = [parse_norm(label) for label in self.norms]
+        if any(spec.kind == "aniso" for spec in specs):
+            raise ConfigError(
+                "study norms act on volume fields; aniso norms belong to "
+                "the layer monitor")
+        # canonical labels, so "lp:4.0" keys the same rows and criteria as "lp:4"
+        self.norms = tuple(spec.label for spec in specs)
+        if len(set(self.norms)) < len(self.norms):
+            raise ConfigError(f"duplicate study norms {self.norms}")
         if self.t_eval is None:
             t = self.ns.t_end
             self.t_eval = tuple(t * k / 8.0 for k in range(1, 9))
@@ -185,7 +187,6 @@ def parse_config_file(path) -> StudyConfig:
                 else sec.getfloat("zmax"),
                 dt=sec.getfloat("dt", fallback=lp.dt),
                 t_end=sec.getfloat("t_end", fallback=lp.t_end),
-                store_every=sec.getint("store_every", fallback=0) or None,
                 coupling_mode=sec.get("coupling_mode", fallback="cross"),
             )
         npar = NsParams()
@@ -197,7 +198,6 @@ def parse_config_file(path) -> StudyConfig:
                 n=n,
                 dt=sec.getfloat("dt", fallback=npar.dt),
                 t_end=sec.getfloat("t_end", fallback=npar.t_end),
-                store_every=sec.getint("store_every", fallback=0) or None,
                 nu=sec.getfloat("nu", fallback=0.0) or None,
             )
         s = cp["study"] if cp.has_section("study") else {}
@@ -280,13 +280,17 @@ def get_preset(name: str) -> StudyConfig:
 def fit_rate(pairs):
     """Ordinary least squares on (log nu, log error).
 
-    Returns (slope, intercept, r_squared).  Nonpositive errors are dropped
-    with a warning when positive ones remain; if everything sits below
-    1e-14 the fit is refused as degenerate.
+    Returns (slope, intercept, r_squared).  A non-finite error refuses the
+    fit, naming its viscosities.  Nonpositive errors are dropped with a
+    warning when positive ones remain; if everything sits below 1e-14 the
+    fit is refused as degenerate.
     """
     pairs = [(float(a), float(b)) for a, b in pairs]
     if len(pairs) < 3:
         raise ConfigError("rate fit needs at least 3 (nu, error) pairs")
+    bad = [nu for nu, e in pairs if not math.isfinite(e)]
+    if bad:
+        raise DegenerateFitError(f"non-finite error at nu = {bad}")
     if all(abs(e) < 1e-14 for _, e in pairs):
         raise DegenerateFitError("all errors at round-off level")
     kept = [(nu, e) for nu, e in pairs if e > 0.0]
@@ -359,22 +363,28 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
                           store_times=config.t_eval,
                           coupling_mode=config.layer.coupling_mode)
     pressure_corrector_q(profile, flow)
-    velocity_corrector_v(profile, geom)
     return profile
+
+
+def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSolution:
+    """Viscous reference solve from the base flow's profile at ``nu``: swirl
+    in the annulus, shear in the channel, stored at ``config.t_eval``."""
+    geom = config.geometry
+    swirl = geom.kind == geo.ANNULUS_GAP
+    u0 = flow.meta.get("profile") or (
+        lambda x: flow.velocity(0.0, x)[1 if swirl else 0])
+    if swirl:
+        return solve_ns_swirl(geom, u0, nu, nr=config.ns.n, dt=config.ns.dt,
+                              t_end=config.ns.t_end, store_times=config.t_eval)
+    return solve_ns_channel(geom, u0, nu, ny=config.ns.n, dt=config.ns.dt,
+                            t_end=config.ns.t_end, store_times=config.t_eval)
 
 
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     """Rows for a single viscosity: velocity-error and remainder norms."""
     geom = config.geometry
     flow = _build_flow(config)
-    u0 = flow.meta.get("profile") or (lambda x: flow.velocity(0.0, x)[
-        1 if geom.kind == geo.ANNULUS_GAP else 0])
-    if geom.kind == geo.ANNULUS_GAP:
-        sol = solve_ns_swirl(geom, u0, nu, nr=config.ns.n, dt=config.ns.dt,
-                             t_end=config.ns.t_end, store_times=config.t_eval)
-    else:
-        sol = solve_ns_channel(geom, u0, nu, ny=config.ns.n, dt=config.ns.dt,
-                               t_end=config.ns.t_end, store_times=config.t_eval)
+    sol = solve_reference(config, flow, nu)
     bundle = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                              times=np.asarray(config.t_eval))
     rem = extract_remainder(sol, bundle)

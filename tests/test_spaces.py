@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from vvlab import geometry as geo
 from vvlab.errors import (
@@ -16,6 +17,7 @@ from vvlab.spaces import (
     ProfileField,
     VolumeField,
     boundary_layer_eval,
+    eval_profile_on_wall,
     gronwall_local_bound,
     hardy_ratio,
     parse_norm,
@@ -82,8 +84,7 @@ def test_homogeneity(grid):
 
 def test_index_monotonicity(grid):
     pf = profile_from_callable(lambda s, z: np.exp(-z) * (1 + np.sin(s)),
-                               grid, s=np.linspace(0, 1, 9), s_weight=0.1,
-                               slow_axis="tangential")
+                               grid, s=np.linspace(0, 1, 9), s_weight=0.1)
     small = weighted_norm(pf, AnisotropicIndex(0, 0, 0, 2.0))
     for idx in (AnisotropicIndex(1, 0, 0, 2.0), AnisotropicIndex(0, 1, 0, 2.0),
                 AnisotropicIndex(0, 0, 1, 2.0), AnisotropicIndex(2, 1, 1, 2.0)):
@@ -133,6 +134,32 @@ def test_eval_z_independent_field_is_cutoff(channel, grid):
     d = geo.min_wall_distance(channel, coords)
     want = geo.collar_cutoff(channel, d)
     assert np.allclose(res.field.values[0], want, atol=1e-12)
+
+
+@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
+def test_eval_restriction_matches_full_grid(request, geom_name, grid):
+    # evaluating only the collar nodes below Z_max gives the spline on the
+    # whole grid times the cutoff, zeros elsewhere, bit for bit; at nu = 1e-2
+    # the collar edge bounds the support, at nu = 1e-4 Z_max does
+    geom = request.getfixturevalue(geom_name)
+    pf = profile_from_callable([lambda s, z: np.exp(-z) * np.cos(z),
+                                lambda s, z: z * np.exp(-z)], grid,
+                               comp_names=("a", "b"))
+    coords = geom.volume_grid(4097)
+    spl = CubicSpline(grid.z, pf.values, axis=-1, extrapolate=False)
+    for nu in (1e-2, 1e-4):
+        for w in geom.walls():
+            d = geo.wall_distance(geom, w.wall_id, coords)
+            full = np.nan_to_num(spl(d / math.sqrt(nu))[:, 0, :], nan=0.0)
+            want = full * geo.collar_cutoff(geom, d)
+            got = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+            assert np.array_equal(got, want)
+
+
+def test_eval_rejects_multi_sample_profile(channel, grid):
+    pf = profile_from_callable(lambda s, z: np.exp(-z), grid, s=[0.0, 0.1])
+    with pytest.raises(ConfigError):
+        eval_profile_on_wall(pf, channel, "lower", channel.volume_grid(65), 1e-3)
 
 
 def test_eval_warns_when_nu_too_large(channel, grid):

@@ -61,6 +61,14 @@ def test_fit_rate_degenerate():
         fit_rate([(1e-2, 1e-1), (1e-3, 1e-2)])
 
 
+def test_fit_rate_refuses_non_finite_error():
+    with pytest.raises(DegenerateFitError, match="0.001"):
+        fit_rate([(1e-2, 1e-1), (1e-3, float("nan")), (1e-4, 1e-2),
+                  (1e-5, 10 ** (-2.5))])
+    with pytest.raises(DegenerateFitError):
+        fit_rate([(1e-2, 1e-1), (1e-3, 1e-2), (1e-4, float("inf"))])
+
+
 def test_fit_rate_scale_invariance():
     pairs = [(1e-2, 0.11), (1e-3, 0.022), (1e-4, 0.0041), (1e-5, 0.0009)]
     s1, i1, _ = fit_rate(pairs)
@@ -261,6 +269,29 @@ def test_single_norm_single_entry(tmp_path, annulus):
     )
     report = run_convergence_study(cfg)
     assert list(report.norm_results) == ["l2"]
+
+
+def test_lp_label_spelling_keeps_remainder_criteria(annulus):
+    # "lp:4.0" is the same norm as "lp:4" and feeds the criterion-4
+    # remainder statistics under the canonical label
+    cfg = StudyConfig(
+        geometry=annulus,
+        euler=EulerSpec(family="rigid"),
+        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        ns=NsParams(n=256, dt=1e-3, t_end=0.2),
+        nu_list=(1e-2, 1e-3, 1e-4),
+        norms=("l2", "lp:4.0"),
+        t_eval=(0.2,),
+        collar_points=4,
+    )
+    assert cfg.norms == ("l2", "lp:4")
+    report = run_convergence_study(cfg)
+    assert "lp4_sup" in report.remainder
+    assert "lp:4" in report.norm_results
+    assert {label for (_, _, label, _, _) in report.rows} == {"l2", "lp:4"}
+    with pytest.raises(ConfigError):
+        StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
+                     norms=("lp:4", "lp:4.0"))
 
 
 def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
