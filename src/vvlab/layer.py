@@ -13,7 +13,11 @@ with the wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n in the wall
 frame, decay u_b(Z_max) = 0, and zero initial data.  Diffusion is treated
 with Crank-Nicolson (unconditionally stable); the stretching term f z d/dz
 and the zeroth-order coupling are explicit, so the scheme is second order
-in z and first order in t whenever those terms are active.
+in z and first order in t whenever those terms are active.  Both tangential
+components of a wall step together through the symmetrised tridiagonal
+kernel of ns.py on the nodes below Z_max (the Dirichlet node stays zero).
+The explicit terms are built only when the flow has a nonzero f, a nonzero
+coupling or a manufactured forcing; otherwise they would add exact zeros.
 
 The coupling vector (u0 . grad u_b + u_b . grad u0) enters the tangential
 equation either as a literal cross product with n ("cross" mode, the
@@ -28,41 +32,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import geometry as geo
 from .errors import AlignmentError, ConfigError, StepSizeError
 from .euler import BaseFlow, boundary_data_g
-from .ns import _resolve_store_steps
+from .ns import _cn_march, _resolve_store_steps
 from .spaces import FastGrid, ProfileField, diff_along, weighted_norm
 
 # quarter-turn in the tangential wall frame: (a, b) -> (b, -a)
 _CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _fast_diffusion_matrix(z: np.ndarray):
-    """Nonuniform 3-point second-derivative matrix with ghost Neumann row.
+def _fast_diffusion_operator(z: np.ndarray):
+    """Nonuniform 3-point second derivative on the nodes below Z_max.
 
     Row 0 assumes a mirror ghost eliminated through dz u(0) = -g; the g part
-    enters as the separate source (2 g / h0) e_0.  The last row is zeroed
-    (homogeneous Dirichlet handled by the stepper).
+    enters as the separate source (2 g / h0) e_0.  The node at Z_max holds
+    the homogeneous Dirichlet value and is not an unknown.  Returns the
+    (sub, main, super) diagonals over nodes 0 .. n_z - 2, and h0.
     """
-    n = len(z)
     hm = z[1:-1] - z[:-2]
     hp = z[2:] - z[1:-1]
-    lo = np.zeros(n - 1)
-    di = np.zeros(n)
-    up = np.zeros(n - 1)
-    lo[:-1] = 2.0 / (hm * (hm + hp))
-    di[1:-1] = -2.0 / (hm * hp)
-    up[1:] = 2.0 / (hp * (hm + hp))
     h0 = z[1] - z[0]
-    di[0] = -2.0 / h0**2
-    up[0] = 2.0 / h0**2
-    lo[-1] = 0.0
-    di[-1] = 0.0
-    return sp.diags([lo, di, up], [-1, 0, 1], format="csr"), h0
+    lo = 2.0 / (hm * (hm + hp))
+    di = np.concatenate(([-2.0 / h0**2], -2.0 / (hm * hp)))
+    up = np.concatenate(([2.0 / h0**2], (2.0 / (hp * (hm + hp)))[:-1]))
+    return (lo, di, up), h0
 
 
 @dataclass
@@ -142,13 +137,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
         raise ConfigError("coupling_mode must be 'cross' or 'project'")
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
     z = grid.z
-    d2, h0 = _fast_diffusion_matrix(z)
-    eye = sp.identity(grid.nz, format="csr")
-    m_minus = (eye - 0.5 * dt * d2).tolil()
-    m_minus[-1, :] = 0.0
-    m_minus[-1, -1] = 1.0
-    lu = spla.splu(m_minus.tocsc())
-    m_plus = eye + 0.5 * dt * d2
+    op, h0 = _fast_diffusion_operator(z)
 
     # explicit advection stability factor: max z_j / local spacing
     h_loc = np.minimum(np.diff(z, prepend=z[0] - (z[1] - z[0])),
@@ -160,10 +149,6 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
     for w in geom.walls():
         collar = collars[w.wall_id]
         foot = np.array([w.coord])
-        b = np.zeros((2, grid.nz))
-        ub_store = np.zeros((len(store_steps), 2, grid.nz))
-        g_store = np.zeros((len(store_steps), 2))
-        f_store = np.zeros(len(store_steps))
 
         def coeffs(t):
             g = boundary_data_g(flow, geom, t=t,
@@ -174,41 +159,44 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
                 a = np.einsum("ij,jk->ik", _CROSS_J, a)
             return g, f, a
 
-        g_now, f_now, a_now = coeffs(0.0)
-        out_idx = {k: i for i, k in enumerate(store_steps)}
-        if 0 in out_idx:
-            i = out_idx[0]
-            g_store[i], f_store[i] = g_now, f_now
+        # g, f and A at every step; a steady flow repeats its t = 0 values
+        steps = [coeffs(0.0)] * (n_steps + 1) if flow.steady \
+            else [coeffs(k * dt) for k in range(n_steps + 1)]
+        g_all = np.array([c[0] for c in steps])
+        f_all = np.array([c[1] for c in steps])
+        a_all = np.array([c[2] for c in steps])
+        cfl = np.max(np.abs(f_all[:-1]), initial=0.0) * cfl_factor * dt
+        if cfl > 1.0:
+            raise StepSizeError(
+                f"explicit stretching term unstable: |f| z dt / dz = "
+                f"{cfl:.3g} > 1"
+            )
+        explicit = flow.layer_forcing is not None \
+            or np.any(f_all != 0.0) or np.any(a_all != 0.0)
 
-        for k in range(n_steps):
-            t_now = k * dt
-            t_next = (k + 1) * dt
-            if abs(f_now) * cfl_factor * dt > 1.0:
-                raise StepSizeError(
-                    f"explicit stretching term unstable: |f| z dt / dz = "
-                    f"{abs(f_now) * cfl_factor * dt:.3g} > 1"
-                )
-            g_next, f_next, a_next = (g_now, f_now, a_now) if flow.steady \
-                else coeffs(t_next)
-
-            dbdz = diff_along(b, z, axis=-1)
-            expl = -(f_now * z) * dbdz
-            expl -= np.einsum("ij,jz->iz", a_now, b)
-            if flow.layer_forcing is not None:
-                expl += flow.layer_forcing(t_now + 0.5 * dt, w.wall_id, foot, z)[:, 0]
-
-            rhs = (m_plus @ b.T).T
-            rhs += dt * expl
+        def step_source(k, b):
             # CN average of the ghost Neumann source 2 g / h0 at node 0
-            rhs[:, 0] += dt * (g_now + g_next) / h0
-            rhs[:, -1] = 0.0
-            b = lu.solve(rhs.T).T
+            src = np.zeros((grid.nz - 1, 2))
+            src[0] = (g_all[k] + g_all[k + 1]) / h0
+            if explicit:
+                col = np.zeros((2, grid.nz))
+                col[:, :-1] = b.T
+                expl = -(f_all[k] * z) * diff_along(col, z, axis=-1)
+                expl -= np.einsum("ij,jz->iz", a_all[k], col)
+                if flow.layer_forcing is not None:
+                    expl += flow.layer_forcing(k * dt + 0.5 * dt, w.wall_id,
+                                               foot, z)[:, 0]
+                src += expl[:, :-1].T
+            return src
 
-            g_now, f_now, a_now = g_next, f_next, a_next
-            if (k + 1) in out_idx:
-                i = out_idx[k + 1]
-                ub_store[i] = b
-                g_store[i], f_store[i] = g_now, f_now
+        # without explicit terms a steady flow has a constant source
+        source = step_source(0, None) if flow.steady and not explicit \
+            else step_source
+        series = _cn_march(op, 0.5 * dt, dt, n_steps, store_steps, source,
+                           f"layer {w.wall_id} (nu-free, n={grid.nz})",
+                           columns=2)
+        ub_store = np.zeros((len(store_steps), 2, grid.nz))
+        ub_store[:, :, :-1] = series.transpose(0, 2, 1)
 
         walls[w.wall_id] = WallLayerSeries(
             wall_id=w.wall_id,
@@ -216,8 +204,8 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
             s_grid=collar.s_grid,
             s_weights=collar.s_weights,
             ub=ub_store,
-            g_used=g_store,
-            f_used=f_store,
+            g_used=g_all[store_steps],
+            f_used=f_all[store_steps],
         )
 
     return LayerProfile(geom=geom, grid=grid, times=times, walls=walls,

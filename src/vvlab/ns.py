@@ -14,6 +14,13 @@ The first steps may be taken as backward-Euler half steps to damp the
 incompatible start (the initial vorticity does not satisfy the wall
 condition), which keeps the scheme second order globally.
 
+Both the reference solve and the layer march (layer.py) step with
+``_cn_march``.  Their tridiagonal operators S have positive off-diagonal
+products, so a diagonal scaling makes I - a S symmetric positive definite;
+it is factored once as L D L^T (LAPACK dpttrf) and every Crank-Nicolson
+step is w <- 2 (I - a S)^{-1} (w + dt/2 src) - w, which is exact
+Crank-Nicolson because I + a S = 2 I - (I - a S).
+
 Pressure is recovered as d(pi)/dr = u_th^2 / r when needed and not stored.
 """
 
@@ -23,11 +30,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import geometry as geo
-from .errors import ConfigError, StepSizeError
+from .errors import ConfigError, SolverError, StepSizeError
 from .spaces import VolumeField, curl_volume
 
 MIN_POINTS = 32
@@ -55,8 +61,9 @@ class ViscousSolution:
         return int(idx[0])
 
 
-def _swirl_operator(r: np.ndarray) -> sp.spmatrix:
-    """u'' + u'/r - u/r^2 with the zero-vorticity ghost rows folded in."""
+def _swirl_operator(r: np.ndarray):
+    """u'' + u'/r - u/r^2 with the zero-vorticity ghost rows folded in, as
+    the (sub, main, super) diagonals."""
     n = len(r)
     h = r[1] - r[0]
     lo = np.empty(n - 1)
@@ -72,10 +79,10 @@ def _swirl_operator(r: np.ndarray) -> sp.spmatrix:
     # ghost from (u_N - u_{N-2})/(2h) + u_{N-1}/r_{N-1} = 0
     di[-1] = -2.0 / h**2 - 2.0 / (h * r[-1]) - 2.0 / r[-1] ** 2
     lo[-1] = 2.0 / h**2
-    return sp.diags([lo, di, up], [-1, 0, 1], format="csc")
+    return lo, di, up
 
 
-def _channel_operator(y: np.ndarray) -> sp.spmatrix:
+def _channel_operator(y: np.ndarray):
     """u'' with mirror-ghost Neumann rows (u' = 0 at both walls)."""
     n = len(y)
     h = y[1] - y[0]
@@ -84,7 +91,7 @@ def _channel_operator(y: np.ndarray) -> sp.spmatrix:
     up = np.full(n - 1, 1.0 / h**2)
     up[0] = 2.0 / h**2
     lo[-1] = 2.0 / h**2
-    return sp.diags([lo, di, up], [-1, 0, 1], format="csc")
+    return lo, di, up
 
 
 def _drive_swirl(r, prof) -> np.ndarray:
@@ -132,35 +139,89 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
     return n_steps, steps
 
 
-def _march(op, u0, nu, dt, n_steps, store_steps, rannacher, drive=None):
+def _cn_march(op, a, dt, n_steps, store_steps, source, where,
+              rannacher=0, columns=None):
+    """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
+
+    ``op`` holds the (sub, main, super) diagonals of the tridiagonal S, so
+    each step solves (I - a S) w_new = (I + a S) w + dt src.  ``source`` is
+    either the constant src, shape (n,) or (n, m) for m columns sharing S,
+    or a callable ``source(k, w)`` giving the (n, columns) src of step k
+    from the current (n, columns) iterate.  The first ``rannacher`` steps
+    are two backward-Euler half steps each.  Returns w at ``store_steps``,
+    shape (n_store,) + the shape of src.
+
+    With d_{i+1} / d_i = sqrt(up_i / lo_i), D (I - a S) D^{-1} is symmetric
+    with off-diagonal -a sqrt(up_i lo_i); the march runs on D w against
+    one dpttrf factorisation.  ``where`` names the stage, nu and n in the
+    errors: a non-positive off-diagonal product (ConfigError), a failed
+    factorisation or a non-finite stored iterate (SolverError).
+    """
+    lo, di, up = (np.asarray(x, dtype=float) for x in op)
+    n = len(di)
+    prod = lo * up
+    bad = np.nonzero(~(prod > 0.0))[0]
+    if len(bad):
+        raise ConfigError(
+            f"{where}: off-diagonal product up*lo = {prod[bad[0]]:.3g} <= 0 "
+            f"at row {bad[0]}; the operator cannot be symmetrised")
+    diag, off, info = dpttrf(1.0 - a * di, -a * np.sqrt(prod))
+    if info != 0:
+        raise SolverError(
+            f"{where}: dpttrf failed (info = {info}); I - a S is not "
+            f"positive definite at a = {a:.3g}")
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))[:, None]
+
+    varying = callable(source)
+    half = 0.5 * dt
+    if varying:
+        flat = False
+        w = np.zeros((n, columns), order="F")
+    else:
+        source = np.asarray(source, dtype=float)
+        flat = source.ndim == 1
+        hsrc = half * scale * source.reshape(n, -1)
+        w = np.zeros(hsrc.shape, order="F")
+    out = np.zeros((len(store_steps),) + w.shape)
+    out_idx = {k: i for i, k in enumerate(store_steps)}
+    for k in range(n_steps):
+        if varying:
+            hsrc = half * scale * source(k, w / scale)
+        if k < rannacher:
+            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+        else:
+            y, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+            y *= 2.0
+            y -= w
+            w = y
+        if (k + 1) in out_idx:
+            i = out_idx[k + 1]
+            out[i] = w / scale
+            if not np.all(np.isfinite(out[i])):
+                raise SolverError(
+                    f"{where}: non-finite iterate at step {k + 1} "
+                    f"(t = {(k + 1) * dt:.6g})")
+    return out[..., 0] if flat else out
+
+
+def _march_deviation(op, u0, nu, dt, n_steps, store_steps, rannacher, drive,
+                     where):
     """March in deviation form u = u0 + w, w(0) = 0.
 
-    The constant drive nu*L(u0) enters the right-hand side, so w carries
-    full relative precision even when it stays many orders below u0 (exact
-    steady states then deviate only by the scheme's truncation, not by
-    round-off of order-one arithmetic).
+    The constant drive nu*L(u0) is the source, so w carries full relative
+    precision even when it stays many orders below u0 (exact steady states
+    then deviate only by the scheme's truncation, not by round-off of
+    order-one arithmetic).
     """
-    n = len(u0)
-    eye = sp.identity(n, format="csc")
-    lu = spla.splu((eye - 0.5 * nu * dt * op).tocsc())
-    # backward Euler over dt/2 shares the CN matrix (I - nu dt/2 L)
-    m_plus = eye + 0.5 * nu * dt * op
-    drive = nu * (op @ u0 if drive is None else drive)
-
-    out = np.zeros((len(store_steps), n))
-    out_idx = {k: i for i, k in enumerate(store_steps)}
-    w = np.zeros(n)
-    if 0 in out_idx:
-        out[out_idx[0]] = u0
-    for k in range(n_steps):
-        if k < rannacher:
-            w = lu.solve(w + 0.5 * dt * drive)
-            w = lu.solve(w + 0.5 * dt * drive)
-        else:
-            w = lu.solve(m_plus @ w + dt * drive)
-        if (k + 1) in out_idx:
-            out[out_idx[k + 1]] = u0 + w
-    return out
+    if drive is None:
+        lo, di, up = op
+        drive = di * u0
+        drive[1:] += lo * u0[:-1]
+        drive[:-1] += up * u0[1:]
+    w = _cn_march(op, 0.5 * nu * dt, dt, n_steps, store_steps, nu * drive,
+                  where, rannacher=rannacher)
+    return u0 + w
 
 
 def _pack(values_1d, comp_index, n_t, n):
@@ -188,8 +249,9 @@ def solve_ns_swirl(geom: geo.GeometryDescriptor, u0_profile, nu: float,
         u0 = u0_profile(r)
         drive = None
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    series = _march(_swirl_operator(r), np.asarray(u0, dtype=float), nu, dt,
-                    n_steps, store_steps, rannacher, drive=drive)
+    series = _march_deviation(_swirl_operator(r), np.asarray(u0, dtype=float),
+                              nu, dt, n_steps, store_steps, rannacher, drive,
+                              where=f"ns swirl (nu={nu:g}, n={nr})")
     times = np.array([k * dt for k in store_steps])
     return ViscousSolution(
         nu=nu, geom=geom, coords=r, times=times,
@@ -220,8 +282,9 @@ def solve_ns_channel(geom: geo.GeometryDescriptor, u0_profile, nu: float,
         u0 = u0_profile(y)
         drive = None
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    series = _march(_channel_operator(y), np.asarray(u0, dtype=float), nu, dt,
-                    n_steps, store_steps, rannacher, drive=drive)
+    series = _march_deviation(_channel_operator(y), np.asarray(u0, dtype=float),
+                              nu, dt, n_steps, store_steps, rannacher, drive,
+                              where=f"ns channel (nu={nu:g}, n={ny})")
     times = np.array([k * dt for k in store_steps])
     return ViscousSolution(
         nu=nu, geom=geom, coords=y, times=times,

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, DegenerateFitError, SolverError, VvlabError
+from .errors import ConfigError, DegenerateFitError, SolverError
 from .euler import (
     BaseFlow,
     LaurentProfile,
@@ -405,11 +405,13 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
 
 
 def _worker(args):
+    """One viscosity row; any exception becomes a failed row naming its
+    type, so one bad row cannot abort the study."""
     config, profile, nu = args
     try:
         return nu, _solve_one_nu(config, profile, nu), None
-    except VvlabError as exc:
-        return nu, None, str(exc)
+    except Exception as exc:
+        return nu, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:

@@ -332,6 +332,35 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
         run_convergence_study(cfg)
 
 
+def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
+    import vvlab.study as study_mod
+
+    cfg = StudyConfig(
+        geometry=annulus,
+        euler=EulerSpec(family="vortex"),
+        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        ns=NsParams(n=128, dt=1e-3, t_end=0.2),
+        nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
+        norms=("l2",),
+        t_eval=(0.2,),
+        collar_points=4,
+    )
+    real = study_mod.solve_reference
+
+    def singular(config, flow, nu):
+        if nu == 1e-3:
+            raise np.linalg.LinAlgError("synthetic singular matrix")
+        return real(config, flow, nu)
+
+    monkeypatch.setattr(study_mod, "solve_reference", singular)
+    with pytest.warns(UserWarning, match="nu=0.001"):
+        report = run_convergence_study(cfg)
+    assert report.meta["failed_rows"] == {
+        1e-3: "LinAlgError: synthetic singular matrix"}
+    assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [
+        1e-2, 3e-3, 3e-4, 1e-4]
+
+
 def test_gradient_remainder_part_bounded(rigid_report):
     # Leray-complement part of the remainder: identically tangential flows
     # keep it at zero, the uniform-boundedness analogue trivially
@@ -349,6 +378,47 @@ def test_pressure_recovery(annulus):
     assert np.allclose(dp, 1.0 / sol.coords**3, atol=1e-6)
 
 
+def _json_diffs(old, new, path="$"):
+    """Every differing leaf of two JSON values: (path, old, new)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(set(old) | set(new)):
+            out += _json_diffs(old.get(key, "<absent>"), new.get(key, "<absent>"),
+                               f"{path}.{key}")
+        return out
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        out = []
+        for i, (a, b) in enumerate(zip(old, new)):
+            out += _json_diffs(a, b, f"{path}[{i}]")
+        return out
+    return [] if old == new and type(old) is type(new) else [(path, old, new)]
+
+
+def _describe_json_diffs(old_bytes, new_bytes):
+    diffs = _json_diffs(json.loads(old_bytes), json.loads(new_bytes))
+    if not diffs:
+        return "same values, different bytes (formatting)"
+    lines = [f"{len(diffs)} value(s) differ from the golden file:"]
+    for path, a, b in diffs:
+        rel = ""
+        if isinstance(a, float) and isinstance(b, float):
+            rel = f"  rel {abs(b - a) / abs(a):.3g}" if a else "  rel inf"
+        lines.append(f"  {path}: {a!r} -> {b!r}{rel}")
+    return "\n".join(lines)
+
+
+def test_json_diff_report_names_every_value():
+    old = b'{"a": [[0.001, 1.0], [0.01, 2.0]], "b": {"c": true, "d": 3.0}}'
+    new = b'{"a": [[0.001, 1.5], [0.01, 2.0]], "b": {"c": false, "d": 3.0}}'
+    text = _describe_json_diffs(old, new)
+    assert text.splitlines() == [
+        "2 value(s) differ from the golden file:",
+        "  $.a[0][1]: 1.0 -> 1.5  rel 0.5",
+        "  $.b.c: True -> False",
+    ]
+    assert "formatting" in _describe_json_diffs(b'{"a": 1}', b'{"a":  1}')
+
+
 def test_golden_rigid_rates(tmp_path, rigid_report):
     # byte comparison against the blessed first run
     import pathlib
@@ -358,4 +428,5 @@ def test_golden_rigid_rates(tmp_path, rigid_report):
     produced = (tmp_path / "rates.json").read_bytes()
     if not golden.exists():
         pytest.skip("golden file not generated yet")
-    assert produced == golden.read_bytes()
+    expected = golden.read_bytes()
+    assert produced == expected, _describe_json_diffs(expected, produced)
