@@ -130,10 +130,8 @@ def check_energy_identity_order():
 def check_erfc_oracle():
     geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
     flow = rigid_rotation(1.0, geom)
-    collars = geo.build_collar(geom, 4)
-    grid = FastGrid(nz=512)
     t = 0.25
-    profile = solve_layer(flow, geom, collars, grid, dt=1e-4, t_end=t,
+    profile = solve_layer(flow, geom, FastGrid(nz=512), dt=1e-4, t_end=t,
                           store_times=[t])
     worst = 0.0
     for wall_id in ("inner", "outer"):
@@ -253,8 +251,7 @@ def check_layer_zero_data():
     from .euler import potential_vortex
 
     flow = potential_vortex(1.0, geom)
-    collars = geo.build_collar(geom, 4)
-    profile = solve_layer(flow, geom, collars, FastGrid(nz=128), dt=1e-3,
+    profile = solve_layer(flow, geom, FastGrid(nz=128), dt=1e-3,
                           t_end=0.1, store_times=[0.05, 0.1])
     worst = max(float(np.abs(w.ub).max()) for w in profile.walls.values())
     ok = worst == 0.0

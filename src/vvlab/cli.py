@@ -38,9 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a study config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="built-in study preset")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel viscosity rows (deterministic output)")
+        p.add_argument("--out", help="output directory (default: the "
+                       "config's output_dir, else out)")
 
     common(sub.add_parser("check", help="run the invariant suite"))
 
@@ -54,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     study_p = sub.add_parser("study", help="convergence study commands")
     study_sub = study_p.add_subparsers(dest="subcommand", required=True)
-    common(study_sub.add_parser("rates", help="run the viscosity sweep and fit rates"))
+    rates_p = study_sub.add_parser("rates", help="run the viscosity sweep and fit rates")
+    common(rates_p)
+    rates_p.add_argument("--jobs", type=int, default=1,
+                         help="parallel viscosity rows (deterministic output)")
 
     euler_p = sub.add_parser("euler", help="base flow commands")
     euler_sub = euler_p.add_subparsers(dest="subcommand", required=True)
@@ -83,6 +85,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_dir = args.out or config.output_dir
 
     try:
         if args.command == "check":
@@ -94,8 +97,8 @@ def cli_main(argv=None) -> int:
 
         if args.command == "layer":
             profile = solve_study_layer(config)
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "layer_profile.dat")
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, "layer_profile.dat")
             write_profile_snapshots(profile, path)
             print(f"wrote {path}")
             return 0
@@ -103,8 +106,8 @@ def cli_main(argv=None) -> int:
         if args.command == "ns":
             flow = config.euler.build(config.geometry)
             sol = solve_reference(config, flow, config.ns.nu or config.nu_list[0])
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "ns_solution.dat")
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, "ns_solution.dat")
             lines = ["# t coord u_comp0 u_comp1 u_comp2"]
             for it, t in enumerate(sol.times):
                 for j, x in enumerate(sol.coords):
@@ -118,7 +121,7 @@ def cli_main(argv=None) -> int:
 
         if args.command == "study":
             report = run_convergence_study(config, jobs=args.jobs)
-            paths = export_report(report, args.out)
+            paths = export_report(report, out_dir)
             for p in paths:
                 print(f"wrote {p}")
             failed = [label for label, entry in report.norm_results.items()

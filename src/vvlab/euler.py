@@ -11,7 +11,10 @@ identically and the tangential projection of the layer coupling
 (u0 . grad u_b + u_b . grad u0) is zero; the pieces that feed the layer
 solver are therefore the wall data g = curl u0 x n and, for the pressure
 corrector, the normal coupling coefficients c with (coupling . n) = c . b.
-The manufactured mode prescribes velocity, pressure and forcing plus
+The layer is one column per wall, so g, f, the coupling matrix and any
+manufactured forcing are evaluated at the wall; only c and its slow
+derivative take collar positions s, because q varies along s through c(s).
+The manufactured cases prescribe velocity, pressure and forcing plus
 nonzero f, couplings and time-dependent g to exercise the remaining code
 paths.
 """
@@ -148,12 +151,13 @@ class BaseFlow:
     convective: callable
     time_derivative: callable
     forcing: callable
-    # layer-side coefficients
-    f_stretch: callable            # f(t, s) -> (n_s,)
-    coupling_matrix: callable      # A(t, wall, s) -> (2, 2, n_s), acts on tangential comps
+    # layer-side coefficients; all but c are evaluated at the wall, c takes
+    # collar positions s because q varies along s through c(s)
+    f_stretch: callable            # f(t) -> float
+    coupling_matrix: callable      # A(t, wall) -> (2, 2), acts on tangential comps
     normal_coupling: callable      # c(t, wall, s) -> (2, n_s): (coupling . n) = sum c_i b_i
     normal_coupling_deriv: callable  # d/ds of the c coefficients, (2, n_s)
-    layer_forcing: callable | None = None   # F(t, wall, s, z) -> (2, n_s, n_z), MMS only
+    layer_forcing: callable | None = None   # F(t, wall, z) -> (2, n_z), MMS only
     meta: dict = field(default_factory=dict)
 
     def divergence(self, t, coords):
@@ -165,6 +169,18 @@ class BaseFlow:
 def _zeros3(coords):
     coords = np.asarray(coords, dtype=float)
     return np.zeros((3, coords.size))
+
+
+def _no_stretch(t):
+    return 0.0
+
+
+def _no_coupling(t, wall):
+    return np.zeros((2, 2))
+
+
+def _zero_coeffs(t, wall, s):
+    return np.zeros((2, np.size(s)))
 
 
 def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> BaseFlow:
@@ -200,13 +216,6 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
         out[0] = -profile.value(coords) ** 2 / coords
         return out
 
-    def f_stretch(t, s):
-        return np.zeros_like(np.atleast_1d(np.asarray(s, dtype=float)))
-
-    def coupling_matrix(t, wall, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.zeros((2, 2, len(s)))
-
     def normal_coupling(t, wall, s):
         # (u0.grad u_b + u_b.grad u0) = -(2 U b_theta / r) e_rad
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -237,8 +246,8 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
         convective=convective,
         time_derivative=lambda t, c: _zeros3(c),
         forcing=lambda t, c: _zeros3(c),
-        f_stretch=f_stretch,
-        coupling_matrix=coupling_matrix,
+        f_stretch=_no_stretch,
+        coupling_matrix=_no_coupling,
         normal_coupling=normal_coupling,
         normal_coupling_deriv=normal_coupling_deriv,
         meta={"profile": profile},
@@ -276,10 +285,6 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
         out[2] = -profile.deriv(coords)
         return out
 
-    def zero_coeffs(t, wall, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.zeros((2, len(s)))
-
     return BaseFlow(
         family="shear",
         geom=geom,
@@ -290,55 +295,16 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
         convective=lambda t, c: _zeros3(c),
         time_derivative=lambda t, c: _zeros3(c),
         forcing=lambda t, c: _zeros3(c),
-        f_stretch=lambda t, s: np.zeros_like(np.atleast_1d(np.asarray(s, dtype=float))),
-        coupling_matrix=lambda t, wall, s: np.zeros(
-            (2, 2, len(np.atleast_1d(np.asarray(s, dtype=float))))),
-        normal_coupling=zero_coeffs,
-        normal_coupling_deriv=zero_coeffs,
+        f_stretch=_no_stretch,
+        coupling_matrix=_no_coupling,
+        normal_coupling=_zero_coeffs,
+        normal_coupling_deriv=_zero_coeffs,
         meta={"profile": profile},
     )
 
 
-@dataclass
-class ManufacturedCase:
-    """Prescribed flow plus computed forcing; coefficients for layer tests."""
-
-    name: str
-    velocity: callable
-    pressure_gradient: callable
-    time_derivative: callable
-    convective: callable
-    curl: callable
-    forcing: callable
-    f_stretch: callable
-    coupling_matrix: callable
-    normal_coupling: callable
-    normal_coupling_deriv: callable
-    layer_forcing: callable | None = None
-
-
-def manufactured_flow(case: ManufacturedCase, geom: geo.GeometryDescriptor) -> BaseFlow:
-    return BaseFlow(
-        family=f"manufactured:{case.name}",
-        geom=geom,
-        steady=False,
-        velocity=case.velocity,
-        curl=case.curl,
-        pressure_gradient=case.pressure_gradient,
-        convective=case.convective,
-        time_derivative=case.time_derivative,
-        forcing=case.forcing,
-        f_stretch=case.f_stretch,
-        coupling_matrix=case.coupling_matrix,
-        normal_coupling=case.normal_coupling,
-        normal_coupling_deriv=case.normal_coupling_deriv,
-        layer_forcing=case.layer_forcing,
-        meta={"case": case.name},
-    )
-
-
 def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
-                           f0=0.4, pressure_bug=0.0) -> ManufacturedCase:
+                           f0=0.4, pressure_bug=0.0) -> BaseFlow:
     """Unsteady shear u0 = amp*cos(omega t)*cos(pi y/H) e_x with the forcing
     that makes it an exact forced solution; supplies a nonzero smooth f for
     the layer stretching term.  ``pressure_bug`` biases the pressure
@@ -375,45 +341,33 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
         out[2] = amp * math.cos(omega * t) * math.pi / h * np.sin(math.pi * coords / h)
         return out
 
-    def f_stretch(t, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.full(len(s), f0 * math.cos(omega * t))
-
-    def coupling_matrix(t, wall, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        a = np.zeros((2, 2, len(s)))
-        a[0, 0] = 0.3
-        a[1, 1] = -0.2
-        a[0, 1] = 0.1
-        return a
-
-    def zero_coeffs(t, wall, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.zeros((2, len(s)))
-
-    return ManufacturedCase(
-        name="oscillating_shear",
+    return BaseFlow(
+        family="manufactured:oscillating_shear",
+        geom=geom,
+        steady=False,
         velocity=velocity,
-        pressure_gradient=pressure_gradient,
-        time_derivative=time_derivative,
-        convective=lambda t, c: _zeros3(c),
         curl=curl,
+        pressure_gradient=pressure_gradient,
+        convective=lambda t, c: _zeros3(c),
+        time_derivative=time_derivative,
         forcing=forcing,
-        f_stretch=f_stretch,
-        coupling_matrix=coupling_matrix,
-        normal_coupling=zero_coeffs,
-        normal_coupling_deriv=zero_coeffs,
+        f_stretch=lambda t: f0 * math.cos(omega * t),
+        coupling_matrix=lambda t, wall: np.array([[0.3, 0.1], [0.0, -0.2]]),
+        normal_coupling=_zero_coeffs,
+        normal_coupling_deriv=_zero_coeffs,
+        meta={"case": "oscillating_shear"},
     )
 
 
 def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
                    f0: float = 0.0, a_mat=None,
-                   coupling_mode: str = "cross") -> ManufacturedCase:
+                   coupling_mode: str = "cross") -> BaseFlow:
     """Manufactured layer solution b(t, z) = sin(omega t) exp(-z^2) w.
 
     Zero initial data and zero wall datum (d/dz b(t,0) = 0, so curl = 0).
     The forcing closes the layer equation for the requested coupling mode,
     so the marched solution must converge to b at the solver's orders.
+    The returned flow carries b as ``exact_profile(t, z)``.
     """
     w_dir = np.array([1.0, 0.5])
     a_mat = np.zeros((2, 2)) if a_mat is None else np.asarray(a_mat, dtype=float)
@@ -423,43 +377,38 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
     def exact(t, z):
         return math.sin(omega * t) * np.exp(-np.asarray(z) ** 2)[None, :] * w_dir[:, None]
 
-    def layer_forcing(t, wall, s, z):
+    def layer_forcing(t, wall, z):
         # F = db/dt - d2b/dz2 + f z db/dz + A_eff b for the exact profile
-        s = np.atleast_1d(np.asarray(s, dtype=float))
         z = np.asarray(z, dtype=float)
         a = math.sin(omega * t)
         da = omega * math.cos(omega * t)
         shape = np.exp(-(z**2))
         core = da - a * (4.0 * z**2 - 2.0) - 2.0 * f0 * math.cos(omega * t) * z**2 * a
-        f2 = core[None, :] * w_dir[:, None] * shape[None, :] \
+        return core[None, :] * w_dir[:, None] * shape[None, :] \
             + a * (a_eff @ w_dir)[:, None] * shape[None, :]
-        return np.broadcast_to(f2[:, None, :], (2, len(s), len(z))).copy()
 
     def zero3(t, coords):
         return _zeros3(coords)
 
-    def zero_coeffs(t, wall, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.zeros((2, len(s)))
-
-    case = ManufacturedCase(
-        name="layer_mms",
+    flow = BaseFlow(
+        family="manufactured:layer_mms",
+        geom=geom,
+        steady=False,
         velocity=zero3,
-        pressure_gradient=zero3,
-        time_derivative=zero3,
-        convective=zero3,
         curl=zero3,
+        pressure_gradient=zero3,
+        convective=zero3,
+        time_derivative=zero3,
         forcing=zero3,
-        f_stretch=lambda t, s: np.full(
-            len(np.atleast_1d(np.asarray(s, dtype=float))), f0 * math.cos(omega * t)),
-        coupling_matrix=lambda t, wall, s: np.repeat(
-            a_mat[:, :, None], len(np.atleast_1d(np.asarray(s, dtype=float))), axis=2),
-        normal_coupling=zero_coeffs,
-        normal_coupling_deriv=zero_coeffs,
+        f_stretch=lambda t: f0 * math.cos(omega * t),
+        coupling_matrix=lambda t, wall: a_mat,
+        normal_coupling=_zero_coeffs,
+        normal_coupling_deriv=_zero_coeffs,
         layer_forcing=layer_forcing,
+        meta={"case": "layer_mms"},
     )
-    case.exact_profile = exact
-    return case
+    flow.exact_profile = exact
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -500,27 +449,19 @@ class BoundaryData:
 
     wall_id: str
     tangent_names: tuple
-    g: np.ndarray                 # (2, n_s)
+    g: np.ndarray                 # (2,)
     sign_convention: str = "solver applies dz u_b(0) = -g with g = curl(u0) x n"
 
 
 def boundary_data_g(flow: BaseFlow, geom: geo.GeometryDescriptor,
-                    t: float = 0.0, samples=None) -> dict:
-    """curl(u0) x n per wall, expressed in the tangential wall frame.
-
-    ``samples`` maps wall_id to slow-coordinate arrays (defaults to the wall
-    point itself); the extended normal is constant along the wall-normal
-    direction in both reduced geometries.
-    """
+                    t: float = 0.0) -> dict:
+    """curl(u0) x n at each wall, expressed in the tangential wall frame."""
     comp = {name: i for i, name in enumerate(geom.comp_names)}
-    samples = samples or {}
     out = {}
     for w in geom.walls():
-        s = np.atleast_1d(np.asarray(
-            samples.get(w.wall_id, [w.coord]), dtype=float))
-        cu = flow.curl(t, s)                       # (3, n_s)
-        g_vec = np.cross(cu.T, w.normal).T         # right-handed frames
-        g = np.stack([g_vec[comp[name]] for name in w.tangent_names])
+        cu = flow.curl(t, np.array([w.coord]))[:, 0]
+        g_vec = np.cross(cu, w.normal)             # right-handed frames
+        g = np.array([g_vec[comp[name]] for name in w.tangent_names])
         out[w.wall_id] = BoundaryData(wall_id=w.wall_id,
                                       tangent_names=w.tangent_names, g=g)
     return out

@@ -139,6 +139,17 @@ class GeometryDescriptor:
         w[1:] += 0.5 * d
         return w * self.measure(coords)
 
+    def collar_measure(self, wall_id: str) -> float:
+        """Trapezoid measure of the collar {d < eta} at one wall.
+
+        The measure density is affine in the cross coordinate, so this is
+        the exact shell measure and the summed ``build_collar`` weights of
+        any resolution agree with it to round-off.
+        """
+        w = self.wall(wall_id)
+        ends = np.sort([w.coord, w.coord + w.into_domain * self.eta])
+        return float(np.sum(self.quadrature_weights(ends)))
+
 
 def flat_channel(h: float, eta: float) -> GeometryDescriptor:
     return GeometryDescriptor(kind=FLAT_CHANNEL, eta=eta, h=h)
@@ -260,9 +271,9 @@ class CollarChart:
 
     ``s_grid`` holds the slow-coordinate samples: the cross coordinates of
     grid points along the wall-normal direction inside the collar, clustered
-    geometrically toward the wall.  For fully symmetric flows the layer
-    coefficients are constant over ``s_grid`` and a single sample would
-    suffice; the chart always stores the full set.
+    geometrically toward the wall.  The layer itself is one column per
+    wall; the chart is where slow quantities that do vary across the collar,
+    such as the pressure corrector q, are sampled.
     """
 
     wall_id: str

@@ -3,9 +3,10 @@
 The tangential profile u_b(t, z) is marched as one column per wall.  The
 evolution coefficients g, f, the coupling and any manufactured forcing are
 evaluated at the wall, so u_b does not vary along the collar and a wall
-whose data vanish produces the zero layer exactly.  The pressure-corrector
-coefficients stay extended fields of the collar position s, which is what
-gives the tabulated q(t, s, z) its slow variation.  The evolution is
+whose data vanish produces the zero layer exactly.  The pressure corrector
+q(t, s, z) is not part of the solve: it is evaluated on demand at the
+collar samples passed in, where it varies through the normal-coupling
+coefficients c(s).  The evolution is
 
     d/dt u_b = d2/dz2 u_b - f z d/dz u_b - A_eff u_b + F,
 
@@ -65,27 +66,22 @@ class WallLayerSeries:
     """Stored layer data for one wall.
 
     ``ub`` is one column per wall: the coefficients are frozen at the wall,
-    so the layer is the same at every collar sample.  ``s_grid`` and
-    ``s_weights`` are the collar samples, along which q still varies.
+    so the layer is the same at every collar sample.
     """
 
     wall_id: str
     tangent_names: tuple
-    s_grid: np.ndarray
-    s_weights: np.ndarray
     ub: np.ndarray                 # (n_t, 2, n_z)
     g_used: np.ndarray             # (n_t, 2)
     f_used: np.ndarray             # (n_t,)
-    q: np.ndarray | None = None    # (n_t, 1, n_s, n_z)
 
 
 @dataclass
 class LayerProfile:
-    """Layer solution bundle: tangential profiles and pressure corrector per
-    wall.
+    """Layer solution bundle: the tangential profile of every wall.
 
     The order sqrt(nu) layer pressure is identically zero for this system
-    and is not stored.  ``q`` decays at Z_max by construction.
+    and is not stored; the corrector q comes from pressure_corrector_q.
     """
 
     geom: geo.GeometryDescriptor
@@ -106,30 +102,22 @@ class LayerProfile:
         whole collar so slow integrals cover the collar."""
         w = self.walls[wall]
         return ProfileField(grid=self.grid, s=self.geom.wall(wall).coord,
-                            s_weights=np.sum(w.s_weights),
+                            s_weights=self.geom.collar_measure(wall),
                             values=w.ub[it][:, None, :],
                             comp_names=w.tangent_names)
 
-    def q_profile(self, wall: str, it: int) -> ProfileField:
-        w = self.walls[wall]
-        if w.q is None:
-            raise ConfigError("pressure corrector not computed yet")
-        return ProfileField(grid=self.grid, s=w.s_grid, s_weights=w.s_weights,
-                            values=w.q[it], comp_names=("q",))
 
-
-def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
+def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
                 grid: FastGrid, dt: float, t_end: float,
                 store_times=None,
                 coupling_mode: str = "cross") -> LayerProfile:
     """March the tangential layer system on every wall.
 
-    ``collars`` comes from geometry.build_collar and supplies the collar
-    samples stored with each wall.  Each wall marches one column whose
-    coefficients are evaluated at the wall.  Without ``store_times`` about
-    eight evenly spaced steps are stored, t = 0 included.  Stability of the
-    explicit stretching term requires max |f| z dt / dz_loc <= 1 over the
-    grid nodes (checked; the benchmarks have f = 0).
+    Each wall marches one column whose coefficients are evaluated at the
+    wall.  Without ``store_times`` about eight evenly spaced steps are
+    stored, t = 0 included.  Stability of the explicit stretching term
+    requires max |f| z dt / dz_loc <= 1 over the grid nodes (checked; the
+    benchmarks have f = 0).
     """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
@@ -147,14 +135,10 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
     times = np.array([k * dt for k in store_steps])
     walls = {}
     for w in geom.walls():
-        collar = collars[w.wall_id]
-        foot = np.array([w.coord])
-
         def coeffs(t):
-            g = boundary_data_g(flow, geom, t=t,
-                                samples={w.wall_id: foot})[w.wall_id].g[:, 0]
-            f = float(np.atleast_1d(flow.f_stretch(t, foot))[0])
-            a = flow.coupling_matrix(t, w.wall_id, foot)[:, :, 0]
+            g = boundary_data_g(flow, geom, t=t)[w.wall_id].g
+            f = float(flow.f_stretch(t))
+            a = flow.coupling_matrix(t, w.wall_id)
             if coupling_mode == "cross":
                 a = np.einsum("ij,jk->ik", _CROSS_J, a)
             return g, f, a
@@ -184,8 +168,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
                 expl = -(f_all[k] * z) * diff_along(col, z, axis=-1)
                 expl -= np.einsum("ij,jz->iz", a_all[k], col)
                 if flow.layer_forcing is not None:
-                    expl += flow.layer_forcing(k * dt + 0.5 * dt, w.wall_id,
-                                               foot, z)[:, 0]
+                    expl += flow.layer_forcing(k * dt + 0.5 * dt, w.wall_id, z)
                 src += expl[:, :-1].T
             return src
 
@@ -201,8 +184,6 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor, collars: dict,
         walls[w.wall_id] = WallLayerSeries(
             wall_id=w.wall_id,
             tangent_names=w.tangent_names,
-            s_grid=collar.s_grid,
-            s_weights=collar.s_weights,
             ub=ub_store,
             g_used=g_all[store_steps],
             f_used=f_all[store_steps],
@@ -226,42 +207,44 @@ def _tail_integral(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     return tail
 
 
-def pressure_corrector_q(profile: LayerProfile, flow: BaseFlow) -> None:
-    """Build q(t, s, z) = -int_z^inf (coupling . n) dz' per wall, in place.
-
-    The integrand is c(s) . u_b with the flow's normal coupling
-    coefficients; integrating from Z_max downward pins the decay q -> 0.
-    """
+def _coupling_tail(profile: LayerProfile, coeff, collars: dict) -> dict:
+    """-int_z^inf coeff(t, wall, s) . u_b dz' per wall at the collar samples,
+    shape (n_t, n_s, n_z); integrating from Z_max downward pins the decay."""
     z = profile.grid.z
-    for wall_id, w in profile.walls.items():
-        n_t = len(profile.times)
-        q = np.zeros((n_t, 1, len(w.s_grid), profile.grid.nz))
-        for it, t in enumerate(profile.times):
-            c = flow.normal_coupling(t, wall_id, w.s_grid)      # (2, n_s)
-            integrand = np.einsum("cs,cz->sz", c, w.ub[it])
-            q[it, 0] = -_tail_integral(integrand, z)
-        w.q = q
-
-
-def grad_q_x(profile: LayerProfile, flow: BaseFlow) -> dict:
-    """Slow gradient of the pressure corrector, per wall and stored time.
-
-    grad_x q = -int_z^inf (d/ds c) . u_b dz' along the collar, which runs
-    along the extended normal; u_b itself does not vary along it.  The
-    result is a 3-component profile in the geometry frame.
-    """
-    z = profile.grid.z
-    geom = profile.geom
     out = {}
     for wall_id, w in profile.walls.items():
-        n_t = len(profile.times)
-        grads = np.zeros((n_t, 3, len(w.s_grid), profile.grid.nz))
-        for it, t in enumerate(profile.times):
-            dc = flow.normal_coupling_deriv(t, wall_id, w.s_grid)
-            integrand = np.einsum("cs,cz->sz", dc, w.ub[it])
-            # d/ds runs along the cross coordinate; grad q = (dq/ds) e_coord
-            # and the coordinate direction is into_domain * n
-            grads[it, geom.normal_comp] = -_tail_integral(integrand, z)
+        s = collars[wall_id].s_grid
+        out[wall_id] = np.stack([
+            -_tail_integral(np.einsum("cs,cz->sz", coeff(t, wall_id, s), w.ub[it]), z)
+            for it, t in enumerate(profile.times)])
+    return out
+
+
+def pressure_corrector_q(profile: LayerProfile, flow: BaseFlow,
+                         collars: dict) -> dict:
+    """q(t, s, z) = -int_z^inf (coupling . n) dz' per wall, (n_t, n_s, n_z).
+
+    The integrand is c(s) . u_b with the flow's normal coupling
+    coefficients, at the samples of ``collars`` (geometry.build_collar); q
+    varies along s through c(s) alone.
+    """
+    return _coupling_tail(profile, flow.normal_coupling, collars)
+
+
+def grad_q_x(profile: LayerProfile, flow: BaseFlow, collars: dict) -> dict:
+    """Slow gradient of the pressure corrector, per wall, (n_t, 3, n_s, n_z).
+
+    grad_x q = -int_z^inf (d/ds c) . u_b dz' at the collar samples, which
+    run along the extended normal; u_b itself does not vary along them.
+    The result is a 3-component profile in the geometry frame.
+    """
+    out = {}
+    for wall_id, dq in _coupling_tail(profile, flow.normal_coupling_deriv,
+                                      collars).items():
+        # d/ds runs along the cross coordinate; grad q = (dq/ds) e_coord
+        # and the coordinate direction is into_domain * n
+        grads = np.zeros((dq.shape[0], 3) + dq.shape[1:])
+        grads[:, profile.geom.normal_comp] = dq
         out[wall_id] = grads
     return out
 

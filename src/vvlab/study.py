@@ -37,14 +37,13 @@ from .euler import (
     LaurentProfile,
     ShearProfile,
     channel_base_flow,
-    manufactured_flow,
     oscillating_shear_case,
     potential_vortex,
     rigid_rotation,
     swirl_base_flow,
 )
 from .expansion import assemble_ansatz, extract_remainder
-from .layer import LayerProfile, pressure_corrector_q, solve_layer
+from .layer import LayerProfile, solve_layer
 from .ns import ViscousSolution, solve_ns_channel, solve_ns_swirl
 from .spaces import FastGrid, VolumeField, parse_norm, volume_norm
 
@@ -84,7 +83,7 @@ class EulerSpec:
         if fam.startswith("manufactured"):
             case_id = fam.split(":", 1)[1] if ":" in fam else "oscillating_shear"
             if case_id == "oscillating_shear":
-                return manufactured_flow(oscillating_shear_case(geom), geom)
+                return oscillating_shear_case(geom)
             raise ConfigError(f"unknown manufactured case {case_id!r}")
         raise ConfigError(f"unknown euler family {fam!r}")
 
@@ -122,7 +121,6 @@ class StudyConfig:
     norms: tuple = ("l2", "h1", "linf", "lp:4")
     t_eval: tuple | None = None     # None -> 8 times k*T/8
     output_dir: str = "out"
-    collar_points: int = 12
     preset_name: str = ""
     exact_regime_expected: bool = False
 
@@ -169,7 +167,6 @@ def parse_config_file(path) -> StudyConfig:
                                    eta=g.getfloat("eta"))
         else:
             raise ConfigError(f"unknown geometry kind {g.get('kind')!r}")
-        collar_points = g.getint("collar_points", fallback=12)
 
         e = cp["euler"]
         espec = EulerSpec(
@@ -210,7 +207,7 @@ def parse_config_file(path) -> StudyConfig:
         out = s.get("output_dir", "out") if hasattr(s, "get") else "out"
         return StudyConfig(geometry=geom, euler=espec, layer=lp, ns=npar,
                            nu_list=nu_list, norms=norms, t_eval=t_eval,
-                           output_dir=out, collar_points=collar_points)
+                           output_dir=out)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config file {path!r}: {exc}") from exc
 
@@ -352,18 +349,18 @@ def _build_flow(config: StudyConfig) -> BaseFlow:
 
 
 def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
-    """Layer solve shared by every viscosity row (the system is nu free)."""
+    """Layer solve shared by every viscosity row (the system is nu free).
+
+    The ansatz needs u_b only; the pressure corrector is left to callers
+    that ask for it (layer.pressure_corrector_q).
+    """
     flow = flow or _build_flow(config)
-    geom = config.geometry
-    collars = geo.build_collar(geom, config.collar_points)
     grid = FastGrid(nz=config.layer.nz,
                     zmax=config.layer.zmax or 33.0)
-    profile = solve_layer(flow, geom, collars, grid,
-                          dt=config.layer.dt, t_end=config.layer.t_end,
-                          store_times=config.t_eval,
-                          coupling_mode=config.layer.coupling_mode)
-    pressure_corrector_q(profile, flow)
-    return profile
+    return solve_layer(flow, config.geometry, grid,
+                       dt=config.layer.dt, t_end=config.layer.t_end,
+                       store_times=config.t_eval,
+                       coupling_mode=config.layer.coupling_mode)
 
 
 def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSolution:
@@ -523,7 +520,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def export_report(report: RateReport, out_dir, formats=("csv", "json")) -> list:
+def export_report(report: RateReport, out_dir) -> list:
     """Write errors.csv, rates.json, run_meta.json; return the paths.
 
     errors.csv carries both the velocity-error rows (part = "u") and the
@@ -533,35 +530,28 @@ def export_report(report: RateReport, out_dir, formats=("csv", "json")) -> list:
     """
     import os
 
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "errors.csv")
-        lines = ["nu,t,norm,value,part"]
-        for nu, t, label, value, part in report.rows:
-            lines.append(f"{nu!r},{t!r},{label},{value!r},{part}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, "rates.json")
-        payload = {
-            "preset": report.preset_name,
-            "exact_regime": report.exact_regime,
-            "norms": report.norm_results,
-            "remainder": report.remainder,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        paths.append(path)
-        meta_path = os.path.join(out_dir, "run_meta.json")
-        import scipy
+    import scipy
 
-        meta = dict(report.meta)
-        meta["versions"] = {"numpy": np.__version__, "scipy": scipy.__version__}
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, indent=1, sort_keys=True)
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "errors.csv")
+    lines = ["nu,t,norm,value,part"]
+    for nu, t, label, value, part in report.rows:
+        lines.append(f"{nu!r},{t!r},{label},{value!r},{part}")
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    rates_path = os.path.join(out_dir, "rates.json")
+    payload = {
+        "preset": report.preset_name,
+        "exact_regime": report.exact_regime,
+        "norms": report.norm_results,
+        "remainder": report.remainder,
+    }
+    meta_path = os.path.join(out_dir, "run_meta.json")
+    meta = dict(report.meta)
+    meta["versions"] = {"numpy": np.__version__, "scipy": scipy.__version__}
+    for path, doc in ((rates_path, payload), (meta_path, meta)):
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        paths.append(meta_path)
-    return paths
+    return [csv_path, rates_path, meta_path]

@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from vvlab import geometry as geo
 from vvlab.checks import run_all
-from vvlab.euler import layer_mms_case, manufactured_flow, rigid_rotation
+from vvlab.euler import layer_mms_case, rigid_rotation
 from vvlab.layer import layer_norm_monitor, solve_layer, wall_value
 from vvlab.spaces import (
     AnisotropicIndex,
@@ -36,9 +35,8 @@ def test_criterion_1_erfc_layer_oracle(annulus):
     # coupling hold identically): wall value matches 2 g sqrt(t/pi)
     t0 = time.perf_counter()
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
     t = 0.25
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=512), dt=1e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=512), dt=1e-4,
                           t_end=t, store_times=[t])
     worst = 0.0
     for wall_id in ("inner", "outer"):
@@ -115,8 +113,7 @@ def test_criterion_6_flat_boundary_degeneracy(flat_report, channel):
 
     flow = channel_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
                              channel)
-    collars = geo.build_collar(channel, 4)
-    profile = solve_layer(flow, channel, collars, FastGrid(nz=256), dt=1e-3,
+    profile = solve_layer(flow, channel, FastGrid(nz=256), dt=1e-3,
                           t_end=0.5, store_times=[0.25, 0.5])
     rep = layer_norm_monitor(profile, [AnisotropicIndex(1, 0, 1, 2.0)])
     layer_norm = max(float(s.max()) for s in rep.series.values())
@@ -139,16 +136,14 @@ def test_criterion_7_invariant_suite():
 
 
 def test_criterion_8_manufactured_orders(channel):
-    collars = geo.build_collar(channel, 4)
     a_mat = np.array([[0.3, 0.1], [-0.05, -0.2]])
 
     def layer_err(nz, dt):
-        case = layer_mms_case(channel, omega=3.0, f0=0.4, a_mat=a_mat)
-        flow = manufactured_flow(case, channel)
+        flow = layer_mms_case(channel, omega=3.0, f0=0.4, a_mat=a_mat)
         grid = FastGrid(nz=nz, zmax=12.0)
-        prof = solve_layer(flow, channel, collars, grid, dt=dt, t_end=0.2,
+        prof = solve_layer(flow, channel, grid, dt=dt, t_end=0.2,
                            store_times=[0.2])
-        exact = case.exact_profile(0.2, grid.z)
+        exact = flow.exact_profile(0.2, grid.z)
         return max(float(np.abs(w.ub[0] - exact).max())
                    for w in prof.walls.values())
 

@@ -48,9 +48,7 @@ def test_study_rates_writes_three_files(tmp_path, capsys):
     assert names == ["errors.csv", "rates.json", "run_meta.json"]
 
 
-def test_config_file_roundtrip(tmp_path):
-    cfg = tmp_path / "mini.cfg"
-    cfg.write_text("""
+MINI_CFG = """
 [geometry]
 kind = flat_channel
 h = 1.0
@@ -75,9 +73,33 @@ t_end = 0.2
 nu_list = 1e-2, 1e-3, 1e-4
 norms = l2
 t_eval = 0.1, 0.2
-""")
+"""
+
+
+def test_config_file_roundtrip(tmp_path):
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG)
     code = cli_main(["study", "rates", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == 0
     rates = json.loads((tmp_path / "out" / "rates.json").read_text())
     assert "l2" in rates["norms"]
+
+
+def test_config_output_dir_used_without_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG + "output_dir = results\n")
+    assert cli_main(["study", "rates", "--config", str(cfg)]) == 0
+    assert (tmp_path / "results" / "errors.csv").exists()
+    assert not (tmp_path / "out").exists()
+    # --out overrides the config's output_dir
+    assert cli_main(["study", "rates", "--config", str(cfg),
+                     "--out", "elsewhere"]) == 0
+    assert (tmp_path / "elsewhere" / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["check"], ["layer", "solve"], ["ns", "solve"],
+                                  ["euler", "residual"]])
+def test_jobs_only_on_study_rates(argv, capsys):
+    assert cli_main(argv + ["--preset", "vortex-annulus", "--jobs", "7"]) == 2

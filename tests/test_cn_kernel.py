@@ -22,7 +22,6 @@ from vvlab.euler import (
     ShearProfile,
     boundary_data_g,
     layer_mms_case,
-    manufactured_flow,
     oscillating_shear_case,
     rigid_rotation,
 )
@@ -88,13 +87,10 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
     m_plus = eye + 0.5 * dt * d2
     out = {}
     for w in geom.walls():
-        foot = np.array([w.coord])
-
         def coeffs(t):
-            g = boundary_data_g(flow, geom, t=t,
-                                samples={w.wall_id: foot})[w.wall_id].g[:, 0]
-            f = float(np.atleast_1d(flow.f_stretch(t, foot))[0])
-            a = flow.coupling_matrix(t, w.wall_id, foot)[:, :, 0]
+            g = boundary_data_g(flow, geom, t=t)[w.wall_id].g
+            f = float(flow.f_stretch(t))
+            a = flow.coupling_matrix(t, w.wall_id)
             if coupling_mode == "cross":
                 a = np.einsum("ij,jk->ik", _CROSS_J, a)
             return g, f, a
@@ -110,7 +106,7 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
             expl = -(f_now * z) * diff_along(b, z, axis=-1)
             expl -= np.einsum("ij,jz->iz", a_now, b)
             if flow.layer_forcing is not None:
-                expl += flow.layer_forcing(t_now + 0.5 * dt, w.wall_id, foot, z)[:, 0]
+                expl += flow.layer_forcing(t_now + 0.5 * dt, w.wall_id, z)
             rhs = (m_plus @ b.T).T
             rhs += dt * expl
             rhs[:, 0] += dt * (g_now + g_next) / h0
@@ -180,8 +176,8 @@ def _layer_cases():
     shear.curl = curl
     return {
         "rigid": (rigid_rotation(1.0, annulus), annulus, 5.0 * math.sqrt(2)),
-        "oscillating-shear": (manufactured_flow(shear, channel), channel, None),
-        "layer-mms": (manufactured_flow(mms, channel), channel, 12.0),
+        "oscillating-shear": (shear, channel, None),
+        "layer-mms": (mms, channel, 12.0),
     }
 
 
@@ -191,7 +187,7 @@ def test_layer_march_matches_sparse_march(case):
     grid = FastGrid(nz=128) if zmax is None else FastGrid(nz=128, zmax=zmax)
     dt, t_end = 1e-3, 0.2
     store = [0.0, 0.05, 0.2]
-    profile = solve_layer(flow, geom, geo.build_collar(geom, 4), grid, dt=dt,
+    profile = solve_layer(flow, geom, grid, dt=dt,
                           t_end=t_end, store_times=store)
     want = _oracle_layer_march(flow, geom, grid, dt, int(round(t_end / dt)),
                                [int(round(t / dt)) for t in store])
@@ -236,10 +232,9 @@ def test_non_finite_iterate_is_a_solver_error(annulus):
 
 
 def test_non_finite_layer_iterate_names_the_wall(channel):
-    case = layer_mms_case(channel)
-    case.layer_forcing = lambda t, wall, s, z: np.full((2, len(s), len(z)), np.inf)
+    flow = layer_mms_case(channel)
+    flow.layer_forcing = lambda t, wall, z: np.full((2, len(z)), np.inf)
     with pytest.raises(SolverError, match=r"layer lower \(nu-free, n=32\).*step 10"), \
             np.errstate(invalid="ignore"):
-        solve_layer(manufactured_flow(case, channel), channel,
-                    geo.build_collar(channel, 4), FastGrid(nz=32), dt=1e-2,
+        solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2,
                     t_end=0.1, store_times=[0.1])

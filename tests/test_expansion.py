@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from vvlab import geometry as geo
 from vvlab.errors import AlignmentError, ConfigError
 from vvlab.euler import LaurentProfile, potential_vortex, rigid_rotation
 from vvlab.expansion import (
@@ -14,7 +13,7 @@ from vvlab.expansion import (
     solve_neumann_potential,
     solve_neumann_potential_fd,
 )
-from vvlab.layer import pressure_corrector_q, solve_layer
+from vvlab.layer import solve_layer
 from vvlab.ns import ViscousSolution, solve_ns_swirl
 from vvlab.spaces import FastGrid, VolumeField, volume_norm
 
@@ -22,17 +21,14 @@ from vvlab.spaces import FastGrid, VolumeField, volume_norm
 @pytest.fixture(scope="module")
 def rigid_setup(annulus):
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 8)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=512), dt=1e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=512), dt=1e-4,
                           t_end=0.25, store_times=[0.125, 0.25])
-    pressure_corrector_q(profile, flow)
     return flow, profile
 
 
 def test_trivial_ansatz_reduces_to_base_flow(annulus):
     flow = potential_vortex(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.1])
     coords = annulus.volume_grid(512)
     bundle = assemble_ansatz(flow, profile, annulus, 1e-3, coords)
@@ -73,10 +69,8 @@ def test_ansatz_time_alignment_error(rigid_setup, annulus):
 
 def test_vortex_remainder_negligible(annulus):
     flow = potential_vortex(1.0, annulus)
-    collars = geo.build_collar(annulus, 6)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=128), dt=5e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=128), dt=5e-4,
                           t_end=0.5, store_times=[0.25, 0.5])
-    pressure_corrector_q(profile, flow)
     prof = LaurentProfile({-1: 1.0})
     nu = 1e-3
     sol = solve_ns_swirl(annulus, prof, nu=nu, nr=131072, dt=2.5e-3,
@@ -195,10 +189,8 @@ def test_gradient_part_is_normal_component(channel):
 
 def test_remainder_bc_vortex_trivial(annulus):
     flow = potential_vortex(1.0, annulus)
-    collars = geo.build_collar(annulus, 6)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=128), dt=5e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=128), dt=5e-4,
                           t_end=0.5, store_times=[0.5])
-    pressure_corrector_q(profile, flow)
     nu = 1e-3
     sol = solve_ns_swirl(annulus, LaurentProfile({-1: 1.0}), nu=nu, nr=65536,
                          dt=2.5e-3, t_end=0.5, store_times=[0.5])
@@ -214,10 +206,8 @@ def test_remainder_bc_rigid_refinement(annulus):
     # both wall identities shrink at order >= 1.5 under refinement of the
     # reference solve (layer resolution fixed well above it)
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 8)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=1024), dt=5e-5,
+    profile = solve_layer(flow, annulus, FastGrid(nz=1024), dt=5e-5,
                           t_end=0.25, store_times=[0.25])
-    pressure_corrector_q(profile, flow)
     nu = 1e-2
     res = []
     for nr in (512, 1024, 2048):

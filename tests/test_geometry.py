@@ -90,6 +90,16 @@ def test_build_collar_deterministic(annulus):
         assert np.array_equal(a[wall].lap_phi, b[wall].lap_phi)
 
 
+@pytest.mark.parametrize("n_points", [4, 12, 24])
+@pytest.mark.parametrize("kind", ["annulus", "channel"])
+def test_collar_measure_equals_summed_collar_weights(kind, n_points, request):
+    geom = request.getfixturevalue(kind)
+    charts = geo.build_collar(geom, n_points)
+    for w in geom.walls():
+        want = float(np.sum(charts[w.wall_id].s_weights))
+        assert geom.collar_measure(w.wall_id) == pytest.approx(want, rel=1e-15)
+
+
 def test_build_collar_too_few_points(annulus):
     with pytest.raises(ConfigError):
         geo.build_collar(annulus, 3)

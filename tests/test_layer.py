@@ -9,7 +9,6 @@ from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
     LaurentProfile,
     layer_mms_case,
-    manufactured_flow,
     potential_vortex,
     rigid_rotation,
     swirl_base_flow,
@@ -35,17 +34,15 @@ def erfc_solution(g, t, z):
 @pytest.fixture(scope="module")
 def rigid_layer(annulus):
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 6)
     grid = FastGrid(nz=512)
-    profile = solve_layer(flow, annulus, collars, grid, dt=1e-4, t_end=0.25,
+    profile = solve_layer(flow, annulus, grid, dt=1e-4, t_end=0.25,
                           store_times=[0.125, 0.25])
     return flow, profile
 
 
 def test_zero_data_gives_zero_profile(annulus):
     flow = potential_vortex(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=128), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=128), dt=1e-3,
                           t_end=0.2, store_times=[0.1, 0.2])
     for w in profile.walls.values():
         assert np.all(w.ub == 0.0)
@@ -127,8 +124,7 @@ def test_tangency_is_structural(rigid_layer, annulus):
 
 def test_initial_data_zero(annulus):
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.0, 0.1])
     for w in profile.walls.values():
         assert np.all(w.ub[0] == 0.0)
@@ -136,22 +132,19 @@ def test_initial_data_zero(annulus):
 
 def test_step_size_errors(annulus):
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
     with pytest.raises(StepSizeError):
-        solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=-1e-3,
+        solve_layer(flow, annulus, FastGrid(nz=64), dt=-1e-3,
                     t_end=0.1)
-    case = layer_mms_case(annulus, f0=50.0)
-    mflow = manufactured_flow(case, annulus)
+    mflow = layer_mms_case(annulus, f0=50.0)
     with pytest.raises(StepSizeError):
-        solve_layer(mflow, annulus, collars, FastGrid(nz=256), dt=5e-2,
+        solve_layer(mflow, annulus, FastGrid(nz=256), dt=5e-2,
                     t_end=0.1)
 
 
 def test_store_times_must_be_step_multiples(annulus):
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
     with pytest.raises(ConfigError):
-        solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=1e-3,
+        solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                     t_end=0.1, store_times=[0.0505])
 
 
@@ -163,43 +156,43 @@ def test_store_times_must_be_step_multiples(annulus):
 def test_q_zero_for_zero_profile(annulus):
     flow = potential_vortex(1.0, annulus)
     collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.1])
-    pressure_corrector_q(profile, flow)
-    for w in profile.walls.values():
-        assert np.all(w.q == 0.0)
+    for q in pressure_corrector_q(profile, flow, collars).values():
+        assert np.all(q == 0.0)
 
 
 def test_q_swirl_sign_and_decay(annulus):
     # outer wall: dq/dz = +2 U b_th / r, q = -int_z^inf (integrand)
     flow = swirl_base_flow(LaurentProfile({1: 1.0}), annulus)
     collars = geo.build_collar(annulus, 6)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=256), dt=5e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=256), dt=5e-4,
                           t_end=0.25, store_times=[0.25])
-    pressure_corrector_q(profile, flow)
+    q = pressure_corrector_q(profile, flow, collars)["outer"]
+    assert abs(q[0][0, -1]) <= 1e-10 * np.abs(q).max()
     w = profile.walls["outer"]
-    assert abs(w.q[0][0, 0, -1]) <= 1e-10 * np.abs(w.q).max()
     slot = w.tangent_names.index("theta")
     b = w.ub[0][slot]
-    r = w.s_grid[:, None]
+    r = collars["outer"].s_grid[:, None]
     u_theta = r * 1.0
     want_dq = 2.0 * u_theta * b / r
-    got_dq = diff_along(w.q[0][0], profile.grid.z, axis=-1)
+    got_dq = diff_along(q[0], profile.grid.z, axis=-1)
     interior = slice(2, -2)
     scale = np.abs(want_dq).max()
     assert np.abs(got_dq - want_dq)[:, interior].max() < 5e-3 * scale
 
 
-def test_q_fd_consistency(rigid_layer):
+def test_q_fd_consistency(rigid_layer, annulus):
     # differentiating the tabulated q in z recovers the integrand to O(dz^2)
     flow, profile = rigid_layer
-    pressure_corrector_q(profile, flow)
+    collars = geo.build_collar(annulus, 6)
+    q = pressure_corrector_q(profile, flow, collars)
     it = profile.time_index(0.25)
     z = profile.grid.z
     for wall_id, w in profile.walls.items():
-        c = flow.normal_coupling(0.25, wall_id, w.s_grid)
+        c = flow.normal_coupling(0.25, wall_id, collars[wall_id].s_grid)
         integrand = np.einsum("cs,cz->sz", c, w.ub[it])
-        got = diff_along(w.q[it][0], z, axis=-1)
+        got = diff_along(q[wall_id][it], z, axis=-1)
         scale = max(np.abs(integrand).max(), 1e-30)
         assert np.abs(got - integrand)[:, 2:-2].max() < 5e-3 * scale
 
@@ -207,9 +200,9 @@ def test_q_fd_consistency(rigid_layer):
 def test_grad_q_zero_profile(annulus):
     flow = potential_vortex(1.0, annulus)
     collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.1])
-    out = grad_q_x(profile, flow)
+    out = grad_q_x(profile, flow, collars)
     for vals in out.values():
         assert np.all(vals == 0.0)
 
@@ -219,13 +212,13 @@ def test_grad_q_matches_fd_of_q(annulus):
     # gradient must match finite differences of the tabulated q
     flow = swirl_base_flow(LaurentProfile({1: 1.0, 2: 0.5}), annulus)
     collars = geo.build_collar(annulus, 12)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=256), dt=5e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=256), dt=5e-4,
                           t_end=0.25, store_times=[0.25])
-    pressure_corrector_q(profile, flow)
-    out = grad_q_x(profile, flow)
-    for wall_id, w in profile.walls.items():
+    q = pressure_corrector_q(profile, flow, collars)
+    out = grad_q_x(profile, flow, collars)
+    for wall_id in profile.walls:
         got = out[wall_id][0][annulus.normal_comp]       # (n_s, n_z)
-        fd = diff_along(w.q[0][0], w.s_grid, axis=0)
+        fd = diff_along(q[wall_id][0], collars[wall_id].s_grid, axis=0)
         scale = max(np.abs(fd).max(), 1e-30)
         assert np.abs(got - fd).max() < 0.05 * scale
 
@@ -237,16 +230,15 @@ def test_grad_q_manufactured_symbolic(annulus):
     flow = swirl_base_flow(LaurentProfile({1: 1.0, 2: 0.5}), annulus)
     collars = geo.build_collar(annulus, 12)
     grid = FastGrid(nz=512)
-    profile = solve_layer(flow, annulus, collars, grid, dt=1e-2, t_end=0.01,
+    profile = solve_layer(flow, annulus, grid, dt=1e-2, t_end=0.01,
                           store_times=[0.01])
     beta = 1.5
     for wall_id, w in profile.walls.items():
         slot = w.tangent_names.index("theta")
         w.ub[0][...] = 0.0
         w.ub[0][slot] = beta * np.exp(-grid.z)
-    pressure_corrector_q(profile, flow)
-    out = grad_q_x(profile, flow)
-    for wall_id, w in profile.walls.items():
+    out = grad_q_x(profile, flow, collars)
+    for wall_id in profile.walls:
         sign = 1.0 if wall_id == "inner" else -1.0
         want = sign * beta * np.exp(-grid.z)
         got = out[wall_id][0][annulus.normal_comp]
@@ -261,8 +253,7 @@ def test_grad_q_manufactured_symbolic(annulus):
 
 def test_monitor_zero_profile(annulus):
     flow = potential_vortex(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=64), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.05, 0.1])
     rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 0, 2.0)])
     for series in rep.series.values():
@@ -273,9 +264,8 @@ def test_monitor_zero_profile(annulus):
 def test_monitor_growth_t34(annulus):
     # the developing layer grows like t^(3/4) in the weighted l2 norm
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
     times = [0.0625, 0.125, 0.25, 0.5]
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=256), dt=2.5e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=256), dt=2.5e-4,
                           t_end=0.5, store_times=times)
     rep = layer_norm_monitor(profile, [AnisotropicIndex(1, 0, 0, 2.0)])
     series = next(iter(rep.series.values()))
@@ -289,8 +279,7 @@ def test_monitor_flags_large_growth(annulus):
     # reference value taken at the first stored time: storing from t = dt
     # makes the developing layer exceed 10x and trip the flag
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=128), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=128), dt=1e-3,
                           t_end=0.5, store_times=[1e-3, 0.5])
     rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 0, 2.0)])
     assert all(rep.flagged.values())
@@ -299,8 +288,7 @@ def test_monitor_flags_large_growth(annulus):
 def test_monitor_dz_norm_scale(annulus):
     # d/dz u_b = -g erfc(z / 2 sqrt(t)): l2 norm g sqrt(2 sqrt(t) * 0.3305)
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=512), dt=1e-4,
+    profile = solve_layer(flow, annulus, FastGrid(nz=512), dt=1e-4,
                           t_end=0.25, store_times=[0.25])
     rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 1, 2.0)])
     series = next(iter(rep.series.values()))
@@ -309,18 +297,15 @@ def test_monitor_dz_norm_scale(annulus):
     dz_sq = np.trapezoid(erfc(z / (2 * math.sqrt(0.25))) ** 2 * g**2, z)
     base_sq = np.trapezoid(
         erfc_solution(g, 0.25, z) ** 2, z)
-    per_wall = {}
     tot = 0.0
-    for wall_id, w in profile.walls.items():
-        a = float(np.sum(w.s_weights))
-        tot += a * (dz_sq + base_sq)
+    for wall_id in profile.walls:
+        tot += annulus.collar_measure(wall_id) * (dz_sq + base_sq)
     assert series[0] == pytest.approx(math.sqrt(tot), rel=2e-3)
 
 
 def test_snapshot_write_bit_stable(tmp_path, annulus):
     flow = rigid_rotation(1.0, annulus)
-    collars = geo.build_collar(annulus, 4)
-    profile = solve_layer(flow, annulus, collars, FastGrid(nz=32), dt=1e-3,
+    profile = solve_layer(flow, annulus, FastGrid(nz=32), dt=1e-3,
                           t_end=0.05, store_times=[0.05])
     p1, p2 = tmp_path / "a.dat", tmp_path / "b.dat"
     write_profile_snapshots(profile, p1)
@@ -338,15 +323,14 @@ def test_snapshot_write_bit_stable(tmp_path, annulus):
 # ---------------------------------------------------------------------------
 
 
-def _mms_error(geom, collars, nz, dt, f0, a_mat, mode="cross"):
-    case = layer_mms_case(geom, omega=3.0, f0=f0, a_mat=a_mat,
+def _mms_error(geom, nz, dt, f0, a_mat, mode="cross"):
+    flow = layer_mms_case(geom, omega=3.0, f0=f0, a_mat=a_mat,
                           coupling_mode=mode)
-    flow = manufactured_flow(case, geom)
     grid = FastGrid(nz=nz, zmax=12.0)
     t_end = 0.2
-    profile = solve_layer(flow, geom, collars, grid, dt=dt, t_end=t_end,
+    profile = solve_layer(flow, geom, grid, dt=dt, t_end=t_end,
                           store_times=[t_end], coupling_mode=mode)
-    exact = case.exact_profile(t_end, grid.z)
+    exact = flow.exact_profile(t_end, grid.z)
     worst = 0.0
     for w in profile.walls.values():
         worst = max(worst, float(np.abs(w.ub[0] - exact).max()))
@@ -357,8 +341,7 @@ A_MAT = np.array([[0.3, 0.1], [-0.05, -0.2]])
 
 
 def test_mms_space_order(channel):
-    collars = geo.build_collar(channel, 4)
-    errs = [_mms_error(channel, collars, nz, 2e-5, 0.4, A_MAT)
+    errs = [_mms_error(channel, nz, 2e-5, 0.4, A_MAT)
             for nz in (32, 64, 128)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
@@ -366,8 +349,7 @@ def test_mms_space_order(channel):
 
 
 def test_mms_time_order(channel):
-    collars = geo.build_collar(channel, 4)
-    errs = [_mms_error(channel, collars, 384, dt, 0.4, A_MAT)
+    errs = [_mms_error(channel, 384, dt, 0.4, A_MAT)
             for dt in (8e-3, 4e-3, 2e-3)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
@@ -377,16 +359,14 @@ def test_mms_time_order(channel):
 def test_coupling_mode_discrepancy_reported(channel):
     # forcing built for "project" marched in "cross" mode: the two coupling
     # interpretations genuinely differ and the mismatch is visible
-    collars = geo.build_collar(channel, 4)
-    case = layer_mms_case(channel, omega=3.0, f0=0.0, a_mat=A_MAT,
+    flow = layer_mms_case(channel, omega=3.0, f0=0.0, a_mat=A_MAT,
                           coupling_mode="project")
-    flow = manufactured_flow(case, channel)
     grid = FastGrid(nz=256, zmax=12.0)
-    profile = solve_layer(flow, channel, collars, grid, dt=1e-3, t_end=0.2,
+    profile = solve_layer(flow, channel, grid, dt=1e-3, t_end=0.2,
                           store_times=[0.2], coupling_mode="cross")
-    exact = case.exact_profile(0.2, grid.z)
+    exact = flow.exact_profile(0.2, grid.z)
     worst = max(float(np.abs(w.ub[0] - exact).max())
                 for w in profile.walls.values())
-    matched = _mms_error(channel, collars, 256, 1e-3, 0.0, A_MAT,
+    matched = _mms_error(channel, 256, 1e-3, 0.0, A_MAT,
                          mode="cross")
     assert worst > 50 * matched

@@ -149,6 +149,8 @@ output_dir = results
     assert cfg.nu_list == (1e-2, 1e-3, 1e-4)
     assert cfg.norms == ("l2", "linf")
     assert cfg.output_dir == "results"
+    # collar_points is no longer a setting; older files that set it still parse
+    assert not hasattr(cfg, "collar_points")
 
 
 def test_parse_config_missing_file():
@@ -227,7 +229,6 @@ def test_jobs_do_not_change_report_bytes(tmp_path):
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=("l2", "linf"),
         t_eval=(0.1, 0.2),
-        collar_points=4,
     )
     r1 = run_convergence_study(cfg, jobs=1)
     r2 = run_convergence_study(cfg, jobs=2)
@@ -248,7 +249,6 @@ def test_empty_norm_list_header_only(tmp_path, annulus):
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=(),
         t_eval=(0.2,),
-        collar_points=4,
     )
     report = run_convergence_study(cfg)
     export_report(report, tmp_path)
@@ -265,7 +265,6 @@ def test_single_norm_single_entry(tmp_path, annulus):
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=("l2",),
         t_eval=(0.1, 0.2),
-        collar_points=4,
     )
     report = run_convergence_study(cfg)
     assert list(report.norm_results) == ["l2"]
@@ -282,7 +281,6 @@ def test_lp_label_spelling_keeps_remainder_criteria(annulus):
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=("l2", "lp:4.0"),
         t_eval=(0.2,),
-        collar_points=4,
     )
     assert cfg.norms == ("l2", "lp:4")
     report = run_convergence_study(cfg)
@@ -306,7 +304,6 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
         nu_list=(1e-2, 3e-3, 1e-3, 1e-4),
         norms=("l2",),
         t_eval=(0.2,),
-        collar_points=4,
     )
     real = study_mod._solve_one_nu
 
@@ -343,7 +340,6 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
         nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         norms=("l2",),
         t_eval=(0.2,),
-        collar_points=4,
     )
     real = study_mod.solve_reference
 
