@@ -19,7 +19,7 @@ from .errors import VvlabError
 from .euler import rigid_rotation
 from .expansion import leray_project, solve_neumann_potential, solve_neumann_potential_fd
 from .layer import solve_layer, wall_value
-from .ns import bc_residual, energy_identity_residual, solve_ns_channel, solve_ns_swirl
+from .ns import bc_residual, energy_identity_residual, solve_ns
 from .spaces import (
     FastGrid,
     VolumeField,
@@ -118,8 +118,8 @@ def check_energy_identity_order():
     prof = lambda y: np.cos(np.pi * y)
     res = []
     for dt in (5e-2, 2.5e-2):
-        sol = solve_ns_channel(geom, prof, nu=0.1, ny=2048, dt=dt, t_end=2.0,
-                               store_every=1, rannacher=0)
+        sol = solve_ns(geom, prof, nu=0.1, n=2048, dt=dt, t_end=2.0,
+                       store_every=1, rannacher=0)
         res.append(float(np.max(energy_identity_residual(sol))))
     ratio = res[0] / res[1]
     ok = 3.0 < ratio < 5.5
@@ -237,8 +237,8 @@ def check_bc_residual_refinement():
     prof = lambda r: 1.0 * r
     res = []
     for nr in (128, 256):
-        sol = solve_ns_swirl(geom, prof, nu=1e-2, nr=nr, dt=2e-4, t_end=0.2,
-                             store_times=[0.1, 0.2])
+        sol = solve_ns(geom, prof, nu=1e-2, n=nr, dt=2e-4, t_end=0.2,
+                       store_times=[0.1, 0.2])
         res.append(float(np.max(bc_residual(sol))))
     order = math.log2(res[0] / res[1])
     ok = order >= 1.5

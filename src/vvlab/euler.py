@@ -29,6 +29,10 @@ import numpy as np
 from . import geometry as geo
 from .errors import ConfigError, InvalidProfileError
 
+# quarter-turn in the tangential wall frame: (a, b) -> (b, -a); the "cross"
+# coupling mode of the layer applies J A instead of A
+_CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
 # ---------------------------------------------------------------------------
 # radial / shear profiles with exact derivatives
 # ---------------------------------------------------------------------------
@@ -371,8 +375,7 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
     """
     w_dir = np.array([1.0, 0.5])
     a_mat = np.zeros((2, 2)) if a_mat is None else np.asarray(a_mat, dtype=float)
-    j_rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    a_eff = j_rot @ a_mat if coupling_mode == "cross" else a_mat
+    a_eff = _CROSS_J @ a_mat if coupling_mode == "cross" else a_mat
 
     def exact(t, z):
         return math.sin(omega * t) * np.exp(-np.asarray(z) ** 2)[None, :] * w_dir[:, None]
@@ -438,30 +441,12 @@ def euler_residual(flow: BaseFlow, coords, t: float = 0.0,
     return float(np.abs(mom).max() + np.abs(div).max())
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Wall data for the layer solver.
+def boundary_data_g(flow: BaseFlow, wall: geo.Wall, t: float = 0.0) -> np.ndarray:
+    """g = curl(u0) x n at ``wall``, shape (2,) in its tangential frame.
 
-    ``g`` holds curl(u0) x n in the tangential wall frame; the layer solver
-    imposes d/dz u_b|_{z=0} = -g.  Sign convention recorded explicitly so
-    it can be asserted against the closed-form heat benchmark.
+    Sign convention: the layer solver imposes d/dz u_b|_{z=0} = -g.
     """
-
-    wall_id: str
-    tangent_names: tuple
-    g: np.ndarray                 # (2,)
-    sign_convention: str = "solver applies dz u_b(0) = -g with g = curl(u0) x n"
-
-
-def boundary_data_g(flow: BaseFlow, geom: geo.GeometryDescriptor,
-                    t: float = 0.0) -> dict:
-    """curl(u0) x n at each wall, expressed in the tangential wall frame."""
-    comp = {name: i for i, name in enumerate(geom.comp_names)}
-    out = {}
-    for w in geom.walls():
-        cu = flow.curl(t, np.array([w.coord]))[:, 0]
-        g_vec = np.cross(cu, w.normal)             # right-handed frames
-        g = np.array([g_vec[comp[name]] for name in w.tangent_names])
-        out[w.wall_id] = BoundaryData(wall_id=w.wall_id,
-                                      tangent_names=w.tangent_names, g=g)
-    return out
+    cu = flow.curl(t, np.array([wall.coord]))[:, 0]
+    g_vec = np.cross(cu, wall.normal)              # right-handed frames
+    names = flow.geom.comp_names
+    return np.array([g_vec[names.index(name)] for name in wall.tangent_names])

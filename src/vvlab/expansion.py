@@ -18,14 +18,14 @@ cross-check of the potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry as geo
-from .errors import AlignmentError, ConfigError, SolverError
+from .errors import ConfigError, SolverError
 from .euler import BaseFlow
 from .layer import LayerProfile, slow_curl_at_wall
 from .ns import ViscousSolution
@@ -181,13 +181,16 @@ class RemainderField:
     coords: np.ndarray
     times: np.ndarray
     values: np.ndarray             # (n_t, 3, n): (u_nu - ansatz)/nu
-    p_values: np.ndarray           # Leray-projected part
-    g_values: np.ndarray           # gradient part
 
     def field_at(self, it: int, part: str = "full") -> VolumeField:
-        vals = {"full": self.values, "P": self.p_values,
-                "I-P": self.g_values}[part][it]
-        return VolumeField(geom=self.geom, coords=self.coords, values=vals)
+        """R at stored index ``it``: in full, or its Leray part "P" or its
+        gradient part "I-P", split on demand."""
+        vf = VolumeField(geom=self.geom, coords=self.coords,
+                         values=self.values[it])
+        if part == "full":
+            return vf
+        p_field, g_field = leray_project(vf)
+        return {"P": p_field, "I-P": g_field}[part]
 
 
 def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderField:
@@ -197,21 +200,11 @@ def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderFi
     if sol.geom.kind != bundle.geom.kind or len(sol.coords) != len(bundle.coords) \
             or not np.allclose(sol.coords, bundle.coords, rtol=0.0, atol=1e-12):
         raise ConfigError("grid incompatibility between solution and ansatz")
-    n_t = len(bundle.times)
-    values = np.zeros_like(bundle.u_approx)
-    p_values = np.zeros_like(values)
-    g_values = np.zeros_like(values)
-    for jt, t in enumerate(bundle.times):
-        it = sol.time_index(t)                        # raises if not stored
-        values[jt] = (sol.values[it] - bundle.u_approx[jt]) / bundle.nu
-        vf = VolumeField(geom=bundle.geom, coords=bundle.coords, values=values[jt])
-        p_field, g_field = leray_project(vf)
-        p_values[jt] = p_field.values
-        g_values[jt] = g_field.values
+    idx = [sol.time_index(t) for t in bundle.times]   # raises if not stored
     return RemainderField(
         nu=bundle.nu, geom=bundle.geom, coords=bundle.coords,
-        times=bundle.times.copy(), values=values,
-        p_values=p_values, g_values=g_values,
+        times=bundle.times.copy(),
+        values=(sol.values[idx] - bundle.u_approx) / bundle.nu,
     )
 
 

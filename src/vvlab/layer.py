@@ -36,12 +36,9 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import AlignmentError, ConfigError, StepSizeError
-from .euler import BaseFlow, boundary_data_g
+from .euler import _CROSS_J, BaseFlow, boundary_data_g
 from .ns import _cn_march, _resolve_store_steps
 from .spaces import FastGrid, ProfileField, diff_along, weighted_norm
-
-# quarter-turn in the tangential wall frame: (a, b) -> (b, -a)
-_CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _fast_diffusion_operator(z: np.ndarray):
@@ -136,7 +133,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
     walls = {}
     for w in geom.walls():
         def coeffs(t):
-            g = boundary_data_g(flow, geom, t=t)[w.wall_id].g
+            g = boundary_data_g(flow, w, t=t)
             f = float(flow.f_stretch(t))
             a = flow.coupling_matrix(t, w.wall_id)
             if coupling_mode == "cross":

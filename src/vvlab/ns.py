@@ -7,6 +7,9 @@ so the solver reduces to one parabolic equation in the cross coordinate:
   (1/r) d(r u_th)/dr = 0 at r1 and r2 (zero wall vorticity);
 * channel shear:  d/dt u_x = nu u_x'', with u_x' = 0 at both walls.
 
+One solver, ``solve_ns``, serves both: the geometry picks the operator, the
+drive and the velocity slot, everything else is shared.
+
 Time stepping is Crank-Nicolson, second order in space; the wall condition
 is folded into the operator through a ghost node eliminated with the
 second-order centered stencil of the vorticity (channel: mirror ghost).
@@ -27,7 +30,7 @@ Pressure is recovered as d(pi)/dr = u_th^2 / r when needed and not stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -46,9 +49,6 @@ class ViscousSolution:
     coords: np.ndarray
     times: np.ndarray
     values: np.ndarray             # (n_t, 3, n) in the geometry frame
-    dt: float
-    t_end: float
-    scheme: dict = field(default_factory=dict)
 
     def field_at(self, it: int) -> VolumeField:
         return VolumeField(geom=self.geom, coords=self.coords,
@@ -205,94 +205,48 @@ def _cn_march(op, a, dt, n_steps, store_steps, source, where,
     return out[..., 0] if flat else out
 
 
-def _march_deviation(op, u0, nu, dt, n_steps, store_steps, rannacher, drive,
-                     where):
-    """March in deviation form u = u0 + w, w(0) = 0.
+def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
+             dt: float, t_end: float, store_times=None, store_every=None,
+             rannacher: int = 2) -> ViscousSolution:
+    """Reference solve with zero wall vorticity: azimuthal swirl u_theta in
+    the annulus, parallel shear u_x in the channel (u_x' = 0 at both walls).
 
-    The constant drive nu*L(u0) is the source, so w carries full relative
+    The march runs in deviation form u = u0 + w, w(0) = 0, with the
+    constant drive nu*L(u0) as the source, so w carries full relative
     precision even when it stays many orders below u0 (exact steady states
     then deviate only by the scheme's truncation, not by round-off of
-    order-one arithmetic).
+    order-one arithmetic).  ``u0_profile`` is either a profile with
+    ``value`` and ``deriv``, whose drive uses the exact derivatives, or a
+    plain callable u0(x), whose drive is the discrete operator applied to
+    u0.  The other two velocity components stay zero.
     """
-    if drive is None:
+    swirl = geom.kind == geo.ANNULUS_GAP
+    where = f"ns {'swirl' if swirl else 'channel'} (nu={nu:g}, n={n})"
+    if n < MIN_POINTS:
+        raise ConfigError(f"{where}: n must be >= {MIN_POINTS}")
+    if dt <= 0:
+        raise StepSizeError(f"{where}: dt must be positive")
+    operator, drive_of, slot = (_swirl_operator, _drive_swirl, 1) if swirl \
+        else (_channel_operator, _drive_channel, 0)
+    x = geom.volume_grid(n)
+    op = operator(x)
+    if hasattr(u0_profile, "deriv"):
+        u0 = u0_profile.value(x)
+        drive = drive_of(x, u0_profile)
+    else:
+        u0 = np.asarray(u0_profile(x), dtype=float)
         lo, di, up = op
         drive = di * u0
         drive[1:] += lo * u0[:-1]
         drive[:-1] += up * u0[1:]
+    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
     w = _cn_march(op, 0.5 * nu * dt, dt, n_steps, store_steps, nu * drive,
                   where, rannacher=rannacher)
-    return u0 + w
-
-
-def _pack(values_1d, comp_index, n_t, n):
-    vals = np.zeros((n_t, 3, n))
-    vals[:, comp_index, :] = values_1d
-    return vals
-
-
-def solve_ns_swirl(geom: geo.GeometryDescriptor, u0_profile, nu: float,
-                   nr: int, dt: float, t_end: float,
-                   store_times=None, store_every=None,
-                   rannacher: int = 2) -> ViscousSolution:
-    """Azimuthal swirl solve in the annulus with zero wall vorticity."""
-    if geom.kind != geo.ANNULUS_GAP:
-        raise ConfigError("swirl solver requires the annulus geometry")
-    if nr < MIN_POINTS:
-        raise ConfigError(f"nr must be >= {MIN_POINTS}")
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
-    r = geom.volume_grid(nr)
-    if hasattr(u0_profile, "value"):
-        u0 = u0_profile.value(r)
-        drive = _drive_swirl(r, u0_profile) if hasattr(u0_profile, "deriv") else None
-    else:
-        u0 = u0_profile(r)
-        drive = None
-    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    series = _march_deviation(_swirl_operator(r), np.asarray(u0, dtype=float),
-                              nu, dt, n_steps, store_steps, rannacher, drive,
-                              where=f"ns swirl (nu={nu:g}, n={nr})")
-    times = np.array([k * dt for k in store_steps])
-    return ViscousSolution(
-        nu=nu, geom=geom, coords=r, times=times,
-        values=_pack(series, 1, len(store_steps), nr),
-        dt=dt, t_end=t_end,
-        scheme={"method": "crank-nicolson", "bc": "ghost zero-vorticity",
-                "rannacher_steps": rannacher, "nr": nr},
-    )
-
-
-def solve_ns_channel(geom: geo.GeometryDescriptor, u0_profile, nu: float,
-                     ny: int, dt: float, t_end: float,
-                     store_times=None, store_every=None,
-                     rannacher: int = 2) -> ViscousSolution:
-    """Parallel shear solve in the channel with zero wall shear of the layer
-    component (u_x' = 0 at both walls)."""
-    if geom.kind != geo.FLAT_CHANNEL:
-        raise ConfigError("channel solver requires the flat channel geometry")
-    if ny < MIN_POINTS:
-        raise ConfigError(f"ny must be >= {MIN_POINTS}")
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
-    y = geom.volume_grid(ny)
-    if hasattr(u0_profile, "value"):
-        u0 = u0_profile.value(y)
-        drive = _drive_channel(y, u0_profile) if hasattr(u0_profile, "deriv") else None
-    else:
-        u0 = u0_profile(y)
-        drive = None
-    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    series = _march_deviation(_channel_operator(y), np.asarray(u0, dtype=float),
-                              nu, dt, n_steps, store_steps, rannacher, drive,
-                              where=f"ns channel (nu={nu:g}, n={ny})")
-    times = np.array([k * dt for k in store_steps])
-    return ViscousSolution(
-        nu=nu, geom=geom, coords=y, times=times,
-        values=_pack(series, 0, len(store_steps), ny),
-        dt=dt, t_end=t_end,
-        scheme={"method": "crank-nicolson", "bc": "mirror-ghost Neumann",
-                "rannacher_steps": rannacher, "ny": ny},
-    )
+    values = np.zeros((len(store_steps), 3, n))
+    values[:, slot] = u0 + w
+    return ViscousSolution(nu=nu, geom=geom, coords=x,
+                           times=np.array([k * dt for k in store_steps]),
+                           values=values)
 
 
 # ---------------------------------------------------------------------------

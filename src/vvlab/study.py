@@ -44,8 +44,8 @@ from .euler import (
 )
 from .expansion import assemble_ansatz, extract_remainder
 from .layer import LayerProfile, solve_layer
-from .ns import ViscousSolution, solve_ns_channel, solve_ns_swirl
-from .spaces import FastGrid, VolumeField, parse_norm, volume_norm
+from .ns import ViscousSolution, solve_ns
+from .spaces import DEFAULT_ZMAX, FastGrid, VolumeField, parse_norm, volume_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
 PASS_MARGIN_LOW = 0.05
@@ -356,7 +356,7 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
     """
     flow = flow or _build_flow(config)
     grid = FastGrid(nz=config.layer.nz,
-                    zmax=config.layer.zmax or 33.0)
+                    zmax=config.layer.zmax or DEFAULT_ZMAX)
     return solve_layer(flow, config.geometry, grid,
                        dt=config.layer.dt, t_end=config.layer.t_end,
                        store_times=config.t_eval,
@@ -366,15 +366,10 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
 def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSolution:
     """Viscous reference solve from the base flow's profile at ``nu``: swirl
     in the annulus, shear in the channel, stored at ``config.t_eval``."""
-    geom = config.geometry
-    swirl = geom.kind == geo.ANNULUS_GAP
-    u0 = flow.meta.get("profile") or (
-        lambda x: flow.velocity(0.0, x)[1 if swirl else 0])
-    if swirl:
-        return solve_ns_swirl(geom, u0, nu, nr=config.ns.n, dt=config.ns.dt,
-                              t_end=config.ns.t_end, store_times=config.t_eval)
-    return solve_ns_channel(geom, u0, nu, ny=config.ns.n, dt=config.ns.dt,
-                            t_end=config.ns.t_end, store_times=config.t_eval)
+    slot = 1 if config.geometry.kind == geo.ANNULUS_GAP else 0
+    u0 = flow.meta.get("profile") or (lambda x: flow.velocity(0.0, x)[slot])
+    return solve_ns(config.geometry, u0, nu, n=config.ns.n, dt=config.ns.dt,
+                    t_end=config.ns.t_end, store_times=config.t_eval)
 
 
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
@@ -389,7 +384,7 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(bundle.times):
         it = sol.time_index(t)
-        diff = sol.values[it] - flow.velocity(t, sol.coords)
+        diff = sol.values[it] - bundle.u0_part[jt]
         vf = VolumeField(geom=geom, coords=sol.coords, values=diff)
         for spec in specs:
             rows.append((nu, float(t), spec.label, volume_norm(vf, spec), "u"))

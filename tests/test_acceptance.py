@@ -20,7 +20,7 @@ from vvlab.spaces import (
     profile_from_callable,
     scaling_exponent_check,
 )
-from vvlab.study import get_preset, run_convergence_study
+from vvlab.study import get_preset
 
 RIGID_BANDS = {"l2": (0.70, 0.90), "h1": (0.20, 0.40),
                "linf": (0.45, 0.65), "lp:4": (0.57, 0.77)}
@@ -156,14 +156,14 @@ def test_criterion_8_manufactured_orders(channel):
     assert t_order >= 0.8
 
     from vvlab.euler import ShearProfile
-    from vvlab.ns import solve_ns_channel
+    from vvlab.ns import solve_ns
 
     nu = 0.1
     prof = ShearProfile(cosines=((1.0, 1),), h=channel.h)
 
     def ns_err(ny, dt):
-        sol = solve_ns_channel(channel, prof, nu=nu, ny=ny, dt=dt, t_end=0.4,
-                               store_times=[0.4], rannacher=0)
+        sol = solve_ns(channel, prof, nu=nu, n=ny, dt=dt, t_end=0.4,
+                       store_times=[0.4], rannacher=0)
         exact = math.exp(-nu * math.pi**2 * 0.4) * np.cos(math.pi * sol.coords)
         return float(np.abs(sol.values[-1, 0] - exact).max())
 

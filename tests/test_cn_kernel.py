@@ -88,7 +88,7 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
     out = {}
     for w in geom.walls():
         def coeffs(t):
-            g = boundary_data_g(flow, geom, t=t)[w.wall_id].g
+            g = boundary_data_g(flow, w, t=t)
             f = float(flow.f_stretch(t))
             a = flow.coupling_matrix(t, w.wall_id)
             if coupling_mode == "cross":
@@ -125,10 +125,10 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
 
 NS_CASES = {
     "swirl": (geo.annulus_gap(1.0, 2.0, eta=0.45), LaurentProfile({1: 1.0, -1: 0.5}),
-              ns.solve_ns_swirl, ns._swirl_operator, ns._drive_swirl, 1),
+              ns._swirl_operator, ns._drive_swirl, 1),
     "channel": (geo.flat_channel(1.0, eta=0.45),
                 ShearProfile(poly=(0.2, 1.0), cosines=((1.0, 1),)),
-                ns.solve_ns_channel, ns._channel_operator, ns._drive_channel, 0),
+                ns._channel_operator, ns._drive_channel, 0),
 }
 
 
@@ -136,7 +136,7 @@ NS_CASES = {
 @pytest.mark.parametrize("case", sorted(NS_CASES))
 @pytest.mark.parametrize("with_drive", [True, False])
 def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
-    geom, prof, solve, operator, drive_of, comp = NS_CASES[case]
+    geom, prof, operator, drive_of, comp = NS_CASES[case]
     n, nu, dt, t_end = 256, 1e-2, 1e-3, 0.1
     x = geom.volume_grid(n)
     op = operator(x)
@@ -145,8 +145,8 @@ def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
     assert 0.5 * nu * dt * lam.min() < -1.0
     store = [0.0, 0.003, 0.05, 0.1]
     u0_arg = prof if with_drive else prof.value
-    sol = solve(geom, u0_arg, nu, n, dt, t_end, store_times=store,
-                rannacher=rannacher)
+    sol = ns.solve_ns(geom, u0_arg, nu, n, dt, t_end, store_times=store,
+                      rannacher=rannacher)
     u0 = prof.value(x)
     want = _oracle_ns_march(sp.diags(op, [-1, 0, 1], format="csc"), u0, nu,
                             dt, int(round(t_end / dt)),
@@ -216,8 +216,8 @@ def test_non_positive_off_diagonal_product_is_a_config_error():
 def test_failed_factorisation_is_a_solver_error(channel):
     # negative viscosity: I - a S has a negative diagonal once |a| 4/h^2 > 1
     with pytest.raises(SolverError, match=r"ns channel \(nu=-1, n=64\).*dpttrf"):
-        ns.solve_ns_channel(channel, ShearProfile(poly=(0.0, 1.0)), nu=-1.0,
-                            ny=64, dt=1e-2, t_end=0.1)
+        ns.solve_ns(channel, ShearProfile(poly=(0.0, 1.0)), nu=-1.0,
+                    n=64, dt=1e-2, t_end=0.1)
 
 
 def test_non_finite_iterate_is_a_solver_error(annulus):
@@ -227,8 +227,8 @@ def test_non_finite_iterate_is_a_solver_error(annulus):
         return out
 
     with pytest.raises(SolverError, match=r"ns swirl \(nu=0.001, n=64\).*step 50"):
-        ns.solve_ns_swirl(annulus, u0, nu=1e-3, nr=64, dt=1e-3, t_end=0.1,
-                          store_times=[0.0, 0.05, 0.1])
+        ns.solve_ns(annulus, u0, nu=1e-3, n=64, dt=1e-3, t_end=0.1,
+                    store_times=[0.0, 0.05, 0.1])
 
 
 def test_non_finite_layer_iterate_names_the_wall(channel):

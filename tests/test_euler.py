@@ -1,9 +1,6 @@
-import math
-
 import numpy as np
 import pytest
 
-from vvlab import geometry as geo
 from vvlab.errors import ConfigError, InvalidProfileError
 from vvlab.euler import (
     LaurentProfile,
@@ -56,18 +53,16 @@ def test_channel_cosine_wall_curl(channel):
     # U = cos(pi y / H): U'(0) = U'(H) = 0, so the wall curl vanishes
     flow = channel_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
                              channel)
-    bd = boundary_data_g(flow, channel)
-    assert np.allclose(bd["lower"].g, 0.0, atol=1e-14)
-    assert np.allclose(bd["upper"].g, 0.0, atol=1e-14)
+    for w in channel.walls():
+        assert np.allclose(boundary_data_g(flow, w), 0.0, atol=1e-14)
 
 
 def test_channel_parabola_wall_data(channel):
     # U = y (H - y): curl = -(H - 2y) e_z, nonzero at the walls
     h = channel.h
     flow = channel_base_flow(ShearProfile(poly=(0.0, h, -1.0)), channel)
-    bd = boundary_data_g(flow, channel)
-    assert np.abs(bd["lower"].g).max() == pytest.approx(h)
-    assert np.abs(bd["upper"].g).max() == pytest.approx(h)
+    for w in channel.walls():
+        assert np.abs(boundary_data_g(flow, w)).max() == pytest.approx(h)
 
 
 def test_manufactured_wrong_pressure_negative_control(channel):
@@ -78,27 +73,26 @@ def test_manufactured_wrong_pressure_negative_control(channel):
 
 
 def test_boundary_data_vortex_zero(annulus):
-    bd = boundary_data_g(potential_vortex(1.0, annulus), annulus)
-    for wall in bd.values():
-        assert np.allclose(wall.g, 0.0, atol=1e-14)
+    flow = potential_vortex(1.0, annulus)
+    for w in annulus.walls():
+        assert np.allclose(boundary_data_g(flow, w), 0.0, atol=1e-14)
 
 
 def test_boundary_data_rigid_signs(annulus):
     # outer wall, n = -e_rad: curl x n = 2 Omega e_z x (-e_rad) = -2 Omega e_th
-    bd = boundary_data_g(rigid_rotation(1.0, annulus), annulus)
-    outer = bd["outer"]
+    flow = rigid_rotation(1.0, annulus)
+    outer = annulus.wall("outer")
     slot = outer.tangent_names.index("theta")
-    assert outer.g[slot] == pytest.approx(-2.0)
-    inner = bd["inner"]
+    assert boundary_data_g(flow, outer)[slot] == pytest.approx(-2.0)
+    inner = annulus.wall("inner")
     slot = inner.tangent_names.index("theta")
-    assert inner.g[slot] == pytest.approx(2.0)
+    assert boundary_data_g(flow, inner)[slot] == pytest.approx(2.0)
 
 
 def test_boundary_data_matches_componentwise_cross(annulus):
     # brute-force cross product in the (rad, theta, axial) frame
     prof = LaurentProfile({1: 1.0, 2: 0.5})
     flow = swirl_base_flow(prof, annulus)
-    bd = boundary_data_g(flow, annulus)
     for w in annulus.walls():
         cu = flow.curl(0.0, np.array([w.coord]))[:, 0]
         cross = np.array([
@@ -108,18 +102,16 @@ def test_boundary_data_matches_componentwise_cross(annulus):
         ])
         comp = {n: i for i, n in enumerate(annulus.comp_names)}
         for slot, name in enumerate(w.tangent_names):
-            assert bd[w.wall_id].g[slot] == pytest.approx(cross[comp[name]])
+            assert boundary_data_g(flow, w)[slot] == pytest.approx(cross[comp[name]])
 
 
 def test_boundary_data_linear_in_flow(annulus):
-    g1 = boundary_data_g(swirl_base_flow(LaurentProfile({1: 1.0}), annulus),
-                         annulus)
-    g2 = boundary_data_g(swirl_base_flow(LaurentProfile({2: 1.0}), annulus),
-                         annulus)
-    g12 = boundary_data_g(
-        swirl_base_flow(LaurentProfile({1: 2.0, 2: -3.0}), annulus), annulus)
-    for wall in g1:
-        assert np.allclose(g12[wall].g, 2.0 * g1[wall].g - 3.0 * g2[wall].g,
+    f1 = swirl_base_flow(LaurentProfile({1: 1.0}), annulus)
+    f2 = swirl_base_flow(LaurentProfile({2: 1.0}), annulus)
+    f12 = swirl_base_flow(LaurentProfile({1: 2.0, 2: -3.0}), annulus)
+    for w in annulus.walls():
+        g1, g2 = boundary_data_g(f1, w), boundary_data_g(f2, w)
+        assert np.allclose(boundary_data_g(f12, w), 2.0 * g1 - 3.0 * g2,
                            atol=1e-13)
 
 

@@ -14,7 +14,7 @@ from vvlab.expansion import (
     solve_neumann_potential_fd,
 )
 from vvlab.layer import solve_layer
-from vvlab.ns import ViscousSolution, solve_ns_swirl
+from vvlab.ns import ViscousSolution, solve_ns
 from vvlab.spaces import FastGrid, VolumeField, volume_norm
 
 
@@ -73,8 +73,8 @@ def test_vortex_remainder_negligible(annulus):
                           t_end=0.5, store_times=[0.25, 0.5])
     prof = LaurentProfile({-1: 1.0})
     nu = 1e-3
-    sol = solve_ns_swirl(annulus, prof, nu=nu, nr=131072, dt=2.5e-3,
-                         t_end=0.5, store_times=[0.25, 0.5])
+    sol = solve_ns(annulus, prof, nu=nu, n=131072, dt=2.5e-3,
+                   t_end=0.5, store_times=[0.25, 0.5])
     bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
                              times=[0.25, 0.5])
     rem = extract_remainder(sol, bundle)
@@ -91,8 +91,7 @@ def test_remainder_definition_identity(rigid_setup, annulus):
     bundle = assemble_ansatz(flow, profile, annulus, nu, coords)
     sol = ViscousSolution(nu=nu, geom=annulus, coords=coords,
                           times=bundle.times.copy(),
-                          values=bundle.u_approx.copy(), dt=1.0,
-                          t_end=bundle.times[-1])
+                          values=bundle.u_approx.copy())
     rem = extract_remainder(sol, bundle)
     assert np.all(rem.values == 0.0)
     recon = rem.values + (bundle.u_approx - sol.values) / nu
@@ -104,8 +103,8 @@ def test_remainder_grid_mismatch(rigid_setup, annulus):
     nu = 1e-3
     bundle = assemble_ansatz(flow, profile, annulus, nu,
                              annulus.volume_grid(512))
-    sol = solve_ns_swirl(annulus, LaurentProfile({1: 1.0}), nu=nu, nr=256,
-                         dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
+    sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
+                   dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
     with pytest.raises(ConfigError):
         extract_remainder(sol, bundle)
 
@@ -116,9 +115,25 @@ def test_remainder_nu_mismatch(rigid_setup, annulus):
     bundle = assemble_ansatz(flow, profile, annulus, 1e-3, coords)
     sol = ViscousSolution(nu=3e-3, geom=annulus, coords=coords,
                           times=bundle.times.copy(),
-                          values=bundle.u_approx.copy(), dt=1.0, t_end=0.25)
+                          values=bundle.u_approx.copy())
     with pytest.raises(ConfigError):
         extract_remainder(sol, bundle)
+
+
+def test_remainder_parts_are_the_projector_of_r(rigid_setup, annulus):
+    # the remainder stores R only; "P" and "I-P" split it on demand
+    flow, profile = rigid_setup
+    nu = 1e-3
+    sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
+                   dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
+    bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords)
+    rem = extract_remainder(sol, bundle)
+    for it in range(len(rem.times)):
+        p_field, g_field = leray_project(rem.field_at(it))
+        assert np.any(p_field.values != 0.0)
+        assert rem.field_at(it, "P").values.tobytes() == p_field.values.tobytes()
+        assert rem.field_at(it, "I-P").values.tobytes() \
+            == g_field.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +207,8 @@ def test_remainder_bc_vortex_trivial(annulus):
     profile = solve_layer(flow, annulus, FastGrid(nz=128), dt=5e-4,
                           t_end=0.5, store_times=[0.5])
     nu = 1e-3
-    sol = solve_ns_swirl(annulus, LaurentProfile({-1: 1.0}), nu=nu, nr=65536,
-                         dt=2.5e-3, t_end=0.5, store_times=[0.5])
+    sol = solve_ns(annulus, LaurentProfile({-1: 1.0}), nu=nu, n=65536,
+                   dt=2.5e-3, t_end=0.5, store_times=[0.5])
     bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
                              times=[0.5])
     rem = extract_remainder(sol, bundle)
@@ -211,8 +226,8 @@ def test_remainder_bc_rigid_refinement(annulus):
     nu = 1e-2
     res = []
     for nr in (512, 1024, 2048):
-        sol = solve_ns_swirl(annulus, LaurentProfile({1: 1.0}), nu=nu, nr=nr,
-                             dt=5e-5, t_end=0.25, store_times=[0.25])
+        sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=nr,
+                       dt=5e-5, t_end=0.25, store_times=[0.25])
         bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
                                  times=[0.25])
         rem = extract_remainder(sol, bundle)
@@ -233,7 +248,7 @@ def test_remainder_bc_definitional_case(rigid_setup, annulus):
     bundle = assemble_ansatz(flow, profile, annulus, nu, coords)
     sol = ViscousSolution(nu=nu, geom=annulus, coords=coords,
                           times=bundle.times.copy(),
-                          values=bundle.u_approx.copy(), dt=1.0, t_end=0.25)
+                          values=bundle.u_approx.copy())
     rem = extract_remainder(sol, bundle)
     res_n, res_t = remainder_bc_residual(rem, profile, nu)
     assert np.isfinite(res_n) and np.isfinite(res_t)

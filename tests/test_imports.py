@@ -1,0 +1,60 @@
+"""Every imported name in the package and the tests is used.
+
+Each file is parsed with ``ast``; a name bound by an import statement must
+appear as a name somewhere else in the same file, or be listed in the
+module's ``__all__``.  ``from __future__`` imports are compiler directives
+and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted((ROOT / "src" / "vvlab").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the file."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    out.append((alias.asname or alias.name, node.lineno))
+    return out
+
+
+def _referenced(tree):
+    """Names loaded anywhere in the file, plus the strings of ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts
+                         if isinstance(elt, ast.Constant))
+    return names
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    used = _referenced(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, ", ".join(f"{name} (line {line})" for name, line in unused)
+
+
+def test_checker_flags_an_unused_import():
+    src = ("from __future__ import annotations\n"
+           "import math\nimport numpy as np\nfrom os import path, sep\n"
+           "__all__ = ['sep']\nx = np.pi\n")
+    assert unused_imports(src) == [("math", 2), ("path", 4)]

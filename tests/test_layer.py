@@ -9,12 +9,12 @@ from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
     LaurentProfile,
     layer_mms_case,
+    oscillating_shear_case,
     potential_vortex,
     rigid_rotation,
     swirl_base_flow,
 )
 from vvlab.layer import (
-    MonitorReport,
     grad_q_x,
     layer_norm_monitor,
     pressure_corrector_q,
@@ -146,6 +146,22 @@ def test_store_times_must_be_step_multiples(annulus):
     with pytest.raises(ConfigError):
         solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                     t_end=0.1, store_times=[0.0505])
+
+
+def test_wall_curl_evaluated_once_per_wall_and_step(channel):
+    # an unsteady flow needs g at every step on each wall, and nothing more
+    flow = oscillating_shear_case(channel)
+    curl = flow.curl
+    calls = []
+
+    def counted(t, coords):
+        calls.append(t)
+        return curl(t, coords)
+
+    flow.curl = counted
+    n_steps = 10
+    solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2, t_end=0.1)
+    assert len(calls) == 2 * (n_steps + 1)
 
 
 # ---------------------------------------------------------------------------

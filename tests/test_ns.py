@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from vvlab import geometry as geo
 from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import LaurentProfile, ShearProfile
 from vvlab.ns import (
     angular_momentum,
     bc_residual,
     energy_identity_residual,
-    solve_ns_channel,
-    solve_ns_swirl,
+    solve_ns,
 )
 
 
@@ -19,24 +17,24 @@ def test_vortex_preserved(annulus):
     # the only drift is the O(h^2) wall response of the discrete vorticity
     # condition; at this resolution it sits below 1e-10 over the full horizon
     prof = LaurentProfile({-1: 1.0})
-    sol = solve_ns_swirl(annulus, prof, nu=1e-2, nr=32768, dt=2.5e-3,
-                         t_end=0.5, store_times=[0.5])
+    sol = solve_ns(annulus, prof, nu=1e-2, n=32768, dt=2.5e-3,
+                   t_end=0.5, store_times=[0.5])
     err = np.abs(sol.values[-1, 1] - 1.0 / sol.coords).max()
     assert err < 1e-10
 
 
 def test_constant_shear_preserved(channel):
     prof = ShearProfile(poly=(0.7,))
-    sol = solve_ns_channel(channel, prof, nu=1e-2, ny=512, dt=1e-3, t_end=0.5,
-                           store_times=[0.5])
+    sol = solve_ns(channel, prof, nu=1e-2, n=512, dt=1e-3, t_end=0.5,
+                   store_times=[0.5])
     assert np.abs(sol.values[-1, 0] - 0.7).max() < 1e-12
 
 
 def test_channel_eigenmode_exact(channel):
     nu, k = 1e-2, 1
     prof = ShearProfile(cosines=((1.0, k),), h=channel.h)
-    sol = solve_ns_channel(channel, prof, nu=nu, ny=2048, dt=1e-4, t_end=0.5,
-                           store_times=[0.5])
+    sol = solve_ns(channel, prof, nu=nu, n=2048, dt=1e-4, t_end=0.5,
+                   store_times=[0.5])
     exact = math.exp(-nu * (k * math.pi / channel.h) ** 2 * 0.5) \
         * np.cos(k * math.pi * sol.coords / channel.h)
     assert np.abs(sol.values[-1, 0] - exact).max() < 1e-6
@@ -47,8 +45,8 @@ def test_rigid_rotation_flux_balance(annulus):
     # vanishes: angular momentum changes only through the wall flux
     prof = LaurentProfile({1: 1.0})
     nu = 1e-3
-    sol = solve_ns_swirl(annulus, prof, nu=nu, nr=2048, dt=1e-4, t_end=0.2,
-                         store_every=100)
+    sol = solve_ns(annulus, prof, nu=nu, n=2048, dt=1e-4, t_end=0.2,
+                   store_every=100)
     times = sol.times
     mom = np.array([angular_momentum(sol, i) for i in range(len(times))])
     mid = slice(3, len(times) - 1)
@@ -67,8 +65,8 @@ def test_space_self_convergence_order(annulus):
     prof = LaurentProfile({1: 1.0})
     sols = {}
     for nr in (256, 512, 1024):
-        sols[nr] = solve_ns_swirl(annulus, prof, nu=1e-2, nr=nr, dt=5e-5,
-                                  t_end=0.1, store_times=[0.1])
+        sols[nr] = solve_ns(annulus, prof, nu=1e-2, n=nr, dt=5e-5,
+                            t_end=0.1, store_times=[0.1])
     errs = []
     for nr in (256, 512):
         a, b = sols[nr], sols[2 * nr]
@@ -83,8 +81,8 @@ def test_time_order_on_eigenmode(channel):
     prof = ShearProfile(cosines=((1.0, 1),), h=channel.h)
     errs = []
     for dt in (4e-2, 2e-2, 1e-2):
-        sol = solve_ns_channel(channel, prof, nu=nu, ny=4096, dt=dt,
-                               t_end=0.4, store_times=[0.4], rannacher=0)
+        sol = solve_ns(channel, prof, nu=nu, n=4096, dt=dt,
+                       t_end=0.4, store_times=[0.4], rannacher=0)
         exact = math.exp(-nu * math.pi**2 * 0.4) * np.cos(math.pi * sol.coords)
         errs.append(np.abs(sol.values[-1, 0] - exact).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -95,8 +93,8 @@ def test_time_order_on_eigenmode(channel):
 def test_energy_nonincreasing(annulus):
     prof = LaurentProfile({1: 1.0})
     for dt in (1e-3, 1e-2, 5e-2):
-        sol = solve_ns_swirl(annulus, prof, nu=1e-2, nr=256, dt=dt, t_end=0.5,
-                             store_every=1)
+        sol = solve_ns(annulus, prof, nu=1e-2, n=256, dt=dt, t_end=0.5,
+                       store_every=1)
         w = annulus.quadrature_weights(sol.coords)
         e = np.array([float(np.sum(w * sol.values[i, 1] ** 2))
                       for i in range(len(sol.times))])
@@ -112,13 +110,12 @@ def test_energy_identity_vortex_trivial(annulus):
     vals = np.zeros((3, 3, len(r)))
     vals[:, 1] = 1.0 / r
     sol = ViscousSolution(nu=1e-2, geom=annulus, coords=r,
-                          times=np.array([0.0, 0.05, 0.1]), values=vals,
-                          dt=0.05, t_end=0.1)
+                          times=np.array([0.0, 0.05, 0.1]), values=vals)
     assert np.max(energy_identity_residual(sol)) < 1e-12
     # a solved run adds only the transient wall-defect decay, O(nu h^2)
     prof = LaurentProfile({-1: 1.0})
-    solved = solve_ns_swirl(annulus, prof, nu=1e-2, nr=512, dt=1e-3,
-                            t_end=0.1, store_every=10)
+    solved = solve_ns(annulus, prof, nu=1e-2, n=512, dt=1e-3,
+                      t_end=0.1, store_every=10)
     assert np.max(energy_identity_residual(solved)) < 1e-6
 
 
@@ -126,8 +123,8 @@ def test_energy_identity_cn_order(channel):
     prof = ShearProfile(cosines=((1.0, 1),), h=channel.h)
     res = []
     for dt in (5e-2, 2.5e-2):
-        sol = solve_ns_channel(channel, prof, nu=0.1, ny=2048, dt=dt,
-                               t_end=2.0, store_every=1, rannacher=0)
+        sol = solve_ns(channel, prof, nu=0.1, n=2048, dt=dt,
+                       t_end=2.0, store_every=1, rannacher=0)
         res.append(np.max(energy_identity_residual(sol)))
     assert res[0] / res[1] == pytest.approx(4.0, abs=1.0)
 
@@ -136,8 +133,8 @@ def test_energy_identity_rigid_defaults(annulus):
     # the impulsive start (wall vorticity jumps to zero at t = 0+) makes the
     # first stored intervals stiff; past it the identity holds to 1e-6
     prof = LaurentProfile({1: 1.0})
-    sol = solve_ns_swirl(annulus, prof, nu=1e-2, nr=2048, dt=2.5e-5,
-                         t_end=0.05, store_every=40)
+    sol = solve_ns(annulus, prof, nu=1e-2, n=2048, dt=2.5e-5,
+                   t_end=0.05, store_every=40)
     res = energy_identity_residual(sol)
     assert np.max(res[5:]) < 1e-6
     assert np.all(np.isfinite(res))
@@ -145,8 +142,8 @@ def test_energy_identity_rigid_defaults(annulus):
 
 def test_bc_residual_zero_flow(annulus):
     prof = LaurentProfile({})
-    sol = solve_ns_swirl(annulus, prof, nu=1e-2, nr=128, dt=1e-2, t_end=0.1,
-                         store_every=5)
+    sol = solve_ns(annulus, prof, nu=1e-2, n=128, dt=1e-2, t_end=0.1,
+                   store_every=5)
     assert np.max(bc_residual(sol)) == 0.0
 
 
@@ -159,8 +156,7 @@ def test_bc_residual_exact_vortex_samples(annulus):
     vals = np.zeros((1, 3, len(r)))
     vals[0, 1] = 1.0 / r
     sol = ViscousSolution(nu=1e-2, geom=annulus, coords=r,
-                          times=np.array([0.0]), values=vals, dt=1.0,
-                          t_end=0.0)
+                          times=np.array([0.0]), values=vals)
     assert np.max(bc_residual(sol)) < 1e-10
 
 
@@ -168,8 +164,8 @@ def test_bc_residual_refinement_order(annulus):
     prof = LaurentProfile({1: 1.0})
     res = []
     for nr in (128, 256):
-        sol = solve_ns_swirl(annulus, prof, nu=1e-2, nr=nr, dt=2e-4,
-                             t_end=0.2, store_times=[0.1, 0.2])
+        sol = solve_ns(annulus, prof, nu=1e-2, n=nr, dt=2e-4,
+                       t_end=0.2, store_times=[0.1, 0.2])
         res.append(np.max(bc_residual(sol)))
     assert math.log2(res[0] / res[1]) >= 1.5
 
@@ -177,14 +173,23 @@ def test_bc_residual_refinement_order(annulus):
 def test_config_errors(annulus, channel):
     prof = LaurentProfile({1: 1.0})
     with pytest.raises(ConfigError):
-        solve_ns_swirl(annulus, prof, nu=1e-2, nr=16, dt=1e-3, t_end=0.1)
+        solve_ns(annulus, prof, nu=1e-2, n=16, dt=1e-3, t_end=0.1)
     with pytest.raises(StepSizeError):
-        solve_ns_swirl(annulus, prof, nu=1e-2, nr=64, dt=0.0, t_end=0.1)
+        solve_ns(annulus, prof, nu=1e-2, n=64, dt=0.0, t_end=0.1)
     with pytest.raises(ConfigError):
-        solve_ns_channel(channel, ShearProfile(poly=(1.0,)), nu=1e-2, ny=64,
-                         dt=1e-3, t_end=0.1, store_times=[0.0333])
-    with pytest.raises(ConfigError):
-        solve_ns_swirl(channel, prof, nu=1e-2, nr=64, dt=1e-3, t_end=0.1)
+        solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64,
+                 dt=1e-3, t_end=0.1, store_times=[0.0333])
+
+
+def test_non_flow_components_stay_zero(annulus, channel):
+    # the geometry picks the velocity slot; the other two are never written
+    for geom, prof, slot in ((annulus, LaurentProfile({1: 1.0, -1: 0.5}), 1),
+                             (channel, ShearProfile(poly=(0.2, 1.0)), 0)):
+        sol = solve_ns(geom, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
+                       store_every=10)
+        assert np.any(sol.values[1:, slot] != sol.values[0, slot])
+        others = [c for c in range(3) if c != slot]
+        assert np.all(sol.values[:, others] == 0.0)
 
 
 def test_compatible_shear_semigroup_rate(channel):
@@ -193,8 +198,8 @@ def test_compatible_shear_semigroup_rate(channel):
     errs = []
     nus = (1e-2, 1e-3, 1e-4)
     for nu in nus:
-        sol = solve_ns_channel(channel, prof, nu=nu, ny=1024, dt=2e-4,
-                               t_end=0.5, store_times=[0.5])
+        sol = solve_ns(channel, prof, nu=nu, n=1024, dt=2e-4,
+                       t_end=0.5, store_times=[0.5])
         u0 = np.cos(math.pi * sol.coords / channel.h)
         errs.append(np.abs(sol.values[-1, 0] - u0).max())
     slope = np.polyfit(np.log(nus), np.log(errs), 1)[0]

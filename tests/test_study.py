@@ -1,5 +1,4 @@
 import json
-import math
 import warnings
 
 import numpy as np
@@ -16,7 +15,6 @@ from vvlab.study import (
     fit_rate,
     get_preset,
     parse_config_file,
-    preset_rigid_annulus,
     run_convergence_study,
     theory_slope,
     weaker_slope,
@@ -366,10 +364,10 @@ def test_gradient_remainder_part_bounded(rigid_report):
 
 def test_pressure_recovery(annulus):
     from vvlab.euler import LaurentProfile
-    from vvlab.ns import radial_pressure_gradient, solve_ns_swirl
+    from vvlab.ns import radial_pressure_gradient, solve_ns
 
-    sol = solve_ns_swirl(annulus, LaurentProfile({-1: 1.0}), nu=1e-2, nr=256,
-                         dt=1e-3, t_end=0.1, store_times=[0.1])
+    sol = solve_ns(annulus, LaurentProfile({-1: 1.0}), nu=1e-2, n=256,
+                   dt=1e-3, t_end=0.1, store_times=[0.1])
     dp = radial_pressure_gradient(sol, 0)
     assert np.allclose(dp, 1.0 / sol.coords**3, atol=1e-6)
 
