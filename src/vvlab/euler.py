@@ -447,6 +447,9 @@ def boundary_data_g(flow: BaseFlow, wall: geo.Wall, t: float = 0.0) -> np.ndarra
     Sign convention: the layer solver imposes d/dz u_b|_{z=0} = -g.
     """
     cu = flow.curl(t, np.array([wall.coord]))[:, 0]
-    g_vec = np.cross(cu, wall.normal)              # right-handed frames
+    n = wall.normal                                # right-handed frames
+    g_vec = (cu[1] * n[2] - cu[2] * n[1],
+             cu[2] * n[0] - cu[0] * n[2],
+             cu[0] * n[1] - cu[1] * n[0])
     names = flow.geom.comp_names
     return np.array([g_vec[names.index(name)] for name in wall.tangent_names])

@@ -42,7 +42,6 @@ class AnsatzBundle:
     times: np.ndarray
     u_approx: np.ndarray           # (n_t, 3, n)
     u0_part: np.ndarray
-    layer_part: np.ndarray         # already scaled by sqrt(nu)
 
     def field_at(self, it: int) -> VolumeField:
         return VolumeField(geom=self.geom, coords=self.coords,
@@ -55,7 +54,9 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     """Evaluate u0 + sqrt(nu) u_b on the volume grid at shared times.
 
     The order-nu corrector v is zero in these geometries (see the module
-    docstring), so u_approx = u0_part + layer_part.
+    docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall.
+    The collars are disjoint and a wall's layer is exactly zero outside its
+    own, so each point receives at most one nonzero layer term.
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
@@ -68,21 +69,21 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     n = len(coords)
     n_t = len(times)
     u0_part = np.zeros((n_t, 3, n))
-    layer_part = np.zeros((n_t, 3, n))
+    u_approx = np.zeros((n_t, 3, n))
 
     for jt, (t, it) in enumerate(zip(times, idx)):
         u0_part[jt] = flow.velocity(t, coords)
+        u_approx[jt] = u0_part[jt]
         for w in geom.walls():
             pf = profile.profile(w.wall_id, it)
             vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
             for slot, name in enumerate(w.tangent_names):
-                layer_part[jt, comp[name]] += math.sqrt(nu) * vals[slot]
+                u_approx[jt, comp[name]] += math.sqrt(nu) * vals[slot]
 
     return AnsatzBundle(
         nu=nu, geom=geom, coords=np.asarray(coords, dtype=float),
         times=np.asarray(times, dtype=float),
-        u_approx=u0_part + layer_part,
-        u0_part=u0_part, layer_part=layer_part,
+        u_approx=u_approx, u0_part=u0_part,
     )
 
 

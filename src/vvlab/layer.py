@@ -38,7 +38,13 @@ from . import geometry as geo
 from .errors import AlignmentError, ConfigError, StepSizeError
 from .euler import _CROSS_J, BaseFlow, boundary_data_g
 from .ns import _cn_march, _resolve_store_steps
-from .spaces import FastGrid, ProfileField, diff_along, weighted_norm
+from .spaces import (
+    FastGrid,
+    ProfileField,
+    _apply_first_deriv,
+    _first_deriv_matrix_weights,
+    weighted_norm,
+)
 
 
 def _fast_diffusion_operator(z: np.ndarray):
@@ -123,6 +129,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
     z = grid.z
     op, h0 = _fast_diffusion_operator(z)
+    dz_weights = _first_deriv_matrix_weights(z)
 
     # explicit advection stability factor: max z_j / local spacing
     h_loc = np.minimum(np.diff(z, prepend=z[0] - (z[1] - z[0])),
@@ -162,7 +169,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
             if explicit:
                 col = np.zeros((2, grid.nz))
                 col[:, :-1] = b.T
-                expl = -(f_all[k] * z) * diff_along(col, z, axis=-1)
+                expl = -(f_all[k] * z) * _apply_first_deriv(dz_weights, col)
                 expl -= np.einsum("ij,jz->iz", a_all[k], col)
                 if flow.layer_forcing is not None:
                     expl += flow.layer_forcing(k * dt + 0.5 * dt, w.wall_id, z)

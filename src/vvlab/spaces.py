@@ -114,12 +114,19 @@ def diff_along(values: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
         d[..., 0] = (v[..., 1] - v[..., 0]) / h
         d[..., 1] = (v[..., 1] - v[..., 0]) / h
         return np.moveaxis(d, -1, axis)
-    cl, c0, cr = _first_deriv_matrix_weights(np.asarray(x, dtype=float))
+    d = _apply_first_deriv(_first_deriv_matrix_weights(np.asarray(x, dtype=float)), v)
+    return np.moveaxis(d, -1, axis)
+
+
+def _apply_first_deriv(weights, v: np.ndarray) -> np.ndarray:
+    """Apply the weights of _first_deriv_matrix_weights along the last axis
+    of ``v`` (at least 3 nodes)."""
+    cl, c0, cr = weights
     d = np.empty_like(v)
     d[..., 1:-1] = cl[1:-1] * v[..., :-2] + c0[1:-1] * v[..., 1:-1] + cr[1:-1] * v[..., 2:]
     d[..., 0] = c0[0] * v[..., 0] + cl[0] * v[..., 1] + cr[0] * v[..., 2]
     d[..., -1] = c0[-1] * v[..., -1] + cl[-1] * v[..., -2] + cr[-1] * v[..., -3]
-    return np.moveaxis(d, -1, axis)
+    return d
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -522,3 +529,81 @@ def gronwall_local_bound(y0: float, h_times, h_values, c0: float,
     hh = big_h(t_arr)
     out = hh + hh * ((1.0 - guard) ** (-1.0 / alpha) - 1.0)
     return out if np.ndim(t) else float(out[0])
+
+
+@dataclass
+class GronwallTrials:
+    """RK4 solutions of seeded Gronwall trials next to their local bounds."""
+
+    t_star: np.ndarray             # (n_trials,) end time, 0.7 of the horizon
+    y: np.ndarray                  # (n_trials,) RK4 solution at t_star
+    bound: np.ndarray              # (n_trials,) gronwall_local_bound at t_star
+
+
+# draw ranges of (y0, c0, alpha, h amplitude, h frequency), in draw order
+_GRONWALL_LOW = np.array([0.0, 0.1, 0.3, 0.0, 0.5])
+_GRONWALL_HIGH = np.array([1.5, 2.0, 2.0, 1.5, 4.0])
+
+
+def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
+                        n_steps: int) -> GronwallTrials:
+    """Solve y' = h(t) + c0 max(y, 0)^(1+alpha), y(0) = y0, for random trials.
+
+    Each trial draws y0, c0, alpha and h(t) = amp (1 + sin(freq t)^2),
+    sampled at ``n_samples`` points of [0, 2], and runs ``n_steps`` RK4 steps
+    to 0.7 of the horizon where alpha c0 H^alpha t reaches 1.  All trials
+    march together as arrays.  Each floating-point operation is the one a
+    scalar loop per trial would do (commuted only where that changes no
+    bit), and h is the piecewise-linear interpolant that np.interp
+    evaluates; only numpy's vector power may differ from the scalar one in
+    the last bit.
+    """
+    rng = np.random.default_rng(seed)
+    y0, c0, alpha, amp, freq = rng.uniform(
+        _GRONWALL_LOW, _GRONWALL_HIGH, size=(n_trials, 5)).T
+    tt = np.linspace(0.0, 2.0, n_samples)
+    # updates in place keep at most three (n_trials, n_samples) arrays alive
+    hv = np.sin(freq[:, None] * tt)
+    hv **= 2
+    hv += 1.0
+    hv *= amp[:, None]
+    seg = hv[:, 1:] + hv[:, :-1]
+    seg *= 0.5
+    seg *= np.diff(tt)
+    big_h = np.zeros((n_trials, n_samples))
+    np.cumsum(seg, axis=1, out=big_h[:, 1:])
+    del seg
+    big_h += y0[:, None]
+    guard = big_h ** alpha[:, None]
+    del big_h
+    guard *= (alpha * c0)[:, None]
+    guard *= tt
+    # the guard is 0 at t = 0, so the horizon is at least tt[1] and t_star > 0
+    beyond = guard >= 1.0
+    del guard
+    horizon = np.where(beyond.any(axis=1), tt[np.argmax(beyond, axis=1)], tt[-1])
+    t_star = 0.7 * horizon
+    dt = t_star / n_steps
+
+    rows = np.arange(n_trials)
+
+    def h_at(t):
+        # np.interp's piecewise-linear interpolant, one t per trial
+        j = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, n_samples - 2)
+        left = hv[rows, j]
+        slope = (hv[rows, j + 1] - left) / (tt[j + 1] - tt[j])
+        return slope * (t - tt[j]) + left
+
+    power = 1.0 + alpha
+    y = y0.copy()
+    for k in range(n_steps):
+        tk = k * dt
+        h_mid = h_at(tk + dt / 2)
+        k1 = h_at(tk) + c0 * np.maximum(y, 0.0) ** power
+        k2 = h_mid + c0 * np.maximum(y + dt * k1 / 2, 0.0) ** power
+        k3 = h_mid + c0 * np.maximum(y + dt * k2 / 2, 0.0) ** power
+        k4 = h_at(tk + dt) + c0 * np.maximum(y + dt * k3, 0.0) ** power
+        y += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    bound = np.array([gronwall_local_bound(y0[i], tt, hv[i], c0[i], alpha[i], t_star[i])
+                      for i in range(n_trials)])
+    return GronwallTrials(t_star=t_star, y=y, bound=bound)

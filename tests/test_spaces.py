@@ -19,6 +19,7 @@ from vvlab.spaces import (
     boundary_layer_eval,
     eval_profile_on_wall,
     gronwall_local_bound,
+    gronwall_rk4_trials,
     hardy_ratio,
     parse_norm,
     profile_from_callable,
@@ -267,36 +268,60 @@ def test_gronwall_blowup_horizon():
 
 
 def test_gronwall_dominates_rk4_batch():
-    rng = np.random.default_rng(42)
+    trials = gronwall_rk4_trials(seed=42, n_trials=100, n_samples=1001,
+                                 n_steps=800)
+    assert np.all(trials.bound >= trials.y * (1 - 1e-9) - 1e-12)
+
+
+def _gronwall_rk4_scalar_oracle(seed, n_samples, n_steps):
+    """One scalar RK4 loop per trial with np.interp, the reference for the
+    batched march; returns (t_star, y, bound) per trial."""
+    rng = np.random.default_rng(seed)
+    out = []
     for _ in range(100):
         y0 = rng.uniform(0.0, 1.5)
         c0 = rng.uniform(0.1, 2.0)
         alpha = rng.uniform(0.3, 2.0)
-        amp = rng.uniform(0.0, 1.5)
-        freq = rng.uniform(0.5, 4.0)
-        tt = np.linspace(0.0, 2.0, 1001)
-        hv = amp * (1.0 + np.sin(freq * tt) ** 2)
-        cum = y0 + np.concatenate([[0.0], np.cumsum(
+        h_amp = rng.uniform(0.0, 1.5)
+        h_freq = rng.uniform(0.5, 4.0)
+        tt = np.linspace(0.0, 2.0, n_samples)
+        hv = h_amp * (1.0 + np.sin(h_freq * tt) ** 2)
+        big_h = y0 + np.concatenate([[0.0], np.cumsum(
             0.5 * (hv[1:] + hv[:-1]) * np.diff(tt))])
-        guard = alpha * c0 * cum**alpha * tt
+        guard = alpha * c0 * big_h**alpha * tt
         horizon = tt[-1] if np.all(guard < 1.0) else tt[np.argmax(guard >= 1.0)]
         t_star = 0.7 * horizon
-        if t_star <= 0:
-            continue
-        n = 800
-        dt = t_star / n
+        dt = t_star / n_steps
+
+        def rhs(t, yv):
+            hval = np.interp(t, tt, hv)
+            return hval + c0 * max(yv, 0.0) ** (1.0 + alpha)
+
         y = y0
-        for k in range(n):
-            def rhs(t, yv):
-                return np.interp(t, tt, hv) + c0 * max(yv, 0.0) ** (1.0 + alpha)
+        for k in range(n_steps):
             tk = k * dt
             k1 = rhs(tk, y)
             k2 = rhs(tk + dt / 2, y + dt * k1 / 2)
             k3 = rhs(tk + dt / 2, y + dt * k2 / 2)
             k4 = rhs(tk + dt, y + dt * k3)
             y += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        bound = gronwall_local_bound(y0, tt, hv, c0, alpha, t_star)
-        assert bound >= y * (1 - 1e-9) - 1e-12
+        out.append((t_star, y, gronwall_local_bound(y0, tt, hv, c0, alpha, t_star)))
+    return tuple(np.array(v) for v in zip(*out))
+
+
+def test_gronwall_batch_matches_scalar_oracle():
+    # the draws, sample count and step count of check_gronwall_dominates_rk4
+    t_star, y, bound = _gronwall_rk4_scalar_oracle(11, 2001, 2000)
+    trials = gronwall_rk4_trials(seed=11, n_trials=100, n_samples=2001,
+                                 n_steps=2000)
+    # the guard vanishes at t = 0, so no trial has an empty interval
+    assert np.all(t_star > 0.0)
+    assert np.array_equal(trials.t_star, t_star)
+    assert np.all(np.abs(trials.y - y) <= 1e-14 * np.abs(y))
+    failures = lambda b, yv: int(np.count_nonzero(b < yv * (1 - 1e-9) - 1e-12))
+    assert failures(trials.bound, trials.y) == failures(bound, y)
+    assert np.min(trials.bound - trials.y) == pytest.approx(
+        np.min(bound - y), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
