@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import VvlabError
 from .euler import rigid_rotation
-from .expansion import leray_project, solve_neumann_potential, solve_neumann_potential_fd
+from .expansion import leray_project
 from .layer import solve_layer, wall_value
 from .ns import bc_residual, energy_identity_residual, solve_ns
 from .spaces import (
@@ -83,6 +83,7 @@ def check_projector():
     rng = np.random.default_rng(7)
     geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
     r = geom.volume_grid(401)
+    w = geom.quadrature_weights(r)
     worst_idem = 0.0
     worst_orth = 0.0
     worst_wall = 0.0
@@ -92,22 +93,13 @@ def check_projector():
         p1, g1 = leray_project(vf)
         p2, _ = leray_project(p1)
         worst_idem = max(worst_idem, float(np.abs(p2.values - p1.values).max()))
-        w = geom.quadrature_weights(r)
         inner = float(np.sum(w * np.sum(p1.values * g1.values, axis=0)))
         norm2 = float(np.sum(w * np.sum(vals**2, axis=0)))
         worst_orth = max(worst_orth, abs(inner) / norm2)
         worst_wall = max(worst_wall, abs(p1.values[0, 0]), abs(p1.values[0, -1]))
-    # quadrature potential against the independent FD Neumann solve
-    vals = rng.normal(size=(3, len(r)))
-    vals[0] = np.sin(np.pi * (r - 1.0)) * r
-    vf = VolumeField(geom=geom, coords=r, values=vals)
-    chi_q = solve_neumann_potential(vf)
-    chi_fd = solve_neumann_potential_fd(vf)
-    rel = float(np.abs(chi_q - chi_fd).max() / max(np.abs(chi_q).max(), 1e-30))
-    ok = worst_idem < 1e-10 and worst_orth < 1e-10 and worst_wall < 1e-12 \
-        and rel < 5e-3
+    ok = worst_idem < 1e-10 and worst_orth < 1e-10 and worst_wall < 1e-12
     return ok, (f"idem {worst_idem:.1e}, orth {worst_orth:.1e}, "
-                f"wall-normal {worst_wall:.1e}, potential fd match {rel:.1e}")
+                f"wall-normal {worst_wall:.1e}")
 
 
 @_timed

@@ -8,11 +8,10 @@ not vary along the wall or across the collar, so v = 0 and the ansatz is
 u0 + sqrt(nu) u_b.
 
 In the reduced symmetric geometries the Weyl decomposition is exact:
-gradients are precisely the wall-normal component fields (potential by
-radial quadrature) and the divergence-free tangent fields are the remaining
-components, so the projector is idempotent and orthogonal to round-off.  A
-finite-difference Neumann solve is kept alongside as an independent
-cross-check of the potential.
+gradients are precisely the wall-normal component fields and the
+divergence-free tangent fields are the remaining components, so the
+projector is a mask on the components: idempotent and orthogonal to
+round-off.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import geometry as geo
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .euler import BaseFlow
 from .layer import LayerProfile, slow_curl_at_wall
 from .ns import ViscousSolution
@@ -92,74 +89,13 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
 # ---------------------------------------------------------------------------
 
 
-def solve_neumann_potential(vf: VolumeField) -> np.ndarray:
-    """Potential chi with grad chi matching the normal component.
-
-    In the reduced geometries the Neumann problem div(grad chi) = div u,
-    d(chi)/dn = u . n integrates in closed form: chi' = u_n along the cross
-    coordinate.  Returned with weighted mean zero (the compatibility and
-    gauge fixing of the Neumann problem).
-    """
-    un = vf.values[vf.geom.normal_comp]
-    x = vf.coords
-    chi = np.concatenate([[0.0], np.cumsum(0.5 * (un[1:] + un[:-1]) * np.diff(x))])
-    w = vf.geom.quadrature_weights(x)
-    chi -= np.sum(w * chi) / np.sum(w)
-    return chi
-
-
-def solve_neumann_potential_fd(vf: VolumeField) -> np.ndarray:
-    """Tridiagonal finite-difference Neumann solve for the same potential.
-
-    Variational form: minimize ||G chi - u_mid||^2 weighted with the
-    midpoint measure (G the staggered gradient), whose normal equations are
-    the measure-weighted Neumann Laplace problem with natural flux
-    conditions.  Independent of the quadrature route; used as a
-    cross-check.  Raises SolverError when the solve fails.
-    """
-    x = vf.coords
-    n = len(x)
-    h = x[1] - x[0]
-    m = vf.geom.measure(x)
-    un = vf.values[vf.geom.normal_comp]
-    w_mid = 0.5 * (m[1:] + m[:-1]) * h               # midpoint measure weights
-    u_mid = 0.5 * (un[1:] + un[:-1])
-    # normal equations of the staggered least squares: (G^T W G) chi = G^T W u
-    lo = -w_mid / h**2
-    up = -w_mid / h**2
-    di = np.zeros(n)
-    di[0] = w_mid[0] / h**2
-    di[-1] = w_mid[-1] / h**2
-    di[1:-1] = (w_mid[:-1] + w_mid[1:]) / h**2
-    flux = w_mid * u_mid / h
-    rhs = np.zeros(n)
-    rhs[0] = -flux[0]
-    rhs[-1] = flux[-1]
-    rhs[1:-1] = flux[:-1] - flux[1:]
-    a = sp.diags([lo, di, up], [-1, 0, 1], format="lil")
-    # pin the gauge at node 0 (rhs is compatible: it sums to zero)
-    a[0, :] = 0.0
-    a[0, 0] = 1.0
-    rhs[0] = 0.0
-    try:
-        chi = spla.splu(a.tocsc()).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError("Neumann solve failed", residual=None) from exc
-    res = float(np.abs(a.tocsc() @ chi - rhs).max())
-    if not np.isfinite(res) or res > 1e-8 * max(1.0, float(np.abs(rhs).max())):
-        raise SolverError("Neumann solve did not converge", residual=res)
-    w = vf.geom.quadrature_weights(x)
-    chi -= np.sum(w * chi) / np.sum(w)
-    return chi
-
-
 def leray_project(vf: VolumeField):
     """Split a volume field into (divergence-free tangent part, gradient part).
 
     Exact in the reduced geometries: the gradient part is the wall-normal
-    component (whose potential solve_neumann_potential integrates), the
-    projected part the tangential components.  Idempotent and orthogonal to
-    round-off by construction.
+    component (the gradient of its integral along the cross coordinate),
+    the projected part the tangential components.  Idempotent and
+    orthogonal to round-off by construction.
     """
     grad_vals = np.zeros_like(vf.values)
     nc = vf.geom.normal_comp
@@ -183,15 +119,10 @@ class RemainderField:
     times: np.ndarray
     values: np.ndarray             # (n_t, 3, n): (u_nu - ansatz)/nu
 
-    def field_at(self, it: int, part: str = "full") -> VolumeField:
-        """R at stored index ``it``: in full, or its Leray part "P" or its
-        gradient part "I-P", split on demand."""
-        vf = VolumeField(geom=self.geom, coords=self.coords,
-                         values=self.values[it])
-        if part == "full":
-            return vf
-        p_field, g_field = leray_project(vf)
-        return {"P": p_field, "I-P": g_field}[part]
+    def field_at(self, it: int) -> VolumeField:
+        """R at stored index ``it``."""
+        return VolumeField(geom=self.geom, coords=self.coords,
+                           values=self.values[it])
 
 
 def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderField:

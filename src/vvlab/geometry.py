@@ -32,6 +32,16 @@ CUTOFF_PLATEAU = 0.5
 CAP_BLEND = 0.5
 
 
+def trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights of the trapezoid rule on the nodes ``x``."""
+    x = np.asarray(x, dtype=float)
+    w = np.zeros_like(x)
+    d = np.diff(x)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
+
+
 @dataclass(frozen=True)
 class Wall:
     """One wall of a reduced geometry.
@@ -133,11 +143,7 @@ class GeometryDescriptor:
     def quadrature_weights(self, coords: np.ndarray) -> np.ndarray:
         """Trapezoid weights times the volume measure density."""
         coords = np.asarray(coords, dtype=float)
-        w = np.zeros_like(coords)
-        d = np.diff(coords)
-        w[:-1] += 0.5 * d
-        w[1:] += 0.5 * d
-        return w * self.measure(coords)
+        return trapezoid_weights(coords) * self.measure(coords)
 
     def collar_measure(self, wall_id: str) -> float:
         """Trapezoid measure of the collar {d < eta} at one wall.

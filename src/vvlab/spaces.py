@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,6 +26,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedCombinationError,
 )
+from .geometry import trapezoid_weights
 
 DEFAULT_ZMAX = 33.0      # exp(-33) ~ 4.7e-15 < 1e-14
 DEFAULT_FAST_L = 2.0
@@ -127,15 +129,6 @@ def _apply_first_deriv(weights, v: np.ndarray) -> np.ndarray:
     d[..., 0] = c0[0] * v[..., 0] + cl[0] * v[..., 1] + cr[0] * v[..., 2]
     d[..., -1] = c0[-1] * v[..., -1] + cl[-1] * v[..., -2] + cr[-1] * v[..., -3]
     return d
-
-
-def trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    w = np.zeros_like(x)
-    d = np.diff(x)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +264,6 @@ class VolumeField:
             raise ConfigError("volume field values must have shape (3, n)")
 
 
-def grad_sq(vf: VolumeField) -> np.ndarray:
-    """Pointwise |grad u|^2 including the frame-curvature terms.
-
-    Channel (fields of y only): sum of squared y-derivatives.  Annulus
-    (axisymmetric, axially invariant): sum of squared radial derivatives
-    plus (u_rad^2 + u_theta^2)/r^2.
-    """
-    d = diff_along(vf.values, vf.coords, axis=-1)
-    out = np.sum(d**2, axis=0)
-    if vf.geom.kind == geo.ANNULUS_GAP:
-        r = vf.coords
-        out = out + (vf.values[0] ** 2 + vf.values[1] ** 2) / r**2
-    return out
-
-
 def curl_volume(vf: VolumeField) -> np.ndarray:
     """Curl of a reduced volume field, shape (3, n).
 
@@ -341,19 +319,69 @@ def parse_norm(label: str) -> NormSpec:
     raise ConfigError(f"unknown norm string {label!r}")
 
 
+class VolumeGrid:
+    """One cross-coordinate grid of a geometry and the constants its volume
+    norms share.
+
+    The quadrature weights and the first-derivative weights are built on
+    first use and kept, so one grid serves every field of a reference solve.
+    """
+
+    def __init__(self, geom: geo.GeometryDescriptor, coords: np.ndarray):
+        self.geom = geom
+        self.coords = np.asarray(coords, dtype=float)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.geom.quadrature_weights(self.coords)
+
+    @cached_property
+    def _deriv_weights(self):
+        return _first_deriv_matrix_weights(self.coords)
+
+    def grad_sq(self, values: np.ndarray) -> np.ndarray:
+        """Pointwise |grad u|^2 including the frame-curvature terms.
+
+        Channel (fields of y only): sum of squared y-derivatives.  Annulus
+        (axisymmetric, axially invariant): sum of squared radial derivatives
+        plus (u_rad^2 + u_theta^2)/r^2.
+        """
+        if len(self.coords) < 3:
+            d = diff_along(values, self.coords, axis=-1)
+        else:
+            d = _apply_first_deriv(self._deriv_weights, values)
+        out = np.sum(d**2, axis=0)
+        if self.geom.kind == geo.ANNULUS_GAP:
+            r = self.coords
+            out = out + (values[0] ** 2 + values[1] ** 2) / r**2
+        return out
+
+    def norms(self, values: np.ndarray, specs) -> list:
+        """The lp / linf / h1 norms ``specs`` of one (3, n) field, forming
+        its magnitude |u| once."""
+        values = np.asarray(values, dtype=float)
+        mag = np.sqrt(np.sum(values**2, axis=0))
+        out = []
+        for spec in specs:
+            if spec.kind == "linf":
+                out.append(float(mag.max(initial=0.0)))
+            elif spec.kind == "lp":
+                out.append(float(np.sum(self.weights * mag**spec.p) ** (1.0 / spec.p)))
+            elif spec.kind == "h1":
+                out.append(float(np.sqrt(np.sum(
+                    self.weights * (mag**2 + self.grad_sq(values))))))
+            else:
+                raise ConfigError(
+                    f"norm {spec.label!r} does not apply to volume fields")
+        return out
+
+
 def volume_norm(vf: VolumeField, spec) -> float:
-    """Evaluate an lp / linf / h1 norm of a volume field."""
+    """Evaluate an lp / linf / h1 norm of a volume field (one-shot
+    VolumeGrid.norms)."""
     if isinstance(spec, str):
         spec = parse_norm(spec)
-    mag = np.sqrt(np.sum(vf.values**2, axis=0))
-    if spec.kind == "linf":
-        return float(mag.max(initial=0.0))
-    w = vf.geom.quadrature_weights(vf.coords)
-    if spec.kind == "lp":
-        return float(np.sum(w * mag**spec.p) ** (1.0 / spec.p))
-    if spec.kind == "h1":
-        return float(np.sqrt(np.sum(w * (mag**2 + grad_sq(vf)))))
-    raise ConfigError(f"norm {spec.label!r} does not apply to volume fields")
+    return VolumeGrid(vf.geom, vf.coords).norms(vf.values, [spec])[0]
 
 
 # ---------------------------------------------------------------------------

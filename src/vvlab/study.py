@@ -42,10 +42,10 @@ from .euler import (
     rigid_rotation,
     swirl_base_flow,
 )
-from .expansion import assemble_ansatz, extract_remainder
+from .expansion import assemble_ansatz, extract_remainder, leray_project
 from .layer import LayerProfile, solve_layer
 from .ns import ViscousSolution, solve_ns
-from .spaces import DEFAULT_ZMAX, FastGrid, VolumeField, parse_norm, volume_norm
+from .spaces import DEFAULT_ZMAX, FastGrid, VolumeField, VolumeGrid, parse_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
 PASS_MARGIN_LOW = 0.05
@@ -372,6 +372,26 @@ def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSo
                     t_end=config.ns.t_end, store_times=config.t_eval)
 
 
+def remainder_norms(grid: VolumeGrid, values: np.ndarray, specs) -> dict:
+    """Norms of R and of its Leray parts, keyed "full", "P" and "I-P".
+
+    leray_project moves only the wall-normal component into the gradient
+    part.  When that component of R is all zero, P R equals R (up to the
+    sign of those zeros, which no norm sees) and (I - P) R is the zero
+    field, so the "P" norms are R's own and every "I-P" norm is exactly
+    0.0; neither field is formed.  This holds for every studied flow: they
+    are tangential and solve_ns keeps the normal component exactly zero.
+    Otherwise the split is computed.
+    """
+    full = grid.norms(values, specs)
+    if not np.any(values[grid.geom.normal_comp]):
+        return {"full": full, "P": full, "I-P": [0.0] * len(specs)}
+    p_field, g_field = leray_project(
+        VolumeField(geom=grid.geom, coords=grid.coords, values=values))
+    return {"full": full, "P": grid.norms(p_field.values, specs),
+            "I-P": grid.norms(g_field.values, specs)}
+
+
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     """Rows for a single viscosity: velocity-error and remainder norms."""
     geom = config.geometry
@@ -380,19 +400,18 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     bundle = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                              times=np.asarray(config.t_eval))
     rem = extract_remainder(sol, bundle)
+    grid = VolumeGrid(geom, sol.coords)
     rows = []
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(bundle.times):
-        it = sol.time_index(t)
-        diff = sol.values[it] - bundle.u0_part[jt]
-        vf = VolumeField(geom=geom, coords=sol.coords, values=diff)
-        for spec in specs:
-            rows.append((nu, float(t), spec.label, volume_norm(vf, spec), "u"))
-        rvf = {part: rem.field_at(jt, part) for part in ("full", "P", "I-P")}
-        for spec in specs:
+        t = float(t)
+        diff = sol.values[sol.time_index(t)] - bundle.u0_part[jt]
+        for spec, value in zip(specs, grid.norms(diff, specs)):
+            rows.append((nu, t, spec.label, value, "u"))
+        rem_norms = remainder_norms(grid, rem.values[jt], specs)
+        for k, spec in enumerate(specs):
             for part in ("full", "P", "I-P"):
-                rows.append((nu, float(t), spec.label,
-                             volume_norm(rvf[part], spec), f"R:{part}"))
+                rows.append((nu, t, spec.label, rem_norms[part][k], f"R:{part}"))
     return rows
 
 

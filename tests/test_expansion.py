@@ -10,12 +10,18 @@ from vvlab.expansion import (
     extract_remainder,
     leray_project,
     remainder_bc_residual,
-    solve_neumann_potential,
-    solve_neumann_potential_fd,
 )
 from vvlab.layer import solve_layer
 from vvlab.ns import ViscousSolution, solve_ns
-from vvlab.spaces import FastGrid, VolumeField, eval_profile_on_wall, volume_norm
+from vvlab.spaces import (
+    FastGrid,
+    VolumeField,
+    VolumeGrid,
+    eval_profile_on_wall,
+    parse_norm,
+    volume_norm,
+)
+from vvlab.study import remainder_norms
 
 
 @pytest.fixture(scope="module")
@@ -129,19 +135,22 @@ def test_remainder_nu_mismatch(rigid_setup, annulus):
 
 
 def test_remainder_parts_are_the_projector_of_r(rigid_setup, annulus):
-    # the remainder stores R only; "P" and "I-P" split it on demand
+    # the remainder stores R only; the study's "P" and "I-P" norms are those
+    # of its leray_project parts
     flow, profile = rigid_setup
     nu = 1e-3
     sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
                    dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
     bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords)
     rem = extract_remainder(sol, bundle)
+    grid = VolumeGrid(annulus, rem.coords)
+    specs = [parse_norm(s) for s in ("l2", "h1", "linf", "lp:4")]
     for it in range(len(rem.times)):
         p_field, g_field = leray_project(rem.field_at(it))
         assert np.any(p_field.values != 0.0)
-        assert rem.field_at(it, "P").values.tobytes() == p_field.values.tobytes()
-        assert rem.field_at(it, "I-P").values.tobytes() \
-            == g_field.values.tobytes()
+        got = remainder_norms(grid, rem.values[it], specs)
+        assert got["P"] == [volume_norm(p_field, spec) for spec in specs]
+        assert got["I-P"] == [volume_norm(g_field, spec) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +192,6 @@ def test_projector_idempotent_orthogonal_random(annulus):
         # projected part is tangent at the walls
         assert abs(p1.values[annulus.normal_comp, 0]) == 0.0
         assert abs(p1.values[annulus.normal_comp, -1]) == 0.0
-
-
-def test_neumann_potential_routes_agree(annulus):
-    r = annulus.volume_grid(2001)
-    vals = np.zeros((3, len(r)))
-    vals[0] = np.sin(np.pi * (r - 1.0)) + 0.3 * (r - 1.5) ** 2
-    vf = VolumeField(geom=annulus, coords=r, values=vals)
-    chi_q = solve_neumann_potential(vf)
-    chi_fd = solve_neumann_potential_fd(vf)
-    scale = np.abs(chi_q).max()
-    assert np.abs(chi_q - chi_fd).max() < 5e-3 * scale
 
 
 def test_gradient_part_is_normal_component(channel):

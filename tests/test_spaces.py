@@ -16,7 +16,9 @@ from vvlab.spaces import (
     FastGrid,
     ProfileField,
     VolumeField,
+    VolumeGrid,
     boundary_layer_eval,
+    diff_along,
     eval_profile_on_wall,
     gronwall_local_bound,
     gronwall_rk4_trials,
@@ -351,3 +353,45 @@ def test_volume_norms(channel):
         math.sqrt(0.5 + math.pi**2 / 2.0), rel=1e-4)
     # lp:4 of sin: (int sin^4)^(1/4) = (3/8)^(1/4)
     assert volume_norm(vf, "lp:4") == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-5)
+
+
+def _volume_norm_oracle(vf, spec):
+    """The volume norm formulas with every grid constant rebuilt per call."""
+    x = vf.coords
+    w = np.zeros_like(x)
+    d = np.diff(x)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    w = w * vf.geom.measure(x)
+    mag = np.sqrt(np.sum(vf.values**2, axis=0))
+    if spec.kind == "linf":
+        return float(mag.max(initial=0.0))
+    if spec.kind == "lp":
+        return float(np.sum(w * mag**spec.p) ** (1.0 / spec.p))
+    grad = np.sum(diff_along(vf.values, x, axis=-1) ** 2, axis=0)
+    if vf.geom.kind == geo.ANNULUS_GAP:
+        grad = grad + (vf.values[0] ** 2 + vf.values[1] ** 2) / x**2
+    return float(np.sqrt(np.sum(w * (mag**2 + grad))))
+
+
+@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
+@pytest.mark.parametrize("n", [3, 101, 4097])
+def test_volume_grid_matches_per_call_norms(request, geom_name, n):
+    # one grid, many fields: bit for bit the per-call formulas
+    geom = request.getfixturevalue(geom_name)
+    coords = geom.volume_grid(n)
+    grid = VolumeGrid(geom, coords)
+    specs = [parse_norm(s) for s in ("l2", "lp:4", "linf", "h1")]
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        vf = VolumeField(geom=geom, coords=coords,
+                         values=rng.normal(size=(3, n)) * rng.uniform(0.1, 10.0))
+        expected = [_volume_norm_oracle(vf, spec) for spec in specs]
+        assert grid.norms(vf.values, specs) == expected
+        assert [volume_norm(vf, spec) for spec in specs] == expected
+
+
+def test_volume_grid_rejects_aniso(channel):
+    grid = VolumeGrid(channel, channel.volume_grid(9))
+    with pytest.raises(ConfigError):
+        grid.norms(np.ones((3, 9)), [parse_norm("aniso:0,0,0,2")])

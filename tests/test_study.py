@@ -1,11 +1,19 @@
+import hashlib
 import json
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vvlab import geometry as geo
+from vvlab import study
 from vvlab.errors import ConfigError, DegenerateFitError
+from vvlab.expansion import leray_project
+from vvlab.spaces import VolumeField, VolumeGrid, parse_norm, volume_norm
 from vvlab.study import (
     EulerSpec,
     LayerParams,
@@ -15,10 +23,13 @@ from vvlab.study import (
     fit_rate,
     get_preset,
     parse_config_file,
+    remainder_norms,
     run_convergence_study,
     theory_slope,
     weaker_slope,
 )
+
+STUDY_SPECS = [parse_norm(s) for s in ("l2", "h1", "linf", "lp:4")]
 
 RIGID_BANDS = {"l2": (0.70, 0.90), "h1": (0.20, 0.40),
                "linf": (0.45, 0.65), "lp:4": (0.57, 0.77)}
@@ -424,3 +435,97 @@ def test_golden_rigid_rates(tmp_path, rigid_report):
         pytest.skip("golden file not generated yet")
     expected = golden.read_bytes()
     assert produced == expected, _describe_json_diffs(expected, produced)
+
+
+# ---------------------------------------------------------------------------
+# Leray split of the remainder: the mask shortcut and its explicit branch
+# ---------------------------------------------------------------------------
+
+
+def _split_norms(geom, coords, values):
+    """Norms of R and of its leray_project parts, one volume_norm each."""
+    vf = VolumeField(geom=geom, coords=coords, values=values)
+    p_field, g_field = leray_project(vf)
+    return {part: [volume_norm(f, spec) for spec in STUDY_SPECS]
+            for part, f in (("full", vf), ("P", p_field), ("I-P", g_field))}
+
+
+def test_vortex_leray_rows_follow_the_mask(vortex_report):
+    rows = {(nu, t, label, part): v for nu, t, label, v, part in vortex_report.rows}
+    full = [key[:3] for key in rows if key[3] == "R:full"]
+    assert len(full) == 5 * 8 * 4
+    for key in full:
+        assert rows[key + ("R:P",)] == rows[key + ("R:full",)]
+        assert repr(rows[key + ("R:I-P",)]) == "0.0"
+
+
+@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
+def test_remainder_norms_split_a_normal_component(monkeypatch, request, geom_name):
+    geom = request.getfixturevalue(geom_name)
+    calls = []
+    real = study.leray_project
+    monkeypatch.setattr(study, "leray_project",
+                        lambda vf: calls.append(vf) or real(vf))
+    coords = geom.volume_grid(257)
+    values = np.random.default_rng(3).normal(size=(3, 257))
+    got = remainder_norms(VolumeGrid(geom, coords), values, STUDY_SPECS)
+    assert len(calls) == 1                       # the explicit branch ran
+    assert got == _split_norms(geom, coords, values)
+    assert all(v > 0.0 for v in got["I-P"])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([geo.FLAT_CHANNEL, geo.ANNULUS_GAP]),
+       n=st.integers(3, 40), zero=st.sampled_from([0.0, -0.0]))
+def test_mask_shortcut_equals_explicit_split(data, kind, n, zero):
+    geom = geo.flat_channel(1.0, eta=0.45) if kind == geo.FLAT_CHANNEL \
+        else geo.annulus_gap(1.0, 2.0, eta=0.45)
+    values = data.draw(arrays(np.float64, (3, n), elements=st.floats(
+        -1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    values[geom.normal_comp] = zero              # a tangential field
+    coords = geom.volume_grid(n)
+    got = remainder_norms(VolumeGrid(geom, coords), values, STUDY_SPECS)
+    assert got == _split_norms(geom, coords, values)
+
+
+# ---------------------------------------------------------------------------
+# byte guard on the vortex errors.csv
+# ---------------------------------------------------------------------------
+
+
+def _line_digest(line):
+    return hashlib.sha256(line.encode()).hexdigest()[:8]
+
+
+def _describe_csv_diffs(line_digests, produced_bytes):
+    """Rows of a produced CSV whose line digest differs from the golden one."""
+    lines = produced_bytes.decode().splitlines()
+    out = []
+    if len(lines) != len(line_digests):
+        out.append(f"{len(lines)} lines, the golden file has {len(line_digests)}")
+    diffs = [line for line, digest in zip(lines, line_digests)
+             if _line_digest(line) != digest]
+    out.append(f"{len(diffs)} row(s) differ from the golden file:")
+    out += [f"  {line}" for line in diffs]
+    return "\n".join(out)
+
+
+def test_csv_diff_report_names_every_row():
+    golden = [_line_digest(line) for line in ("h", "1,a", "2,b")]
+    assert _describe_csv_diffs(golden, b"h\n1,a\n2,c\n").splitlines() == [
+        "1 row(s) differ from the golden file:",
+        "  2,c",
+    ]
+    assert _describe_csv_diffs(golden, b"h\n1,a\n").splitlines()[0] \
+        == "2 lines, the golden file has 3"
+
+
+def test_golden_vortex_errors(tmp_path, vortex_report):
+    # first line: SHA-256 of errors.csv; then the first 8 hex digits of the
+    # SHA-256 of each of its lines, in order, to name the rows that moved
+    golden = pathlib.Path(__file__).parent / "golden" / "vortex_errors.sha256"
+    file_digest, *line_digests = golden.read_text().splitlines()
+    export_report(vortex_report, tmp_path)
+    produced = (tmp_path / "errors.csv").read_bytes()
+    assert hashlib.sha256(produced).hexdigest() == file_digest.split()[0], \
+        _describe_csv_diffs(line_digests, produced)
