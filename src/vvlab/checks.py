@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import VvlabError
-from .euler import rigid_rotation
+from .euler import LaurentProfile, ShearProfile, rigid_rotation
 from .expansion import leray_project
 from .layer import solve_layer, wall_value
 from .ns import bc_residual, energy_identity_residual, solve_ns
@@ -107,7 +107,7 @@ def check_energy_identity_order():
     # nu and dt chosen so the O(dt^2) trapezoid term dominates the O(h^2)
     # floor of the discrete curl
     geom = geo.flat_channel(1.0, eta=0.25)
-    prof = lambda y: np.cos(np.pi * y)
+    prof = ShearProfile(cosines=((1.0, 1),), h=1.0)
     res = []
     for dt in (5e-2, 2.5e-2):
         sol = solve_ns(geom, prof, nu=0.1, n=2048, dt=dt, t_end=2.0,
@@ -198,7 +198,7 @@ def check_gronwall_dominates_rk4():
 @_timed
 def check_bc_residual_refinement():
     geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
-    prof = lambda r: 1.0 * r
+    prof = LaurentProfile({1: 1.0})
     res = []
     for nr in (128, 256):
         sol = solve_ns(geom, prof, nu=1e-2, n=nr, dt=2e-4, t_end=0.2,

@@ -1,12 +1,13 @@
 """Inviscid base flows: exact steady families in the reduced geometries plus
-a manufactured mode, with the boundary data handed to the layer solver.
+manufactured cases, with the boundary data handed to the layer solver.
 
 The analytic families are exact steady solutions with zero normal velocity:
 
 * swirl   u0 = U(r) e_theta in the annulus, pressure balancing U^2/r;
 * shear   u0 = U(y) e_x in the channel, constant pressure.
 
-For both families the stretching coefficient f = (u0 . n)/phi vanishes
+Each carries its profile U, the one input of the reference solve.  For
+both families the stretching coefficient f = (u0 . n)/phi vanishes
 identically and the tangential projection of the layer coupling
 (u0 . grad u_b + u_b . grad u0) is zero; the pieces that feed the layer
 solver are therefore the wall data g = curl u0 x n and, for the pressure
@@ -15,14 +16,14 @@ The layer is one column per wall, so g, f, the coupling matrix and any
 manufactured forcing are evaluated at the wall; only c and its slow
 derivative take collar positions s, because q varies along s through c(s).
 The manufactured cases prescribe velocity, pressure and forcing plus
-nonzero f, couplings and time-dependent g to exercise the remaining code
-paths.
+nonzero f, couplings and time-dependent g to exercise the layer solver and
+the residual check; they have no profile and feed no study.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,7 +163,9 @@ class BaseFlow:
     normal_coupling: callable      # c(t, wall, s) -> (2, n_s): (coupling . n) = sum c_i b_i
     normal_coupling_deriv: callable  # d/ds of the c coefficients, (2, n_s)
     layer_forcing: callable | None = None   # F(t, wall, z) -> (2, n_z), MMS only
-    meta: dict = field(default_factory=dict)
+    # U(r) or U(y) of a steady family, the u0 of the reference solve; the
+    # manufactured cases have none
+    profile: LaurentProfile | ShearProfile | None = None
 
     def divergence(self, t, coords):
         """Exact divergence; zero for every family provided here."""
@@ -254,7 +257,7 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
         coupling_matrix=_no_coupling,
         normal_coupling=normal_coupling,
         normal_coupling_deriv=normal_coupling_deriv,
-        meta={"profile": profile},
+        profile=profile,
     )
 
 
@@ -303,7 +306,7 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
         coupling_matrix=_no_coupling,
         normal_coupling=_zero_coeffs,
         normal_coupling_deriv=_zero_coeffs,
-        meta={"profile": profile},
+        profile=profile,
     )
 
 
@@ -359,7 +362,6 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
         coupling_matrix=lambda t, wall: np.array([[0.3, 0.1], [0.0, -0.2]]),
         normal_coupling=_zero_coeffs,
         normal_coupling_deriv=_zero_coeffs,
-        meta={"case": "oscillating_shear"},
     )
 
 
@@ -408,7 +410,6 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
         normal_coupling=_zero_coeffs,
         normal_coupling_deriv=_zero_coeffs,
         layer_forcing=layer_forcing,
-        meta={"case": "layer_mms"},
     )
     flow.exact_profile = exact
     return flow
@@ -431,7 +432,7 @@ def euler_residual(flow: BaseFlow, coords, t: float = 0.0,
     mom = (flow.time_derivative(t, coords) + flow.convective(t, coords)
            + flow.pressure_gradient(t, coords) - flow.forcing(t, coords))
     if mode == "fd":
-        prof = flow.meta.get("profile")
+        prof = flow.profile
         if isinstance(prof, LaurentProfile):
             from .spaces import diff_along
             pvals = prof.pressure(coords)

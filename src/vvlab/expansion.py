@@ -25,7 +25,7 @@ from . import geometry as geo
 from .errors import ConfigError
 from .euler import BaseFlow
 from .layer import LayerProfile, slow_curl_at_wall
-from .ns import ViscousSolution
+from .ns import ViscousSolution, time_index
 from .spaces import VolumeField, curl_volume, eval_profile_on_wall
 
 
@@ -39,10 +39,6 @@ class AnsatzBundle:
     times: np.ndarray
     u_approx: np.ndarray           # (n_t, 3, n)
     u0_part: np.ndarray
-
-    def field_at(self, it: int) -> VolumeField:
-        return VolumeField(geom=self.geom, coords=self.coords,
-                           values=self.u_approx[it])
 
 
 def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
@@ -60,7 +56,7 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     if profile.geom.kind != geom.kind:
         raise ConfigError("profile geometry does not match")
     times = profile.times if times is None else np.asarray(times, dtype=float)
-    idx = [profile.time_index(t) for t in times]   # AlignmentError on mismatch
+    idx = [time_index(profile.times, t) for t in times]
 
     comp = {name: i for i, name in enumerate(geom.comp_names)}
     n = len(coords)
@@ -132,7 +128,7 @@ def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderFi
     if sol.geom.kind != bundle.geom.kind or len(sol.coords) != len(bundle.coords) \
             or not np.allclose(sol.coords, bundle.coords, rtol=0.0, atol=1e-12):
         raise ConfigError("grid incompatibility between solution and ansatz")
-    idx = [sol.time_index(t) for t in bundle.times]   # raises if not stored
+    idx = [time_index(sol.times, t) for t in bundle.times]
     return RemainderField(
         nu=bundle.nu, geom=bundle.geom, coords=bundle.coords,
         times=bundle.times.copy(),
@@ -154,7 +150,7 @@ def remainder_bc_residual(rem: RemainderField, profile: LayerProfile,
     res_t = 0.0
     comp = {name: i for i, name in enumerate(geom.comp_names)}
     for it, t in enumerate(rem.times):
-        ip = profile.time_index(t)
+        ip = time_index(profile.times, t)
         vf = rem.field_at(it)
         curl = curl_volume(vf)
         for left, w in zip((True, False), geom.walls()):

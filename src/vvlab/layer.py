@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import AlignmentError, ConfigError, StepSizeError
+from .errors import ConfigError, StepSizeError
 from .euler import _CROSS_J, BaseFlow, boundary_data_g
 from .ns import _cn_march, _resolve_store_steps
 from .spaces import (
@@ -91,14 +91,6 @@ class LayerProfile:
     grid: FastGrid
     times: np.ndarray
     walls: dict
-    coupling_mode: str = "cross"
-    dt: float = 0.0
-
-    def time_index(self, t: float) -> int:
-        idx = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-10))[0]
-        if len(idx) == 0:
-            raise AlignmentError(f"time {t} not among stored stamps {self.times}")
-        return int(idx[0])
 
     def profile(self, wall: str, it: int) -> ProfileField:
         """u_b as a one-sample field at the wall coordinate, weighted by the
@@ -193,8 +185,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
             f_used=f_all[store_steps],
         )
 
-    return LayerProfile(geom=geom, grid=grid, times=times, walls=walls,
-                        coupling_mode=coupling_mode, dt=dt)
+    return LayerProfile(geom=geom, grid=grid, times=times, walls=walls)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import geometry as geo
-from .errors import ConfigError, SolverError, StepSizeError
+from .errors import AlignmentError, ConfigError, SolverError, StepSizeError
 from .spaces import VolumeField, curl_volume
 
 MIN_POINTS = 32
@@ -53,12 +53,6 @@ class ViscousSolution:
     def field_at(self, it: int) -> VolumeField:
         return VolumeField(geom=self.geom, coords=self.coords,
                            values=self.values[it])
-
-    def time_index(self, t: float) -> int:
-        idx = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-10))[0]
-        if len(idx) == 0:
-            raise ConfigError(f"time {t} not stored")
-        return int(idx[0])
 
 
 def _swirl_operator(r: np.ndarray):
@@ -139,6 +133,15 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
     return n_steps, steps
 
 
+def time_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored stamp ``t`` in ``times``, to 1e-10; a time that
+    was not stored is an AlignmentError."""
+    idx = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-10))[0]
+    if len(idx) == 0:
+        raise AlignmentError(f"time {t} not among stored stamps {times}")
+    return int(idx[0])
+
+
 def _cn_march(op, a, dt, n_steps, store_steps, source, where,
               rannacher=0, columns=None):
     """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
@@ -211,14 +214,14 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     """Reference solve with zero wall vorticity: azimuthal swirl u_theta in
     the annulus, parallel shear u_x in the channel (u_x' = 0 at both walls).
 
-    The march runs in deviation form u = u0 + w, w(0) = 0, with the
-    constant drive nu*L(u0) as the source, so w carries full relative
-    precision even when it stays many orders below u0 (exact steady states
-    then deviate only by the scheme's truncation, not by round-off of
-    order-one arithmetic).  ``u0_profile`` is either a profile with
-    ``value`` and ``deriv``, whose drive uses the exact derivatives, or a
-    plain callable u0(x), whose drive is the discrete operator applied to
-    u0.  The other two velocity components stay zero.
+    ``u0_profile`` is the initial profile, U(r) (a LaurentProfile) in the
+    annulus or U(y) (a ShearProfile) in the channel; the other two velocity
+    components stay zero.  The march runs in deviation form u = u0 + w,
+    w(0) = 0, with the constant drive nu*L(u0) as the source, built from
+    the profile's exact derivatives, so w carries full relative precision
+    even when it stays many orders below u0 (exact steady states then
+    deviate only by the scheme's truncation, not by round-off of order-one
+    arithmetic).
     """
     swirl = geom.kind == geo.ANNULUS_GAP
     where = f"ns {'swirl' if swirl else 'channel'} (nu={nu:g}, n={n})"
@@ -229,19 +232,11 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     operator, drive_of, slot = (_swirl_operator, _drive_swirl, 1) if swirl \
         else (_channel_operator, _drive_channel, 0)
     x = geom.volume_grid(n)
-    op = operator(x)
-    if hasattr(u0_profile, "deriv"):
-        u0 = u0_profile.value(x)
-        drive = drive_of(x, u0_profile)
-    else:
-        u0 = np.asarray(u0_profile(x), dtype=float)
-        lo, di, up = op
-        drive = di * u0
-        drive[1:] += lo * u0[:-1]
-        drive[:-1] += up * u0[1:]
+    u0 = u0_profile.value(x)
+    drive = drive_of(x, u0_profile)
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    w = _cn_march(op, 0.5 * nu * dt, dt, n_steps, store_steps, nu * drive,
-                  where, rannacher=rannacher)
+    w = _cn_march(operator(x), 0.5 * nu * dt, dt, n_steps, store_steps,
+                  nu * drive, where, rannacher=rannacher)
     values = np.zeros((len(store_steps), 3, n))
     values[:, slot] = u0 + w
     return ViscousSolution(nu=nu, geom=geom, coords=x,

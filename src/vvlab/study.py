@@ -37,14 +37,13 @@ from .euler import (
     LaurentProfile,
     ShearProfile,
     channel_base_flow,
-    oscillating_shear_case,
     potential_vortex,
     rigid_rotation,
     swirl_base_flow,
 )
 from .expansion import assemble_ansatz, extract_remainder, leray_project
 from .layer import LayerProfile, solve_layer
-from .ns import ViscousSolution, solve_ns
+from .ns import ViscousSolution, solve_ns, time_index
 from .spaces import DEFAULT_ZMAX, FastGrid, VolumeField, VolumeGrid, parse_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
@@ -59,10 +58,12 @@ PASS_MARGIN_HIGH = 0.15
 
 @dataclass
 class EulerSpec:
+    """A steady base-flow family: rigid, vortex, swirl_poly:c0,c1,...,
+    shear_poly:c0,c1,... or shear_cos."""
+
     family: str
     omega: float = 1.0
     circulation: float = 1.0
-    coeffs: tuple = ()
 
     def build(self, geom: geo.GeometryDescriptor) -> BaseFlow:
         fam = self.family
@@ -71,36 +72,33 @@ class EulerSpec:
         if fam == "vortex":
             return potential_vortex(self.circulation, geom)
         if fam.startswith("swirl_poly"):
-            coeffs = self.coeffs or _parse_inline_coeffs(fam)
-            return swirl_base_flow(
-                LaurentProfile({k: c for k, c in enumerate(coeffs)}), geom)
+            coeffs = _parse_inline_coeffs(fam)
+            return swirl_base_flow(LaurentProfile(dict(enumerate(coeffs))), geom)
         if fam.startswith("shear_poly"):
-            coeffs = self.coeffs or _parse_inline_coeffs(fam)
-            return channel_base_flow(ShearProfile(poly=tuple(coeffs), h=geom.h), geom)
+            coeffs = _parse_inline_coeffs(fam)
+            return channel_base_flow(ShearProfile(poly=coeffs, h=geom.h), geom)
         if fam == "shear_cos":
             return channel_base_flow(
                 ShearProfile(cosines=((self.omega, 1),), h=geom.h), geom)
-        if fam.startswith("manufactured"):
-            case_id = fam.split(":", 1)[1] if ":" in fam else "oscillating_shear"
-            if case_id == "oscillating_shear":
-                return oscillating_shear_case(geom)
-            raise ConfigError(f"unknown manufactured case {case_id!r}")
         raise ConfigError(f"unknown euler family {fam!r}")
 
 
 def _parse_inline_coeffs(family: str) -> tuple:
     if ":" not in family:
         raise ConfigError(f"family {family!r} needs inline coefficients")
-    return tuple(float(v) for v in family.split(":", 1)[1].split(","))
+    try:
+        return tuple(float(v) for v in family.split(":", 1)[1].split(","))
+    except ValueError as exc:
+        raise ConfigError(f"family {family!r}: {exc}") from exc
 
 
 @dataclass
 class LayerParams:
+    """The layer march runs to the last evaluation time, max(t_eval)."""
+
     nz: int = 512
     zmax: float | None = None       # None -> automatic truncation height
     dt: float = 1e-4
-    t_end: float = 0.5
-    coupling_mode: str = "cross"
 
 
 @dataclass
@@ -149,8 +147,12 @@ class StudyConfig:
             self.t_eval = tuple(t * k / 8.0 for k in range(1, 9))
         else:
             self.t_eval = tuple(float(v) for v in self.t_eval)
-            if any(tt <= 0 for tt in self.t_eval):
-                raise ConfigError("t_eval times must be positive (t=0 is degenerate)")
+            # t = 0 is degenerate; past t_end the reference solve stores nothing
+            if not self.t_eval or min(self.t_eval) <= 0 \
+                    or max(self.t_eval) > self.ns.t_end * (1.0 + 1e-9):
+                raise ConfigError(
+                    f"t_eval {self.t_eval} needs times in (0, t_end] with "
+                    f"the reference solve's t_end = {self.ns.t_end}")
 
 
 def parse_config_file(path) -> StudyConfig:
@@ -183,8 +185,6 @@ def parse_config_file(path) -> StudyConfig:
                 zmax=None if sec.get("zmax", fallback="auto") in ("auto", "")
                 else sec.getfloat("zmax"),
                 dt=sec.getfloat("dt", fallback=lp.dt),
-                t_end=sec.getfloat("t_end", fallback=lp.t_end),
-                coupling_mode=sec.get("coupling_mode", fallback="cross"),
             )
         npar = NsParams()
         if cp.has_section("ns"):
@@ -201,10 +201,10 @@ def parse_config_file(path) -> StudyConfig:
         nu_list = tuple(
             float(v) for v in s.get("nu_list", "1e-2,3e-3,1e-3,3e-4,1e-4").split(","))
         norms = tuple(v.strip() for v in s.get("norms", "l2,h1,linf,lp:4").split(","))
-        t_eval_raw = s.get("t_eval", "auto") if hasattr(s, "get") else "auto"
+        t_eval_raw = s.get("t_eval", "auto")
         t_eval = None if t_eval_raw.strip() == "auto" else tuple(
             float(v) for v in t_eval_raw.split(","))
-        out = s.get("output_dir", "out") if hasattr(s, "get") else "out"
+        out = s.get("output_dir", "out")
         return StudyConfig(geometry=geom, euler=espec, layer=lp, ns=npar,
                            nu_list=nu_list, norms=norms, t_eval=t_eval,
                            output_dir=out)
@@ -221,7 +221,7 @@ def preset_rigid_annulus() -> StudyConfig:
     return StudyConfig(
         geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
         euler=EulerSpec(family="rigid", omega=1.0),
-        layer=LayerParams(nz=512, dt=1e-4, t_end=0.5),
+        layer=LayerParams(nz=512, dt=1e-4),
         ns=NsParams(n=2048, dt=2.5e-5, t_end=0.5),
         nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         norms=("l2", "h1", "linf", "lp:4"),
@@ -235,7 +235,7 @@ def preset_vortex_annulus() -> StudyConfig:
     return StudyConfig(
         geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
         euler=EulerSpec(family="vortex", circulation=1.0),
-        layer=LayerParams(nz=256, dt=6.25e-3, t_end=0.5),
+        layer=LayerParams(nz=256, dt=6.25e-3),
         ns=NsParams(n=65536, dt=6.25e-3, t_end=0.5),
         nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         norms=("l2", "h1", "linf", "lp:4"),
@@ -248,7 +248,7 @@ def preset_flat_shear() -> StudyConfig:
     return StudyConfig(
         geometry=geo.flat_channel(1.0, eta=0.45),
         euler=EulerSpec(family="shear_cos", omega=1.0),
-        layer=LayerParams(nz=256, dt=5e-4, t_end=0.5),
+        layer=LayerParams(nz=256, dt=5e-4),
         ns=NsParams(n=2048, dt=1e-4, t_end=0.5),
         nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         norms=("l2", "h1", "linf", "lp:4"),
@@ -344,32 +344,28 @@ class RateReport:
     meta: dict
 
 
-def _build_flow(config: StudyConfig) -> BaseFlow:
-    return config.euler.build(config.geometry)
-
-
 def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
     """Layer solve shared by every viscosity row (the system is nu free).
 
-    The ansatz needs u_b only; the pressure corrector is left to callers
-    that ask for it (layer.pressure_corrector_q).
+    The march is causal, so it stops at the last evaluation time.  The
+    ansatz needs u_b only; the pressure corrector is left to callers that
+    ask for it (layer.pressure_corrector_q).
     """
-    flow = flow or _build_flow(config)
+    flow = flow or config.euler.build(config.geometry)
     grid = FastGrid(nz=config.layer.nz,
                     zmax=config.layer.zmax or DEFAULT_ZMAX)
     return solve_layer(flow, config.geometry, grid,
-                       dt=config.layer.dt, t_end=config.layer.t_end,
-                       store_times=config.t_eval,
-                       coupling_mode=config.layer.coupling_mode)
+                       dt=config.layer.dt, t_end=max(config.t_eval),
+                       store_times=config.t_eval)
 
 
 def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSolution:
-    """Viscous reference solve from the base flow's profile at ``nu``: swirl
-    in the annulus, shear in the channel, stored at ``config.t_eval``."""
-    slot = 1 if config.geometry.kind == geo.ANNULUS_GAP else 0
-    u0 = flow.meta.get("profile") or (lambda x: flow.velocity(0.0, x)[slot])
-    return solve_ns(config.geometry, u0, nu, n=config.ns.n, dt=config.ns.dt,
-                    t_end=config.ns.t_end, store_times=config.t_eval)
+    """Viscous reference solve at ``nu`` from the base flow's profile, the
+    one form of u0 it takes: swirl in the annulus, shear in the channel,
+    stored at ``config.t_eval``."""
+    return solve_ns(config.geometry, flow.profile, nu, n=config.ns.n,
+                    dt=config.ns.dt, t_end=config.ns.t_end,
+                    store_times=config.t_eval)
 
 
 def remainder_norms(grid: VolumeGrid, values: np.ndarray, specs) -> dict:
@@ -395,7 +391,7 @@ def remainder_norms(grid: VolumeGrid, values: np.ndarray, specs) -> dict:
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     """Rows for a single viscosity: velocity-error and remainder norms."""
     geom = config.geometry
-    flow = _build_flow(config)
+    flow = config.euler.build(geom)
     sol = solve_reference(config, flow, nu)
     bundle = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                              times=np.asarray(config.t_eval))
@@ -405,7 +401,7 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(bundle.times):
         t = float(t)
-        diff = sol.values[sol.time_index(t)] - bundle.u0_part[jt]
+        diff = sol.values[time_index(sol.times, t)] - bundle.u0_part[jt]
         for spec, value in zip(specs, grid.norms(diff, specs)):
             rows.append((nu, t, spec.label, value, "u"))
         rem_norms = remainder_norms(grid, rem.values[jt], specs)
@@ -427,7 +423,7 @@ def _worker(args):
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     t0 = time.perf_counter()
-    flow = _build_flow(config)
+    flow = config.euler.build(config.geometry)
     profile = solve_study_layer(config, flow)
 
     results = {}

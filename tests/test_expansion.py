@@ -12,7 +12,7 @@ from vvlab.expansion import (
     remainder_bc_residual,
 )
 from vvlab.layer import solve_layer
-from vvlab.ns import ViscousSolution, solve_ns
+from vvlab.ns import ViscousSolution, solve_ns, time_index
 from vvlab.spaces import (
     FastGrid,
     VolumeField,
@@ -54,7 +54,7 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     comp = {name: i for i, name in enumerate(annulus.comp_names)}
     layer = np.zeros_like(bundle.u0_part)
     for jt, t in enumerate(bundle.times):
-        it = profile.time_index(t)
+        it = time_index(profile.times, t)
         for w in annulus.walls():
             vals = eval_profile_on_wall(profile.profile(w.wall_id, it), annulus,
                                         w.wall_id, coords, nu)
@@ -120,6 +120,17 @@ def test_remainder_grid_mismatch(rigid_setup, annulus):
     sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
                    dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
     with pytest.raises(ConfigError):
+        extract_remainder(sol, bundle)
+
+
+def test_remainder_time_not_stored_is_alignment_error(rigid_setup, annulus):
+    flow, profile = rigid_setup
+    nu = 1e-3
+    sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
+                   dt=2.5e-3, t_end=0.25, store_times=[0.25])
+    bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
+                             times=[0.125, 0.25])
+    with pytest.raises(AlignmentError, match="0.125"):
         extract_remainder(sol, bundle)
 
 

@@ -22,6 +22,7 @@ from vvlab.layer import (
     wall_value,
     write_profile_snapshots,
 )
+from vvlab.ns import time_index
 from vvlab.spaces import AnisotropicIndex, FastGrid, diff_along
 
 
@@ -51,7 +52,7 @@ def test_zero_data_gives_zero_profile(annulus):
 def test_erfc_wall_value(rigid_layer):
     _, profile = rigid_layer
     t = 0.25
-    it = profile.time_index(t)
+    it = time_index(profile.times, t)
     for wall_id in ("inner", "outer"):
         g = profile.walls[wall_id].g_used[it]
         slot = int(np.argmax(np.abs(g)))
@@ -95,7 +96,7 @@ def test_erfc_formula_against_independent_fd():
 
 def test_erfc_full_profile(rigid_layer, annulus):
     _, profile = rigid_layer
-    it = profile.time_index(0.25)
+    it = time_index(profile.times, 0.25)
     w = profile.walls["outer"]
     slot = w.tangent_names.index("theta")
     got = w.ub[it][slot]
@@ -106,7 +107,7 @@ def test_erfc_full_profile(rigid_layer, annulus):
 def test_neumann_datum_honored(rigid_layer):
     # one-sided difference at z = 0 reproduces -g to second order
     _, profile = rigid_layer
-    it = profile.time_index(0.25)
+    it = time_index(profile.times, 0.25)
     z = profile.grid.z
     for wall_id in ("inner", "outer"):
         w = profile.walls[wall_id]
@@ -203,7 +204,7 @@ def test_q_fd_consistency(rigid_layer, annulus):
     flow, profile = rigid_layer
     collars = geo.build_collar(annulus, 6)
     q = pressure_corrector_q(profile, flow, collars)
-    it = profile.time_index(0.25)
+    it = time_index(profile.times, 0.25)
     z = profile.grid.z
     for wall_id, w in profile.walls.items():
         c = flow.normal_coupling(0.25, wall_id, collars[wall_id].s_grid)

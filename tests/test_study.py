@@ -12,6 +12,12 @@ from hypothesis.extra.numpy import arrays
 from vvlab import geometry as geo
 from vvlab import study
 from vvlab.errors import ConfigError, DegenerateFitError
+from vvlab.euler import (
+    LaurentProfile,
+    ShearProfile,
+    channel_base_flow,
+    swirl_base_flow,
+)
 from vvlab.expansion import leray_project
 from vvlab.spaces import VolumeField, VolumeGrid, parse_norm, volume_norm
 from vvlab.study import (
@@ -112,6 +118,9 @@ def test_config_validation(annulus):
     with pytest.raises(ConfigError):
         StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
                     norms=("l9",))
+    with pytest.raises(ConfigError, match="t_end"):
+        StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
+                    ns=NsParams(t_end=0.2), t_eval=(0.1, 0.3))
 
 
 def test_default_eval_stencil(annulus):
@@ -160,6 +169,55 @@ output_dir = results
     assert cfg.output_dir == "results"
     # collar_points is no longer a setting; older files that set it still parse
     assert not hasattr(cfg, "collar_points")
+
+
+def _config_file(tmp_path, geometry, euler, layer=""):
+    path = tmp_path / "study.cfg"
+    path.write_text(f"[geometry]\n{geometry}\n[euler]\n{euler}\n"
+                    f"[layer]\nnz = 64\n{layer}\n"
+                    "[study]\nnu_list = 1e-2, 1e-3, 1e-4\n")
+    return parse_config_file(path)
+
+
+ANNULUS_CFG = "kind = annulus_gap\nr1 = 1.0\nr2 = 2.0\neta = 0.45"
+CHANNEL_CFG = "kind = flat_channel\nh = 1.0\neta = 0.45"
+
+
+@pytest.mark.parametrize("family, geometry, expected", [
+    ("swirl_poly:0.5,1.0,-0.2", ANNULUS_CFG, lambda geom: swirl_base_flow(
+        LaurentProfile({0: 0.5, 1: 1.0, 2: -0.2}), geom)),
+    ("shear_poly:0.2,1.0,-0.5", CHANNEL_CFG, lambda geom: channel_base_flow(
+        ShearProfile(poly=(0.2, 1.0, -0.5), h=geom.h), geom)),
+])
+def test_poly_families_from_config_file(tmp_path, family, geometry, expected):
+    cfg = _config_file(tmp_path, geometry, f"family = {family}")
+    flow = cfg.euler.build(cfg.geometry)
+    want = expected(cfg.geometry)
+    assert flow.profile == want.profile
+    coords = cfg.geometry.volume_grid(257)
+    assert np.array_equal(flow.velocity(0.0, coords), want.velocity(0.0, coords))
+
+
+@pytest.mark.parametrize("family, geometry", [
+    ("swirl_poly", ANNULUS_CFG),                  # no coefficients
+    ("shear_poly:", CHANNEL_CFG),                 # empty coefficient list
+    ("manufactured", CHANNEL_CFG),                # not a study family
+    ("manufactured:oscillating_shear", CHANNEL_CFG),
+])
+def test_family_without_profile_is_config_error(tmp_path, family, geometry):
+    cfg = _config_file(tmp_path, geometry, f"family = {family}")
+    with pytest.raises(ConfigError, match="family"):
+        cfg.euler.build(cfg.geometry)
+
+
+def test_retired_layer_keys_still_parse(tmp_path):
+    # the layer marches to max(t_eval) in the cross coupling mode; older
+    # files that set t_end or coupling_mode still parse
+    cfg = _config_file(tmp_path, ANNULUS_CFG, "family = rigid",
+                       "t_end = 0.3\ncoupling_mode = project")
+    assert cfg.layer == LayerParams(nz=64)
+    assert not hasattr(cfg.layer, "t_end")
+    assert not hasattr(cfg.layer, "coupling_mode")
 
 
 def test_parse_config_missing_file():
@@ -233,7 +291,7 @@ def test_jobs_do_not_change_report_bytes(tmp_path):
     cfg = StudyConfig(
         geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
         euler=EulerSpec(family="rigid", omega=1.0),
-        layer=LayerParams(nz=128, dt=1e-3, t_end=0.2),
+        layer=LayerParams(nz=128, dt=1e-3),
         ns=NsParams(n=256, dt=1e-3, t_end=0.2),
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=("l2", "linf"),
@@ -253,7 +311,7 @@ def test_empty_norm_list_header_only(tmp_path, annulus):
     cfg = StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="vortex"),
-        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        layer=LayerParams(nz=64, dt=1e-3),
         ns=NsParams(n=128, dt=1e-3, t_end=0.2),
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=(),
@@ -269,7 +327,7 @@ def test_single_norm_single_entry(tmp_path, annulus):
     cfg = StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="rigid"),
-        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        layer=LayerParams(nz=64, dt=1e-3),
         ns=NsParams(n=256, dt=1e-3, t_end=0.2),
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=("l2",),
@@ -285,7 +343,7 @@ def test_lp_label_spelling_keeps_remainder_criteria(annulus):
     cfg = StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="rigid"),
-        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        layer=LayerParams(nz=64, dt=1e-3),
         ns=NsParams(n=256, dt=1e-3, t_end=0.2),
         nu_list=(1e-2, 1e-3, 1e-4),
         norms=("l2", "lp:4.0"),
@@ -308,7 +366,7 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     cfg = StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="vortex"),
-        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        layer=LayerParams(nz=64, dt=1e-3),
         ns=NsParams(n=128, dt=1e-3, t_end=0.2),
         nu_list=(1e-2, 3e-3, 1e-3, 1e-4),
         norms=("l2",),
@@ -344,7 +402,7 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
     cfg = StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="vortex"),
-        layer=LayerParams(nz=64, dt=1e-3, t_end=0.2),
+        layer=LayerParams(nz=64, dt=1e-3),
         ns=NsParams(n=128, dt=1e-3, t_end=0.2),
         nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
         norms=("l2",),
@@ -374,7 +432,6 @@ def test_gradient_remainder_part_bounded(rigid_report):
 
 
 def test_pressure_recovery(annulus):
-    from vvlab.euler import LaurentProfile
     from vvlab.ns import radial_pressure_gradient, solve_ns
 
     sol = solve_ns(annulus, LaurentProfile({-1: 1.0}), nu=1e-2, n=256,
@@ -520,12 +577,20 @@ def test_csv_diff_report_names_every_row():
         == "2 lines, the golden file has 3"
 
 
-def test_golden_vortex_errors(tmp_path, vortex_report):
+def _assert_golden_errors(report, golden_name, out_dir):
     # first line: SHA-256 of errors.csv; then the first 8 hex digits of the
     # SHA-256 of each of its lines, in order, to name the rows that moved
-    golden = pathlib.Path(__file__).parent / "golden" / "vortex_errors.sha256"
+    golden = pathlib.Path(__file__).parent / "golden" / golden_name
     file_digest, *line_digests = golden.read_text().splitlines()
-    export_report(vortex_report, tmp_path)
-    produced = (tmp_path / "errors.csv").read_bytes()
+    export_report(report, out_dir)
+    produced = (out_dir / "errors.csv").read_bytes()
     assert hashlib.sha256(produced).hexdigest() == file_digest.split()[0], \
         _describe_csv_diffs(line_digests, produced)
+
+
+def test_golden_vortex_errors(tmp_path, vortex_report):
+    _assert_golden_errors(vortex_report, "vortex_errors.sha256", tmp_path)
+
+
+def test_golden_flat_errors(tmp_path, flat_report):
+    _assert_golden_errors(flat_report, "flat_errors.sha256", tmp_path)
