@@ -47,9 +47,12 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     """Evaluate u0 + sqrt(nu) u_b on the volume grid at shared times.
 
     The order-nu corrector v is zero in these geometries (see the module
-    docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall.
-    The collars are disjoint and a wall's layer is exactly zero outside its
-    own, so each point receives at most one nonzero layer term.
+    docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall
+    with one evaluation of each wall's stacked profiles.  The collars are
+    disjoint and a wall's layer is exactly zero outside its own, so each
+    point receives at most one nonzero layer term.  A steady flow's u0 is
+    evaluated once and broadcast over the times (u0_part is then a
+    read-only view); an unsteady one is evaluated at each time.
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
@@ -59,19 +62,17 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     idx = [time_index(profile.times, t) for t in times]
 
     comp = {name: i for i, name in enumerate(geom.comp_names)}
-    n = len(coords)
-    n_t = len(times)
-    u0_part = np.zeros((n_t, 3, n))
-    u_approx = np.zeros((n_t, 3, n))
-
-    for jt, (t, it) in enumerate(zip(times, idx)):
-        u0_part[jt] = flow.velocity(t, coords)
-        u_approx[jt] = u0_part[jt]
-        for w in geom.walls():
-            pf = profile.profile(w.wall_id, it)
-            vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
-            for slot, name in enumerate(w.tangent_names):
-                u_approx[jt, comp[name]] += math.sqrt(nu) * vals[slot]
+    shape = (len(times), 3, len(coords))
+    if flow.steady:
+        u0_part = np.broadcast_to(flow.velocity(0.0, coords), shape)
+    else:
+        u0_part = np.array([flow.velocity(t, coords) for t in times]).reshape(shape)
+    u_approx = np.array(u0_part)
+    for w in geom.walls():
+        vals = eval_profile_on_wall(profile.profile(w.wall_id, idx), geom,
+                                    w.wall_id, coords, nu)
+        for slot, name in enumerate(w.tangent_names):
+            u_approx[:, comp[name]] += math.sqrt(nu) * vals[:, slot]
 
     return AnsatzBundle(
         nu=nu, geom=geom, coords=np.asarray(coords, dtype=float),

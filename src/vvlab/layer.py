@@ -92,13 +92,14 @@ class LayerProfile:
     times: np.ndarray
     walls: dict
 
-    def profile(self, wall: str, it: int) -> ProfileField:
+    def profile(self, wall: str, it) -> ProfileField:
         """u_b as a one-sample field at the wall coordinate, weighted by the
-        whole collar so slow integrals cover the collar."""
+        whole collar so slow integrals cover the collar.  A sequence of
+        stored indices ``it`` stacks those times on a leading axis."""
         w = self.walls[wall]
         return ProfileField(grid=self.grid, s=self.geom.wall(wall).coord,
                             s_weights=self.geom.collar_measure(wall),
-                            values=w.ub[it][:, None, :],
+                            values=w.ub[it][..., None, :],
                             comp_names=w.tangent_names)
 
 
@@ -171,7 +172,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
         # without explicit terms a steady flow has a constant source
         source = step_source(0, None) if flow.steady and not explicit \
             else step_source
-        series = _cn_march(op, 0.5 * dt, dt, n_steps, store_steps, source,
+        series = _cn_march(op, 0.5 * dt, dt, store_steps, source,
                            f"layer {w.wall_id} (nu-free, n={grid.nz})",
                            columns=2)
         ub_store = np.zeros((len(store_steps), 2, grid.nz))

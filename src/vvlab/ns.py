@@ -19,10 +19,14 @@ condition), which keeps the scheme second order globally.
 
 Both the reference solve and the layer march (layer.py) step with
 ``_cn_march``.  Their tridiagonal operators S have positive off-diagonal
-products, so a diagonal scaling makes I - a S symmetric positive definite;
-it is factored once as L D L^T (LAPACK dpttrf) and every Crank-Nicolson
-step is w <- 2 (I - a S)^{-1} (w + dt/2 src) - w, which is exact
-Crank-Nicolson because I + a S = 2 I - (I - a S).
+products, so a diagonal scaling makes I - a S symmetric positive definite.
+Every Crank-Nicolson step is w <- 2 (I - a S)^{-1} (w + dt/2 src) - w,
+which is exact Crank-Nicolson because I + a S = 2 I - (I - a S).  The
+kernel factors B = (I - a S) / 2 once as L D L^T (LAPACK dpttrf); halving
+is exact, so a solve with B is the doubled solve bit for bit, and a step
+is one in-place solve between an addition and a subtraction into
+preallocated arrays.  The march runs one store segment at a time and stops
+at the last stored step.
 
 Pressure is recovered as d(pi)/dr = u_th^2 / r when needed and not stored.
 """
@@ -142,8 +146,8 @@ def time_index(times: np.ndarray, t: float) -> int:
     return int(idx[0])
 
 
-def _cn_march(op, a, dt, n_steps, store_steps, source, where,
-              rannacher=0, columns=None):
+def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
+              columns=None):
     """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
 
     ``op`` holds the (sub, main, super) diagonals of the tridiagonal S, so
@@ -151,14 +155,19 @@ def _cn_march(op, a, dt, n_steps, store_steps, source, where,
     either the constant src, shape (n,) or (n, m) for m columns sharing S,
     or a callable ``source(k, w)`` giving the (n, columns) src of step k
     from the current (n, columns) iterate.  The first ``rannacher`` steps
-    are two backward-Euler half steps each.  Returns w at ``store_steps``,
-    shape (n_store,) + the shape of src.
+    are two backward-Euler half steps each.  ``store_steps`` is sorted; the
+    march runs one store segment at a time and stops at the last one.
+    Returns w at ``store_steps``, shape (n_store,) + the shape of src.
 
     With d_{i+1} / d_i = sqrt(up_i / lo_i), D (I - a S) D^{-1} is symmetric
     with off-diagonal -a sqrt(up_i lo_i); the march runs on D w against
-    one dpttrf factorisation.  ``where`` names the stage, nu and n in the
-    errors: a non-positive off-diagonal product (ConfigError), a failed
-    factorisation or a non-finite stored iterate (SolverError).
+    one dpttrf factorisation of B = (I - a S) / 2.  Halving is exact, so
+    B's factors are exactly half of those of I - a S and a dpttrs solve
+    with B returns 2 (I - a S)^{-1} v bit for bit: a step is
+    buf <- w + dt/2 src, buf <- B^{-1} buf, w <- buf - w, in place, and a
+    half step scales the solve by 0.5.  ``where`` names the stage, nu and
+    n in the errors: a non-positive off-diagonal product (ConfigError), a
+    failed factorisation or a non-finite stored iterate (SolverError).
     """
     lo, di, up = (np.asarray(x, dtype=float) for x in op)
     n = len(di)
@@ -168,44 +177,45 @@ def _cn_march(op, a, dt, n_steps, store_steps, source, where,
         raise ConfigError(
             f"{where}: off-diagonal product up*lo = {prod[bad[0]]:.3g} <= 0 "
             f"at row {bad[0]}; the operator cannot be symmetrised")
-    diag, off, info = dpttrf(1.0 - a * di, -a * np.sqrt(prod))
+    diag, off, info = dpttrf(0.5 * (1.0 - a * di), -0.5 * a * np.sqrt(prod))
     if info != 0:
         raise SolverError(
             f"{where}: dpttrf failed (info = {info}); I - a S is not "
             f"positive definite at a = {a:.3g}")
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))[:, None]
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))
 
     varying = callable(source)
     half = 0.5 * dt
-    if varying:
-        flat = False
-        w = np.zeros((n, columns), order="F")
-    else:
-        source = np.asarray(source, dtype=float)
-        flat = source.ndim == 1
-        hsrc = half * scale * source.reshape(n, -1)
-        w = np.zeros(hsrc.shape, order="F")
+    # a flat source marches 1-D arrays; columns march Fortran-ordered, the
+    # layout dpttrs solves in place and the fast one for numpy to combine
+    w = np.zeros((n, columns) if varying else np.shape(source), order="F")
+    if w.ndim == 2:
+        scale = scale[:, None]
+    if not varying:
+        hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
+    buf = np.empty_like(w)
     out = np.zeros((len(store_steps),) + w.shape)
-    out_idx = {k: i for i, k in enumerate(store_steps)}
-    for k in range(n_steps):
-        if varying:
-            hsrc = half * scale * source(k, w / scale)
-        if k < rannacher:
-            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
-            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
-        else:
-            y, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
-            y *= 2.0
-            y -= w
-            w = y
-        if (k + 1) in out_idx:
-            i = out_idx[k + 1]
-            out[i] = w / scale
-            if not np.all(np.isfinite(out[i])):
-                raise SolverError(
-                    f"{where}: non-finite iterate at step {k + 1} "
-                    f"(t = {(k + 1) * dt:.6g})")
-    return out[..., 0] if flat else out
+    k = 0
+    for i, stop in enumerate(store_steps):
+        for k in range(k, stop):
+            if varying:
+                hsrc = half * scale * source(k, w / scale)
+            np.add(w, hsrc, out=buf)
+            x, _ = dpttrs(diag, off, buf, overwrite_b=True)
+            if k < rannacher:
+                np.multiply(x, 0.5, out=w)
+                np.add(w, hsrc, out=buf)
+                x, _ = dpttrs(diag, off, buf, overwrite_b=True)
+                np.multiply(x, 0.5, out=w)
+            else:
+                np.subtract(x, w, out=w)
+        k = stop
+        np.divide(w, scale, out=out[i])
+        if not np.all(np.isfinite(out[i])):
+            raise SolverError(
+                f"{where}: non-finite iterate at step {stop} "
+                f"(t = {stop * dt:.6g})")
+    return out
 
 
 def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
@@ -234,9 +244,9 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     x = geom.volume_grid(n)
     u0 = u0_profile.value(x)
     drive = drive_of(x, u0_profile)
-    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    w = _cn_march(operator(x), 0.5 * nu * dt, dt, n_steps, store_steps,
-                  nu * drive, where, rannacher=rannacher)
+    _, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
+    w = _cn_march(operator(x), 0.5 * nu * dt, dt, store_steps, nu * drive,
+                  where, rannacher=rannacher)
     values = np.zeros((len(store_steps), 3, n))
     values[:, slot] = u0 + w
     return ViscousSolution(nu=nu, geom=geom, coords=x,

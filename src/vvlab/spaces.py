@@ -140,7 +140,9 @@ def _apply_first_deriv(weights, v: np.ndarray) -> np.ndarray:
 class ProfileField:
     """Field u(s, z) on a slow grid times a half-line fast grid.
 
-    ``values`` has shape (n_comp, n_s, n_z).
+    ``values`` has shape (n_comp, n_s, n_z).  A wall's profiles at several
+    stored times stack as (n_t, n_comp, n_s, n_z); only the wall evaluator
+    takes that form.
     """
 
     grid: FastGrid
@@ -157,7 +159,7 @@ class ProfileField:
             self.values = self.values[None, None, :]
         elif self.values.ndim == 2:
             self.values = self.values[None, :, :]
-        if self.values.shape[1:] != (len(self.s), self.grid.nz):
+        if self.values.shape[-2:] != (len(self.s), self.grid.nz):
             raise ConfigError(
                 f"values shape {self.values.shape} does not match "
                 f"(n_comp, {len(self.s)}, {self.grid.nz})"
@@ -170,10 +172,10 @@ class ProfileField:
 
     @property
     def n_comp(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-3]
 
     def comp(self, name: str) -> np.ndarray:
-        return self.values[self.comp_names.index(name)]
+        return self.values[..., self.comp_names.index(name), :, :]
 
 
 def profile_from_callable(fn, grid: FastGrid, s=0.0, s_weight=1.0,
@@ -199,6 +201,8 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
     mapped nodes.  For p = inf (k must be 0) it is the max over all
     derivative orders of the sup norm.
     """
+    if pf.values.ndim != 3:
+        raise ConfigError("a weighted norm takes one time's profile")
     if math.isinf(idx.p):
         if idx.k > 0:
             raise UnsupportedCombinationError(
@@ -402,19 +406,21 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
     """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
 
     ``pf`` holds a single slow sample: the layer does not vary along the
-    collar.  Piecewise-cubic in z, multiplied by the collar cutoff, and zero
-    beyond Z_max and outside the collar, where only zeros would come out;
-    the spline is evaluated on the remaining nodes alone.  Returns
-    (n_comp, n).
+    collar.  Its values may stack several times, (n_t, n_comp, 1, n_z): the
+    wall distance, the live nodes and the cutoff are then computed once and
+    one spline is fitted to all of them.  Piecewise-cubic in z, multiplied
+    by the collar cutoff, and zero beyond Z_max and outside the collar,
+    where only zeros would come out; the spline is evaluated on the
+    remaining nodes alone.  Returns (n_comp, n), or (n_t, n_comp, n).
     """
     if len(pf.s) != 1:
         raise ConfigError("wall evaluation needs a single-sample profile")
     d = geo.wall_distance(geom, wall_id, coords)
     zq = d / math.sqrt(nu)
     live = (d < geom.eta) & (zq >= 0.0) & (zq <= pf.grid.z[-1])
-    spl = CubicSpline(pf.grid.z, pf.values[:, 0, :], axis=-1, extrapolate=False)
-    vals = np.zeros((pf.n_comp, len(d)))
-    vals[:, live] = spl(zq[live]) * geo.collar_cutoff(geom, d[live])
+    spl = CubicSpline(pf.grid.z, pf.values[..., 0, :], axis=-1, extrapolate=False)
+    vals = np.zeros(pf.values.shape[:-2] + (len(d),))
+    vals[..., live] = spl(zq[live]) * geo.collar_cutoff(geom, d[live])
     return vals
 
 

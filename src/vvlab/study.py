@@ -26,6 +26,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -429,9 +430,17 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     results = {}
     failures = {}
     if jobs > 1:
+        outcomes = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(
-                _worker, [(config, profile, nu) for nu in config.nu_list])
+            futures = [(nu, pool.submit(_worker, (config, profile, nu)))
+                       for nu in config.nu_list]
+            for nu, fut in futures:
+                # a worker killed outright breaks the pool and fails every
+                # row not yet finished; each becomes a failed row
+                try:
+                    outcomes.append(fut.result())
+                except BrokenProcessPool as exc:
+                    outcomes.append((nu, None, f"BrokenProcessPool: {exc}"))
     else:
         outcomes = (_worker((config, profile, nu)) for nu in config.nu_list)
     for nu, rows, err in outcomes:

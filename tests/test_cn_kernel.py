@@ -1,9 +1,13 @@
-"""The symmetric tridiagonal Crank-Nicolson kernel against the sparse march.
+"""The symmetric tridiagonal Crank-Nicolson kernel against its oracles.
 
-The oracles below are the sparse SuperLU marches the kernel replaced: the
+The sparse oracles are the SuperLU marches the kernel replaced: the
 reference solve's deviation-form march and the layer's CN step with the
 Dirichlet row edited into the matrix.  The kernel takes the same steps in
 a different arithmetic, so the two agree to round-off.
+
+The step oracle is the kernel's earlier loop, which factored I - a S,
+allocated w + dt/2 src each step and marched to n_steps.  The lean kernel
+does the same floating-point work, so the two agree bit for bit.
 """
 
 import math
@@ -13,9 +17,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from vvlab import geometry as geo
-from vvlab import ns
+from vvlab import layer, ns
 from vvlab.errors import ConfigError, SolverError
 from vvlab.euler import (
     LaurentProfile,
@@ -119,9 +124,130 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
     return out
 
 
+def _oracle_cn_march(op, a, dt, n_steps, store_steps, source, where,
+                     rannacher=0, columns=None):
+    """The kernel's loop before it factored (I - a S) / 2 and marched by
+    store segment: one I - a S factorisation, a fresh w + dt/2 src, a
+    doubling and a subtraction per step, and a march to n_steps."""
+    lo, di, up = (np.asarray(x, dtype=float) for x in op)
+    n = len(di)
+    prod = lo * up
+    diag, off, info = dpttrf(1.0 - a * di, -a * np.sqrt(prod))
+    assert info == 0
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))[:, None]
+
+    varying = callable(source)
+    half = 0.5 * dt
+    if varying:
+        flat = False
+        w = np.zeros((n, columns), order="F")
+    else:
+        source = np.asarray(source, dtype=float)
+        flat = source.ndim == 1
+        hsrc = half * scale * source.reshape(n, -1)
+        w = np.zeros(hsrc.shape, order="F")
+    out = np.zeros((len(store_steps),) + w.shape)
+    out_idx = {k: i for i, k in enumerate(store_steps)}
+    for k in range(n_steps):
+        if varying:
+            hsrc = half * scale * source(k, w / scale)
+        if k < rannacher:
+            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+        else:
+            y, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+            y *= 2.0
+            y -= w
+            w = y
+        if (k + 1) in out_idx:
+            i = out_idx[k + 1]
+            out[i] = w / scale
+    return out[..., 0] if flat else out
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
+
+# (store steps, n_steps): with step 0 and ending at n_steps, without step 0
+# and ending before it
+STORE_SETS = [([0, 3, 50, 100], 100), ([7, 40], 100)]
+
+
+def _swirl_march_case(columns):
+    geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
+    x = geom.volume_grid(256)
+    nu, dt = 1e-2, 1e-3
+    drive = nu * ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
+    src = drive if columns is None else np.stack(
+        [drive, 0.3 * drive + np.cos(4.0 * x)], axis=1)
+    return ns._swirl_operator(x), 0.5 * nu * dt, dt, src
+
+
+@pytest.mark.parametrize("store", STORE_SETS)
+@pytest.mark.parametrize("rannacher", [0, 2])
+@pytest.mark.parametrize("columns", [None, 2])
+def test_kernel_matches_step_oracle_constant_source(columns, rannacher, store):
+    op, a, dt, src = _swirl_march_case(columns)
+    steps, n_steps = store
+    got = ns._cn_march(op, a, dt, steps, src, "test", rannacher=rannacher)
+    want = _oracle_cn_march(op, a, dt, n_steps, steps, src, "test",
+                            rannacher=rannacher)
+    assert got.shape == want.shape == (len(steps),) + src.shape
+    assert np.any(got != 0.0)
+    assert np.array_equal(got, want)
+
+
+def _layer_kernel_calls(monkeypatch, flow, geom, store_times):
+    """Run solve_layer and return the arguments of each of its kernel
+    calls; the layer's source is a callable of (k, w) alone."""
+    calls = []
+    real = layer._cn_march
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(layer, "_cn_march", spy)
+    solve_layer(flow, geom, FastGrid(nz=64, zmax=12.0), dt=1e-3, t_end=0.1,
+                store_times=store_times)
+    return calls
+
+
+@pytest.mark.parametrize("store_times", [[0.0, 0.003, 0.05, 0.1], [0.007, 0.04]])
+@pytest.mark.parametrize("case", ["oscillating-shear", "layer-mms"])
+def test_kernel_matches_step_oracle_callable_source(monkeypatch, case, store_times):
+    flow, geom, _ = _layer_cases()[case]
+    calls = _layer_kernel_calls(monkeypatch, flow, geom, store_times)
+    assert len(calls) == 2
+    for (op, a, dt, steps, source, where), kwargs in calls:
+        assert callable(source)
+        for rannacher in (0, 2):
+            got = ns._cn_march(op, a, dt, steps, source, where,
+                               rannacher=rannacher, columns=kwargs["columns"])
+            want = _oracle_cn_march(op, a, dt, 100, steps, source, where,
+                                    rannacher=rannacher,
+                                    columns=kwargs["columns"])
+            assert np.any(got != 0.0)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rannacher", [0, 2])
+@pytest.mark.parametrize("store", STORE_SETS)
+def test_march_stops_at_last_store_step(monkeypatch, store, rannacher):
+    # one solve per step, two per Rannacher step, none past the last store
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dpttrs(*args, **kwargs)
+
+    monkeypatch.setattr(ns, "dpttrs", counting)
+    op, a, dt, src = _swirl_march_case(None)
+    steps, _ = store
+    ns._cn_march(op, a, dt, steps, src, "test", rannacher=rannacher)
+    assert len(calls) == steps[-1] + rannacher
+
 
 NS_CASES = {
     "swirl": (geo.annulus_gap(1.0, 2.0, eta=0.45), LaurentProfile({1: 1.0, -1: 0.5}),
@@ -211,7 +337,7 @@ def test_non_positive_off_diagonal_product_is_a_config_error():
     lo[3] = -0.5
     op = (lo, np.full(n, -2.0), np.full(n - 1, 1.0))
     with pytest.raises(ConfigError, match=r"ns swirl \(nu=0.01, n=8\).*row 3"):
-        ns._cn_march(op, 0.01, 0.1, 4, [4], np.zeros(n), "ns swirl (nu=0.01, n=8)")
+        ns._cn_march(op, 0.01, 0.1, [4], np.zeros(n), "ns swirl (nu=0.01, n=8)")
 
 
 def test_failed_factorisation_is_a_solver_error(channel):

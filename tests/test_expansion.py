@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from vvlab.errors import AlignmentError, ConfigError
-from vvlab.euler import LaurentProfile, potential_vortex, rigid_rotation
+from vvlab.euler import (
+    LaurentProfile,
+    oscillating_shear_case,
+    potential_vortex,
+    rigid_rotation,
+)
 from vvlab.expansion import (
     assemble_ansatz,
     extract_remainder,
@@ -61,6 +66,29 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
             for slot, name in enumerate(w.tangent_names):
                 layer[jt, comp[name]] += math.sqrt(nu) * vals[slot]
     assert np.array_equal(bundle.u_approx, bundle.u0_part + layer)
+
+
+def test_steady_u0_is_evaluated_once(rigid_setup, annulus):
+    # a steady flow's u0 is one evaluation broadcast over the times
+    flow, profile = rigid_setup
+    coords = annulus.volume_grid(1024)
+    bundle = assemble_ansatz(flow, profile, annulus, 1e-3, coords)
+    assert bundle.u0_part.shape == (len(profile.times), 3, len(coords))
+    assert bundle.u0_part.strides[0] == 0
+    for jt, t in enumerate(bundle.times):
+        assert np.array_equal(bundle.u0_part[jt], flow.velocity(t, coords))
+
+
+def test_unsteady_u0_is_evaluated_at_each_time(channel):
+    flow = oscillating_shear_case(channel)
+    times = [0.05, 0.1, 0.2]
+    profile = solve_layer(flow, channel, FastGrid(nz=64), dt=1e-3,
+                          t_end=0.2, store_times=times)
+    coords = channel.volume_grid(512)
+    bundle = assemble_ansatz(flow, profile, channel, 1e-3, coords)
+    assert not np.array_equal(bundle.u0_part[0], bundle.u0_part[-1])
+    for jt, t in enumerate(times):
+        assert np.array_equal(bundle.u0_part[jt], flow.velocity(t, coords))
 
 
 def test_rigid_ansatz_amplitude(rigid_setup, annulus):

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vvlab.errors import ConfigError, StepSizeError
+from vvlab.errors import AlignmentError, ConfigError, StepSizeError
 from vvlab.euler import LaurentProfile, ShearProfile
 from vvlab.ns import (
+    _resolve_store_steps,
     angular_momentum,
     bc_residual,
     energy_identity_residual,
     solve_ns,
+    time_index,
 )
 
 
@@ -207,3 +211,61 @@ def test_compatible_shear_semigroup_rate(channel):
     # magnitude matches the first semigroup correction nu t |U0''|
     want = (1.0 - math.exp(-1e-2 * math.pi**2 * 0.5))
     assert errs[0] == pytest.approx(want, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# store steps and stored-time lookup
+# ---------------------------------------------------------------------------
+
+STEP_SIZES = st.sampled_from([1e-4, 1e-3, 2.5e-3, 0.1])
+
+
+@st.composite
+def store_grids(draw):
+    """(dt, n_steps, store steps): steps on the grid, in any order, with
+    repeats."""
+    dt = draw(STEP_SIZES)
+    n_steps = draw(st.integers(1, 1000))
+    ks = draw(st.lists(st.integers(0, n_steps), min_size=1, max_size=12))
+    return dt, n_steps, ks
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(grid=store_grids())
+def test_store_steps_sorted_unique(grid):
+    dt, n_steps, ks = grid
+    t_end = n_steps * dt
+    got_n, steps = _resolve_store_steps(dt, t_end, [k * dt for k in ks], None)
+    assert got_n == n_steps
+    assert steps == sorted(set(ks))
+    _, with_zero = _resolve_store_steps(dt, t_end, [0.0] + [k * dt for k in ks],
+                                        None)
+    assert with_zero[0] == 0
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(grid=store_grids(), frac=st.floats(0.01, 0.99), past=st.integers(1, 50))
+def test_store_time_off_grid_or_past_end_is_config_error(grid, frac, past):
+    dt, n_steps, ks = grid
+    t_end = n_steps * dt
+    with pytest.raises(ConfigError):
+        _resolve_store_steps(dt, t_end, [k * dt for k in ks] + [(ks[0] + frac) * dt],
+                             None)
+    with pytest.raises(ConfigError):
+        _resolve_store_steps(dt, t_end, [(n_steps + past) * dt], None)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(grid=store_grids(), extra=st.integers(0, 1000))
+def test_time_index_finds_every_stored_stamp(grid, extra):
+    dt, n_steps, ks = grid
+    _, steps = _resolve_store_steps(dt, n_steps * dt, [k * dt for k in ks], None)
+    times = np.array([k * dt for k in steps])
+    for i, t in enumerate(times):
+        assert time_index(times, float(t)) == i
+    if extra not in steps:
+        with pytest.raises(AlignmentError):
+            time_index(times, extra * dt)
+    with pytest.raises(AlignmentError):
+        time_index(times, (steps[0] + 0.5) * dt)
+

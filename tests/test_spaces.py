@@ -143,20 +143,44 @@ def test_eval_z_independent_field_is_cutoff(channel, grid):
 def test_eval_restriction_matches_full_grid(request, geom_name, grid):
     # evaluating only the collar nodes below Z_max gives the spline on the
     # whole grid times the cutoff, zeros elsewhere, bit for bit; at nu = 1e-2
-    # the collar edge bounds the support, at nu = 1e-4 Z_max does
+    # the collar edge bounds the support, at nu = 1e-4 Z_max does.  One fit
+    # over a wall's profiles stacked at several times gives each time's
+    # evaluation bit for bit.
     geom = request.getfixturevalue(geom_name)
-    pf = profile_from_callable([lambda s, z: np.exp(-z) * np.cos(z),
-                                lambda s, z: z * np.exp(-z)], grid,
-                               comp_names=("a", "b"))
+    per_time = [
+        profile_from_callable([lambda s, z, t=t: np.exp(-z / (1.0 + t)) * np.cos(z),
+                               lambda s, z, t=t: (1.0 + t) * z * np.exp(-z)], grid,
+                              comp_names=("a", "b"))
+        for t in (0.0, 0.125, 0.3, 1.0)
+    ]
+    stacked = ProfileField(grid=grid, s=per_time[0].s,
+                           s_weights=per_time[0].s_weights,
+                           values=np.stack([pf.values for pf in per_time]),
+                           comp_names=("a", "b"))
+    assert stacked.n_comp == 2
+    assert np.array_equal(stacked.comp("b")[2], per_time[2].comp("b"))
     coords = geom.volume_grid(4097)
-    spl = CubicSpline(grid.z, pf.values, axis=-1, extrapolate=False)
     for nu in (1e-2, 1e-4):
         for w in geom.walls():
             d = geo.wall_distance(geom, w.wall_id, coords)
-            full = np.nan_to_num(spl(d / math.sqrt(nu))[:, 0, :], nan=0.0)
-            want = full * geo.collar_cutoff(geom, d)
-            got = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
-            assert np.array_equal(got, want)
+            got_stacked = eval_profile_on_wall(stacked, geom, w.wall_id, coords, nu)
+            assert got_stacked.shape == (len(per_time), 2, len(coords))
+            for jt, pf in enumerate(per_time):
+                spl = CubicSpline(grid.z, pf.values, axis=-1, extrapolate=False)
+                full = np.nan_to_num(spl(d / math.sqrt(nu))[:, 0, :], nan=0.0)
+                want = full * geo.collar_cutoff(geom, d)
+                got = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+                assert np.any(want != 0.0)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got_stacked[jt], want)
+
+
+def test_weighted_norm_refuses_stacked_profiles(grid):
+    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    stacked = ProfileField(grid=grid, s=pf.s, s_weights=pf.s_weights,
+                           values=np.stack([pf.values, pf.values]))
+    with pytest.raises(ConfigError):
+        weighted_norm(stacked, AnisotropicIndex(k=0, m=0, l=0, p=2.0))
 
 
 def test_eval_rejects_multi_sample_profile(channel, grid):

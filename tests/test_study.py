@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -90,6 +93,22 @@ def test_fit_rate_scale_invariance():
     s2, i2, _ = fit_rate([(nu, 17.0 * e) for nu, e in pairs])
     assert s2 == pytest.approx(s1, rel=1e-12)
     assert i2 != pytest.approx(i1, rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(exps=st.lists(st.integers(-60, -10), min_size=3, max_size=6, unique=True),
+       errs=st.lists(st.floats(-10.0, 2.0), min_size=6, max_size=6),
+       factor=st.floats(-3.0, 3.0))
+def test_fit_rate_slope_invariant_under_common_scaling(exps, errs, factor):
+    # scaling every error, or every nu, by one factor shifts log e or log nu
+    # by a constant and leaves the least-squares slope unchanged
+    pairs = [(10.0 ** (x / 10.0), 10.0 ** e) for x, e in zip(exps, errs)]
+    c = 10.0 ** factor
+    slope, _, _ = fit_rate(pairs)
+    scaled_e, _, _ = fit_rate([(nu, c * e) for nu, e in pairs])
+    scaled_nu, _, _ = fit_rate([(c * nu, e) for nu, e in pairs])
+    assert scaled_e == pytest.approx(slope, rel=1e-9, abs=1e-9)
+    assert scaled_nu == pytest.approx(slope, rel=1e-9, abs=1e-9)
 
 
 def test_theory_slopes():
@@ -394,6 +413,65 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     with pytest.raises(SolverError), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_convergence_study(cfg)
+
+
+_REAL_WORKER = study._worker
+_DYING_NU = 3e-3
+_DONE_DIR = None        # set before the pool forks its workers
+
+
+def _worker_killed_at_one_nu(args):
+    # a worker process that dies outright once the other four rows are
+    # done; module level, so the pool can pickle it by reference
+    nu = args[2]
+    if nu != _DYING_NU:
+        out = _REAL_WORKER(args)
+        (_DONE_DIR / repr(nu)).touch()
+        return out
+    deadline = time.monotonic() + 60.0
+    while len(os.listdir(_DONE_DIR)) < 4 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)     # the last row's result leaves its worker
+    os._exit(1)
+
+
+def _worker_killed_at_all_but_one_nu(args):
+    if args[2] != 1e-2:
+        os._exit(1)
+    return _REAL_WORKER(args)
+
+
+def _pool_config(annulus):
+    return StudyConfig(
+        geometry=annulus,
+        euler=EulerSpec(family="vortex"),
+        layer=LayerParams(nz=64, dt=1e-3),
+        ns=NsParams(n=128, dt=1e-3, t_end=0.2),
+        nu_list=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
+        norms=("l2",),
+        t_eval=(0.2,),
+    )
+
+
+def test_killed_worker_is_a_failed_row(monkeypatch, tmp_path, annulus):
+    monkeypatch.setattr(sys.modules[__name__], "_DONE_DIR", tmp_path)
+    monkeypatch.setattr(study, "_worker", _worker_killed_at_one_nu)
+    with pytest.warns(UserWarning, match="nu=0.003"):
+        report = run_convergence_study(_pool_config(annulus), jobs=2)
+    assert list(report.meta["failed_rows"]) == [_DYING_NU]
+    assert report.meta["failed_rows"][_DYING_NU].startswith("BrokenProcessPool: ")
+    assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [
+        1e-2, 1e-3, 3e-4, 1e-4]
+
+
+def test_broken_pool_with_too_few_survivors_names_its_rows(monkeypatch, annulus):
+    from vvlab.errors import SolverError
+
+    monkeypatch.setattr(study, "_worker", _worker_killed_at_all_but_one_nu)
+    with pytest.raises(SolverError, match="BrokenProcessPool"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_convergence_study(_pool_config(annulus), jobs=2)
 
 
 def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
