@@ -30,8 +30,8 @@ import numpy as np
 from . import geometry as geo
 from .errors import ConfigError, InvalidProfileError
 
-# quarter-turn in the tangential wall frame: (a, b) -> (b, -a); the "cross"
-# coupling mode of the layer applies J A instead of A
+# quarter-turn in the tangential wall frame: (a, b) -> (b, -a); the layer's
+# coupling is J A
 _CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # ---------------------------------------------------------------------------
@@ -366,18 +366,17 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
 
 
 def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
-                   f0: float = 0.0, a_mat=None,
-                   coupling_mode: str = "cross") -> BaseFlow:
+                   f0: float = 0.0, a_mat=None) -> BaseFlow:
     """Manufactured layer solution b(t, z) = sin(omega t) exp(-z^2) w.
 
     Zero initial data and zero wall datum (d/dz b(t,0) = 0, so curl = 0).
-    The forcing closes the layer equation for the requested coupling mode,
-    so the marched solution must converge to b at the solver's orders.
+    The forcing closes the layer equation with the coupling J A, so the
+    marched solution must converge to b at the solver's orders.
     The returned flow carries b as ``exact_profile(t, z)``.
     """
     w_dir = np.array([1.0, 0.5])
     a_mat = np.zeros((2, 2)) if a_mat is None else np.asarray(a_mat, dtype=float)
-    a_eff = _CROSS_J @ a_mat if coupling_mode == "cross" else a_mat
+    a_eff = _CROSS_J @ a_mat
 
     def exact(t, z):
         return math.sin(omega * t) * np.exp(-np.asarray(z) ** 2)[None, :] * w_dir[:, None]

@@ -19,12 +19,8 @@ components of a wall step together through the symmetrised tridiagonal
 kernel of ns.py on the nodes below Z_max (the Dirichlet node stays zero).
 The explicit terms are built only when the flow has a nonzero f, a nonzero
 coupling or a manufactured forcing; otherwise they would add exact zeros.
-
-The coupling vector (u0 . grad u_b + u_b . grad u0) enters the tangential
-equation either as a literal cross product with n ("cross" mode, the
-operator J A with J a quarter turn in the wall frame) or as the orthogonal
-projection ("project" mode, A itself).  Both vanish for the symmetric
-benchmark flows; manufactured runs report the discrepancy.
+The coupling enters as A_eff = J A, the cross product of the coupling
+vector with n, where J is a quarter turn in the wall frame.
 """
 
 from __future__ import annotations
@@ -76,7 +72,6 @@ class WallLayerSeries:
     tangent_names: tuple
     ub: np.ndarray                 # (n_t, 2, n_z)
     g_used: np.ndarray             # (n_t, 2)
-    f_used: np.ndarray             # (n_t,)
 
 
 @dataclass
@@ -93,20 +88,18 @@ class LayerProfile:
     walls: dict
 
     def profile(self, wall: str, it) -> ProfileField:
-        """u_b as a one-sample field at the wall coordinate, weighted by the
-        whole collar so slow integrals cover the collar.  A sequence of
-        stored indices ``it`` stacks those times on a leading axis."""
+        """u_b on one wall as a column weighted by the collar measure.  A
+        sequence of stored indices ``it`` stacks those times on a leading
+        axis."""
         w = self.walls[wall]
-        return ProfileField(grid=self.grid, s=self.geom.wall(wall).coord,
-                            s_weights=self.geom.collar_measure(wall),
-                            values=w.ub[it][..., None, :],
+        return ProfileField(grid=self.grid, values=w.ub[it],
+                            weight=self.geom.collar_measure(wall),
                             comp_names=w.tangent_names)
 
 
 def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
                 grid: FastGrid, dt: float, t_end: float,
-                store_times=None,
-                coupling_mode: str = "cross") -> LayerProfile:
+                store_times=None) -> LayerProfile:
     """March the tangential layer system on every wall.
 
     Each wall marches one column whose coefficients are evaluated at the
@@ -117,17 +110,14 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
     """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
-    if coupling_mode not in ("cross", "project"):
-        raise ConfigError("coupling_mode must be 'cross' or 'project'")
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
     z = grid.z
     op, h0 = _fast_diffusion_operator(z)
     dz_weights = _first_deriv_matrix_weights(z)
 
     # explicit advection stability factor: max z_j / local spacing
-    h_loc = np.minimum(np.diff(z, prepend=z[0] - (z[1] - z[0])),
-                       np.diff(z, append=z[-1] + (z[-1] - z[-2])))
-    cfl_factor = float(np.max(z[1:-1] / h_loc[1:-1])) if grid.nz > 2 else 0.0
+    h_loc = np.minimum(z[1:-1] - z[:-2], z[2:] - z[1:-1])
+    cfl_factor = float(np.max(z[1:-1] / h_loc))
 
     times = np.array([k * dt for k in store_steps])
     walls = {}
@@ -136,9 +126,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
             g = boundary_data_g(flow, w, t=t)
             f = float(flow.f_stretch(t))
             a = flow.coupling_matrix(t, w.wall_id)
-            if coupling_mode == "cross":
-                a = np.einsum("ij,jk->ik", _CROSS_J, a)
-            return g, f, a
+            return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
 
         # g, f and A at every step; a steady flow repeats its t = 0 values
         steps = [coeffs(0.0)] * (n_steps + 1) if flow.steady \
@@ -183,7 +171,6 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
             tangent_names=w.tangent_names,
             ub=ub_store,
             g_used=g_all[store_steps],
-            f_used=f_all[store_steps],
         )
 
     return LayerProfile(geom=geom, grid=grid, times=times, walls=walls)

@@ -1,12 +1,13 @@
 """Norm engine: anisotropic weighted norms, layer evaluation maps, and the
 utility inequalities (Hardy, local Gronwall) as executable checks.
 
-Profile fields live on a slow grid times a half-line fast grid.  The fast
-grid maps a uniform parameter xi through z = -L*log(1 - xi), clustering
-nodes near z = 0 while reaching a truncation height Z_max with
-exp(-Z_max) < 1e-14.  Derivatives are centered second-order differences on
-the mapped nodes (one-sided at the ends); integrals are trapezoid sums.
-That discretization is the documented error model of every norm here.
+A profile field is one wall column u(z) on a half-line fast grid: the
+layer does not vary along the wall.  The fast grid maps a uniform parameter
+xi through z = -L*log(1 - xi), clustering nodes near z = 0 while reaching a
+truncation height Z_max with exp(-Z_max) < 1e-14.  Derivatives are centered
+second-order differences on the mapped nodes (one-sided at the ends);
+integrals are trapezoid sums.  That discretization is the documented error
+model of every norm here.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def _first_deriv_matrix_weights(x: np.ndarray):
     """Coefficients of the 3-point nonuniform first derivative.
 
     Returns (cl, c0, cr): d/dx u_j ~ cl[j] u_{j-1} + c0[j] u_j + cr[j] u_{j+1},
-    one-sided second-order at both ends.
+    one-sided second-order at both ends.  Needs at least 3 nodes.
     """
     n = len(x)
+    if n < 3:
+        raise ConfigError(f"a first derivative needs at least 3 nodes, got {n}")
     cl = np.zeros(n)
     c0 = np.zeros(n)
     cr = np.zeros(n)
@@ -107,15 +110,6 @@ def _first_deriv_matrix_weights(x: np.ndarray):
 def diff_along(values: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     """Second-order first derivative along ``axis`` on a nonuniform grid."""
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    n = v.shape[-1]
-    if n < 3:
-        if n < 2:
-            return np.moveaxis(np.zeros_like(v), -1, axis)
-        h = x[1] - x[0]
-        d = np.empty_like(v)
-        d[..., 0] = (v[..., 1] - v[..., 0]) / h
-        d[..., 1] = (v[..., 1] - v[..., 0]) / h
-        return np.moveaxis(d, -1, axis)
     d = _apply_first_deriv(_first_deriv_matrix_weights(np.asarray(x, dtype=float)), v)
     return np.moveaxis(d, -1, axis)
 
@@ -138,31 +132,25 @@ def _apply_first_deriv(weights, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProfileField:
-    """Field u(s, z) on a slow grid times a half-line fast grid.
+    """Wall column u(z) on a half-line fast grid.
 
-    ``values`` has shape (n_comp, n_s, n_z).  A wall's profiles at several
-    stored times stack as (n_t, n_comp, n_s, n_z); only the wall evaluator
-    takes that form.
+    ``values`` has shape (n_comp, n_z).  A wall's profiles at several stored
+    times stack as (n_t, n_comp, n_z); only the wall evaluator takes that
+    form.  ``weight`` is the measure of the wall's collar: the column does
+    not vary along it, so a collar integral is the weight times the z one.
     """
 
     grid: FastGrid
-    s: np.ndarray
-    s_weights: np.ndarray
     values: np.ndarray
+    weight: float = 1.0
     comp_names: tuple = ("c0",)
 
     def __post_init__(self):
-        self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        self.s_weights = np.atleast_1d(np.asarray(self.s_weights, dtype=float))
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[None, None, :]
-        elif self.values.ndim == 2:
-            self.values = self.values[None, :, :]
-        if self.values.shape[-2:] != (len(self.s), self.grid.nz):
+        if self.values.ndim < 2 or self.values.shape[-1] != self.grid.nz:
             raise ConfigError(
                 f"values shape {self.values.shape} does not match "
-                f"(n_comp, {len(self.s)}, {self.grid.nz})"
+                f"(n_comp, {self.grid.nz})"
             )
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("profile values must be finite")
@@ -172,72 +160,53 @@ class ProfileField:
 
     @property
     def n_comp(self) -> int:
-        return self.values.shape[-3]
+        return self.values.shape[-2]
 
     def comp(self, name: str) -> np.ndarray:
-        return self.values[..., self.comp_names.index(name), :, :]
+        return self.values[..., self.comp_names.index(name), :]
 
 
-def profile_from_callable(fn, grid: FastGrid, s=0.0, s_weight=1.0,
+def profile_from_callable(fn, grid: FastGrid, weight=1.0,
                           comp_names=("c0",)) -> ProfileField:
-    """Sample ``fn(s, z)`` (scalar) or a list of callables onto a ProfileField."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    sw = np.broadcast_to(np.asarray(s_weight, dtype=float), s.shape).copy()
+    """Sample ``fn(z)`` (scalar) or a list of callables onto a ProfileField."""
     fns = fn if isinstance(fn, (list, tuple)) else [fn]
-    ss, zz = np.meshgrid(s, grid.z, indexing="ij")
-    vals = np.stack([np.broadcast_to(f(ss, zz), ss.shape) for f in fns])
+    vals = np.stack([np.broadcast_to(f(grid.z), grid.z.shape) for f in fns])
     names = tuple(comp_names[: len(fns)]) if len(fns) > 1 else (comp_names[0],)
-    return ProfileField(grid=grid, s=s, s_weights=sw, values=vals,
-                        comp_names=names)
+    return ProfileField(grid=grid, values=vals, weight=weight, comp_names=names)
 
 
 def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
-    """Anisotropic weighted norm of a profile field.
+    """Anisotropic weighted norm of a wall column.
 
     For finite p this is
-    ( sum_{a<=m, b<=l} iint (1+z^{2k}) |D_s^a D_z^b u|^p ds dz )^{1/p},
-    with |.| the Euclidean magnitude over components, the slow integral a
-    weighted sum over samples and the z integral a trapezoid sum on the
-    mapped nodes.  For p = inf (k must be 0) it is the max over all
-    derivative orders of the sup norm.
+    ( sum_{b<=l} w int (1+z^{2k}) |D_z^b u|^p dz )^{1/p},
+    with |.| the Euclidean magnitude over components, w the collar weight
+    and the z integral a trapezoid sum on the mapped nodes.  For p = inf (k
+    must be 0) it is the max over the fast orders of the sup norm.  A
+    column does not vary along the wall, so its slow derivatives vanish and
+    the slow order m adds no term.
     """
-    if pf.values.ndim != 3:
+    if pf.values.ndim != 2:
         raise ConfigError("a weighted norm takes one time's profile")
-    if math.isinf(idx.p):
-        if idx.k > 0:
-            raise UnsupportedCombinationError(
-                "polynomial weight with the sup norm is not defined"
-            )
-        worst = 0.0
-        d_s = pf.values
-        for a in range(idx.m + 1):
-            d_z = d_s
-            for b in range(idx.l + 1):
-                mag = np.sqrt(np.sum(d_z**2, axis=0))
-                worst = max(worst, float(mag.max(initial=0.0)))
-                if b < idx.l:
-                    d_z = diff_along(d_z, pf.grid.z, axis=-1)
-            if a < idx.m:
-                d_s = diff_along(d_s, pf.s, axis=-2)
-        return worst
-
+    sup = math.isinf(idx.p)
+    if sup and idx.k > 0:
+        raise UnsupportedCombinationError(
+            "polynomial weight with the sup norm is not defined"
+        )
     z = pf.grid.z
     # k = 0 means no decay weight (1 + z^0 would double the plain norm)
-    weight = 1.0 + z ** (2 * idx.k) if idx.k > 0 else np.ones_like(z)
-    wz = trapezoid_weights(z) * weight
-    ws = pf.s_weights
+    wz = trapezoid_weights(z) * (1.0 + z ** (2 * idx.k) if idx.k > 0 else 1.0)
     total = 0.0
-    d_s = pf.values
-    for a in range(idx.m + 1):
-        d_z = d_s
-        for b in range(idx.l + 1):
-            mag = np.sqrt(np.sum(d_z**2, axis=0))
-            total += float(np.einsum("s,z,sz->", ws, wz, mag**idx.p))
-            if b < idx.l:
-                d_z = diff_along(d_z, z, axis=-1)
-        if a < idx.m:
-            d_s = diff_along(d_s, pf.s, axis=-2)
-    return total ** (1.0 / idx.p)
+    d_z = pf.values
+    for b in range(idx.l + 1):
+        mag = np.sqrt(np.sum(d_z**2, axis=0))
+        if sup:
+            total = max(total, float(mag.max(initial=0.0)))
+        else:
+            total += float(pf.weight * np.dot(wz, mag**idx.p))
+        if b < idx.l:
+            d_z = diff_along(d_z, z, axis=-1)
+    return total if sup else total ** (1.0 / idx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +228,6 @@ class VolumeField:
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = np.stack([
-                self.values if i == 0 else np.zeros_like(self.values)
-                for i in range(3)
-            ])
         if self.values.shape != (3, len(self.coords)):
             raise ConfigError("volume field values must have shape (3, n)")
 
@@ -350,10 +314,7 @@ class VolumeGrid:
         (axisymmetric, axially invariant): sum of squared radial derivatives
         plus (u_rad^2 + u_theta^2)/r^2.
         """
-        if len(self.coords) < 3:
-            d = diff_along(values, self.coords, axis=-1)
-        else:
-            d = _apply_first_deriv(self._deriv_weights, values)
+        d = _apply_first_deriv(self._deriv_weights, values)
         out = np.sum(d**2, axis=0)
         if self.geom.kind == geo.ANNULUS_GAP:
             r = self.coords
@@ -405,29 +366,25 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
                          wall_id: str, coords: np.ndarray, nu: float) -> np.ndarray:
     """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
 
-    ``pf`` holds a single slow sample: the layer does not vary along the
-    collar.  Its values may stack several times, (n_t, n_comp, 1, n_z): the
-    wall distance, the live nodes and the cutoff are then computed once and
-    one spline is fitted to all of them.  Piecewise-cubic in z, multiplied
-    by the collar cutoff, and zero beyond Z_max and outside the collar,
-    where only zeros would come out; the spline is evaluated on the
-    remaining nodes alone.  Returns (n_comp, n), or (n_t, n_comp, n).
+    ``pf`` is a wall column: the layer does not vary along the collar.  Its
+    values may stack several times, (n_t, n_comp, n_z): the wall distance,
+    the live nodes and the cutoff are then computed once and one spline is
+    fitted to all of them.  Piecewise-cubic in z, multiplied by the collar
+    cutoff, and zero beyond Z_max and outside the collar, where only zeros
+    would come out; the spline is evaluated on the remaining nodes alone.  Returns (n_comp, n), or (n_t, n_comp, n).
     """
-    if len(pf.s) != 1:
-        raise ConfigError("wall evaluation needs a single-sample profile")
     d = geo.wall_distance(geom, wall_id, coords)
     zq = d / math.sqrt(nu)
     live = (d < geom.eta) & (zq >= 0.0) & (zq <= pf.grid.z[-1])
-    spl = CubicSpline(pf.grid.z, pf.values[..., 0, :], axis=-1, extrapolate=False)
-    vals = np.zeros(pf.values.shape[:-2] + (len(d),))
+    spl = CubicSpline(pf.grid.z, pf.values, axis=-1, extrapolate=False)
+    vals = np.zeros(pf.values.shape[:-1] + (len(d),))
     vals[..., live] = spl(zq[live]) * geo.collar_cutoff(geom, d[live])
     return vals
 
 
 def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
                         nu: float, p: float = 2.0,
-                        n_points: int = DEFAULT_EVAL_POINTS,
-                        coords: np.ndarray | None = None) -> LayerEvalResult:
+                        n_points: int = DEFAULT_EVAL_POINTS) -> LayerEvalResult:
     """Evaluate x -> U(x, phi(x)/sqrt(nu)) times the collar cutoff.
 
     Both walls contribute with their own exact distance; the collars are
@@ -436,8 +393,7 @@ def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
     """
     if nu <= 0:
         raise InvalidParameterError("nu must be positive")
-    if coords is None:
-        coords = geom.volume_grid(n_points)
+    coords = geom.volume_grid(n_points)
     total = np.zeros((pf.n_comp, len(coords)))
     for w in geom.walls():
         total += eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
@@ -466,14 +422,13 @@ class ScalingResult:
 
 def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
                            nu_list, p: float = 2.0, mode: str = "rate",
-                           m: int = 1,
                            n_points: int = DEFAULT_EVAL_POINTS) -> ScalingResult:
     """Fit the nu-exponent of the layer evaluation norm, or check the
     nu-uniform bound mode.
 
     mode="rate": least-squares slope of log ||U(x, phi/sqrt(nu))||_p versus
     log nu (expected 1/(2p)).  mode="bounded": the ratios against the
-    anisotropic (k=1, m, l=1, p=2) profile norm, which must stay bounded.
+    anisotropic (k=1, l=1, p=2) profile norm, which must stay bounded.
     """
     nu_list = sorted(float(v) for v in nu_list)
     if len(nu_list) < 3:
@@ -485,7 +440,7 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
         for nu in nu_list
     )
     if mode == "bounded":
-        ref = weighted_norm(pf, AnisotropicIndex(k=1, m=m, l=1, p=2.0))
+        ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0))
         ratios = tuple(n / ref for n in norms)
         return ScalingResult(nu_list=tuple(nu_list), norms=norms,
                              ratios=ratios, reference_norm=ref)

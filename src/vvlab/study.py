@@ -109,6 +109,10 @@ class NsParams:
     t_end: float = 0.5
     nu: float | None = None         # standalone solves only
 
+    def __post_init__(self):
+        if self.nu is not None and self.nu <= 0:
+            raise ConfigError(f"ns nu must be positive, got {self.nu}")
+
 
 @dataclass
 class StudyConfig:
@@ -196,7 +200,7 @@ def parse_config_file(path) -> StudyConfig:
                 n=n,
                 dt=sec.getfloat("dt", fallback=npar.dt),
                 t_end=sec.getfloat("t_end", fallback=npar.t_end),
-                nu=sec.getfloat("nu", fallback=0.0) or None,
+                nu=sec.getfloat("nu", fallback=None),
             )
         s = cp["study"] if cp.has_section("study") else {}
         nu_list = tuple(
@@ -353,8 +357,9 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
     ask for it (layer.pressure_corrector_q).
     """
     flow = flow or config.euler.build(config.geometry)
+    zmax = config.layer.zmax
     grid = FastGrid(nz=config.layer.nz,
-                    zmax=config.layer.zmax or DEFAULT_ZMAX)
+                    zmax=DEFAULT_ZMAX if zmax is None else zmax)
     return solve_layer(flow, config.geometry, grid,
                        dt=config.layer.dt, t_end=max(config.t_eval),
                        store_times=config.t_eval)

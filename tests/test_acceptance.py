@@ -54,8 +54,8 @@ def test_criterion_1_erfc_layer_oracle(annulus):
 
 def test_criterion_2_scaling_exponents(channel):
     t0 = time.perf_counter()
-    pf = profile_from_callable(lambda s, z: np.exp(-z), FastGrid(nz=512),
-                               s_weight=1.0)
+    pf = profile_from_callable(lambda z: np.exp(-z), FastGrid(nz=512),
+                               weight=1.0)
     devs = {}
     for p in (2.0, 4.0, 6.0):
         res = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4, 1e-5],

@@ -103,3 +103,26 @@ def test_config_output_dir_used_without_out(tmp_path, monkeypatch, capsys):
                                   ["euler", "residual"]])
 def test_jobs_only_on_study_rates(argv, capsys):
     assert cli_main(argv + ["--preset", "vortex-annulus", "--jobs", "7"]) == 2
+
+
+def test_zero_layer_zmax_is_a_config_error(tmp_path, capsys):
+    # zmax = 0 is a value, not "auto": it must not fall back to the default
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("nz = 64\n", "nz = 64\nzmax = 0\n"))
+    code = cli_main(["layer", "solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "zmax" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "layer_profile.dat").exists()
+
+
+@pytest.mark.parametrize("nu", ["0", "-1e-3"])
+def test_non_positive_ns_nu_is_a_config_error(tmp_path, capsys, nu):
+    # nu = 0 must not fall back to the first value of nu_list
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("ny = 256\n", f"ny = 256\nnu = {nu}\n"))
+    code = cli_main(["ns", "solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "nu must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ns_solution.dat").exists()

@@ -79,8 +79,7 @@ def _oracle_fast_diffusion_matrix(z):
     return sp.diags([lo, di, up], [-1, 0, 1], format="csr"), h0
 
 
-def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
-                        coupling_mode="cross"):
+def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps):
     """ub per wall, (n_store, 2, n_z), from the sparse CN step."""
     z = grid.z
     d2, h0 = _oracle_fast_diffusion_matrix(z)
@@ -96,9 +95,7 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps,
             g = boundary_data_g(flow, w, t=t)
             f = float(flow.f_stretch(t))
             a = flow.coupling_matrix(t, w.wall_id)
-            if coupling_mode == "cross":
-                a = np.einsum("ij,jk->ik", _CROSS_J, a)
-            return g, f, a
+            return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
 
         b = np.zeros((2, grid.nz))
         ub = np.zeros((len(store_steps), 2, grid.nz))

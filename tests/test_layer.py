@@ -340,13 +340,12 @@ def test_snapshot_write_bit_stable(tmp_path, annulus):
 # ---------------------------------------------------------------------------
 
 
-def _mms_error(geom, nz, dt, f0, a_mat, mode="cross"):
-    flow = layer_mms_case(geom, omega=3.0, f0=f0, a_mat=a_mat,
-                          coupling_mode=mode)
+def _mms_error(geom, nz, dt, f0, a_mat):
+    flow = layer_mms_case(geom, omega=3.0, f0=f0, a_mat=a_mat)
     grid = FastGrid(nz=nz, zmax=12.0)
     t_end = 0.2
     profile = solve_layer(flow, geom, grid, dt=dt, t_end=t_end,
-                          store_times=[t_end], coupling_mode=mode)
+                          store_times=[t_end])
     exact = flow.exact_profile(t_end, grid.z)
     worst = 0.0
     for w in profile.walls.values():
@@ -372,18 +371,3 @@ def test_mms_time_order(channel):
     for order in orders:
         assert order == pytest.approx(1.0, abs=0.2) or order > 1.0
 
-
-def test_coupling_mode_discrepancy_reported(channel):
-    # forcing built for "project" marched in "cross" mode: the two coupling
-    # interpretations genuinely differ and the mismatch is visible
-    flow = layer_mms_case(channel, omega=3.0, f0=0.0, a_mat=A_MAT,
-                          coupling_mode="project")
-    grid = FastGrid(nz=256, zmax=12.0)
-    profile = solve_layer(flow, channel, grid, dt=1e-3, t_end=0.2,
-                          store_times=[0.2], coupling_mode="cross")
-    exact = flow.exact_profile(0.2, grid.z)
-    worst = max(float(np.abs(w.ub[0] - exact).max())
-                for w in profile.walls.values())
-    matched = _mms_error(channel, 256, 1e-3, 0.0, A_MAT,
-                         mode="cross")
-    assert worst > 50 * matched

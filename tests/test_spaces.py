@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from vvlab import geometry as geo
@@ -40,7 +43,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def exp_field(grid):
-    return profile_from_callable(lambda s, z: np.exp(-z), grid, s_weight=A_SLOW)
+    return profile_from_callable(lambda z: np.exp(-z), grid, weight=A_SLOW)
 
 
 def test_fast_grid_invariants(grid):
@@ -50,7 +53,7 @@ def test_fast_grid_invariants(grid):
 
 
 def test_zero_field_all_indices(grid):
-    pf = profile_from_callable(lambda s, z: 0.0 * z, grid)
+    pf = profile_from_callable(lambda z: 0.0 * z, grid)
     for idx in (AnisotropicIndex(0, 0, 0, 2.0), AnisotropicIndex(1, 1, 1, 4.0),
                 AnisotropicIndex(0, 0, 1, math.inf)):
         assert weighted_norm(pf, idx) == 0.0
@@ -77,21 +80,28 @@ def test_sup_norm_with_weight_rejected(exp_field):
 
 def test_homogeneity(grid):
     rng = np.random.default_rng(3)
-    base = rng.normal(size=(1, 1, grid.nz))
-    pf = ProfileField(grid=grid, s=[0.0], s_weights=[1.0], values=base)
-    pf5 = ProfileField(grid=grid, s=[0.0], s_weights=[1.0], values=5.0 * base)
+    base = rng.normal(size=(1, grid.nz))
+    pf = ProfileField(grid=grid, values=base)
+    pf5 = ProfileField(grid=grid, values=5.0 * base)
     for idx in (AnisotropicIndex(0, 0, 0, 2.0), AnisotropicIndex(2, 0, 1, 3.0)):
         assert weighted_norm(pf5, idx) == pytest.approx(
             5.0 * weighted_norm(pf, idx), rel=1e-13)
 
 
 def test_index_monotonicity(grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z) * (1 + np.sin(s)),
-                               grid, s=np.linspace(0, 1, 9), s_weight=0.1)
+    # raising k or l adds to the norm; a column's slow derivatives vanish,
+    # so raising m leaves it as it is
+    pf = profile_from_callable([lambda z: np.exp(-z) * np.cos(z),
+                                lambda z: z * np.exp(-z)], grid,
+                               weight=0.1, comp_names=("a", "b"))
     small = weighted_norm(pf, AnisotropicIndex(0, 0, 0, 2.0))
-    for idx in (AnisotropicIndex(1, 0, 0, 2.0), AnisotropicIndex(0, 1, 0, 2.0),
-                AnisotropicIndex(0, 0, 1, 2.0), AnisotropicIndex(2, 1, 1, 2.0)):
-        assert weighted_norm(pf, idx) >= small
+    for idx in (AnisotropicIndex(1, 0, 0, 2.0), AnisotropicIndex(0, 0, 1, 2.0),
+                AnisotropicIndex(2, 0, 1, 2.0)):
+        assert weighted_norm(pf, idx) > small
+    for k, l, p in ((0, 0, 2.0), (1, 1, 3.0), (0, 2, math.inf)):
+        flat = weighted_norm(pf, AnisotropicIndex(k, 0, l, p))
+        for m in (1, 2):
+            assert weighted_norm(pf, AnisotropicIndex(k, m, l, p)) == flat
 
 
 def test_invalid_index():
@@ -101,13 +111,80 @@ def test_invalid_index():
         AnisotropicIndex(0, 0, 0, 0.5)
 
 
+def _oracle_weighted_norm(values, s_weights, z, idx):
+    """weighted_norm before a profile became one wall column: ``values``
+    (n_comp, 1, n_z) on a one-sample slow grid with quadrature
+    ``s_weights``, with a loop over the slow orders a <= m around the fast
+    one."""
+
+    def d_slow(v):
+        # diff_along on a slow axis of a single sample returned zeros
+        return np.zeros_like(v)
+
+    if math.isinf(idx.p):
+        worst = 0.0
+        d_s = values
+        for a in range(idx.m + 1):
+            d_z = d_s
+            for b in range(idx.l + 1):
+                mag = np.sqrt(np.sum(d_z**2, axis=0))
+                worst = max(worst, float(mag.max(initial=0.0)))
+                if b < idx.l:
+                    d_z = diff_along(d_z, z, axis=-1)
+            if a < idx.m:
+                d_s = d_slow(d_s)
+        return worst
+    weight = 1.0 + z ** (2 * idx.k) if idx.k > 0 else np.ones_like(z)
+    wz = geo.trapezoid_weights(z) * weight
+    total = 0.0
+    d_s = values
+    for a in range(idx.m + 1):
+        d_z = d_s
+        for b in range(idx.l + 1):
+            mag = np.sqrt(np.sum(d_z**2, axis=0))
+            total += float(np.einsum("s,z,sz->", s_weights, wz, mag**idx.p))
+            if b < idx.l:
+                d_z = diff_along(d_z, z, axis=-1)
+        if a < idx.m:
+            d_s = d_slow(d_s)
+    return total ** (1.0 / idx.p)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), n_comp=st.integers(1, 3), nz=st.integers(8, 64),
+       weight=st.floats(0.1, 10.0), k=st.integers(0, 2), m=st.integers(0, 2),
+       l=st.integers(0, 2), p=st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+def test_column_norm_matches_slow_grid_oracle(data, n_comp, nz, weight, k, m, l, p):
+    # one column equals the old norm of the same values as a one-sample
+    # collar at the wall, weighted by the collar measure
+    if math.isinf(p):
+        k = 0
+    grid = FastGrid(nz=nz)
+    values = data.draw(arrays(np.float64, (n_comp, nz), elements=st.floats(
+        -10.0, 10.0, allow_nan=False, allow_infinity=False)))
+    idx = AnisotropicIndex(k, m, l, p)
+    got = weighted_norm(ProfileField(grid=grid, values=values, weight=weight), idx)
+    want = _oracle_weighted_norm(values[:, None, :], np.array([weight]),
+                                 grid.z, idx)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_two_node_grid_is_a_config_error(channel):
+    x = np.array([0.0, 1.0])
+    values = np.ones((3, 2))
+    with pytest.raises(ConfigError, match="at least 3 nodes"):
+        diff_along(values, x, axis=-1)
+    with pytest.raises(ConfigError, match="at least 3 nodes"):
+        VolumeGrid(channel, x).norms(values, [parse_norm("h1")])
+
+
 # ---------------------------------------------------------------------------
 # boundary layer evaluation
 # ---------------------------------------------------------------------------
 
 
 def test_eval_zero_profile(channel, grid):
-    pf = profile_from_callable(lambda s, z: 0.0 * z, grid)
+    pf = profile_from_callable(lambda z: 0.0 * z, grid)
     res = boundary_layer_eval(pf, channel, 1e-3)
     assert np.all(res.field.values == 0.0)
     assert res.norm == 0.0
@@ -115,7 +192,7 @@ def test_eval_zero_profile(channel, grid):
 
 def test_eval_exponential_squared_norm(channel, grid):
     # two walls, each contributing int exp(-2 d/sqrt(nu)) dd ~ sqrt(nu)/2
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
     nu = 1e-4
     res = boundary_layer_eval(pf, channel, nu, p=2.0, n_points=8193)
     assert res.norm**2 == pytest.approx(2.0 * math.sqrt(nu) / 2.0, rel=1e-3)
@@ -123,7 +200,7 @@ def test_eval_exponential_squared_norm(channel, grid):
 
 
 def test_eval_support_halves_with_sqrt_nu(channel, grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
     n1 = boundary_layer_eval(pf, channel, 4e-4, p=2.0, n_points=8193).norm
     n2 = boundary_layer_eval(pf, channel, 1e-4, p=2.0, n_points=8193).norm
     # squared norm scales with the support width, i.e. with sqrt(nu)
@@ -131,10 +208,9 @@ def test_eval_support_halves_with_sqrt_nu(channel, grid):
 
 
 def test_eval_z_independent_field_is_cutoff(channel, grid):
-    pf = profile_from_callable(lambda s, z: 1.0 + 0.0 * z, grid)
-    coords = channel.volume_grid(513)
-    res = boundary_layer_eval(pf, channel, 1e-3, coords=coords)
-    d = geo.min_wall_distance(channel, coords)
+    pf = profile_from_callable(lambda z: 1.0 + 0.0 * z, grid)
+    res = boundary_layer_eval(pf, channel, 1e-3, n_points=513)
+    d = geo.min_wall_distance(channel, channel.volume_grid(513))
     want = geo.collar_cutoff(channel, d)
     assert np.allclose(res.field.values[0], want, atol=1e-12)
 
@@ -148,13 +224,12 @@ def test_eval_restriction_matches_full_grid(request, geom_name, grid):
     # evaluation bit for bit.
     geom = request.getfixturevalue(geom_name)
     per_time = [
-        profile_from_callable([lambda s, z, t=t: np.exp(-z / (1.0 + t)) * np.cos(z),
-                               lambda s, z, t=t: (1.0 + t) * z * np.exp(-z)], grid,
+        profile_from_callable([lambda z, t=t: np.exp(-z / (1.0 + t)) * np.cos(z),
+                               lambda z, t=t: (1.0 + t) * z * np.exp(-z)], grid,
                               comp_names=("a", "b"))
         for t in (0.0, 0.125, 0.3, 1.0)
     ]
-    stacked = ProfileField(grid=grid, s=per_time[0].s,
-                           s_weights=per_time[0].s_weights,
+    stacked = ProfileField(grid=grid,
                            values=np.stack([pf.values for pf in per_time]),
                            comp_names=("a", "b"))
     assert stacked.n_comp == 2
@@ -167,7 +242,7 @@ def test_eval_restriction_matches_full_grid(request, geom_name, grid):
             assert got_stacked.shape == (len(per_time), 2, len(coords))
             for jt, pf in enumerate(per_time):
                 spl = CubicSpline(grid.z, pf.values, axis=-1, extrapolate=False)
-                full = np.nan_to_num(spl(d / math.sqrt(nu))[:, 0, :], nan=0.0)
+                full = np.nan_to_num(spl(d / math.sqrt(nu)), nan=0.0)
                 want = full * geo.collar_cutoff(geom, d)
                 got = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
                 assert np.any(want != 0.0)
@@ -176,28 +251,21 @@ def test_eval_restriction_matches_full_grid(request, geom_name, grid):
 
 
 def test_weighted_norm_refuses_stacked_profiles(grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
-    stacked = ProfileField(grid=grid, s=pf.s, s_weights=pf.s_weights,
-                           values=np.stack([pf.values, pf.values]))
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
+    stacked = ProfileField(grid=grid, values=np.stack([pf.values, pf.values]))
     with pytest.raises(ConfigError):
         weighted_norm(stacked, AnisotropicIndex(k=0, m=0, l=0, p=2.0))
 
 
-def test_eval_rejects_multi_sample_profile(channel, grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid, s=[0.0, 0.1])
-    with pytest.raises(ConfigError):
-        eval_profile_on_wall(pf, channel, "lower", channel.volume_grid(65), 1e-3)
-
-
 def test_eval_warns_when_nu_too_large(channel, grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
     with pytest.warns(UserWarning):
         res = boundary_layer_eval(pf, channel, 0.05)
     assert res.asymptotic_warning
 
 
 def test_scaling_exponent(channel, grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
     for p, want in ((2.0, 0.25), (4.0, 0.125)):
         res = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], p=p,
                                      n_points=8193)
@@ -205,13 +273,13 @@ def test_scaling_exponent(channel, grid):
 
 
 def test_scaling_needs_three_values(channel, grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
     with pytest.raises(ConfigError):
         scaling_exponent_check(pf, channel, [1e-2, 1e-4], p=2.0)
 
 
 def test_scaling_bounded_mode(channel, grid):
-    pf = profile_from_callable(lambda s, z: np.exp(-z), grid)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
     res = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], p=2.0,
                                  mode="bounded", n_points=8193)
     # ratios decrease as nu does (nu ascending in the result)
