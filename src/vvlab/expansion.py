@@ -48,7 +48,9 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
 
     The order-nu corrector v is zero in these geometries (see the module
     docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall
-    with one evaluation of each wall's stacked profiles.  The collars are
+    with one evaluation of each wall's stacked profiles.  A wall whose
+    profiles are all zero (the vortex and flat-shear layers, where g = 0)
+    adds nothing and is not evaluated.  The collars are
     disjoint and a wall's layer is exactly zero outside its own, so each
     point receives at most one nonzero layer term.  A steady flow's u0 is
     evaluated once and broadcast over the times (u0_part is then a
@@ -69,8 +71,10 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
         u0_part = np.array([flow.velocity(t, coords) for t in times]).reshape(shape)
     u_approx = np.array(u0_part)
     for w in geom.walls():
-        vals = eval_profile_on_wall(profile.profile(w.wall_id, idx), geom,
-                                    w.wall_id, coords, nu)
+        pf = profile.profile(w.wall_id, idx)
+        if not pf.values.any():
+            continue
+        vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
         for slot, name in enumerate(w.tangent_names):
             u_approx[:, comp[name]] += math.sqrt(nu) * vals[:, slot]
 

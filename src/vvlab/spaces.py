@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from . import geometry as geo
 from .errors import (
@@ -362,6 +362,43 @@ class LayerEvalResult:
     asymptotic_warning: bool
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through (x, y[..., j]) at xq, shape (..., len(xq)).
+
+    Repeats scipy.interpolate.CubicSpline(x, y, axis=-1) operation for
+    operation: its banded rows and not-a-knot end rows, the dgtsv solve,
+    the Hermite coefficients and the power sum of its evaluation, so the
+    values equal scipy's bit for bit.  Needs len(x) >= 4 and
+    x[0] <= xq <= x[-1].
+    """
+    n = len(x)
+    yt = y.reshape(-1, n).T             # scipy's knot-first layout, (n, K)
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(yt, axis=0) / dxr
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty_like(yt)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
+    b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    *_, s, info = dgtsv(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), b,
+                        1, 1, 1, 1)
+    if info:
+        raise np.linalg.LinAlgError(f"not-a-knot spline system: dgtsv info {info}")
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    coef = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1])
+    i = np.minimum(np.searchsorted(x, xq, side="right") - 1, n - 2)
+    h = (xq - x[i])[:, None]
+    # scipy's sum: res = 0 + y_i, then z *= h; res += c_k z (-0.0 becomes +0.0)
+    res = 0.0 + yt[:-1][i]
+    z = np.ones_like(h)
+    for ck in coef[::-1]:
+        z *= h
+        res += ck[i] * z
+    return res.T.reshape(y.shape[:-1] + (len(xq),))
+
+
 def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
                          wall_id: str, coords: np.ndarray, nu: float) -> np.ndarray:
     """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
@@ -369,16 +406,18 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
     ``pf`` is a wall column: the layer does not vary along the collar.  Its
     values may stack several times, (n_t, n_comp, n_z): the wall distance,
     the live nodes and the cutoff are then computed once and one spline is
-    fitted to all of them.  Piecewise-cubic in z, multiplied by the collar
-    cutoff, and zero beyond Z_max and outside the collar, where only zeros
-    would come out; the spline is evaluated on the remaining nodes alone.  Returns (n_comp, n), or (n_t, n_comp, n).
+    fitted to all of them.  The spline (_not_a_knot, bit for bit scipy's
+    CubicSpline) is multiplied by the collar cutoff and is zero beyond Z_max
+    and outside the collar, where only zeros would come out; it is
+    evaluated on the remaining nodes alone.  Returns (n_comp, n), or
+    (n_t, n_comp, n).
     """
     d = geo.wall_distance(geom, wall_id, coords)
     zq = d / math.sqrt(nu)
     live = (d < geom.eta) & (zq >= 0.0) & (zq <= pf.grid.z[-1])
-    spl = CubicSpline(pf.grid.z, pf.values, axis=-1, extrapolate=False)
     vals = np.zeros(pf.values.shape[:-1] + (len(d),))
-    vals[..., live] = spl(zq[live]) * geo.collar_cutoff(geom, d[live])
+    vals[..., live] = (_not_a_knot(pf.grid.z, pf.values, zq[live])
+                       * geo.collar_cutoff(geom, d[live]))
     return vals
 
 

@@ -194,8 +194,8 @@ def parse_config_file(path) -> StudyConfig:
         npar = NsParams()
         if cp.has_section("ns"):
             sec = cp["ns"]
-            n = sec.getint("nr", fallback=0) or sec.getint("ny", fallback=0) \
-                or sec.getint("n", fallback=npar.n)
+            # the first key that is set, so an explicit 0 reaches solve_ns
+            n = next((sec.getint(k) for k in ("nr", "ny", "n") if k in sec), npar.n)
             npar = NsParams(
                 n=n,
                 dt=sec.getfloat("dt", fallback=npar.dt),

@@ -126,3 +126,15 @@ def test_non_positive_ns_nu_is_a_config_error(tmp_path, capsys, nu):
     assert code == 2
     assert "nu must be positive" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ns_solution.dat").exists()
+
+
+@pytest.mark.parametrize("key", ["ny", "nr"])
+def test_zero_ns_grid_size_is_a_config_error(tmp_path, capsys, key):
+    # an explicit 0 must not fall through to the next key or the default
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("ny = 256\n", f"{key} = 0\nn = 256\n"))
+    code = cli_main(["ns", "solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "n must be >=" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ns_solution.dat").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vvlab import expansion
 from vvlab.errors import AlignmentError, ConfigError
 from vvlab.euler import (
     LaurentProfile,
@@ -26,7 +27,7 @@ from vvlab.spaces import (
     parse_norm,
     volume_norm,
 )
-from vvlab.study import remainder_norms
+from vvlab.study import preset_vortex_annulus, remainder_norms, solve_study_layer
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,23 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
             for slot, name in enumerate(w.tangent_names):
                 layer[jt, comp[name]] += math.sqrt(nu) * vals[slot]
     assert np.array_equal(bundle.u_approx, bundle.u0_part + layer)
+
+
+def test_zero_layer_is_not_evaluated(monkeypatch):
+    # the vortex layer is exactly zero (g = 0): no wall is evaluated and
+    # the ansatz is u0 itself
+    cfg = preset_vortex_annulus()
+    flow = cfg.euler.build(cfg.geometry)
+    profile = solve_study_layer(cfg, flow)
+    assert not any(w.ub.any() for w in profile.walls.values())
+    calls = []
+    monkeypatch.setattr(expansion, "eval_profile_on_wall",
+                        lambda *args: calls.append(args))
+    bundle = assemble_ansatz(flow, profile, cfg.geometry, cfg.nu_list[-1],
+                             cfg.geometry.volume_grid(4096), times=cfg.t_eval)
+    assert calls == []
+    assert np.array_equal(bundle.u_approx, bundle.u0_part)
+    assert np.array_equal(np.signbit(bundle.u_approx), np.signbit(bundle.u0_part))
 
 
 def test_steady_u0_is_evaluated_once(rigid_setup, annulus):

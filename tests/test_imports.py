@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and the
+command line imports no scipy module it does not need.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
 appear as a name somewhere else in the same file, or be listed in the
@@ -7,6 +8,9 @@ and are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,15 @@ def test_checker_flags_an_unused_import():
            "import math\nimport numpy as np\nfrom os import path, sep\n"
            "__all__ = ['sep']\nx = np.pi\n")
     assert unused_imports(src) == [("math", 2), ("path", 4)]
+
+
+def test_cli_import_loads_no_interpolate_or_special():
+    # scipy.interpolate pulls in special, sparse and optimize at start-up;
+    # the package needs only scipy.linalg
+    code = ("import sys, vvlab.cli; print(' '.join(m for m in "
+            "('scipy.interpolate', 'scipy.special') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""

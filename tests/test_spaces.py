@@ -20,6 +20,7 @@ from vvlab.spaces import (
     ProfileField,
     VolumeField,
     VolumeGrid,
+    _not_a_knot,
     boundary_layer_eval,
     diff_along,
     eval_profile_on_wall,
@@ -248,6 +249,34 @@ def test_eval_restriction_matches_full_grid(request, geom_name, grid):
                 assert np.any(want != 0.0)
                 assert np.array_equal(got, want)
                 assert np.array_equal(got_stacked[jt], want)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(nz=st.integers(8, 600), fast_knots=st.booleans(),
+       lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8]),
+       zeros=st.sampled_from(["none", "some", "all"]), seed=st.integers(0, 2**32 - 1))
+def test_not_a_knot_is_scipy_cubic_spline_bit_for_bit(nz, fast_knots, lead, scale,
+                                                      zeros, seed):
+    # the numpy spline repeats CubicSpline's operations, so every value and
+    # every sign bit (signed zeros included) must match
+    rng = np.random.default_rng(seed)
+    if fast_knots:
+        x = FastGrid(nz=nz).z
+    else:
+        x = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 2.0, nz - 1))))
+    y = scale * rng.standard_normal((*lead, nz))
+    if zeros == "some":
+        y[..., ::3] = 0.0
+        y[..., 1::5] = -0.0
+    elif zeros == "all":
+        y[...] = -0.0 if seed % 2 else 0.0
+    xq = np.concatenate((x, [x[0], x[-1]], x[-1] * rng.uniform(0.0, 1.0, 257)))
+    got = _not_a_knot(x, y, xq)
+    want = CubicSpline(x, y, axis=-1, extrapolate=False)(xq)
+    assert got.shape == want.shape == (*lead, len(xq))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_weighted_norm_refuses_stacked_profiles(grid):

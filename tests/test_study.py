@@ -239,6 +239,77 @@ def test_retired_layer_keys_still_parse(tmp_path):
     assert not hasattr(cfg.layer, "coupling_mode")
 
 
+@st.composite
+def study_configs(draw):
+    """A study config drawn as its INI text and the StudyConfig it means."""
+    if draw(st.booleans()):
+        h = draw(st.floats(0.5, 3.0))
+        eta = h / 2 * draw(st.floats(0.05, 0.95))
+        geom_ini = f"kind = flat_channel\nh = {h!r}\neta = {eta!r}"
+        geom = geo.flat_channel(h, eta)
+        family = draw(st.sampled_from(["shear_cos", "shear_poly:0.2,1.0,-0.5"]))
+    else:
+        r1 = draw(st.floats(0.5, 2.0))
+        r2 = r1 + draw(st.floats(0.5, 2.0))
+        eta = (r2 - r1) / 2 * draw(st.floats(0.05, 0.95))
+        geom_ini = f"kind = annulus_gap\nr1 = {r1!r}\nr2 = {r2!r}\neta = {eta!r}"
+        geom = geo.annulus_gap(r1, r2, eta)
+        family = draw(st.sampled_from(["rigid", "vortex", "swirl_poly:0.5,1.0,-0.2"]))
+    euler = EulerSpec(family=family, omega=draw(st.floats(0.1, 5.0)),
+                      circulation=draw(st.floats(0.1, 5.0)))
+    layer = LayerParams(nz=draw(st.integers(8, 1024)),
+                        zmax=draw(st.none() | st.floats(1.0, 40.0)),
+                        dt=draw(st.floats(1e-5, 1e-2)))
+    ns = NsParams(n=draw(st.integers(32, 4096)), dt=draw(st.floats(1e-6, 1e-2)),
+                  t_end=draw(st.floats(0.05, 1.0)),
+                  nu=draw(st.none() | st.floats(1e-6, 1e-1)))
+    ns_key = draw(st.sampled_from(["nr", "ny", "n"]))
+    # exponents in tenths of a decade: strictly decreasing, two decades or more
+    top = draw(st.integers(20, 40))
+    tenths = draw(st.lists(st.integers(1, top - 1), min_size=1, max_size=4,
+                           unique=True))
+    nu0 = (eta / 4) ** 2 * draw(st.floats(0.01, 1.0))
+    nu_list = tuple(nu0 * 10.0 ** (-k / 10) for k in [0, *sorted(tenths), top])
+    norms = draw(st.permutations(["lp:4.0", *draw(st.lists(
+        st.sampled_from(["l2", "h1", "linf", "lp:3.5"]), unique=True))]))
+    fracs = draw(st.none() | st.lists(st.integers(1, 100), min_size=1, max_size=8,
+                                      unique=True))
+    t_eval = None if fracs is None else tuple(ns.t_end * f / 100 for f in sorted(fracs))
+    out = draw(st.text("abcxyz_0123456789", min_size=1, max_size=12))
+    want = StudyConfig(geometry=geom, euler=euler, layer=layer, ns=ns,
+                       nu_list=nu_list, norms=tuple(norms), t_eval=t_eval,
+                       output_dir=out)
+
+    def floats(values):
+        return ", ".join(repr(v) for v in values)
+
+    text = (f"[geometry]\n{geom_ini}\n"
+            f"[euler]\nfamily = {family}\nomega = {euler.omega!r}\n"
+            f"circulation = {euler.circulation!r}\n"
+            f"[layer]\nnz = {layer.nz}\n"
+            f"zmax = {'auto' if layer.zmax is None else repr(layer.zmax)}\n"
+            f"dt = {layer.dt!r}\n"
+            f"[ns]\n{ns_key} = {ns.n}\ndt = {ns.dt!r}\nt_end = {ns.t_end!r}\n"
+            + ("" if ns.nu is None else f"nu = {ns.nu!r}\n")
+            + f"[study]\nnu_list = {floats(nu_list)}\nnorms = {', '.join(norms)}\n"
+            f"t_eval = {'auto' if t_eval is None else floats(t_eval)}\n"
+            f"output_dir = {out}\n")
+    return text, want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn=study_configs())
+def test_config_file_round_trip(tmp_path_factory, drawn):
+    # a config written as INI text reads back as the same StudyConfig, its
+    # norm labels in canonical form
+    text, want = drawn
+    path = tmp_path_factory.mktemp("cfg") / "study.cfg"
+    path.write_text(text)
+    got = parse_config_file(path)
+    assert got == want
+    assert "lp:4" in got.norms and "lp:4.0" not in got.norms
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config_file("/no/such/file.cfg")
