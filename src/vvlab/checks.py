@@ -48,7 +48,7 @@ def _timed(fn):
         except VvlabError as exc:
             passed, detail = False, f"error: {exc}"
         return CheckResult(name=fn.__name__.removeprefix("check_"),
-                           passed=passed, detail=detail,
+                           passed=bool(passed), detail=detail,
                            seconds=time.perf_counter() - t0)
     return run
 
@@ -184,7 +184,8 @@ def check_gronwall_dominates_rk4():
 
     The trials march together as one array RK4 (spaces.gronwall_rk4_trials):
     the same draws and the same per-trial operations as a scalar loop, so
-    the solutions agree with it to the last bit or two.
+    the solutions agree with it to the last bit or two.  h is interpolated
+    a block of steps at a time, bit for bit the lookup step by step.
     """
     trials = gronwall_rk4_trials(seed=11, n_trials=100, n_samples=2001,
                                  n_steps=2000)

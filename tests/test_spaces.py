@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vvlab.spaces import (
     ProfileField,
     VolumeField,
     VolumeGrid,
+    _GRONWALL_BLOCK,
     _not_a_knot,
     boundary_layer_eval,
     diff_along,
@@ -396,12 +398,12 @@ def test_gronwall_dominates_rk4_batch():
     assert np.all(trials.bound >= trials.y * (1 - 1e-9) - 1e-12)
 
 
-def _gronwall_rk4_scalar_oracle(seed, n_samples, n_steps):
+def _gronwall_rk4_scalar_oracle(seed, n_samples, n_steps, n_trials=100):
     """One scalar RK4 loop per trial with np.interp, the reference for the
     batched march; returns (t_star, y, bound) per trial."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(100):
+    for _ in range(n_trials):
         y0 = rng.uniform(0.0, 1.5)
         c0 = rng.uniform(0.1, 2.0)
         alpha = rng.uniform(0.3, 2.0)
@@ -445,6 +447,36 @@ def test_gronwall_batch_matches_scalar_oracle():
     assert failures(trials.bound, trials.y) == failures(bound, y)
     assert np.min(trials.bound - trials.y) == pytest.approx(
         np.min(bound - y), rel=1e-12)
+
+
+def test_gronwall_blocks_match_scalar_oracle_across_block_boundaries():
+    # two full blocks of interpolated h and a last block of one step
+    n_steps = 2 * _GRONWALL_BLOCK + 1
+    t_star, y, _ = _gronwall_rk4_scalar_oracle(5, 201, n_steps, n_trials=10)
+    trials = gronwall_rk4_trials(seed=5, n_trials=10, n_samples=201,
+                                 n_steps=n_steps)
+    assert np.array_equal(trials.t_star, t_star)
+    assert np.all(np.abs(trials.y - y) <= 1e-14 * np.abs(y))
+
+
+def test_gronwall_check_trials_are_pinned_bit_for_bit():
+    # float.hex of (t_star, y, bound) per trial of check_gronwall_dominates_rk4
+    golden = pathlib.Path(__file__).parent / "golden" / "gronwall_check.txt"
+    rows = [line.split() for line in golden.read_text().splitlines()
+            if not line.startswith("#")]
+    trials = gronwall_rk4_trials(seed=11, n_trials=100, n_samples=2001,
+                                 n_steps=2000)
+    got = [[v.hex() for v in map(float, row)]
+           for row in zip(trials.t_star, trials.y, trials.bound)]
+    assert got == rows
+
+
+@pytest.mark.parametrize("n_trials, n_samples, n_steps",
+                         [(0, 11, 5), (5, 1, 5), (5, 11, 0)])
+def test_gronwall_trials_reject_degenerate_sizes(n_trials, n_samples, n_steps):
+    with pytest.raises(InvalidParameterError):
+        gronwall_rk4_trials(seed=1, n_trials=n_trials, n_samples=n_samples,
+                            n_steps=n_steps)
 
 
 # ---------------------------------------------------------------------------
