@@ -5,7 +5,8 @@ terms cut off inside the collar; the remainder R = (u_nu - ansatz)/nu is
 what the convergence theory bounds uniformly.  The corrector v is driven by
 the slow divergence of u_b, which vanishes here: u_b is tangential and does
 not vary along the wall or across the collar, so v = 0 and the ansatz is
-u0 + sqrt(nu) u_b.
+u0 + sqrt(nu) u_b, u0 itself (no copy) where u_b = 0.  R is formed one
+stored time at a time.
 
 In the reduced symmetric geometries the Weyl decomposition is exact:
 gradients are precisely the wall-normal component fields and the
@@ -37,7 +38,7 @@ class AnsatzBundle:
     geom: geo.GeometryDescriptor
     coords: np.ndarray
     times: np.ndarray
-    u_approx: np.ndarray           # (n_t, 3, n)
+    u_approx: np.ndarray           # (n_t, 3, n); u0_part itself if no wall adds a layer
     u0_part: np.ndarray
 
 
@@ -49,12 +50,13 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     The order-nu corrector v is zero in these geometries (see the module
     docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall
     with one evaluation of each wall's stacked profiles.  A wall whose
-    profiles are all zero (the vortex and flat-shear layers, where g = 0)
-    adds nothing and is not evaluated.  The collars are
-    disjoint and a wall's layer is exactly zero outside its own, so each
-    point receives at most one nonzero layer term.  A steady flow's u0 is
-    evaluated once and broadcast over the times (u0_part is then a
-    read-only view); an unsteady one is evaluated at each time.
+    profiles are all zero (the vortex layer, and the flat-shear lower wall:
+    g = 0) adds nothing and is not evaluated; when no wall adds, u_approx is
+    u0_part itself, not a copy.  The collars are disjoint and a wall's layer
+    is exactly zero outside its own, so each point receives at most one
+    nonzero layer term.  A steady flow's u0 is evaluated once and broadcast
+    over the times (u0_part is then a read-only view); an unsteady one is
+    evaluated at each time.
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
@@ -69,11 +71,13 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
         u0_part = np.broadcast_to(flow.velocity(0.0, coords), shape)
     else:
         u0_part = np.array([flow.velocity(t, coords) for t in times]).reshape(shape)
-    u_approx = np.array(u0_part)
+    u_approx = u0_part
     for w in geom.walls():
         pf = profile.profile(w.wall_id, idx)
         if not pf.values.any():
             continue
+        if u_approx is u0_part:
+            u_approx = np.array(u0_part)
         vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
         for slot, name in enumerate(w.tangent_names):
             u_approx[:, comp[name]] += math.sqrt(nu) * vals[:, slot]
@@ -114,30 +118,36 @@ def leray_project(vf: VolumeField):
 
 @dataclass
 class RemainderField:
+    """R = (u_nu - ansatz)/nu, formed one stored time at a time by ``at``."""
+
     nu: float
     geom: geo.GeometryDescriptor
     coords: np.ndarray
     times: np.ndarray
-    values: np.ndarray             # (n_t, 3, n): (u_nu - ansatz)/nu
+    u_nu: list                     # (3, n) views of the reference solution, one per time
+    u_approx: np.ndarray           # (n_t, 3, n)
+
+    def at(self, it: int) -> np.ndarray:
+        return (self.u_nu[it] - self.u_approx[it]) / self.nu
 
     def field_at(self, it: int) -> VolumeField:
         """R at stored index ``it``."""
         return VolumeField(geom=self.geom, coords=self.coords,
-                           values=self.values[it])
+                           values=self.at(it))
 
 
 def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderField:
-    """R = (u_nu - ansatz)/nu at the shared time stamps."""
+    """R = (u_nu - ansatz)/nu at the shared time stamps, formed on demand."""
     if abs(sol.nu - bundle.nu) > 1e-15 * max(sol.nu, bundle.nu):
         raise ConfigError("viscosities of solution and ansatz differ")
     if sol.geom.kind != bundle.geom.kind or len(sol.coords) != len(bundle.coords) \
             or not np.allclose(sol.coords, bundle.coords, rtol=0.0, atol=1e-12):
         raise ConfigError("grid incompatibility between solution and ansatz")
-    idx = [time_index(sol.times, t) for t in bundle.times]
     return RemainderField(
         nu=bundle.nu, geom=bundle.geom, coords=bundle.coords,
         times=bundle.times.copy(),
-        values=(sol.values[idx] - bundle.u_approx) / bundle.nu,
+        u_nu=[sol.values[time_index(sol.times, t)] for t in bundle.times],
+        u_approx=bundle.u_approx,
     )
 
 

@@ -140,7 +140,7 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
 def time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored stamp ``t`` in ``times``, to 1e-10; a time that
     was not stored is an AlignmentError."""
-    idx = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-10))[0]
+    idx = np.nonzero(np.abs(times - t) <= 1e-10)[0]
     if len(idx) == 0:
         raise AlignmentError(f"time {t} not among stored stamps {times}")
     return int(idx[0])
@@ -247,8 +247,9 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     _, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
     w = _cn_march(operator(x), 0.5 * nu * dt, dt, store_steps, nu * drive,
                   where, rannacher=rannacher)
+    w += u0                                  # in place: w + u0 is u0 + w exactly
     values = np.zeros((len(store_steps), 3, n))
-    values[:, slot] = u0 + w
+    values[:, slot] = w
     return ViscousSolution(nu=nu, geom=geom, coords=x,
                            times=np.array([k * dt for k in store_steps]),
                            values=values)

@@ -273,8 +273,8 @@ def parse_norm(label: str) -> NormSpec:
         return NormSpec(label=s, kind="h1", p=2.0)
     if s.startswith("lp:"):
         p = float(s.split(":", 1)[1])
-        if p < 1:
-            raise ConfigError(f"lp norm needs p >= 1, got {label!r}")
+        if not 1 <= p < math.inf:
+            raise ConfigError(f"lp needs a finite p >= 1 (sup norm: linf), got {label!r}")
         return NormSpec(label="lp:" + repr(p).removesuffix(".0"), kind="lp", p=p)
     if s.startswith("aniso:"):
         parts = s.split(":", 1)[1].split(",")
@@ -282,6 +282,8 @@ def parse_norm(label: str) -> NormSpec:
             raise ConfigError(f"aniso norm needs k,m,l,p, got {label!r}")
         k, m, l = (int(v) for v in parts[:3])
         p = math.inf if parts[3] in ("inf", "infty") else float(parts[3])
+        if math.isnan(p):
+            raise ConfigError(f"aniso norm needs p >= 1 or inf (sup norm, as linf), got {label!r}")
         return NormSpec(label=s, kind="aniso", p=p,
                         idx=AnisotropicIndex(k=k, m=m, l=l, p=p))
     raise ConfigError(f"unknown norm string {label!r}")
@@ -312,20 +314,21 @@ class VolumeGrid:
 
         Channel (fields of y only): sum of squared y-derivatives.  Annulus
         (axisymmetric, axially invariant): sum of squared radial derivatives
-        plus (u_rad^2 + u_theta^2)/r^2.
+        plus (u_rad^2 + u_theta^2)/r^2, of the live (not all-zero) components.
         """
-        d = _apply_first_deriv(self._deriv_weights, values)
+        live = np.flatnonzero(np.any(values, axis=1))
+        d = _apply_first_deriv(self._deriv_weights, values[live])
         out = np.sum(d**2, axis=0)
         if self.geom.kind == geo.ANNULUS_GAP:
             r = self.coords
-            out = out + (values[0] ** 2 + values[1] ** 2) / r**2
+            out = out + np.sum(values[live[live < 2]] ** 2, axis=0) / r**2
         return out
 
     def norms(self, values: np.ndarray, specs) -> list:
         """The lp / linf / h1 norms ``specs`` of one (3, n) field, forming
-        its magnitude |u| once."""
+        its magnitude |u| once from the components that are not all zero."""
         values = np.asarray(values, dtype=float)
-        mag = np.sqrt(np.sum(values**2, axis=0))
+        mag = np.sqrt(np.sum(values[np.any(values, axis=1)] ** 2, axis=0))
         out = []
         for spec in specs:
             if spec.kind == "linf":
@@ -621,10 +624,10 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     t_star = 0.7 * horizon
     dt = t_star / n_steps
 
-    rows = np.arange(n_trials)
+    rows = np.arange(n_trials)[:, None]
 
     def h_at(t):
-        # np.interp's piecewise-linear interpolant, one t per trial (last axis)
+        # np.interp's interpolant; rising t along each trial's row keeps searchsorted fast
         j = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, n_samples - 2)
         left = hv[rows, j]
         slope = (hv[rows, j + 1] - left) / (tt[j + 1] - tt[j])
@@ -635,13 +638,14 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     for k in range(n_steps):
         b = k % _GRONWALL_BLOCK
         if b == 0:
-            # h at the stage times of the next block of steps, (block, n_trials)
-            tk = np.arange(k, min(k + _GRONWALL_BLOCK, n_steps))[:, None] * dt
-            h_start, h_mid, h_end = h_at(tk), h_at(tk + dt / 2), h_at(tk + dt)
-        k1 = h_start[b] + c0 * np.maximum(y, 0.0) ** power
-        k2 = h_mid[b] + c0 * np.maximum(y + dt * k1 / 2, 0.0) ** power
-        k3 = h_mid[b] + c0 * np.maximum(y + dt * k2 / 2, 0.0) ** power
-        k4 = h_end[b] + c0 * np.maximum(y + dt * k3, 0.0) ** power
+            # h at the stage times of the next block of steps, (n_trials, block)
+            tk = np.arange(k, min(k + _GRONWALL_BLOCK, n_steps)) * dt[:, None]
+            h_start, h_mid, h_end = (h_at(tk), h_at(tk + dt[:, None] / 2),
+                                     h_at(tk + dt[:, None]))
+        k1 = h_start[:, b] + c0 * np.maximum(y, 0.0) ** power
+        k2 = h_mid[:, b] + c0 * np.maximum(y + dt * k1 / 2, 0.0) ** power
+        k3 = h_mid[:, b] + c0 * np.maximum(y + dt * k2 / 2, 0.0) ** power
+        k4 = h_end[:, b] + c0 * np.maximum(y + dt * k3, 0.0) ** power
         y += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     bound = np.array([gronwall_local_bound(y0[i], tt, hv[i], c0[i], alpha[i], t_star[i])
                       for i in range(n_trials)])

@@ -44,7 +44,7 @@ from .euler import (
 )
 from .expansion import assemble_ansatz, extract_remainder, leray_project
 from .layer import LayerProfile, solve_layer
-from .ns import ViscousSolution, solve_ns, time_index
+from .ns import ViscousSolution, solve_ns
 from .spaces import DEFAULT_ZMAX, FastGrid, VolumeField, VolumeGrid, parse_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
@@ -395,7 +395,8 @@ def remainder_norms(grid: VolumeGrid, values: np.ndarray, specs) -> dict:
 
 
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
-    """Rows for a single viscosity: velocity-error and remainder norms."""
+    """Rows for a single viscosity: velocity-error and remainder norms, with
+    u - u0 and R formed one time at a time beside the reference solution."""
     geom = config.geometry
     flow = config.euler.build(geom)
     sol = solve_reference(config, flow, nu)
@@ -407,10 +408,10 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(bundle.times):
         t = float(t)
-        diff = sol.values[time_index(sol.times, t)] - bundle.u0_part[jt]
-        for spec, value in zip(specs, grid.norms(diff, specs)):
+        u_norms = grid.norms(rem.u_nu[jt] - bundle.u0_part[jt], specs)
+        for spec, value in zip(specs, u_norms):
             rows.append((nu, t, spec.label, value, "u"))
-        rem_norms = remainder_norms(grid, rem.values[jt], specs)
+        rem_norms = remainder_norms(grid, rem.at(jt), specs)
         for k, spec in enumerate(specs):
             for part in ("full", "P", "I-P"):
                 rows.append((nu, t, spec.label, rem_norms[part][k], f"R:{part}"))

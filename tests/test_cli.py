@@ -138,3 +138,15 @@ def test_zero_ns_grid_size_is_a_config_error(tmp_path, capsys, key):
     assert code == 2
     assert "n must be >=" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ns_solution.dat").exists()
+
+
+@pytest.mark.parametrize("norm", ["lp:inf", "lp:nan"])
+def test_non_finite_lp_norm_in_a_config_file_exits_2(tmp_path, capsys, norm):
+    # lp:inf read 1.0 for every field; the sup norm is linf
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("norms = l2\n", f"norms = l2, {norm}\n"))
+    code = cli_main(["study", "rates", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "linf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -57,6 +57,9 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     nu, coords = 1e-3, annulus.volume_grid(1024)
     bundle = assemble_ansatz(flow, profile, annulus, nu, coords)
     assert np.any(bundle.u_approx != bundle.u0_part)
+    # a layer term is added into a writable copy, never into u0_part
+    assert bundle.u_approx.flags.writeable
+    assert not np.shares_memory(bundle.u_approx, bundle.u0_part)
     comp = {name: i for i, name in enumerate(annulus.comp_names)}
     layer = np.zeros_like(bundle.u0_part)
     for jt, t in enumerate(bundle.times):
@@ -82,6 +85,9 @@ def test_zero_layer_is_not_evaluated(monkeypatch):
     bundle = assemble_ansatz(flow, profile, cfg.geometry, cfg.nu_list[-1],
                              cfg.geometry.volume_grid(4096), times=cfg.t_eval)
     assert calls == []
+    # u0 itself, not a copy: the steady u0's read-only broadcast view
+    assert np.shares_memory(bundle.u_approx, bundle.u0_part)
+    assert not bundle.u_approx.flags.writeable
     assert np.array_equal(bundle.u_approx, bundle.u0_part)
     assert np.array_equal(np.signbit(bundle.u_approx), np.signbit(bundle.u0_part))
 
@@ -138,8 +144,28 @@ def test_vortex_remainder_negligible(annulus):
     bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
                              times=[0.25, 0.5])
     rem = extract_remainder(sol, bundle)
-    assert np.abs(rem.values).max() < 1e-8
+    assert max(np.abs(rem.at(it)).max() for it in range(2)) < 1e-8
     assert volume_norm(rem.field_at(1), "l2") < 1e-8
+
+
+def test_remainder_per_time_equals_eager_formula(rigid_setup, annulus):
+    # R is formed one time at a time; each time is bit for bit the slice of
+    # the whole-array expression, and the stored times need not be the
+    # ansatz's (the solution stores 0.0625 as well)
+    flow, profile = rigid_setup
+    nu = 3e-3
+    sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
+                   dt=2.5e-3, t_end=0.25, store_times=[0.0625, 0.125, 0.25])
+    bundle = assemble_ansatz(flow, profile, annulus, nu, sol.coords)
+    rem = extract_remainder(sol, bundle)
+    idx = [time_index(sol.times, t) for t in bundle.times]
+    assert idx == [1, 2]
+    eager = (sol.values[idx] - bundle.u_approx) / nu
+    assert np.any(eager != 0.0)
+    for it in range(len(bundle.times)):
+        assert np.array_equal(rem.at(it), eager[it])
+        assert np.array_equal(np.signbit(rem.at(it)), np.signbit(eager[it]))
+        assert np.array_equal(rem.field_at(it).values, eager[it])
 
 
 def test_remainder_definition_identity(rigid_setup, annulus):
@@ -153,9 +179,10 @@ def test_remainder_definition_identity(rigid_setup, annulus):
                           times=bundle.times.copy(),
                           values=bundle.u_approx.copy())
     rem = extract_remainder(sol, bundle)
-    assert np.all(rem.values == 0.0)
-    recon = rem.values + (bundle.u_approx - sol.values) / nu
-    assert np.abs(recon).max() == 0.0
+    for it in range(len(bundle.times)):
+        assert np.all(rem.at(it) == 0.0)
+        recon = rem.at(it) + (bundle.u_approx[it] - sol.values[it]) / nu
+        assert np.abs(recon).max() == 0.0
 
 
 def test_remainder_grid_mismatch(rigid_setup, annulus):
@@ -205,7 +232,7 @@ def test_remainder_parts_are_the_projector_of_r(rigid_setup, annulus):
     for it in range(len(rem.times)):
         p_field, g_field = leray_project(rem.field_at(it))
         assert np.any(p_field.values != 0.0)
-        got = remainder_norms(grid, rem.values[it], specs)
+        got = remainder_norms(grid, rem.at(it), specs)
         assert got["P"] == [volume_norm(p_field, spec) for spec in specs]
         assert got["I-P"] == [volume_norm(g_field, spec) for spec in specs]
 

@@ -269,3 +269,16 @@ def test_time_index_finds_every_stored_stamp(grid, extra):
     with pytest.raises(AlignmentError):
         time_index(times, (steps[0] + 0.5) * dt)
 
+
+def test_time_index_tolerance_edge():
+    # a stamp matches within 1e-10 inclusive; the next double beyond is an
+    # AlignmentError naming the time (differences from 0.0 are exact)
+    times = np.array([0.0, 0.25, 0.5])
+    assert time_index(times, 1e-10) == 0
+    assert time_index(times, -1e-10) == 0
+    assert time_index(times, 0.5) == 2
+    for t in (np.nextafter(1e-10, 1.0), np.nextafter(-1e-10, -1.0), 0.375):
+        with pytest.raises(AlignmentError, match="not among stored stamps"):
+            time_index(times, float(t))
+    # two stamps within the tolerance: the first is returned
+    assert time_index(np.array([0.0, 5e-11]), 5e-11) == 0

@@ -3,7 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
@@ -484,6 +484,20 @@ def test_gronwall_trials_reject_degenerate_sizes(n_trials, n_samples, n_steps):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("label", ["lp:inf", "lp:Infinity", "lp:-inf", "lp:nan",
+                                   "aniso:0,0,0,nan", "aniso:1,0,1,NaN"])
+def test_parse_norm_rejects_non_finite_exponents(label):
+    # lp:inf used to read 1.0 for every field and a NaN exponent NaN; the
+    # sup norm has its own label
+    with pytest.raises(ConfigError, match="linf"):
+        parse_norm(label)
+
+
+def test_parse_norm_keeps_the_aniso_sup_norm():
+    assert parse_norm("aniso:0,0,1,inf").idx.p == math.inf
+    assert parse_norm("aniso:0,0,0,infty").p == math.inf
+
+
 def test_parse_norm_strings():
     assert parse_norm("l2").p == 2.0
     assert parse_norm("linf").kind == "linf"
@@ -548,3 +562,42 @@ def test_volume_grid_rejects_aniso(channel):
     grid = VolumeGrid(channel, channel.volume_grid(9))
     with pytest.raises(ConfigError):
         grid.norms(np.ones((3, 9)), [parse_norm("aniso:0,0,0,2")])
+
+
+def _grad_sq_oracle(geom, x, values):
+    """|grad u|^2 summed over all three components, zero ones included."""
+    out = np.sum(diff_along(values, x, axis=-1) ** 2, axis=0)
+    if geom.kind == geo.ANNULUS_GAP:
+        out = out + (values[0] ** 2 + values[1] ** 2) / x**2
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from([geo.FLAT_CHANNEL, geo.ANNULUS_GAP]),
+       n=st.integers(3, 48),
+       rows=st.tuples(*[st.sampled_from(["live", "zero", "-zero"])] * 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind=geo.ANNULUS_GAP, n=17, rows=("zero", "-zero", "zero"), seed=0)
+@example(kind=geo.FLAT_CHANNEL, n=17, rows=("-zero", "zero", "-zero"), seed=0)
+@example(kind=geo.ANNULUS_GAP, n=17, rows=("live", "zero", "zero"), seed=1)
+@example(kind=geo.FLAT_CHANNEL, n=17, rows=("zero", "live", "-zero"), seed=1)
+def test_live_component_norms_equal_all_component_formula(kind, n, rows, seed):
+    # norms and grad_sq skip the all-zero components (+0.0 or -0.0 rows);
+    # the formula over all three gives the same bits, also for the zero field
+    # and for a live normal component (row 0 in the annulus, 1 in the channel)
+    geom = geo.flat_channel(1.0, eta=0.45) if kind == geo.FLAT_CHANNEL \
+        else geo.annulus_gap(1.0, 2.0, eta=0.45)
+    x = geom.volume_grid(n)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-12, 6, size=(3, 1))
+    for i, mode in enumerate(rows):
+        if mode != "live":
+            values[i] = 0.0 if mode == "zero" else -0.0
+    vf = VolumeField(geom=geom, coords=x, values=values)
+    specs = [parse_norm(s) for s in ("l2", "lp:4", "lp:3.5", "linf", "h1")]
+    grid = VolumeGrid(geom, x)
+    assert grid.norms(values, specs) == [_volume_norm_oracle(vf, spec) for spec in specs]
+    want = _grad_sq_oracle(geom, x, values)
+    got = grid.grad_sq(values)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -4,6 +4,7 @@ import os
 import pathlib
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,6 +141,13 @@ def test_config_validation(annulus):
     with pytest.raises(ConfigError, match="t_end"):
         StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
                     ns=NsParams(t_end=0.2), t_eval=(0.1, 0.3))
+
+
+@pytest.mark.parametrize("norm", ["lp:inf", "lp:nan"])
+def test_config_rejects_non_finite_lp(annulus, norm):
+    with pytest.raises(ConfigError, match="linf"):
+        StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
+                    norms=("l2", norm))
 
 
 def test_default_eval_stencil(annulus):
@@ -654,6 +662,25 @@ def _split_norms(geom, coords, values):
     p_field, g_field = leray_project(vf)
     return {part: [volume_norm(f, spec) for spec in STUDY_SPECS]
             for part, f in (("full", vf), ("P", p_field), ("I-P", g_field))}
+
+
+def test_viscosity_row_holds_one_solution_array():
+    # the reference solution is the one (n_t, 3, n) array of a row: the zero
+    # layer's ansatz is u0 itself and u - u0 and R are taken one time at a time
+    cfg = get_preset("vortex-annulus")
+    cfg.ns = NsParams(n=4096, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
+    profile = study.solve_study_layer(cfg)
+    nu = cfg.nu_list[-1]
+    study._solve_one_nu(cfg, profile, nu)          # lazy set-up off the trace
+    tracemalloc.start()
+    try:
+        rows = study._solve_one_nu(cfg, profile, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(cfg.t_eval) * len(cfg.norms) * 4
+    one = len(cfg.t_eval) * 3 * cfg.ns.n * 8
+    assert peak <= 2.5 * one, f"peak {peak / one:.2f} solution arrays"
 
 
 def test_vortex_leray_rows_follow_the_mask(vortex_report):
