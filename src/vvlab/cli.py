@@ -110,9 +110,9 @@ def cli_main(argv=None) -> int:
             path = os.path.join(out_dir, "ns_solution.dat")
             lines = ["# t coord u_comp0 u_comp1 u_comp2"]
             for it, t in enumerate(sol.times):
+                vals = sol.at(it)
                 for j, x in enumerate(sol.coords):
-                    comps = " ".join(repr(float(sol.values[it, c, j]))
-                                     for c in range(3))
+                    comps = " ".join(repr(float(vals[c, j])) for c in range(3))
                     lines.append(f"{t!r} {float(x)!r} {comps}")
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")

@@ -124,11 +124,16 @@ class RemainderField:
     geom: geo.GeometryDescriptor
     coords: np.ndarray
     times: np.ndarray
-    u_nu: list                     # (3, n) views of the reference solution, one per time
+    sol: ViscousSolution
+    index: list                    # the solution's stored index of each time
     u_approx: np.ndarray           # (n_t, 3, n)
 
+    def u_at(self, it: int) -> np.ndarray:
+        """The reference solution's (3, n) velocity at time ``it``."""
+        return self.sol.at(self.index[it])
+
     def at(self, it: int) -> np.ndarray:
-        return (self.u_nu[it] - self.u_approx[it]) / self.nu
+        return (self.u_at(it) - self.u_approx[it]) / self.nu
 
     def field_at(self, it: int) -> VolumeField:
         """R at stored index ``it``."""
@@ -146,7 +151,7 @@ def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderFi
     return RemainderField(
         nu=bundle.nu, geom=bundle.geom, coords=bundle.coords,
         times=bundle.times.copy(),
-        u_nu=[sol.values[time_index(sol.times, t)] for t in bundle.times],
+        sol=sol, index=[time_index(sol.times, t) for t in bundle.times],
         u_approx=bundle.u_approx,
     )
 

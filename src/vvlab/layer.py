@@ -18,7 +18,9 @@ in z and first order in t whenever those terms are active.  Both tangential
 components of a wall step together through the symmetrised tridiagonal
 kernel of ns.py on the nodes below Z_max (the Dirichlet node stays zero).
 The explicit terms are built only when the flow has a nonzero f, a nonzero
-coupling or a manufactured forcing; otherwise they would add exact zeros.
+coupling or a manufactured forcing; otherwise they would add exact zeros,
+and a steady flow marches only the components whose datum g is nonzero
+(the others stay exactly +0.0).
 The coupling enters as A_eff = J A, the cross product of the coupling
 vector with n, where J is a quarter turn in the wall frame.
 """
@@ -157,14 +159,20 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
                 src += expl[:, :-1].T
             return src
 
-        # without explicit terms a steady flow has a constant source
-        source = step_source(0, None) if flow.steady and not explicit \
-            else step_source
-        series = _cn_march(op, 0.5 * dt, dt, store_steps, source,
-                           f"layer {w.wall_id} (nu-free, n={grid.nz})",
-                           columns=2)
+        # without explicit terms a steady flow has a constant source; a
+        # column whose g is exactly 0 then stays exactly +0.0, so only the
+        # live columns march and a wall with none is not marched
+        live, source = [0, 1], step_source
+        if flow.steady and not explicit:
+            source = step_source(0, None)
+            live = np.flatnonzero(source.any(axis=0))
+            source = source[:, live]
         ub_store = np.zeros((len(store_steps), 2, grid.nz))
-        ub_store[:, :, :-1] = series.transpose(0, 2, 1)
+        if len(live):
+            series = _cn_march(op, 0.5 * dt, dt, store_steps, source,
+                               f"layer {w.wall_id} (nu-free, n={grid.nz})",
+                               columns=2)
+            ub_store[:, live, :-1] = series.transpose(0, 2, 1)
 
         walls[w.wall_id] = WallLayerSeries(
             wall_id=w.wall_id,

@@ -8,7 +8,10 @@ so the solver reduces to one parabolic equation in the cross coordinate:
 * channel shear:  d/dt u_x = nu u_x'', with u_x' = 0 at both walls.
 
 One solver, ``solve_ns``, serves both: the geometry picks the operator, the
-drive and the velocity slot, everything else is shared.
+drive and the velocity slot, everything else is shared.  The solution
+stores only that one live component, an (n_t, n) history; the other two
+velocity components are exactly zero and a stored time's (3, n) field is
+built on demand by ``ViscousSolution.at``.
 
 Time stepping is Crank-Nicolson, second order in space; the wall condition
 is folded into the operator through a ghost node eliminated with the
@@ -52,11 +55,18 @@ class ViscousSolution:
     geom: geo.GeometryDescriptor
     coords: np.ndarray
     times: np.ndarray
-    values: np.ndarray             # (n_t, 3, n) in the geometry frame
+    u: np.ndarray                  # (n_t, n): the live velocity component
+    slot: int                      # its index in the geometry frame; the others are 0
+
+    def at(self, it: int) -> np.ndarray:
+        """The (3, n) velocity at stored index ``it``, zero off the slot."""
+        out = np.zeros((3, len(self.coords)))
+        out[self.slot] = self.u[it]
+        return out
 
     def field_at(self, it: int) -> VolumeField:
         return VolumeField(geom=self.geom, coords=self.coords,
-                           values=self.values[it])
+                           values=self.at(it))
 
 
 def _swirl_operator(r: np.ndarray):
@@ -248,11 +258,9 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     w = _cn_march(operator(x), 0.5 * nu * dt, dt, store_steps, nu * drive,
                   where, rannacher=rannacher)
     w += u0                                  # in place: w + u0 is u0 + w exactly
-    values = np.zeros((len(store_steps), 3, n))
-    values[:, slot] = w
     return ViscousSolution(nu=nu, geom=geom, coords=x,
                            times=np.array([k * dt for k in store_steps]),
-                           values=values)
+                           u=w, slot=slot)
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +277,9 @@ def energy_identity_residual(sol: ViscousSolution) -> np.ndarray:
     """
     w = sol.geom.quadrature_weights(sol.coords)
     n_t = len(sol.times)
-    energy = np.array([
-        0.5 * float(np.sum(w * np.sum(sol.values[i] ** 2, axis=0)))
-        for i in range(n_t)
-    ])
+    # the other components are +0.0, so |u|^2 is the live one squared
+    energy = np.array([0.5 * float(np.sum(w * sol.u[i] ** 2))
+                       for i in range(n_t)])
     diss = np.array([
         float(np.sum(w * np.sum(curl_volume(sol.field_at(i)) ** 2, axis=0)))
         for i in range(n_t)
@@ -305,7 +312,7 @@ def bc_residual(sol: ViscousSolution) -> np.ndarray:
     out = np.zeros(len(sol.times))
     n_comp = geom.normal_comp
     for it in range(len(sol.times)):
-        vals = sol.values[it]
+        vals = sol.at(it)
         worst = 0.0
         for left, wall in zip((True, False), geom.walls()):
             i = 0 if left else -1
@@ -326,7 +333,7 @@ def bc_residual(sol: ViscousSolution) -> np.ndarray:
 def angular_momentum(sol: ViscousSolution, it: int) -> float:
     """Total angular momentum int u_theta r dV (annulus only)."""
     w = sol.geom.quadrature_weights(sol.coords)
-    return float(np.sum(w * sol.coords * sol.values[it, 1]))
+    return float(np.sum(w * sol.coords * sol.at(it)[1]))
 
 
 def radial_pressure_gradient(sol: ViscousSolution, it: int) -> np.ndarray:
@@ -337,4 +344,4 @@ def radial_pressure_gradient(sol: ViscousSolution, it: int) -> np.ndarray:
     """
     if sol.geom.kind != geo.ANNULUS_GAP:
         raise ConfigError("pressure recovery applies to the annulus swirl")
-    return sol.values[it, 1] ** 2 / sol.coords
+    return sol.u[it] ** 2 / sol.coords          # the swirl slot is u_theta

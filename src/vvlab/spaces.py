@@ -258,6 +258,13 @@ class NormSpec:
     idx: AnisotropicIndex | None = None
 
 
+def _norm_number(cast, text: str, label: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"bad norm string {label!r}: {text!r} is not a number") from None
+
+
 def parse_norm(label: str) -> NormSpec:
     """Parse a norm request string: l2 | linf | h1 | lp:<p> | aniso:k,m,l,p.
 
@@ -272,7 +279,7 @@ def parse_norm(label: str) -> NormSpec:
     if s == "h1":
         return NormSpec(label=s, kind="h1", p=2.0)
     if s.startswith("lp:"):
-        p = float(s.split(":", 1)[1])
+        p = _norm_number(float, s.split(":", 1)[1], label)
         if not 1 <= p < math.inf:
             raise ConfigError(f"lp needs a finite p >= 1 (sup norm: linf), got {label!r}")
         return NormSpec(label="lp:" + repr(p).removesuffix(".0"), kind="lp", p=p)
@@ -280,8 +287,9 @@ def parse_norm(label: str) -> NormSpec:
         parts = s.split(":", 1)[1].split(",")
         if len(parts) != 4:
             raise ConfigError(f"aniso norm needs k,m,l,p, got {label!r}")
-        k, m, l = (int(v) for v in parts[:3])
-        p = math.inf if parts[3] in ("inf", "infty") else float(parts[3])
+        k, m, l = (_norm_number(int, v, label) for v in parts[:3])
+        p = math.inf if parts[3] in ("inf", "infty") \
+            else _norm_number(float, parts[3], label)
         if math.isnan(p):
             raise ConfigError(f"aniso norm needs p >= 1 or inf (sup norm, as linf), got {label!r}")
         return NormSpec(label=s, kind="aniso", p=p,

@@ -408,7 +408,7 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(bundle.times):
         t = float(t)
-        u_norms = grid.norms(rem.u_nu[jt] - bundle.u0_part[jt], specs)
+        u_norms = grid.norms(rem.u_at(jt) - bundle.u0_part[jt], specs)
         for spec, value in zip(specs, u_norms):
             rows.append((nu, t, spec.label, value, "u"))
         rem_norms = remainder_norms(grid, rem.at(jt), specs)

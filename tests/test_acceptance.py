@@ -165,7 +165,7 @@ def test_criterion_8_manufactured_orders(channel):
         sol = solve_ns(channel, prof, nu=nu, n=ny, dt=dt, t_end=0.4,
                        store_times=[0.4], rannacher=0)
         exact = math.exp(-nu * math.pi**2 * 0.4) * np.cos(math.pi * sol.coords)
-        return float(np.abs(sol.values[-1, 0] - exact).max())
+        return float(np.abs(sol.u[-1] - exact).max())
 
     es = [ns_err(ny, 5e-5) for ny in (128, 256)]
     ns_space = math.log2(es[0] / es[1])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -150,3 +152,25 @@ def test_non_finite_lp_norm_in_a_config_file_exits_2(tmp_path, capsys, norm):
     assert code == 2
     assert "linf" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SWIRL_CFG = MINI_CFG.replace("""kind = flat_channel
+h = 1.0""", """kind = annulus_gap
+r1 = 1.0
+r2 = 2.0""").replace("family = shear_cos", "family = rigid").replace(
+    "ny = 256", "nr = 128")
+
+
+@pytest.mark.parametrize("name, text", [("swirl", SWIRL_CFG), ("channel", MINI_CFG)])
+def test_ns_solve_file_matches_golden(tmp_path, capsys, name, text):
+    # ns_solution.dat, all three components of every stored time, byte for
+    # byte as written when the solution stored its full (n_t, 3, n) history
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    assert cli_main(["ns", "solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    digest = hashlib.sha256(
+        (tmp_path / "out" / "ns_solution.dat").read_bytes()).hexdigest()
+    golden = pathlib.Path(__file__).parent / "golden" / "ns_solution.sha256"
+    want = dict(line.split()[::-1] for line in golden.read_text().splitlines())
+    assert digest == want[name]

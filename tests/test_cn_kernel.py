@@ -276,7 +276,8 @@ def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
                             dt, int(round(t_end / dt)),
                             [int(round(t / dt)) for t in store], rannacher,
                             drive=drive_of(x, prof))
-    got = sol.values[:, comp, :]
+    assert sol.slot == comp
+    got = sol.u
     assert np.array_equal(got[0], u0)
     scale = float(np.max(np.abs(want - u0)))
     assert scale > 0.0

@@ -5,9 +5,11 @@ import pytest
 from scipy.special import erfc
 
 from vvlab import geometry as geo
+from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
     LaurentProfile,
+    boundary_data_g,
     layer_mms_case,
     oscillating_shear_case,
     potential_vortex,
@@ -22,7 +24,7 @@ from vvlab.layer import (
     wall_value,
     write_profile_snapshots,
 )
-from vvlab.ns import time_index
+from vvlab.ns import _cn_march, time_index
 from vvlab.spaces import AnisotropicIndex, FastGrid, diff_along
 
 
@@ -47,6 +49,37 @@ def test_zero_data_gives_zero_profile(annulus):
                           t_end=0.2, store_times=[0.1, 0.2])
     for w in profile.walls.values():
         assert np.all(w.ub == 0.0)
+
+
+@pytest.mark.parametrize("preset, marched", [("rigid-annulus", 2),
+                                             ("vortex-annulus", 0),
+                                             ("flat-shear", 1)])
+def test_live_columns_match_the_two_column_march(monkeypatch, preset, marched):
+    # a steady layer without explicit terms marches only the columns whose
+    # datum g is nonzero; every wall equals the march of both columns, bit
+    # for bit and in the sign of its zeros
+    from vvlab.study import get_preset, solve_study_layer
+
+    cfg = get_preset(preset)
+    calls = []
+    monkeypatch.setattr(layer, "_cn_march",
+                        lambda *a, **k: calls.append(a[4].shape) or _cn_march(*a, **k))
+    profile = solve_study_layer(cfg)
+    assert calls == [(cfg.layer.nz - 1, 1)] * marched
+    flow = cfg.euler.build(cfg.geometry)
+    z, dt = profile.grid.z, cfg.layer.dt
+    op, h0 = layer._fast_diffusion_operator(z)
+    steps = [int(round(t / dt)) for t in profile.times]
+    for w in cfg.geometry.walls():
+        src = np.zeros((len(z) - 1, 2))
+        g = boundary_data_g(flow, w, t=0.0)
+        src[0] = (g + g) / h0
+        want = np.zeros((len(steps), 2, len(z)))
+        want[:, :, :-1] = _cn_march(op, 0.5 * dt, dt, steps, src,
+                                    "two columns").transpose(0, 2, 1)
+        got = profile.walls[w.wall_id].ub
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_erfc_wall_value(rigid_layer):

@@ -23,7 +23,7 @@ def test_vortex_preserved(annulus):
     prof = LaurentProfile({-1: 1.0})
     sol = solve_ns(annulus, prof, nu=1e-2, n=32768, dt=2.5e-3,
                    t_end=0.5, store_times=[0.5])
-    err = np.abs(sol.values[-1, 1] - 1.0 / sol.coords).max()
+    err = np.abs(sol.u[-1] - 1.0 / sol.coords).max()
     assert err < 1e-10
 
 
@@ -31,7 +31,7 @@ def test_constant_shear_preserved(channel):
     prof = ShearProfile(poly=(0.7,))
     sol = solve_ns(channel, prof, nu=1e-2, n=512, dt=1e-3, t_end=0.5,
                    store_times=[0.5])
-    assert np.abs(sol.values[-1, 0] - 0.7).max() < 1e-12
+    assert np.abs(sol.u[-1] - 0.7).max() < 1e-12
 
 
 def test_channel_eigenmode_exact(channel):
@@ -41,7 +41,7 @@ def test_channel_eigenmode_exact(channel):
                    store_times=[0.5])
     exact = math.exp(-nu * (k * math.pi / channel.h) ** 2 * 0.5) \
         * np.cos(k * math.pi * sol.coords / channel.h)
-    assert np.abs(sol.values[-1, 0] - exact).max() < 1e-6
+    assert np.abs(sol.u[-1] - exact).max() < 1e-6
 
 
 def test_rigid_rotation_flux_balance(annulus):
@@ -57,8 +57,8 @@ def test_rigid_rotation_flux_balance(annulus):
     dmdt = (mom[2:] - mom[:-2]) / (times[2:] - times[:-2])
     r1, r2 = sol.coords[0], sol.coords[-1]
     flux = np.array([
-        -2.0 * nu * 2.0 * math.pi * (r2 * sol.values[i, 1, -1]
-                                     - r1 * sol.values[i, 1, 0])
+        -2.0 * nu * 2.0 * math.pi * (r2 * sol.u[i, -1]
+                                     - r1 * sol.u[i, 0])
         for i in range(1, len(times) - 1)
     ])
     scale = np.abs(dmdt).max()
@@ -74,8 +74,8 @@ def test_space_self_convergence_order(annulus):
     errs = []
     for nr in (256, 512):
         a, b = sols[nr], sols[2 * nr]
-        fine = np.interp(a.coords, b.coords, b.values[-1, 1])
-        errs.append(np.abs(a.values[-1, 1] - fine).max())
+        fine = np.interp(a.coords, b.coords, b.u[-1])
+        errs.append(np.abs(a.u[-1] - fine).max())
     order = math.log2(errs[0] / errs[1])
     assert order == pytest.approx(2.0, abs=0.2)
 
@@ -88,7 +88,7 @@ def test_time_order_on_eigenmode(channel):
         sol = solve_ns(channel, prof, nu=nu, n=4096, dt=dt,
                        t_end=0.4, store_times=[0.4], rannacher=0)
         exact = math.exp(-nu * math.pi**2 * 0.4) * np.cos(math.pi * sol.coords)
-        errs.append(np.abs(sol.values[-1, 0] - exact).max())
+        errs.append(np.abs(sol.u[-1] - exact).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
         assert order == pytest.approx(2.0, abs=0.2)
@@ -100,7 +100,7 @@ def test_energy_nonincreasing(annulus):
         sol = solve_ns(annulus, prof, nu=1e-2, n=256, dt=dt, t_end=0.5,
                        store_every=1)
         w = annulus.quadrature_weights(sol.coords)
-        e = np.array([float(np.sum(w * sol.values[i, 1] ** 2))
+        e = np.array([float(np.sum(w * sol.u[i] ** 2))
                       for i in range(len(sol.times))])
         assert np.all(np.diff(e) <= 1e-12 * e[0])
 
@@ -111,10 +111,9 @@ def test_energy_identity_vortex_trivial(annulus):
     from vvlab.ns import ViscousSolution
 
     r = annulus.volume_grid(512)
-    vals = np.zeros((3, 3, len(r)))
-    vals[:, 1] = 1.0 / r
     sol = ViscousSolution(nu=1e-2, geom=annulus, coords=r,
-                          times=np.array([0.0, 0.05, 0.1]), values=vals)
+                          times=np.array([0.0, 0.05, 0.1]),
+                          u=np.tile(1.0 / r, (3, 1)), slot=1)
     assert np.max(energy_identity_residual(sol)) < 1e-12
     # a solved run adds only the transient wall-defect decay, O(nu h^2)
     prof = LaurentProfile({-1: 1.0})
@@ -157,10 +156,8 @@ def test_bc_residual_exact_vortex_samples(annulus):
     from vvlab.ns import ViscousSolution
 
     r = annulus.volume_grid(2048)
-    vals = np.zeros((1, 3, len(r)))
-    vals[0, 1] = 1.0 / r
     sol = ViscousSolution(nu=1e-2, geom=annulus, coords=r,
-                          times=np.array([0.0]), values=vals)
+                          times=np.array([0.0]), u=(1.0 / r)[None], slot=1)
     assert np.max(bc_residual(sol)) < 1e-10
 
 
@@ -191,9 +188,12 @@ def test_non_flow_components_stay_zero(annulus, channel):
                              (channel, ShearProfile(poly=(0.2, 1.0)), 0)):
         sol = solve_ns(geom, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
                        store_every=10)
-        assert np.any(sol.values[1:, slot] != sol.values[0, slot])
+        assert sol.slot == slot
+        assert np.any(sol.u[1:] != sol.u[0])
         others = [c for c in range(3) if c != slot]
-        assert np.all(sol.values[:, others] == 0.0)
+        for it in range(len(sol.times)):
+            assert np.array_equal(sol.at(it)[slot], sol.u[it])
+            assert np.all(sol.at(it)[others] == 0.0)
 
 
 def test_compatible_shear_semigroup_rate(channel):
@@ -205,7 +205,7 @@ def test_compatible_shear_semigroup_rate(channel):
         sol = solve_ns(channel, prof, nu=nu, n=1024, dt=2e-4,
                        t_end=0.5, store_times=[0.5])
         u0 = np.cos(math.pi * sol.coords / channel.h)
-        errs.append(np.abs(sol.values[-1, 0] - u0).max())
+        errs.append(np.abs(sol.u[-1] - u0).max())
     slope = np.polyfit(np.log(nus), np.log(errs), 1)[0]
     assert slope >= 0.9
     # magnitude matches the first semigroup correction nu t |U0''|

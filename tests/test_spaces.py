@@ -493,6 +493,20 @@ def test_parse_norm_rejects_non_finite_exponents(label):
         parse_norm(label)
 
 
+@pytest.mark.parametrize("label", ["lp:abc", "aniso:a,0,0,2", "aniso:0,0,0,x"])
+def test_non_numeric_norm_exponent_is_a_config_error(label):
+    # a bare ValueError from float() or int() escaped both the parser and a
+    # StudyConfig built in code; only the config-file path converted it
+    import dataclasses
+
+    from vvlab.study import get_preset
+
+    with pytest.raises(ConfigError, match="bad norm string"):
+        parse_norm(label)
+    with pytest.raises(ConfigError, match="bad norm string"):
+        dataclasses.replace(get_preset("flat-shear"), norms=(label,))
+
+
 def test_parse_norm_keeps_the_aniso_sup_norm():
     assert parse_norm("aniso:0,0,1,inf").idx.p == math.inf
     assert parse_norm("aniso:0,0,0,infty").p == math.inf

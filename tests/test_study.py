@@ -664,9 +664,11 @@ def _split_norms(geom, coords, values):
             for part, f in (("full", vf), ("P", p_field), ("I-P", g_field))}
 
 
-def test_viscosity_row_holds_one_solution_array():
-    # the reference solution is the one (n_t, 3, n) array of a row: the zero
-    # layer's ansatz is u0 itself and u - u0 and R are taken one time at a time
+def test_viscosity_row_peaks_under_3_75_live_component_histories():
+    # the reference solution is its one live component, an (n_t, n) history;
+    # the zero layer's ansatz is u0 itself and u, u - u0 and R are (3, n)
+    # fields of one time at a time.  The row peaks near 3.3 histories; three
+    # stored components would add two by themselves
     cfg = get_preset("vortex-annulus")
     cfg.ns = NsParams(n=4096, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
     profile = study.solve_study_layer(cfg)
@@ -679,8 +681,8 @@ def test_viscosity_row_holds_one_solution_array():
     finally:
         tracemalloc.stop()
     assert len(rows) == len(cfg.t_eval) * len(cfg.norms) * 4
-    one = len(cfg.t_eval) * 3 * cfg.ns.n * 8
-    assert peak <= 2.5 * one, f"peak {peak / one:.2f} solution arrays"
+    one = len(cfg.t_eval) * cfg.ns.n * 8
+    assert peak <= 3.75 * one, f"peak {peak / one:.2f} live-component histories"
 
 
 def test_vortex_leray_rows_follow_the_mask(vortex_report):
