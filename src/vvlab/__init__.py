@@ -5,7 +5,7 @@ Modules
 geometry   domain backends (flat channel, cylinder gap), distance/normal/curvature
 spaces     anisotropic weighted norms, layer evaluation maps, Hardy/Gronwall checks
 euler      exact inviscid base flows and their wall data
-layer      boundary-layer profile solver and the pressure corrector
+layer      boundary-layer profile solver, wall traces and layer norms
 ns         viscous reference solver with vorticity-free slip walls
 expansion  ansatz assembly, remainder extraction, Weyl/Leray projection
 study      viscosity sweeps, rate fits, reports, presets, CLI backend

@@ -113,7 +113,7 @@ def cli_main(argv=None) -> int:
                 vals = sol.at(it)
                 for j, x in enumerate(sol.coords):
                     comps = " ".join(repr(float(vals[c, j])) for c in range(3))
-                    lines.append(f"{t!r} {float(x)!r} {comps}")
+                    lines.append(f"{float(t)!r} {float(x)!r} {comps}")
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             print(f"wrote {path}")

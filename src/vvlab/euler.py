@@ -9,12 +9,10 @@ The analytic families are exact steady solutions with zero normal velocity:
 Each carries its profile U, the one input of the reference solve.  For
 both families the stretching coefficient f = (u0 . n)/phi vanishes
 identically and the tangential projection of the layer coupling
-(u0 . grad u_b + u_b . grad u0) is zero; the pieces that feed the layer
-solver are therefore the wall data g = curl u0 x n and, for the pressure
-corrector, the normal coupling coefficients c with (coupling . n) = c . b.
-The layer is one column per wall, so g, f, the coupling matrix and any
-manufactured forcing are evaluated at the wall; only c and its slow
-derivative take collar positions s, because q varies along s through c(s).
+(u0 . grad u_b + u_b . grad u0) is zero; the piece that feeds the layer
+solver is therefore the wall data g = curl u0 x n.  The layer is one
+column per wall, so g, f, the coupling matrix and any manufactured forcing
+are evaluated at the wall.
 The manufactured cases prescribe velocity, pressure and forcing plus
 nonzero f, couplings and time-dependent g to exercise the layer solver and
 the residual check; they have no profile and feed no study.
@@ -156,12 +154,9 @@ class BaseFlow:
     convective: callable
     time_derivative: callable
     forcing: callable
-    # layer-side coefficients; all but c are evaluated at the wall, c takes
-    # collar positions s because q varies along s through c(s)
+    # layer-side coefficients, evaluated at the wall
     f_stretch: callable            # f(t) -> float
     coupling_matrix: callable      # A(t, wall) -> (2, 2), acts on tangential comps
-    normal_coupling: callable      # c(t, wall, s) -> (2, n_s): (coupling . n) = sum c_i b_i
-    normal_coupling_deriv: callable  # d/ds of the c coefficients, (2, n_s)
     layer_forcing: callable | None = None   # F(t, wall, z) -> (2, n_z), MMS only
     # U(r) or U(y) of a steady family, the u0 of the reference solve; the
     # manufactured cases have none
@@ -184,10 +179,6 @@ def _no_stretch(t):
 
 def _no_coupling(t, wall):
     return np.zeros((2, 2))
-
-
-def _zero_coeffs(t, wall, s):
-    return np.zeros((2, np.size(s)))
 
 
 def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> BaseFlow:
@@ -223,26 +214,6 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
         out[0] = -profile.value(coords) ** 2 / coords
         return out
 
-    def normal_coupling(t, wall, s):
-        # (u0.grad u_b + u_b.grad u0) = -(2 U b_theta / r) e_rad
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        sign = 1.0 if wall == "inner" else -1.0
-        c = np.zeros((2, len(s)))
-        w = geom.wall(wall)
-        theta_slot = w.tangent_names.index("theta")
-        c[theta_slot] = -2.0 * profile.value(s) / s * sign
-        return c
-
-    def normal_coupling_deriv(t, wall, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        sign = 1.0 if wall == "inner" else -1.0
-        c = np.zeros((2, len(s)))
-        w = geom.wall(wall)
-        theta_slot = w.tangent_names.index("theta")
-        u, du = profile.value(s), profile.deriv(s)
-        c[theta_slot] = -2.0 * (du * s - u) / s**2 * sign
-        return c
-
     return BaseFlow(
         family=f"swirl({profile.coeffs})",
         geom=geom,
@@ -255,8 +226,6 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
         forcing=lambda t, c: _zeros3(c),
         f_stretch=_no_stretch,
         coupling_matrix=_no_coupling,
-        normal_coupling=normal_coupling,
-        normal_coupling_deriv=normal_coupling_deriv,
         profile=profile,
     )
 
@@ -304,8 +273,6 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
         forcing=lambda t, c: _zeros3(c),
         f_stretch=_no_stretch,
         coupling_matrix=_no_coupling,
-        normal_coupling=_zero_coeffs,
-        normal_coupling_deriv=_zero_coeffs,
         profile=profile,
     )
 
@@ -360,8 +327,6 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
         forcing=forcing,
         f_stretch=lambda t: f0 * math.cos(omega * t),
         coupling_matrix=lambda t, wall: np.array([[0.3, 0.1], [0.0, -0.2]]),
-        normal_coupling=_zero_coeffs,
-        normal_coupling_deriv=_zero_coeffs,
     )
 
 
@@ -406,8 +371,6 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
         forcing=zero3,
         f_stretch=lambda t: f0 * math.cos(omega * t),
         coupling_matrix=lambda t, wall: a_mat,
-        normal_coupling=_zero_coeffs,
-        normal_coupling_deriv=_zero_coeffs,
         layer_forcing=layer_forcing,
     )
     flow.exact_profile = exact

@@ -270,6 +270,9 @@ def collar_cutoff(geom: GeometryDescriptor, distance) -> np.ndarray:
 # collar charts
 # ---------------------------------------------------------------------------
 
+# ratio of successive collar spacings, growing away from the wall
+COLLAR_STRETCH = 1.12
+
 
 @dataclass(frozen=True)
 class CollarChart:
@@ -278,8 +281,8 @@ class CollarChart:
     ``s_grid`` holds the slow-coordinate samples: the cross coordinates of
     grid points along the wall-normal direction inside the collar, clustered
     geometrically toward the wall.  The layer itself is one column per
-    wall; the chart is where slow quantities that do vary across the collar,
-    such as the pressure corrector q, are sampled.
+    wall; the charts tabulate the collar's distance, normals and Laplacian
+    for the geometry invariant check.
     """
 
     wall_id: str
@@ -290,18 +293,16 @@ class CollarChart:
     s_weights: np.ndarray   # shell measure weights for slow integrals
 
 
-def build_collar(geom: GeometryDescriptor, n_points: int, stretch: float = 1.12):
+def build_collar(geom: GeometryDescriptor, n_points: int):
     """Build one CollarChart per wall with geometric clustering at the wall.
 
-    Spacings grow by the factor ``stretch`` away from the wall; sample 0 sits
-    on the wall and the last sample at distance eta.  Deterministic.
+    Spacings grow by the factor COLLAR_STRETCH away from the wall; sample 0
+    sits on the wall and the last sample at distance eta.  Deterministic.
     """
     if n_points < 4:
         raise ConfigError("collar needs n_points >= 4")
-    if not (1.0 < stretch <= 1.5):
-        raise ConfigError("stretch ratio should lie in (1, 1.5]")
     j = np.arange(n_points, dtype=float)
-    d = geom.eta * (stretch**j - 1.0) / (stretch ** (n_points - 1) - 1.0)
+    d = geom.eta * (COLLAR_STRETCH**j - 1.0) / (COLLAR_STRETCH ** (n_points - 1) - 1.0)
     charts = {}
     for w in geom.walls():
         coords = w.coord + w.into_domain * d

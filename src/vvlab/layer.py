@@ -1,12 +1,11 @@
-"""Boundary-layer profile solver and pressure corrector.
+"""Boundary-layer profile solver.
 
 The tangential profile u_b(t, z) is marched as one column per wall.  The
 evolution coefficients g, f, the coupling and any manufactured forcing are
 evaluated at the wall, so u_b does not vary along the collar and a wall
-whose data vanish produces the zero layer exactly.  The pressure corrector
-q(t, s, z) is not part of the solve: it is evaluated on demand at the
-collar samples passed in, where it varies through the normal-coupling
-coefficients c(s).  The evolution is
+whose data vanish produces the zero layer exactly.  The layer's pressure
+corrector is not computed: the ansatz u0 + sqrt(nu) u_b uses u_b alone.
+The evolution is
 
     d/dt u_b = d2/dz2 u_b - f z d/dz u_b - A_eff u_b + F,
 
@@ -81,7 +80,7 @@ class LayerProfile:
     """Layer solution bundle: the tangential profile of every wall.
 
     The order sqrt(nu) layer pressure is identically zero for this system
-    and is not stored; the corrector q comes from pressure_corrector_q.
+    and is not stored.
     """
 
     geom: geo.GeometryDescriptor
@@ -185,59 +184,8 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
 
 
 # ---------------------------------------------------------------------------
-# pressure corrector and wall traces
+# wall traces
 # ---------------------------------------------------------------------------
-
-
-def _tail_integral(values: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """int_z^{Zmax} values dz' by trapezoid, evaluated at every node."""
-    wz = np.diff(z)
-    seg = 0.5 * (values[..., 1:] + values[..., :-1]) * wz
-    tail = np.zeros_like(values)
-    tail[..., :-1] = np.cumsum(seg[..., ::-1], axis=-1)[..., ::-1]
-    return tail
-
-
-def _coupling_tail(profile: LayerProfile, coeff, collars: dict) -> dict:
-    """-int_z^inf coeff(t, wall, s) . u_b dz' per wall at the collar samples,
-    shape (n_t, n_s, n_z); integrating from Z_max downward pins the decay."""
-    z = profile.grid.z
-    out = {}
-    for wall_id, w in profile.walls.items():
-        s = collars[wall_id].s_grid
-        out[wall_id] = np.stack([
-            -_tail_integral(np.einsum("cs,cz->sz", coeff(t, wall_id, s), w.ub[it]), z)
-            for it, t in enumerate(profile.times)])
-    return out
-
-
-def pressure_corrector_q(profile: LayerProfile, flow: BaseFlow,
-                         collars: dict) -> dict:
-    """q(t, s, z) = -int_z^inf (coupling . n) dz' per wall, (n_t, n_s, n_z).
-
-    The integrand is c(s) . u_b with the flow's normal coupling
-    coefficients, at the samples of ``collars`` (geometry.build_collar); q
-    varies along s through c(s) alone.
-    """
-    return _coupling_tail(profile, flow.normal_coupling, collars)
-
-
-def grad_q_x(profile: LayerProfile, flow: BaseFlow, collars: dict) -> dict:
-    """Slow gradient of the pressure corrector, per wall, (n_t, 3, n_s, n_z).
-
-    grad_x q = -int_z^inf (d/ds c) . u_b dz' at the collar samples, which
-    run along the extended normal; u_b itself does not vary along them.
-    The result is a 3-component profile in the geometry frame.
-    """
-    out = {}
-    for wall_id, dq in _coupling_tail(profile, flow.normal_coupling_deriv,
-                                      collars).items():
-        # d/ds runs along the cross coordinate; grad q = (dq/ds) e_coord
-        # and the coordinate direction is into_domain * n
-        grads = np.zeros((dq.shape[0], 3) + dq.shape[1:])
-        grads[:, profile.geom.normal_comp] = dq
-        out[wall_id] = grads
-    return out
 
 
 def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> np.ndarray:
@@ -319,6 +267,6 @@ def write_profile_snapshots(profile: LayerProfile, path) -> None:
         for it, t in enumerate(profile.times):
             for kz, zz in enumerate(profile.grid.z):
                 comps = " ".join(repr(float(w.ub[it][c, kz])) for c in range(2))
-                lines.append(f"{wall_id} {t!r} {s!r} {float(zz)!r} {comps}")
+                lines.append(f"{wall_id} {float(t)!r} {s!r} {float(zz)!r} {comps}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -31,7 +31,7 @@ is one in-place solve between an addition and a subtraction into
 preallocated arrays.  The march runs one store segment at a time and stops
 at the last stored step.
 
-Pressure is recovered as d(pi)/dr = u_th^2 / r when needed and not stored.
+The pressure drops out of both manifolds' evolution and is not stored.
 """
 
 from __future__ import annotations
@@ -328,20 +328,3 @@ def bc_residual(sol: ViscousSolution) -> np.ndarray:
             worst = max(worst, un + tang)
         out[it] = worst
     return out
-
-
-def angular_momentum(sol: ViscousSolution, it: int) -> float:
-    """Total angular momentum int u_theta r dV (annulus only)."""
-    w = sol.geom.quadrature_weights(sol.coords)
-    return float(np.sum(w * sol.coords * sol.at(it)[1]))
-
-
-def radial_pressure_gradient(sol: ViscousSolution, it: int) -> np.ndarray:
-    """Recovered pressure gradient d(pi)/dr = u_theta^2 / r of a swirl state.
-
-    Not stored with the solution; the swirl manifold eliminates the pressure
-    from the evolution and this is its pointwise reconstruction.
-    """
-    if sol.geom.kind != geo.ANNULUS_GAP:
-        raise ConfigError("pressure recovery applies to the annulus swirl")
-    return sol.u[it] ** 2 / sol.coords          # the swirl slot is u_theta

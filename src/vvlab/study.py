@@ -353,8 +353,7 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
     """Layer solve shared by every viscosity row (the system is nu free).
 
     The march is causal, so it stops at the last evaluation time.  The
-    ansatz needs u_b only; the pressure corrector is left to callers that
-    ask for it (layer.pressure_corrector_q).
+    ansatz needs u_b only.
     """
     flow = flow or config.euler.build(config.geometry)
     zmax = config.layer.zmax

@@ -588,15 +588,6 @@ def test_gradient_remainder_part_bounded(rigid_report):
     assert max(vals) < 1e-12
 
 
-def test_pressure_recovery(annulus):
-    from vvlab.ns import radial_pressure_gradient, solve_ns
-
-    sol = solve_ns(annulus, LaurentProfile({-1: 1.0}), nu=1e-2, n=256,
-                   dt=1e-3, t_end=0.1, store_times=[0.1])
-    dp = radial_pressure_gradient(sol, 0)
-    assert np.allclose(dp, 1.0 / sol.coords**3, atol=1e-6)
-
-
 def _json_diffs(old, new, path="$"):
     """Every differing leaf of two JSON values: (path, old, new)."""
     if isinstance(old, dict) and isinstance(new, dict):
