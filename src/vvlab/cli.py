@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands: ``check``, ``layer solve``, ``ns solve``, ``study rates``,
-``euler residual``.  Exit codes: 0 on success, 1 on check or study failure,
-2 on configuration errors (including unknown subcommands, which argparse
-reports with usage text).
+Subcommands: ``check``, ``layer solve``, ``ns solve``, ``study rates``.
+Exit codes: 0 on success, 1 on check or study failure, 2 on configuration
+errors (including unknown subcommands, which argparse reports with usage
+text).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 from .checks import run_all
 from .errors import ConfigError, VvlabError
-from .euler import euler_residual
 from .layer import write_profile_snapshots
 from .study import (
     PRESETS,
@@ -57,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(rates_p)
     rates_p.add_argument("--jobs", type=int, default=1,
                          help="parallel viscosity rows (deterministic output)")
-
-    euler_p = sub.add_parser("euler", help="base flow commands")
-    euler_sub = euler_p.add_subparsers(dest="subcommand", required=True)
-    common(euler_sub.add_parser("residual", help="evaluate the base-flow residual"))
 
     return parser
 
@@ -129,14 +124,6 @@ def cli_main(argv=None) -> int:
             if failed:
                 print(f"rate check failed for: {', '.join(failed)}", file=sys.stderr)
                 return 1
-            return 0
-
-        if args.command == "euler":
-            geom = config.geometry
-            flow = config.euler.build(geom)
-            grid = geom.volume_grid(4097)
-            res = euler_residual(flow, grid)
-            print(f"euler residual (analytic evaluators): {res:.3e}")
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

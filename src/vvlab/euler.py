@@ -1,7 +1,8 @@
 """Inviscid base flows: exact steady families in the reduced geometries plus
-manufactured cases, with the boundary data handed to the layer solver.
+manufactured layer cases, with the boundary data handed to the layer solver.
 
-The analytic families are exact steady solutions with zero normal velocity:
+The analytic families are exact steady Euler solutions with zero normal
+velocity by construction:
 
 * swirl   u0 = U(r) e_theta in the annulus, pressure balancing U^2/r;
 * shear   u0 = U(y) e_x in the channel, constant pressure.
@@ -13,9 +14,9 @@ identically and the tangential projection of the layer coupling
 solver is therefore the wall data g = curl u0 x n.  The layer is one
 column per wall, so g, f, the coupling matrix and any manufactured forcing
 are evaluated at the wall.
-The manufactured cases prescribe velocity, pressure and forcing plus
-nonzero f, couplings and time-dependent g to exercise the layer solver and
-the residual check; they have no profile and feed no study.
+The manufactured cases prescribe nonzero f, couplings, time-dependent g and
+a layer forcing to exercise the layer solver; they have no profile and feed
+no study.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class LaurentProfile:
     """U(r) = sum_k c_k r^k with integer powers k >= -1.
 
     Covers rigid rotation (k=1), the potential vortex (k=-1) and general
-    polynomial swirls with exact derivatives and an exact pressure integral.
+    polynomial swirls with exact derivatives.
     """
 
     coeffs: dict
@@ -81,20 +82,6 @@ class LaurentProfile:
         for k, c in self.coeffs.items():
             if k != -1:
                 out = out + c * (k + 1) * r ** float(k - 1)
-        return out
-
-    def pressure(self, r):
-        """Exact antiderivative of U(r)^2 / r (squared Laurent series)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        items = list(self.coeffs.items())
-        for k1, c1 in items:
-            for k2, c2 in items:
-                n = k1 + k2 - 1
-                if n == -1:
-                    out = out + c1 * c2 * np.log(r)
-                else:
-                    out = out + c1 * c2 * r ** float(n + 1) / (n + 1)
         return out
 
 
@@ -145,15 +132,10 @@ class BaseFlow:
     return arrays in the geometry component frame, shape (3, n).
     """
 
-    family: str
     geom: geo.GeometryDescriptor
     steady: bool
     velocity: callable
     curl: callable
-    pressure_gradient: callable
-    convective: callable
-    time_derivative: callable
-    forcing: callable
     # layer-side coefficients, evaluated at the wall
     f_stretch: callable            # f(t) -> float
     coupling_matrix: callable      # A(t, wall) -> (2, 2), acts on tangential comps
@@ -161,11 +143,6 @@ class BaseFlow:
     # U(r) or U(y) of a steady family, the u0 of the reference solve; the
     # manufactured cases have none
     profile: LaurentProfile | ShearProfile | None = None
-
-    def divergence(self, t, coords):
-        """Exact divergence; zero for every family provided here."""
-        coords = np.asarray(coords, dtype=float)
-        return np.zeros_like(coords)
 
 
 def _zeros3(coords):
@@ -201,29 +178,11 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
         out[2] = profile.vorticity(coords)
         return out
 
-    def pressure_gradient(t, coords):
-        coords = np.asarray(coords, dtype=float)
-        out = _zeros3(coords)
-        out[0] = profile.value(coords) ** 2 / coords
-        return out
-
-    def convective(t, coords):
-        # (u . grad) u = -(U^2/r) e_rad for a pure swirl
-        coords = np.asarray(coords, dtype=float)
-        out = _zeros3(coords)
-        out[0] = -profile.value(coords) ** 2 / coords
-        return out
-
     return BaseFlow(
-        family=f"swirl({profile.coeffs})",
         geom=geom,
         steady=True,
         velocity=velocity,
         curl=curl,
-        pressure_gradient=pressure_gradient,
-        convective=convective,
-        time_derivative=lambda t, c: _zeros3(c),
-        forcing=lambda t, c: _zeros3(c),
         f_stretch=_no_stretch,
         coupling_matrix=_no_coupling,
         profile=profile,
@@ -231,15 +190,11 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
 
 
 def rigid_rotation(omega: float, geom: geo.GeometryDescriptor) -> BaseFlow:
-    flow = swirl_base_flow(LaurentProfile({1: omega}), geom)
-    flow.family = f"rigid(omega={omega})"
-    return flow
+    return swirl_base_flow(LaurentProfile({1: omega}), geom)
 
 
 def potential_vortex(circulation: float, geom: geo.GeometryDescriptor) -> BaseFlow:
-    flow = swirl_base_flow(LaurentProfile({-1: circulation}), geom)
-    flow.family = f"vortex(c={circulation})"
-    return flow
+    return swirl_base_flow(LaurentProfile({-1: circulation}), geom)
 
 
 def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> BaseFlow:
@@ -262,15 +217,10 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
         return out
 
     return BaseFlow(
-        family="shear",
         geom=geom,
         steady=True,
         velocity=velocity,
         curl=curl,
-        pressure_gradient=lambda t, c: _zeros3(c),
-        convective=lambda t, c: _zeros3(c),
-        time_derivative=lambda t, c: _zeros3(c),
-        forcing=lambda t, c: _zeros3(c),
         f_stretch=_no_stretch,
         coupling_matrix=_no_coupling,
         profile=profile,
@@ -278,11 +228,10 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
 
 
 def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
-                           f0=0.4, pressure_bug=0.0) -> BaseFlow:
-    """Unsteady shear u0 = amp*cos(omega t)*cos(pi y/H) e_x with the forcing
-    that makes it an exact forced solution; supplies a nonzero smooth f for
-    the layer stretching term.  ``pressure_bug`` biases the pressure
-    gradient to act as a negative control for the residual check."""
+                           f0=0.4) -> BaseFlow:
+    """Unsteady shear u0 = amp*cos(omega t)*cos(pi y/H) e_x, an exact forced
+    solution; supplies a time-dependent wall datum g, a nonzero smooth f for
+    the layer stretching term and a constant coupling matrix."""
     if geom.kind != geo.FLAT_CHANNEL:
         raise ConfigError("oscillating shear case requires the channel")
     h = geom.h
@@ -295,20 +244,6 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
         out[0] = amp * math.cos(omega * t) * shape(coords)
         return out
 
-    def time_derivative(t, coords):
-        out = _zeros3(coords)
-        out[0] = -amp * omega * math.sin(omega * t) * shape(coords)
-        return out
-
-    def pressure_gradient(t, coords):
-        out = _zeros3(coords)
-        out[1] = pressure_bug
-        return out
-
-    def forcing(t, coords):
-        # exact balance of the unbiased flow: F = du/dt (convective term is 0)
-        return time_derivative(t, coords)
-
     def curl(t, coords):
         coords = np.asarray(coords, dtype=float)
         out = _zeros3(coords)
@@ -316,15 +251,10 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
         return out
 
     return BaseFlow(
-        family="manufactured:oscillating_shear",
         geom=geom,
         steady=False,
         velocity=velocity,
         curl=curl,
-        pressure_gradient=pressure_gradient,
-        convective=lambda t, c: _zeros3(c),
-        time_derivative=time_derivative,
-        forcing=forcing,
         f_stretch=lambda t: f0 * math.cos(omega * t),
         coupling_matrix=lambda t, wall: np.array([[0.3, 0.1], [0.0, -0.2]]),
     )
@@ -360,15 +290,10 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
         return _zeros3(coords)
 
     flow = BaseFlow(
-        family="manufactured:layer_mms",
         geom=geom,
         steady=False,
         velocity=zero3,
         curl=zero3,
-        pressure_gradient=zero3,
-        convective=zero3,
-        time_derivative=zero3,
-        forcing=zero3,
         f_stretch=lambda t: f0 * math.cos(omega * t),
         coupling_matrix=lambda t, wall: a_mat,
         layer_forcing=layer_forcing,
@@ -378,30 +303,8 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
 
 
 # ---------------------------------------------------------------------------
-# residual and boundary data
+# boundary data
 # ---------------------------------------------------------------------------
-
-
-def euler_residual(flow: BaseFlow, coords, t: float = 0.0,
-                   mode: str = "analytic") -> float:
-    """Max norm of du/dt + (u.grad)u + grad(pi) - F plus the divergence.
-
-    mode="analytic" uses the exact evaluators; mode="fd" replaces the
-    pressure gradient by a centered difference of the integrated pressure
-    when available, exposing the O(h^2) consistency of the tabulated data.
-    """
-    coords = np.asarray(coords, dtype=float)
-    mom = (flow.time_derivative(t, coords) + flow.convective(t, coords)
-           + flow.pressure_gradient(t, coords) - flow.forcing(t, coords))
-    if mode == "fd":
-        prof = flow.profile
-        if isinstance(prof, LaurentProfile):
-            from .spaces import diff_along
-            pvals = prof.pressure(coords)
-            mom = mom - flow.pressure_gradient(t, coords)
-            mom[0] += diff_along(pvals, coords, axis=-1)
-    div = flow.divergence(t, coords)
-    return float(np.abs(mom).max() + np.abs(div).max())
 
 
 def boundary_data_g(flow: BaseFlow, wall: geo.Wall, t: float = 0.0) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Domain backends: wall distance, extended normals, curvature, collar grids.
+"""Domain backends: wall distance, curvature, collar grids.
 
 Two reduced geometries are supported:
 
@@ -9,10 +9,10 @@ Two reduced geometries are supported:
 
 Both expose a distance function ``phi`` that equals the distance to the
 nearest wall inside the collar {phi < eta} and is capped by a smooth
-monotone cubic blend outside, the inward unit normal n = grad(phi), and the
-exact Laplacian of phi.  Vector components are stored in the orthonormal
-right-handed frame of the geometry: (x, y, z) for the channel and
-(rad, theta, axial) for the annulus.
+monotone cubic blend outside, and the exact Laplacian of phi.  Each wall
+carries its inward unit normal n = grad(phi).  Vector components are stored
+in the orthonormal right-handed frame of the geometry: (x, y, z) for the
+channel and (rad, theta, axial) for the annulus.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def annulus_gap(r1: float, r2: float, eta: float) -> GeometryDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# distance, normal, curvature
+# distance and curvature
 # ---------------------------------------------------------------------------
 
 
@@ -224,22 +224,6 @@ def _nearest_wall_sign(geom: GeometryDescriptor, coords) -> np.ndarray:
     return np.where(d_lo < d_hi, 1.0, -1.0)
 
 
-def normal_field(geom: GeometryDescriptor, coords) -> np.ndarray:
-    """Extended inward unit normal n = grad(phi) at the given coordinates.
-
-    Shape (..., 3) in the geometry component frame.  Unit length inside the
-    collars; the same unit direction is returned outside (the cap region
-    scales grad(phi) but not its direction).
-    """
-    sign = _nearest_wall_sign(geom, coords)
-    lo_wall, hi_wall = geom.walls()
-    n = np.empty(np.shape(sign) + (3,))
-    n[...] = np.where(
-        sign[..., None] > 0, lo_wall.normal, hi_wall.normal
-    )
-    return n
-
-
 def laplacian_phi(geom: GeometryDescriptor, coords) -> np.ndarray:
     """Exact Laplacian of the wall distance at collar points.
 
@@ -281,14 +265,13 @@ class CollarChart:
     ``s_grid`` holds the slow-coordinate samples: the cross coordinates of
     grid points along the wall-normal direction inside the collar, clustered
     geometrically toward the wall.  The layer itself is one column per
-    wall; the charts tabulate the collar's distance, normals and Laplacian
-    for the geometry invariant check.
+    wall; the charts tabulate the collar's distance and Laplacian for the
+    geometry invariant check.
     """
 
     wall_id: str
     s_grid: np.ndarray      # cross coordinates of the collar samples
     phi: np.ndarray         # wall distance at each sample
-    normal: np.ndarray      # (n, 3) inward unit normals
     lap_phi: np.ndarray     # exact Laplacian of phi at each sample
     s_weights: np.ndarray   # shell measure weights for slow integrals
 
@@ -307,7 +290,6 @@ def build_collar(geom: GeometryDescriptor, n_points: int):
     for w in geom.walls():
         coords = w.coord + w.into_domain * d
         phi = signed_distance(geom, coords)
-        normal = np.tile(w.normal, (n_points, 1))
         lap = laplacian_phi(geom, coords)
         weights = geom.quadrature_weights(np.sort(coords))
         if w.into_domain < 0:
@@ -316,7 +298,6 @@ def build_collar(geom: GeometryDescriptor, n_points: int):
             wall_id=w.wall_id,
             s_grid=coords,
             phi=phi,
-            normal=normal,
             lap_phi=lap,
             s_weights=weights,
         )

@@ -428,15 +428,22 @@ def _worker(args):
 
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
+    """Sweep ``config.nu_list``, ``jobs`` viscosity rows at a time.
+
+    ``jobs`` must be at least 1; the pool never has more workers than rows.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(config.nu_list))
     t0 = time.perf_counter()
     flow = config.euler.build(config.geometry)
     profile = solve_study_layer(config, flow)
 
     results = {}
     failures = {}
-    if jobs > 1:
+    if workers > 1:
         outcomes = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(nu, pool.submit(_worker, (config, profile, nu)))
                        for nu in config.nu_list]
             for nu, fut in futures:

@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
 import os
 import pathlib
+import shlex
 
 import pytest
 
-from vvlab.cli import cli_main
+from vvlab.cli import _build_parser, cli_main
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -22,10 +24,43 @@ def test_nonexistent_config_file_exits_2(capsys):
     assert cli_main(["study", "rates", "--config", "/no/such.cfg"]) == 2
 
 
-def test_euler_residual_subcommand(capsys):
-    assert cli_main(["euler", "residual", "--preset", "rigid-annulus"]) == 0
-    out = capsys.readouterr().out
-    assert "residual" in out
+def test_jobs_below_one_exits_2(tmp_path, capsys):
+    code = cli_main(["study", "rates", "--preset", "vortex-annulus",
+                     "--jobs", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_commands():
+    """The ``vvlab ...`` lines of README's command block, comments stripped."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("vvlab ")]
+
+
+def _subcommands(parser):
+    """Every leaf command of ``parser`` as its words, e.g. ("ns", "solve")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [()]
+    return [(name, *rest) for name, sub in subs[0].choices.items()
+            for rest in _subcommands(sub)]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: vvlab {' '.join(argv)}")
+    for cmd in _subcommands(parser):
+        assert any(tuple(argv[:len(cmd)]) == cmd for argv in commands), \
+            f"README lists no `vvlab {' '.join(cmd)}` command"
 
 
 def _parse_data_fields(path, names=0):
@@ -109,8 +144,7 @@ def test_config_output_dir_used_without_out(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "elsewhere" / "errors.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [["check"], ["layer", "solve"], ["ns", "solve"],
-                                  ["euler", "residual"]])
+@pytest.mark.parametrize("argv", [["check"], ["layer", "solve"], ["ns", "solve"]])
 def test_jobs_only_on_study_rates(argv, capsys):
     assert cli_main(argv + ["--preset", "vortex-annulus", "--jobs", "7"]) == 2
 

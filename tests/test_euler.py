@@ -7,8 +7,6 @@ from vvlab.euler import (
     ShearProfile,
     boundary_data_g,
     channel_base_flow,
-    euler_residual,
-    oscillating_shear_case,
     potential_vortex,
     rigid_rotation,
     swirl_base_flow,
@@ -29,24 +27,10 @@ def test_potential_vortex_curl_free(annulus):
     assert np.allclose(cu, 0.0, atol=1e-14)
 
 
-def test_swirl_residual_vanishes(annulus):
-    prof = LaurentProfile({-1: 0.3, 0: 0.1, 1: 1.0, 2: -0.2})
-    flow = swirl_base_flow(prof, annulus)
-    assert euler_residual(flow, annulus.volume_grid(64)) < 1e-12
-
-
-def test_swirl_fd_pressure_consistency(annulus):
-    prof = LaurentProfile({1: 1.0, -1: 0.5})
-    flow = swirl_base_flow(prof, annulus)
-    res = euler_residual(flow, annulus.volume_grid(4096), mode="fd")
-    assert res < 1e-5  # O(h^2) consistency of the integrated pressure
-
-
 def test_channel_uniform_flow(channel):
     flow = channel_base_flow(ShearProfile(poly=(1.0,)), channel)
     y = channel.volume_grid(64)
     assert np.allclose(flow.curl(0.0, y), 0.0)
-    assert euler_residual(flow, y) < 1e-14
 
 
 def test_channel_cosine_wall_curl(channel):
@@ -63,13 +47,6 @@ def test_channel_parabola_wall_data(channel):
     flow = channel_base_flow(ShearProfile(poly=(0.0, h, -1.0)), channel)
     for w in channel.walls():
         assert np.abs(boundary_data_g(flow, w)).max() == pytest.approx(h)
-
-
-def test_manufactured_wrong_pressure_negative_control(channel):
-    ok = oscillating_shear_case(channel)
-    assert euler_residual(ok, channel.volume_grid(64), t=0.3) < 1e-14
-    bad = oscillating_shear_case(channel, pressure_bug=0.5)
-    assert euler_residual(bad, channel.volume_grid(64), t=0.3) > 0.1
 
 
 def test_boundary_data_vortex_zero(annulus):

@@ -33,16 +33,9 @@ def test_point_outside_domain_raises(annulus):
         geo.signed_distance(annulus, 0.5)
 
 
-def test_normals(channel, annulus):
-    assert np.allclose(geo.normal_field(channel, 0.05), [0.0, 1.0, 0.0])
-    # outer collar: phi = r2 - r, so grad(phi) = -e_rad
-    assert np.allclose(geo.normal_field(annulus, 1.9), [-1.0, 0.0, 0.0])
-    assert np.allclose(geo.normal_field(annulus, 1.1), [1.0, 0.0, 0.0])
-
-
 def test_normal_ambiguous_at_midline(annulus):
     with pytest.raises(AmbiguousNormalError):
-        geo.normal_field(annulus, 1.5)
+        geo.laplacian_phi(annulus, 1.5)
 
 
 def test_laplacian_phi(channel, annulus):
@@ -72,13 +65,6 @@ def test_build_collar_monotone_from_wall(channel):
     assert phi[0] == pytest.approx(0.0, abs=1e-15)
     assert np.all(np.diff(phi) > 0)
     assert phi[-1] == pytest.approx(channel.eta)
-
-
-def test_build_collar_unit_normals(annulus):
-    charts = geo.build_collar(annulus, 16)
-    for chart in charts.values():
-        assert np.allclose(np.linalg.norm(chart.normal, axis=1), 1.0,
-                           atol=1e-12)
 
 
 def test_build_collar_deterministic(annulus):
@@ -113,13 +99,12 @@ def test_collars_disjoint(annulus):
 
 
 def test_grad_phi_unit_on_collar_samples(annulus):
-    # finite differences of tabulated phi reproduce the stored unit normals
+    # finite differences of tabulated phi reproduce the wall's unit normal
     charts = geo.build_collar(annulus, 32)
     for chart in charts.values():
         order = np.argsort(chart.s_grid)
         dphi = diff_along(chart.phi[order], chart.s_grid[order], axis=-1)
-        rad_comp = chart.normal[order, 0]
-        assert np.allclose(dphi, rad_comp, atol=1e-9)
+        assert np.allclose(dphi, annulus.wall(chart.wall_id).normal[0], atol=1e-9)
 
 
 def test_geometry_validation():

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -553,6 +554,39 @@ def test_broken_pool_with_too_few_survivors_names_its_rows(monkeypatch, annulus)
         run_convergence_study(_pool_config(annulus), jobs=2)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each submitted call in this
+    process, so no worker is started."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_pool_never_larger_than_the_viscosity_list(monkeypatch, annulus):
+    sizes = []
+    monkeypatch.setattr(study, "ProcessPoolExecutor",
+                        lambda max_workers: sizes.append(max_workers) or _InlinePool())
+    cfg = _pool_config(annulus)
+    report = run_convergence_study(cfg, jobs=10**6)
+    assert sizes == [len(cfg.nu_list)]
+    assert report.meta["failed_rows"] == {}
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_config_error(monkeypatch, annulus, jobs):
+    monkeypatch.setattr(study, "solve_study_layer", None)   # never reached
+    with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        run_convergence_study(_pool_config(annulus), jobs=jobs)
+
+
 def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
     import vvlab.study as study_mod
 
@@ -715,7 +749,7 @@ def test_mask_shortcut_equals_explicit_split(data, kind, n, zero):
 
 
 # ---------------------------------------------------------------------------
-# byte guard on the vortex errors.csv
+# byte guards on the presets' errors.csv
 # ---------------------------------------------------------------------------
 
 
@@ -763,3 +797,7 @@ def test_golden_vortex_errors(tmp_path, vortex_report):
 
 def test_golden_flat_errors(tmp_path, flat_report):
     _assert_golden_errors(flat_report, "flat_errors.sha256", tmp_path)
+
+
+def test_golden_rigid_errors(tmp_path, rigid_report):
+    _assert_golden_errors(rigid_report, "rigid_errors.sha256", tmp_path)
