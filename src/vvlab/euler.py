@@ -115,7 +115,13 @@ class ShearProfile:
             om = k * math.pi / self.h
             phase = order % 4
             trig = [np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin][phase]
-            out = out + amp * om**order * trig(om * y)
+            term = amp * om**order * trig(om * y)
+            if order % 2:
+                # an odd order is a sine, exactly 0 where k y / h is an
+                # integer; the rounded angle gives ~1e-16 (sin(pi) != 0)
+                q = k * y / self.h
+                term = np.where(q == np.round(q), 0.0, term)
+            out = out + term
         return out
 
 

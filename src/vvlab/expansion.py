@@ -50,8 +50,8 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     The order-nu corrector v is zero in these geometries (see the module
     docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall
     with one evaluation of each wall's stacked profiles.  A wall whose
-    profiles are all zero (the vortex layer, and the flat-shear lower wall:
-    g = 0) adds nothing and is not evaluated; when no wall adds, u_approx is
+    profiles are all zero (the vortex and flat-shear layers: g = 0) adds
+    nothing and is not evaluated; when no wall adds, u_approx is
     u0_part itself, not a copy.  The collars are disjoint and a wall's layer
     is exactly zero outside its own, so each point receives at most one
     nonzero layer term.  A steady flow's u0 is evaluated once and broadcast

@@ -40,9 +40,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import geometry as geo
+from ._lapack import dpttrf, dpttrs
 from .errors import AlignmentError, ConfigError, SolverError, StepSizeError
 from .spaces import VolumeField, curl_volume
 
@@ -129,6 +129,8 @@ def _drive_channel(y, prof) -> np.ndarray:
 
 
 def _resolve_store_steps(dt, t_end, store_times, store_every):
+    if not 0 <= t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and >= 0, got {t_end}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ConfigError("t_end must be an integer multiple of dt")
@@ -140,6 +142,8 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
                 raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
             steps.append(k)
         return n_steps, sorted(set(steps))
+    if store_every is not None and not store_every >= 1:
+        raise ConfigError(f"store_every must be a step count >= 1, got {store_every}")
     every = store_every or max(1, n_steps // 8)
     steps = list(range(0, n_steps + 1, every))
     if steps[-1] != n_steps:

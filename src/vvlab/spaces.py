@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import geometry as geo
+from ._lapack import dgtsv
 from .errors import (
     BlowupHorizonError,
     ConfigError,

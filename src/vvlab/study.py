@@ -25,8 +25,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -417,6 +415,13 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     return rows
 
 
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported on first use: only
+    ``jobs > 1`` pays for loading it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
+
 def _worker(args):
     """One viscosity row; any exception becomes a failed row naming its
     type, so one bad row cannot abort the study."""
@@ -442,6 +447,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     results = {}
     failures = {}
     if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool
         outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(nu, pool.submit(_worker, (config, profile, nu)))

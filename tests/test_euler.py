@@ -41,6 +41,25 @@ def test_channel_cosine_wall_curl(channel):
         assert np.allclose(boundary_data_g(flow, w), 0.0, atol=1e-14)
 
 
+def test_cosine_odd_derivatives_vanish_exactly_at_integer_phases(channel):
+    # an odd derivative of cos(k pi y / h) is a sine, exactly 0 where k y / h
+    # is an integer; elsewhere, and at every even order, it is the formula
+    h = 1.5
+    prof = ShearProfile(cosines=((0.7, 2),), h=h)
+    y = np.array([0.0, 0.3, h / 2, 1.1, h])
+    om = 2 * np.pi / h
+    for order, trig in ((1, lambda x: -np.sin(x)), (3, np.sin)):
+        got = prof.deriv(y, order)
+        assert np.all(got[[0, 2, 4]] == 0.0)
+        want = 0.0 + 0.7 * om**order * trig(om * y[[1, 3]])
+        assert np.array_equal(got[[1, 3]], want)
+    assert np.array_equal(prof.deriv(y, 2), 0.0 + 0.7 * om**2 * -np.cos(om * y))
+    flow = channel_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
+                             channel)
+    for w in channel.walls():
+        assert np.all(boundary_data_g(flow, w) == 0.0)
+
+
 def test_channel_parabola_wall_data(channel):
     # U = y (H - y): curl = -(H - 2y) e_z, nonzero at the walls
     h = channel.h

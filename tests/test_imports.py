@@ -1,5 +1,6 @@
-"""Every imported name in the package and the tests is used, and the
-command line imports no scipy module it does not need.
+"""Every imported name in the package and the tests is used, the command
+line imports no scipy module it does not need, and its LAPACK routines are
+scipy.linalg.lapack's own.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
 appear as a name somewhere else in the same file, or be listed in the
@@ -64,13 +65,45 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [("math", 2), ("path", 4)]
 
 
-def test_cli_import_loads_no_interpolate_or_special():
-    # scipy.interpolate pulls in special, sparse and optimize at start-up;
-    # the package needs only scipy.linalg
-    code = ("import sys, vvlab.cli; print(' '.join(m for m in "
-            "('scipy.interpolate', 'scipy.special') if m in sys.modules))")
+def _fresh(code):
+    """stdout of ``code`` run by a fresh interpreter that imports from src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_interpolate_or_special():
+    # scipy.interpolate pulls in special, sparse and optimize at start-up;
+    # the package needs only scipy's compiled LAPACK extension, loaded
+    # without the scipy.linalg package, and only --jobs > 1 needs the pool
+    out = _fresh("import sys, vvlab.cli; print([m for m in "
+                 "('scipy.interpolate', 'scipy.special', 'scipy.linalg', "
+                 "'concurrent.futures.process') if m in sys.modules], "
+                 "'scipy.linalg._flapack' in sys.modules)")
+    assert out.strip() == "[] True"
+
+
+@pytest.mark.parametrize("order", [("vvlab.cli", "scipy.linalg.lapack"),
+                                   ("scipy.linalg.lapack", "vvlab.cli")],
+                         ids=["vvlab-first", "scipy-first"])
+def test_lapack_routines_are_scipy_linalg_lapacks_in_either_order(order):
+    out = _fresh(f"import {order[0]}, {order[1]}, vvlab.ns, vvlab.spaces\n"
+                 "from scipy.linalg import lapack\n"
+                 "print(vvlab.ns.dpttrs is lapack.dpttrs, "
+                 "vvlab.ns.dpttrf is lapack.dpttrf, "
+                 "vvlab.spaces.dgtsv is lapack.dgtsv)")
+    assert out.split() == ["True"] * 3
+
+
+def test_lapack_loader_falls_back_to_the_public_routines(tmp_path):
+    # a directory without the extension falls back to scipy.linalg.lapack;
+    # scipy's own directory reuses the extension this process already holds
+    import scipy
+    from scipy.linalg import lapack
+
+    from vvlab import _lapack
+    public = (lapack.dgtsv, lapack.dpttrf, lapack.dpttrs)
+    for linalg_dir in (tmp_path, Path(scipy.__file__).parent / "linalg"):
+        got = _lapack.load(str(linalg_dir))
+        assert all(a is b for a, b in zip(got, public, strict=True))

@@ -48,7 +48,7 @@ def test_zero_data_gives_zero_profile(annulus):
 
 @pytest.mark.parametrize("preset, marched", [("rigid-annulus", 2),
                                              ("vortex-annulus", 0),
-                                             ("flat-shear", 1)])
+                                             ("flat-shear", 0)])
 def test_live_columns_match_the_two_column_march(monkeypatch, preset, marched):
     # a steady layer without explicit terms marches only the columns whose
     # datum g is nonzero; every wall equals the march of both columns, bit
@@ -175,6 +175,12 @@ def test_store_times_must_be_step_multiples(annulus):
     with pytest.raises(ConfigError):
         solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                     t_end=0.1, store_times=[0.0505])
+
+
+def test_negative_t_end_is_a_config_error_naming_it(annulus):
+    flow = rigid_rotation(1.0, annulus)
+    with pytest.raises(ConfigError, match="t_end must be finite and >= 0, got -0.1"):
+        solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3, t_end=-0.1)
 
 
 def test_wall_curl_evaluated_once_per_wall_and_step(channel):

@@ -182,6 +182,19 @@ def test_config_errors(annulus, channel):
                  dt=1e-3, t_end=0.1, store_times=[0.0333])
 
 
+@pytest.mark.parametrize("t_end, store_every, named", [
+    (-0.1, None, "t_end must be finite and >= 0, got -0.1"),
+    (math.inf, None, "t_end must be finite and >= 0, got inf"),
+    (0.1, -1, "store_every must be a step count >= 1, got -1"),
+    (0.1, 0, "store_every must be a step count >= 1, got 0"),
+])
+def test_bad_store_steps_are_config_errors_naming_the_value(channel, t_end,
+                                                            store_every, named):
+    with pytest.raises(ConfigError, match=named):
+        solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64, dt=1e-3,
+                 t_end=t_end, store_every=store_every)
+
+
 def test_non_flow_components_stay_zero(annulus, channel):
     # the geometry picks the velocity slot; the other two are never written
     for geom, prof, slot in ((annulus, LaurentProfile({1: 1.0, -1: 0.5}), 1),
