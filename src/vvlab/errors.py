@@ -51,7 +51,3 @@ class BlowupHorizonError(VvlabError):
 
 class SolverError(VvlabError):
     """A linear solve did not converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

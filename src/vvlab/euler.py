@@ -7,11 +7,13 @@ velocity by construction:
 * swirl   u0 = U(r) e_theta in the annulus, pressure balancing U^2/r;
 * shear   u0 = U(y) e_x in the channel, constant pressure.
 
-Each carries its profile U, the one input of the reference solve.  For
+Each is its profile U, the one input of the reference solve and of the
+ansatz, in the one component ``GeometryDescriptor.flow_comp`` names.  For
 both families the stretching coefficient f = (u0 . n)/phi vanishes
 identically and the tangential projection of the layer coupling
 (u0 . grad u_b + u_b . grad u0) is zero; the piece that feeds the layer
-solver is therefore the wall data g = curl u0 x n.  The layer is one
+solver is therefore the wall data g = curl u0 x n, which points along
+that same component, so the layer moves only it.  The layer is one
 column per wall, so g, f, the coupling matrix and any manufactured forcing
 are evaluated at the wall.
 The manufactured cases prescribe nonzero f, couplings, time-dependent g and
@@ -132,15 +134,15 @@ class ShearProfile:
 
 @dataclass
 class BaseFlow:
-    """Evaluators for the inviscid base flow and its layer coefficients.
+    """The inviscid base flow's profile, vorticity and layer coefficients.
 
-    All volume evaluators take (t, coords) with 1D cross coordinates and
-    return arrays in the geometry component frame, shape (3, n).
+    u0 itself is ``profile``, the one component ``geom.flow_comp`` it
+    carries.  ``curl`` takes (t, coords) with 1D cross coordinates and
+    returns the vorticity in the geometry component frame, shape (3, n).
     """
 
     geom: geo.GeometryDescriptor
     steady: bool
-    velocity: callable
     curl: callable
     # layer-side coefficients, evaluated at the wall
     f_stretch: callable            # f(t) -> float
@@ -172,11 +174,6 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
     if not np.all(np.isfinite(profile.value(probe))):
         raise InvalidProfileError("swirl profile not finite on [r1, r2]")
 
-    def velocity(t, coords):
-        out = _zeros3(coords)
-        out[1] = profile.value(coords)
-        return out
-
     def curl(t, coords):
         # curl(U e_theta) = (1/r) d(r U)/dr e_axial, exact series form
         coords = np.asarray(coords, dtype=float)
@@ -187,7 +184,6 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
     return BaseFlow(
         geom=geom,
         steady=True,
-        velocity=velocity,
         curl=curl,
         f_stretch=_no_stretch,
         coupling_matrix=_no_coupling,
@@ -211,11 +207,6 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
     if not np.all(np.isfinite(profile.value(probe))):
         raise InvalidProfileError("shear profile not finite on [0, H]")
 
-    def velocity(t, coords):
-        out = _zeros3(coords)
-        out[0] = profile.value(coords)
-        return out
-
     def curl(t, coords):
         # curl(U(y) e_x) = -U'(y) e_z
         out = _zeros3(coords)
@@ -225,7 +216,6 @@ def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> Ba
     return BaseFlow(
         geom=geom,
         steady=True,
-        velocity=velocity,
         curl=curl,
         f_stretch=_no_stretch,
         coupling_matrix=_no_coupling,
@@ -242,14 +232,6 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
         raise ConfigError("oscillating shear case requires the channel")
     h = geom.h
 
-    def shape(y):
-        return np.cos(math.pi * np.asarray(y, dtype=float) / h)
-
-    def velocity(t, coords):
-        out = _zeros3(coords)
-        out[0] = amp * math.cos(omega * t) * shape(coords)
-        return out
-
     def curl(t, coords):
         coords = np.asarray(coords, dtype=float)
         out = _zeros3(coords)
@@ -259,7 +241,6 @@ def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
     return BaseFlow(
         geom=geom,
         steady=False,
-        velocity=velocity,
         curl=curl,
         f_stretch=lambda t: f0 * math.cos(omega * t),
         coupling_matrix=lambda t, wall: np.array([[0.3, 0.1], [0.0, -0.2]]),
@@ -292,14 +273,10 @@ def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
         return core[None, :] * w_dir[:, None] * shape[None, :] \
             + a * (a_eff @ w_dir)[:, None] * shape[None, :]
 
-    def zero3(t, coords):
-        return _zeros3(coords)
-
     flow = BaseFlow(
         geom=geom,
         steady=False,
-        velocity=zero3,
-        curl=zero3,
+        curl=lambda t, coords: _zeros3(coords),
         f_stretch=lambda t: f0 * math.cos(omega * t),
         coupling_matrix=lambda t, wall: a_mat,
         layer_forcing=layer_forcing,

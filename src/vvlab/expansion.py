@@ -1,24 +1,27 @@
-"""Ansatz assembly, remainder extraction, and the Weyl/Leray split.
+"""Ansatz assembly, the remainder's wall identities, and the Weyl/Leray split.
 
 The approximate field is u0 + sqrt(nu) u_b(x, phi/sqrt(nu)) + nu v, layer
 terms cut off inside the collar; the remainder R = (u_nu - ansatz)/nu is
 what the convergence theory bounds uniformly.  The corrector v is driven by
 the slow divergence of u_b, which vanishes here: u_b is tangential and does
 not vary along the wall or across the collar, so v = 0 and the ansatz is
-u0 + sqrt(nu) u_b, u0 itself (no copy) where u_b = 0.  R is formed one
-stored time at a time.
+u0 + sqrt(nu) u_b.  Every studied flow carries one component,
+``GeometryDescriptor.flow_comp``, and its layer moves only that one (g =
+curl u0 x n points along it), so the ansatz is that component alone, an
+(n_t, n) array; the study forms u - u0 and R from it one stored time at a
+time.
 
 In the reduced symmetric geometries the Weyl decomposition is exact:
 gradients are precisely the wall-normal component fields and the
 divergence-free tangent fields are the remaining components, so the
 projector is a mask on the components: idempotent and orthogonal to
-round-off.
+round-off.  The flow component is tangential, so P R = R and (I - P) R = 0
+for every studied flow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,63 +33,48 @@ from .ns import ViscousSolution, time_index
 from .spaces import VolumeField, curl_volume, eval_profile_on_wall
 
 
-@dataclass
-class AnsatzBundle:
-    """Composite approximation and its pieces on a volume grid."""
-
-    nu: float
-    geom: geo.GeometryDescriptor
-    coords: np.ndarray
-    times: np.ndarray
-    u_approx: np.ndarray           # (n_t, 3, n); u0_part itself if no wall adds a layer
-    u0_part: np.ndarray
-
-
 def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
                     geom: geo.GeometryDescriptor, nu: float,
-                    coords: np.ndarray, times=None) -> AnsatzBundle:
-    """Evaluate u0 + sqrt(nu) u_b on the volume grid at shared times.
+                    coords: np.ndarray, times=None) -> np.ndarray:
+    """The (n_t, n) flow component of u0 + sqrt(nu) u_b at shared times.
 
     The order-nu corrector v is zero in these geometries (see the module
-    docstring), so u_approx is u0_part plus sqrt(nu) u_b, added wall by wall
-    with one evaluation of each wall's stacked profiles.  A wall whose
-    profiles are all zero (the vortex and flat-shear layers: g = 0) adds
-    nothing and is not evaluated; when no wall adds, u_approx is
-    u0_part itself, not a copy.  The collars are disjoint and a wall's layer
-    is exactly zero outside its own, so each point receives at most one
-    nonzero layer term.  A steady flow's u0 is evaluated once and broadcast
-    over the times (u0_part is then a read-only view); an unsteady one is
-    evaluated at each time.
+    docstring).  u0 is ``flow.profile``, evaluated once and broadcast over
+    the times; sqrt(nu) u_b is added wall by wall with one evaluation of
+    each wall's stacked profiles.  A wall whose profiles are all zero (the
+    vortex and flat-shear layers: g = 0) adds nothing and is not evaluated;
+    when no wall adds, the result is u0's read-only broadcast, not a copy.
+    The collars are disjoint and a wall's layer is exactly zero outside its
+    own, so each point receives at most one nonzero layer term.  A flow
+    without a profile, or a layer that is nonzero off ``geom.flow_comp``,
+    is a ConfigError.
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
     if profile.geom.kind != geom.kind:
         raise ConfigError("profile geometry does not match")
+    if flow.profile is None:
+        raise ConfigError("the ansatz needs a base flow with a profile")
     times = profile.times if times is None else np.asarray(times, dtype=float)
     idx = [time_index(profile.times, t) for t in times]
 
-    comp = {name: i for i, name in enumerate(geom.comp_names)}
-    shape = (len(times), 3, len(coords))
-    if flow.steady:
-        u0_part = np.broadcast_to(flow.velocity(0.0, coords), shape)
-    else:
-        u0_part = np.array([flow.velocity(t, coords) for t in times]).reshape(shape)
-    u_approx = u0_part
+    name = geom.comp_names[geom.flow_comp]
+    u0 = np.broadcast_to(flow.profile.value(coords), (len(times), len(coords)))
+    u_approx = u0
     for w in geom.walls():
         pf = profile.profile(w.wall_id, idx)
         if not pf.values.any():
             continue
-        if u_approx is u0_part:
-            u_approx = np.array(u0_part)
+        slot = w.tangent_names.index(name)
+        if pf.values[:, 1 - slot].any():
+            raise ConfigError(
+                f"layer on wall {w.wall_id!r} is nonzero off the flow "
+                f"component {name!r}")
+        if u_approx is u0:
+            u_approx = np.array(u0)
         vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
-        for slot, name in enumerate(w.tangent_names):
-            u_approx[:, comp[name]] += math.sqrt(nu) * vals[:, slot]
-
-    return AnsatzBundle(
-        nu=nu, geom=geom, coords=np.asarray(coords, dtype=float),
-        times=np.asarray(times, dtype=float),
-        u_approx=u_approx, u0_part=u0_part,
-    )
+        u_approx += math.sqrt(nu) * vals[:, slot]
+    return u_approx
 
 
 # ---------------------------------------------------------------------------
@@ -116,62 +104,31 @@ def leray_project(vf: VolumeField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RemainderField:
-    """R = (u_nu - ansatz)/nu, formed one stored time at a time by ``at``."""
-
-    nu: float
-    geom: geo.GeometryDescriptor
-    coords: np.ndarray
-    times: np.ndarray
-    sol: ViscousSolution
-    index: list                    # the solution's stored index of each time
-    u_approx: np.ndarray           # (n_t, 3, n)
-
-    def u_at(self, it: int) -> np.ndarray:
-        """The reference solution's (3, n) velocity at time ``it``."""
-        return self.sol.at(self.index[it])
-
-    def at(self, it: int) -> np.ndarray:
-        return (self.u_at(it) - self.u_approx[it]) / self.nu
-
-    def field_at(self, it: int) -> VolumeField:
-        """R at stored index ``it``."""
-        return VolumeField(geom=self.geom, coords=self.coords,
-                           values=self.at(it))
-
-
-def extract_remainder(sol: ViscousSolution, bundle: AnsatzBundle) -> RemainderField:
-    """R = (u_nu - ansatz)/nu at the shared time stamps, formed on demand."""
-    if abs(sol.nu - bundle.nu) > 1e-15 * max(sol.nu, bundle.nu):
-        raise ConfigError("viscosities of solution and ansatz differ")
-    if sol.geom.kind != bundle.geom.kind or len(sol.coords) != len(bundle.coords) \
-            or not np.allclose(sol.coords, bundle.coords, rtol=0.0, atol=1e-12):
-        raise ConfigError("grid incompatibility between solution and ansatz")
-    return RemainderField(
-        nu=bundle.nu, geom=bundle.geom, coords=bundle.coords,
-        times=bundle.times.copy(),
-        sol=sol, index=[time_index(sol.times, t) for t in bundle.times],
-        u_approx=bundle.u_approx,
-    )
-
-
-def remainder_bc_residual(rem: RemainderField, profile: LayerProfile,
-                          nu: float) -> tuple:
+def remainder_bc_residual(sol: ViscousSolution, u_approx: np.ndarray, times,
+                          profile: LayerProfile) -> tuple:
     """Max-norm residuals of the two remainder wall identities.
 
-    First: R . n + v(t, 0) . n = 0.  Second (tangential, vector magnitude):
-    curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n + curl_x v|_{z=0} x n = 0.
-    The corrector v is zero here (see the module docstring), so its terms
-    drop out of both identities.
+    R = (u_nu - ansatz)/nu is formed at each of ``times`` from the
+    solution's stored time (an AlignmentError if it was not stored) and the
+    matching row of ``u_approx``, the (n_t, n) ansatz on the solution's
+    grid.  First: R . n + v(t, 0) . n = 0.  Second (tangential, vector
+    magnitude): curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n
+    + curl_x v|_{z=0} x n = 0.  The corrector v is zero here (see the
+    module docstring), so its terms drop out of both identities.
     """
-    geom = rem.geom
+    times = np.asarray(times, dtype=float)
+    if np.shape(u_approx) != (len(times), len(sol.coords)):
+        raise ConfigError(
+            f"ansatz of shape {np.shape(u_approx)} does not match "
+            f"{len(times)} times on the solution's {len(sol.coords)} points")
+    geom = sol.geom
     res_n = 0.0
     res_t = 0.0
-    comp = {name: i for i, name in enumerate(geom.comp_names)}
-    for it, t in enumerate(rem.times):
+    for it, t in enumerate(times):
         ip = time_index(profile.times, t)
-        vf = rem.field_at(it)
+        vf = sol.field_at(time_index(sol.times, t))
+        vf.values[geom.flow_comp] -= u_approx[it]
+        vf.values /= sol.nu
         curl = curl_volume(vf)
         for left, w in zip((True, False), geom.walls()):
             i = 0 if left else -1
@@ -180,6 +137,6 @@ def remainder_bc_residual(rem: RemainderField, profile: LayerProfile,
             curl_wall = curl[:, i]
             term_r = np.cross(curl_wall, w.normal)
             cx = slow_curl_at_wall(profile, w.wall_id, ip)
-            term_b = np.cross(cx, w.normal) / math.sqrt(nu)
+            term_b = np.cross(cx, w.normal) / math.sqrt(sol.nu)
             res_t = max(res_t, float(np.linalg.norm(term_r + term_b)))
     return res_n, res_t

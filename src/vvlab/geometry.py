@@ -96,6 +96,12 @@ class GeometryDescriptor:
         return 1 if self.kind == FLAT_CHANNEL else 0
 
     @property
+    def flow_comp(self) -> int:
+        """Index of the one component a studied flow and its layer carry:
+        x for the channel shear, theta for the annulus swirl."""
+        return 0 if self.kind == FLAT_CHANNEL else 1
+
+    @property
     def gap(self) -> float:
         return self.h if self.kind == FLAT_CHANNEL else self.r2 - self.r1
 

@@ -109,8 +109,8 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
     requires max |f| z dt / dz_loc <= 1 over the grid nodes (checked; the
     benchmarks have f = 0).
     """
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise StepSizeError(f"dt must be finite and positive, got {dt}")
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
     z = grid.z
     op, h0 = _fast_diffusion_operator(z)

@@ -7,11 +7,11 @@ so the solver reduces to one parabolic equation in the cross coordinate:
   (1/r) d(r u_th)/dr = 0 at r1 and r2 (zero wall vorticity);
 * channel shear:  d/dt u_x = nu u_x'', with u_x' = 0 at both walls.
 
-One solver, ``solve_ns``, serves both: the geometry picks the operator, the
-drive and the velocity slot, everything else is shared.  The solution
-stores only that one live component, an (n_t, n) history; the other two
-velocity components are exactly zero and a stored time's (3, n) field is
-built on demand by ``ViscousSolution.at``.
+One solver, ``solve_ns``, serves both: the geometry picks the operator and
+the drive, everything else is shared.  The solution stores only the one
+component the flow carries (``GeometryDescriptor.flow_comp``), an (n_t, n)
+history; the other two velocity components are exactly zero and a stored
+time's (3, n) field is built on demand by ``ViscousSolution.at``.
 
 Time stepping is Crank-Nicolson, second order in space; the wall condition
 is folded into the operator through a ghost node eliminated with the
@@ -55,13 +55,12 @@ class ViscousSolution:
     geom: geo.GeometryDescriptor
     coords: np.ndarray
     times: np.ndarray
-    u: np.ndarray                  # (n_t, n): the live velocity component
-    slot: int                      # its index in the geometry frame; the others are 0
+    u: np.ndarray                  # (n_t, n): the flow component, geom.flow_comp
 
     def at(self, it: int) -> np.ndarray:
-        """The (3, n) velocity at stored index ``it``, zero off the slot."""
+        """The (3, n) velocity at stored index ``it``, zero off flow_comp."""
         out = np.zeros((3, len(self.coords)))
-        out[self.slot] = self.u[it]
+        out[self.geom.flow_comp] = self.u[it]
         return out
 
     def field_at(self, it: int) -> VolumeField:
@@ -137,14 +136,17 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
     if store_times is not None:
         steps = []
         for t in store_times:
+            if not math.isfinite(t):
+                raise ConfigError(f"store time {t} is not finite")
             k = int(round(t / dt))
             if abs(k * dt - t) > 1e-9 * max(t_end, 1.0) or not (0 <= k <= n_steps):
                 raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
             steps.append(k)
         return n_steps, sorted(set(steps))
-    if store_every is not None and not store_every >= 1:
+    if store_every is not None and not (store_every >= 1
+                                        and float(store_every).is_integer()):
         raise ConfigError(f"store_every must be a step count >= 1, got {store_every}")
-    every = store_every or max(1, n_steps // 8)
+    every = int(store_every or max(1, n_steps // 8))
     steps = list(range(0, n_steps + 1, every))
     if steps[-1] != n_steps:
         steps.append(n_steps)
@@ -251,10 +253,10 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     where = f"ns {'swirl' if swirl else 'channel'} (nu={nu:g}, n={n})"
     if n < MIN_POINTS:
         raise ConfigError(f"{where}: n must be >= {MIN_POINTS}")
-    if dt <= 0:
-        raise StepSizeError(f"{where}: dt must be positive")
-    operator, drive_of, slot = (_swirl_operator, _drive_swirl, 1) if swirl \
-        else (_channel_operator, _drive_channel, 0)
+    if not 0 < dt < math.inf:
+        raise StepSizeError(f"{where}: dt must be finite and positive, got {dt}")
+    operator, drive_of = (_swirl_operator, _drive_swirl) if swirl \
+        else (_channel_operator, _drive_channel)
     x = geom.volume_grid(n)
     u0 = u0_profile.value(x)
     drive = drive_of(x, u0_profile)
@@ -264,7 +266,7 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     w += u0                                  # in place: w + u0 is u0 + w exactly
     return ViscousSolution(nu=nu, geom=geom, coords=x,
                            times=np.array([k * dt for k in store_steps]),
-                           u=w, slot=slot)
+                           u=w)
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +311,18 @@ def bc_residual(sol: ViscousSolution) -> np.ndarray:
 
     Measured with fourth-order one-sided stencils (a different stencil than
     the one imposing the condition, so this reflects the solution's true
-    boundary error, not the scheme's algebraic identity).
+    boundary error, not the scheme's algebraic identity).  u is the flow
+    component alone, which no wall normal has, so u . n = 0 and
+    |curl u x n| is the wall vorticity: (1/r) d(r u)/dr in the annulus,
+    du/dy in the channel.
     """
     h = sol.coords[1] - sol.coords[0]
-    geom = sol.geom
+    swirl = sol.geom.kind == geo.ANNULUS_GAP
     out = np.zeros(len(sol.times))
-    n_comp = geom.normal_comp
-    for it in range(len(sol.times)):
-        vals = sol.at(it)
-        worst = 0.0
-        for left, wall in zip((True, False), geom.walls()):
-            i = 0 if left else -1
-            un = abs(vals[n_comp, i])
-            if geom.kind == geo.ANNULUS_GAP:
-                du = _one_sided_deriv(vals[1], h, left)
-                omega = du + vals[1, i] / sol.coords[i]
-                tang = abs(omega)
-            else:
-                dux = _one_sided_deriv(vals[0], h, left)
-                duz = _one_sided_deriv(vals[2], h, left)
-                tang = math.hypot(dux, duz)
-            worst = max(worst, un + tang)
-        out[it] = worst
+    for it, u in enumerate(sol.u):
+        for left, i in ((True, 0), (False, -1)):
+            omega = _one_sided_deriv(u, h, left)
+            if swirl:
+                omega += u[i] / sol.coords[i]
+            out[it] = max(out[it], abs(omega))
     return out

@@ -3,6 +3,9 @@
 A study solves the layer once (it does not depend on the viscosity), then
 for each viscosity solves the reference problem, assembles the ansatz,
 and records sup-over-time error norms of u_nu - u0 and remainder norms.
+Both fields are the flow's one component, ``geometry.flow_comp``: the
+tangential R is its own Leray part (R:P = R:full) and its gradient part
+R:I-P is exactly 0.
 Least-squares log-log fits of the error norms are compared against the
 theoretical exponents
 
@@ -40,10 +43,10 @@ from .euler import (
     rigid_rotation,
     swirl_base_flow,
 )
-from .expansion import assemble_ansatz, extract_remainder, leray_project
+from .expansion import assemble_ansatz
 from .layer import LayerProfile, solve_layer
-from .ns import ViscousSolution, solve_ns
-from .spaces import DEFAULT_ZMAX, FastGrid, VolumeField, VolumeGrid, parse_norm
+from .ns import ViscousSolution, solve_ns, time_index
+from .spaces import DEFAULT_ZMAX, FastGrid, VolumeGrid, parse_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
 PASS_MARGIN_LOW = 0.05
@@ -371,47 +374,35 @@ def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSo
                     store_times=config.t_eval)
 
 
-def remainder_norms(grid: VolumeGrid, values: np.ndarray, specs) -> dict:
-    """Norms of R and of its Leray parts, keyed "full", "P" and "I-P".
-
-    leray_project moves only the wall-normal component into the gradient
-    part.  When that component of R is all zero, P R equals R (up to the
-    sign of those zeros, which no norm sees) and (I - P) R is the zero
-    field, so the "P" norms are R's own and every "I-P" norm is exactly
-    0.0; neither field is formed.  This holds for every studied flow: they
-    are tangential and solve_ns keeps the normal component exactly zero.
-    Otherwise the split is computed.
-    """
-    full = grid.norms(values, specs)
-    if not np.any(values[grid.geom.normal_comp]):
-        return {"full": full, "P": full, "I-P": [0.0] * len(specs)}
-    p_field, g_field = leray_project(
-        VolumeField(geom=grid.geom, coords=grid.coords, values=values))
-    return {"full": full, "P": grid.norms(p_field.values, specs),
-            "I-P": grid.norms(g_field.values, specs)}
-
-
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
-    """Rows for a single viscosity: velocity-error and remainder norms, with
-    u - u0 and R formed one time at a time beside the reference solution."""
+    """Rows for a single viscosity: velocity-error and remainder norms.
+
+    u - u0, then R, is written into the flow component of one (3, n) zero
+    buffer one time at a time.  R is tangential, so its "P" norms are its
+    own and its "I-P" norms are 0.0.
+    """
     geom = config.geometry
     flow = config.euler.build(geom)
     sol = solve_reference(config, flow, nu)
-    bundle = assemble_ansatz(flow, profile, geom, nu, sol.coords,
-                             times=np.asarray(config.t_eval))
-    rem = extract_remainder(sol, bundle)
+    times = np.asarray(config.t_eval)
+    u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords, times=times)
+    u0 = flow.profile.value(sol.coords)
     grid = VolumeGrid(geom, sol.coords)
+    buf = np.zeros((3, len(sol.coords)))
+    row = buf[geom.flow_comp]
     rows = []
     specs = [parse_norm(s) for s in config.norms]
-    for jt, t in enumerate(bundle.times):
+    for jt, t in enumerate(times):
         t = float(t)
-        u_norms = grid.norms(rem.u_at(jt) - bundle.u0_part[jt], specs)
-        for spec, value in zip(specs, u_norms):
+        u = sol.u[time_index(sol.times, t)]
+        np.subtract(u, u0, out=row)
+        for spec, value in zip(specs, grid.norms(buf, specs)):
             rows.append((nu, t, spec.label, value, "u"))
-        rem_norms = remainder_norms(grid, rem.at(jt), specs)
-        for k, spec in enumerate(specs):
-            for part in ("full", "P", "I-P"):
-                rows.append((nu, t, spec.label, rem_norms[part][k], f"R:{part}"))
+        np.subtract(u, u_approx[jt], out=row)
+        row /= nu
+        for spec, value in zip(specs, grid.norms(buf, specs)):
+            for part, v in (("full", value), ("P", value), ("I-P", 0.0)):
+                rows.append((nu, t, spec.label, v, f"R:{part}"))
     return rows
 
 

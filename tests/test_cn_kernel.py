@@ -276,7 +276,7 @@ def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
                             dt, int(round(t_end / dt)),
                             [int(round(t / dt)) for t in store], rannacher,
                             drive=drive_of(x, prof))
-    assert sol.slot == comp
+    assert geom.flow_comp == comp
     got = sol.u
     assert np.array_equal(got[0], u0)
     scale = float(np.max(np.abs(want - u0)))

@@ -11,6 +11,9 @@ from vvlab.euler import (
     rigid_rotation,
     swirl_base_flow,
 )
+from vvlab.layer import solve_layer
+from vvlab.spaces import FastGrid
+from vvlab.study import EulerSpec
 
 
 def test_rigid_rotation_curl(annulus):
@@ -112,12 +115,32 @@ def test_boundary_data_linear_in_flow(annulus):
 
 
 def test_normal_velocity_zero_at_walls(annulus, channel):
+    # u0 is its profile in the flow component, which no wall normal has
     for flow, geom in ((rigid_rotation(1.0, annulus), annulus),
                        (channel_base_flow(ShearProfile(poly=(0.0, 1.0)),
                                           channel), channel)):
         for w in geom.walls():
-            u = flow.velocity(0.0, np.array([w.coord]))[:, 0]
+            u = np.zeros(3)
+            u[geom.flow_comp] = flow.profile.value(np.array([w.coord]))[0]
             assert abs(float(u @ w.normal)) == 0.0
+
+
+@pytest.mark.parametrize("family", ["rigid", "vortex", "swirl_poly:0.5,1.0,-0.2",
+                                    "shear_poly:0.2,1.0,-0.5", "shear_cos"])
+def test_layer_moves_only_the_flow_component(annulus, channel, family):
+    # g = curl u0 x n points along the flow component, so every family's
+    # solved layer is zero in the other tangent, to the bit
+    geom = channel if family.startswith("shear") else annulus
+    flow = EulerSpec(family=family).build(geom)
+    profile = solve_layer(flow, geom, FastGrid(nz=64), dt=1e-3, t_end=0.05)
+    name = geom.comp_names[geom.flow_comp]
+    assert geom.flow_comp != geom.normal_comp
+    for w in profile.walls.values():
+        off = [i for i, tangent in enumerate(w.tangent_names) if tangent != name]
+        assert len(off) == 1
+        assert not w.ub[:, off].any()
+    moved = any(w.ub.any() for w in profile.walls.values())
+    assert moved == (family not in ("vortex", "shear_cos"))
 
 
 def test_stretching_coefficient_vanishes(annulus):

@@ -183,6 +183,13 @@ def test_negative_t_end_is_a_config_error_naming_it(annulus):
         solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3, t_end=-0.1)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+def test_bad_dt_is_a_step_size_error_naming_it(annulus, dt):
+    flow = rigid_rotation(1.0, annulus)
+    with pytest.raises(StepSizeError, match=f"dt must be finite and positive, got {dt}"):
+        solve_layer(flow, annulus, FastGrid(nz=64), dt=dt, t_end=0.1)
+
+
 def test_wall_curl_evaluated_once_per_wall_and_step(channel):
     # an unsteady flow needs g at every step on each wall, and nothing more
     flow = oscillating_shear_case(channel)

@@ -113,7 +113,7 @@ def test_energy_identity_vortex_trivial(annulus):
     r = annulus.volume_grid(512)
     sol = ViscousSolution(nu=1e-2, geom=annulus, coords=r,
                           times=np.array([0.0, 0.05, 0.1]),
-                          u=np.tile(1.0 / r, (3, 1)), slot=1)
+                          u=np.tile(1.0 / r, (3, 1)))
     assert np.max(energy_identity_residual(sol)) < 1e-12
     # a solved run adds only the transient wall-defect decay, O(nu h^2)
     prof = LaurentProfile({-1: 1.0})
@@ -157,7 +157,7 @@ def test_bc_residual_exact_vortex_samples(annulus):
 
     r = annulus.volume_grid(2048)
     sol = ViscousSolution(nu=1e-2, geom=annulus, coords=r,
-                          times=np.array([0.0]), u=(1.0 / r)[None], slot=1)
+                          times=np.array([0.0]), u=(1.0 / r)[None])
     assert np.max(bc_residual(sol)) < 1e-10
 
 
@@ -187,6 +187,9 @@ def test_config_errors(annulus, channel):
     (math.inf, None, "t_end must be finite and >= 0, got inf"),
     (0.1, -1, "store_every must be a step count >= 1, got -1"),
     (0.1, 0, "store_every must be a step count >= 1, got 0"),
+    (0.1, 2.5, "store_every must be a step count >= 1, got 2.5"),
+    (0.1, math.nan, "store_every must be a step count >= 1, got nan"),
+    (0.1, math.inf, "store_every must be a step count >= 1, got inf"),
 ])
 def test_bad_store_steps_are_config_errors_naming_the_value(channel, t_end,
                                                             store_every, named):
@@ -195,13 +198,37 @@ def test_bad_store_steps_are_config_errors_naming_the_value(channel, t_end,
                  t_end=t_end, store_every=store_every)
 
 
+def test_integral_float_store_every_is_a_step_count(channel):
+    prof = ShearProfile(poly=(0.2, 1.0))
+    sol = solve_ns(channel, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
+                   store_every=25.0)
+    want = solve_ns(channel, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
+                    store_every=25)
+    assert np.array_equal(sol.times, want.times)
+    assert np.array_equal(sol.u, want.u)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_store_time_is_a_config_error_naming_it(channel, t):
+    with pytest.raises(ConfigError, match=f"store time {t} is not finite"):
+        solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64, dt=1e-3,
+                 t_end=0.1, store_times=[0.05, t])
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -1e-3])
+def test_bad_dt_is_a_step_size_error_naming_it(channel, dt):
+    with pytest.raises(StepSizeError, match=f"dt must be finite and positive, got {dt}"):
+        solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64, dt=dt,
+                 t_end=0.1)
+
+
 def test_non_flow_components_stay_zero(annulus, channel):
-    # the geometry picks the velocity slot; the other two are never written
+    # the geometry names the flow component; the other two are never written
     for geom, prof, slot in ((annulus, LaurentProfile({1: 1.0, -1: 0.5}), 1),
                              (channel, ShearProfile(poly=(0.2, 1.0)), 0)):
         sol = solve_ns(geom, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
                        store_every=10)
-        assert sol.slot == slot
+        assert geom.flow_comp == slot
         assert np.any(sol.u[1:] != sol.u[0])
         others = [c for c in range(3) if c != slot]
         for it in range(len(sol.times)):

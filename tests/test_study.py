@@ -24,7 +24,8 @@ from vvlab.euler import (
     swirl_base_flow,
 )
 from vvlab.expansion import leray_project
-from vvlab.spaces import VolumeField, VolumeGrid, parse_norm, volume_norm
+from vvlab.ns import ViscousSolution
+from vvlab.spaces import VolumeField, parse_norm, volume_norm
 from vvlab.study import (
     EulerSpec,
     LayerParams,
@@ -34,7 +35,6 @@ from vvlab.study import (
     fit_rate,
     get_preset,
     parse_config_file,
-    remainder_norms,
     run_convergence_study,
     theory_slope,
     weaker_slope,
@@ -223,7 +223,7 @@ def test_poly_families_from_config_file(tmp_path, family, geometry, expected):
     want = expected(cfg.geometry)
     assert flow.profile == want.profile
     coords = cfg.geometry.volume_grid(257)
-    assert np.array_equal(flow.velocity(0.0, coords), want.velocity(0.0, coords))
+    assert np.array_equal(flow.profile.value(coords), want.profile.value(coords))
 
 
 @pytest.mark.parametrize("family, geometry", [
@@ -677,16 +677,8 @@ def test_golden_rigid_rates(tmp_path, rigid_report):
 
 
 # ---------------------------------------------------------------------------
-# Leray split of the remainder: the mask shortcut and its explicit branch
+# Leray split of the remainder: the row's parts against the projector
 # ---------------------------------------------------------------------------
-
-
-def _split_norms(geom, coords, values):
-    """Norms of R and of its leray_project parts, one volume_norm each."""
-    vf = VolumeField(geom=geom, coords=coords, values=values)
-    p_field, g_field = leray_project(vf)
-    return {part: [volume_norm(f, spec) for spec in STUDY_SPECS]
-            for part, f in (("full", vf), ("P", p_field), ("I-P", g_field))}
 
 
 def test_viscosity_row_peaks_under_3_75_live_component_histories():
@@ -719,33 +711,32 @@ def test_vortex_leray_rows_follow_the_mask(vortex_report):
         assert repr(rows[key + ("R:I-P",)]) == "0.0"
 
 
-@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
-def test_remainder_norms_split_a_normal_component(monkeypatch, request, geom_name):
-    geom = request.getfixturevalue(geom_name)
-    calls = []
-    real = study.leray_project
-    monkeypatch.setattr(study, "leray_project",
-                        lambda vf: calls.append(vf) or real(vf))
-    coords = geom.volume_grid(257)
-    values = np.random.default_rng(3).normal(size=(3, 257))
-    got = remainder_norms(VolumeGrid(geom, coords), values, STUDY_SPECS)
-    assert len(calls) == 1                       # the explicit branch ran
-    assert got == _split_norms(geom, coords, values)
-    assert all(v > 0.0 for v in got["I-P"])
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(data=st.data(), kind=st.sampled_from([geo.FLAT_CHANNEL, geo.ANNULUS_GAP]),
-       n=st.integers(3, 40), zero=st.sampled_from([0.0, -0.0]))
-def test_mask_shortcut_equals_explicit_split(data, kind, n, zero):
-    geom = geo.flat_channel(1.0, eta=0.45) if kind == geo.FLAT_CHANNEL \
-        else geo.annulus_gap(1.0, 2.0, eta=0.45)
-    values = data.draw(arrays(np.float64, (3, n), elements=st.floats(
-        -1e6, 1e6, allow_nan=False, allow_infinity=False)))
-    values[geom.normal_comp] = zero              # a tangential field
+@given(data=st.data(), preset=st.sampled_from(["flat-shear", "rigid-annulus"]),
+       n=st.integers(3, 40))
+def test_mask_shortcut_equals_explicit_split(data, preset, n):
+    # random u and ansatz in the flow component: the row's R:full, R:P and
+    # R:I-P are volume_norm of the (3, n) R and of its leray_project parts
+    cfg = get_preset(preset)
+    geom, nu = cfg.geometry, cfg.nu_list[-1]
+    times = np.array(cfg.t_eval)
+    u, u_approx = (data.draw(arrays(np.float64, (len(times), n), elements=st.floats(
+        -1e6, 1e6, allow_nan=False, allow_infinity=False))) for _ in range(2))
     coords = geom.volume_grid(n)
-    got = remainder_norms(VolumeGrid(geom, coords), values, STUDY_SPECS)
-    assert got == _split_norms(geom, coords, values)
+    sol = ViscousSolution(nu=nu, geom=geom, coords=coords, times=times, u=u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(study, "solve_reference", lambda *args: sol)
+        mp.setattr(study, "assemble_ansatz", lambda *args, **kwargs: u_approx)
+        rows = study._solve_one_nu(cfg, None, nu)
+    got = {(t, label, part): v for _, t, label, v, part in rows}
+    for jt, t in enumerate(times):
+        values = np.zeros((3, n))
+        values[geom.flow_comp] = (u[jt] - u_approx[jt]) / nu
+        vf = VolumeField(geom=geom, coords=coords, values=values)
+        p_field, g_field = leray_project(vf)
+        for spec in STUDY_SPECS:
+            for part, field in (("full", vf), ("P", p_field), ("I-P", g_field)):
+                assert got[(t, spec.label, f"R:{part}")] == volume_norm(field, spec)
 
 
 # ---------------------------------------------------------------------------
