@@ -104,11 +104,12 @@ def cli_main(argv=None) -> int:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "ns_solution.dat")
             lines = ["# t coord u_comp0 u_comp1 u_comp2"]
-            for it, t in enumerate(sol.times):
-                vals = sol.at(it)
-                for j, x in enumerate(sol.coords):
-                    comps = " ".join(repr(float(vals[c, j])) for c in range(3))
-                    lines.append(f"{float(t)!r} {float(x)!r} {comps}")
+            # the two components off the flow's are exactly zero
+            comps, slot = ["0.0"] * 3, sol.geom.flow_comp
+            for t, u in zip(sol.times, sol.u):
+                for x, v in zip(sol.coords, u):
+                    comps[slot] = repr(float(v))
+                    lines.append(f"{float(t)!r} {float(x)!r} {' '.join(comps)}")
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             print(f"wrote {path}")

@@ -1,4 +1,4 @@
-"""Ansatz assembly, the remainder's wall identities, and the Weyl/Leray split.
+"""Ansatz assembly, the remainder's wall identity, and the Weyl/Leray split.
 
 The approximate field is u0 + sqrt(nu) u_b(x, phi/sqrt(nu)) + nu v, layer
 terms cut off inside the collar; the remainder R = (u_nu - ansatz)/nu is
@@ -7,16 +7,16 @@ the slow divergence of u_b, which vanishes here: u_b is tangential and does
 not vary along the wall or across the collar, so v = 0 and the ansatz is
 u0 + sqrt(nu) u_b.  Every studied flow carries one component,
 ``GeometryDescriptor.flow_comp``, and its layer moves only that one (g =
-curl u0 x n points along it), so the ansatz is that component alone, an
-(n_t, n) array; the study forms u - u0 and R from it one stored time at a
-time.
+curl u0 x n points along it), so the ansatz, u - u0 and R are each that
+component alone: (n_t, n) histories, (n,) arrays at one time.
 
 In the reduced symmetric geometries the Weyl decomposition is exact:
 gradients are precisely the wall-normal component fields and the
 divergence-free tangent fields are the remaining components, so the
-projector is a mask on the components: idempotent and orthogonal to
-round-off.  The flow component is tangential, so P R = R and (I - P) R = 0
-for every studied flow.
+projector is a mask on the components of a (3, n) field: idempotent and
+orthogonal to round-off.  It is the one three-component function here.
+The flow component is tangential, so P R = R and (I - P) R = 0 for every
+studied flow.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from . import geometry as geo
 from .errors import ConfigError
 from .euler import BaseFlow
 from .layer import LayerProfile, slow_curl_at_wall
-from .ns import ViscousSolution, time_index
-from .spaces import VolumeField, curl_volume, eval_profile_on_wall
+from .ns import ViscousSolution, time_index, vorticity
+from .spaces import eval_profile_on_wall
 
 
 def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
@@ -82,21 +82,19 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
 # ---------------------------------------------------------------------------
 
 
-def leray_project(vf: VolumeField):
-    """Split a volume field into (divergence-free tangent part, gradient part).
+def leray_project(geom: geo.GeometryDescriptor, values: np.ndarray):
+    """Split a (3, n) field into (divergence-free tangent part, gradient part).
 
     Exact in the reduced geometries: the gradient part is the wall-normal
     component (the gradient of its integral along the cross coordinate),
     the projected part the tangential components.  Idempotent and
     orthogonal to round-off by construction.
     """
-    grad_vals = np.zeros_like(vf.values)
-    nc = vf.geom.normal_comp
-    grad_vals[nc] = vf.values[nc]
-    p_vals = vf.values - grad_vals
-    p_field = VolumeField(geom=vf.geom, coords=vf.coords, values=p_vals)
-    g_field = VolumeField(geom=vf.geom, coords=vf.coords, values=grad_vals)
-    return p_field, g_field
+    values = np.asarray(values, dtype=float)
+    grad_vals = np.zeros_like(values)
+    nc = geom.normal_comp
+    grad_vals[nc] = values[nc]
+    return values - grad_vals, grad_vals
 
 
 # ---------------------------------------------------------------------------
@@ -105,38 +103,31 @@ def leray_project(vf: VolumeField):
 
 
 def remainder_bc_residual(sol: ViscousSolution, u_approx: np.ndarray, times,
-                          profile: LayerProfile) -> tuple:
-    """Max-norm residuals of the two remainder wall identities.
+                          profile: LayerProfile) -> float:
+    """Max-norm residual of the remainder's tangential wall identity.
 
     R = (u_nu - ansatz)/nu is formed at each of ``times`` from the
     solution's stored time (an AlignmentError if it was not stored) and the
     matching row of ``u_approx``, the (n_t, n) ansatz on the solution's
-    grid.  First: R . n + v(t, 0) . n = 0.  Second (tangential, vector
-    magnitude): curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n
-    + curl_x v|_{z=0} x n = 0.  The corrector v is zero here (see the
-    module docstring), so its terms drop out of both identities.
+    grid.  The identity is curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n
+    + curl_x v|_{z=0} x n = 0; the corrector v is zero here (see the module
+    docstring).  Both curls are axial and n is a unit wall normal, so the
+    residual is |omega_R + b_theta / (r sqrt(nu))|, with omega_R the axial
+    vorticity of R and the layer term zero in the channel.  The normal
+    identity R . n + v . n = 0 holds exactly: R is the flow component
+    alone, which no wall normal has.
     """
     times = np.asarray(times, dtype=float)
     if np.shape(u_approx) != (len(times), len(sol.coords)):
         raise ConfigError(
             f"ansatz of shape {np.shape(u_approx)} does not match "
             f"{len(times)} times on the solution's {len(sol.coords)} points")
-    geom = sol.geom
-    res_n = 0.0
-    res_t = 0.0
+    res = 0.0
     for it, t in enumerate(times):
         ip = time_index(profile.times, t)
-        vf = sol.field_at(time_index(sol.times, t))
-        vf.values[geom.flow_comp] -= u_approx[it]
-        vf.values /= sol.nu
-        curl = curl_volume(vf)
-        for left, w in zip((True, False), geom.walls()):
-            i = 0 if left else -1
-            rn = float(vf.values[:, i] @ w.normal)
-            res_n = max(res_n, abs(rn))
-            curl_wall = curl[:, i]
-            term_r = np.cross(curl_wall, w.normal)
-            cx = slow_curl_at_wall(profile, w.wall_id, ip)
-            term_b = np.cross(cx, w.normal) / math.sqrt(sol.nu)
-            res_t = max(res_t, float(np.linalg.norm(term_r + term_b)))
-    return res_n, res_t
+        rem = (sol.u[time_index(sol.times, t)] - u_approx[it]) / sol.nu
+        omega = vorticity(sol.geom, sol.coords, rem)
+        for i, w in zip((0, -1), sol.geom.walls()):
+            layer = slow_curl_at_wall(profile, w.wall_id, ip) / math.sqrt(sol.nu)
+            res = max(res, abs(float(omega[i]) + layer))
+    return res

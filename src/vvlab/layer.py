@@ -188,18 +188,18 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
 # ---------------------------------------------------------------------------
 
 
-def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> np.ndarray:
-    """curl_x of the tangential profile at z = 0 on the wall, shape (3,).
+def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> float:
+    """Axial component of curl_x of the tangential profile at z = 0, its
+    only nonzero one.
 
     u_b does not vary along the collar, so only the curvature term of the
-    annulus remains: curl_x = (0, 0, b_th / r).  The channel gives zero.
+    annulus remains: b_th / r.  The channel gives zero.
     """
-    out = np.zeros(3)
-    if profile.geom.kind == geo.ANNULUS_GAP:
-        w = profile.walls[wall_id]
-        b_th = w.ub[it][w.tangent_names.index("theta"), 0]
-        out[2] = b_th / profile.geom.wall(wall_id).coord
-    return out
+    if profile.geom.kind != geo.ANNULUS_GAP:
+        return 0.0
+    w = profile.walls[wall_id]
+    b_th = w.ub[it][w.tangent_names.index("theta"), 0]
+    return float(b_th / profile.geom.wall(wall_id).coord)
 
 
 def wall_value(profile: LayerProfile, wall_id: str, it: int) -> np.ndarray:

@@ -10,8 +10,8 @@ so the solver reduces to one parabolic equation in the cross coordinate:
 One solver, ``solve_ns``, serves both: the geometry picks the operator and
 the drive, everything else is shared.  The solution stores only the one
 component the flow carries (``GeometryDescriptor.flow_comp``), an (n_t, n)
-history; the other two velocity components are exactly zero and a stored
-time's (3, n) field is built on demand by ``ViscousSolution.at``.
+history; the other two velocity components are exactly zero and are never
+formed.  Its vorticity is the axial one alone, ``vorticity``.
 
 Time stepping is Crank-Nicolson, second order in space; the wall condition
 is folded into the operator through a ghost node eliminated with the
@@ -44,7 +44,7 @@ import numpy as np
 from . import geometry as geo
 from ._lapack import dpttrf, dpttrs
 from .errors import AlignmentError, ConfigError, SolverError, StepSizeError
-from .spaces import VolumeField, curl_volume
+from .spaces import diff_along
 
 MIN_POINTS = 32
 
@@ -56,16 +56,6 @@ class ViscousSolution:
     coords: np.ndarray
     times: np.ndarray
     u: np.ndarray                  # (n_t, n): the flow component, geom.flow_comp
-
-    def at(self, it: int) -> np.ndarray:
-        """The (3, n) velocity at stored index ``it``, zero off flow_comp."""
-        out = np.zeros((3, len(self.coords)))
-        out[self.geom.flow_comp] = self.u[it]
-        return out
-
-    def field_at(self, it: int) -> VolumeField:
-        return VolumeField(geom=self.geom, coords=self.coords,
-                           values=self.at(it))
 
 
 def _swirl_operator(r: np.ndarray):
@@ -274,6 +264,17 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
 # ---------------------------------------------------------------------------
 
 
+def vorticity(geom: geo.GeometryDescriptor, coords: np.ndarray,
+              u: np.ndarray) -> np.ndarray:
+    """Axial vorticity of the flow component u on ``coords``, the only
+    nonzero component of its curl: (1/r) d(r u)/dr = u' + u/r in the
+    annulus, -u' in the channel."""
+    d = diff_along(u, coords, axis=-1)
+    if geom.kind == geo.ANNULUS_GAP:
+        return d + u / coords
+    return -d
+
+
 def energy_identity_residual(sol: ViscousSolution) -> np.ndarray:
     """Per stored interval: |d(E)/dt + nu ||curl u||^2| / E_0.
 
@@ -282,14 +283,10 @@ def energy_identity_residual(sol: ViscousSolution) -> np.ndarray:
     curl.  The solution must be stored densely enough in time.
     """
     w = sol.geom.quadrature_weights(sol.coords)
-    n_t = len(sol.times)
-    # the other components are +0.0, so |u|^2 is the live one squared
-    energy = np.array([0.5 * float(np.sum(w * sol.u[i] ** 2))
-                       for i in range(n_t)])
-    diss = np.array([
-        float(np.sum(w * np.sum(curl_volume(sol.field_at(i)) ** 2, axis=0)))
-        for i in range(n_t)
-    ])
+    # the other components are zero: |u|^2 is u^2 and |curl u|^2 is omega^2
+    energy = np.array([0.5 * float(np.sum(w * u**2)) for u in sol.u])
+    diss = np.array([float(np.sum(w * vorticity(sol.geom, sol.coords, u) ** 2))
+                     for u in sol.u])
     e0 = energy[0] if energy[0] > 0 else 1.0
     dts = np.diff(sol.times)
     res = np.abs(np.diff(energy) / dts

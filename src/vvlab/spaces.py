@@ -8,6 +8,10 @@ truncation height Z_max with exp(-Z_max) < 1e-14.  Derivatives are centered
 second-order differences on the mapped nodes (one-sided at the ends);
 integrals are trapezoid sums.  That discretization is the documented error
 model of every norm here.
+
+A volume field is one (n,) array on a geometry's cross coordinates: the
+flow component (``GeometryDescriptor.flow_comp``) of a tangential flow,
+whose other two components are exactly zero, so |u| is its absolute value.
 """
 
 from __future__ import annotations
@@ -68,8 +72,10 @@ class FastGrid:
     def __post_init__(self):
         if self.nz < 8:
             raise ConfigError("fast grid needs nz >= 8")
-        if self.zmax <= 0 or self.stretch <= 0:
-            raise ConfigError("zmax and stretch must be positive")
+        for name in ("zmax", "stretch"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"fast grid {name} must be finite and positive, got {value}")
         xi_max = 1.0 - math.exp(-self.zmax / self.stretch)
         xi = np.linspace(0.0, xi_max, self.nz)
         z = -self.stretch * np.log1p(-xi)
@@ -210,44 +216,8 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# volume fields and norms
+# volume norms
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VolumeField:
-    """Vector field sampled on a cross-coordinate grid of a geometry.
-
-    ``values`` has shape (3, n) in the geometry component frame.
-    """
-
-    geom: geo.GeometryDescriptor
-    coords: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (3, len(self.coords)):
-            raise ConfigError("volume field values must have shape (3, n)")
-
-
-def curl_volume(vf: VolumeField) -> np.ndarray:
-    """Curl of a reduced volume field, shape (3, n).
-
-    Channel u = (u_x(y), u_y(y), u_z(y)): curl = (u_z', 0, -u_x').
-    Annulus u = (u_r(r), u_t(r), u_a(r)): curl = (0, -u_a', (1/r) d(r u_t)/dr).
-    """
-    d = diff_along(vf.values, vf.coords, axis=-1)
-    out = np.zeros_like(vf.values)
-    if vf.geom.kind == geo.FLAT_CHANNEL:
-        out[0] = d[2]
-        out[2] = -d[0]
-    else:
-        r = vf.coords
-        out[1] = -d[2]
-        out[2] = d[1] + vf.values[1] / r
-    return out
 
 
 @dataclass(frozen=True)
@@ -317,26 +287,20 @@ class VolumeGrid:
     def _deriv_weights(self):
         return _first_deriv_matrix_weights(self.coords)
 
-    def grad_sq(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise |grad u|^2 including the frame-curvature terms.
-
-        Channel (fields of y only): sum of squared y-derivatives.  Annulus
-        (axisymmetric, axially invariant): sum of squared radial derivatives
-        plus (u_rad^2 + u_theta^2)/r^2, of the live (not all-zero) components.
-        """
-        live = np.flatnonzero(np.any(values, axis=1))
-        d = _apply_first_deriv(self._deriv_weights, values[live])
-        out = np.sum(d**2, axis=0)
+    def grad_sq(self, u: np.ndarray) -> np.ndarray:
+        """Pointwise |grad u|^2 of the flow component u, frame curvature
+        included: u'^2 in the channel (u = u_x(y)), u'^2 + u^2/r^2 in the
+        annulus (u = u_theta(r))."""
+        out = _apply_first_deriv(self._deriv_weights, u) ** 2
         if self.geom.kind == geo.ANNULUS_GAP:
-            r = self.coords
-            out = out + np.sum(values[live[live < 2]] ** 2, axis=0) / r**2
+            out = out + u**2 / self.coords**2
         return out
 
-    def norms(self, values: np.ndarray, specs) -> list:
-        """The lp / linf / h1 norms ``specs`` of one (3, n) field, forming
-        its magnitude |u| once from the components that are not all zero."""
-        values = np.asarray(values, dtype=float)
-        mag = np.sqrt(np.sum(values[np.any(values, axis=1)] ** 2, axis=0))
+    def norms(self, u: np.ndarray, specs) -> list:
+        """The lp / linf / h1 norms ``specs`` of one (n,) field: the flow
+        component, or for lp and linf a pointwise magnitude."""
+        u = np.asarray(u, dtype=float)
+        mag = np.abs(u)
         out = []
         for spec in specs:
             if spec.kind == "linf":
@@ -345,19 +309,11 @@ class VolumeGrid:
                 out.append(float(np.sum(self.weights * mag**spec.p) ** (1.0 / spec.p)))
             elif spec.kind == "h1":
                 out.append(float(np.sqrt(np.sum(
-                    self.weights * (mag**2 + self.grad_sq(values))))))
+                    self.weights * (mag**2 + self.grad_sq(u))))))
             else:
                 raise ConfigError(
                     f"norm {spec.label!r} does not apply to volume fields")
         return out
-
-
-def volume_norm(vf: VolumeField, spec) -> float:
-    """Evaluate an lp / linf / h1 norm of a volume field (one-shot
-    VolumeGrid.norms)."""
-    if isinstance(spec, str):
-        spec = parse_norm(spec)
-    return VolumeGrid(vf.geom, vf.coords).norms(vf.values, [spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +323,7 @@ def volume_norm(vf: VolumeField, spec) -> float:
 
 @dataclass
 class LayerEvalResult:
-    field: VolumeField
+    values: np.ndarray             # (n_comp, n) on the geometry's volume grid
     norm: float
     p: float
     asymptotic_warning: bool
@@ -447,17 +403,14 @@ def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
     total = np.zeros((pf.n_comp, len(coords)))
     for w in geom.walls():
         total += eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
-    vals3 = np.zeros((3, len(coords)))
-    vals3[: pf.n_comp] = total
-    vf = VolumeField(geom=geom, coords=coords, values=vals3)
     warn = math.sqrt(nu) > geom.eta / 4.0
     if warn:
         warnings.warn("sqrt(nu) exceeds eta/4: asymptotic collar regime violated")
-    if math.isinf(p):
-        nrm = volume_norm(vf, NormSpec(label="linf", kind="linf", p=p))
-    else:
-        nrm = volume_norm(vf, NormSpec(label=f"lp:{p}", kind="lp", p=p))
-    return LayerEvalResult(field=vf, norm=nrm, p=p, asymptotic_warning=warn)
+    spec = NormSpec(label="linf", kind="linf", p=p) if math.isinf(p) \
+        else NormSpec(label=f"lp:{p}", kind="lp", p=p)
+    mag = np.sqrt(np.sum(total**2, axis=0))
+    nrm = VolumeGrid(geom, coords).norms(mag, [spec])[0]
+    return LayerEvalResult(values=total, norm=nrm, p=p, asymptotic_warning=warn)
 
 
 @dataclass
@@ -506,26 +459,29 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
 # ---------------------------------------------------------------------------
 
 
-def hardy_ratio(vf: VolumeField, p: float, beta: float) -> float:
+def hardy_ratio(geom: geo.GeometryDescriptor, coords: np.ndarray,
+                u: np.ndarray, p: float, beta: float) -> float:
     """Ratio int |u|^p / d^{p-beta} over int |grad u|^p d^beta.
 
-    ``d`` is the raw distance to the nearest wall.  The field must vanish at
-    the wall nodes (compact support up to quadratic contact is enough for
-    the quadrature).  Gradients are plain cross-coordinate derivatives.
+    ``u`` is one component on the cross coordinates ``coords``; ``d`` is
+    the raw distance to the nearest wall.  The field must vanish at the wall
+    nodes (compact support up to quadratic contact is enough for the
+    quadrature).  Gradients are plain cross-coordinate derivatives.
     """
     if beta >= p - 1:
         raise InvalidParameterError("Hardy needs beta < p - 1")
-    d = geo.min_wall_distance(vf.geom, vf.coords)
-    mag = np.sqrt(np.sum(vf.values**2, axis=0))
+    coords = np.asarray(coords, dtype=float)
+    d = geo.min_wall_distance(geom, coords)
+    mag = np.abs(u)
     at_wall = d <= 0
     if np.any(mag[at_wall] != 0.0):
         raise InvalidParameterError("field must vanish on the wall nodes")
     if np.all(mag == 0.0):
         return 0.0
-    w = vf.geom.quadrature_weights(vf.coords)
+    w = geom.quadrature_weights(coords)
     interior = ~at_wall
     lhs = float(np.sum(w[interior] * mag[interior] ** p / d[interior] ** (p - beta)))
-    dmag = np.sqrt(np.sum(diff_along(vf.values, vf.coords, axis=-1) ** 2, axis=0))
+    dmag = np.abs(diff_along(u, coords, axis=-1))
     rhs = float(np.sum(w * dmag**p * d**beta))
     return lhs / rhs
 

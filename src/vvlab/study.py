@@ -161,6 +161,14 @@ class StudyConfig:
                     f"the reference solve's t_end = {self.ns.t_end}")
 
 
+def _required(sec, key: str, cast=float):
+    """The value of ``key`` in config section ``sec``; a missing key is a
+    ConfigError naming it."""
+    if key not in sec:
+        raise ConfigError(f"config section [{sec.name}] needs a {key!r} key")
+    return cast(sec[key])
+
+
 def parse_config_file(path) -> StudyConfig:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -169,16 +177,16 @@ def parse_config_file(path) -> StudyConfig:
     try:
         g = cp["geometry"]
         if g.get("kind") == geo.FLAT_CHANNEL:
-            geom = geo.flat_channel(h=g.getfloat("h"), eta=g.getfloat("eta"))
+            geom = geo.flat_channel(h=_required(g, "h"), eta=_required(g, "eta"))
         elif g.get("kind") == geo.ANNULUS_GAP:
-            geom = geo.annulus_gap(r1=g.getfloat("r1"), r2=g.getfloat("r2"),
-                                   eta=g.getfloat("eta"))
+            geom = geo.annulus_gap(r1=_required(g, "r1"), r2=_required(g, "r2"),
+                                   eta=_required(g, "eta"))
         else:
             raise ConfigError(f"unknown geometry kind {g.get('kind')!r}")
 
         e = cp["euler"]
         espec = EulerSpec(
-            family=e.get("family"),
+            family=_required(e, "family", str),
             omega=e.getfloat("omega", fallback=1.0),
             circulation=e.getfloat("circulation", fallback=1.0),
         )
@@ -377,9 +385,9 @@ def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSo
 def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     """Rows for a single viscosity: velocity-error and remainder norms.
 
-    u - u0, then R, is written into the flow component of one (3, n) zero
-    buffer one time at a time.  R is tangential, so its "P" norms are its
-    own and its "I-P" norms are 0.0.
+    u - u0, then R, is written into one (n,) buffer of the flow component
+    one time at a time.  R is tangential, so its "P" norms are its own and
+    its "I-P" norms are 0.0.
     """
     geom = config.geometry
     flow = config.euler.build(geom)
@@ -388,19 +396,18 @@ def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords, times=times)
     u0 = flow.profile.value(sol.coords)
     grid = VolumeGrid(geom, sol.coords)
-    buf = np.zeros((3, len(sol.coords)))
-    row = buf[geom.flow_comp]
+    row = np.empty(len(sol.coords))
     rows = []
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(times):
         t = float(t)
         u = sol.u[time_index(sol.times, t)]
         np.subtract(u, u0, out=row)
-        for spec, value in zip(specs, grid.norms(buf, specs)):
+        for spec, value in zip(specs, grid.norms(row, specs)):
             rows.append((nu, t, spec.label, value, "u"))
         np.subtract(u, u_approx[jt], out=row)
         row /= nu
-        for spec, value in zip(specs, grid.norms(buf, specs)):
+        for spec, value in zip(specs, grid.norms(row, specs)):
             for part, v in (("full", value), ("P", value), ("I-P", 0.0)):
                 rows.append((nu, t, spec.label, v, f"R:{part}"))
     return rows

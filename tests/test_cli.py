@@ -149,15 +149,32 @@ def test_jobs_only_on_study_rates(argv, capsys):
     assert cli_main(argv + ["--preset", "vortex-annulus", "--jobs", "7"]) == 2
 
 
-def test_zero_layer_zmax_is_a_config_error(tmp_path, capsys):
-    # zmax = 0 is a value, not "auto": it must not fall back to the default
+@pytest.mark.parametrize("zmax", ["0", "nan", "inf"])
+def test_zero_layer_zmax_is_a_config_error(tmp_path, capsys, zmax):
+    # zmax = 0 is a value, not "auto": it must not fall back to the default;
+    # a non-finite zmax is named before it reaches the layer march
     cfg = tmp_path / "mini.cfg"
-    cfg.write_text(MINI_CFG.replace("nz = 64\n", "nz = 64\nzmax = 0\n"))
+    cfg.write_text(MINI_CFG.replace("nz = 64\n", f"nz = 64\nzmax = {zmax}\n"))
     code = cli_main(["layer", "solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "zmax" in capsys.readouterr().err
+    assert f"zmax must be finite and positive, got {float(zmax)}" \
+        in capsys.readouterr().err
     assert not (tmp_path / "out" / "layer_profile.dat").exists()
+
+
+@pytest.mark.parametrize("section, key", [("euler", "family"), ("geometry", "eta"),
+                                          ("geometry", "h")])
+def test_missing_config_key_exits_2_naming_it(tmp_path, capsys, section, key):
+    cfg = tmp_path / "mini.cfg"
+    text = "".join(line for line in MINI_CFG.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ="))
+    cfg.write_text(text)
+    code = cli_main(["study", "rates", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"[{section}] needs a {key!r} key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("nu", ["0", "-1e-3"])
@@ -211,8 +228,13 @@ def test_ns_solve_file_matches_golden(tmp_path, capsys, name, text):
     cfg.write_text(text)
     assert cli_main(["ns", "solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-    digest = hashlib.sha256(
-        (tmp_path / "out" / "ns_solution.dat").read_bytes()).hexdigest()
+    data = (tmp_path / "out" / "ns_solution.dat").read_bytes()
+    # the two components off the flow's are written as exact zeros
+    flow = 3 if name == "swirl" else 2
+    assert {field for line in data.decode().splitlines()[1:]
+            for i, field in enumerate(line.split()) if i >= 2 and i != flow} \
+        == {"0.0"}
+    digest = hashlib.sha256(data).hexdigest()
     golden = pathlib.Path(__file__).parent / "golden" / "ns_solution.sha256"
     want = dict(line.split()[::-1] for line in golden.read_text().splitlines())
     assert digest == want[name]

@@ -19,7 +19,6 @@ from vvlab.spaces import (
     AnisotropicIndex,
     FastGrid,
     ProfileField,
-    VolumeField,
     VolumeGrid,
     _GRONWALL_BLOCK,
     _not_a_knot,
@@ -32,7 +31,6 @@ from vvlab.spaces import (
     parse_norm,
     profile_from_callable,
     scaling_exponent_check,
-    volume_norm,
     weighted_norm,
 )
 
@@ -53,6 +51,14 @@ def test_fast_grid_invariants(grid):
     assert grid.z[0] == 0.0
     assert np.all(np.diff(grid.z) > 0)
     assert math.exp(-grid.z[-1]) < 1e-14
+
+
+@pytest.mark.parametrize("name, value", [("zmax", math.nan), ("zmax", math.inf),
+                                         ("stretch", math.nan), ("stretch", math.inf),
+                                         ("stretch", 0.0)])
+def test_fast_grid_needs_finite_positive_zmax_and_stretch(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite and positive, got {value}"):
+        FastGrid(nz=64, **{name: value})
 
 
 def test_zero_field_all_indices(grid):
@@ -178,7 +184,7 @@ def test_two_node_grid_is_a_config_error(channel):
     with pytest.raises(ConfigError, match="at least 3 nodes"):
         diff_along(values, x, axis=-1)
     with pytest.raises(ConfigError, match="at least 3 nodes"):
-        VolumeGrid(channel, x).norms(values, [parse_norm("h1")])
+        VolumeGrid(channel, x).norms(values[0], [parse_norm("h1")])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +195,7 @@ def test_two_node_grid_is_a_config_error(channel):
 def test_eval_zero_profile(channel, grid):
     pf = profile_from_callable(lambda z: 0.0 * z, grid)
     res = boundary_layer_eval(pf, channel, 1e-3)
-    assert np.all(res.field.values == 0.0)
+    assert np.all(res.values == 0.0)
     assert res.norm == 0.0
 
 
@@ -215,7 +221,8 @@ def test_eval_z_independent_field_is_cutoff(channel, grid):
     res = boundary_layer_eval(pf, channel, 1e-3, n_points=513)
     d = geo.min_wall_distance(channel, channel.volume_grid(513))
     want = geo.collar_cutoff(channel, d)
-    assert np.allclose(res.field.values[0], want, atol=1e-12)
+    assert res.values.shape == (1, 513)
+    assert np.allclose(res.values[0], want, atol=1e-12)
 
 
 @pytest.mark.parametrize("geom_name", ["channel", "annulus"])
@@ -324,23 +331,21 @@ def test_scaling_bounded_mode(channel, grid):
 
 
 def _bump_field(geom, n):
+    """Grid and a one-component bump that vanishes at both walls."""
     x = geom.volume_grid(n)
     d = geo.min_wall_distance(geom, x)
-    vals = np.zeros((3, n))
-    vals[0] = np.where(d < geom.eta,
-                       np.sin(np.pi * np.minimum(d, geom.eta) / geom.eta) ** 2,
-                       0.0)
-    return VolumeField(geom=geom, coords=x, values=vals)
+    u = np.where(d < geom.eta,
+                 np.sin(np.pi * np.minimum(d, geom.eta) / geom.eta) ** 2, 0.0)
+    return x, u
 
 
 def test_hardy_zero_field(channel):
     x = channel.volume_grid(101)
-    vf = VolumeField(geom=channel, coords=x, values=np.zeros((3, 101)))
-    assert hardy_ratio(vf, 2.0, 0.0) == 0.0
+    assert hardy_ratio(channel, x, np.zeros(101), 2.0, 0.0) == 0.0
 
 
 def test_hardy_bump_bounded(channel):
-    ratio = hardy_ratio(_bump_field(channel, 4001), 2.0, 0.0)
+    ratio = hardy_ratio(channel, *_bump_field(channel, 4001), 2.0, 0.0)
     assert ratio <= 4.0 / math.pi**2 * 1.5
     # dense quadrature oracle of the same 1d integrals
     s = np.linspace(1e-9, channel.eta, 200001)
@@ -351,14 +356,14 @@ def test_hardy_bump_bounded(channel):
 
 
 def test_hardy_grid_stability(channel):
-    r1 = hardy_ratio(_bump_field(channel, 2001), 2.0, 0.0)
-    r2 = hardy_ratio(_bump_field(channel, 4001), 2.0, 0.0)
+    r1 = hardy_ratio(channel, *_bump_field(channel, 2001), 2.0, 0.0)
+    r2 = hardy_ratio(channel, *_bump_field(channel, 4001), 2.0, 0.0)
     assert abs(r1 - r2) / r2 < 0.05
 
 
 def test_hardy_invalid_beta(channel):
     with pytest.raises(InvalidParameterError):
-        hardy_ratio(_bump_field(channel, 501), 2.0, 1.0)
+        hardy_ratio(channel, *_bump_field(channel, 501), 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -524,58 +529,40 @@ def test_parse_norm_strings():
 
 def test_volume_norms(channel):
     x = channel.volume_grid(4001)
-    vals = np.zeros((3, len(x)))
-    vals[0] = np.sin(np.pi * x)
-    vf = VolumeField(geom=channel, coords=x, values=vals)
-    assert volume_norm(vf, "l2") == pytest.approx(math.sqrt(0.5), rel=1e-5)
-    assert volume_norm(vf, "linf") == pytest.approx(1.0, rel=1e-5)
+    grid = VolumeGrid(channel, x)
+    l2, linf, h1, lp4 = grid.norms(np.sin(np.pi * x),
+                                   [parse_norm(s) for s in ("l2", "linf", "h1", "lp:4")])
+    assert l2 == pytest.approx(math.sqrt(0.5), rel=1e-5)
+    assert linf == pytest.approx(1.0, rel=1e-5)
     # |u|^2 + |u'|^2 integrates to 1/2 + pi^2/2
-    assert volume_norm(vf, "h1") == pytest.approx(
-        math.sqrt(0.5 + math.pi**2 / 2.0), rel=1e-4)
+    assert h1 == pytest.approx(math.sqrt(0.5 + math.pi**2 / 2.0), rel=1e-4)
     # lp:4 of sin: (int sin^4)^(1/4) = (3/8)^(1/4)
-    assert volume_norm(vf, "lp:4") == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-5)
+    assert lp4 == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-5)
 
 
-def _volume_norm_oracle(vf, spec):
-    """The volume norm formulas with every grid constant rebuilt per call."""
-    x = vf.coords
+def _embed(geom, u, rows=(0.0, 0.0, 0.0)):
+    """The (3, n) field that is ``u`` in the flow component and the value
+    of ``rows`` (+0.0 or -0.0) in each other row."""
+    values = np.empty((3, len(u)))
+    values[:] = np.reshape(rows, (3, 1))
+    values[geom.flow_comp] = u
+    return values
+
+
+def _volume_norm_oracle(geom, x, values, spec):
+    """The volume norm formulas over all three components of a (3, n)
+    field, with every grid constant rebuilt per call."""
     w = np.zeros_like(x)
     d = np.diff(x)
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
-    w = w * vf.geom.measure(x)
-    mag = np.sqrt(np.sum(vf.values**2, axis=0))
+    w = w * geom.measure(x)
+    mag = np.sqrt(np.sum(values**2, axis=0))
     if spec.kind == "linf":
         return float(mag.max(initial=0.0))
     if spec.kind == "lp":
         return float(np.sum(w * mag**spec.p) ** (1.0 / spec.p))
-    grad = np.sum(diff_along(vf.values, x, axis=-1) ** 2, axis=0)
-    if vf.geom.kind == geo.ANNULUS_GAP:
-        grad = grad + (vf.values[0] ** 2 + vf.values[1] ** 2) / x**2
-    return float(np.sqrt(np.sum(w * (mag**2 + grad))))
-
-
-@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
-@pytest.mark.parametrize("n", [3, 101, 4097])
-def test_volume_grid_matches_per_call_norms(request, geom_name, n):
-    # one grid, many fields: bit for bit the per-call formulas
-    geom = request.getfixturevalue(geom_name)
-    coords = geom.volume_grid(n)
-    grid = VolumeGrid(geom, coords)
-    specs = [parse_norm(s) for s in ("l2", "lp:4", "linf", "h1")]
-    rng = np.random.default_rng(n)
-    for _ in range(3):
-        vf = VolumeField(geom=geom, coords=coords,
-                         values=rng.normal(size=(3, n)) * rng.uniform(0.1, 10.0))
-        expected = [_volume_norm_oracle(vf, spec) for spec in specs]
-        assert grid.norms(vf.values, specs) == expected
-        assert [volume_norm(vf, spec) for spec in specs] == expected
-
-
-def test_volume_grid_rejects_aniso(channel):
-    grid = VolumeGrid(channel, channel.volume_grid(9))
-    with pytest.raises(ConfigError):
-        grid.norms(np.ones((3, 9)), [parse_norm("aniso:0,0,0,2")])
+    return float(np.sqrt(np.sum(w * (mag**2 + _grad_sq_oracle(geom, x, values)))))
 
 
 def _grad_sq_oracle(geom, x, values):
@@ -586,32 +573,56 @@ def _grad_sq_oracle(geom, x, values):
     return out
 
 
+@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
+@pytest.mark.parametrize("n", [3, 101, 4097])
+def test_volume_grid_matches_per_call_norms(request, geom_name, n):
+    # one grid, many flow components: bit for bit the per-call formulas
+    geom = request.getfixturevalue(geom_name)
+    coords = geom.volume_grid(n)
+    grid = VolumeGrid(geom, coords)
+    specs = [parse_norm(s) for s in ("l2", "lp:4", "linf", "h1")]
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        u = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+        expected = [_volume_norm_oracle(geom, coords, _embed(geom, u), spec)
+                    for spec in specs]
+        assert grid.norms(u, specs) == expected
+
+
+def test_volume_grid_rejects_aniso(channel):
+    grid = VolumeGrid(channel, channel.volume_grid(9))
+    with pytest.raises(ConfigError):
+        grid.norms(np.ones(9), [parse_norm("aniso:0,0,0,2")])
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(kind=st.sampled_from([geo.FLAT_CHANNEL, geo.ANNULUS_GAP]),
        n=st.integers(3, 48),
-       rows=st.tuples(*[st.sampled_from(["live", "zero", "-zero"])] * 3),
+       flow=st.sampled_from(["live", "zero", "-zero"]),
+       rows=st.tuples(*[st.sampled_from([0.0, -0.0])] * 3),
        seed=st.integers(0, 2**32 - 1))
-@example(kind=geo.ANNULUS_GAP, n=17, rows=("zero", "-zero", "zero"), seed=0)
-@example(kind=geo.FLAT_CHANNEL, n=17, rows=("-zero", "zero", "-zero"), seed=0)
-@example(kind=geo.ANNULUS_GAP, n=17, rows=("live", "zero", "zero"), seed=1)
-@example(kind=geo.FLAT_CHANNEL, n=17, rows=("zero", "live", "-zero"), seed=1)
-def test_live_component_norms_equal_all_component_formula(kind, n, rows, seed):
-    # norms and grad_sq skip the all-zero components (+0.0 or -0.0 rows);
-    # the formula over all three gives the same bits, also for the zero field
-    # and for a live normal component (row 0 in the annulus, 1 in the channel)
+@example(kind=geo.ANNULUS_GAP, n=17, flow="zero", rows=(-0.0, 0.0, -0.0), seed=0)
+@example(kind=geo.FLAT_CHANNEL, n=17, flow="-zero", rows=(0.0, -0.0, -0.0), seed=0)
+@example(kind=geo.ANNULUS_GAP, n=17, flow="live", rows=(-0.0, 0.0, -0.0), seed=1)
+@example(kind=geo.FLAT_CHANNEL, n=17, flow="live", rows=(0.0, -0.0, -0.0), seed=1)
+def test_live_component_norms_equal_all_component_formula(kind, n, flow, rows, seed):
+    # norms and grad_sq of the flow component alone give the bits of the
+    # formula over all three components of the embedded (3, n) field whose
+    # other rows are +0.0 or -0.0: sqrt(u^2) is |u| exactly while u^2 does
+    # not underflow, here for magnitudes from 1e-12 to 1e6 and the zero field
     geom = geo.flat_channel(1.0, eta=0.45) if kind == geo.FLAT_CHANNEL \
         else geo.annulus_gap(1.0, 2.0, eta=0.45)
     x = geom.volume_grid(n)
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-12, 6, size=(3, 1))
-    for i, mode in enumerate(rows):
-        if mode != "live":
-            values[i] = 0.0 if mode == "zero" else -0.0
-    vf = VolumeField(geom=geom, coords=x, values=values)
+    u = rng.normal(size=n) * 10.0 ** rng.uniform(-12, 6)
+    if flow != "live":
+        u[:] = 0.0 if flow == "zero" else -0.0
+    values = _embed(geom, u, rows)
     specs = [parse_norm(s) for s in ("l2", "lp:4", "lp:3.5", "linf", "h1")]
     grid = VolumeGrid(geom, x)
-    assert grid.norms(values, specs) == [_volume_norm_oracle(vf, spec) for spec in specs]
+    assert grid.norms(u, specs) == [_volume_norm_oracle(geom, x, values, spec)
+                                    for spec in specs]
     want = _grad_sq_oracle(geom, x, values)
-    got = grid.grad_sq(values)
+    got = grid.grad_sq(u)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -25,7 +25,7 @@ from vvlab.euler import (
 )
 from vvlab.expansion import leray_project
 from vvlab.ns import ViscousSolution
-from vvlab.spaces import VolumeField, parse_norm, volume_norm
+from vvlab.spaces import VolumeGrid, parse_norm
 from vvlab.study import (
     EulerSpec,
     LayerParams,
@@ -663,15 +663,12 @@ def test_json_diff_report_names_every_value():
     assert "formatting" in _describe_json_diffs(b'{"a": 1}', b'{"a":  1}')
 
 
-def test_golden_rigid_rates(tmp_path, rigid_report):
-    # byte comparison against the blessed first run
-    import pathlib
-
-    golden = pathlib.Path(__file__).parent / "golden" / "rigid_rates.json"
-    export_report(rigid_report, tmp_path)
+@pytest.mark.parametrize("name", ["rigid", "vortex", "flat"])
+def test_golden_rates(request, tmp_path, name):
+    # byte comparison against the blessed first run of each preset
+    golden = pathlib.Path(__file__).parent / "golden" / f"{name}_rates.json"
+    export_report(request.getfixturevalue(f"{name}_report"), tmp_path)
     produced = (tmp_path / "rates.json").read_bytes()
-    if not golden.exists():
-        pytest.skip("golden file not generated yet")
     expected = golden.read_bytes()
     assert produced == expected, _describe_json_diffs(expected, produced)
 
@@ -683,8 +680,8 @@ def test_golden_rigid_rates(tmp_path, rigid_report):
 
 def test_viscosity_row_peaks_under_3_75_live_component_histories():
     # the reference solution is its one live component, an (n_t, n) history;
-    # the zero layer's ansatz is u0 itself and u, u - u0 and R are (3, n)
-    # fields of one time at a time.  The row peaks near 3.3 histories; three
+    # the zero layer's ansatz is u0 itself and u, u - u0 and R are (n,)
+    # arrays of one time at a time.  The row peaks near 3.3 histories; three
     # stored components would add two by themselves
     cfg = get_preset("vortex-annulus")
     cfg.ns = NsParams(n=4096, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
@@ -715,8 +712,9 @@ def test_vortex_leray_rows_follow_the_mask(vortex_report):
 @given(data=st.data(), preset=st.sampled_from(["flat-shear", "rigid-annulus"]),
        n=st.integers(3, 40))
 def test_mask_shortcut_equals_explicit_split(data, preset, n):
-    # random u and ansatz in the flow component: the row's R:full, R:P and
-    # R:I-P are volume_norm of the (3, n) R and of its leray_project parts
+    # random u and ansatz in the flow component: leray_project of the
+    # embedded R returns R and exact zeros, so the row's R:full and R:P are
+    # the norms of R and its R:I-P are 0.0
     cfg = get_preset(preset)
     geom, nu = cfg.geometry, cfg.nu_list[-1]
     times = np.array(cfg.t_eval)
@@ -729,14 +727,18 @@ def test_mask_shortcut_equals_explicit_split(data, preset, n):
         mp.setattr(study, "assemble_ansatz", lambda *args, **kwargs: u_approx)
         rows = study._solve_one_nu(cfg, None, nu)
     got = {(t, label, part): v for _, t, label, v, part in rows}
+    grid = VolumeGrid(geom, coords)
     for jt, t in enumerate(times):
+        rem = (u[jt] - u_approx[jt]) / nu
         values = np.zeros((3, n))
-        values[geom.flow_comp] = (u[jt] - u_approx[jt]) / nu
-        vf = VolumeField(geom=geom, coords=coords, values=values)
-        p_field, g_field = leray_project(vf)
-        for spec in STUDY_SPECS:
-            for part, field in (("full", vf), ("P", p_field), ("I-P", g_field)):
-                assert got[(t, spec.label, f"R:{part}")] == volume_norm(field, spec)
+        values[geom.flow_comp] = rem
+        p_vals, g_vals = leray_project(geom, values)
+        assert np.array_equal(p_vals, values)
+        assert not np.any(np.signbit(g_vals)) and np.all(g_vals == 0.0)
+        for spec, value in zip(STUDY_SPECS, grid.norms(rem, STUDY_SPECS)):
+            assert got[(t, spec.label, "R:full")] == value
+            assert got[(t, spec.label, "R:P")] == value
+            assert repr(got[(t, spec.label, "R:I-P")]) == "0.0"
 
 
 # ---------------------------------------------------------------------------
