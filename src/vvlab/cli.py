@@ -23,6 +23,7 @@ from .study import (
     run_convergence_study,
     solve_reference,
     solve_study_layer,
+    study_setup,
 )
 
 
@@ -99,19 +100,21 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "ns":
-            flow = config.euler.build(config.geometry)
-            sol = solve_reference(config, flow, config.ns.nu or config.nu_list[0])
+            sol = solve_reference(study_setup(config),
+                                  config.ns.nu or config.nu_list[0])
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "ns_solution.dat")
-            lines = ["# t coord u_comp0 u_comp1 u_comp2"]
-            # the two components off the flow's are exactly zero
-            comps, slot = ["0.0"] * 3, sol.geom.flow_comp
-            for t, u in zip(sol.times, sol.u):
-                for x, v in zip(sol.coords, u):
-                    comps[slot] = repr(float(v))
-                    lines.append(f"{float(t)!r} {float(x)!r} {' '.join(comps)}")
+            # the two components off the flow's are exactly zero; each
+            # line is "t x u_comp0 u_comp1 u_comp2", every float its repr
+            slot = sol.geom.flow_comp
+            heads = [f"{x!r} " + "0.0 " * slot for x in sol.coords.tolist()]
+            tail = " 0.0" * (2 - slot)
             with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("# t coord u_comp0 u_comp1 u_comp2\n")
+                for t, u in zip(sol.times.tolist(), sol.u):
+                    stamp = f"{t!r} "
+                    fh.write("".join([f"{stamp}{head}{v!r}{tail}\n"
+                                      for head, v in zip(heads, u.tolist())]))
             print(f"wrote {path}")
             return 0
 

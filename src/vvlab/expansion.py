@@ -35,15 +35,17 @@ from .spaces import eval_profile_on_wall
 
 def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
                     geom: geo.GeometryDescriptor, nu: float,
-                    coords: np.ndarray, times=None) -> np.ndarray:
+                    coords: np.ndarray, times=None, u0=None) -> np.ndarray:
     """The (n_t, n) flow component of u0 + sqrt(nu) u_b at shared times.
 
     The order-nu corrector v is zero in these geometries (see the module
-    docstring).  u0 is ``flow.profile``, evaluated once and broadcast over
-    the times; sqrt(nu) u_b is added wall by wall with one evaluation of
-    each wall's stacked profiles.  A wall whose profiles are all zero (the
-    vortex and flat-shear layers: g = 0) adds nothing and is not evaluated;
-    when no wall adds, the result is u0's read-only broadcast, not a copy.
+    docstring).  u0 is ``flow.profile`` evaluated once, or ``u0``, its
+    values on ``coords`` where the caller has them (a study's set-up does),
+    and is broadcast over the times; sqrt(nu) u_b is added wall by wall
+    with one evaluation of each wall's stacked profiles.  A wall whose
+    profiles are all zero (the vortex and flat-shear layers: g = 0) adds
+    nothing and is not evaluated; when no wall adds, the result is u0's
+    read-only broadcast, not a copy.
     The collars are disjoint and a wall's layer is exactly zero outside its
     own, so each point receives at most one nonzero layer term.  A flow
     without a profile, or a layer that is nonzero off ``geom.flow_comp``,
@@ -59,7 +61,9 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     idx = [time_index(profile.times, t) for t in times]
 
     name = geom.comp_names[geom.flow_comp]
-    u0 = np.broadcast_to(flow.profile.value(coords), (len(times), len(coords)))
+    if u0 is None:
+        u0 = flow.profile.value(coords)
+    u0 = np.broadcast_to(u0, (len(times), len(coords)))
     u_approx = u0
     for w in geom.walls():
         pf = profile.profile(w.wall_id, idx)

@@ -21,8 +21,9 @@ incompatible start (the initial vorticity does not satisfy the wall
 condition), which keeps the scheme second order globally.
 
 Both the reference solve and the layer march (layer.py) step with
-``_cn_march``.  Their tridiagonal operators S have positive off-diagonal
-products, so a diagonal scaling makes I - a S symmetric positive definite.
+``_cn_steps``.  Their tridiagonal operators S have positive off-diagonal
+products, so a diagonal scaling makes I - a S symmetric positive definite
+(``_symmetrise``, which does not depend on the viscosity).
 Every Crank-Nicolson step is w <- 2 (I - a S)^{-1} (w + dt/2 src) - w,
 which is exact Crank-Nicolson because I + a S = 2 I - (I - a S).  The
 kernel factors B = (I - a S) / 2 once as L D L^T (LAPACK dpttrf); halving
@@ -30,6 +31,11 @@ is exact, so a solve with B is the doubled solve bit for bit, and a step
 is one in-place solve between an addition and a subtraction into
 preallocated arrays.  The march runs one store segment at a time and stops
 at the last stored step.
+
+A study solves at many viscosities on one grid, so the viscosity-free part
+of a reference solve (u0 on the grid, the drive L(u0), the symmetrised
+operator and the march's arrays) is a ``ReferenceSetup`` built once;
+``solve_ns`` is one solve on a set-up of its own.
 
 The pressure drops out of both manifolds' evolution and is not stored.
 """
@@ -152,55 +158,79 @@ def time_index(times: np.ndarray, t: float) -> int:
     return int(idx[0])
 
 
-def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
-              columns=None):
-    """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
-
-    ``op`` holds the (sub, main, super) diagonals of the tridiagonal S, so
-    each step solves (I - a S) w_new = (I + a S) w + dt src.  ``source`` is
-    either the constant src, shape (n,) or (n, m) for m columns sharing S,
-    or a callable ``source(k, w)`` giving the (n, columns) src of step k
-    from the current (n, columns) iterate.  The first ``rannacher`` steps
-    are two backward-Euler half steps each.  ``store_steps`` is sorted; the
-    march runs one store segment at a time and stops at the last one.
-    Returns w at ``store_steps``, shape (n_store,) + the shape of src.
-
-    With d_{i+1} / d_i = sqrt(up_i / lo_i), D (I - a S) D^{-1} is symmetric
-    with off-diagonal -a sqrt(up_i lo_i); the march runs on D w against
-    one dpttrf factorisation of B = (I - a S) / 2.  Halving is exact, so
-    B's factors are exactly half of those of I - a S and a dpttrs solve
-    with B returns 2 (I - a S)^{-1} v bit for bit: a step is
-    buf <- w + dt/2 src, buf <- B^{-1} buf, w <- buf - w, in place, and a
-    half step scales the solve by 0.5.  ``where`` names the stage, nu and
-    n in the errors: a non-positive off-diagonal product (ConfigError), a
-    failed factorisation or a non-finite stored iterate (SolverError).
-    """
+def _symmetrise(op, where):
+    """The viscosity-free part of the kernel's operator: the main diagonal
+    of the tridiagonal S, whose (sub, main, super) diagonals ``op`` holds,
+    the off-diagonal sqrt(up_i lo_i) of D S D^{-1} and the scale d,
+    d_{i+1} / d_i = sqrt(up_i / lo_i), that makes D S D^{-1} symmetric.  A
+    non-positive off-diagonal product is a ConfigError naming ``where``."""
     lo, di, up = (np.asarray(x, dtype=float) for x in op)
-    n = len(di)
     prod = lo * up
     bad = np.nonzero(~(prod > 0.0))[0]
     if len(bad):
         raise ConfigError(
             f"{where}: off-diagonal product up*lo = {prod[bad[0]]:.3g} <= 0 "
             f"at row {bad[0]}; the operator cannot be symmetrised")
-    diag, off, info = dpttrf(0.5 * (1.0 - a * di), -0.5 * a * np.sqrt(prod))
+    return di, np.sqrt(prod), np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))
+
+
+def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
+              columns=None):
+    """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0,
+    S given by its (sub, main, super) diagonals ``op``: ``_cn_steps`` on
+    ``_symmetrise(op, where)``."""
+    return _cn_steps(_symmetrise(op, where), a, dt, store_steps, source,
+                     where, rannacher=rannacher, columns=columns)
+
+
+def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
+              columns=None, work=None):
+    """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
+
+    ``sym`` is ``_symmetrise`` of the tridiagonal S, so each step solves
+    (I - a S) w_new = (I + a S) w + dt src.  ``source`` is either the
+    constant src, shape (n,) or (n, m) for m columns sharing S, or a
+    callable ``source(k, w)`` giving the (n, columns) src of step k from
+    the current (n, columns) iterate.  The first ``rannacher`` steps are two
+    backward-Euler half steps each.  ``store_steps`` is sorted; the march
+    runs one store segment at a time and stops at the last one.  Returns w
+    at ``store_steps``, shape (n_store,) + the shape of src.  ``work`` is
+    (w, buf, out) of those shapes to march in and store into instead of
+    allocating them; the result is then ``out``.
+
+    D (I - a S) D^{-1} is symmetric with off-diagonal -a sqrt(up_i lo_i);
+    the march runs on D w against one dpttrf factorisation of
+    B = (I - a S) / 2.  Halving is exact, so B's factors are exactly half of
+    those of I - a S and a dpttrs solve with B returns 2 (I - a S)^{-1} v
+    bit for bit: a step is buf <- w + dt/2 src, buf <- B^{-1} buf,
+    w <- buf - w, in place, and a half step scales the solve by 0.5.
+    ``where`` names the stage, nu and n in the errors: a failed
+    factorisation or a non-finite stored iterate (SolverError).
+    """
+    di, sym_off, scale = sym
+    diag, off, info = dpttrf(0.5 * (1.0 - a * di), -0.5 * a * sym_off,
+                             overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise SolverError(
             f"{where}: dpttrf failed (info = {info}); I - a S is not "
             f"positive definite at a = {a:.3g}")
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))
 
     varying = callable(source)
     half = 0.5 * dt
-    # a flat source marches 1-D arrays; columns march Fortran-ordered, the
-    # layout dpttrs solves in place and the fast one for numpy to combine
-    w = np.zeros((n, columns) if varying else np.shape(source), order="F")
+    if work is None:
+        # a flat source marches 1-D arrays; columns march Fortran-ordered,
+        # the layout dpttrs solves in place and the fast one for numpy to
+        # combine
+        w = np.zeros((len(di), columns) if varying else np.shape(source), order="F")
+        buf = np.empty_like(w)
+        out = np.empty((len(store_steps),) + w.shape)
+    else:
+        w, buf, out = work
+        w.fill(0.0)
     if w.ndim == 2:
         scale = scale[:, None]
     if not varying:
         hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
-    buf = np.empty_like(w)
-    out = np.zeros((len(store_steps),) + w.shape)
     k = 0
     for i, stop in enumerate(store_steps):
         for k in range(k, stop):
@@ -224,6 +254,67 @@ def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
     return out
 
 
+@dataclass(eq=False)
+class ReferenceSetup:
+    """The viscosity-free part of a reference solve on one grid.
+
+    A study solves at every viscosity on the same grid, time step and store
+    times, so it builds this once (``reference_setup``) and calls ``solve``
+    per viscosity: u0 on the grid, the drive L(u0), the symmetrised
+    operator (``_symmetrise``), the store steps, and the march's two (n,)
+    work arrays and (n_t, n) history are shared; every solve marches in
+    the same arrays.
+    """
+
+    geom: geo.GeometryDescriptor
+    coords: np.ndarray
+    u0: np.ndarray                 # the profile on coords
+    drive: np.ndarray              # L(u0), the nu-free drive
+    sym: tuple                     # _symmetrise of the operator
+    dt: float
+    store_steps: list
+    rannacher: int
+    work: tuple                    # (w, buf, history); w, buf free between solves
+
+    def solve(self, nu: float) -> ViscousSolution:
+        """The reference solution at ``nu``: u0 plus the march of the drive
+        nu*L(u0) at a = nu dt / 2.  Its history ``u`` is this set-up's own
+        array, which the next ``solve`` overwrites."""
+        where = (f"ns {'swirl' if self.geom.kind == geo.ANNULUS_GAP else 'channel'}"
+                 f" (nu={nu:g}, n={len(self.coords)})")
+        w = _cn_steps(self.sym, 0.5 * nu * self.dt, self.dt, self.store_steps,
+                      nu * self.drive, where, rannacher=self.rannacher,
+                      work=self.work)
+        w += self.u0                         # in place: w + u0 is u0 + w exactly
+        return ViscousSolution(nu=nu, geom=self.geom, coords=self.coords,
+                               times=np.array([k * self.dt for k in self.store_steps]),
+                               u=w)
+
+
+def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
+                    dt: float, t_end: float, store_times=None,
+                    store_every=None, rannacher: int = 2) -> ReferenceSetup:
+    """Build the viscosity-free part of ``solve_ns`` on ``n`` points: the
+    geometry picks operator and drive, a bad n, dt or store time is
+    refused here, before any viscosity."""
+    swirl = geom.kind == geo.ANNULUS_GAP
+    where = f"ns {'swirl' if swirl else 'channel'} (n={n})"
+    if n < MIN_POINTS:
+        raise ConfigError(f"{where}: n must be >= {MIN_POINTS}")
+    if not 0 < dt < math.inf:
+        raise StepSizeError(f"{where}: dt must be finite and positive, got {dt}")
+    operator, drive_of = (_swirl_operator, _drive_swirl) if swirl \
+        else (_channel_operator, _drive_channel)
+    x = geom.volume_grid(n)
+    _, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
+    return ReferenceSetup(geom=geom, coords=x, u0=u0_profile.value(x),
+                          drive=drive_of(x, u0_profile),
+                          sym=_symmetrise(operator(x), where), dt=dt,
+                          store_steps=store_steps, rannacher=rannacher,
+                          work=(np.empty(n), np.empty(n),
+                                np.empty((len(store_steps), n))))
+
+
 def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
              dt: float, t_end: float, store_times=None, store_every=None,
              rannacher: int = 2) -> ViscousSolution:
@@ -237,26 +328,11 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     the profile's exact derivatives, so w carries full relative precision
     even when it stays many orders below u0 (exact steady states then
     deviate only by the scheme's truncation, not by round-off of order-one
-    arithmetic).
+    arithmetic).  It is one ``ReferenceSetup.solve`` on a set-up of its
+    own, so no later solve writes into the result.
     """
-    swirl = geom.kind == geo.ANNULUS_GAP
-    where = f"ns {'swirl' if swirl else 'channel'} (nu={nu:g}, n={n})"
-    if n < MIN_POINTS:
-        raise ConfigError(f"{where}: n must be >= {MIN_POINTS}")
-    if not 0 < dt < math.inf:
-        raise StepSizeError(f"{where}: dt must be finite and positive, got {dt}")
-    operator, drive_of = (_swirl_operator, _drive_swirl) if swirl \
-        else (_channel_operator, _drive_channel)
-    x = geom.volume_grid(n)
-    u0 = u0_profile.value(x)
-    drive = drive_of(x, u0_profile)
-    _, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    w = _cn_march(operator(x), 0.5 * nu * dt, dt, store_steps, nu * drive,
-                  where, rannacher=rannacher)
-    w += u0                                  # in place: w + u0 is u0 + w exactly
-    return ViscousSolution(nu=nu, geom=geom, coords=x,
-                           times=np.array([k * dt for k in store_steps]),
-                           u=w)
+    return reference_setup(geom, u0_profile, n, dt, t_end, store_times=store_times,
+                           store_every=store_every, rannacher=rannacher).solve(nu)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,12 @@ def _apply_first_deriv(weights, v: np.ndarray) -> np.ndarray:
     of ``v`` (at least 3 nodes)."""
     cl, c0, cr = weights
     d = np.empty_like(v)
-    d[..., 1:-1] = cl[1:-1] * v[..., :-2] + c0[1:-1] * v[..., 1:-1] + cr[1:-1] * v[..., 2:]
+    # summed left to right in place: the bits of the three-term expression
+    # with one temporary instead of two
+    inner = d[..., 1:-1]
+    np.multiply(cl[1:-1], v[..., :-2], out=inner)
+    inner += c0[1:-1] * v[..., 1:-1]
+    inner += cr[1:-1] * v[..., 2:]
     d[..., 0] = c0[0] * v[..., 0] + cl[0] * v[..., 1] + cr[0] * v[..., 2]
     d[..., -1] = c0[-1] * v[..., -1] + cl[-1] * v[..., -2] + cr[-1] * v[..., -3]
     return d
@@ -271,8 +276,9 @@ class VolumeGrid:
     """One cross-coordinate grid of a geometry and the constants its volume
     norms share.
 
-    The quadrature weights and the first-derivative weights are built on
-    first use and kept, so one grid serves every field of a reference solve.
+    The quadrature weights, the first-derivative weights and the squared
+    coordinates are built on first use and kept, so one grid serves every
+    field of a study.
     """
 
     def __init__(self, geom: geo.GeometryDescriptor, coords: np.ndarray):
@@ -287,33 +293,60 @@ class VolumeGrid:
     def _deriv_weights(self):
         return _first_deriv_matrix_weights(self.coords)
 
-    def grad_sq(self, u: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _coords_sq(self) -> np.ndarray:
+        return self.coords**2
+
+    def grad_sq(self, u: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
         """Pointwise |grad u|^2 of the flow component u, frame curvature
         included: u'^2 in the channel (u = u_x(y)), u'^2 + u^2/r^2 in the
-        annulus (u = u_theta(r))."""
-        out = _apply_first_deriv(self._deriv_weights, u) ** 2
+        annulus (u = u_theta(r)).  ``sq`` is u^2 when the caller has it."""
+        out = _apply_first_deriv(self._deriv_weights, u)
+        np.square(out, out=out)
         if self.geom.kind == geo.ANNULUS_GAP:
-            out = out + u**2 / self.coords**2
+            out += (u**2 if sq is None else sq) / self._coords_sq
         return out
 
     def norms(self, u: np.ndarray, specs) -> list:
         """The lp / linf / h1 norms ``specs`` of one (n,) field: the flow
-        component, or for lp and linf a pointwise magnitude."""
+        component, or for lp and linf a pointwise magnitude.
+
+        |u|^2, which is u^2 bit for bit, is formed once for l2, h1 and the
+        gradient.  Any other power is raised only where |u| != 0 and written
+        into zeros: pow(0, p) is +0.0, the same bits, while the zeros of a
+        field skip pow's slow path; a NaN is != 0 and still propagates.
+        """
         u = np.asarray(u, dtype=float)
         mag = np.abs(u)
+        sq = None
         out = []
         for spec in specs:
             if spec.kind == "linf":
                 out.append(float(mag.max(initial=0.0)))
-            elif spec.kind == "lp":
-                out.append(float(np.sum(self.weights * mag**spec.p) ** (1.0 / spec.p)))
-            elif spec.kind == "h1":
-                out.append(float(np.sqrt(np.sum(
-                    self.weights * (mag**2 + self.grad_sq(u))))))
+            elif spec.kind in ("lp", "h1"):
+                if sq is None and (spec.kind == "h1" or spec.p == 2.0):
+                    sq = np.square(mag)
+                out.append(self._integral_norm(u, mag, sq, spec))
             else:
                 raise ConfigError(
                     f"norm {spec.label!r} does not apply to volume fields")
         return out
+
+    def _integral_norm(self, u, mag, sq, spec) -> float:
+        """The lp or h1 norm ``spec`` of u, given |u| and, for l2 and h1,
+        |u|^2.  A density that is this norm's own is summed and weighted in
+        place: a sum and a product take the same bits in either order."""
+        if spec.kind == "h1":
+            dens = self.grad_sq(u, sq)
+            dens += sq
+            dens *= self.weights
+            return float(np.sqrt(np.sum(dens)))
+        if spec.p == 2.0:
+            return float(np.sum(self.weights * sq) ** (1.0 / spec.p))
+        dens = np.zeros_like(mag)
+        np.power(mag, spec.p, out=dens, where=mag != 0.0)
+        dens *= self.weights
+        return float(np.sum(dens) ** (1.0 / spec.p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Convergence-study driver: viscosity sweeps, rate fits, reports.
 
-A study solves the layer once (it does not depend on the viscosity), then
-for each viscosity solves the reference problem, assembles the ansatz,
-and records sup-over-time error norms of u_nu - u0 and remainder norms.
+A study solves the layer once and builds the rest of what does not depend
+on the viscosity once (``StudySetup``), then for each viscosity solves the
+reference problem, assembles the ansatz, and records sup-over-time error
+norms of u_nu - u0 and remainder norms.
 Both fields are the flow's one component, ``geometry.flow_comp``: the
 tangential R is its own Leray part (R:P = R:full) and its gradient part
 R:I-P is exactly 0.
@@ -45,7 +46,7 @@ from .euler import (
 )
 from .expansion import assemble_ansatz
 from .layer import LayerProfile, solve_layer
-from .ns import ViscousSolution, solve_ns, time_index
+from .ns import ReferenceSetup, ViscousSolution, reference_setup, time_index
 from .spaces import DEFAULT_ZMAX, FastGrid, VolumeGrid, parse_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
@@ -203,7 +204,7 @@ def parse_config_file(path) -> StudyConfig:
         npar = NsParams()
         if cp.has_section("ns"):
             sec = cp["ns"]
-            # the first key that is set, so an explicit 0 reaches solve_ns
+            # the first key that is set, so an explicit 0 reaches reference_setup
             n = next((sec.getint(k) for k in ("nr", "ny", "n") if k in sec), npar.n)
             npar = NsParams(
                 n=n,
@@ -373,30 +374,61 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
                        store_times=config.t_eval)
 
 
-def solve_reference(config: StudyConfig, flow: BaseFlow, nu: float) -> ViscousSolution:
-    """Viscous reference solve at ``nu`` from the base flow's profile, the
-    one form of u0 it takes: swirl in the annulus, shear in the channel,
-    stored at ``config.t_eval``."""
-    return solve_ns(config.geometry, flow.profile, nu, n=config.ns.n,
-                    dt=config.ns.dt, t_end=config.ns.t_end,
-                    store_times=config.t_eval)
+@dataclass(eq=False)
+class StudySetup:
+    """Everything a study's viscosity rows share, built once per study by
+    ``study_setup``: the base flow, the viscosity-free part of the
+    reference solve (``ns.ReferenceSetup``: the grid, u0 on it, the drive
+    L(u0), the symmetrised operator and the march's arrays), one
+    ``VolumeGrid`` of the norms and the row's (n,) buffer.  A row keeps
+    only the work that depends on nu, and reuses the arrays of the row
+    before it."""
+
+    config: StudyConfig
+    flow: BaseFlow
+    ref: ReferenceSetup
+    grid: VolumeGrid
+    row: np.ndarray                 # u - u0, then R, one time at a time
+
+    def __reduce__(self):
+        # the base flow holds closures, which do not pickle: a pool's
+        # worker rebuilds the set-up from the config
+        return study_setup, (self.config,)
 
 
-def _solve_one_nu(config: StudyConfig, profile: LayerProfile, nu: float):
+def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup:
+    """The viscosity-free set-up of ``config``'s rows: the reference solve
+    from the base flow's profile, the one form of u0 it takes (swirl in the
+    annulus, shear in the channel), stored at ``config.t_eval``."""
+    flow = flow or config.euler.build(config.geometry)
+    ref = reference_setup(config.geometry, flow.profile, n=config.ns.n,
+                          dt=config.ns.dt, t_end=config.ns.t_end,
+                          store_times=config.t_eval)
+    # the row buffer is the march's scratch array, free once a solve returns
+    return StudySetup(config=config, flow=flow, ref=ref,
+                      grid=VolumeGrid(config.geometry, ref.coords),
+                      row=ref.work[1])
+
+
+def solve_reference(setup: StudySetup, nu: float) -> ViscousSolution:
+    """Viscous reference solve at ``nu`` on a study's set-up; its history
+    is the set-up's own array, which the next solve overwrites."""
+    return setup.ref.solve(nu)
+
+
+def _solve_one_nu(setup: StudySetup, profile: LayerProfile, nu: float):
     """Rows for a single viscosity: velocity-error and remainder norms.
 
-    u - u0, then R, is written into one (n,) buffer of the flow component
-    one time at a time.  R is tangential, so its "P" norms are its own and
-    its "I-P" norms are 0.0.
+    u - u0, then R, is written into the set-up's (n,) buffer of the flow
+    component one time at a time.  R is tangential, so its "P" norms are
+    its own and its "I-P" norms are 0.0.
     """
-    geom = config.geometry
-    flow = config.euler.build(geom)
-    sol = solve_reference(config, flow, nu)
+    config = setup.config
+    sol = solve_reference(setup, nu)
     times = np.asarray(config.t_eval)
-    u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords, times=times)
-    u0 = flow.profile.value(sol.coords)
-    grid = VolumeGrid(geom, sol.coords)
-    row = np.empty(len(sol.coords))
+    u0, grid, row = setup.ref.u0, setup.grid, setup.row
+    u_approx = assemble_ansatz(setup.flow, profile, config.geometry, nu,
+                               sol.coords, times=times, u0=u0)
     rows = []
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(times):
@@ -423,9 +455,9 @@ def ProcessPoolExecutor(max_workers):
 def _worker(args):
     """One viscosity row; any exception becomes a failed row naming its
     type, so one bad row cannot abort the study."""
-    config, profile, nu = args
+    setup, profile, nu = args
     try:
-        return nu, _solve_one_nu(config, profile, nu), None
+        return nu, _solve_one_nu(setup, profile, nu), None
     except Exception as exc:
         return nu, None, f"{type(exc).__name__}: {exc}"
 
@@ -441,6 +473,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     t0 = time.perf_counter()
     flow = config.euler.build(config.geometry)
     profile = solve_study_layer(config, flow)
+    setup = study_setup(config, flow)
 
     results = {}
     failures = {}
@@ -448,7 +481,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         from concurrent.futures.process import BrokenProcessPool
         outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(nu, pool.submit(_worker, (config, profile, nu)))
+            futures = [(nu, pool.submit(_worker, (setup, profile, nu)))
                        for nu in config.nu_list]
             for nu, fut in futures:
                 # a worker killed outright breaks the pool and fails every
@@ -458,7 +491,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
                 except BrokenProcessPool as exc:
                     outcomes.append((nu, None, f"BrokenProcessPool: {exc}"))
     else:
-        outcomes = (_worker((config, profile, nu)) for nu in config.nu_list)
+        outcomes = (_worker((setup, profile, nu)) for nu in config.nu_list)
     for nu, rows, err in outcomes:
         if err is None:
             results[nu] = rows

@@ -587,6 +587,25 @@ def test_volume_grid_matches_per_call_norms(request, geom_name, n):
         expected = [_volume_norm_oracle(geom, coords, _embed(geom, u), spec)
                     for spec in specs]
         assert grid.norms(u, specs) == expected
+    # runs of +0.0 and -0.0, which the powers skip, and one NaN or inf,
+    # which must still reach every norm it reaches in the formulas (repr
+    # compares NaN as NaN)
+    live = rng.normal(size=n)
+    zeros = np.where(np.arange(n) % 7 < 3, 0.0, -0.0)
+    signed_zeros = np.where(np.arange(n) % 5 < 3, zeros, live)
+    fields = {"zeros": signed_zeros}
+    for bad in ("nan", "inf"):
+        fields[bad] = signed_zeros.copy()
+        fields[bad][n // 2] = float(bad)
+    got = {}
+    for name, u in fields.items():
+        with np.errstate(invalid="ignore"):
+            expected = [_volume_norm_oracle(geom, coords, _embed(geom, u), spec)
+                        for spec in specs]
+            got[name] = grid.norms(u, specs)
+        assert list(map(repr, got[name])) == list(map(repr, expected))
+    assert all(math.isnan(v) for v in got["nan"])
+    assert got["inf"][:3] == [math.inf] * 3
 
 
 def test_volume_grid_rejects_aniso(channel):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ from vvlab.euler import (
     swirl_base_flow,
 )
 from vvlab.expansion import leray_project
-from vvlab.ns import ViscousSolution
+from vvlab.ns import ViscousSolution, solve_ns
 from vvlab.spaces import VolumeGrid, parse_norm
 from vvlab.study import (
     EulerSpec,
@@ -473,10 +474,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     )
     real = study_mod._solve_one_nu
 
-    def flaky(config, profile, nu):
+    def flaky(setup, profile, nu):
         if nu == 3e-3:
             raise StepSizeError("synthetic failure")
-        return real(config, profile, nu)
+        return real(setup, profile, nu)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", flaky)
     with pytest.warns(UserWarning):
@@ -484,10 +485,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     assert list(report.meta["failed_rows"]) == [3e-3]
     assert len(report.norm_results["l2"]["rows"]) == 3
 
-    def broken(config, profile, nu):
+    def broken(setup, profile, nu):
         if nu != 1e-2:
             raise StepSizeError("synthetic failure")
-        return real(config, profile, nu)
+        return real(setup, profile, nu)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", broken)
     with pytest.raises(SolverError), warnings.catch_warnings():
@@ -601,10 +602,10 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
     )
     real = study_mod.solve_reference
 
-    def singular(config, flow, nu):
+    def singular(setup, nu):
         if nu == 1e-3:
             raise np.linalg.LinAlgError("synthetic singular matrix")
-        return real(config, flow, nu)
+        return real(setup, nu)
 
     monkeypatch.setattr(study_mod, "solve_reference", singular)
     with pytest.warns(UserWarning, match="nu=0.001"):
@@ -673,24 +674,90 @@ def test_golden_rates(request, tmp_path, name):
     assert produced == expected, _describe_json_diffs(expected, produced)
 
 
+def _small_study(geometry, family):
+    return StudyConfig(geometry=geometry, euler=EulerSpec(family=family),
+                       layer=LayerParams(nz=128, dt=1.25e-3),
+                       ns=NsParams(n=256, dt=2.5e-3, t_end=0.25),
+                       t_eval=(0.125, 0.25))
+
+
+@pytest.mark.parametrize("geom_name, family", [("annulus", "rigid"),
+                                               ("channel", "shear_cos")])
+def test_row_reference_histories_equal_standalone_solves(request, monkeypatch,
+                                                         geom_name, family):
+    # every row of a study solves on the one set-up and reuses its arrays;
+    # each row's history is bit for bit a standalone solve_ns at its nu, and
+    # no later solve writes into a standalone result
+    cfg = _small_study(request.getfixturevalue(geom_name), family)
+    flow = cfg.euler.build(cfg.geometry)
+    seen = {}
+    real = study.solve_reference
+
+    def spy(setup, nu):
+        sol = real(setup, nu)
+        seen[nu] = (sol.times.copy(), sol.u.copy())
+        return sol
+
+    monkeypatch.setattr(study, "solve_reference", spy)
+    run_convergence_study(cfg)
+    assert list(seen) == list(cfg.nu_list)
+    kept = []
+    for nu, (times, u) in seen.items():
+        want = solve_ns(cfg.geometry, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+                        t_end=cfg.ns.t_end, store_times=cfg.t_eval)
+        assert np.array_equal(times, want.times)
+        assert np.array_equal(u, want.u)
+        kept.append((want, want.u.copy()))
+    for want, copy in kept:
+        assert np.array_equal(want.u, copy)
+
+
+def test_bad_reference_grid_fails_before_any_row(monkeypatch, channel):
+    # the set-up is viscosity-free, so a grid it refuses is one config error,
+    # not a failed row per viscosity
+    cfg = _small_study(channel, "shear_cos")
+    cfg.ns = NsParams(n=16, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
+    monkeypatch.setattr(study, "_solve_one_nu", None)
+    with pytest.raises(ConfigError, match=r"ns channel \(n=16\): n must be >= 32"):
+        run_convergence_study(cfg)
+
+
+def test_second_study_at_twice_the_amplitude_doubles_every_value(tmp_path, annulus):
+    # two studies in one process: powers of two scale every norm exactly, so
+    # any state left over from the first study shows in the second's values
+    values = []
+    for omega in (1.0, 2.0):
+        cfg = _small_study(annulus, "rigid")
+        cfg.euler.omega = omega
+        out = tmp_path / repr(omega)
+        export_report(run_convergence_study(cfg), out)
+        lines = (out / "errors.csv").read_text().splitlines()[1:]
+        values.append([float(line.split(",")[3]) for line in lines])
+    one, two = values
+    assert len(one) == 5 * 2 * 4 * 4 and any(v > 0.0 for v in one)
+    assert two == [2.0 * v for v in one]
+
+
 # ---------------------------------------------------------------------------
 # Leray split of the remainder: the row's parts against the projector
 # ---------------------------------------------------------------------------
 
 
 def test_viscosity_row_peaks_under_3_75_live_component_histories():
-    # the reference solution is its one live component, an (n_t, n) history;
-    # the zero layer's ansatz is u0 itself and u, u - u0 and R are (n,)
-    # arrays of one time at a time.  The row peaks near 3.3 histories; three
-    # stored components would add two by themselves
+    # the reference solution is its one live component, an (n_t, n) history
+    # that the study's set-up holds with the march's arrays; the zero
+    # layer's ansatz is the set-up's u0 itself and u, u - u0 and R are (n,)
+    # arrays of one time at a time.  A row after the first peaks near 0.6
+    # histories; three stored components would add two by themselves
     cfg = get_preset("vortex-annulus")
     cfg.ns = NsParams(n=4096, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
     profile = study.solve_study_layer(cfg)
+    setup = study.study_setup(cfg)
     nu = cfg.nu_list[-1]
-    study._solve_one_nu(cfg, profile, nu)          # lazy set-up off the trace
+    study._solve_one_nu(setup, profile, nu)        # lazy set-up off the trace
     tracemalloc.start()
     try:
-        rows = study._solve_one_nu(cfg, profile, nu)
+        rows = study._solve_one_nu(setup, profile, nu)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -706,6 +773,17 @@ def test_vortex_leray_rows_follow_the_mask(vortex_report):
     for key in full:
         assert rows[key + ("R:P",)] == rows[key + ("R:full",)]
         assert repr(rows[key + ("R:I-P",)]) == "0.0"
+
+
+def _setup_on(cfg, coords):
+    """The study set-up of ``cfg`` with the grid the row reads (u0, the
+    norm grid and the row buffer) on ``coords``; its reference solve is
+    left on the config's grid."""
+    setup = study.study_setup(cfg)
+    ref = dataclasses.replace(setup.ref, coords=coords,
+                              u0=setup.flow.profile.value(coords))
+    return dataclasses.replace(setup, ref=ref, grid=VolumeGrid(cfg.geometry, coords),
+                               row=np.empty(len(coords)))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -725,7 +803,7 @@ def test_mask_shortcut_equals_explicit_split(data, preset, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(study, "solve_reference", lambda *args: sol)
         mp.setattr(study, "assemble_ansatz", lambda *args, **kwargs: u_approx)
-        rows = study._solve_one_nu(cfg, None, nu)
+        rows = study._solve_one_nu(_setup_on(cfg, coords), None, nu)
     got = {(t, label, part): v for _, t, label, v, part in rows}
     grid = VolumeGrid(geom, coords)
     for jt, t in enumerate(times):
