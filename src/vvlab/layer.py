@@ -129,12 +129,11 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
             a = flow.coupling_matrix(t, w.wall_id)
             return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
 
-        # g, f and A at every step; a steady flow repeats its t = 0 values
-        steps = [coeffs(0.0)] * (n_steps + 1) if flow.steady \
-            else [coeffs(k * dt) for k in range(n_steps + 1)]
-        g_all = np.array([c[0] for c in steps])
-        f_all = np.array([c[1] for c in steps])
-        a_all = np.array([c[2] for c in steps])
+        # g, f and A at every step; a steady flow broadcasts its t = 0 values
+        steps = [coeffs(k * dt) for k in range(1 if flow.steady else n_steps + 1)]
+        g_all, f_all, a_all = (
+            np.broadcast_to(np.array(col), (n_steps + 1,) + np.shape(col[0]))
+            for col in zip(*steps))
         cfl = np.max(np.abs(f_all[:-1]), initial=0.0) * cfl_factor * dt
         if cfl > 1.0:
             raise StepSizeError(

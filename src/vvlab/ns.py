@@ -356,13 +356,15 @@ def energy_identity_residual(sol: ViscousSolution) -> np.ndarray:
 
     The dissipation is the trapezoid average of the two endpoint values, so
     the residual is O(dt_store^2) plus the O(h^2) error of the discrete
-    curl.  The solution must be stored densely enough in time.
+    curl.  The solution must be stored densely enough in time.  Energy and
+    dissipation are taken in one pass over the (n_t, n) history; each row's
+    sum runs over that row alone, so the values are the bits of one time at
+    a time.
     """
     w = sol.geom.quadrature_weights(sol.coords)
     # the other components are zero: |u|^2 is u^2 and |curl u|^2 is omega^2
-    energy = np.array([0.5 * float(np.sum(w * u**2)) for u in sol.u])
-    diss = np.array([float(np.sum(w * vorticity(sol.geom, sol.coords, u) ** 2))
-                     for u in sol.u])
+    energy = 0.5 * np.sum(w * sol.u**2, axis=1)
+    diss = np.sum(w * vorticity(sol.geom, sol.coords, sol.u) ** 2, axis=1)
     e0 = energy[0] if energy[0] > 0 else 1.0
     dts = np.diff(sol.times)
     res = np.abs(np.diff(energy) / dts

@@ -577,6 +577,24 @@ _GRONWALL_HIGH = np.array([1.5, 2.0, 2.0, 1.5, 4.0])
 _GRONWALL_BLOCK = 250
 
 
+def _uniform_bracket(tt: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Segment index j of ``t`` on the uniform knots ``tt``, clipped to
+    [0, len(tt) - 2]: np.clip(np.searchsorted(tt, t, side="right") - 1, 0,
+    len(tt) - 2) without the search.
+
+    The scaled position floor((t - tt[0]) / step) is within one of the
+    largest j with tt[j] <= t, since it and the knots are each a few
+    rounding errors from exact; one comparison with the knot on each side
+    corrects it.
+    """
+    last = len(tt) - 2
+    scale = (last + 1) / (tt[-1] - tt[0])
+    j = np.clip((t - tt[0]) * scale, 0, last).astype(np.intp)
+    j -= tt[j] > t
+    j += tt[j + 1] <= t
+    return np.clip(j, 0, last)
+
+
 def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
                         n_steps: int) -> GronwallTrials:
     """Solve y' = h(t) + c0 max(y, 0)^(1+alpha), y(0) = y0, for random trials.
@@ -585,11 +603,13 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     sampled at ``n_samples`` points of [0, 2], and runs ``n_steps`` RK4 steps
     to 0.7 of the horizon where alpha c0 H^alpha t reaches 1.  All trials
     march together as arrays.  Each floating-point operation is the one a
-    scalar loop per trial would do (commuted only where that changes no
-    bit), and h is the piecewise-linear interpolant that np.interp
-    evaluates; only numpy's vector power may differ from the scalar one in
-    the last bit.  h is interpolated at the stage times of a block of steps
-    in one call, bit for bit the lookup one step at a time.
+    scalar loop per trial would do (commuted, or scaled by an exact power
+    of two, only where that changes no bit), and h is the piecewise-linear
+    interpolant that np.interp evaluates; only numpy's vector power may
+    differ from the scalar one in the last bit.  h is interpolated at the
+    stage times of a block of steps in one call, bit for bit the lookup one
+    step at a time; its segment comes from _uniform_bracket, which is
+    searchsorted's index on the uniform samples, so no bit moves.
     """
     if n_trials < 1 or n_samples < 2 or n_steps < 1:
         raise InvalidParameterError(
@@ -598,34 +618,38 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     y0, c0, alpha, amp, freq = rng.uniform(
         _GRONWALL_LOW, _GRONWALL_HIGH, size=(n_trials, 5)).T
     tt = np.linspace(0.0, 2.0, n_samples)
-    # updates in place keep at most three (n_trials, n_samples) arrays alive
-    hv = np.sin(freq[:, None] * tt)
+    # updates in place keep at most two (n_trials, n_samples) arrays alive
+    hv = freq[:, None] * tt
+    np.sin(hv, out=hv)
     hv **= 2
     hv += 1.0
     hv *= amp[:, None]
-    seg = hv[:, 1:] + hv[:, :-1]
+    # H = y0 + cumulative trapezoid of h, then the guard alpha c0 H^alpha t,
+    # both formed in place in one array
+    guard = np.empty((n_trials, n_samples))
+    guard[:, 0] = 0.0
+    seg = guard[:, 1:]
+    np.add(hv[:, 1:], hv[:, :-1], out=seg)
     seg *= 0.5
     seg *= np.diff(tt)
-    big_h = np.zeros((n_trials, n_samples))
-    np.cumsum(seg, axis=1, out=big_h[:, 1:])
-    del seg
-    big_h += y0[:, None]
-    guard = big_h ** alpha[:, None]
-    del big_h
+    np.cumsum(seg, axis=1, out=seg)
+    guard += y0[:, None]
+    guard **= alpha[:, None]
     guard *= (alpha * c0)[:, None]
     guard *= tt
     # the guard is 0 at t = 0, so the horizon is at least tt[1] and t_star > 0
     beyond = guard >= 1.0
-    del guard
+    del guard, seg
     horizon = np.where(beyond.any(axis=1), tt[np.argmax(beyond, axis=1)], tt[-1])
     t_star = 0.7 * horizon
     dt = t_star / n_steps
+    half_dt = dt / 2
 
     rows = np.arange(n_trials)[:, None]
 
     def h_at(t):
-        # np.interp's interpolant; rising t along each trial's row keeps searchsorted fast
-        j = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, n_samples - 2)
+        # np.interp's interpolant
+        j = _uniform_bracket(tt, t)
         left = hv[rows, j]
         slope = (hv[rows, j + 1] - left) / (tt[j + 1] - tt[j])
         return slope * (t - tt[j]) + left
@@ -637,13 +661,13 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
         if b == 0:
             # h at the stage times of the next block of steps, (n_trials, block)
             tk = np.arange(k, min(k + _GRONWALL_BLOCK, n_steps)) * dt[:, None]
-            h_start, h_mid, h_end = (h_at(tk), h_at(tk + dt[:, None] / 2),
+            h_start, h_mid, h_end = (h_at(tk), h_at(tk + half_dt[:, None]),
                                      h_at(tk + dt[:, None]))
         k1 = h_start[:, b] + c0 * np.maximum(y, 0.0) ** power
-        k2 = h_mid[:, b] + c0 * np.maximum(y + dt * k1 / 2, 0.0) ** power
-        k3 = h_mid[:, b] + c0 * np.maximum(y + dt * k2 / 2, 0.0) ** power
+        k2 = h_mid[:, b] + c0 * np.maximum(y + half_dt * k1, 0.0) ** power
+        k3 = h_mid[:, b] + c0 * np.maximum(y + half_dt * k2, 0.0) ** power
         k4 = h_end[:, b] + c0 * np.maximum(y + dt * k3, 0.0) ** power
-        y += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        y += dt * (k1 + (k2 + k2) + (k3 + k3) + k4) / 6.0
     bound = np.array([gronwall_local_bound(y0[i], tt, hv[i], c0[i], alpha[i], t_star[i])
                       for i in range(n_trials)])
     return GronwallTrials(t_star=t_star, y=y, bound=bound)

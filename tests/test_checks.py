@@ -1,4 +1,11 @@
-from vvlab.checks import run_all
+import math
+
+import pytest
+from scipy.special import sici
+
+from vvlab import checks
+from vvlab.checks import _hardy_oracle, run_all
+from vvlab.cli import cli_main
 from vvlab.study import get_preset
 
 
@@ -8,3 +15,33 @@ def test_check_results_pass_plain_bools():
     assert results
     assert all(type(r.passed) is bool for r in results), [
         (r.name, type(r.passed)) for r in results]
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("injected")
+
+
+def test_an_exception_in_one_check_fails_that_check_only(monkeypatch, capsys):
+    # check_projector is the second check; a non-vvlab exception inside it
+    # must become its failed result, and the seven after it must still run
+    monkeypatch.setattr(checks, "leray_project", _raise_value_error)
+    results = run_all(get_preset("rigid-annulus"))
+    assert len(results) == 9
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["projector"]
+    assert failed[0].detail == "error: ValueError: injected"
+    assert cli_main(["check", "--preset", "rigid-annulus"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL projector: error: ValueError: injected" in out
+    assert out.count("PASS ") == 8
+
+
+def test_hardy_oracle_matches_closed_forms():
+    # int_0^eta sin^4(pi s/eta) / s^2 = (pi/eta)(Si(2 pi) - Si(4 pi)/2) and
+    # int_0^eta (d/ds sin^2(pi s/eta))^2 = pi^2 / (2 eta), on the check's
+    # 2,001 nodes
+    eta = 0.45
+    lhs, rhs = _hardy_oracle(eta, 2001)
+    si_2pi, si_4pi = sici(2.0 * math.pi)[0], sici(4.0 * math.pi)[0]
+    assert lhs == pytest.approx(math.pi / eta * (si_2pi - si_4pi / 2.0), rel=1e-12)
+    assert rhs == pytest.approx(math.pi**2 / (2.0 * eta), rel=1e-12)

@@ -20,7 +20,13 @@ from vvlab.layer import (
     write_profile_snapshots,
 )
 from vvlab.ns import _cn_march, time_index
-from vvlab.spaces import AnisotropicIndex, FastGrid, diff_along
+from vvlab.spaces import (
+    AnisotropicIndex,
+    FastGrid,
+    diff_along,
+    parse_norm,
+    weighted_norm,
+)
 
 
 def erfc_solution(g, t, z):
@@ -87,6 +93,52 @@ def test_erfc_wall_value(rigid_layer):
         got = wall_value(profile, wall_id, it)[slot]
         want = 2.0 * g[slot] * math.sqrt(t / math.pi)
         assert abs(got - want) / abs(want) < 1e-4
+
+
+# squared L2 norms over the half-line of u_b = 2 g sqrt(t) ierfc(z / (2 sqrt(t)))
+# and of its first two z derivatives, per unit g^2 and collar weight; they use
+# int_0^inf ierfc^2 = (sqrt(2) - 1) / (3 sqrt(pi)) and
+# int_0^inf erfc^2 = (2 - sqrt(2)) / sqrt(pi)
+ERFC_SQ_NORMS = (
+    lambda t: 8.0 * (math.sqrt(2.0) - 1.0) * t**1.5 / (3.0 * math.sqrt(math.pi)),
+    lambda t: 2.0 * (2.0 - math.sqrt(2.0)) * math.sqrt(t) / math.sqrt(math.pi),
+    lambda t: 1.0 / math.sqrt(2.0 * math.pi * t),
+)
+
+
+@pytest.fixture(scope="module")
+def rigid_study_layer():
+    from vvlab.study import get_preset, solve_study_layer
+
+    return solve_study_layer(get_preset("rigid-annulus"))
+
+
+@pytest.mark.parametrize("label", ["aniso:0,0,0,2", "aniso:0,0,1,2",
+                                   "aniso:0,0,2,2", "aniso:0,0,0,inf"])
+def test_weighted_norms_match_erfc_closed_forms(rigid_study_layer, label):
+    # the paper's first result bounds these norms; for the rigid preset's
+    # constant wall datum the layer is erfc-shaped, so each has a closed
+    # form: the collar weight times the sum of the squared fast-derivative
+    # norms up to order l, or sup |u_b| = 2 |g| sqrt(t / pi)
+    idx = parse_norm(label).idx
+    profile = rigid_study_layer
+    checked = 0
+    for wall_id, w in profile.walls.items():
+        for it, t in enumerate(profile.times):
+            if t == 0.0:
+                continue
+            pf = profile.profile(wall_id, it)
+            g = float(np.linalg.norm(w.g_used[it]))
+            assert g > 0.0
+            if math.isinf(idx.p):
+                want = 2.0 * g * math.sqrt(t / math.pi)
+            else:
+                want = g * math.sqrt(pf.weight * sum(
+                    f(t) for f in ERFC_SQ_NORMS[: idx.l + 1]))
+            assert weighted_norm(pf, idx) == pytest.approx(want, rel=1e-4), (
+                wall_id, t)
+            checked += 1
+    assert checked == 2 * 8
 
 
 def test_erfc_formula_against_independent_fd():

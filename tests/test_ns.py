@@ -133,6 +133,30 @@ def test_energy_identity_cn_order(channel):
     assert res[0] / res[1] == pytest.approx(4.0, abs=1.0)
 
 
+def _energy_identity_loop(sol):
+    """energy_identity_residual one stored time at a time, the reference
+    for its one pass over the history."""
+    w = sol.geom.quadrature_weights(sol.coords)
+    energy = np.array([0.5 * float(np.sum(w * u**2)) for u in sol.u])
+    diss = np.array([float(np.sum(w * vorticity(sol.geom, sol.coords, u) ** 2))
+                     for u in sol.u])
+    res = np.abs(np.diff(energy) / np.diff(sol.times)
+                 + sol.nu * 0.5 * (diss[1:] + diss[:-1]))
+    return res / (energy[0] if energy[0] > 0 else 1.0)
+
+
+@pytest.mark.parametrize("geom_name, prof", [
+    ("annulus", LaurentProfile({1: 1.0})),
+    ("channel", ShearProfile(cosines=((1.0, 1),), h=1.0)),
+])
+def test_energy_identity_pass_equals_per_time_loop(request, geom_name, prof):
+    geom = request.getfixturevalue(geom_name)
+    sol = solve_ns(geom, prof, nu=0.1, n=2048, dt=5e-2, t_end=1.0,
+                   store_every=1, rannacher=0)
+    assert np.array_equal(energy_identity_residual(sol),
+                          _energy_identity_loop(sol))
+
+
 def test_energy_identity_rigid_defaults(annulus):
     # the impulsive start (wall vorticity jumps to zero at t = 0+) makes the
     # first stored intervals stiff; past it the identity holds to 1e-6

@@ -22,6 +22,7 @@ from vvlab.spaces import (
     VolumeGrid,
     _GRONWALL_BLOCK,
     _not_a_knot,
+    _uniform_bracket,
     boundary_layer_eval,
     diff_along,
     eval_profile_on_wall,
@@ -474,6 +475,26 @@ def test_gronwall_check_trials_are_pinned_bit_for_bit():
     got = [[v.hex() for v in map(float, row)]
            for row in zip(trials.t_star, trials.y, trials.bound)]
     assert got == rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n_samples=st.sampled_from([2, 3, 7, 201, 1001, 2001]),
+       data=st.data())
+def test_uniform_bracket_is_searchsorted(n_samples, data):
+    # the segment index h_at takes: searchsorted's, clipped the same way,
+    # at t = 0, on every knot, one ulp either side of it, in the last
+    # segment, beyond both ends and at drawn times
+    tt = np.linspace(0.0, 2.0, n_samples)
+    drawn = data.draw(arrays(np.float64, st.integers(1, 40),
+                             elements=st.floats(-0.5, 2.5)))
+    last_seg = data.draw(arrays(np.float64, 5, elements=st.floats(
+        float(tt[-2]), float(tt[-1]))))
+    t = np.concatenate([[0.0], tt, np.nextafter(tt, -np.inf),
+                        np.nextafter(tt, np.inf), last_seg, drawn])
+    want = np.clip(np.searchsorted(tt, t, side="right") - 1, 0, n_samples - 2)
+    assert np.array_equal(_uniform_bracket(tt, t), want)
+    # the (n_trials, block) layout of the march
+    assert np.array_equal(_uniform_bracket(tt, t[None, :]), want[None, :])
 
 
 @pytest.mark.parametrize("n_trials, n_samples, n_steps",
