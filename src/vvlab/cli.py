@@ -100,8 +100,8 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "ns":
-            sol = solve_reference(study_setup(config),
-                                  config.ns.nu or config.nu_list[0])
+            sol, = solve_reference(study_setup(config),
+                                   [config.ns.nu or config.nu_list[0]])
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "ns_solution.dat")
             # the two components off the flow's are exactly zero; each

@@ -1,8 +1,9 @@
 """Convergence-study driver: viscosity sweeps, rate fits, reports.
 
 A study solves the layer once and builds the rest of what does not depend
-on the viscosity once (``StudySetup``), then for each viscosity solves the
-reference problem, assembles the ansatz, and records sup-over-time error
+on the viscosity once (``StudySetup``), then solves the reference problem
+for a group of viscosities at a time in one joint march (``march_groups``),
+and for each viscosity assembles the ansatz and records sup-over-time error
 norms of u_nu - u0 and remainder norms.
 Both fields are the flow's one component, ``geometry.flow_comp``: the
 tangential R is its own Leray part (R:P = R:full) and its gradient part
@@ -46,7 +47,13 @@ from .euler import (
 )
 from .expansion import assemble_ansatz
 from .layer import LayerProfile, solve_layer
-from .ns import ReferenceSetup, ViscousSolution, reference_setup, time_index
+from .ns import (
+    ReferenceSetup,
+    ViscousSolution,
+    group_size,
+    reference_setup,
+    time_index,
+)
 from .spaces import DEFAULT_ZMAX, FastGrid, VolumeGrid, parse_norm
 
 EXACT_REGIME_THRESHOLD = 1e-8
@@ -380,8 +387,8 @@ class StudySetup:
     ``study_setup``: the base flow, the viscosity-free part of the
     reference solve (``ns.ReferenceSetup``: the grid, u0 on it, the drive
     L(u0), the symmetrised operator and the march's arrays), one
-    ``VolumeGrid`` of the norms and the row's (n,) buffer.  A row keeps
-    only the work that depends on nu, and reuses the arrays of the row
+    ``VolumeGrid`` of the norms and the row's (n,) buffer.  A group keeps
+    only the work that depends on nu, and reuses the arrays of the group
     before it."""
 
     config: StudyConfig
@@ -392,39 +399,52 @@ class StudySetup:
 
     def __reduce__(self):
         # the base flow holds closures, which do not pickle: a pool's
-        # worker rebuilds the set-up from the config
+        # worker rebuilds the set-up from the config, once per group
         return study_setup, (self.config,)
 
 
 def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup:
     """The viscosity-free set-up of ``config``'s rows: the reference solve
     from the base flow's profile, the one form of u0 it takes (swirl in the
-    annulus, shear in the channel), stored at ``config.t_eval``."""
+    annulus, shear in the channel), stored at ``config.t_eval``, with the
+    march's arrays for the study's largest group (``march_groups``)."""
     flow = flow or config.euler.build(config.geometry)
     ref = reference_setup(config.geometry, flow.profile, n=config.ns.n,
                           dt=config.ns.dt, t_end=config.ns.t_end,
-                          store_times=config.t_eval)
+                          store_times=config.t_eval, group=len(config.nu_list))
     # the row buffer is the march's scratch array, free once a solve returns
     return StudySetup(config=config, flow=flow, ref=ref,
                       grid=VolumeGrid(config.geometry, ref.coords),
-                      row=ref.work[1])
+                      row=ref.work[1][:config.ns.n])
 
 
-def solve_reference(setup: StudySetup, nu: float) -> ViscousSolution:
-    """Viscous reference solve at ``nu`` on a study's set-up; its history
-    is the set-up's own array, which the next solve overwrites."""
-    return setup.ref.solve(nu)
+def march_groups(config: StudyConfig, jobs: int = 1) -> list:
+    """``config.nu_list`` cut into the contiguous groups whose reference
+    solves march together: at most ``ns.group_size`` viscosities each, and
+    at least ``min(jobs, len(nu_list))`` groups, so that each worker of a
+    pool has one; the sizes differ by at most one, the larger first."""
+    nus = config.nu_list
+    count = max(-(-len(nus) // group_size(config.ns.n)), min(jobs, len(nus)))
+    return [tuple(nus[i] for i in part)
+            for part in np.array_split(np.arange(len(nus)), count)]
 
 
-def _solve_one_nu(setup: StudySetup, profile: LayerProfile, nu: float):
-    """Rows for a single viscosity: velocity-error and remainder norms.
+def solve_reference(setup: StudySetup, nus) -> list:
+    """Viscous reference solves at the group ``nus`` on a study's set-up,
+    marched together; their histories are views of the set-up's own array,
+    which the next solve overwrites."""
+    return setup.ref.solve(nus)
+
+
+def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution):
+    """Rows for a single viscosity, from its reference solution ``sol``:
+    velocity-error and remainder norms.
 
     u - u0, then R, is written into the set-up's (n,) buffer of the flow
     component one time at a time.  R is tangential, so its "P" norms are
     its own and its "I-P" norms are 0.0.
     """
-    config = setup.config
-    sol = solve_reference(setup, nu)
+    config, nu = setup.config, sol.nu
     times = np.asarray(config.t_eval)
     u0, grid, row = setup.ref.u0, setup.grid, setup.row
     u_approx = assemble_ansatz(setup.flow, profile, config.geometry, nu,
@@ -452,18 +472,35 @@ def ProcessPoolExecutor(max_workers):
     return pool(max_workers=max_workers)
 
 
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _worker(args):
-    """One viscosity row; any exception becomes a failed row naming its
-    type, so one bad row cannot abort the study."""
-    setup, profile, nu = args
+    """One march group's rows, (nu, rows, error) per viscosity in order;
+    any exception becomes a failed row naming its type, so one bad row
+    cannot abort the study.  A group whose joint march fails (a non-finite
+    value crosses the joins) re-marches its viscosities one at a time, so
+    only the row at fault fails."""
+    setup, profile, nus = args
     try:
-        return nu, _solve_one_nu(setup, profile, nu), None
+        sols = solve_reference(setup, nus)
     except Exception as exc:
-        return nu, None, f"{type(exc).__name__}: {exc}"
+        if len(nus) == 1:
+            return [(nus[0], None, _failure(exc))]
+        return [out for nu in nus for out in _worker((setup, profile, (nu,)))]
+    outcomes = []
+    for sol in sols:
+        try:
+            outcomes.append((sol.nu, _solve_one_nu(setup, profile, sol), None))
+        except Exception as exc:
+            outcomes.append((sol.nu, None, _failure(exc)))
+    return outcomes
 
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
-    """Sweep ``config.nu_list``, ``jobs`` viscosity rows at a time.
+    """Sweep ``config.nu_list`` in march groups (``march_groups``), ``jobs``
+    groups at a time.
 
     ``jobs`` must be at least 1; the pool never has more workers than rows.
     """
@@ -474,6 +511,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     flow = config.euler.build(config.geometry)
     profile = solve_study_layer(config, flow)
     setup = study_setup(config, flow)
+    groups = march_groups(config, jobs)
 
     results = {}
     failures = {}
@@ -481,17 +519,18 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         from concurrent.futures.process import BrokenProcessPool
         outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(nu, pool.submit(_worker, (setup, profile, nu)))
-                       for nu in config.nu_list]
-            for nu, fut in futures:
+            futures = [(nus, pool.submit(_worker, (setup, profile, nus)))
+                       for nus in groups]
+            for nus, fut in futures:
                 # a worker killed outright breaks the pool and fails every
                 # row not yet finished; each becomes a failed row
                 try:
-                    outcomes.append(fut.result())
+                    outcomes.extend(fut.result())
                 except BrokenProcessPool as exc:
-                    outcomes.append((nu, None, f"BrokenProcessPool: {exc}"))
+                    outcomes.extend((nu, None, f"BrokenProcessPool: {exc}")
+                                    for nu in nus)
     else:
-        outcomes = (_worker((setup, profile, nu)) for nu in config.nu_list)
+        outcomes = (out for nus in groups for out in _worker((setup, profile, nus)))
     for nu, rows, err in outcomes:
         if err is None:
             results[nu] = rows
@@ -573,6 +612,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         "t_eval": list(config.t_eval),
         "ns_n": config.ns.n,
         "ns_dt": config.ns.dt,
+        "ns_groups": [list(nus) for nus in groups],
         "layer_nz": config.layer.nz,
         "layer_dt": config.layer.dt,
         "failed_rows": failures,

@@ -195,6 +195,68 @@ def test_kernel_matches_step_oracle_constant_source(columns, rannacher, store):
     assert np.array_equal(got, want)
 
 
+GROUP_NUS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+
+
+@pytest.mark.parametrize("store", STORE_SETS)
+@pytest.mark.parametrize("rannacher", [0, 2])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_grouped_march_equals_separate_marches(m, rannacher, store):
+    # m viscosities joined block-diagonally with 0.0 off-diagonals at the
+    # joins: every block is bit for bit its own march
+    geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
+    x = geom.volume_grid(256)
+    op, dt = ns._swirl_operator(x), 1e-3
+    drive = ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
+    nus = GROUP_NUS[:m]
+    steps, _ = store
+    got = ns._cn_steps(ns._symmetrise(op, "test"), [0.5 * nu * dt for nu in nus],
+                       dt, steps, np.multiply.outer(nus, drive).ravel(), "test",
+                       rannacher=rannacher)
+    assert got.shape == (len(steps), m * len(x))
+    for j, nu in enumerate(nus):
+        want = ns._cn_march(op, 0.5 * nu * dt, dt, steps, nu * drive, "test",
+                            rannacher=rannacher)
+        assert np.any(want != 0.0)
+        assert np.array_equal(got[:, j * len(x):(j + 1) * len(x)], want)
+
+
+def test_non_finite_block_spreads_across_joins():
+    # inf * 0.0 is NaN at a join, so one block's overflow fails the whole
+    # group (a study then re-marches the group one viscosity at a time)
+    op, a, dt, src = _swirl_march_case(None)
+    n = len(src)
+    joined = np.concatenate([src, src])
+    joined[n // 2] = np.inf
+    w, buf, out = np.empty(2 * n), np.empty(2 * n), np.empty((1, 2 * n))
+    with pytest.raises(SolverError, match="test: non-finite iterate at step 1"), \
+            np.errstate(invalid="ignore"):
+        ns._cn_steps(ns._symmetrise(op, "test"), [a, a], dt, [1], joined, "test",
+                     work=(w, buf, out))
+    assert np.all(np.isnan(out[0, n:]))
+
+
+def test_reference_group_larger_than_its_arrays_is_a_config_error(annulus):
+    setup = ns.reference_setup(annulus, LaurentProfile({1: 1.0}), n=64, dt=1e-3,
+                               t_end=0.01, group=2)
+    assert len(setup.work[0]) == 2 * 64
+    with pytest.raises(ConfigError, match="1 to 2 viscosities, got 3"):
+        setup.solve([1e-2, 1e-3, 1e-4])
+    with pytest.raises(ConfigError, match="got 0"):
+        setup.solve([])
+
+
+def test_group_size_keeps_the_march_arrays_in_cache():
+    assert [ns.group_size(n) for n in (512, 2048, 8192, 16384, 65536, 131072)] \
+        == [64, 16, 4, 2, 1, 1]
+    setup = ns.reference_setup(geo.flat_channel(1.0, eta=0.45),
+                               ShearProfile(poly=(0.0, 1.0)), n=16384, dt=1e-3,
+                               t_end=0.01, group=5)
+    assert len(setup.work[0]) == 2 * 16384
+    # dpttrs is faster on a buf that starts on a cache line (ns docstring)
+    assert all(a.ctypes.data % 64 == 0 for a in setup.work[:2])
+
+
 def _layer_kernel_calls(monkeypatch, flow, geom, store_times):
     """Run solve_layer and return the arguments of each of its kernel
     calls; the layer's source is a callable of (k, w) alone."""

@@ -183,21 +183,22 @@ def test_remainder_per_time_equals_eager_formula(small_rigid):
     cfg, profile = small_rigid
     nu, geom = 3e-3, cfg.geometry
     flow = cfg.euler.build(geom)
-    sol = study.solve_reference(study.study_setup(cfg), nu)
+    setup = study.study_setup(cfg)
+    sol, = study.solve_reference(setup, [nu])
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                                times=cfg.t_eval)
     idx = [time_index(sol.times, t) for t in cfg.t_eval]
     eager = {"u": sol.u[idx] - flow.profile.value(sol.coords),
              "R:full": (sol.u[idx] - u_approx) / nu}
     assert np.any(eager["R:full"] != 0.0)
-    got = _row_values(study._solve_one_nu(study.study_setup(cfg), profile, nu))
+    got = _row_values(study._solve_one_nu(setup, profile, sol))
     for jt, t in enumerate(cfg.t_eval):
         for part, hist in eager.items():
             for label in cfg.norms:
                 assert got[(t, label, part)] == _norm(geom, sol.coords, hist[jt], label)
 
 
-def test_remainder_definition_identity(small_rigid, monkeypatch):
+def test_remainder_definition_identity(small_rigid):
     # feeding u_nu := ansatz to the row returns R = 0 exactly in every part
     cfg, profile = small_rigid
     nu, geom = 1e-3, cfg.geometry
@@ -206,11 +207,10 @@ def test_remainder_definition_identity(small_rigid, monkeypatch):
                                times=cfg.t_eval)
     sol = ViscousSolution(nu=nu, geom=geom, coords=coords,
                           times=np.array(cfg.t_eval), u=u_approx.copy())
-    monkeypatch.setattr(study, "solve_reference", lambda *args: sol)
     # the row reads u0 and the norm grid from its set-up, built on sol's grid
     setup = study.study_setup(dataclasses.replace(
         cfg, ns=dataclasses.replace(cfg.ns, n=len(coords))))
-    got = _row_values(study._solve_one_nu(setup, profile, nu))
+    got = _row_values(study._solve_one_nu(setup, profile, sol))
     rem = [v for (_, _, part), v in got.items() if part.startswith("R:")]
     assert len(rem) == 3 * len(cfg.t_eval) * len(cfg.norms)
     assert all(v == 0.0 for v in rem)
@@ -247,10 +247,11 @@ def test_remainder_parts_are_the_projector_of_r(small_rigid):
     cfg, profile = small_rigid
     nu, geom = 1e-3, cfg.geometry
     flow = cfg.euler.build(geom)
-    sol = study.solve_reference(study.study_setup(cfg), nu)
+    setup = study.study_setup(cfg)
+    sol, = study.solve_reference(setup, [nu])
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                                times=cfg.t_eval)
-    got = _row_values(study._solve_one_nu(study.study_setup(cfg), profile, nu))
+    got = _row_values(study._solve_one_nu(setup, profile, sol))
     for jt, t in enumerate(cfg.t_eval):
         rem = (sol.u[time_index(sol.times, t)] - u_approx[jt]) / nu
         embedded = _flow_field(geom, rem)

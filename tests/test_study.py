@@ -376,6 +376,8 @@ def test_export_report(tmp_path, vortex_report):
     assert rates["exact_regime"] is True
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert "wall_time_s" in meta and "versions" in meta
+    # n = 65,536 marches one viscosity at a time
+    assert meta["ns_groups"] == [[nu] for nu in meta["nu_list"]]
 
 
 def test_export_deterministic_bytes(tmp_path, vortex_report):
@@ -399,6 +401,8 @@ def test_jobs_do_not_change_report_bytes(tmp_path):
     )
     r1 = run_convergence_study(cfg, jobs=1)
     r2 = run_convergence_study(cfg, jobs=2)
+    assert r1.meta["ns_groups"] == [[1e-2, 1e-3, 1e-4]]
+    assert r2.meta["ns_groups"] == [[1e-2, 1e-3], [1e-4]]
     export_report(r1, tmp_path / "serial")
     export_report(r2, tmp_path / "par")
     assert (tmp_path / "serial" / "errors.csv").read_bytes() == \
@@ -474,10 +478,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     )
     real = study_mod._solve_one_nu
 
-    def flaky(setup, profile, nu):
-        if nu == 3e-3:
+    def flaky(setup, profile, sol):
+        if sol.nu == 3e-3:
             raise StepSizeError("synthetic failure")
-        return real(setup, profile, nu)
+        return real(setup, profile, sol)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", flaky)
     with pytest.warns(UserWarning):
@@ -485,10 +489,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     assert list(report.meta["failed_rows"]) == [3e-3]
     assert len(report.norm_results["l2"]["rows"]) == 3
 
-    def broken(setup, profile, nu):
-        if nu != 1e-2:
+    def broken(setup, profile, sol):
+        if sol.nu != 1e-2:
             raise StepSizeError("synthetic failure")
-        return real(setup, profile, nu)
+        return real(setup, profile, sol)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", broken)
     with pytest.raises(SolverError), warnings.catch_warnings():
@@ -504,10 +508,11 @@ _DONE_DIR = None        # set before the pool forks its workers
 def _worker_killed_at_one_nu(args):
     # a worker process that dies outright once the other four rows are
     # done; module level, so the pool can pickle it by reference
-    nu = args[2]
-    if nu != _DYING_NU:
+    nus = args[2]
+    if _DYING_NU not in nus:
         out = _REAL_WORKER(args)
-        (_DONE_DIR / repr(nu)).touch()
+        for nu in nus:
+            (_DONE_DIR / repr(nu)).touch()
         return out
     deadline = time.monotonic() + 60.0
     while len(os.listdir(_DONE_DIR)) < 4 and time.monotonic() < deadline:
@@ -517,12 +522,14 @@ def _worker_killed_at_one_nu(args):
 
 
 def _worker_killed_at_all_but_one_nu(args):
-    if args[2] != 1e-2:
+    if 1e-2 not in args[2]:
         os._exit(1)
     return _REAL_WORKER(args)
 
 
 def _pool_config(annulus):
+    # n = 128 joins all five viscosities in one march, so a pool of
+    # five workers (jobs = 5) is needed for a task per viscosity
     return StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="vortex"),
@@ -538,7 +545,7 @@ def test_killed_worker_is_a_failed_row(monkeypatch, tmp_path, annulus):
     monkeypatch.setattr(sys.modules[__name__], "_DONE_DIR", tmp_path)
     monkeypatch.setattr(study, "_worker", _worker_killed_at_one_nu)
     with pytest.warns(UserWarning, match="nu=0.003"):
-        report = run_convergence_study(_pool_config(annulus), jobs=2)
+        report = run_convergence_study(_pool_config(annulus), jobs=5)
     assert list(report.meta["failed_rows"]) == [_DYING_NU]
     assert report.meta["failed_rows"][_DYING_NU].startswith("BrokenProcessPool: ")
     assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [
@@ -552,7 +559,7 @@ def test_broken_pool_with_too_few_survivors_names_its_rows(monkeypatch, annulus)
     with pytest.raises(SolverError, match="BrokenProcessPool"), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run_convergence_study(_pool_config(annulus), jobs=2)
+        run_convergence_study(_pool_config(annulus), jobs=5)
 
 
 class _InlinePool:
@@ -601,11 +608,13 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
         t_eval=(0.2,),
     )
     real = study_mod.solve_reference
+    marched = []
 
-    def singular(setup, nu):
-        if nu == 1e-3:
+    def singular(setup, nus):
+        marched.append(tuple(nus))
+        if 1e-3 in nus:
             raise np.linalg.LinAlgError("synthetic singular matrix")
-        return real(setup, nu)
+        return real(setup, nus)
 
     monkeypatch.setattr(study_mod, "solve_reference", singular)
     with pytest.warns(UserWarning, match="nu=0.001"):
@@ -614,6 +623,40 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
         1e-3: "LinAlgError: synthetic singular matrix"}
     assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [
         1e-2, 3e-3, 3e-4, 1e-4]
+    # the joint march failed as a whole, then each viscosity marched alone
+    assert marched == [cfg.nu_list] + [(nu,) for nu in cfg.nu_list]
+
+
+def test_failed_factorisation_fails_only_its_row(annulus):
+    # a viscosity whose dpttrf fails in a joint march becomes its own
+    # failed row, named as a march of its own; the rest of its group
+    # marches without it, bit for bit the rows of standalone marches
+    cfg = _small_study(annulus, "rigid")
+    profile = study.solve_study_layer(cfg)
+    setup = study.study_setup(cfg)
+    out = study._worker((setup, profile, (1e-2, -1.0, 1e-3)))
+    assert [nu for nu, _, _ in out] == [1e-2, -1.0, 1e-3]
+    _, rows, err = out[1]
+    assert rows is None
+    assert err.startswith("SolverError: ns swirl (nu=-1, n=256): dpttrf failed")
+    for nu, rows, err in (out[0], out[2]):
+        assert err is None
+        sol, = study.solve_reference(setup, [nu])
+        assert rows == study._solve_one_nu(setup, profile, sol)
+        assert any(v > 0.0 for _, _, _, v, _ in rows)
+
+
+def test_march_groups_split_for_the_cache_and_the_pool(annulus):
+    # at most ns.group_size viscosities a group, at least one group per
+    # worker, contiguous, the larger groups first
+    cfg = get_preset("rigid-annulus")
+    nus = cfg.nu_list
+    assert study.march_groups(cfg) == [nus]
+    assert study.march_groups(cfg, jobs=2) == [nus[:3], nus[3:]]
+    assert study.march_groups(cfg, jobs=10**6) == [(nu,) for nu in nus]
+    assert study.march_groups(get_preset("vortex-annulus")) == [(nu,) for nu in nus]
+    cfg.ns = NsParams(n=16384)
+    assert study.march_groups(cfg) == [nus[:2], nus[2:4], nus[4:]]
 
 
 def test_gradient_remainder_part_bounded(rigid_report):
@@ -685,21 +728,26 @@ def _small_study(geometry, family):
                                                ("channel", "shear_cos")])
 def test_row_reference_histories_equal_standalone_solves(request, monkeypatch,
                                                          geom_name, family):
-    # every row of a study solves on the one set-up and reuses its arrays;
-    # each row's history is bit for bit a standalone solve_ns at its nu, and
-    # no later solve writes into a standalone result
+    # every row of a study solves on the one set-up and reuses its arrays,
+    # all five viscosities in one joint march; each row's history is bit for
+    # bit a standalone solve_ns at its nu, and no later solve writes into a
+    # standalone result
     cfg = _small_study(request.getfixturevalue(geom_name), family)
     flow = cfg.euler.build(cfg.geometry)
     seen = {}
+    marched = []
     real = study.solve_reference
 
-    def spy(setup, nu):
-        sol = real(setup, nu)
-        seen[nu] = (sol.times.copy(), sol.u.copy())
-        return sol
+    def spy(setup, nus):
+        marched.append(tuple(nus))
+        sols = real(setup, nus)
+        for sol in sols:
+            seen[sol.nu] = (sol.times.copy(), sol.u.copy())
+        return sols
 
     monkeypatch.setattr(study, "solve_reference", spy)
     run_convergence_study(cfg)
+    assert marched == [cfg.nu_list]
     assert list(seen) == list(cfg.nu_list)
     kept = []
     for nu, (times, u) in seen.items():
@@ -754,10 +802,15 @@ def test_viscosity_row_peaks_under_3_75_live_component_histories():
     profile = study.solve_study_layer(cfg)
     setup = study.study_setup(cfg)
     nu = cfg.nu_list[-1]
-    study._solve_one_nu(setup, profile, nu)        # lazy set-up off the trace
+
+    def row():
+        sol, = study.solve_reference(setup, [nu])
+        return study._solve_one_nu(setup, profile, sol)
+
+    row()                                          # lazy set-up off the trace
     tracemalloc.start()
     try:
-        rows = study._solve_one_nu(setup, profile, nu)
+        rows = row()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -801,9 +854,8 @@ def test_mask_shortcut_equals_explicit_split(data, preset, n):
     coords = geom.volume_grid(n)
     sol = ViscousSolution(nu=nu, geom=geom, coords=coords, times=times, u=u)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(study, "solve_reference", lambda *args: sol)
         mp.setattr(study, "assemble_ansatz", lambda *args, **kwargs: u_approx)
-        rows = study._solve_one_nu(_setup_on(cfg, coords), None, nu)
+        rows = study._solve_one_nu(_setup_on(cfg, coords), None, sol)
     got = {(t, label, part): v for _, t, label, v, part in rows}
     grid = VolumeGrid(geom, coords)
     for jt, t in enumerate(times):
