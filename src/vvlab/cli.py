@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 
-from .checks import run_all
 from .errors import ConfigError, VvlabError
 from .layer import write_profile_snapshots
 from .study import (
@@ -85,6 +84,9 @@ def cli_main(argv=None) -> int:
 
     try:
         if args.command == "check":
+            # only this command compiles and loads the invariant suite
+            from .checks import run_all
+
             results = run_all(config)
             for res in results:
                 tag = "PASS" if res.passed else "FAIL"

@@ -13,8 +13,9 @@ with the wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n in the wall
 frame, decay u_b(Z_max) = 0, and zero initial data.  Diffusion is treated
 with Crank-Nicolson (unconditionally stable); the stretching term f z d/dz
 and the zeroth-order coupling are explicit, so the scheme is second order
-in z and first order in t whenever those terms are active.  Both tangential
-components of a wall step together through the symmetrised tridiagonal
+in z and first order in t whenever those terms are active.  The walls
+share one operator, so the two tangential components of every wall step
+together, as the columns of one march of the symmetrised tridiagonal
 kernel of ns.py on the nodes below Z_max (the Dirichlet node stays zero).
 The explicit terms are built only when the flow has a nonzero f, a nonzero
 coupling or a manufactured forcing; otherwise they would add exact zeros,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, StepSizeError
+from .errors import ConfigError, SolverError, StepSizeError
 from .euler import _CROSS_J, BaseFlow, boundary_data_g
 from .ns import _cn_march, _resolve_store_steps
 from .spaces import (
@@ -98,87 +99,129 @@ class LayerProfile:
                             comp_names=w.tangent_names)
 
 
+@dataclass
+class _WallTerms:
+    """One wall's layer coefficients at every step k = 0 .. n_steps: the
+    datum g (n_steps + 1, 2), the stretching f and A_eff = J A; a steady
+    flow broadcasts its t = 0 values.  ``explicit`` says whether f, A or a
+    manufactured forcing adds anything."""
+
+    wall: geo.Wall
+    g: np.ndarray
+    f: np.ndarray
+    a: np.ndarray
+    explicit: bool
+
+
+def _wall_terms(flow: BaseFlow, w: geo.Wall, dt: float, n_steps: int) -> _WallTerms:
+    """g, f and A_eff of the wall ``w`` at every step of the march."""
+    def coeffs(t):
+        g = boundary_data_g(flow, w, t=t)
+        f = float(flow.f_stretch(t))
+        a = flow.coupling_matrix(t, w.wall_id)
+        return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
+
+    steps = [coeffs(k * dt) for k in range(1 if flow.steady else n_steps + 1)]
+    g, f, a = (np.broadcast_to(np.array(col), (n_steps + 1,) + np.shape(col[0]))
+               for col in zip(*steps))
+    explicit = flow.layer_forcing is not None or np.any(f != 0.0) or np.any(a != 0.0)
+    return _WallTerms(wall=w, g=g, f=f, a=a, explicit=bool(explicit))
+
+
+def _march_walls(flow: BaseFlow, terms: list, z: np.ndarray, dt: float,
+                 store_steps) -> np.ndarray:
+    """March the walls ``terms`` together on the nodes below Z_max.
+
+    The walls share one operator, so their columns, two a wall side by
+    side, are the right-hand sides of one _cn_march, and dpttrs solves each
+    column with the operations of its own march.  Returns u_b at
+    ``store_steps``, (n_store, n_z - 1, 2 len(terms)).  Without explicit
+    terms a steady flow has a constant source; a column whose g is exactly
+    0 then stays exactly +0.0, so only the live columns march, and none
+    when every datum vanishes.  Otherwise each step's source is filled,
+    Fortran-ordered like the iterate, from each wall's slice of it.
+    """
+    op, h0 = _fast_diffusion_operator(z)
+    n, cols = len(z) - 1, 2 * len(terms)
+    where = f"layer {','.join(t.wall.wall_id for t in terms)} (nu-free, n={len(z)})"
+    if flow.steady and not any(t.explicit for t in terms):
+        # CN average of the ghost Neumann source 2 g / h0 at node 0
+        src = np.zeros((n, cols))
+        src[0] = np.concatenate([t.g[0] + t.g[1] for t in terms]) / h0
+        live = np.flatnonzero(src.any(axis=0))
+        out = np.zeros((len(store_steps), n, cols))
+        if len(live):
+            out[..., live] = _cn_march(op, 0.5 * dt, dt, store_steps, src[:, live], where)
+        return out
+    dz_weights = _first_deriv_matrix_weights(z)
+
+    def source(k, b):
+        src = np.zeros((n, cols), order="F")
+        for i, t in enumerate(terms):
+            part = src[:, 2 * i:2 * i + 2]
+            part[0] = (t.g[k] + t.g[k + 1]) / h0
+            if t.explicit:
+                col = np.zeros((2, len(z)))
+                col[:, :-1] = b[:, 2 * i:2 * i + 2].T
+                expl = -(t.f[k] * z) * _apply_first_deriv(dz_weights, col)
+                expl -= np.einsum("ij,jz->iz", t.a[k], col)
+                if flow.layer_forcing is not None:
+                    expl += flow.layer_forcing(k * dt + 0.5 * dt, t.wall.wall_id, z)
+                part += expl[:, :-1].T
+        return src
+
+    return _cn_march(op, 0.5 * dt, dt, store_steps, source, where, columns=cols)
+
+
 def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
                 grid: FastGrid, dt: float, t_end: float,
                 store_times=None) -> LayerProfile:
     """March the tangential layer system on every wall.
 
     Each wall marches one column whose coefficients are evaluated at the
-    wall.  Without ``store_times`` about eight evenly spaced steps are
-    stored, t = 0 included.  Stability of the explicit stretching term
-    requires max |f| z dt / dz_loc <= 1 over the grid nodes (checked; the
-    benchmarks have f = 0).
+    wall, and all walls march in one kernel call (``_march_walls``).
+    Without ``store_times`` about eight evenly spaced steps are stored,
+    t = 0 included.  Stability of the explicit stretching term requires
+    max |f| z dt / dz_loc <= 1 over the grid nodes (checked; the
+    benchmarks have f = 0).  A non-finite iterate names the wall at fault:
+    the joint march that hits one is re-run a wall at a time.
     """
     if not 0 < dt < math.inf:
         raise StepSizeError(f"dt must be finite and positive, got {dt}")
     n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
     z = grid.z
-    op, h0 = _fast_diffusion_operator(z)
-    dz_weights = _first_deriv_matrix_weights(z)
 
     # explicit advection stability factor: max z_j / local spacing
     h_loc = np.minimum(z[1:-1] - z[:-2], z[2:] - z[1:-1])
     cfl_factor = float(np.max(z[1:-1] / h_loc))
 
-    times = np.array([k * dt for k in store_steps])
-    walls = {}
-    for w in geom.walls():
-        def coeffs(t):
-            g = boundary_data_g(flow, w, t=t)
-            f = float(flow.f_stretch(t))
-            a = flow.coupling_matrix(t, w.wall_id)
-            return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
-
-        # g, f and A at every step; a steady flow broadcasts its t = 0 values
-        steps = [coeffs(k * dt) for k in range(1 if flow.steady else n_steps + 1)]
-        g_all, f_all, a_all = (
-            np.broadcast_to(np.array(col), (n_steps + 1,) + np.shape(col[0]))
-            for col in zip(*steps))
-        cfl = np.max(np.abs(f_all[:-1]), initial=0.0) * cfl_factor * dt
+    terms = [_wall_terms(flow, w, dt, n_steps) for w in geom.walls()]
+    for t in terms:
+        cfl = np.max(np.abs(t.f[:-1]), initial=0.0) * cfl_factor * dt
         if cfl > 1.0:
             raise StepSizeError(
                 f"explicit stretching term unstable: |f| z dt / dz = "
                 f"{cfl:.3g} > 1"
             )
-        explicit = flow.layer_forcing is not None \
-            or np.any(f_all != 0.0) or np.any(a_all != 0.0)
+    try:
+        series = _march_walls(flow, terms, z, dt, store_steps)
+    except SolverError:
+        # the columns are independent, so the wall at fault fails alone
+        for t in terms:
+            _march_walls(flow, [t], z, dt, store_steps)
+        raise
 
-        def step_source(k, b):
-            # CN average of the ghost Neumann source 2 g / h0 at node 0
-            src = np.zeros((grid.nz - 1, 2))
-            src[0] = (g_all[k] + g_all[k + 1]) / h0
-            if explicit:
-                col = np.zeros((2, grid.nz))
-                col[:, :-1] = b.T
-                expl = -(f_all[k] * z) * _apply_first_deriv(dz_weights, col)
-                expl -= np.einsum("ij,jz->iz", a_all[k], col)
-                if flow.layer_forcing is not None:
-                    expl += flow.layer_forcing(k * dt + 0.5 * dt, w.wall_id, z)
-                src += expl[:, :-1].T
-            return src
-
-        # without explicit terms a steady flow has a constant source; a
-        # column whose g is exactly 0 then stays exactly +0.0, so only the
-        # live columns march and a wall with none is not marched
-        live, source = [0, 1], step_source
-        if flow.steady and not explicit:
-            source = step_source(0, None)
-            live = np.flatnonzero(source.any(axis=0))
-            source = source[:, live]
-        ub_store = np.zeros((len(store_steps), 2, grid.nz))
-        if len(live):
-            series = _cn_march(op, 0.5 * dt, dt, store_steps, source,
-                               f"layer {w.wall_id} (nu-free, n={grid.nz})",
-                               columns=2)
-            ub_store[:, live, :-1] = series.transpose(0, 2, 1)
-
-        walls[w.wall_id] = WallLayerSeries(
-            wall_id=w.wall_id,
-            tangent_names=w.tangent_names,
-            ub=ub_store,
-            g_used=g_all[store_steps],
+    walls = {}
+    for i, t in enumerate(terms):
+        ub = np.zeros((len(store_steps), 2, grid.nz))
+        ub[:, :, :-1] = series[..., 2 * i:2 * i + 2].transpose(0, 2, 1)
+        walls[t.wall.wall_id] = WallLayerSeries(
+            wall_id=t.wall.wall_id,
+            tangent_names=t.wall.tangent_names,
+            ub=ub,
+            g_used=t.g[store_steps],
         )
-
+    times = np.array([k * dt for k in store_steps])
     return LayerProfile(geom=geom, grid=grid, times=times, walls=walls)
 
 

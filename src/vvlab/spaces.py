@@ -357,8 +357,8 @@ class VolumeGrid:
 @dataclass
 class LayerEvalResult:
     values: np.ndarray             # (n_comp, n) on the geometry's volume grid
-    norm: float
-    p: float
+    norm: float | list             # a list, one per p, for a sequence of p
+    p: float | tuple
     asymptotic_warning: bool
 
 
@@ -422,13 +422,15 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
 
 
 def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
-                        nu: float, p: float = 2.0,
+                        nu: float, p=2.0,
                         n_points: int = DEFAULT_EVAL_POINTS) -> LayerEvalResult:
     """Evaluate x -> U(x, phi(x)/sqrt(nu)) times the collar cutoff.
 
     Both walls contribute with their own exact distance; the collars are
     disjoint so the contributions never overlap.  Components are treated as
     passive scalars here; frame mapping belongs to the ansatz assembler.
+    ``p`` may be a sequence of exponents: ``norm`` is then one norm per p,
+    from one VolumeGrid.norms call, each the bits of the norm at that p.
     """
     if nu <= 0:
         raise InvalidParameterError("nu must be positive")
@@ -439,11 +441,13 @@ def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
     warn = math.sqrt(nu) > geom.eta / 4.0
     if warn:
         warnings.warn("sqrt(nu) exceeds eta/4: asymptotic collar regime violated")
-    spec = NormSpec(label="linf", kind="linf", p=p) if math.isinf(p) \
-        else NormSpec(label=f"lp:{p}", kind="lp", p=p)
+    specs = [NormSpec(label="linf", kind="linf", p=q) if math.isinf(q)
+             else NormSpec(label=f"lp:{q}", kind="lp", p=q)
+             for q in map(float, np.atleast_1d(p))]
     mag = np.sqrt(np.sum(total**2, axis=0))
-    nrm = VolumeGrid(geom, coords).norms(mag, [spec])[0]
-    return LayerEvalResult(values=total, norm=nrm, p=p, asymptotic_warning=warn)
+    nrm = VolumeGrid(geom, coords).norms(mag, specs)
+    return LayerEvalResult(values=total, norm=nrm if np.ndim(p) else nrm[0], p=p,
+                           asymptotic_warning=warn)
 
 
 @dataclass
@@ -457,34 +461,36 @@ class ScalingResult:
 
 
 def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
-                           nu_list, p: float = 2.0, mode: str = "rate",
-                           n_points: int = DEFAULT_EVAL_POINTS) -> ScalingResult:
-    """Fit the nu-exponent of the layer evaluation norm, or check the
-    nu-uniform bound mode.
+                           nu_list, p=2.0, mode: str = "rate",
+                           n_points: int = DEFAULT_EVAL_POINTS):
+    """Fit the nu-exponent of the layer evaluation norm, and in the bounded
+    mode also check the nu-uniform bound.
 
     mode="rate": least-squares slope of log ||U(x, phi/sqrt(nu))||_p versus
-    log nu (expected 1/(2p)).  mode="bounded": the ratios against the
+    log nu (expected 1/(2p)).  mode="bounded" adds the ratios against the
     anisotropic (k=1, l=1, p=2) profile norm, which must stay bounded.
+    ``p`` may be a sequence of exponents: the result is then one
+    ScalingResult per p, in order, from one layer evaluation per nu
+    (``boundary_layer_eval`` with every p).
     """
     nu_list = sorted(float(v) for v in nu_list)
     if len(nu_list) < 3:
         raise ConfigError("need at least 3 viscosity values")
     if math.log10(nu_list[-1] / nu_list[0]) < 2.0 - 1e-9:
         raise ConfigError("viscosity values must span at least 2 decades")
-    norms = tuple(
-        boundary_layer_eval(pf, geom, nu, p=p, n_points=n_points).norm
-        for nu in nu_list
-    )
-    if mode == "bounded":
-        ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0))
-        ratios = tuple(n / ref for n in norms)
-        return ScalingResult(nu_list=tuple(nu_list), norms=norms,
-                             ratios=ratios, reference_norm=ref)
+    rows = [boundary_layer_eval(pf, geom, nu, p=np.atleast_1d(p), n_points=n_points).norm
+            for nu in nu_list]
+    ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0)) \
+        if mode == "bounded" else None
     x = np.log(np.asarray(nu_list))
-    y = np.log(np.asarray(norms))
-    slope, intercept = np.polyfit(x, y, 1)
-    return ScalingResult(nu_list=tuple(nu_list), norms=norms,
-                         slope=float(slope), intercept=float(intercept))
+    results = []
+    for norms in zip(*rows):
+        slope, intercept = np.polyfit(x, np.log(np.asarray(norms)), 1)
+        results.append(ScalingResult(
+            nu_list=tuple(nu_list), norms=norms, slope=float(slope),
+            intercept=float(intercept), reference_norm=ref,
+            ratios=None if ref is None else tuple(n / ref for n in norms)))
+    return tuple(results) if np.ndim(p) else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +581,9 @@ _GRONWALL_HIGH = np.array([1.5, 2.0, 2.0, 1.5, 4.0])
 # once per block, and the tables stay small where one for the whole march
 # raised the suite's peak memory by about 9%
 _GRONWALL_BLOCK = 250
+# trials whose guard is formed at a time: the cumulative table stays intact
+# for the bounds while the guard needs only this many rows
+_GRONWALL_ROWS = 8
 
 
 def _uniform_bracket(tt: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -595,6 +604,27 @@ def _uniform_bracket(tt: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.clip(j, 0, last)
 
 
+def _gronwall_bounds(y0, tt, hv, cum, c0, alpha, t) -> np.ndarray:
+    """gronwall_local_bound of each trial at its own time t < tt[-1], bit
+    for bit, from the trials' samples ``hv`` of h on the uniform ``tt`` and
+    their cumulative trapezoids ``cum``, both (n_trials, n_samples).
+
+    H(t) is y0 plus np.interp's interpolant of the trial's row of cum (the
+    segment from _uniform_bracket, np.interp's slope formula) and the bound
+    the scalar expression over the trials.  A trial whose guard reaches 1
+    takes the scalar path, which raises its BlowupHorizonError.
+    """
+    rows = np.arange(len(t))
+    j = _uniform_bracket(tt, t)
+    left = cum[rows, j]
+    slope = (cum[rows, j + 1] - left) / (tt[j + 1] - tt[j])
+    big_h = y0 + (slope * (t - tt[j]) + left)
+    guard = alpha * c0 * big_h ** alpha * t
+    for i in np.flatnonzero(guard >= 1.0):
+        gronwall_local_bound(y0[i], tt, hv[i], c0[i], alpha[i], t[i])
+    return big_h + big_h * ((1.0 - guard) ** (-1.0 / alpha) - 1.0)
+
+
 def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
                         n_steps: int) -> GronwallTrials:
     """Solve y' = h(t) + c0 max(y, 0)^(1+alpha), y(0) = y0, for random trials.
@@ -609,7 +639,9 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     differ from the scalar one in the last bit.  h is interpolated at the
     stage times of a block of steps in one call, bit for bit the lookup one
     step at a time; its segment comes from _uniform_bracket, which is
-    searchsorted's index on the uniform samples, so no bit moves.
+    searchsorted's index on the uniform samples, so no bit moves.  The
+    bounds at t_star come from the cumulative trapezoid the horizon is
+    found with (_gronwall_bounds), each gronwall_local_bound's bits.
     """
     if n_trials < 1 or n_samples < 2 or n_steps < 1:
         raise InvalidParameterError(
@@ -624,24 +656,31 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     hv **= 2
     hv += 1.0
     hv *= amp[:, None]
-    # H = y0 + cumulative trapezoid of h, then the guard alpha c0 H^alpha t,
-    # both formed in place in one array
-    guard = np.empty((n_trials, n_samples))
-    guard[:, 0] = 0.0
-    seg = guard[:, 1:]
+    # the cumulative trapezoid of h, H - y0, formed in place; it gives the
+    # horizon and then the bounds at t_star, and goes before the march
+    cum = np.empty((n_trials, n_samples))
+    cum[:, 0] = 0.0
+    seg = cum[:, 1:]
     np.add(hv[:, 1:], hv[:, :-1], out=seg)
     seg *= 0.5
     seg *= np.diff(tt)
     np.cumsum(seg, axis=1, out=seg)
-    guard += y0[:, None]
-    guard **= alpha[:, None]
-    guard *= (alpha * c0)[:, None]
-    guard *= tt
-    # the guard is 0 at t = 0, so the horizon is at least tt[1] and t_star > 0
-    beyond = guard >= 1.0
-    del guard, seg
-    horizon = np.where(beyond.any(axis=1), tt[np.argmax(beyond, axis=1)], tt[-1])
+    # the guard alpha c0 H^alpha t a few trials at a time, so that it needs
+    # no second full table; it is 0 at t = 0, so the horizon is at least
+    # tt[1] and t_star > 0
+    horizon = np.empty(n_trials)
+    for lo in range(0, n_trials, _GRONWALL_ROWS):
+        part = slice(lo, lo + _GRONWALL_ROWS)
+        guard = cum[part] + y0[part, None]
+        guard **= alpha[part, None]
+        guard *= (alpha * c0)[part, None]
+        guard *= tt
+        beyond = guard >= 1.0
+        horizon[part] = np.where(beyond.any(axis=1), tt[np.argmax(beyond, axis=1)],
+                                 tt[-1])
     t_star = 0.7 * horizon
+    bound = _gronwall_bounds(y0, tt, hv, cum, c0, alpha, t_star)
+    del cum, seg
     dt = t_star / n_steps
     half_dt = dt / 2
 
@@ -668,6 +707,4 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
         k3 = h_mid[:, b] + c0 * np.maximum(y + half_dt * k2, 0.0) ** power
         k4 = h_end[:, b] + c0 * np.maximum(y + dt * k3, 0.0) ** power
         y += dt * (k1 + (k2 + k2) + (k3 + k3) + k4) / 6.0
-    bound = np.array([gronwall_local_bound(y0[i], tt, hv[i], c0[i], alpha[i], t_star[i])
-                      for i in range(n_trials)])
     return GronwallTrials(t_star=t_star, y=y, bound=bound)

@@ -398,8 +398,9 @@ class StudySetup:
     row: np.ndarray                 # u - u0, then R, one time at a time
 
     def __reduce__(self):
-        # the base flow holds closures, which do not pickle: a pool's
-        # worker rebuilds the set-up from the config, once per group
+        # the base flow holds closures, which do not pickle: a pool that
+        # pickles its initializer's arguments (not a forked one) rebuilds
+        # the set-up from the config, once per worker
         return study_setup, (self.config,)
 
 
@@ -465,11 +466,29 @@ def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution
     return rows
 
 
-def ProcessPoolExecutor(max_workers):
+def ProcessPoolExecutor(max_workers, initializer, initargs):
     """concurrent.futures' process pool, imported on first use: only
     ``jobs > 1`` pays for loading it."""
     from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
+    return pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
+
+
+# a pool worker's study set-up and layer, given once by its initializer
+_POOL_STUDY = None
+
+
+def _init_pool(setup: StudySetup, profile: LayerProfile) -> None:
+    """Initializer of a study's pool: each worker receives the set-up and
+    the layer once, and a task carries only its march group.  A forked
+    worker inherits the parent's set-up and builds nothing."""
+    global _POOL_STUDY
+    _POOL_STUDY = (setup, profile)
+
+
+def _pool_task(nus):
+    """``_worker`` on one march group, in a pool worker."""
+    setup, profile = _POOL_STUDY
+    return _worker((setup, profile, nus))
 
 
 def _failure(exc: Exception) -> str:
@@ -518,9 +537,9 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
         outcomes = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(nus, pool.submit(_worker, (setup, profile, nus)))
-                       for nus in groups]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
+                                 initargs=(setup, profile)) as pool:
+            futures = [(nus, pool.submit(_pool_task, nus)) for nus in groups]
             for nus, fut in futures:
                 # a worker killed outright breaks the pool and fails every
                 # row not yet finished; each becomes a failed row

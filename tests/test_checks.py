@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import pytest
 from scipy.special import sici
@@ -45,3 +46,15 @@ def test_hardy_oracle_matches_closed_forms():
     si_2pi, si_4pi = sici(2.0 * math.pi)[0], sici(4.0 * math.pi)[0]
     assert lhs == pytest.approx(math.pi / eta * (si_2pi - si_4pi / 2.0), rel=1e-12)
     assert rhs == pytest.approx(math.pi**2 / (2.0 * eta), rel=1e-12)
+
+
+def test_check_details_match_golden():
+    # each check's name, pass flag and detail on the rigid and vortex
+    # presets (the vortex one adds the exact-regime chain), without seconds
+    golden = pathlib.Path(__file__).parent / "golden" / "check_details.txt"
+    want = [line for line in golden.read_text().splitlines()
+            if not line.startswith("#")]
+    got = [f"{preset} {r.name} {'PASS' if r.passed else 'FAIL'}: {r.detail}"
+           for preset in ("rigid-annulus", "vortex-annulus")
+           for r in run_all(get_preset(preset))]
+    assert got == want

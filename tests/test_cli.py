@@ -238,3 +238,13 @@ def test_ns_solve_file_matches_golden(tmp_path, capsys, name, text):
     golden = pathlib.Path(__file__).parent / "golden" / "ns_solution.sha256"
     want = dict(line.split()[::-1] for line in golden.read_text().splitlines())
     assert digest == want[name]
+
+
+def test_rigid_layer_solve_file_matches_golden(tmp_path):
+    # layer_profile.dat of the rigid preset, both walls marched in one
+    # kernel call, byte for byte the file of one march per wall
+    assert cli_main(["layer", "solve", "--preset", "rigid-annulus",
+                     "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "layer_profile.dat").read_bytes()).hexdigest()
+    golden = pathlib.Path(__file__).parent / "golden" / "rigid_layer.sha256"
+    assert golden.read_text().split() == [digest, "layer_profile.dat"]

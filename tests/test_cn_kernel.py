@@ -278,7 +278,8 @@ def _layer_kernel_calls(monkeypatch, flow, geom, store_times):
 def test_kernel_matches_step_oracle_callable_source(monkeypatch, case, store_times):
     flow, geom, _ = _layer_cases()[case]
     calls = _layer_kernel_calls(monkeypatch, flow, geom, store_times)
-    assert len(calls) == 2
+    # both walls march as the four columns of one call
+    assert len(calls) == 1 and calls[0][1]["columns"] == 4
     for (op, a, dt, steps, source, where), kwargs in calls:
         assert callable(source)
         for rannacher in (0, 2):
@@ -386,6 +387,34 @@ def test_layer_march_matches_sparse_march(case):
         assert np.all(got[:, :, -1] == 0.0)
 
 
+@pytest.mark.parametrize("case", ["rigid", "oscillating-shear", "layer-mms"])
+def test_joint_wall_march_equals_per_wall_marches(case):
+    # the walls march as the columns of one call; each wall's columns are
+    # bit for bit the march of that wall alone, the signs of zeros included.
+    # Rigid takes the steady live-column path, the other two the explicit
+    # one; the manufactured forcing is made to differ between the walls
+    flow, geom, zmax = _layer_cases()[case]
+    if case == "layer-mms":
+        forcing = flow.layer_forcing
+        flow.layer_forcing = lambda t, wall, z: (
+            -0.5 if wall == "upper" else 1.0) * forcing(t, wall, z)
+    grid = FastGrid(nz=128) if zmax is None else FastGrid(nz=128, zmax=zmax)
+    dt, n_steps = 1e-3, 200
+    steps = [0, 7, 50, 200]
+    terms = [layer._wall_terms(flow, w, dt, n_steps) for w in geom.walls()]
+    assert [t.explicit for t in terms] == [case != "rigid"] * 2
+    joint = layer._march_walls(flow, terms, grid.z, dt, steps)
+    assert joint.shape == (len(steps), grid.nz - 1, 4)
+    for i, t in enumerate(terms):
+        alone = layer._march_walls(flow, [t], grid.z, dt, steps)
+        assert np.any(alone != 0.0)
+        got = joint[..., 2 * i:2 * i + 2]
+        assert np.array_equal(got, alone)
+        assert np.array_equal(np.signbit(got), np.signbit(alone))
+    if case == "layer-mms":
+        assert not np.array_equal(joint[..., :2], joint[..., 2:])
+
+
 # ---------------------------------------------------------------------------
 # loud failures
 # ---------------------------------------------------------------------------
@@ -419,6 +448,18 @@ def test_non_finite_layer_iterate_names_the_wall(channel):
     flow = layer_mms_case(channel)
     flow.layer_forcing = lambda t, wall, z: np.full((2, len(z)), np.inf)
     with pytest.raises(SolverError, match=r"layer lower \(nu-free, n=32\).*step 10"), \
+            np.errstate(invalid="ignore"):
+        solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2,
+                    t_end=0.1, store_times=[0.1])
+
+
+def test_non_finite_layer_iterate_names_the_one_wall_at_fault(channel):
+    # the joint march fails as a whole; re-marched a wall at a time, only
+    # the upper wall fails, and the error names it
+    flow = layer_mms_case(channel)
+    flow.layer_forcing = lambda t, wall, z: np.full(
+        (2, len(z)), np.inf if wall == "upper" else 0.0)
+    with pytest.raises(SolverError, match=r"^layer upper \(nu-free, n=32\).*step 10"), \
             np.errstate(invalid="ignore"):
         solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2,
                     t_end=0.1, store_times=[0.1])

@@ -84,6 +84,12 @@ def test_cli_import_loads_no_interpolate_or_special():
     assert out.strip() == "[] True"
 
 
+def test_only_the_check_command_loads_the_invariant_suite():
+    # study, ns and layer commands neither load nor compile checks.py
+    out = _fresh("import sys, vvlab.cli; print('vvlab.checks' in sys.modules)")
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("order", [("vvlab.cli", "scipy.linalg.lapack"),
                                    ("scipy.linalg.lapack", "vvlab.cli")],
                          ids=["vvlab-first", "scipy-first"])

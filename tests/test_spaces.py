@@ -21,6 +21,9 @@ from vvlab.spaces import (
     ProfileField,
     VolumeGrid,
     _GRONWALL_BLOCK,
+    _GRONWALL_HIGH,
+    _GRONWALL_LOW,
+    _gronwall_bounds,
     _not_a_knot,
     _uniform_bracket,
     boundary_layer_eval,
@@ -326,6 +329,24 @@ def test_scaling_bounded_mode(channel, grid):
     assert all(np.isfinite(res.ratios))
 
 
+@pytest.mark.parametrize("mode", ["rate", "bounded"])
+def test_multi_p_scaling_check_gives_the_single_p_results(channel, grid, mode):
+    # one layer evaluation per nu serves every p: each p's norms, fit and
+    # ratios are exactly those of its own check and of boundary_layer_eval
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
+    nus = [1e-2, 1e-3, 1e-4, 1e-5]
+    ps = (2.0, 4.0, 6.0, math.inf)
+    multi = scaling_exponent_check(pf, channel, nus, p=ps, mode=mode, n_points=2049)
+    assert len(multi) == len(ps)
+    for p, res in zip(ps, multi):
+        assert res == scaling_exponent_check(pf, channel, nus, p=p, mode=mode,
+                                             n_points=2049)
+        assert res.norms == tuple(boundary_layer_eval(pf, channel, nu, p=p,
+                                                      n_points=2049).norm
+                                  for nu in sorted(nus))
+        assert (res.ratios is None) == (mode == "rate")
+
+
 # ---------------------------------------------------------------------------
 # Hardy
 # ---------------------------------------------------------------------------
@@ -475,6 +496,41 @@ def test_gronwall_check_trials_are_pinned_bit_for_bit():
     got = [[v.hex() for v in map(float, row)]
            for row in zip(trials.t_star, trials.y, trials.bound)]
     assert got == rows
+
+
+@pytest.mark.parametrize("seed, n_trials, n_samples, n_steps",
+                         [(11, 100, 2001, 2000), (5, 10, 201, 2 * _GRONWALL_BLOCK + 1)])
+def test_gronwall_batch_bounds_equal_scalar_bounds(seed, n_trials, n_samples, n_steps):
+    # the bounds come from the march's cumulative trapezoid, bit for bit
+    # gronwall_local_bound of each trial's draws at its t_star
+    trials = gronwall_rk4_trials(seed=seed, n_trials=n_trials,
+                                 n_samples=n_samples, n_steps=n_steps)
+    y0, c0, alpha, amp, freq = np.random.default_rng(seed).uniform(
+        _GRONWALL_LOW, _GRONWALL_HIGH, size=(n_trials, 5)).T
+    tt = np.linspace(0.0, 2.0, n_samples)
+    want = [gronwall_local_bound(y0[i], tt, amp[i] * (1.0 + np.sin(freq[i] * tt) ** 2),
+                                 c0[i], alpha[i], trials.t_star[i])
+            for i in range(n_trials)]
+    assert np.array_equal(trials.bound, want)
+
+
+def test_gronwall_batch_bound_past_its_horizon_raises_the_scalar_error():
+    # H = y0 + 0.3 t and guard = H t: the second trial's guard reaches 1
+    # before t = 1.5, so the batch raises the scalar path's error
+    tt = np.linspace(0.0, 2.0, 201)
+    hv = np.full((2, len(tt)), 0.3)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (hv[0, 1:] + hv[0, :-1]) * np.diff(tt))])
+    y0, c0, alpha = np.array([0.2, 1.0]), np.array([0.5, 1.0]), np.array([1.0, 1.0])
+    t = np.array([0.5, 1.5])
+    with pytest.raises(BlowupHorizonError) as scalar:
+        gronwall_local_bound(1.0, tt, hv[1], 1.0, 1.0, 1.5)
+    with pytest.raises(BlowupHorizonError) as batch:
+        _gronwall_bounds(y0, tt, hv, np.stack([cum, cum]), c0, alpha, t)
+    assert str(batch.value) == str(scalar.value)
+    assert batch.value.critical_time == scalar.value.critical_time < 1.5
+    # below its horizon the first trial alone is bounded, as the scalar one
+    assert _gronwall_bounds(y0[:1], tt, hv[:1], cum[None], c0[:1], alpha[:1], t[:1]) \
+        == gronwall_local_bound(0.2, tt, hv[0], 0.5, 1.0, 0.5)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

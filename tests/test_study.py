@@ -563,8 +563,11 @@ def test_broken_pool_with_too_few_survivors_names_its_rows(monkeypatch, annulus)
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: runs each submitted call in this
-    process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: runs the initializer and each
+    submitted call in this process, so no worker is started."""
+
+    def __init__(self, initializer, initargs):
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -581,11 +584,37 @@ class _InlinePool:
 def test_pool_never_larger_than_the_viscosity_list(monkeypatch, annulus):
     sizes = []
     monkeypatch.setattr(study, "ProcessPoolExecutor",
-                        lambda max_workers: sizes.append(max_workers) or _InlinePool())
+                        lambda max_workers, initializer, initargs: sizes.append(
+                            max_workers) or _InlinePool(initializer, initargs))
     cfg = _pool_config(annulus)
     report = run_convergence_study(cfg, jobs=10**6)
     assert sizes == [len(cfg.nu_list)]
     assert report.meta["failed_rows"] == {}
+
+
+_REAL_STUDY_SETUP = study.study_setup
+_SETUP_LOG = None       # set before the pool forks its workers
+
+
+def _logged_study_setup(config, flow=None):
+    # module level, so that a pool could pickle it by reference
+    with open(_SETUP_LOG, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _REAL_STUDY_SETUP(config, flow)
+
+
+def test_pool_workers_reuse_the_studys_setup(monkeypatch, tmp_path, annulus):
+    # the pool's initializer hands each worker the parent's set-up and
+    # layer once and a task carries only its march group, so the set-up is
+    # built once, in this process, however many groups the pool runs
+    log = tmp_path / "setups"
+    monkeypatch.setattr(sys.modules[__name__], "_SETUP_LOG", log)
+    monkeypatch.setattr(study, "study_setup", _logged_study_setup)
+    cfg = _pool_config(annulus)
+    pooled = run_convergence_study(cfg, jobs=2)
+    assert len(pooled.meta["ns_groups"]) == 2
+    assert log.read_text().split() == [str(os.getpid())]
+    assert pooled.rows == run_convergence_study(cfg).rows
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
