@@ -362,14 +362,24 @@ class LayerEvalResult:
     asymptotic_warning: bool
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic spline through (x, y[..., j]) at xq, shape (..., len(xq)).
+@dataclass(frozen=True)
+class _Spline:
+    """A not-a-knot cubic spline fitted by _not_a_knot_fit."""
 
-    Repeats scipy.interpolate.CubicSpline(x, y, axis=-1) operation for
-    operation: its banded rows and not-a-knot end rows, the dgtsv solve,
-    the Hermite coefficients and the power sum of its evaluation, so the
-    values equal scipy's bit for bit.  Needs len(x) >= 4 and
-    x[0] <= xq <= x[-1].
+    x: np.ndarray                  # the knots, (n,)
+    yt: np.ndarray                 # the values, knot first, (n, K)
+    coef: tuple                    # the cubic, quadratic, linear terms, (n-1, K)
+    lead: tuple                    # the values' leading shape
+
+
+def _not_a_knot_fit(x: np.ndarray, y: np.ndarray) -> _Spline:
+    """Fit the not-a-knot cubic spline through (x, y[..., j]).
+
+    The fit and _not_a_knot_eval repeat scipy.interpolate.CubicSpline(x, y,
+    axis=-1) operation for operation: its banded rows and not-a-knot end
+    rows, the dgtsv solve, the Hermite coefficients and the power sum of
+    its evaluation, so the values equal scipy's bit for bit.  Needs
+    len(x) >= 4.
     """
     n = len(x)
     yt = y.reshape(-1, n).T             # scipy's knot-first layout, (n, K)
@@ -388,15 +398,34 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"not-a-knot spline system: dgtsv info {info}")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     coef = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1])
-    i = np.minimum(np.searchsorted(x, xq, side="right") - 1, n - 2)
+    return _Spline(x=x, yt=yt, coef=coef, lead=y.shape[:-1])
+
+
+def _not_a_knot_eval(spline: _Spline, xq: np.ndarray) -> np.ndarray:
+    """The fitted spline at xq, shape (*lead, len(xq)), by the power sum
+    of CubicSpline's evaluation.  Needs x[0] <= xq <= x[-1]."""
+    x, yt = spline.x, spline.yt
+    i = np.minimum(np.searchsorted(x, xq, side="right") - 1, len(x) - 2)
     h = (xq - x[i])[:, None]
     # scipy's sum: res = 0 + y_i, then z *= h; res += c_k z (-0.0 becomes +0.0)
     res = 0.0 + yt[:-1][i]
     z = np.ones_like(h)
-    for ck in coef[::-1]:
+    for ck in spline.coef[::-1]:
         z *= h
         res += ck[i] * z
-    return res.T.reshape(y.shape[:-1] + (len(xq),))
+    return res.T.reshape(spline.lead + (len(xq),))
+
+
+def _spline_on_wall(spline: _Spline, geom: geo.GeometryDescriptor,
+                    wall_id: str, coords: np.ndarray, nu: float) -> np.ndarray:
+    """eval_profile_on_wall of the profile ``spline`` is fitted to."""
+    d = geo.wall_distance(geom, wall_id, coords)
+    zq = d / math.sqrt(nu)
+    live = (d < geom.eta) & (zq >= 0.0) & (zq <= spline.x[-1])
+    vals = np.zeros(spline.lead + (len(d),))
+    vals[..., live] = (_not_a_knot_eval(spline, zq[live])
+                       * geo.collar_cutoff(geom, d[live]))
+    return vals
 
 
 def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
@@ -406,19 +435,14 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
     ``pf`` is a wall column: the layer does not vary along the collar.  Its
     values may stack several times, (n_t, n_comp, n_z): the wall distance,
     the live nodes and the cutoff are then computed once and one spline is
-    fitted to all of them.  The spline (_not_a_knot, bit for bit scipy's
+    fitted to all of them.  The spline (_not_a_knot_fit, bit for bit scipy's
     CubicSpline) is multiplied by the collar cutoff and is zero beyond Z_max
     and outside the collar, where only zeros would come out; it is
     evaluated on the remaining nodes alone.  Returns (n_comp, n), or
     (n_t, n_comp, n).
     """
-    d = geo.wall_distance(geom, wall_id, coords)
-    zq = d / math.sqrt(nu)
-    live = (d < geom.eta) & (zq >= 0.0) & (zq <= pf.grid.z[-1])
-    vals = np.zeros(pf.values.shape[:-1] + (len(d),))
-    vals[..., live] = (_not_a_knot(pf.grid.z, pf.values, zq[live])
-                       * geo.collar_cutoff(geom, d[live]))
-    return vals
+    return _spline_on_wall(_not_a_knot_fit(pf.grid.z, pf.values), geom, wall_id,
+                           coords, nu)
 
 
 def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
@@ -432,12 +456,19 @@ def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
     ``p`` may be a sequence of exponents: ``norm`` is then one norm per p,
     from one VolumeGrid.norms call, each the bits of the norm at that p.
     """
+    return _layer_eval(_not_a_knot_fit(pf.grid.z, pf.values), geom, nu, p, n_points)
+
+
+def _layer_eval(spline: _Spline, geom: geo.GeometryDescriptor, nu: float, p,
+                n_points: int) -> LayerEvalResult:
+    """boundary_layer_eval of the profile ``spline`` is fitted to."""
     if nu <= 0:
         raise InvalidParameterError("nu must be positive")
     coords = geom.volume_grid(n_points)
-    total = np.zeros((pf.n_comp, len(coords)))
+    # (n_comp, n): a wall's values stacked over times do not add into it
+    total = np.zeros((spline.lead[-1], len(coords)))
     for w in geom.walls():
-        total += eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+        total += _spline_on_wall(spline, geom, w.wall_id, coords, nu)
     warn = math.sqrt(nu) > geom.eta / 4.0
     if warn:
         warnings.warn("sqrt(nu) exceeds eta/4: asymptotic collar regime violated")
@@ -471,14 +502,16 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
     anisotropic (k=1, l=1, p=2) profile norm, which must stay bounded.
     ``p`` may be a sequence of exponents: the result is then one
     ScalingResult per p, in order, from one layer evaluation per nu
-    (``boundary_layer_eval`` with every p).
+    (``boundary_layer_eval`` with every p) and one spline fit in all.
     """
     nu_list = sorted(float(v) for v in nu_list)
     if len(nu_list) < 3:
         raise ConfigError("need at least 3 viscosity values")
     if math.log10(nu_list[-1] / nu_list[0]) < 2.0 - 1e-9:
         raise ConfigError("viscosity values must span at least 2 decades")
-    rows = [boundary_layer_eval(pf, geom, nu, p=np.atleast_1d(p), n_points=n_points).norm
+    # one spline fit serves every nu, bit for bit a fit per evaluation
+    spline = _not_a_knot_fit(pf.grid.z, pf.values)
+    rows = [_layer_eval(spline, geom, nu, np.atleast_1d(p), n_points).norm
             for nu in nu_list]
     ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0)) \
         if mode == "bounded" else None
@@ -636,12 +669,23 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     scalar loop per trial would do (commuted, or scaled by an exact power
     of two, only where that changes no bit), and h is the piecewise-linear
     interpolant that np.interp evaluates; only numpy's vector power may
-    differ from the scalar one in the last bit.  h is interpolated at the
-    stage times of a block of steps in one call, bit for bit the lookup one
-    step at a time; its segment comes from _uniform_bracket, which is
-    searchsorted's index on the uniform samples, so no bit moves.  The
-    bounds at t_star come from the cumulative trapezoid the horizon is
-    found with (_gronwall_bounds), each gronwall_local_bound's bits.
+    differ from the scalar one in the last bit.  The bounds at t_star come
+    from the cumulative trapezoid the horizon is found with
+    (_gronwall_bounds), each gronwall_local_bound's bits.
+
+    h is interpolated at the stage times of a block of steps in one call,
+    bit for bit the lookup one step at a time: its segment comes from
+    _uniform_bracket, which is searchsorted's index on the uniform samples,
+    and its two knot values are gathered from the flat samples at
+    row * n_samples + j.  The stage tables are (step, trial), so a step
+    reads one contiguous row of each; no slope table is kept.  The stages
+    are formed in place in a few (n_trials,) buffers.  The mid stages are
+    carried doubled, K2 = 2 k2 and K3 = 2 k3, as (2 c0) P + 2 h_mid:
+    scaling by 2 is exact, so (dt/4) K2 and (dt/2) K3 are the scalar
+    loop's stage increments and ((k1 + K2) + K3) + k4 its sum
+    k1 + (k2 + k2) + (k3 + k3) + k4.  y0, amp >= 0 and c0 > 0, so h,
+    every stage and y stay >= 0, and the clamp max(., 0) would return its
+    input: it is not applied.
     """
     if n_trials < 1 or n_samples < 2 or n_steps < 1:
         raise InvalidParameterError(
@@ -683,28 +727,71 @@ def gronwall_rk4_trials(seed: int, n_trials: int, n_samples: int,
     del cum, seg
     dt = t_star / n_steps
     half_dt = dt / 2
+    quarter_dt = dt / 4
 
-    rows = np.arange(n_trials)[:, None]
+    flat = hv.ravel()
+    row_start = np.arange(n_trials) * n_samples
+    gap = np.diff(tt)                   # gap[j] is tt[j + 1] - tt[j]
 
     def h_at(t):
-        # np.interp's interpolant
+        # np.interp's interpolant at t, (block, n_trials): the slope
+        # (hv[j + 1] - hv[j]) / (tt[j + 1] - tt[j]) times (t - tt[j]), plus hv[j]
         j = _uniform_bracket(tt, t)
-        left = hv[rows, j]
-        slope = (hv[rows, j + 1] - left) / (tt[j + 1] - tt[j])
-        return slope * (t - tt[j]) + left
+        at = j + row_start
+        left = np.take(flat, at)
+        at += 1
+        slope = np.take(flat, at)
+        slope -= left
+        slope /= np.take(gap, j)
+        h = t - np.take(tt, j)
+        h *= slope
+        h += left
+        return h
 
     power = 1.0 + alpha
+    c0_2 = 2.0 * c0
+    six = np.full(n_trials, 6.0)
     y = y0.copy()
-    for k in range(n_steps):
-        b = k % _GRONWALL_BLOCK
-        if b == 0:
-            # h at the stage times of the next block of steps, (n_trials, block)
-            tk = np.arange(k, min(k + _GRONWALL_BLOCK, n_steps)) * dt[:, None]
-            h_start, h_mid, h_end = (h_at(tk), h_at(tk + half_dt[:, None]),
-                                     h_at(tk + dt[:, None]))
-        k1 = h_start[:, b] + c0 * np.maximum(y, 0.0) ** power
-        k2 = h_mid[:, b] + c0 * np.maximum(y + half_dt * k1, 0.0) ** power
-        k3 = h_mid[:, b] + c0 * np.maximum(y + half_dt * k2, 0.0) ** power
-        k4 = h_end[:, b] + c0 * np.maximum(y + dt * k3, 0.0) ** power
-        y += dt * (k1 + (k2 + k2) + (k3 + k3) + k4) / 6.0
+    arg, p, k, acc = (np.empty(n_trials) for _ in range(4))
+    # a step is two dozen calls on n_trials numbers, so their overhead is
+    # its cost: the ufuncs are bound locally, and 6 is an array, which
+    # divides faster than a Python float does
+    mul, pow_ = np.multiply, np.power
+    for lo in range(0, n_steps, _GRONWALL_BLOCK):
+        # h at the stage times of a block of steps, (block, n_trials)
+        tk = np.arange(lo, min(lo + _GRONWALL_BLOCK, n_steps))[:, None] * dt
+        h_start = h_at(tk)
+        h_mid2 = h_at(tk + half_dt)
+        h_mid2 *= 2.0
+        h_end = h_at(tk + dt)
+        for hs, hm2, he in zip(h_start, h_mid2, h_end):
+            # acc = k1 = h + c0 y^power
+            pow_(y, power, p)
+            mul(p, c0, acc)
+            acc += hs
+            # k = K2 = 2 h_mid + (2 c0) (y + (dt/2) k1)^power
+            mul(acc, half_dt, arg)
+            arg += y
+            pow_(arg, power, p)
+            mul(p, c0_2, k)
+            k += hm2
+            # k = K3 = 2 h_mid + (2 c0) (y + (dt/4) K2)^power; acc = k1 + K2
+            mul(k, quarter_dt, arg)
+            arg += y
+            acc += k
+            pow_(arg, power, p)
+            mul(p, c0_2, k)
+            k += hm2
+            # p = k4 = h_end + c0 (y + (dt/2) K3)^power; acc = (k1 + K2) + K3
+            mul(k, half_dt, arg)
+            arg += y
+            acc += k
+            pow_(arg, power, p)
+            p *= c0
+            p += he
+            # y += dt (((k1 + K2) + K3) + k4) / 6
+            acc += p
+            acc *= dt
+            acc /= six
+            y += acc
     return GronwallTrials(t_star=t_star, y=y, bound=bound)

@@ -7,6 +7,7 @@ from scipy.special import sici
 from vvlab import checks
 from vvlab.checks import _hardy_oracle, run_all
 from vvlab.cli import cli_main
+from vvlab.spaces import gronwall_rk4_trials
 from vvlab.study import get_preset
 
 
@@ -58,3 +59,19 @@ def test_check_details_match_golden():
            for preset in ("rigid-annulus", "vortex-annulus")
            for r in run_all(get_preset(preset))]
     assert got == want
+
+
+@pytest.mark.parametrize("field, value", [("y", math.nan), ("bound", math.nan),
+                                          ("bound", math.inf)])
+def test_a_non_finite_gronwall_trial_fails_the_check(monkeypatch, field, value):
+    # a NaN compares False with everything, so "bound below y" alone would
+    # count no failure; one non-finite trial of the 100 must fail the check
+    def one_bad_trial(**kwargs):
+        trials = gronwall_rk4_trials(**kwargs)
+        getattr(trials, field)[3] = value
+        return trials
+
+    monkeypatch.setattr(checks, "gronwall_rk4_trials", one_bad_trial)
+    result = checks.check_gronwall_dominates_rk4()
+    assert result.passed is False
+    assert result.detail.startswith("failures 1/100, ")

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from vvlab import geometry as geo
+from vvlab import spaces
 from vvlab.errors import (
     BlowupHorizonError,
     ConfigError,
@@ -24,7 +25,10 @@ from vvlab.spaces import (
     _GRONWALL_HIGH,
     _GRONWALL_LOW,
     _gronwall_bounds,
-    _not_a_knot,
+    _layer_eval,
+    _not_a_knot_eval,
+    _not_a_knot_fit,
+    _spline_on_wall,
     _uniform_bracket,
     boundary_layer_eval,
     diff_along,
@@ -285,11 +289,49 @@ def test_not_a_knot_is_scipy_cubic_spline_bit_for_bit(nz, fast_knots, lead, scal
     elif zeros == "all":
         y[...] = -0.0 if seed % 2 else 0.0
     xq = np.concatenate((x, [x[0], x[-1]], x[-1] * rng.uniform(0.0, 1.0, 257)))
-    got = _not_a_knot(x, y, xq)
+    got = _not_a_knot_eval(_not_a_knot_fit(x, y), xq)
     want = CubicSpline(x, y, axis=-1, extrapolate=False)(xq)
     assert got.shape == want.shape == (*lead, len(xq))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("geom_name", ["channel", "annulus"])
+def test_one_spline_fit_gives_the_per_call_values(request, geom_name, grid):
+    # a fit made once and evaluated at each nu gives eval_profile_on_wall's
+    # and boundary_layer_eval's values, each of which fits on every call
+    geom = request.getfixturevalue(geom_name)
+    pf = profile_from_callable([lambda z: np.exp(-z) * np.cos(z),
+                                lambda z: z * np.exp(-z)], grid, comp_names=("a", "b"))
+    stacked = ProfileField(grid=grid, values=np.stack([pf.values, 2.0 * pf.values]),
+                           comp_names=("a", "b"))
+    fit, fit_stacked = (_not_a_knot_fit(grid.z, f.values) for f in (pf, stacked))
+    coords = geom.volume_grid(2049)
+    for nu in (1e-2, 1e-3, 1e-4, 1e-5):
+        for w in geom.walls():
+            assert np.array_equal(_spline_on_wall(fit, geom, w.wall_id, coords, nu),
+                                  eval_profile_on_wall(pf, geom, w.wall_id, coords, nu))
+            assert np.array_equal(
+                _spline_on_wall(fit_stacked, geom, w.wall_id, coords, nu),
+                eval_profile_on_wall(stacked, geom, w.wall_id, coords, nu))
+        once = _layer_eval(fit, geom, nu, (2.0, 4.0), 2049)
+        per_call = boundary_layer_eval(pf, geom, nu, p=(2.0, 4.0), n_points=2049)
+        assert np.array_equal(once.values, per_call.values)
+        assert once.norm == per_call.norm
+
+
+def test_scaling_check_fits_its_profile_once(monkeypatch, channel, grid):
+    fits = []
+
+    def counted(x, y):
+        fits.append(y.shape)
+        return _not_a_knot_fit(x, y)
+
+    monkeypatch.setattr(spaces, "_not_a_knot_fit", counted)
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
+    scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4, 1e-5], p=(2.0, 4.0),
+                           mode="bounded", n_points=2049)
+    assert fits == [pf.values.shape]
 
 
 def test_weighted_norm_refuses_stacked_profiles(grid):
@@ -496,6 +538,28 @@ def test_gronwall_check_trials_are_pinned_bit_for_bit():
     got = [[v.hex() for v in map(float, row)]
            for row in zip(trials.t_star, trials.y, trials.bound)]
     assert got == rows
+
+
+def test_gronwall_march_edges_are_pinned_bit_for_bit():
+    # float.hex of (t_star, y, bound) per trial where the march's blocks
+    # end: two full blocks and a block of one step, one trial in exactly
+    # one full block, and a single short block; each case follows its
+    # "case seed n_trials n_samples n_steps" line
+    golden = pathlib.Path(__file__).parent / "golden" / "gronwall_edges.txt"
+    cases = {}
+    for line in golden.read_text().splitlines():
+        if line.startswith("case "):
+            rows = cases.setdefault(tuple(map(int, line.split()[1:])), [])
+        elif not line.startswith("#"):
+            rows.append(line.split())
+    assert list(cases) == [(5, 10, 201, 2 * _GRONWALL_BLOCK + 1),
+                           (2, 1, 51, _GRONWALL_BLOCK), (4, 3, 101, 7)]
+    for (seed, n_trials, n_samples, n_steps), rows in cases.items():
+        trials = gronwall_rk4_trials(seed=seed, n_trials=n_trials,
+                                     n_samples=n_samples, n_steps=n_steps)
+        got = [[v.hex() for v in map(float, row)]
+               for row in zip(trials.t_star, trials.y, trials.bound)]
+        assert got == rows, (seed, n_trials, n_samples, n_steps)
 
 
 @pytest.mark.parametrize("seed, n_trials, n_samples, n_steps",
