@@ -28,6 +28,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -387,21 +388,23 @@ class StudySetup:
     ``study_setup``: the base flow, the viscosity-free part of the
     reference solve (``ns.ReferenceSetup``: the grid, u0 on it, the drive
     L(u0), the symmetrised operator and the march's arrays), one
-    ``VolumeGrid`` of the norms and the row's (n,) buffer.  A group keeps
-    only the work that depends on nu, and reuses the arrays of the group
-    before it."""
+    ``VolumeGrid`` of the norms, the row's (n,) buffer and the threads a
+    group's march may cut its viscosities across (``march_threads``, set by
+    ``run_convergence_study``).  A group keeps only the work that depends
+    on nu, and reuses the arrays of the group before it."""
 
     config: StudyConfig
     flow: BaseFlow
     ref: ReferenceSetup
     grid: VolumeGrid
     row: np.ndarray                 # u - u0, then R, one time at a time
+    threads: int = 1
 
     def __reduce__(self):
         # the base flow holds closures, which do not pickle: a pool that
         # pickles its initializer's arguments (not a forked one) rebuilds
         # the set-up from the config, once per worker
-        return study_setup, (self.config,)
+        return study_setup, (self.config,), {"threads": self.threads}
 
 
 def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup:
@@ -430,11 +433,21 @@ def march_groups(config: StudyConfig, jobs: int = 1) -> list:
             for part in np.array_split(np.arange(len(nus)), count)]
 
 
+def march_threads(workers: int, cores: int | None = None) -> int:
+    """The threads each of ``workers`` processes gives a group's march:
+    an equal share of ``cores``, by default the cores this process may run
+    on, and at least one."""
+    if cores is None:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    return max(1, cores // workers)
+
+
 def solve_reference(setup: StudySetup, nus) -> list:
     """Viscous reference solves at the group ``nus`` on a study's set-up,
-    marched together; their histories are views of the set-up's own array,
-    which the next solve overwrites."""
-    return setup.ref.solve(nus)
+    marched together on up to ``setup.threads`` threads; their histories
+    are views of the set-up's own array, which the next solve overwrites."""
+    return setup.ref.solve(nus, setup.threads)
 
 
 def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution):
@@ -519,7 +532,8 @@ def _worker(args):
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     """Sweep ``config.nu_list`` in march groups (``march_groups``), ``jobs``
-    groups at a time.
+    groups at a time, each group's march on the threads of its process's
+    share of the cores (``march_threads``).
 
     ``jobs`` must be at least 1; the pool never has more workers than rows.
     """
@@ -530,6 +544,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     flow = config.euler.build(config.geometry)
     profile = solve_study_layer(config, flow)
     setup = study_setup(config, flow)
+    setup.threads = march_threads(workers)
     groups = march_groups(config, jobs)
 
     results = {}
@@ -632,6 +647,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         "ns_n": config.ns.n,
         "ns_dt": config.ns.dt,
         "ns_groups": [list(nus) for nus in groups],
+        "ns_threads": [min(setup.threads, len(nus)) for nus in groups],
         "layer_nz": config.layer.nz,
         "layer_dt": config.layer.dt,
         "failed_rows": failures,
@@ -655,8 +671,6 @@ def export_report(report: RateReport, out_dir) -> list:
     rendered with repr, so identical studies give identical bytes; the wall
     time lives only in run_meta.json, which is excluded from that promise.
     """
-    import os
-
     import scipy
 
     os.makedirs(out_dir, exist_ok=True)

@@ -11,6 +11,7 @@ does the same floating-point work, so the two agree bit for bit.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from vvlab import geometry as geo
 from vvlab import layer, ns
-from vvlab.errors import ConfigError, SolverError
+from vvlab.errors import ConfigError, InvalidParameterError, SolverError
 from vvlab.euler import (
     LaurentProfile,
     ShearProfile,
@@ -236,6 +237,81 @@ def test_non_finite_block_spreads_across_joins():
     assert np.all(np.isnan(out[0, n:]))
 
 
+def _group_case(m):
+    """The swirl operator, m coefficients and their joint (m n,) source."""
+    geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
+    x = geom.volume_grid(256)
+    dt = 1e-3
+    drive = ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
+    nus = GROUP_NUS[:m]
+    return (ns._symmetrise(ns._swirl_operator(x), "test"),
+            [0.5 * nu * dt for nu in nus], dt,
+            np.multiply.outer(nus, drive).ravel())
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_split_march_equals_one_thread_march(m, threads):
+    # each part of the blocks marches whole on its own thread, in slices of
+    # the group's arrays; every bit is the one-thread march's, zeros' signs
+    # included, with Rannacher steps and a store at step 0
+    sym, a, dt, src = _group_case(m)
+    steps = STORE_SETS[0][0]
+    assert steps[0] == 0
+    one = ns._cn_steps(sym, a, dt, steps, src, "test", rannacher=2)
+    split = ns._cn_steps(sym, a, dt, steps, src, "test", rannacher=2,
+                         threads=threads)
+    assert np.any(one != 0.0)
+    assert np.array_equal(split, one)
+    assert np.array_equal(np.signbit(split), np.signbit(one))
+
+
+def test_non_finite_block_of_a_later_part_raises_after_every_part_ends():
+    # blocks 0-1 march on this thread, block 2 on a helper whose source
+    # overflows: the helper's SolverError is raised here once it has been
+    # joined, and the first part, marched apart, stays finite
+    sym, a, dt, src = _group_case(3)
+    n = len(src) // 3
+    src[2 * n + n // 2] = np.inf
+    out = np.empty((1, 3 * n))
+    before = threading.active_count()
+    with pytest.raises(SolverError, match="test: non-finite iterate at step 1"), \
+            np.errstate(invalid="ignore"):
+        ns._cn_steps(sym, a, dt, [1], src, "test", threads=2,
+                     work=(np.empty(3 * n), np.empty(3 * n), out))
+    assert threading.active_count() == before
+    assert np.all(np.isfinite(out[0, :2 * n]))
+    assert not np.any(np.isfinite(out[0, 2 * n:]))
+
+
+@pytest.mark.parametrize("nrhs", [None, 2])
+def test_dpttrs_binding_equals_scipys_dpttrs(nrhs):
+    # the cython_lapack routine called through ctypes, in place, against
+    # f2py's wrapper of the same routine
+    rng = np.random.default_rng(5)
+    n = 300
+    d, e, info = dpttrf(1.0 + rng.random(n), 0.4 * rng.standard_normal(n - 1))
+    assert info == 0
+    b = np.asfortranarray(rng.standard_normal((n,) if nrhs is None else (n, nrhs)))
+    want, info = dpttrs(d, e, b)
+    assert info == 0
+    got = b.copy(order="F")
+    ns.dpttrs(d, e, got)()
+    assert not np.array_equal(got, b)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", ["strided", "c-order", "float32"])
+def test_dpttrs_binding_refuses_a_buffer_it_cannot_solve_in_place(bad):
+    # f2py solved a copy of such a b; a solve in place cannot
+    n = 16
+    d, e = np.full(n, 2.0), np.full(n - 1, 0.5)
+    b = {"strided": np.ones(2 * n)[::2], "c-order": np.ones((n, 2)),
+         "float32": np.ones(n, dtype=np.float32)}[bad]
+    with pytest.raises(InvalidParameterError, match="dpttrs: b must be"):
+        ns.dpttrs(d, e, b)
+
+
 def test_reference_group_larger_than_its_arrays_is_a_config_error(annulus):
     setup = ns.reference_setup(annulus, LaurentProfile({1: 1.0}), n=64, dt=1e-3,
                                t_end=0.01, group=2)
@@ -297,10 +373,11 @@ def test_kernel_matches_step_oracle_callable_source(monkeypatch, case, store_tim
 def test_march_stops_at_last_store_step(monkeypatch, store, rannacher):
     # one solve per step, two per Rannacher step, none past the last store
     calls = []
+    real = ns.dpttrs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return dpttrs(*args, **kwargs)
+    def counting(d, e, b):
+        solve = real(d, e, b)
+        return lambda: calls.append(1) or solve()
 
     monkeypatch.setattr(ns, "dpttrs", counting)
     op, a, dt, src = _swirl_march_case(None)

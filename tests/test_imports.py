@@ -1,6 +1,6 @@
 """Every imported name in the package and the tests is used, the command
 line imports no scipy module it does not need, and its LAPACK routines are
-scipy.linalg.lapack's own.
+scipy.linalg.lapack's own or, for dpttrs, cython_lapack's.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
 appear as a name somewhere else in the same file, or be listed in the
@@ -80,8 +80,9 @@ def test_cli_import_loads_no_interpolate_or_special():
     out = _fresh("import sys, vvlab.cli; print([m for m in "
                  "('scipy.interpolate', 'scipy.special', 'scipy.linalg', "
                  "'concurrent.futures.process') if m in sys.modules], "
-                 "'scipy.linalg._flapack' in sys.modules)")
-    assert out.strip() == "[] True"
+                 "'scipy.linalg._flapack' in sys.modules, "
+                 "'scipy.linalg.cython_lapack' in sys.modules)")
+    assert out.strip() == "[] True True"
 
 
 def test_only_the_check_command_loads_the_invariant_suite():
@@ -94,22 +95,44 @@ def test_only_the_check_command_loads_the_invariant_suite():
                                    ("scipy.linalg.lapack", "vvlab.cli")],
                          ids=["vvlab-first", "scipy-first"])
 def test_lapack_routines_are_scipy_linalg_lapacks_in_either_order(order):
+    # dpttrs is called through cython_lapack's function pointer, not f2py's
+    # wrapper (vvlab._lapack's docstring)
     out = _fresh(f"import {order[0]}, {order[1]}, vvlab.ns, vvlab.spaces\n"
-                 "from scipy.linalg import lapack\n"
-                 "print(vvlab.ns.dpttrs is lapack.dpttrs, "
+                 "from scipy.linalg import cython_lapack, lapack\n"
+                 "from vvlab._lapack import capsule_pointer\n"
+                 "print(vvlab.ns.dpttrs.pointer == "
+                 "capsule_pointer(cython_lapack.__pyx_capi__['dpttrs']), "
                  "vvlab.ns.dpttrf is lapack.dpttrf, "
                  "vvlab.spaces.dgtsv is lapack.dgtsv)")
     assert out.split() == ["True"] * 3
 
 
+@pytest.mark.parametrize("order", [("vvlab.cli", "scipy.linalg.lapack"),
+                                   ("scipy.linalg.lapack", "vvlab.cli")],
+                         ids=["vvlab-first", "scipy-first"])
+def test_lapack_extensions_are_registered_under_their_own_names(order):
+    # each extension is loaded once, as the module scipy.linalg itself uses
+    out = _fresh(f"import sys, {order[0]}, {order[1]}\n"
+                 "import scipy.linalg.cython_lapack, scipy.linalg._flapack\n"
+                 "for name in ('_flapack', 'cython_lapack'):\n"
+                 "    full = 'scipy.linalg.' + name\n"
+                 "    mods = [k for k, m in list(sys.modules.items()) if "
+                 "getattr(m, '__file__', '') == sys.modules[full].__file__]\n"
+                 "    print(mods == [full], sys.modules[full].__name__ == full)")
+    assert out.split() == ["True"] * 4
+
+
 def test_lapack_loader_falls_back_to_the_public_routines(tmp_path):
-    # a directory without the extension falls back to scipy.linalg.lapack;
-    # scipy's own directory reuses the extension this process already holds
+    # a directory without the extensions falls back to the scipy.linalg
+    # package; scipy's own directory reuses the extensions this process
+    # already holds
     import scipy
-    from scipy.linalg import lapack
+    from scipy.linalg import cython_lapack, lapack
 
     from vvlab import _lapack
-    public = (lapack.dgtsv, lapack.dpttrf, lapack.dpttrs)
+    public = (lapack.dgtsv, lapack.dpttrf)
+    pointer = _lapack.capsule_pointer(cython_lapack.__pyx_capi__["dpttrs"])
     for linalg_dir in (tmp_path, Path(scipy.__file__).parent / "linalg"):
-        got = _lapack.load(str(linalg_dir))
+        *got, dpttrs = _lapack.load(str(linalg_dir))
         assert all(a is b for a, b in zip(got, public, strict=True))
+        assert dpttrs.pointer == pointer

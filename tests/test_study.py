@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import pathlib
 import sys
@@ -376,8 +377,9 @@ def test_export_report(tmp_path, vortex_report):
     assert rates["exact_regime"] is True
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert "wall_time_s" in meta and "versions" in meta
-    # n = 65,536 marches one viscosity at a time
+    # n = 65,536 marches one viscosity at a time, so on one thread
     assert meta["ns_groups"] == [[nu] for nu in meta["nu_list"]]
+    assert meta["ns_threads"] == [1] * len(meta["nu_list"])
 
 
 def test_export_deterministic_bytes(tmp_path, vortex_report):
@@ -403,6 +405,10 @@ def test_jobs_do_not_change_report_bytes(tmp_path):
     r2 = run_convergence_study(cfg, jobs=2)
     assert r1.meta["ns_groups"] == [[1e-2, 1e-3, 1e-4]]
     assert r2.meta["ns_groups"] == [[1e-2, 1e-3], [1e-4]]
+    # a process's group marches on its share of the cores, on no more
+    # threads than the group has viscosities
+    assert r1.meta["ns_threads"] == [min(study.march_threads(1), 3)]
+    assert r2.meta["ns_threads"] == [min(study.march_threads(2), 2), 1]
     export_report(r1, tmp_path / "serial")
     export_report(r2, tmp_path / "par")
     assert (tmp_path / "serial" / "errors.csv").read_bytes() == \
@@ -673,6 +679,34 @@ def test_failed_factorisation_fails_only_its_row(annulus):
         sol, = study.solve_reference(setup, [nu])
         assert rows == study._solve_one_nu(setup, profile, sol)
         assert any(v > 0.0 for _, _, _, v, _ in rows)
+
+
+def test_failed_march_fails_only_its_row_on_threads(annulus):
+    # a NaN viscosity factors but marches to NaN: the group fails in the
+    # first of its two threads' parts, then each viscosity re-marches
+    # alone, and only the row at fault fails
+    cfg = _small_study(annulus, "rigid")
+    profile = study.solve_study_layer(cfg)
+    setup = study.study_setup(cfg)
+    setup.threads = 2
+    out = study._worker((setup, profile, (1e-2, math.nan, 1e-3)))
+    assert [nu for nu, _, _ in out][::2] == [1e-2, 1e-3]
+    _, rows, err = out[1]
+    assert rows is None
+    assert err.startswith("SolverError: ns swirl (nu=nan, n=256): non-finite iterate")
+    plain = study.study_setup(cfg)
+    for nu, rows, err in (out[0], out[2]):
+        assert err is None
+        sol, = study.solve_reference(plain, [nu])
+        assert rows == study._solve_one_nu(plain, profile, sol)
+
+
+def test_march_threads_share_the_cores():
+    assert study.march_threads(1, cores=2) == 2
+    assert study.march_threads(2, cores=2) == 1
+    assert study.march_threads(1, cores=1) == 1
+    assert study.march_threads(3, cores=8) == 2
+    assert study.march_threads(1) == study.march_threads(1, len(os.sched_getaffinity(0)))
 
 
 def test_march_groups_split_for_the_cache_and_the_pool(annulus):
