@@ -8,8 +8,10 @@ package, about half of the package's start-up time, so scipy's compiled
 and registered under their own names, ``scipy.linalg._flapack`` and
 ``scipy.linalg.cython_lapack``.  Whichever of vvlab and ``scipy.linalg``
 is imported first, the other reuses those modules, so ``dgtsv`` and
-``dpttrf`` are ``scipy.linalg.lapack``'s own objects.  Where a file is
-missing, the module is imported from the ``scipy.linalg`` package instead.
+``dpttrf`` are ``scipy.linalg.lapack``'s own objects; when vvlab comes
+first, an import hook sets them as attributes of ``scipy.linalg`` once it
+is imported.  Where a file is missing, the module is imported from the
+``scipy.linalg`` package instead.
 
 ``dpttrs`` is not f2py's: f2py's wrapper holds the GIL while LAPACK
 solves, so two threads' solves run one after the other.  The same routine
@@ -35,6 +37,27 @@ from .errors import InvalidParameterError
 # ctypes arrays, which pass as pointers as they are; declaring seven
 # c_void_p took a call from 0.9-1.1 to 1.8-2.2 us at n = 8, past f2py's 0.9-1.3
 _DPTTRS = ctypes.CFUNCTYPE(None)
+
+
+class _BindToPackage:
+    """An import hook that sets the two extensions as attributes of
+    ``scipy.linalg`` once it is imported: the import system binds only the
+    submodules it loads itself."""
+
+    def find_spec(self, fullname, path, target=None):
+        if fullname != "scipy.linalg":
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(fullname)
+        run = spec.loader.exec_module
+
+        def exec_module(module):
+            run(module)
+            for name in ("_flapack", "cython_lapack"):
+                setattr(module, name, sys.modules["scipy.linalg." + name])
+
+        spec.loader.exec_module = exec_module
+        return spec
 
 
 def _extension(linalg_dir: str, name: str):
@@ -103,6 +126,8 @@ def load(linalg_dir: str):
     the ``scipy.linalg`` package where the directory has none."""
     flapack = _extension(linalg_dir, "_flapack")
     capsule = _extension(linalg_dir, "cython_lapack").__pyx_capi__["dpttrs"]
+    if "scipy.linalg" not in sys.modules:
+        sys.meta_path.insert(0, _BindToPackage())
     return flapack.dgtsv, flapack.dpttrf, _binding(capsule_pointer(capsule))
 
 

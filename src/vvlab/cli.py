@@ -20,7 +20,6 @@ from .study import (
     get_preset,
     parse_config_file,
     run_convergence_study,
-    solve_reference,
     solve_study_layer,
     study_setup,
 )
@@ -55,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rates_p = study_sub.add_parser("rates", help="run the viscosity sweep and fit rates")
     common(rates_p)
     rates_p.add_argument("--jobs", type=int, default=1,
-                         help="parallel viscosity rows (deterministic output)")
+                         help="accepted for compatibility, at least 1, and "
+                         "ignored: a study runs its viscosities on one thread "
+                         "per core (the output does not depend on it)")
 
     return parser
 
@@ -102,8 +103,7 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "ns":
-            sol, = solve_reference(study_setup(config),
-                                   [config.ns.nu or config.nu_list[0]])
+            sol, = study_setup(config).ref.solve([config.ns.nu or config.nu_list[0]])
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "ns_solution.dat")
             # the two components off the flow's are exactly zero; each

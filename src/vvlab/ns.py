@@ -34,7 +34,7 @@ at the last stored step.
 
 A study solves at many viscosities on one grid, so the viscosity-free part
 of a reference solve (u0 on the grid, the drive L(u0), the symmetrised
-operator and the march's arrays) is a ``ReferenceSetup`` built once;
+operator and the march's work arrays) is a ``ReferenceSetup`` built once;
 ``solve_ns`` is one solve on a set-up of its own.
 
 A set-up marches a group of viscosities together, as one tridiagonal
@@ -61,24 +61,19 @@ in place in buf, and with buf 16 or 48 bytes off the line a step of the
 joint rigid march took about 6% longer (medians of 9 x 1,000 steps, 97
 against 91 us); numpy's allocator gives no such alignment.
 
-A group's march may also be split across threads (``_cn_steps``,
-``threads``): its blocks are cut into contiguous parts, and each part
-marches whole, from the first step to the last store, on slices of the
-group's arrays (w, buf, the half source, the scale and each stored w), as
-a smaller group of its own.  Each block takes its own operations, so
-every bit is the one-thread march's, and the parts never need to meet
-mid-march: no block reads another's values, so the one join is at the
-end (a barrier per step would cost more than the ~50 us a step takes).
-A non-finite value then spreads only within its part.  The parts' solves
-overlap because ``dpttrs`` is called through ``cython_lapack``'s function
-pointer with ctypes, which releases the GIL (_lapack.py); f2py's wrapper
-holds it.  On a 2-core host, two threads each solving 5,000 times on a
-system of their own (n = 10,240) took 1.53 s through f2py against 1.61 s
-one after the other, and 0.77 s through ctypes against 1.59 s (medians
-of 3).
-A study gives each process's march its share of the cores
-(``study.march_threads``): on 2 cores, the rigid preset's five
-viscosities march as 3 + 2.
+Several set-ups may march at once on threads of their own: a study cuts
+its viscosities into one part per core, and each part marches on a copy
+of the set-up with work arrays of its own (``ReferenceSetup.with_arrays``)
+and shares the rest, read-only.  Each block takes its own operations, so
+every bit is the one-thread march's.  The marches overlap because
+``dpttrs`` is called through ``cython_lapack``'s function pointer with
+ctypes, which releases the GIL (_lapack.py); f2py's wrapper holds it.  On
+a 2-core host, two threads each solving 5,000 times on a system of their
+own (n = 10,240) took 1.53 s through f2py against 1.61 s one after the
+other, and 0.77 s through ctypes against 1.59 s (medians of 3).
+``ReferenceSetup.solve`` can hand each stored time to its caller as the
+march reaches it and keep no (n_t, m n) history, so a part holds one
+stored row.
 
 The pressure drops out of both manifolds' evolution and is not stored.
 """
@@ -86,7 +81,7 @@ The pressure drops out of both manifolds' evolution and is not stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -230,7 +225,7 @@ def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
 
 
 def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
-              columns=None, work=None, threads=1):
+              columns=None, work=None, each=None):
     """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
 
     ``sym`` is ``_symmetrise`` of the tridiagonal S, so each step solves
@@ -242,13 +237,14 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
     runs one store segment at a time and stops at the last one.  Returns w
     at ``store_steps``, shape (n_store,) + the shape of src.  ``work`` is
     (w, buf, out) of those shapes to march in and store into instead of
-    allocating them; the result is then ``out``.
+    allocating them; the result is then ``out``.  ``each(i, x)``, when
+    given, is called with the stored w as the march reaches store i; ``out``
+    may then have fewer rows than stores, and store i goes to row i mod
+    len(out), so one row keeps no history.
 
     ``a`` may also be a sequence of m coefficients, a group: the m systems
     I - a_j S are one block-diagonal system of m n rows, and the constant
     ``source`` is the blocks' (m n,) concatenation, as is each stored w.
-    The group's blocks are cut into ``threads`` contiguous parts at most,
-    each marched whole on a thread of its own (module docstring).
 
     D (I - a S) D^{-1} is symmetric with off-diagonal -a sqrt(up_i lo_i);
     the march runs on D w against one dpttrf factorisation of
@@ -259,8 +255,7 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
     group factors each block alone and joins the factors with a 0.0
     off-diagonal at each join, which keeps every block's bits (module
     docstring).  ``where`` names the stage, nu and n in the errors: a failed
-    factorisation or a non-finite stored iterate (SolverError); of parts
-    that fail, the first in block order raises, once every part has ended.
+    factorisation or a non-finite stored iterate (SolverError).
     """
     di, sym_off, scale = sym
     factors = []
@@ -296,47 +291,30 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
     if not varying:
         hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
 
-    def march(lo, hi):
-        """The whole march of rows lo:hi, a run of whole blocks."""
-        wp, bp, sp, outp = w[lo:hi], buf[lo:hi], scale[lo:hi], out[:, lo:hi]
-        solve = dpttrs(diag[lo:hi], off[lo:hi - 1], bp)
-        hp = None if varying else hsrc[lo:hi]
-        k = 0
-        for i, stop in enumerate(store_steps):
-            for k in range(k, stop):
-                if varying:
-                    hp = half * sp * source(k, wp / sp)
-                np.add(wp, hp, out=bp)
+    solve = dpttrs(diag, off, buf)
+    k = 0
+    for i, stop in enumerate(store_steps):
+        for k in range(k, stop):
+            if varying:
+                hsrc = half * scale * source(k, w / scale)
+            np.add(w, hsrc, out=buf)
+            solve()
+            if k < rannacher:
+                np.multiply(buf, 0.5, out=w)
+                np.add(w, hsrc, out=buf)
                 solve()
-                if k < rannacher:
-                    np.multiply(bp, 0.5, out=wp)
-                    np.add(wp, hp, out=bp)
-                    solve()
-                    np.multiply(bp, 0.5, out=wp)
-                else:
-                    np.subtract(bp, wp, out=wp)
-            k = stop
-            np.divide(wp, sp, out=outp[i])
-            if not np.all(np.isfinite(outp[i])):
-                raise SolverError(
-                    f"{where}: non-finite iterate at step {stop} "
-                    f"(t = {stop * dt:.6g})")
-
-    n = len(di)
-    parts = [(p[0] * n, (p[-1] + 1) * n) for p in
-             np.array_split(np.arange(len(factors)), min(threads, len(factors)))]
-    if len(parts) == 1:
-        march(*parts[0])
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    # leaving the pool joins every helper, also when this thread's part
-    # raises; then the helpers' errors are raised in block order
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        helpers = [pool.submit(march, *part) for part in parts[1:]]
-        march(*parts[0])
-    for helper in helpers:
-        helper.result()
+                np.multiply(buf, 0.5, out=w)
+            else:
+                np.subtract(buf, w, out=w)
+        k = stop
+        stored = out[i % len(out)]
+        np.divide(w, scale, out=stored)
+        if not np.all(np.isfinite(stored)):
+            raise SolverError(
+                f"{where}: non-finite iterate at step {stop} "
+                f"(t = {stop * dt:.6g})")
+        if each is not None:
+            each(i, stored)
     return out
 
 
@@ -347,9 +325,10 @@ class ReferenceSetup:
     A study solves at every viscosity on the same grid, time step and store
     times, so it builds this once (``reference_setup``) and calls ``solve``
     per group of viscosities: u0 on the grid, the drive L(u0), the
-    symmetrised operator (``_symmetrise``), the store steps, and the march's
-    two (group n,) work arrays and (n_t, group n) history are shared; every
-    solve marches in the same arrays.
+    symmetrised operator (``_symmetrise``) and the store steps are shared,
+    and every solve marches in the set-up's two (group n,) work arrays (and
+    stores into its one stored row when it keeps no history).
+    ``with_arrays`` gives another thread arrays of its own.
     """
 
     geom: geo.GeometryDescriptor
@@ -359,37 +338,60 @@ class ReferenceSetup:
     sym: tuple                     # _symmetrise of the operator
     dt: float
     store_steps: list
+    times: np.ndarray              # the stored times, k dt for each store step k
     rannacher: int
-    work: tuple                    # (w, buf, history); w, buf free between solves
+    work: tuple                    # (w, buf, stored w); free between solves
 
-    def solve(self, nus, threads: int = 1) -> list:
+    def solve(self, nus, each=None) -> list | None:
         """The reference solutions at the viscosities ``nus``, marched as one
-        group (module docstring) on at most ``threads`` threads: for each
-        nu, u0 plus the march of the drive nu*L(u0) at a = nu dt / 2.
-        Returns one ViscousSolution per nu, in order; their histories ``u``
-        are views of this set-up's own array, which the next ``solve``
-        overwrites."""
+        group (module docstring): for each nu, u0 plus the march of the
+        drive nu*L(u0) at a = nu dt / 2.  Returns one ViscousSolution per
+        nu, in order, each with an (n_t, n) history of its own.  With
+        ``each``, the march keeps no history and returns None: at each store
+        i in turn, ``each(i, sols)`` receives the solutions there, one
+        stored time each, views of this set-up's stored row, which the next
+        store overwrites."""
         n = len(self.coords)
-        w, buf, history = self.work
+        w, buf, stored = self.work
         m = len(nus)
         if not 0 < m <= len(w) // n:
             raise ConfigError(
                 f"a reference group marches 1 to {len(w) // n} viscosities, got {m}")
         where = (f"ns {'swirl' if self.geom.kind == geo.ANNULUS_GAP else 'channel'}"
                  f" (nu={','.join(f'{nu:g}' for nu in nus)}, n={n})")
+        times = self.times
+
+        def solutions(u, ts):
+            sols = []
+            for j, nu in enumerate(nus):
+                uj = u[:, j * n:(j + 1) * n]
+                uj += self.u0                # in place: w + u0 is u0 + w exactly
+                sols.append(ViscousSolution(nu=nu, geom=self.geom, coords=self.coords,
+                                            times=ts, u=uj))
+            return sols
+
+        # the source nu*L(u0) of each block is formed in buf, which the
+        # kernel reads once, before its first step writes there
+        source = buf[:m * n]
+        np.multiply.outer(nus, self.drive, out=source.reshape(m, n))
+        if each is None:
+            out, hook = np.empty((len(times), m * n)), None
+        else:
+            out = stored[None, :m * n]
+
+            def hook(i, x):
+                each(i, solutions(x[None], times[i:i + 1]))
+
         u = _cn_steps(self.sym, [0.5 * nu * self.dt for nu in nus], self.dt,
-                      self.store_steps, np.multiply.outer(nus, self.drive).ravel(),
-                      where, rannacher=self.rannacher,
-                      work=(w[:m * n], buf[:m * n], history[:, :m * n]),
-                      threads=threads)
-        times = np.array([k * self.dt for k in self.store_steps])
-        sols = []
-        for j, nu in enumerate(nus):
-            uj = u[:, j * n:(j + 1) * n]
-            uj += self.u0                    # in place: w + u0 is u0 + w exactly
-            sols.append(ViscousSolution(nu=nu, geom=self.geom, coords=self.coords,
-                                        times=times, u=uj))
-        return sols
+                      self.store_steps, source, where, rannacher=self.rannacher,
+                      work=(w[:m * n], source, out), each=hook)
+        return solutions(u, times) if each is None else None
+
+    def with_arrays(self, group: int) -> ReferenceSetup:
+        """This set-up with march arrays of its own for groups of up to
+        ``group`` viscosities, at most ``group_size(n)``; everything else is
+        shared, read-only, so another thread may march on each at once."""
+        return replace(self, work=_march_arrays(len(self.coords), group))
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -398,6 +400,14 @@ def _aligned_empty(size: int) -> np.ndarray:
     raw = np.empty(size + 7)
     start = (-raw.ctypes.data % 64) // 8
     return raw[start:start + size]
+
+
+def _march_arrays(n: int, group: int) -> tuple:
+    """(w, buf, stored w) of a march of up to ``group`` viscosities on
+    ``n`` points, at most ``group_size(n)``, the two work arrays on a cache
+    line."""
+    size = min(group, group_size(n)) * n
+    return _aligned_empty(size), _aligned_empty(size), np.empty(size)
 
 
 def group_size(n: int) -> int:
@@ -424,13 +434,12 @@ def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
         else (_channel_operator, _drive_channel)
     x = geom.volume_grid(n)
     _, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
-    group = min(group, group_size(n))
     return ReferenceSetup(geom=geom, coords=x, u0=u0_profile.value(x),
                           drive=drive_of(x, u0_profile),
                           sym=_symmetrise(operator(x), where), dt=dt,
-                          store_steps=store_steps, rannacher=rannacher,
-                          work=(_aligned_empty(group * n), _aligned_empty(group * n),
-                                np.empty((len(store_steps), group * n))))
+                          store_steps=store_steps,
+                          times=np.array([k * dt for k in store_steps]),
+                          rannacher=rannacher, work=_march_arrays(n, group))
 
 
 def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,

@@ -120,17 +120,21 @@ def diff_along(values: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(d, -1, axis)
 
 
-def _apply_first_deriv(weights, v: np.ndarray) -> np.ndarray:
+def _apply_first_deriv(weights, v: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """Apply the weights of _first_deriv_matrix_weights along the last axis
-    of ``v`` (at least 3 nodes)."""
+    of ``v`` (at least 3 nodes).  ``out`` and ``tmp``, arrays of v's shape,
+    take the result and the products instead of new arrays."""
     cl, c0, cr = weights
-    d = np.empty_like(v)
+    d = np.empty_like(v) if out is None else out
     # summed left to right in place: the bits of the three-term expression
-    # with one temporary instead of two
+    # with one array of products
     inner = d[..., 1:-1]
+    prod = (np.empty_like(v) if tmp is None else tmp)[..., 1:-1]
     np.multiply(cl[1:-1], v[..., :-2], out=inner)
-    inner += c0[1:-1] * v[..., 1:-1]
-    inner += cr[1:-1] * v[..., 2:]
+    np.multiply(c0[1:-1], v[..., 1:-1], out=prod)
+    inner += prod
+    np.multiply(cr[1:-1], v[..., 2:], out=prod)
+    inner += prod
     d[..., 0] = c0[0] * v[..., 0] + cl[0] * v[..., 1] + cr[0] * v[..., 2]
     d[..., -1] = c0[-1] * v[..., -1] + cl[-1] * v[..., -2] + cr[-1] * v[..., -3]
     return d
@@ -277,13 +281,19 @@ class VolumeGrid:
     norms share.
 
     The quadrature weights, the first-derivative weights and the squared
-    coordinates are built on first use and kept, so one grid serves every
-    field of a study.
+    coordinates are built on first use, or all at once by ``built``, and
+    kept, so one grid serves every field of a study.
     """
 
     def __init__(self, geom: geo.GeometryDescriptor, coords: np.ndarray):
         self.geom = geom
         self.coords = np.asarray(coords, dtype=float)
+
+    def built(self) -> VolumeGrid:
+        """This grid with its constants built now: ``cached_property`` takes
+        no lock, so threads that share the grid could each build them."""
+        self.weights, self._deriv_weights, self._coords_sq
+        return self
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -297,17 +307,20 @@ class VolumeGrid:
     def _coords_sq(self) -> np.ndarray:
         return self.coords**2
 
-    def grad_sq(self, u: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+    def grad_sq(self, u: np.ndarray, sq: np.ndarray | None = None,
+                out=None, tmp=None) -> np.ndarray:
         """Pointwise |grad u|^2 of the flow component u, frame curvature
         included: u'^2 in the channel (u = u_x(y)), u'^2 + u^2/r^2 in the
-        annulus (u = u_theta(r)).  ``sq`` is u^2 when the caller has it."""
-        out = _apply_first_deriv(self._deriv_weights, u)
+        annulus (u = u_theta(r)).  ``sq`` is u^2 when the caller has it;
+        ``out`` and ``tmp``, arrays of u's shape, take the result and the
+        intermediate values instead of new arrays."""
+        out = _apply_first_deriv(self._deriv_weights, u, out, tmp)
         np.square(out, out=out)
         if self.geom.kind == geo.ANNULUS_GAP:
-            out += (u**2 if sq is None else sq) / self._coords_sq
+            out += np.divide(u**2 if sq is None else sq, self._coords_sq, out=tmp)
         return out
 
-    def norms(self, u: np.ndarray, specs) -> list:
+    def norms(self, u: np.ndarray, specs, scratch=None) -> list:
         """The lp / linf / h1 norms ``specs`` of one (n,) field: the flow
         component, or for lp and linf a pointwise magnitude.
 
@@ -315,37 +328,40 @@ class VolumeGrid:
         gradient.  Any other power is raised only where |u| != 0 and written
         into zeros: pow(0, p) is +0.0, the same bits, while the zeros of a
         field skip pow's slow path; a NaN is != 0 and still propagates.
+        Every intermediate lives in ``scratch``, a (4, n) array the norms
+        overwrite, or in four new arrays: at a study's n = 65,536 each is
+        512 KiB, which malloc may hand back to the system and fault in
+        again at every call.
         """
         u = np.asarray(u, dtype=float)
-        mag = np.abs(u)
-        sq = None
+        mag, sq, dens, tmp = np.empty((4,) + u.shape) if scratch is None else scratch
+        np.square(np.abs(u, out=mag), out=sq)
         out = []
         for spec in specs:
             if spec.kind == "linf":
                 out.append(float(mag.max(initial=0.0)))
             elif spec.kind in ("lp", "h1"):
-                if sq is None and (spec.kind == "h1" or spec.p == 2.0):
-                    sq = np.square(mag)
-                out.append(self._integral_norm(u, mag, sq, spec))
+                out.append(self._integral_norm(u, mag, sq, spec, dens, tmp))
             else:
                 raise ConfigError(
                     f"norm {spec.label!r} does not apply to volume fields")
         return out
 
-    def _integral_norm(self, u, mag, sq, spec) -> float:
+    def _integral_norm(self, u, mag, sq, spec, dens, tmp) -> float:
         """The lp or h1 norm ``spec`` of u, given |u| and, for l2 and h1,
-        |u|^2.  A density that is this norm's own is summed and weighted in
-        place: a sum and a product take the same bits in either order."""
+        |u|^2; its density goes to ``dens``, intermediates to ``tmp``.  A
+        product takes the same bits in either order."""
         if spec.kind == "h1":
-            dens = self.grad_sq(u, sq)
+            self.grad_sq(u, sq, out=dens, tmp=tmp)
             dens += sq
             dens *= self.weights
             return float(np.sqrt(np.sum(dens)))
         if spec.p == 2.0:
-            return float(np.sum(self.weights * sq) ** (1.0 / spec.p))
-        dens = np.zeros_like(mag)
-        np.power(mag, spec.p, out=dens, where=mag != 0.0)
-        dens *= self.weights
+            np.multiply(self.weights, sq, out=dens)
+        else:
+            dens.fill(0.0)
+            np.power(mag, spec.p, out=dens, where=mag != 0.0)
+            dens *= self.weights
         return float(np.sum(dens) ** (1.0 / spec.p))
 
 

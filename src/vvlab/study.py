@@ -2,9 +2,10 @@
 
 A study solves the layer once and builds the rest of what does not depend
 on the viscosity once (``StudySetup``), then solves the reference problem
-for a group of viscosities at a time in one joint march (``march_groups``),
-and for each viscosity assembles the ansatz and records sup-over-time error
-norms of u_nu - u0 and remainder norms.
+for a group of viscosities at a time in one joint march, one part of the
+viscosities on each core (``study_parts``), and for each viscosity
+assembles the ansatz and records sup-over-time error norms of u_nu - u0
+and remainder norms.
 Both fields are the flow's one component, ``geometry.flow_comp``: the
 tangential R is its own Leray part (R:P = R:full) and its gradient part
 R:I-P is exactly 0.
@@ -19,7 +20,7 @@ weaker interpolation-based comparison exponent 3/10 + 9/(10 p) is reported
 alongside for the lp family.
 
 Everything is deterministic: identical configs produce byte-identical
-errors.csv and rates.json regardless of the worker count (run_meta.json
+errors.csv and rates.json regardless of the number of cores (run_meta.json
 carries wall time and is excluded from that guarantee).
 """
 
@@ -29,9 +30,10 @@ import configparser
 import json
 import math
 import os
+import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -388,184 +390,178 @@ class StudySetup:
     ``study_setup``: the base flow, the viscosity-free part of the
     reference solve (``ns.ReferenceSetup``: the grid, u0 on it, the drive
     L(u0), the symmetrised operator and the march's arrays), one
-    ``VolumeGrid`` of the norms, the row's (n,) buffer and the threads a
-    group's march may cut its viscosities across (``march_threads``, set by
-    ``run_convergence_study``).  A group keeps only the work that depends
-    on nu, and reuses the arrays of the group before it."""
+    ``VolumeGrid`` of the norms, the row's (n,) buffer and the norms'
+    (4, n) scratch.  A group keeps only the work that depends on nu, and
+    reuses the arrays of the group before it."""
 
     config: StudyConfig
     flow: BaseFlow
     ref: ReferenceSetup
     grid: VolumeGrid
     row: np.ndarray                 # u - u0, then R, one time at a time
-    threads: int = 1
+    scratch: np.ndarray             # the norms' intermediates
 
-    def __reduce__(self):
-        # the base flow holds closures, which do not pickle: a pool that
-        # pickles its initializer's arguments (not a forked one) rebuilds
-        # the set-up from the config, once per worker
-        return study_setup, (self.config,), {"threads": self.threads}
+    def for_part(self, group: int) -> StudySetup:
+        """This set-up with arrays of its own, for groups of up to
+        ``group`` viscosities: a part on another thread shares the rest,
+        read-only."""
+        ref = self.ref.with_arrays(group)
+        return replace(self, ref=ref, row=ref.work[1][:self.config.ns.n],
+                       scratch=np.empty_like(self.scratch))
 
 
 def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup:
     """The viscosity-free set-up of ``config``'s rows: the reference solve
     from the base flow's profile, the one form of u0 it takes (swirl in the
     annulus, shear in the channel), stored at ``config.t_eval``, with the
-    march's arrays for the study's largest group (``march_groups``)."""
+    march's arrays for a group of the whole ``nu_list``, at most
+    ``ns.group_size``, and the norms' grid with its constants built."""
     flow = flow or config.euler.build(config.geometry)
     ref = reference_setup(config.geometry, flow.profile, n=config.ns.n,
                           dt=config.ns.dt, t_end=config.ns.t_end,
                           store_times=config.t_eval, group=len(config.nu_list))
-    # the row buffer is the march's scratch array, free once a solve returns
+    # the row buffer is the march's scratch array, free at each store
     return StudySetup(config=config, flow=flow, ref=ref,
-                      grid=VolumeGrid(config.geometry, ref.coords),
-                      row=ref.work[1][:config.ns.n])
+                      grid=VolumeGrid(config.geometry, ref.coords).built(),
+                      row=ref.work[1][:config.ns.n],
+                      scratch=np.empty((4, config.ns.n)))
 
 
-def march_groups(config: StudyConfig, jobs: int = 1) -> list:
-    """``config.nu_list`` cut into the contiguous groups whose reference
-    solves march together: at most ``ns.group_size`` viscosities each, and
-    at least ``min(jobs, len(nu_list))`` groups, so that each worker of a
-    pool has one; the sizes differ by at most one, the larger first."""
-    nus = config.nu_list
-    count = max(-(-len(nus) // group_size(config.ns.n)), min(jobs, len(nus)))
-    return [tuple(nus[i] for i in part)
-            for part in np.array_split(np.arange(len(nus)), count)]
-
-
-def march_threads(workers: int, cores: int | None = None) -> int:
-    """The threads each of ``workers`` processes gives a group's march:
-    an equal share of ``cores``, by default the cores this process may run
-    on, and at least one."""
+def study_parts(config: StudyConfig, cores: int | None = None) -> list:
+    """The parts of a study, one thread each, as lists of march groups:
+    ``config.nu_list`` cut into at most ``cores`` contiguous parts (by
+    default the cores this process may run on), and each part into the
+    fewest groups of at most ``ns.group_size`` viscosities, whose reference
+    solves march together; sizes differ by at most one, the larger first."""
     if cores is None:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-    return max(1, cores // workers)
+    size = group_size(config.ns.n)
+    parts = np.array_split(config.nu_list, min(cores, len(config.nu_list)))
+    return [[tuple(g.tolist()) for g in np.array_split(part, -(-len(part) // size))]
+            for part in parts]
 
 
-def solve_reference(setup: StudySetup, nus) -> list:
-    """Viscous reference solves at the group ``nus`` on a study's set-up,
-    marched together on up to ``setup.threads`` threads; their histories
-    are views of the set-up's own array, which the next solve overwrites."""
-    return setup.ref.solve(nus, setup.threads)
-
-
-def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution):
-    """Rows for a single viscosity, from its reference solution ``sol``:
-    velocity-error and remainder norms.
+def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution,
+                  times=None, u_approx=None):
+    """Rows for a single viscosity at ``times``, by default
+    ``config.t_eval``, from its reference solution ``sol``, which stores
+    each of them: velocity-error and remainder norms.  ``u_approx`` is the
+    ansatz at ``times``, assembled here when not given.
 
     u - u0, then R, is written into the set-up's (n,) buffer of the flow
     component one time at a time.  R is tangential, so its "P" norms are
     its own and its "I-P" norms are 0.0.
     """
     config, nu = setup.config, sol.nu
-    times = np.asarray(config.t_eval)
+    times = np.asarray(config.t_eval if times is None else times)
     u0, grid, row = setup.ref.u0, setup.grid, setup.row
-    u_approx = assemble_ansatz(setup.flow, profile, config.geometry, nu,
-                               sol.coords, times=times, u0=u0)
+    if u_approx is None:
+        u_approx = assemble_ansatz(setup.flow, profile, config.geometry, nu,
+                                   sol.coords, times=times, u0=u0)
     rows = []
     specs = [parse_norm(s) for s in config.norms]
     for jt, t in enumerate(times):
         t = float(t)
         u = sol.u[time_index(sol.times, t)]
         np.subtract(u, u0, out=row)
-        for spec, value in zip(specs, grid.norms(row, specs)):
+        for spec, value in zip(specs, grid.norms(row, specs, setup.scratch)):
             rows.append((nu, t, spec.label, value, "u"))
         np.subtract(u, u_approx[jt], out=row)
         row /= nu
-        for spec, value in zip(specs, grid.norms(row, specs)):
+        for spec, value in zip(specs, grid.norms(row, specs, setup.scratch)):
             for part, v in (("full", value), ("P", value), ("I-P", 0.0)):
                 rows.append((nu, t, spec.label, v, f"R:{part}"))
     return rows
-
-
-def ProcessPoolExecutor(max_workers, initializer, initargs):
-    """concurrent.futures' process pool, imported on first use: only
-    ``jobs > 1`` pays for loading it."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
-
-
-# a pool worker's study set-up and layer, given once by its initializer
-_POOL_STUDY = None
-
-
-def _init_pool(setup: StudySetup, profile: LayerProfile) -> None:
-    """Initializer of a study's pool: each worker receives the set-up and
-    the layer once, and a task carries only its march group.  A forked
-    worker inherits the parent's set-up and builds nothing."""
-    global _POOL_STUDY
-    _POOL_STUDY = (setup, profile)
-
-
-def _pool_task(nus):
-    """``_worker`` on one march group, in a pool worker."""
-    setup, profile = _POOL_STUDY
-    return _worker((setup, profile, nus))
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _worker(args):
-    """One march group's rows, (nu, rows, error) per viscosity in order;
-    any exception becomes a failed row naming its type, so one bad row
-    cannot abort the study.  A group whose joint march fails (a non-finite
-    value crosses the joins) re-marches its viscosities one at a time, so
-    only the row at fault fails."""
-    setup, profile, nus = args
+def _group_rows(setup: StudySetup, profile: LayerProfile, nus) -> list:
+    """One march group's rows, (nu, rows, error) per viscosity in order.
+
+    Each viscosity's ansatz is assembled at every evaluation time before
+    the march, which keeps no history: the rows at a stored time are taken
+    as the march reaches it.  Any exception becomes a failed row naming its
+    type, so one bad row cannot abort the study.  A group whose joint march
+    fails (a non-finite value crosses the joins) re-marches its viscosities
+    one at a time, so only the row at fault fails."""
+    config, ref = setup.config, setup.ref
+    t_eval = config.t_eval
+    store_of = [time_index(ref.times, t) for t in t_eval]
+    rows = {nu: [None] * len(t_eval) for nu in nus}
+    approx = {}
+    failed = {}
+    for nu in nus:
+        try:
+            approx[nu] = assemble_ansatz(setup.flow, profile, config.geometry, nu,
+                                         ref.coords, times=t_eval, u0=ref.u0)
+        except Exception as exc:
+            failed[nu] = _failure(exc)
+
+    def each(i, sols):
+        for sol in sols:
+            if sol.nu in failed:
+                continue
+            try:
+                for jt, t in enumerate(t_eval):
+                    if store_of[jt] == i:
+                        rows[sol.nu][jt] = _solve_one_nu(
+                            setup, profile, sol, (t,), approx[sol.nu][jt:jt + 1])
+            except Exception as exc:
+                failed[sol.nu] = _failure(exc)
+
     try:
-        sols = solve_reference(setup, nus)
+        ref.solve(nus, each)
     except Exception as exc:
         if len(nus) == 1:
             return [(nus[0], None, _failure(exc))]
-        return [out for nu in nus for out in _worker((setup, profile, (nu,)))]
-    outcomes = []
-    for sol in sols:
-        try:
-            outcomes.append((sol.nu, _solve_one_nu(setup, profile, sol), None))
-        except Exception as exc:
-            outcomes.append((sol.nu, None, _failure(exc)))
-    return outcomes
+        return [out for nu in nus for out in _group_rows(setup, profile, (nu,))]
+    return [(nu, None, failed[nu]) if nu in failed else
+            (nu, [row for at in rows[nu] for row in at], None) for nu in nus]
 
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
-    """Sweep ``config.nu_list`` in march groups (``march_groups``), ``jobs``
-    groups at a time, each group's march on the threads of its process's
-    share of the cores (``march_threads``).
+    """Sweep ``config.nu_list`` in parts (``study_parts``), each on a thread
+    of its own: a part marches its groups and takes their rows at each
+    stored time (``_group_rows``).  This thread runs the first part on the
+    study's set-up; every other part shares it but for the arrays its
+    viscosities change (``StudySetup.for_part``).  The marches overlap
+    because ``dpttrs`` releases the GIL, and every block takes its own
+    operations, so the report's bytes do not depend on the number of cores.
 
-    ``jobs`` must be at least 1; the pool never has more workers than rows.
+    ``jobs`` must be at least 1 and is otherwise ignored: a study runs on
+    every core this process may use.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(config.nu_list))
     t0 = time.perf_counter()
     flow = config.euler.build(config.geometry)
     profile = solve_study_layer(config, flow)
     setup = study_setup(config, flow)
-    setup.threads = march_threads(workers)
-    groups = march_groups(config, jobs)
+    parts = study_parts(config)
+    outcomes = [None] * len(parts)
+
+    def run(i, part_setup):
+        outcomes[i] = [out for nus in parts[i]
+                       for out in _group_rows(part_setup, profile, nus)]
+
+    helpers = [threading.Thread(target=run, args=(
+        i, setup.for_part(max(len(nus) for nus in parts[i]))))
+        for i in range(1, len(parts))]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0, setup)
+    finally:
+        for helper in helpers:
+            helper.join()
 
     results = {}
     failures = {}
-    if workers > 1:
-        from concurrent.futures.process import BrokenProcessPool
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
-                                 initargs=(setup, profile)) as pool:
-            futures = [(nus, pool.submit(_pool_task, nus)) for nus in groups]
-            for nus, fut in futures:
-                # a worker killed outright breaks the pool and fails every
-                # row not yet finished; each becomes a failed row
-                try:
-                    outcomes.extend(fut.result())
-                except BrokenProcessPool as exc:
-                    outcomes.extend((nu, None, f"BrokenProcessPool: {exc}")
-                                    for nu in nus)
-    else:
-        outcomes = (out for nus in groups for out in _worker((setup, profile, nus)))
-    for nu, rows, err in outcomes:
+    for nu, rows, err in (out for part in outcomes for out in part):
         if err is None:
             results[nu] = rows
         else:
@@ -646,8 +642,8 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         "t_eval": list(config.t_eval),
         "ns_n": config.ns.n,
         "ns_dt": config.ns.dt,
-        "ns_groups": [list(nus) for nus in groups],
-        "ns_threads": [min(setup.threads, len(nus)) for nus in groups],
+        "ns_groups": [list(nus) for part in parts for nus in part],
+        "ns_parts": [[nu for nus in part for nu in nus] for part in parts],
         "layer_nz": config.layer.nz,
         "layer_dt": config.layer.dt,
         "failed_rows": failures,

@@ -249,39 +249,65 @@ def _group_case(m):
             np.multiply.outer(nus, drive).ravel())
 
 
+def _march_parts_on_threads(sym, a, dt, steps, src, threads, fail=None):
+    """The group's blocks cut into at most ``threads`` contiguous parts, as
+    a study cuts its viscosities, each marched at once on a thread of its
+    own in arrays of its own; the parts' results and errors, in order."""
+    n = len(src) // len(a)
+    parts = np.array_split(np.arange(len(a)), min(threads, len(a)))
+    results = [None] * len(parts)
+
+    def march(i, blocks):
+        rows = slice(blocks[0] * n, (blocks[-1] + 1) * n)
+        try:
+            results[i] = ns._cn_steps(sym, [a[j] for j in blocks], dt, steps,
+                                      src[rows].copy(), "test", rannacher=2)
+        except SolverError as exc:
+            results[i] = exc
+
+    helpers = [threading.Thread(target=march, args=(i, blocks))
+               for i, blocks in enumerate(parts)]
+    for helper in helpers:
+        helper.start()
+    for helper in helpers:
+        helper.join(timeout=60.0)
+    assert not any(helper.is_alive() for helper in helpers)
+    return results
+
+
 @pytest.mark.parametrize("threads", [2, 3, 8])
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_split_march_equals_one_thread_march(m, threads):
-    # each part of the blocks marches whole on its own thread, in slices of
-    # the group's arrays; every bit is the one-thread march's, zeros' signs
-    # included, with Rannacher steps and a store at step 0
+    # each part of the blocks marches whole on its own thread, at the same
+    # time as the others, in arrays of its own; every bit is the joint
+    # one-thread march's, zeros' signs included, with Rannacher steps and a
+    # store at step 0
     sym, a, dt, src = _group_case(m)
     steps = STORE_SETS[0][0]
     assert steps[0] == 0
     one = ns._cn_steps(sym, a, dt, steps, src, "test", rannacher=2)
-    split = ns._cn_steps(sym, a, dt, steps, src, "test", rannacher=2,
-                         threads=threads)
+    split = np.concatenate(_march_parts_on_threads(sym, a, dt, steps, src, threads),
+                           axis=1)
     assert np.any(one != 0.0)
     assert np.array_equal(split, one)
     assert np.array_equal(np.signbit(split), np.signbit(one))
 
 
 def test_non_finite_block_of_a_later_part_raises_after_every_part_ends():
-    # blocks 0-1 march on this thread, block 2 on a helper whose source
-    # overflows: the helper's SolverError is raised here once it has been
-    # joined, and the first part, marched apart, stays finite
+    # blocks 0-1 march on one thread, block 2 on another whose source
+    # overflows: its SolverError is raised on its own thread, and the first
+    # part, marched apart at the same time, keeps the joint march's bits
     sym, a, dt, src = _group_case(3)
     n = len(src) // 3
+    want = ns._cn_steps(sym, a[:2], dt, [1], src[:2 * n], "test", rannacher=2)
     src[2 * n + n // 2] = np.inf
-    out = np.empty((1, 3 * n))
     before = threading.active_count()
-    with pytest.raises(SolverError, match="test: non-finite iterate at step 1"), \
-            np.errstate(invalid="ignore"):
-        ns._cn_steps(sym, a, dt, [1], src, "test", threads=2,
-                     work=(np.empty(3 * n), np.empty(3 * n), out))
+    with np.errstate(invalid="ignore"):
+        first, last = _march_parts_on_threads(sym, a, dt, [1], src, 2)
     assert threading.active_count() == before
-    assert np.all(np.isfinite(out[0, :2 * n]))
-    assert not np.any(np.isfinite(out[0, 2 * n:]))
+    assert np.array_equal(first, want)
+    assert isinstance(last, SolverError)
+    assert str(last).startswith("test: non-finite iterate at step 1")
 
 
 @pytest.mark.parametrize("nrhs", [None, 2])

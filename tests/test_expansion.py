@@ -184,7 +184,7 @@ def test_remainder_per_time_equals_eager_formula(small_rigid):
     nu, geom = 3e-3, cfg.geometry
     flow = cfg.euler.build(geom)
     setup = study.study_setup(cfg)
-    sol, = study.solve_reference(setup, [nu])
+    sol, = setup.ref.solve([nu])
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                                times=cfg.t_eval)
     idx = [time_index(sol.times, t) for t in cfg.t_eval]
@@ -248,7 +248,7 @@ def test_remainder_parts_are_the_projector_of_r(small_rigid):
     nu, geom = 1e-3, cfg.geometry
     flow = cfg.euler.build(geom)
     setup = study.study_setup(cfg)
-    sol, = study.solve_reference(setup, [nu])
+    sol, = setup.ref.solve([nu])
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                                times=cfg.t_eval)
     got = _row_values(study._solve_one_nu(setup, profile, sol))

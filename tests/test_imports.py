@@ -76,7 +76,8 @@ def _fresh(code):
 def test_cli_import_loads_no_interpolate_or_special():
     # scipy.interpolate pulls in special, sparse and optimize at start-up;
     # the package needs only scipy's compiled LAPACK extension, loaded
-    # without the scipy.linalg package, and only --jobs > 1 needs the pool
+    # without the scipy.linalg package, and a study runs on threads, not on
+    # a process pool
     out = _fresh("import sys, vvlab.cli; print([m for m in "
                  "('scipy.interpolate', 'scipy.special', 'scipy.linalg', "
                  "'concurrent.futures.process') if m in sys.modules], "
@@ -120,6 +121,16 @@ def test_lapack_extensions_are_registered_under_their_own_names(order):
                  "getattr(m, '__file__', '') == sys.modules[full].__file__]\n"
                  "    print(mods == [full], sys.modules[full].__name__ == full)")
     assert out.split() == ["True"] * 4
+
+
+def test_lapack_extensions_are_attributes_of_scipy_linalg_imported_after_vvlab():
+    # vvlab registers both extensions before the scipy.linalg package
+    # exists; once it is imported they are its attributes, as they are when
+    # it is imported first
+    out = _fresh("import sys, vvlab.cli, scipy.linalg\n"
+                 "print(*(getattr(scipy.linalg, name) is sys.modules["
+                 "'scipy.linalg.' + name] for name in ('_flapack', 'cython_lapack')))")
+    assert out.split() == ["True"] * 2
 
 
 def test_lapack_loader_falls_back_to_the_public_routines(tmp_path):

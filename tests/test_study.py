@@ -4,11 +4,12 @@ import json
 import math
 import os
 import pathlib
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from vvlab.euler import (
     swirl_base_flow,
 )
 from vvlab.expansion import leray_project
-from vvlab.ns import ViscousSolution, solve_ns
+from vvlab.ns import ReferenceSetup, ViscousSolution, solve_ns
 from vvlab.spaces import VolumeGrid, parse_norm
 from vvlab.study import (
     EulerSpec,
@@ -377,9 +378,10 @@ def test_export_report(tmp_path, vortex_report):
     assert rates["exact_regime"] is True
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert "wall_time_s" in meta and "versions" in meta
-    # n = 65,536 marches one viscosity at a time, so on one thread
+    # n = 65,536 marches one viscosity at a time, in one part per core
     assert meta["ns_groups"] == [[nu] for nu in meta["nu_list"]]
-    assert meta["ns_threads"] == [1] * len(meta["nu_list"])
+    assert [nu for part in meta["ns_parts"] for nu in part] == meta["nu_list"]
+    assert len(meta["ns_parts"]) == min(len(os.sched_getaffinity(0)), 5)
 
 
 def test_export_deterministic_bytes(tmp_path, vortex_report):
@@ -390,8 +392,18 @@ def test_export_deterministic_bytes(tmp_path, vortex_report):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_jobs_do_not_change_report_bytes(tmp_path):
-    # small fast config: byte-identical errors.csv with and without workers
+_REAL_STUDY_PARTS = study.study_parts
+
+
+def _on_cores(monkeypatch, cores):
+    """Run every later study of the test in ``cores`` parts at most."""
+    monkeypatch.setattr(study, "study_parts",
+                        lambda config: _REAL_STUDY_PARTS(config, cores=cores))
+
+
+def test_jobs_do_not_change_report_bytes(tmp_path, monkeypatch):
+    # small fast config: byte-identical errors.csv at any jobs value and on
+    # one core or two; jobs is checked, then ignored
     cfg = StudyConfig(
         geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
         euler=EulerSpec(family="rigid", omega=1.0),
@@ -401,20 +413,20 @@ def test_jobs_do_not_change_report_bytes(tmp_path):
         norms=("l2", "linf"),
         t_eval=(0.1, 0.2),
     )
-    r1 = run_convergence_study(cfg, jobs=1)
-    r2 = run_convergence_study(cfg, jobs=2)
-    assert r1.meta["ns_groups"] == [[1e-2, 1e-3, 1e-4]]
-    assert r2.meta["ns_groups"] == [[1e-2, 1e-3], [1e-4]]
-    # a process's group marches on its share of the cores, on no more
-    # threads than the group has viscosities
-    assert r1.meta["ns_threads"] == [min(study.march_threads(1), 3)]
-    assert r2.meta["ns_threads"] == [min(study.march_threads(2), 2), 1]
-    export_report(r1, tmp_path / "serial")
-    export_report(r2, tmp_path / "par")
-    assert (tmp_path / "serial" / "errors.csv").read_bytes() == \
-        (tmp_path / "par" / "errors.csv").read_bytes()
-    assert (tmp_path / "serial" / "rates.json").read_bytes() == \
-        (tmp_path / "par" / "rates.json").read_bytes()
+    reports = {}
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        for jobs in (1, 2):
+            reports[cores, jobs] = run_convergence_study(cfg, jobs=jobs)
+    assert reports[1, 1].meta["ns_parts"] == reports[1, 2].meta["ns_parts"] \
+        == [[1e-2, 1e-3, 1e-4]]
+    assert reports[2, 1].meta["ns_parts"] == [[1e-2, 1e-3], [1e-4]]
+    assert reports[2, 1].meta["ns_groups"] == [[1e-2, 1e-3], [1e-4]]
+    for key, report in reports.items():
+        export_report(report, tmp_path / repr(key))
+    for name in ("errors.csv", "rates.json"):
+        assert len({(tmp_path / repr(key) / name).read_bytes()
+                    for key in reports}) == 1
 
 
 def test_empty_norm_list_header_only(tmp_path, annulus):
@@ -484,10 +496,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     )
     real = study_mod._solve_one_nu
 
-    def flaky(setup, profile, sol):
+    def flaky(setup, profile, sol, *at):
         if sol.nu == 3e-3:
             raise StepSizeError("synthetic failure")
-        return real(setup, profile, sol)
+        return real(setup, profile, sol, *at)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", flaky)
     with pytest.warns(UserWarning):
@@ -495,10 +507,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     assert list(report.meta["failed_rows"]) == [3e-3]
     assert len(report.norm_results["l2"]["rows"]) == 3
 
-    def broken(setup, profile, sol):
+    def broken(setup, profile, sol, *at):
         if sol.nu != 1e-2:
             raise StepSizeError("synthetic failure")
-        return real(setup, profile, sol)
+        return real(setup, profile, sol, *at)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", broken)
     with pytest.raises(SolverError), warnings.catch_warnings():
@@ -506,36 +518,8 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
         run_convergence_study(cfg)
 
 
-_REAL_WORKER = study._worker
-_DYING_NU = 3e-3
-_DONE_DIR = None        # set before the pool forks its workers
-
-
-def _worker_killed_at_one_nu(args):
-    # a worker process that dies outright once the other four rows are
-    # done; module level, so the pool can pickle it by reference
-    nus = args[2]
-    if _DYING_NU not in nus:
-        out = _REAL_WORKER(args)
-        for nu in nus:
-            (_DONE_DIR / repr(nu)).touch()
-        return out
-    deadline = time.monotonic() + 60.0
-    while len(os.listdir(_DONE_DIR)) < 4 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    time.sleep(0.2)     # the last row's result leaves its worker
-    os._exit(1)
-
-
-def _worker_killed_at_all_but_one_nu(args):
-    if 1e-2 not in args[2]:
-        os._exit(1)
-    return _REAL_WORKER(args)
-
-
-def _pool_config(annulus):
-    # n = 128 joins all five viscosities in one march, so a pool of
-    # five workers (jobs = 5) is needed for a task per viscosity
+def _five_row_config(annulus):
+    # n = 128 joins all five viscosities in one march on one core
     return StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="vortex"),
@@ -547,92 +531,46 @@ def _pool_config(annulus):
     )
 
 
-def test_killed_worker_is_a_failed_row(monkeypatch, tmp_path, annulus):
-    monkeypatch.setattr(sys.modules[__name__], "_DONE_DIR", tmp_path)
-    monkeypatch.setattr(study, "_worker", _worker_killed_at_one_nu)
-    with pytest.warns(UserWarning, match="nu=0.003"):
-        report = run_convergence_study(_pool_config(annulus), jobs=5)
-    assert list(report.meta["failed_rows"]) == [_DYING_NU]
-    assert report.meta["failed_rows"][_DYING_NU].startswith("BrokenProcessPool: ")
-    assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [
-        1e-2, 1e-3, 3e-4, 1e-4]
+def test_parts_share_the_studys_setup(monkeypatch, annulus):
+    # the set-up is built once; a part on another thread shares all of it
+    # but the arrays its viscosities change, and the rows come out as on
+    # one core
+    cfg = _five_row_config(annulus)
+    builds = []
+    real_setup = study.study_setup
+    monkeypatch.setattr(study, "study_setup",
+                        lambda *args: builds.append(1) or real_setup(*args))
+    setups = {}
+    real_rows = study._group_rows
 
+    def spy(setup, profile, nus):
+        setups[nus] = setup
+        return real_rows(setup, profile, nus)
 
-def test_broken_pool_with_too_few_survivors_names_its_rows(monkeypatch, annulus):
-    from vvlab.errors import SolverError
-
-    monkeypatch.setattr(study, "_worker", _worker_killed_at_all_but_one_nu)
-    with pytest.raises(SolverError, match="BrokenProcessPool"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run_convergence_study(_pool_config(annulus), jobs=5)
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: runs the initializer and each
-    submitted call in this process, so no worker is started."""
-
-    def __init__(self, initializer, initargs):
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
-def test_pool_never_larger_than_the_viscosity_list(monkeypatch, annulus):
-    sizes = []
-    monkeypatch.setattr(study, "ProcessPoolExecutor",
-                        lambda max_workers, initializer, initargs: sizes.append(
-                            max_workers) or _InlinePool(initializer, initargs))
-    cfg = _pool_config(annulus)
-    report = run_convergence_study(cfg, jobs=10**6)
-    assert sizes == [len(cfg.nu_list)]
-    assert report.meta["failed_rows"] == {}
-
-
-_REAL_STUDY_SETUP = study.study_setup
-_SETUP_LOG = None       # set before the pool forks its workers
-
-
-def _logged_study_setup(config, flow=None):
-    # module level, so that a pool could pickle it by reference
-    with open(_SETUP_LOG, "a") as fh:
-        fh.write(f"{os.getpid()}\n")
-    return _REAL_STUDY_SETUP(config, flow)
-
-
-def test_pool_workers_reuse_the_studys_setup(monkeypatch, tmp_path, annulus):
-    # the pool's initializer hands each worker the parent's set-up and
-    # layer once and a task carries only its march group, so the set-up is
-    # built once, in this process, however many groups the pool runs
-    log = tmp_path / "setups"
-    monkeypatch.setattr(sys.modules[__name__], "_SETUP_LOG", log)
-    monkeypatch.setattr(study, "study_setup", _logged_study_setup)
-    cfg = _pool_config(annulus)
-    pooled = run_convergence_study(cfg, jobs=2)
-    assert len(pooled.meta["ns_groups"]) == 2
-    assert log.read_text().split() == [str(os.getpid())]
-    assert pooled.rows == run_convergence_study(cfg).rows
+    monkeypatch.setattr(study, "_group_rows", spy)
+    _on_cores(monkeypatch, 2)
+    threaded = run_convergence_study(cfg)
+    assert builds == [1]
+    first, second = (setups[tuple(p)] for p in threaded.meta["ns_parts"])
+    for attr in ("config", "flow", "grid"):
+        assert getattr(first, attr) is getattr(second, attr)
+    for attr in ("coords", "u0", "drive", "sym"):
+        assert getattr(first.ref, attr) is getattr(second.ref, attr)
+    for mine, theirs in [(first.row, second.row), (first.scratch, second.scratch)] \
+            + list(zip(first.ref.work, second.ref.work)):
+        assert not np.shares_memory(mine, theirs)
+    _on_cores(monkeypatch, 1)
+    assert threaded.rows == run_convergence_study(cfg).rows
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_is_a_config_error(monkeypatch, annulus, jobs):
     monkeypatch.setattr(study, "solve_study_layer", None)   # never reached
     with pytest.raises(ConfigError, match="jobs must be at least 1"):
-        run_convergence_study(_pool_config(annulus), jobs=jobs)
+        run_convergence_study(_five_row_config(annulus), jobs=jobs)
 
 
 def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
-    import vvlab.study as study_mod
-
     cfg = StudyConfig(
         geometry=annulus,
         euler=EulerSpec(family="vortex"),
@@ -642,16 +580,17 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
         norms=("l2",),
         t_eval=(0.2,),
     )
-    real = study_mod.solve_reference
+    real = ReferenceSetup.solve
     marched = []
 
-    def singular(setup, nus):
+    def singular(ref, nus, each=None):
         marched.append(tuple(nus))
         if 1e-3 in nus:
             raise np.linalg.LinAlgError("synthetic singular matrix")
-        return real(setup, nus)
+        return real(ref, nus, each)
 
-    monkeypatch.setattr(study_mod, "solve_reference", singular)
+    monkeypatch.setattr(ReferenceSetup, "solve", singular)
+    _on_cores(monkeypatch, 1)
     with pytest.warns(UserWarning, match="nu=0.001"):
         report = run_convergence_study(cfg)
     assert report.meta["failed_rows"] == {
@@ -669,57 +608,92 @@ def test_failed_factorisation_fails_only_its_row(annulus):
     cfg = _small_study(annulus, "rigid")
     profile = study.solve_study_layer(cfg)
     setup = study.study_setup(cfg)
-    out = study._worker((setup, profile, (1e-2, -1.0, 1e-3)))
+    out = study._group_rows(setup, profile, (1e-2, -1.0, 1e-3))
     assert [nu for nu, _, _ in out] == [1e-2, -1.0, 1e-3]
     _, rows, err = out[1]
     assert rows is None
     assert err.startswith("SolverError: ns swirl (nu=-1, n=256): dpttrf failed")
     for nu, rows, err in (out[0], out[2]):
         assert err is None
-        sol, = study.solve_reference(setup, [nu])
+        sol, = setup.ref.solve([nu])
         assert rows == study._solve_one_nu(setup, profile, sol)
         assert any(v > 0.0 for _, _, _, v, _ in rows)
 
 
-def test_failed_march_fails_only_its_row_on_threads(annulus):
-    # a NaN viscosity factors but marches to NaN: the group fails in the
-    # first of its two threads' parts, then each viscosity re-marches
-    # alone, and only the row at fault fails
+def test_failed_march_fails_only_its_row_on_threads(monkeypatch, annulus):
+    # 3e-4 marches as NaN, which factors but marches to NaN and crosses
+    # the joins: the helper thread's joint march fails, then each of its
+    # viscosities re-marches alone there, and only the row at fault fails
     cfg = _small_study(annulus, "rigid")
-    profile = study.solve_study_layer(cfg)
-    setup = study.study_setup(cfg)
-    setup.threads = 2
-    out = study._worker((setup, profile, (1e-2, math.nan, 1e-3)))
-    assert [nu for nu, _, _ in out][::2] == [1e-2, 1e-3]
-    _, rows, err = out[1]
-    assert rows is None
-    assert err.startswith("SolverError: ns swirl (nu=nan, n=256): non-finite iterate")
-    plain = study.study_setup(cfg)
-    for nu, rows, err in (out[0], out[2]):
-        assert err is None
-        sol, = study.solve_reference(plain, [nu])
-        assert rows == study._solve_one_nu(plain, profile, sol)
+    _on_cores(monkeypatch, 1)
+    want = run_convergence_study(cfg).rows
+    real = ReferenceSetup.solve
+    marched = []
+
+    def nan_at_3e4(ref, nus, each=None):
+        marched.append((threading.current_thread() is threading.main_thread(),
+                        tuple(nus)))
+        return real(ref, [math.nan if nu == 3e-4 else nu for nu in nus], each)
+
+    monkeypatch.setattr(ReferenceSetup, "solve", nan_at_3e4)
+    _on_cores(monkeypatch, 2)
+    with pytest.warns(UserWarning, match="nu=0.0003"):
+        report = run_convergence_study(cfg)
+    assert report.meta["ns_parts"] == [[1e-2, 3e-3, 1e-3], [3e-4, 1e-4]]
+    assert [nus for main, nus in marched if main] == [(1e-2, 3e-3, 1e-3)]
+    assert [nus for main, nus in marched if not main] == [
+        (3e-4, 1e-4), (3e-4,), (1e-4,)]
+    assert list(report.meta["failed_rows"]) == [3e-4]
+    assert report.meta["failed_rows"][3e-4].startswith(
+        "SolverError: ns swirl (nu=nan, n=256): non-finite iterate")
+    assert report.rows == [row for row in want if row[0] != 3e-4]
+
+
+def test_failed_row_on_a_helper_thread_fails_only_that_row(monkeypatch, annulus):
+    # an exception in a row on the helper thread becomes a failed row that
+    # names it; the other part's rows, and the helper's other row, survive
+    cfg = _small_study(annulus, "rigid")
+    _on_cores(monkeypatch, 1)
+    want = run_convergence_study(cfg).rows
+    real = study._solve_one_nu
+
+    def broken(setup, profile, sol, *at):
+        if sol.nu == 1e-4:
+            assert threading.current_thread() is not threading.main_thread()
+            raise ZeroDivisionError("synthetic row failure")
+        return real(setup, profile, sol, *at)
+
+    monkeypatch.setattr(study, "_solve_one_nu", broken)
+    _on_cores(monkeypatch, 2)
+    with pytest.warns(UserWarning, match="nu=0.0001"):
+        report = run_convergence_study(cfg)
+    assert report.meta["failed_rows"] == {1e-4: "ZeroDivisionError: synthetic row failure"}
+    assert report.rows == [row for row in want if row[0] != 1e-4]
 
 
 def test_march_threads_share_the_cores():
-    assert study.march_threads(1, cores=2) == 2
-    assert study.march_threads(2, cores=2) == 1
-    assert study.march_threads(1, cores=1) == 1
-    assert study.march_threads(3, cores=8) == 2
-    assert study.march_threads(1) == study.march_threads(1, len(os.sched_getaffinity(0)))
+    # one part per core this process may run on, never more parts than
+    # viscosities
+    cfg = get_preset("vortex-annulus")
+    nus = cfg.nu_list
+    assert study.study_parts(cfg) == study.study_parts(
+        cfg, cores=len(os.sched_getaffinity(0)))
+    assert study.study_parts(cfg, cores=1) == [[(nu,) for nu in nus]]
+    assert study.study_parts(cfg, cores=2) == [[(nu,) for nu in nus[:3]],
+                                               [(nu,) for nu in nus[3:]]]
+    assert study.study_parts(cfg, cores=10**6) == [[(nu,)] for nu in nus]
 
 
-def test_march_groups_split_for_the_cache_and_the_pool(annulus):
-    # at most ns.group_size viscosities a group, at least one group per
-    # worker, contiguous, the larger groups first
+def test_study_parts_split_for_the_cache_and_the_cores():
+    # contiguous parts, then groups of at most ns.group_size viscosities a
+    # part, the fewest that do; the larger first
     cfg = get_preset("rigid-annulus")
     nus = cfg.nu_list
-    assert study.march_groups(cfg) == [nus]
-    assert study.march_groups(cfg, jobs=2) == [nus[:3], nus[3:]]
-    assert study.march_groups(cfg, jobs=10**6) == [(nu,) for nu in nus]
-    assert study.march_groups(get_preset("vortex-annulus")) == [(nu,) for nu in nus]
+    assert study.study_parts(cfg, cores=1) == [[nus]]
+    assert study.study_parts(cfg, cores=2) == [[nus[:3]], [nus[3:]]]
     cfg.ns = NsParams(n=16384)
-    assert study.march_groups(cfg) == [nus[:2], nus[2:4], nus[4:]]
+    assert study.study_parts(cfg, cores=1) == [[nus[:2], nus[2:4], nus[4:]]]
+    assert study.study_parts(cfg, cores=2) == [[nus[:2], nus[2:3]], [nus[3:]]]
 
 
 def test_gradient_remainder_part_bounded(rigid_report):
@@ -791,27 +765,35 @@ def _small_study(geometry, family):
                                                ("channel", "shear_cos")])
 def test_row_reference_histories_equal_standalone_solves(request, monkeypatch,
                                                          geom_name, family):
-    # every row of a study solves on the one set-up and reuses its arrays,
-    # all five viscosities in one joint march; each row's history is bit for
+    # on one core every row of a study solves on the one set-up and reuses
+    # its arrays, all five viscosities in one joint march that hands each
+    # stored time to the rows as it comes; each row's history is bit for
     # bit a standalone solve_ns at its nu, and no later solve writes into a
     # standalone result
     cfg = _small_study(request.getfixturevalue(geom_name), family)
     flow = cfg.euler.build(cfg.geometry)
-    seen = {}
+    stored = {}
     marched = []
-    real = study.solve_reference
+    real = ReferenceSetup.solve
 
-    def spy(setup, nus):
+    def spy(ref, nus, each):
         marched.append(tuple(nus))
-        sols = real(setup, nus)
-        for sol in sols:
-            seen[sol.nu] = (sol.times.copy(), sol.u.copy())
-        return sols
 
-    monkeypatch.setattr(study, "solve_reference", spy)
+        def keep(i, sols):
+            for sol in sols:
+                stored.setdefault(sol.nu, []).append((sol.times.copy(), sol.u.copy()))
+            each(i, sols)
+
+        return real(ref, nus, keep)
+
+    monkeypatch.setattr(ReferenceSetup, "solve", spy)
+    _on_cores(monkeypatch, 1)
     run_convergence_study(cfg)
+    monkeypatch.undo()
     assert marched == [cfg.nu_list]
-    assert list(seen) == list(cfg.nu_list)
+    assert list(stored) == list(cfg.nu_list)
+    seen = {nu: (np.concatenate([t for t, _ in at]), np.concatenate([u for _, u in at]))
+            for nu, at in stored.items()}
     kept = []
     for nu, (times, u) in seen.items():
         want = solve_ns(cfg.geometry, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
@@ -831,6 +813,75 @@ def test_bad_reference_grid_fails_before_any_row(monkeypatch, channel):
     monkeypatch.setattr(study, "_solve_one_nu", None)
     with pytest.raises(ConfigError, match=r"ns channel \(n=16\): n must be >= 32"):
         run_convergence_study(cfg)
+
+
+def test_more_parts_than_cores_write_the_one_core_rows(monkeypatch, annulus):
+    # a part per viscosity, more threads than cores, switching threads
+    # every microsecond: a row written to another part's buffers or a
+    # result lost between threads would move a value
+    cfg = _small_study(annulus, "rigid")
+    _on_cores(monkeypatch, 1)
+    want = run_convergence_study(cfg).rows
+    _on_cores(monkeypatch, len(cfg.nu_list))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.perf_counter()
+        report = run_convergence_study(cfg)
+        assert time.perf_counter() - t0 < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.meta["ns_parts"] == [[nu] for nu in cfg.nu_list]
+    assert report.rows == want
+
+
+def test_grid_constants_are_built_before_any_row(monkeypatch, annulus):
+    # cached_property takes no lock, so the parts' threads must find the
+    # norms' constants built
+    seen = []
+    real = study._group_rows
+
+    def spy(setup, profile, nus):
+        seen.append({"weights", "_deriv_weights", "_coords_sq"} <= set(vars(setup.grid)))
+        return real(setup, profile, nus)
+
+    monkeypatch.setattr(study, "_group_rows", spy)
+    _on_cores(monkeypatch, 2)
+    run_convergence_study(_small_study(annulus, "rigid"))
+    assert seen == [True, True]
+
+
+_PINNED_STUDY = """
+import os, sys
+from vvlab import geometry as geo, study
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+cfg = study.StudyConfig(geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
+                        euler=study.EulerSpec(family="rigid"),
+                        layer=study.LayerParams(nz=128, dt=1.25e-3),
+                        ns=study.NsParams(n=20000, dt=2.5e-3, t_end=0.25),
+                        t_eval=(0.125, 0.25))
+report = study.run_convergence_study(cfg)
+study.export_report(report, sys.argv[1])
+print(len(report.meta["ns_parts"]))
+"""
+
+
+def test_pinned_and_unpinned_studies_write_the_same_bytes(tmp_path):
+    # the same study in a process pinned to one core, in one part, and in
+    # one that may use every core, in a part per core: the same files
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")])))
+    parts = {}
+    for run in ("pinned", "unpinned"):
+        out = subprocess.run([sys.executable, "-c", _PINNED_STUDY, str(tmp_path / run), run],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        parts[run] = int(out)
+    assert parts == {"pinned": 1, "unpinned": min(len(os.sched_getaffinity(0)), 5)}
+    for name in ("errors.csv", "rates.json"):
+        assert (tmp_path / "pinned" / name).read_bytes() == \
+            (tmp_path / "unpinned" / name).read_bytes()
 
 
 def test_second_study_at_twice_the_amplitude_doubles_every_value(tmp_path, annulus):
@@ -855,11 +906,12 @@ def test_second_study_at_twice_the_amplitude_doubles_every_value(tmp_path, annul
 
 
 def test_viscosity_row_peaks_under_3_75_live_component_histories():
-    # the reference solution is its one live component, an (n_t, n) history
-    # that the study's set-up holds with the march's arrays; the zero
-    # layer's ansatz is the set-up's u0 itself and u, u - u0 and R are (n,)
-    # arrays of one time at a time.  A row after the first peaks near 0.6
-    # histories; three stored components would add two by themselves
+    # a study's row keeps no history: the march hands it each stored time
+    # of the one live component in the set-up's stored row, the zero
+    # layer's ansatz is the set-up's u0 itself, and u - u0 and R are (n,)
+    # arrays of one time at a time in the set-up's buffers.  A row after
+    # the first peaks near 0.4 (n_t, n) histories, the march's factors and
+    # source; three stored components would add three by themselves
     cfg = get_preset("vortex-annulus")
     cfg.ns = NsParams(n=4096, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
     profile = study.solve_study_layer(cfg)
@@ -867,10 +919,11 @@ def test_viscosity_row_peaks_under_3_75_live_component_histories():
     nu = cfg.nu_list[-1]
 
     def row():
-        sol, = study.solve_reference(setup, [nu])
-        return study._solve_one_nu(setup, profile, sol)
+        (_, rows, err), = study._group_rows(setup, profile, (nu,))
+        assert err is None
+        return rows
 
-    row()                                          # lazy set-up off the trace
+    row()
     tracemalloc.start()
     try:
         rows = row()
@@ -893,13 +946,14 @@ def test_vortex_leray_rows_follow_the_mask(vortex_report):
 
 def _setup_on(cfg, coords):
     """The study set-up of ``cfg`` with the grid the row reads (u0, the
-    norm grid and the row buffer) on ``coords``; its reference solve is
-    left on the config's grid."""
+    norm grid, the row buffer and the norms' scratch) on ``coords``; its
+    reference solve is left on the config's grid."""
     setup = study.study_setup(cfg)
     ref = dataclasses.replace(setup.ref, coords=coords,
                               u0=setup.flow.profile.value(coords))
     return dataclasses.replace(setup, ref=ref, grid=VolumeGrid(cfg.geometry, coords),
-                               row=np.empty(len(coords)))
+                               row=np.empty(len(coords)),
+                               scratch=np.empty((4, len(coords))))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
