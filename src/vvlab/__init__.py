@@ -2,7 +2,7 @@
 
 Modules
 -------
-geometry   domain backends (flat channel, cylinder gap), distance/curvature/collars
+geometry   domain backends (flat channel, cylinder gap), wall distances, cutoff
 spaces     anisotropic weighted norms, layer evaluation maps, Hardy/Gronwall checks
 euler      exact inviscid base flows and their wall data
 layer      boundary-layer profile solver, wall traces and layer norms

@@ -13,10 +13,6 @@ class DomainViolationError(VvlabError):
     """Point lies outside the closed domain."""
 
 
-class AmbiguousNormalError(VvlabError):
-    """Point is equidistant from both walls; nearest-wall data undefined."""
-
-
 class InvalidParameterError(VvlabError):
     """Parameter outside the admissible range of an operation."""
 

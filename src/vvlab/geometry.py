@@ -1,4 +1,4 @@
-"""Domain backends: wall distance, curvature, collar grids.
+"""Domain backends: wall distances and the layer's collar cutoff.
 
 Two reduced geometries are supported:
 
@@ -7,12 +7,11 @@ Two reduced geometries are supported:
 * ``annulus_gap``  -- gap r1 < r < r2 between concentric cylinders with
   periodic theta and axial z, walls at r = r1 ("inner") and r = r2 ("outer").
 
-Both expose a distance function ``phi`` that equals the distance to the
-nearest wall inside the collar {phi < eta} and is capped by a smooth
-monotone cubic blend outside, and the exact Laplacian of phi.  Each wall
-carries its inward unit normal n = grad(phi).  Vector components are stored
-in the orthonormal right-handed frame of the geometry: (x, y, z) for the
-channel and (rad, theta, axial) for the annulus.
+The ansatz reads the exact distance to each wall, which grows with unit
+slope into the domain, and a cutoff that confines the layer to the collar
+{d < eta} of its wall.  Each wall carries its inward unit normal.  Vector
+components are stored in the orthonormal right-handed frame of the
+geometry: (x, y, z) for the channel and (rad, theta, axial) for the annulus.
 """
 
 from __future__ import annotations
@@ -21,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousNormalError, ConfigError, DomainViolationError
+from .errors import ConfigError, DomainViolationError
 
 FLAT_CHANNEL = "flat_channel"
 ANNULUS_GAP = "annulus_gap"
 
 # fraction of eta where the layer cutoff starts to roll off
 CUTOFF_PLATEAU = 0.5
-# fraction of eta used as the width of the cubic cap blend beyond the collar
-CAP_BLEND = 0.5
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -154,9 +151,10 @@ class GeometryDescriptor:
     def collar_measure(self, wall_id: str) -> float:
         """Trapezoid measure of the collar {d < eta} at one wall.
 
-        The measure density is affine in the cross coordinate, so this is
-        the exact shell measure and the summed ``build_collar`` weights of
-        any resolution agree with it to round-off.
+        The measure density is affine in the cross coordinate, so the
+        trapezoid rule on the collar's two ends is the exact shell measure,
+        and trapezoid weights summed over any grid of the collar agree with
+        it to round-off.
         """
         w = self.wall(wall_id)
         ends = np.sort([w.coord, w.coord + w.into_domain * self.eta])
@@ -172,7 +170,7 @@ def annulus_gap(r1: float, r2: float, eta: float) -> GeometryDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# distance and curvature
+# distances and the collar cutoff
 # ---------------------------------------------------------------------------
 
 
@@ -188,59 +186,17 @@ def _check_inside(geom: GeometryDescriptor, coords: np.ndarray) -> np.ndarray:
 
 
 def wall_distance(geom: GeometryDescriptor, wall_id: str, coords) -> np.ndarray:
-    """Exact (uncapped) distance to one wall; smooth on the whole domain."""
+    """Exact distance to one wall; smooth on the whole domain."""
     coords = _check_inside(geom, coords)
     w = geom.wall(wall_id)
     return w.into_domain * (coords - w.coord)
 
 
 def min_wall_distance(geom: GeometryDescriptor, coords) -> np.ndarray:
-    """Raw distance to the nearest wall (no cap); kinked at the midline."""
+    """Raw distance to the nearest wall; kinked at the midline."""
     coords = _check_inside(geom, coords)
     lo, hi = geom.coord_bounds
     return np.minimum(coords - lo, hi - coords)
-
-
-def signed_distance(geom: GeometryDescriptor, coords) -> np.ndarray:
-    """Distance to the nearest wall inside the collar, capped smoothly outside.
-
-    Inside {d < eta} this is the exact wall distance.  Beyond eta the value
-    follows the monotone cubic blend eta + w*(s - s^3/3), s = (d-eta)/w,
-    saturating at eta + 2w/3, so phi >= eta everywhere outside the collar.
-    """
-    d = min_wall_distance(geom, coords)
-    eta = geom.eta
-    w = CAP_BLEND * eta
-    s = np.clip((d - eta) / w, 0.0, 1.0)
-    capped = eta + w * (s - s**3 / 3.0)
-    return np.where(d <= eta, d, capped)
-
-
-def _nearest_wall_sign(geom: GeometryDescriptor, coords) -> np.ndarray:
-    """+1 where the first wall is nearest, -1 for the second; error on ties."""
-    coords = _check_inside(geom, coords)
-    lo, hi = geom.coord_bounds
-    d_lo = coords - lo
-    d_hi = hi - coords
-    tie = np.isclose(d_lo, d_hi, rtol=0.0, atol=1e-14 * geom.gap)
-    if np.any(tie):
-        raise AmbiguousNormalError(
-            "point equidistant from both walls; stay inside one collar"
-        )
-    return np.where(d_lo < d_hi, 1.0, -1.0)
-
-
-def laplacian_phi(geom: GeometryDescriptor, coords) -> np.ndarray:
-    """Exact Laplacian of the wall distance at collar points.
-
-    Zero for the flat channel; +1/r in the inner collar and -1/r in the
-    outer collar of the annulus.
-    """
-    sign = _nearest_wall_sign(geom, coords)
-    if geom.kind == FLAT_CHANNEL:
-        return np.zeros_like(sign)
-    coords = np.asarray(coords, dtype=float)
-    return sign / coords
 
 
 def collar_cutoff(geom: GeometryDescriptor, distance) -> np.ndarray:
@@ -254,57 +210,3 @@ def collar_cutoff(geom: GeometryDescriptor, distance) -> np.ndarray:
     x = np.clip((d - a) / (geom.eta - a), 0.0, 1.0)
     smooth = x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
     return 1.0 - smooth
-
-
-# ---------------------------------------------------------------------------
-# collar charts
-# ---------------------------------------------------------------------------
-
-# ratio of successive collar spacings, growing away from the wall
-COLLAR_STRETCH = 1.12
-
-
-@dataclass(frozen=True)
-class CollarChart:
-    """Tabulated collar data for one wall.
-
-    ``s_grid`` holds the slow-coordinate samples: the cross coordinates of
-    grid points along the wall-normal direction inside the collar, clustered
-    geometrically toward the wall.  The layer itself is one column per
-    wall; the charts tabulate the collar's distance and Laplacian for the
-    geometry invariant check.
-    """
-
-    wall_id: str
-    s_grid: np.ndarray      # cross coordinates of the collar samples
-    phi: np.ndarray         # wall distance at each sample
-    lap_phi: np.ndarray     # exact Laplacian of phi at each sample
-    s_weights: np.ndarray   # shell measure weights for slow integrals
-
-
-def build_collar(geom: GeometryDescriptor, n_points: int):
-    """Build one CollarChart per wall with geometric clustering at the wall.
-
-    Spacings grow by the factor COLLAR_STRETCH away from the wall; sample 0
-    sits on the wall and the last sample at distance eta.  Deterministic.
-    """
-    if n_points < 4:
-        raise ConfigError("collar needs n_points >= 4")
-    j = np.arange(n_points, dtype=float)
-    d = geom.eta * (COLLAR_STRETCH**j - 1.0) / (COLLAR_STRETCH ** (n_points - 1) - 1.0)
-    charts = {}
-    for w in geom.walls():
-        coords = w.coord + w.into_domain * d
-        phi = signed_distance(geom, coords)
-        lap = laplacian_phi(geom, coords)
-        weights = geom.quadrature_weights(np.sort(coords))
-        if w.into_domain < 0:
-            weights = weights[::-1].copy()
-        charts[w.wall_id] = CollarChart(
-            wall_id=w.wall_id,
-            s_grid=coords,
-            phi=phi,
-            lap_phi=lap,
-            s_weights=weights,
-        )
-    return charts

@@ -501,20 +501,19 @@ def _layer_eval(spline: _Spline, geom: geo.GeometryDescriptor, nu: float, p,
 class ScalingResult:
     nu_list: tuple
     norms: tuple
-    slope: float | None = None
-    intercept: float | None = None
-    ratios: tuple | None = None
-    reference_norm: float | None = None
+    slope: float
+    intercept: float
+    ratios: tuple
+    reference_norm: float
 
 
 def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
-                           nu_list, p=2.0, mode: str = "rate",
-                           n_points: int = DEFAULT_EVAL_POINTS):
-    """Fit the nu-exponent of the layer evaluation norm, and in the bounded
-    mode also check the nu-uniform bound.
+                           nu_list, p=2.0, n_points: int = DEFAULT_EVAL_POINTS):
+    """Fit the nu-exponent of the layer evaluation norm and give the ratios
+    that check the nu-uniform bound.
 
-    mode="rate": least-squares slope of log ||U(x, phi/sqrt(nu))||_p versus
-    log nu (expected 1/(2p)).  mode="bounded" adds the ratios against the
+    The slope is the least-squares fit of log ||U(x, phi/sqrt(nu))||_p
+    versus log nu (expected 1/(2p)); the ratios are the norms over the
     anisotropic (k=1, l=1, p=2) profile norm, which must stay bounded.
     ``p`` may be a sequence of exponents: the result is then one
     ScalingResult per p, in order, from one layer evaluation per nu
@@ -529,8 +528,7 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
     spline = _not_a_knot_fit(pf.grid.z, pf.values)
     rows = [_layer_eval(spline, geom, nu, np.atleast_1d(p), n_points).norm
             for nu in nu_list]
-    ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0)) \
-        if mode == "bounded" else None
+    ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0))
     x = np.log(np.asarray(nu_list))
     results = []
     for norms in zip(*rows):
@@ -538,7 +536,7 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
         results.append(ScalingResult(
             nu_list=tuple(nu_list), norms=norms, slope=float(slope),
             intercept=float(intercept), reference_norm=ref,
-            ratios=None if ref is None else tuple(n / ref for n in norms)))
+            ratios=tuple(n / ref for n in norms)))
     return tuple(results) if np.ndim(p) else results[0]
 
 

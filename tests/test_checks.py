@@ -1,10 +1,11 @@
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from scipy.special import sici
 
-from vvlab import checks
+from vvlab import checks, geometry as geo
 from vvlab.checks import _hardy_oracle, run_all
 from vvlab.cli import cli_main
 from vvlab.spaces import gronwall_rk4_trials
@@ -75,3 +76,28 @@ def test_a_non_finite_gronwall_trial_fails_the_check(monkeypatch, field, value):
     result = checks.check_gronwall_dominates_rk4()
     assert result.passed is False
     assert result.detail.startswith("failures 1/100, ")
+
+
+def _cubic_cutoff(geom, distance):
+    # 3x^2 - 2x^3 smoothstep: the same plateau and support, but only C^1
+    a = geo.CUTOFF_PLATEAU * geom.eta
+    x = np.clip((np.asarray(distance, dtype=float) - a) / (geom.eta - a), 0.0, 1.0)
+    return 1.0 - x**2 * (3.0 - 2.0 * x)
+
+
+def _slope_two_distance(geom, wall_id, coords, _exact=geo.wall_distance):
+    # _exact is bound here, before the patch replaces geo.wall_distance
+    return 2.0 * _exact(geom, wall_id, coords)
+
+
+@pytest.mark.parametrize("attr, fake, failing", [
+    ("collar_cutoff", _cubic_cutoff, "scaled join differences 1.20e+01 (tol 1)"),
+    ("wall_distance", _slope_two_distance, "wall distance error 1.00e+00"),
+], ids=["c1-cutoff", "slope-2-distance"])
+def test_geometry_check_fails_on_a_wrong_geometry(monkeypatch, attr, fake, failing):
+    # the check reads the functions a study reads; a cutoff with C^1 joins
+    # or a distance of the wrong slope must fail it, the detail naming which
+    monkeypatch.setattr(geo, attr, fake)
+    result = checks.check_geometry_invariants()
+    assert result.passed is False
+    assert failing in result.detail

@@ -1,6 +1,7 @@
-"""Every imported name in the package and the tests is used, the command
-line imports no scipy module it does not need, and its LAPACK routines are
-scipy.linalg.lapack's own or, for dpttrs, cython_lapack's.
+"""Every imported name in the package and the tests is used, every
+package definition has a reader, the command line imports no scipy module
+it does not need, and its LAPACK routines are scipy.linalg.lapack's own or,
+for dpttrs, cython_lapack's.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
 appear as a name somewhere else in the same file, or be listed in the
@@ -35,15 +36,21 @@ def _imported(tree):
     return out
 
 
-def _referenced(tree):
-    """Names loaded anywhere in the file, plus the strings of ``__all__``."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _listed(tree):
+    """The strings of the file's ``__all__``."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names.update(elt.value for elt in node.value.elts
                          if isinstance(elt, ast.Constant))
     return names
+
+
+def _referenced(tree):
+    """Names loaded anywhere in the file, plus the strings of ``__all__``."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)} | _listed(tree)
 
 
 def unused_imports(source: str):
@@ -63,6 +70,49 @@ def test_checker_flags_an_unused_import():
            "import math\nimport numpy as np\nfrom os import path, sep\n"
            "__all__ = ['sep']\nx = np.pi\n")
     assert unused_imports(src) == [("math", 2), ("path", 4)]
+
+
+# top-level definitions that no package code reads, each with its reason
+TEST_ONLY = {
+    "layer_mms_case": "manufactured orders of criterion 8 and test_layer; "
+                      "ROADMAP item 9 moves it to a test module",
+    "oscillating_shear_case": "manufactured case of test_layer, test_expansion "
+                              "and test_cn_kernel; ROADMAP item 9 moves it",
+    "remainder_bc_residual": "ROADMAP item 4 reports it in every run",
+    "layer_norm_monitor": "ROADMAP item 10 reports it in every run",
+    "boundary_layer_eval": "the oracle test_spaces holds the scaling check's "
+                           "norms to",
+}
+
+
+def unread_definitions(sources):
+    """Top-level functions and classes of ``sources`` that no source loads
+    as a name or an attribute and no ``__all__`` lists."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        read |= _listed(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(name for name in defined if name not in read)
+
+
+def test_every_package_definition_has_a_reader():
+    # a definition only tests read is either pinned, with its reason, or dead
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "vvlab").glob("*.py"))]
+    assert unread_definitions(sources) == sorted(TEST_ONLY)
+
+
+def test_definition_checker_flags_an_unread_function():
+    src = ("__all__ = ['listed']\ndef listed(): pass\ndef used(): pass\n"
+           "def dead(): pass\nclass Dead: pass\nx = used\n")
+    other = "import m\nm.attr_read()\ndef attr_read(): pass\ndead = 1\n"
+    assert unread_definitions([src, other]) == ["Dead", "dead"]
 
 
 def _fresh(code):

@@ -330,7 +330,7 @@ def test_scaling_check_fits_its_profile_once(monkeypatch, channel, grid):
     monkeypatch.setattr(spaces, "_not_a_knot_fit", counted)
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4, 1e-5], p=(2.0, 4.0),
-                           mode="bounded", n_points=2049)
+                           n_points=2049)
     assert fits == [pf.values.shape]
 
 
@@ -365,28 +365,25 @@ def test_scaling_needs_three_values(channel, grid):
 def test_scaling_bounded_mode(channel, grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     res = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], p=2.0,
-                                 mode="bounded", n_points=8193)
+                                 n_points=8193)
     # ratios decrease as nu does (nu ascending in the result)
     assert max(res.ratios) <= res.ratios[-1] * 1.1
     assert all(np.isfinite(res.ratios))
 
 
-@pytest.mark.parametrize("mode", ["rate", "bounded"])
-def test_multi_p_scaling_check_gives_the_single_p_results(channel, grid, mode):
+def test_multi_p_scaling_check_gives_the_single_p_results(channel, grid):
     # one layer evaluation per nu serves every p: each p's norms, fit and
     # ratios are exactly those of its own check and of boundary_layer_eval
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     nus = [1e-2, 1e-3, 1e-4, 1e-5]
     ps = (2.0, 4.0, 6.0, math.inf)
-    multi = scaling_exponent_check(pf, channel, nus, p=ps, mode=mode, n_points=2049)
+    multi = scaling_exponent_check(pf, channel, nus, p=ps, n_points=2049)
     assert len(multi) == len(ps)
     for p, res in zip(ps, multi):
-        assert res == scaling_exponent_check(pf, channel, nus, p=p, mode=mode,
-                                             n_points=2049)
+        assert res == scaling_exponent_check(pf, channel, nus, p=p, n_points=2049)
         assert res.norms == tuple(boundary_layer_eval(pf, channel, nu, p=p,
                                                       n_points=2049).norm
                                   for nu in sorted(nus))
-        assert (res.ratios is None) == (mode == "rate")
 
 
 # ---------------------------------------------------------------------------
