@@ -371,19 +371,30 @@ def test_scaling_bounded_mode(channel, grid):
     assert all(np.isfinite(res.ratios))
 
 
-def test_multi_p_scaling_check_gives_the_single_p_results(channel, grid):
-    # one layer evaluation per nu serves every p: each p's norms, fit and
-    # ratios are exactly those of its own check and of boundary_layer_eval
+@pytest.mark.parametrize("part", ["rate", "bounded"])
+def test_multi_p_scaling_check_gives_the_single_p_results(channel, grid, part):
+    # one layer evaluation per nu serves every p: each p's rate part (norms
+    # and fit) and bounded part (reference norm and ratios) are exactly
+    # those of its own check and of their oracles
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     nus = [1e-2, 1e-3, 1e-4, 1e-5]
     ps = (2.0, 4.0, 6.0, math.inf)
     multi = scaling_exponent_check(pf, channel, nus, p=ps, n_points=2049)
     assert len(multi) == len(ps)
+    ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0))
     for p, res in zip(ps, multi):
-        assert res == scaling_exponent_check(pf, channel, nus, p=p, n_points=2049)
-        assert res.norms == tuple(boundary_layer_eval(pf, channel, nu, p=p,
-                                                      n_points=2049).norm
-                                  for nu in sorted(nus))
+        single = scaling_exponent_check(pf, channel, nus, p=p, n_points=2049)
+        if part == "rate":
+            assert (res.nu_list, res.norms, res.slope, res.intercept) == (
+                single.nu_list, single.norms, single.slope, single.intercept)
+            assert res.norms == tuple(boundary_layer_eval(pf, channel, nu, p=p,
+                                                          n_points=2049).norm
+                                      for nu in sorted(nus))
+        else:
+            assert (res.reference_norm, res.ratios) == (single.reference_norm,
+                                                        single.ratios)
+            assert res.reference_norm == ref
+            assert res.ratios == tuple(n / ref for n in res.norms)
 
 
 # ---------------------------------------------------------------------------
