@@ -61,11 +61,14 @@ in place in buf, and with buf 16 or 48 bytes off the line a step of the
 joint rigid march took about 6% longer (medians of 9 x 1,000 steps, 97
 against 91 us); numpy's allocator gives no such alignment.
 
-Several set-ups may march at once on threads of their own: a study cuts
-its viscosities into one part per core, and each part marches on a copy
-of the set-up with work arrays of its own (``ReferenceSetup.with_arrays``)
-and shares the rest, read-only.  Each block takes its own operations, so
-every bit is the one-thread march's.  The marches overlap because
+Several set-ups may march at once on threads of their own: a study gives
+each core an equal share of its viscosity-steps, and each part marches on
+a copy of the set-up with work arrays of its own
+(``ReferenceSetup.with_arrays``) and shares the rest, read-only.  Each
+block takes its own operations, so every bit is the one-thread march's.
+A march may stop at any step and resume from the kernel's iterate there
+on another set-up, its half steps keyed on the absolute step, so a
+viscosity cut between two parts keeps its bits too.  The marches overlap because
 ``dpttrs`` is called through ``cython_lapack``'s function pointer with
 ctypes, which releases the GIL (_lapack.py); f2py's wrapper holds it.  On
 a 2-core host, two threads each solving 5,000 times on a system of their
@@ -225,7 +228,7 @@ def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
 
 
 def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
-              columns=None, work=None, each=None):
+              columns=None, work=None, each=None, resume=None, stop=None):
     """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
 
     ``sym`` is ``_symmetrise`` of the tridiagonal S, so each step solves
@@ -240,7 +243,13 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
     allocating them; the result is then ``out``.  ``each(i, x)``, when
     given, is called with the stored w as the march reaches store i; ``out``
     may then have fewer rows than stores, and store i goes to row i mod
-    len(out), so one row keeps no history.
+    len(out), so one row keeps no history.  ``resume`` (k, w) starts the
+    march at step k from the kernel's own iterate w (D w, below), which an
+    earlier march returned in ``work``, and ``stop`` ends it at that step,
+    by default the last store; a store is taken when it lies in (k, stop],
+    or at step 0 of a march from 0.  The half steps are those of the
+    absolute steps below ``rannacher``, so a march cut anywhere and resumed
+    takes the bits of one march.
 
     ``a`` may also be a sequence of m coefficients, a group: the m systems
     I - a_j S are one block-diagonal system of m n rows, and the constant
@@ -286,15 +295,21 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
     else:
         w, buf, out = work
         w.fill(0.0)
+    start, w0 = resume or (0, None)
+    if w0 is not None:
+        w[...] = w0
     if w.ndim == 2:
         scale = scale[:, None]
     if not varying:
         hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
 
+    stop = store_steps[-1] if stop is None else stop
+    ends = [(i, s) for i, s in enumerate(store_steps)
+            if start < s <= stop or s == start == 0]
     solve = dpttrs(diag, off, buf)
-    k = 0
-    for i, stop in enumerate(store_steps):
-        for k in range(k, stop):
+    k = start
+    for i, end in ends + [(None, stop)]:
+        for k in range(k, end):
             if varying:
                 hsrc = half * scale * source(k, w / scale)
             np.add(w, hsrc, out=buf)
@@ -306,13 +321,15 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
                 np.multiply(buf, 0.5, out=w)
             else:
                 np.subtract(buf, w, out=w)
-        k = stop
+        k = end
+        if i is None:
+            break
         stored = out[i % len(out)]
         np.divide(w, scale, out=stored)
         if not np.all(np.isfinite(stored)):
             raise SolverError(
-                f"{where}: non-finite iterate at step {stop} "
-                f"(t = {stop * dt:.6g})")
+                f"{where}: non-finite iterate at step {end} "
+                f"(t = {end * dt:.6g})")
         if each is not None:
             each(i, stored)
     return out
@@ -342,21 +359,27 @@ class ReferenceSetup:
     rannacher: int
     work: tuple                    # (w, buf, stored w); free between solves
 
-    def solve(self, nus, each=None) -> list | None:
+    def solve(self, nus, each=None, resume=None, stop=None) -> list | np.ndarray:
         """The reference solutions at the viscosities ``nus``, marched as one
         group (module docstring): for each nu, u0 plus the march of the
         drive nu*L(u0) at a = nu dt / 2.  Returns one ViscousSolution per
         nu, in order, each with an (n_t, n) history of its own.  With
-        ``each``, the march keeps no history and returns None: at each store
-        i in turn, ``each(i, sols)`` receives the solutions there, one
-        stored time each, views of this set-up's stored row, which the next
-        store overwrites."""
+        ``each``, the march keeps no history: at each store i in turn,
+        ``each(i, sols)`` receives the solutions there, one stored time
+        each, views of this set-up's stored row, which the next store
+        overwrites.  It then returns the kernel's iterate at the march's
+        last step, a view of this set-up's w, which the next solve
+        overwrites; ``resume`` (k, that iterate) marches on from step k, and
+        ``stop`` ends a march early, each seeing only the stores in between
+        (``_cn_steps``)."""
         n = len(self.coords)
         w, buf, stored = self.work
         m = len(nus)
         if not 0 < m <= len(w) // n:
             raise ConfigError(
                 f"a reference group marches 1 to {len(w) // n} viscosities, got {m}")
+        if each is None and (resume is not None or stop is not None):
+            raise ConfigError("a march resumed or stopped early stores through each")
         where = (f"ns {'swirl' if self.geom.kind == geo.ANNULUS_GAP else 'channel'}"
                  f" (nu={','.join(f'{nu:g}' for nu in nus)}, n={n})")
         times = self.times
@@ -384,8 +407,9 @@ class ReferenceSetup:
 
         u = _cn_steps(self.sym, [0.5 * nu * self.dt for nu in nus], self.dt,
                       self.store_steps, source, where, rannacher=self.rannacher,
-                      work=(w[:m * n], source, out), each=hook)
-        return solutions(u, times) if each is None else None
+                      work=(w[:m * n], source, out), each=hook, resume=resume,
+                      stop=stop)
+        return solutions(u, times) if each is None else w[:m * n]
 
     def with_arrays(self, group: int) -> ReferenceSetup:
         """This set-up with march arrays of its own for groups of up to

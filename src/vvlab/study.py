@@ -2,10 +2,11 @@
 
 A study solves the layer once and builds the rest of what does not depend
 on the viscosity once (``StudySetup``), then solves the reference problem
-for a group of viscosities at a time in one joint march, one part of the
-viscosities on each core (``study_parts``), and for each viscosity
-assembles the ansatz and records sup-over-time error norms of u_nu - u0
-and remainder norms.
+for a group of viscosities at a time in one joint march, each core taking
+an equal share of the viscosity-steps (``study_parts``: a viscosity cut
+between two cores marches in two pieces, its iterate handed across), and
+for each viscosity assembles the ansatz and records sup-over-time error
+norms of u_nu - u0 and remainder norms.
 Both fields are the flow's one component, ``geometry.flow_comp``: the
 tangential R is its own Leray part (R:P = R:full) and its gradient part
 R:I-P is exactly 0.
@@ -34,6 +35,7 @@ import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .layer import LayerProfile, solve_layer
 from .ns import (
     ReferenceSetup,
     ViscousSolution,
+    _resolve_store_steps,
     group_size,
     reference_setup,
     time_index,
@@ -427,19 +430,48 @@ def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup
                       scratch=np.empty((4, config.ns.n)))
 
 
+class March(NamedTuple):
+    """One reference march of a part: the viscosities ``nus``, marched
+    together from step ``start`` to step ``stop``."""
+
+    nus: tuple
+    start: int
+    stop: int
+
+
 def study_parts(config: StudyConfig, cores: int | None = None) -> list:
-    """The parts of a study, one thread each, as lists of march groups:
-    ``config.nu_list`` cut into at most ``cores`` contiguous parts (by
-    default the cores this process may run on), and each part into the
-    fewest groups of at most ``ns.group_size`` viscosities, whose reference
-    solves march together; sizes differ by at most one, the larger first."""
+    """The parts of a study, one thread each, as lists of ``March``: an
+    equal share of the study's viscosity-steps for each of c = min(cores,
+    m) parts (by default the cores this process may run on).
+
+    The m viscosities lie end to end as m N viscosity-steps, N the last
+    store step, and the line is cut at the step nearest each j m N / c, so
+    every part's share is within one step of m N / c and nothing is cut
+    when c divides m (McNaughton's wrap-around rule).  A cut inside a
+    viscosity splits its march at step k into two pieces, each marched
+    alone: [0, k), first of all its part's work, and [k, N], last of all
+    the next part's, which resumes from the first's iterate.  A part's whole
+    viscosities march in the fewest groups of at most ``ns.group_size``,
+    whose sizes differ by at most one, the larger first."""
     if cores is None:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-    size = group_size(config.ns.n)
-    parts = np.array_split(config.nu_list, min(cores, len(config.nu_list)))
-    return [[tuple(g.tolist()) for g in np.array_split(part, -(-len(part) // size))]
-            for part in parts]
+    nus, size = config.nu_list, group_size(config.ns.n)
+    n_steps = _resolve_store_steps(config.ns.dt, config.ns.t_end, config.t_eval,
+                                   None)[1][-1]
+    c = min(cores, len(nus))
+    cuts = [(2 * j * len(nus) * n_steps + c) // (2 * c) for j in range(c + 1)]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        whole = nus[-(-lo // n_steps):hi // n_steps]
+        part = [March(tuple(g.tolist()), 0, n_steps) for g in
+                np.array_split(whole, -(-len(whole) // size))] if whole else []
+        if hi % n_steps:
+            part.insert(0, March((nus[hi // n_steps],), 0, hi % n_steps))
+        if lo % n_steps:
+            part.append(March((nus[lo // n_steps],), lo % n_steps, n_steps))
+        parts.append(part)
+    return parts
 
 
 def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution,
@@ -479,15 +511,20 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _group_rows(setup: StudySetup, profile: LayerProfile, nus) -> list:
-    """One march group's rows, (nu, rows, error) per viscosity in order.
+def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
+                resume=None, handoff=None) -> list:
+    """One march group's rows, (nu, rows, error) per viscosity in order,
+    where rows holds the rows at each evaluation time, None at a time the
+    march does not store.
 
     Each viscosity's ansatz is assembled at every evaluation time before
     the march, which keeps no history: the rows at a stored time are taken
     as the march reaches it.  Any exception becomes a failed row naming its
     type, so one bad row cannot abort the study.  A group whose joint march
     fails (a non-finite value crosses the joins) re-marches its viscosities
-    one at a time, so only the row at fault fails."""
+    one at a time, so only the row at fault fails.  ``stop`` and ``resume``
+    march a piece of a cut viscosity alone (``ReferenceSetup.solve``); a
+    first piece leaves a copy of its iterate in ``handoff``."""
     config, ref = setup.config, setup.ref
     t_eval = config.t_eval
     store_of = [time_index(ref.times, t) for t in t_eval]
@@ -514,23 +551,64 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus) -> list:
                 failed[sol.nu] = _failure(exc)
 
     try:
-        ref.solve(nus, each)
+        iterate = ref.solve(nus, each, resume=resume, stop=stop)
     except Exception as exc:
         if len(nus) == 1:
             return [(nus[0], None, _failure(exc))]
         return [out for nu in nus for out in _group_rows(setup, profile, (nu,))]
-    return [(nu, None, failed[nu]) if nu in failed else
-            (nu, [row for at in rows[nu] for row in at], None) for nu in nus]
+    if handoff is not None:
+        handoff.iterate = iterate.copy()
+    return [(nu, None, failed[nu]) if nu in failed else (nu, rows[nu], None)
+            for nu in nus]
+
+
+class _Handoff:
+    """A cut viscosity's march at the cut, from the part that marches its
+    first piece to the part that marches its second: the kernel's iterate,
+    or the first piece's error, and the event that says either is there."""
+
+    def __init__(self):
+        self.ready = threading.Event()
+        self.iterate = None
+        self.error = "RuntimeError: the first piece of its march did not finish"
+
+
+def _march_rows(setup: StudySetup, profile: LayerProfile, march: March,
+                handoff: _Handoff | None) -> list:
+    """The rows of one march of a part (``study_parts``), as
+    ``_group_rows``.  A cut viscosity's first piece hands its iterate, or
+    its error, across in ``handoff`` and sets its event whatever happens;
+    its second piece waits for that event and resumes from the iterate, or
+    fails with the first piece's error without marching."""
+    if handoff is None:
+        return _group_rows(setup, profile, march.nus)
+    if march.start:
+        handoff.ready.wait()
+        if handoff.error is not None:
+            return [(march.nus[0], None, handoff.error)]
+        return _group_rows(setup, profile, march.nus,
+                           resume=(march.start, handoff.iterate))
+    try:
+        out = _group_rows(setup, profile, march.nus, stop=march.stop,
+                          handoff=handoff)
+        handoff.error = out[0][2]
+    finally:
+        handoff.ready.set()
+    return out
 
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
-    """Sweep ``config.nu_list`` in parts (``study_parts``), each on a thread
-    of its own: a part marches its groups and takes their rows at each
-    stored time (``_group_rows``).  This thread runs the first part on the
-    study's set-up; every other part shares it but for the arrays its
-    viscosities change (``StudySetup.for_part``).  The marches overlap
+    """Sweep ``config.nu_list`` in parts of equal viscosity-steps
+    (``study_parts``), each on a thread of its own: a part marches its
+    groups and takes their rows at each stored time (``_group_rows``), and
+    a viscosity cut between two parts marches in two pieces whose iterate
+    crosses at the cut (``_march_rows``).  This thread runs the first part
+    on the study's set-up; every other part shares it but for the arrays
+    its viscosities change (``StudySetup.for_part``).  The marches overlap
     because ``dpttrs`` releases the GIL, and every block takes its own
-    operations, so the report's bytes do not depend on the number of cores.
+    operations, so the report's bytes do not depend on the number of
+    cores: a cut viscosity's rows come from its two pieces, merged in
+    ``t_eval`` order.
 
     ``jobs`` must be at least 1 and is otherwise ignored: a study runs on
     every core this process may use.
@@ -542,36 +620,49 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     profile = solve_study_layer(config, flow)
     setup = study_setup(config, flow)
     parts = study_parts(config)
+    handoffs = {march.nus: _Handoff() for part in parts for march in part
+                if march.start}
     outcomes = [None] * len(parts)
 
     def run(i, part_setup):
-        outcomes[i] = [out for nus in parts[i]
-                       for out in _group_rows(part_setup, profile, nus)]
+        outcomes[i] = [out for march in parts[i] for out in _march_rows(
+            part_setup, profile, march, handoffs.get(march.nus))]
 
     helpers = [threading.Thread(target=run, args=(
-        i, setup.for_part(max(len(nus) for nus in parts[i]))))
+        i, setup.for_part(max(len(march.nus) for march in parts[i]))))
         for i in range(1, len(parts))]
-    for helper in helpers:
-        helper.start()
     try:
+        for helper in helpers:
+            helper.start()
         run(0, setup)
+    except BaseException:
+        # a part that never ran would leave the next part waiting at its cut
+        for handoff in handoffs.values():
+            handoff.ready.set()
+        raise
     finally:
         for helper in helpers:
-            helper.join()
+            if helper.ident is not None:
+                helper.join()
 
-    results = {}
-    failures = {}
+    pieces, failed = {}, {}
     for nu, rows, err in (out for part in outcomes for out in part):
         if err is None:
-            results[nu] = rows
+            pieces.setdefault(nu, []).append(rows)
         else:
-            failures[nu] = err
-            warnings.warn(f"viscosity row nu={nu} aborted: {err}")
-    survivors = [nu for nu in config.nu_list if nu in results]
+            failed.setdefault(nu, err)
+    failures = {nu: failed[nu] for nu in config.nu_list if nu in failed}
+    for nu, err in failures.items():
+        warnings.warn(f"viscosity row nu={nu} aborted: {err}")
+    survivors = [nu for nu in config.nu_list if nu not in failures]
     if len(survivors) < 3:
         raise SolverError(
             f"study failed: only {len(survivors)} viscosity rows survived "
             f"(failures: {failures})")
+    # a cut viscosity's two pieces take the rows of disjoint stores
+    results = {nu: [row for at in zip(*pieces[nu])
+                    for row in next(r for r in at if r is not None)]
+               for nu in survivors}
 
     all_rows = []
     for nu in survivors:                           # fixed order: as configured
@@ -642,8 +733,10 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         "t_eval": list(config.t_eval),
         "ns_n": config.ns.n,
         "ns_dt": config.ns.dt,
-        "ns_groups": [list(nus) for part in parts for nus in part],
-        "ns_parts": [[nu for nus in part for nu in nus] for part in parts],
+        "ns_groups": [list(march.nus) for part in parts for march in part],
+        "ns_parts": [[nu for march in part for nu in march.nus] for part in parts],
+        "ns_part_steps": [sum(len(march.nus) * (march.stop - march.start)
+                              for march in part) for part in parts],
         "layer_nz": config.layer.nz,
         "layer_dt": config.layer.dt,
         "failed_rows": failures,

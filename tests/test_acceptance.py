@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from manufactured import layer_mms_case
 from vvlab.checks import run_all
-from vvlab.euler import layer_mms_case, rigid_rotation
+from vvlab.euler import rigid_rotation
 from vvlab.layer import layer_norm_monitor, solve_layer, wall_value
 from vvlab.spaces import (
     AnisotropicIndex,

@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from manufactured import layer_mms_case, oscillating_shear_case
 from vvlab import geometry as geo
 from vvlab import layer, ns
 from vvlab.errors import ConfigError, InvalidParameterError, SolverError
@@ -27,8 +28,6 @@ from vvlab.euler import (
     LaurentProfile,
     ShearProfile,
     boundary_data_g,
-    layer_mms_case,
-    oscillating_shear_case,
     rigid_rotation,
 )
 from vvlab.layer import _CROSS_J, solve_layer
@@ -346,6 +345,31 @@ def test_reference_group_larger_than_its_arrays_is_a_config_error(annulus):
         setup.solve([1e-2, 1e-3, 1e-4])
     with pytest.raises(ConfigError, match="got 0"):
         setup.solve([])
+
+
+@pytest.mark.parametrize("cut", [1, 3, 40, 50, 99])
+def test_march_resumed_at_any_step_stores_the_bits_of_one_march(annulus, cut):
+    # a march stopped at a half step, on a store or between stores, and
+    # resumed on another set-up from the kernel's iterate there, takes each
+    # store once, with the bits of one march
+    setup = ns.reference_setup(annulus, LaurentProfile({1: 1.0, -1: 0.5}), n=256,
+                               dt=1e-3, t_end=0.1, store_times=(0.003, 0.05, 0.1))
+    whole, pieces = {}, {}
+    setup.solve([1e-3], lambda i, sols: whole.setdefault(i, sols[0].u.copy()))
+
+    def keep(i, sols):
+        assert i not in pieces
+        pieces[i] = sols[0].u.copy()
+
+    iterate = setup.solve([1e-3], keep, stop=cut).copy()
+    assert sorted(pieces) == [i for i, k in enumerate(setup.store_steps) if k <= cut]
+    setup.with_arrays(1).solve([1e-3], keep, resume=(cut, iterate))
+    assert sorted(pieces) == sorted(whole) == [0, 1, 2]
+    for i, u in whole.items():
+        assert np.any(u != setup.u0)
+        assert np.array_equal(pieces[i], u)
+    with pytest.raises(ConfigError, match="stores through each"):
+        setup.solve([1e-3], stop=cut)
 
 
 def test_group_size_keeps_the_march_arrays_in_cache():

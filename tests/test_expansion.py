@@ -5,11 +5,11 @@ import types
 import numpy as np
 import pytest
 
+from manufactured import oscillating_shear_case
 from vvlab import expansion, study
 from vvlab.errors import AlignmentError, ConfigError
 from vvlab.euler import (
     LaurentProfile,
-    oscillating_shear_case,
     potential_vortex,
     rigid_rotation,
 )

@@ -74,10 +74,6 @@ def test_checker_flags_an_unused_import():
 
 # top-level definitions that no package code reads, each with its reason
 TEST_ONLY = {
-    "layer_mms_case": "manufactured orders of criterion 8 and test_layer; "
-                      "ROADMAP item 9 moves it to a test module",
-    "oscillating_shear_case": "manufactured case of test_layer, test_expansion "
-                              "and test_cn_kernel; ROADMAP item 9 moves it",
     "remainder_bc_residual": "ROADMAP item 4 reports it in every run",
     "layer_norm_monitor": "ROADMAP item 10 reports it in every run",
     "boundary_layer_eval": "the oracle test_spaces holds the scaling check's "

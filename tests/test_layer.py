@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from manufactured import layer_mms_case, oscillating_shear_case
 from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
     boundary_data_g,
-    layer_mms_case,
-    oscillating_shear_case,
     potential_vortex,
     rigid_rotation,
 )

@@ -32,6 +32,7 @@ from vvlab.spaces import VolumeGrid, parse_norm
 from vvlab.study import (
     EulerSpec,
     LayerParams,
+    March,
     NsParams,
     StudyConfig,
     export_report,
@@ -378,10 +379,15 @@ def test_export_report(tmp_path, vortex_report):
     assert rates["exact_regime"] is True
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert "wall_time_s" in meta and "versions" in meta
-    # n = 65,536 marches one viscosity at a time, in one part per core
-    assert meta["ns_groups"] == [[nu] for nu in meta["nu_list"]]
-    assert [nu for part in meta["ns_parts"] for nu in part] == meta["nu_list"]
-    assert len(meta["ns_parts"]) == min(len(os.sched_getaffinity(0)), 5)
+    # n = 65,536 marches one viscosity at a time, in one part per core, and
+    # the parts share the 5 x 80 viscosity-steps equally
+    assert all(len(nus) == 1 for nus in meta["ns_groups"])
+    assert sorted({nu for part in meta["ns_parts"] for nu in part},
+                  reverse=True) == meta["nu_list"]
+    cores = min(len(os.sched_getaffinity(0)), 5)
+    assert len(meta["ns_parts"]) == len(meta["ns_part_steps"]) == cores
+    assert sum(meta["ns_part_steps"]) == 400
+    assert max(meta["ns_part_steps"]) - min(meta["ns_part_steps"]) <= 1
 
 
 def test_export_deterministic_bytes(tmp_path, vortex_report):
@@ -401,10 +407,9 @@ def _on_cores(monkeypatch, cores):
                         lambda config: _REAL_STUDY_PARTS(config, cores=cores))
 
 
-def test_jobs_do_not_change_report_bytes(tmp_path, monkeypatch):
-    # small fast config: byte-identical errors.csv at any jobs value and on
-    # one core or two; jobs is checked, then ignored
-    cfg = StudyConfig(
+def _three_row_config():
+    # 200 steps, stores at steps 100 and 200
+    return StudyConfig(
         geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
         euler=EulerSpec(family="rigid", omega=1.0),
         layer=LayerParams(nz=128, dt=1e-3),
@@ -413,6 +418,12 @@ def test_jobs_do_not_change_report_bytes(tmp_path, monkeypatch):
         norms=("l2", "linf"),
         t_eval=(0.1, 0.2),
     )
+
+
+def test_jobs_do_not_change_report_bytes(tmp_path, monkeypatch):
+    # small fast config: byte-identical errors.csv at any jobs value and on
+    # one core or two; jobs is checked, then ignored
+    cfg = _three_row_config()
     reports = {}
     for cores in (1, 2):
         _on_cores(monkeypatch, cores)
@@ -420,8 +431,10 @@ def test_jobs_do_not_change_report_bytes(tmp_path, monkeypatch):
             reports[cores, jobs] = run_convergence_study(cfg, jobs=jobs)
     assert reports[1, 1].meta["ns_parts"] == reports[1, 2].meta["ns_parts"] \
         == [[1e-2, 1e-3, 1e-4]]
-    assert reports[2, 1].meta["ns_parts"] == [[1e-2, 1e-3], [1e-4]]
-    assert reports[2, 1].meta["ns_groups"] == [[1e-2, 1e-3], [1e-4]]
+    # 1e-3 is cut at step 100 of 200, on its first store
+    assert reports[2, 1].meta["ns_parts"] == [[1e-3, 1e-2], [1e-4, 1e-3]]
+    assert reports[2, 1].meta["ns_groups"] == [[1e-3], [1e-2], [1e-4], [1e-3]]
+    assert reports[2, 1].meta["ns_part_steps"] == [300, 300]
     for key, report in reports.items():
         export_report(report, tmp_path / repr(key))
     for name in ("errors.csv", "rates.json"):
@@ -543,15 +556,17 @@ def test_parts_share_the_studys_setup(monkeypatch, annulus):
     setups = {}
     real_rows = study._group_rows
 
-    def spy(setup, profile, nus):
-        setups[nus] = setup
-        return real_rows(setup, profile, nus)
+    def spy(setup, profile, nus, **piece):
+        setups.setdefault(threading.current_thread() is threading.main_thread(),
+                          set()).add(setup)
+        return real_rows(setup, profile, nus, **piece)
 
     monkeypatch.setattr(study, "_group_rows", spy)
     _on_cores(monkeypatch, 2)
     threaded = run_convergence_study(cfg)
     assert builds == [1]
-    first, second = (setups[tuple(p)] for p in threaded.meta["ns_parts"])
+    # each part marches all its pieces and groups on one set-up
+    (first,), (second,) = setups[True], setups[False]
     for attr in ("config", "flow", "grid"):
         assert getattr(first, attr) is getattr(second, attr)
     for attr in ("coords", "u0", "drive", "sym"):
@@ -561,6 +576,81 @@ def test_parts_share_the_studys_setup(monkeypatch, annulus):
         assert not np.shares_memory(mine, theirs)
     _on_cores(monkeypatch, 1)
     assert threaded.rows == run_convergence_study(cfg).rows
+
+
+@pytest.mark.parametrize("name, cuts", [
+    ("three", {100}),                   # on the store at step 100
+    ("five", {50, 67, 100, 133, 150}),  # between step 0 and the one store
+])
+def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus,
+                                                  name, cuts):
+    # on 1 to 4 cores the viscosities cut between parts march in two pieces
+    # whose iterate crosses at the cut: each row is taken once, by the piece
+    # that stores it, and the rows and files are the bytes of one core's
+    # march
+    cfg = _three_row_config() if name == "three" else _five_row_config(annulus)
+    assert {march.stop for cores in (1, 2, 3, 4)
+            for part in study.study_parts(cfg, cores=cores)
+            for march in part if march.stop < 200} == cuts
+    taken = []
+    real = study._solve_one_nu
+
+    def spy(setup, profile, sol, times, u_approx):
+        taken.extend((sol.nu, t) for t in times)
+        return real(setup, profile, sol, times, u_approx)
+
+    monkeypatch.setattr(study, "_solve_one_nu", spy)
+    rows = []
+    for cores in (1, 2, 3, 4):
+        _on_cores(monkeypatch, cores)
+        report = run_convergence_study(cfg)
+        assert report.meta["failed_rows"] == {}
+        assert sorted(taken) == sorted((nu, t) for nu in cfg.nu_list for t in cfg.t_eval)
+        taken.clear()
+        rows.append(report.rows)
+        export_report(report, tmp_path / str(cores))
+    assert all(got == rows[0] for got in rows)
+    for file in ("errors.csv", "rates.json"):
+        assert len({(tmp_path / str(cores) / file).read_bytes()
+                    for cores in (1, 2, 3, 4)}) == 1
+
+
+@pytest.mark.parametrize("piece", ["stop", "resume"])
+def test_a_failed_piece_fails_only_its_viscosity(monkeypatch, annulus, piece):
+    # on 2 cores 1e-3 is cut at step 100 of 200; its first piece ("stop")
+    # or its second ("resume") raises: that row alone fails, a second piece
+    # does not march after a failed first, and every thread ends
+    cfg = _five_row_config(annulus)
+    _on_cores(monkeypatch, 1)
+    want = run_convergence_study(cfg).rows
+    real = ReferenceSetup.solve
+    pieces = []
+
+    def broken(ref, nus, each=None, **kw):
+        pieces.append([key for key, value in kw.items() if value is not None])
+        if kw[piece] is not None:
+            raise ZeroDivisionError(f"synthetic failure at {piece}")
+        return real(ref, nus, each, **kw)
+
+    monkeypatch.setattr(ReferenceSetup, "solve", broken)
+    _on_cores(monkeypatch, 2)
+    threads = threading.active_count()
+    box = {}
+    runner = threading.Thread(target=lambda: box.update(report=run_convergence_study(cfg)),
+                              daemon=True)
+    with pytest.warns(UserWarning, match="nu=0.001"):
+        runner.start()
+        runner.join(timeout=60.0)
+    assert not runner.is_alive(), "the study did not finish in 60 s"
+    assert threading.active_count() == threads
+    report = box["report"]
+    assert report.meta["failed_rows"] == {
+        1e-3: f"ZeroDivisionError: synthetic failure at {piece}"}
+    assert report.rows == [row for row in want if row[0] != 1e-3]
+    # each part's group of whole viscosities, the first piece and, after a
+    # first piece that did not fail, the second
+    marched = [[], [], ["stop"]] if piece == "stop" else [[], [], ["resume"], ["stop"]]
+    assert sorted(pieces) == marched
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -583,11 +673,11 @@ def test_non_package_error_fails_only_its_row(monkeypatch, annulus):
     real = ReferenceSetup.solve
     marched = []
 
-    def singular(ref, nus, each=None):
+    def singular(ref, nus, each=None, **piece):
         marched.append(tuple(nus))
         if 1e-3 in nus:
             raise np.linalg.LinAlgError("synthetic singular matrix")
-        return real(ref, nus, each)
+        return real(ref, nus, each, **piece)
 
     monkeypatch.setattr(ReferenceSetup, "solve", singular)
     _on_cores(monkeypatch, 1)
@@ -616,6 +706,7 @@ def test_failed_factorisation_fails_only_its_row(annulus):
     for nu, rows, err in (out[0], out[2]):
         assert err is None
         sol, = setup.ref.solve([nu])
+        rows = [row for at in rows for row in at]
         assert rows == study._solve_one_nu(setup, profile, sol)
         assert any(v > 0.0 for _, _, _, v, _ in rows)
 
@@ -623,26 +714,28 @@ def test_failed_factorisation_fails_only_its_row(annulus):
 def test_failed_march_fails_only_its_row_on_threads(monkeypatch, annulus):
     # 3e-4 marches as NaN, which factors but marches to NaN and crosses
     # the joins: the helper thread's joint march fails, then each of its
-    # viscosities re-marches alone there, and only the row at fault fails
+    # viscosities re-marches alone there, and only the row at fault fails;
+    # 1e-3, cut between the parts on its first store, keeps its rows
     cfg = _small_study(annulus, "rigid")
     _on_cores(monkeypatch, 1)
     want = run_convergence_study(cfg).rows
     real = ReferenceSetup.solve
     marched = []
 
-    def nan_at_3e4(ref, nus, each=None):
+    def nan_at_3e4(ref, nus, each=None, **piece):
         marched.append((threading.current_thread() is threading.main_thread(),
                         tuple(nus)))
-        return real(ref, [math.nan if nu == 3e-4 else nu for nu in nus], each)
+        return real(ref, [math.nan if nu == 3e-4 else nu for nu in nus], each,
+                    **piece)
 
     monkeypatch.setattr(ReferenceSetup, "solve", nan_at_3e4)
     _on_cores(monkeypatch, 2)
     with pytest.warns(UserWarning, match="nu=0.0003"):
         report = run_convergence_study(cfg)
-    assert report.meta["ns_parts"] == [[1e-2, 3e-3, 1e-3], [3e-4, 1e-4]]
-    assert [nus for main, nus in marched if main] == [(1e-2, 3e-3, 1e-3)]
+    assert report.meta["ns_parts"] == [[1e-3, 1e-2, 3e-3], [3e-4, 1e-4, 1e-3]]
+    assert [nus for main, nus in marched if main] == [(1e-3,), (1e-2, 3e-3)]
     assert [nus for main, nus in marched if not main] == [
-        (3e-4, 1e-4), (3e-4,), (1e-4,)]
+        (3e-4, 1e-4), (3e-4,), (1e-4,), (1e-3,)]
     assert list(report.meta["failed_rows"]) == [3e-4]
     assert report.meta["failed_rows"][3e-4].startswith(
         "SolverError: ns swirl (nu=nan, n=256): non-finite iterate")
@@ -673,27 +766,75 @@ def test_failed_row_on_a_helper_thread_fails_only_that_row(monkeypatch, annulus)
 
 def test_march_threads_share_the_cores():
     # one part per core this process may run on, never more parts than
-    # viscosities
+    # viscosities; on 2 cores the middle viscosity's 80 steps are cut in
+    # half, its first piece first in the first part and its second last in
+    # the second
     cfg = get_preset("vortex-annulus")
     nus = cfg.nu_list
+    whole = [March((nu,), 0, 80) for nu in nus]
     assert study.study_parts(cfg) == study.study_parts(
         cfg, cores=len(os.sched_getaffinity(0)))
-    assert study.study_parts(cfg, cores=1) == [[(nu,) for nu in nus]]
-    assert study.study_parts(cfg, cores=2) == [[(nu,) for nu in nus[:3]],
-                                               [(nu,) for nu in nus[3:]]]
-    assert study.study_parts(cfg, cores=10**6) == [[(nu,)] for nu in nus]
+    assert study.study_parts(cfg, cores=1) == [whole]
+    assert study.study_parts(cfg, cores=2) == [
+        [March((1e-3,), 0, 40)] + whole[:2],
+        whole[3:] + [March((1e-3,), 40, 80)]]
+    assert study.study_parts(cfg, cores=10**6) == [[march] for march in whole]
 
 
 def test_study_parts_split_for_the_cache_and_the_cores():
-    # contiguous parts, then groups of at most ns.group_size viscosities a
-    # part, the fewest that do; the larger first
+    # equal shares of the 5 x 20,000 steps, then each part's whole
+    # viscosities in groups of at most ns.group_size, the fewest that do;
+    # the larger first
     cfg = get_preset("rigid-annulus")
     nus = cfg.nu_list
-    assert study.study_parts(cfg, cores=1) == [[nus]]
-    assert study.study_parts(cfg, cores=2) == [[nus[:3]], [nus[3:]]]
+    first, second = March((1e-3,), 0, 10000), March((1e-3,), 10000, 20000)
+    assert study.study_parts(cfg, cores=1) == [[March(nus, 0, 20000)]]
+    assert study.study_parts(cfg, cores=2) == [
+        [first, March(nus[:2], 0, 20000)], [March(nus[3:], 0, 20000), second]]
     cfg.ns = NsParams(n=16384)
-    assert study.study_parts(cfg, cores=1) == [[nus[:2], nus[2:4], nus[4:]]]
-    assert study.study_parts(cfg, cores=2) == [[nus[:2], nus[2:3]], [nus[3:]]]
+    assert study.study_parts(cfg, cores=1) == [
+        [March(nus[:2], 0, 20000), March(nus[2:4], 0, 20000),
+         March(nus[4:], 0, 20000)]]
+    cfg.ns = NsParams(n=32768)
+    assert study.study_parts(cfg, cores=2) == [
+        [first, March(nus[:1], 0, 20000), March(nus[1:2], 0, 20000)],
+        [March(nus[3:4], 0, 20000), March(nus[4:], 0, 20000), second]]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7])
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+def test_study_parts_give_every_part_an_equal_share(annulus, m, cores):
+    # every viscosity's steps [0, N] marched exactly once; each part within
+    # one step of m N / c; a cut viscosity's first piece first in its part
+    # and its second last in the next; no cut when c divides m
+    cfg = StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
+                      ns=NsParams(n=256, dt=1e-3, t_end=0.2),
+                      nu_list=tuple(np.geomspace(1e-2, 1e-4, m).tolist()))
+    n_steps, c = 200, min(cores, m)
+    parts = study.study_parts(cfg, cores=cores)
+    assert len(parts) == c
+    pieces = {nu: [] for nu in cfg.nu_list}
+    for part in parts:
+        assert abs(sum(len(march.nus) * (march.stop - march.start)
+                       for march in part) - m * n_steps / c) <= 1
+        for march in part:
+            assert 0 < len(march.nus) <= study.group_size(cfg.ns.n)
+            for nu in march.nus:
+                pieces[nu].append((march.start, march.stop))
+    for nu, spans in pieces.items():
+        spans.sort()
+        assert spans[0][0] == 0 and spans[-1][1] == n_steps
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    for p, part in enumerate(parts):
+        for j, march in enumerate(part):
+            if march.stop < n_steps:
+                assert j == 0 and march.start == 0
+                assert parts[p + 1][-1] == March(march.nus, march.stop, n_steps)
+            if march.start > 0:
+                assert j == len(part) - 1
+    if m % c == 0:
+        assert all((march.start, march.stop) == (0, n_steps)
+                   for part in parts for march in part)
 
 
 def test_gradient_remainder_part_bounded(rigid_report):
@@ -776,7 +917,8 @@ def test_row_reference_histories_equal_standalone_solves(request, monkeypatch,
     marched = []
     real = ReferenceSetup.solve
 
-    def spy(ref, nus, each):
+    def spy(ref, nus, each, **piece):
+        assert piece == {"resume": None, "stop": None}
         marched.append(tuple(nus))
 
         def keep(i, sols):
@@ -841,14 +983,15 @@ def test_grid_constants_are_built_before_any_row(monkeypatch, annulus):
     seen = []
     real = study._group_rows
 
-    def spy(setup, profile, nus):
+    def spy(setup, profile, nus, **piece):
         seen.append({"weights", "_deriv_weights", "_coords_sq"} <= set(vars(setup.grid)))
-        return real(setup, profile, nus)
+        return real(setup, profile, nus, **piece)
 
     monkeypatch.setattr(study, "_group_rows", spy)
     _on_cores(monkeypatch, 2)
     run_convergence_study(_small_study(annulus, "rigid"))
-    assert seen == [True, True]
+    # a group and a piece of the cut viscosity in each part
+    assert seen == [True] * 4
 
 
 _PINNED_STUDY = """
@@ -921,7 +1064,7 @@ def test_viscosity_row_peaks_under_3_75_live_component_histories():
     def row():
         (_, rows, err), = study._group_rows(setup, profile, (nu,))
         assert err is None
-        return rows
+        return [row for at in rows for row in at]
 
     row()
     tracemalloc.start()
