@@ -193,6 +193,13 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
     return n_steps, steps
 
 
+def stores_taken(store_steps, start: int = 0, stop: int | None = None) -> list:
+    """The stores, by index, of a march from step ``start`` to ``stop`` (by
+    default the last store): those in (start, stop], and step 0 from 0."""
+    stop = store_steps[-1] if stop is None else stop
+    return [i for i, s in enumerate(store_steps) if start < s <= stop or s == start == 0]
+
+
 def time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored stamp ``t`` in ``times``, to 1e-10; a time that
     was not stored is an AlignmentError."""
@@ -304,8 +311,7 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
         hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
 
     stop = store_steps[-1] if stop is None else stop
-    ends = [(i, s) for i, s in enumerate(store_steps)
-            if start < s <= stop or s == start == 0]
+    ends = [(i, store_steps[i]) for i in stores_taken(store_steps, start, stop)]
     solve = dpttrs(diag, off, buf)
     k = start
     for i, end in ends + [(None, stop)]:

@@ -36,6 +36,7 @@ from .geometry import trapezoid_weights
 DEFAULT_ZMAX = 33.0      # exp(-33) ~ 4.7e-15 < 1e-14
 DEFAULT_FAST_L = 2.0
 DEFAULT_EVAL_POINTS = 4097
+_HALO = 2                # a derivative row's reach: 1 node, 2 from the end rows
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +121,30 @@ def diff_along(values: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(d, -1, axis)
 
 
-def _apply_first_deriv(weights, v: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _apply_first_deriv(weights, v: np.ndarray, out=None, tmp=None,
+                       rows=slice(None)) -> np.ndarray:
     """Apply the weights of _first_deriv_matrix_weights along the last axis
-    of ``v`` (at least 3 nodes).  ``out`` and ``tmp``, arrays of v's shape,
-    take the result and the products instead of new arrays."""
+    of ``v`` (at least 3 nodes), into its ``rows`` (a slice) alone, each row
+    the bits of the whole derivative's.  ``out`` and ``tmp``, arrays of v's
+    shape, take the result and the products instead of new arrays."""
     cl, c0, cr = weights
+    n = v.shape[-1]
+    lo, hi, _ = rows.indices(n)
+    a, b = max(lo, 1), min(hi, n - 1)
     d = np.empty_like(v) if out is None else out
     # summed left to right in place: the bits of the three-term expression
     # with one array of products
-    inner = d[..., 1:-1]
-    prod = (np.empty_like(v) if tmp is None else tmp)[..., 1:-1]
-    np.multiply(cl[1:-1], v[..., :-2], out=inner)
-    np.multiply(c0[1:-1], v[..., 1:-1], out=prod)
+    inner = d[..., a:b]
+    prod = (np.empty_like(v) if tmp is None else tmp)[..., a:b]
+    np.multiply(cl[a:b], v[..., a - 1:b - 1], out=inner)
+    np.multiply(c0[a:b], v[..., a:b], out=prod)
     inner += prod
-    np.multiply(cr[1:-1], v[..., 2:], out=prod)
+    np.multiply(cr[a:b], v[..., a + 1:b + 1], out=prod)
     inner += prod
-    d[..., 0] = c0[0] * v[..., 0] + cl[0] * v[..., 1] + cr[0] * v[..., 2]
-    d[..., -1] = c0[-1] * v[..., -1] + cl[-1] * v[..., -2] + cr[-1] * v[..., -3]
+    if lo == 0:
+        d[..., 0] = c0[0] * v[..., 0] + cl[0] * v[..., 1] + cr[0] * v[..., 2]
+    if hi == n:
+        d[..., -1] = c0[-1] * v[..., -1] + cl[-1] * v[..., -2] + cr[-1] * v[..., -3]
     return d
 
 
@@ -308,61 +316,84 @@ class VolumeGrid:
         return self.coords**2
 
     def grad_sq(self, u: np.ndarray, sq: np.ndarray | None = None,
-                out=None, tmp=None) -> np.ndarray:
+                out=None, tmp=None, rows=slice(None)) -> np.ndarray:
         """Pointwise |grad u|^2 of the flow component u, frame curvature
         included: u'^2 in the channel (u = u_x(y)), u'^2 + u^2/r^2 in the
         annulus (u = u_theta(r)).  ``sq`` is u^2 when the caller has it;
-        ``out`` and ``tmp``, arrays of u's shape, take the result and the
-        intermediate values instead of new arrays."""
-        out = _apply_first_deriv(self._deriv_weights, u, out, tmp)
-        np.square(out, out=out)
+        ``out`` and ``tmp``, arrays of u's shape, take the result, in its
+        ``rows`` alone, and the intermediate values instead of new arrays."""
+        out = _apply_first_deriv(self._deriv_weights, u, out, tmp, rows)
+        r = out[rows]
+        np.square(r, out=r)
         if self.geom.kind == geo.ANNULUS_GAP:
-            out += np.divide(u**2 if sq is None else sq, self._coords_sq, out=tmp)
+            r += np.divide(u[rows]**2 if sq is None else sq[rows], self._coords_sq[rows],
+                           out=None if tmp is None else tmp[rows])
         return out
 
     def norms(self, u: np.ndarray, specs, scratch=None) -> list:
         """The lp / linf / h1 norms ``specs`` of one (n,) field: the flow
         component, or for lp and linf a pointwise magnitude.
 
-        |u|^2, which is u^2 bit for bit, is formed once for l2, h1 and the
-        gradient.  Any other power is raised only where |u| != 0 and written
-        into zeros: pow(0, p) is +0.0, the same bits, while the zeros of a
-        field skip pow's slow path; a NaN is != 0 and still propagates.
-        Every intermediate lives in ``scratch``, a (4, n) array the norms
-        overwrite, or in four new arrays: at a study's n = 65,536 each is
-        512 KiB, which malloc may hand back to the system and fault in
-        again at every call.
+        Where a field equals u0 to the last bit away from the walls, u - u0
+        is one run of exact zeros, whose terms are skipped (``_live_spans``
+        gives the rule).  They are +0.0 anyway: |+-0| and w (+0) are +0, and
+        a derivative whose stencil is all zero is +-0, +0 once squared.  So
+        the density is zeroed once and each sum adds all n of it: the bits
+        of the sum over every node.  |u|^2, u^2 bit for bit, is formed once;
+        other powers only where |u| != 0 (pow(0, p) is +0.0 but slow; a NaN
+        is != 0).  Intermediates live in ``scratch``, a (4, n) array the
+        norms overwrite, or in four new arrays: at a study's n = 65,536 each
+        is 512 KiB, which malloc may hand back and fault in again every call.
         """
         u = np.asarray(u, dtype=float)
         mag, sq, dens, tmp = np.empty((4,) + u.shape) if scratch is None else scratch
-        np.square(np.abs(u, out=mag), out=sq)
+        # the zero mask borrows tmp's first n bytes, free until h1 needs it
+        spans = _live_spans(np.equal(u, 0.0, out=tmp.view(bool)[:len(u)]))
+        for s in spans:
+            np.square(np.abs(u[s], out=mag[s]), out=sq[s])
+        dens.fill(0.0)
         out = []
         for spec in specs:
             if spec.kind == "linf":
-                out.append(float(mag.max(initial=0.0)))
+                top = 0.0               # an array max: a NaN in any span wins
+                for s in spans:
+                    top = mag[s].max(initial=top)
+                out.append(float(top))
             elif spec.kind in ("lp", "h1"):
-                out.append(self._integral_norm(u, mag, sq, spec, dens, tmp))
+                for s in spans:
+                    d = dens[s]
+                    if spec.kind == "h1":
+                        self.grad_sq(u, sq, out=dens, tmp=tmp, rows=s)
+                        d += sq[s]
+                    elif spec.p == 2.0:
+                        d[...] = sq[s]
+                    else:
+                        d.fill(0.0)
+                        np.power(mag[s], spec.p, out=d, where=mag[s] != 0.0)
+                    d *= self.weights[s]    # x w has the bits of w x
+                total = np.sum(dens)
+                out.append(float(np.sqrt(total) if spec.kind == "h1"
+                                 else total ** (1.0 / spec.p)))
             else:
                 raise ConfigError(
                     f"norm {spec.label!r} does not apply to volume fields")
         return out
 
-    def _integral_norm(self, u, mag, sq, spec, dens, tmp) -> float:
-        """The lp or h1 norm ``spec`` of u, given |u| and, for l2 and h1,
-        |u|^2; its density goes to ``dens``, intermediates to ``tmp``.  A
-        product takes the same bits in either order."""
-        if spec.kind == "h1":
-            self.grad_sq(u, sq, out=dens, tmp=tmp)
-            dens += sq
-            dens *= self.weights
-            return float(np.sqrt(np.sum(dens)))
-        if spec.p == 2.0:
-            np.multiply(self.weights, sq, out=dens)
-        else:
-            dens.fill(0.0)
-            np.power(mag, spec.p, out=dens, where=mag != 0.0)
-            dens *= self.weights
-        return float(np.sum(dens) ** (1.0 / spec.p))
+
+def _live_spans(zero: np.ndarray) -> list:
+    """The slices a field's norms compute, from its mask of exact zeros
+    (-0.0 is one; NaN and inf are not): [0, a) and [b, n), each widened by
+    _HALO nodes and dropped if empty, when [a, b) is a run of zeros with no
+    zero outside it, and the whole field otherwise or when the widened
+    spans would overlap.  An all-zero field has no span."""
+    n = len(zero)
+    a = int(zero.argmax())
+    b = a + int(zero[a:].argmin())      # both searches stop at the run's ends
+    b = n if zero[b] else b
+    if zero[a] and b - a >= 2 * _HALO and not zero[b:].any():
+        return [s for s, live in ((slice(0, a + _HALO), a > 0),
+                                  (slice(b - _HALO, n), b < n)) if live]
+    return [slice(0, n)]
 
 
 # ---------------------------------------------------------------------------

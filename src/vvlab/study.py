@@ -58,6 +58,7 @@ from .ns import (
     _resolve_store_steps,
     group_size,
     reference_setup,
+    stores_taken,
     time_index,
 )
 from .spaces import DEFAULT_ZMAX, FastGrid, VolumeGrid, parse_norm
@@ -517,9 +518,9 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
     where rows holds the rows at each evaluation time, None at a time the
     march does not store.
 
-    Each viscosity's ansatz is assembled at every evaluation time before
-    the march, which keeps no history: the rows at a stored time are taken
-    as the march reaches it.  Any exception becomes a failed row naming its
+    Each viscosity's ansatz is assembled first, at the times this march
+    stores; the march keeps no history, and the rows at a stored time are
+    taken as it reaches it.  Any exception becomes a failed row naming its
     type, so one bad row cannot abort the study.  A group whose joint march
     fails (a non-finite value crosses the joins) re-marches its viscosities
     one at a time, so only the row at fault fails.  ``stop`` and ``resume``
@@ -528,13 +529,15 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
     config, ref = setup.config, setup.ref
     t_eval = config.t_eval
     store_of = [time_index(ref.times, t) for t in t_eval]
+    taken = stores_taken(ref.store_steps, resume[0] if resume else 0, stop)
+    own = [jt for jt, i in enumerate(store_of) if i in taken]
     rows = {nu: [None] * len(t_eval) for nu in nus}
     approx = {}
     failed = {}
     for nu in nus:
         try:
             approx[nu] = assemble_ansatz(setup.flow, profile, config.geometry, nu,
-                                         ref.coords, times=t_eval, u0=ref.u0)
+                                         ref.coords, times=np.take(t_eval, own), u0=ref.u0)
         except Exception as exc:
             failed[nu] = _failure(exc)
 
@@ -543,10 +546,10 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
             if sol.nu in failed:
                 continue
             try:
-                for jt, t in enumerate(t_eval):
+                for k, jt in enumerate(own):
                     if store_of[jt] == i:
                         rows[sol.nu][jt] = _solve_one_nu(
-                            setup, profile, sol, (t,), approx[sol.nu][jt:jt + 1])
+                            setup, profile, sol, (t_eval[jt],), approx[sol.nu][k:k + 1])
             except Exception as exc:
                 failed[sol.nu] = _failure(exc)
 

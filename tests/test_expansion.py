@@ -4,6 +4,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manufactured import oscillating_shear_case
 from vvlab import expansion, study
@@ -87,6 +89,39 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
             layer[it] += math.sqrt(nu) * vals[w.tangent_names.index("theta")]
     assert np.any(layer != 0.0)
     assert np.array_equal(u_approx, flow.profile.value(coords) + layer)
+
+
+@pytest.fixture(scope="module")
+def rigid_study_layer():
+    """The rigid preset's layer at its 8 evaluation times, its grid, and
+    each wall's evaluation with all 8 times stacked, per viscosity."""
+    cfg = study.get_preset("rigid-annulus")
+    profile = solve_study_layer(cfg)
+    coords = cfg.geometry.volume_grid(cfg.ns.n)
+    every = list(range(len(cfg.t_eval)))
+    stacked = {(nu, w.wall_id): eval_profile_on_wall(profile.profile(w.wall_id, every),
+                                                     cfg.geometry, w.wall_id, coords, nu)
+               for nu in cfg.nu_list for w in cfg.geometry.walls()}
+    return cfg, profile, coords, stacked
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(times=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+       nu_at=st.integers(0, 4), wall_at=st.integers(0, 1))
+def test_stacked_evaluation_gives_each_time_its_own_bits(rigid_study_layer, times,
+                                                         nu_at, wall_at):
+    # a wall's profiles at any times, in any order, stacked in one
+    # evaluation give each time the bits, signs included, it has stacked
+    # with every evaluation time: a cut viscosity's piece may assemble its
+    # ansatz at its own times alone
+    cfg, profile, coords, stacked = rigid_study_layer
+    nu, w = cfg.nu_list[nu_at], cfg.geometry.walls()[wall_at]
+    got = eval_profile_on_wall(profile.profile(w.wall_id, times), cfg.geometry,
+                               w.wall_id, coords, nu)
+    want = stacked[nu, w.wall_id][times]
+    assert np.any(want != 0.0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_zero_layer_is_not_evaluated(monkeypatch):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from vvlab.spaces import (
     _GRONWALL_LOW,
     _gronwall_bounds,
     _layer_eval,
+    _live_spans,
     _not_a_knot_eval,
     _not_a_knot_fit,
     _spline_on_wall,
@@ -794,3 +797,137 @@ def test_live_component_norms_equal_all_component_formula(kind, n, flow, rows, s
     got = grid.grad_sq(u)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_LABELS = ("l2", "h1", "linf", "lp:4")
+_GEOMS = {geo.FLAT_CHANNEL: geo.flat_channel(1.0, eta=0.45),
+          geo.ANNULUS_GAP: geo.annulus_gap(1.0, 2.0, eta=0.45)}
+
+
+def _zero_run_field(n, a, b, zeros, seed):
+    """A field of n nonzero nodes but for [a, b), which holds exact zeros:
+    +0.0, -0.0 or the two alternating.  Magnitudes from 1e-3 to 1e3 keep
+    u^2 from underflowing, so |u| is the oracle's sqrt(u^2) exactly."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3)
+    u[a:b] = {"+0": 0.0, "-0": -0.0, "+-0": np.where(np.arange(b - a) % 2, -0.0, 0.0)}[zeros]
+    return u
+
+
+def _assert_norms_are_the_formulas(kind, u):
+    """Every order of l2, h1, linf and lp:4 of u gives the oracle's bits
+    (repr compares NaN as NaN and keeps a zero's sign).  One scratch, all
+    NaN at first, serves every order, so a term never written, or one left
+    by an earlier spec or call, shows.  Returns the norms by label."""
+    geom, n = _GEOMS[kind], len(u)
+    x = geom.volume_grid(n)
+    grid = VolumeGrid(geom, x)
+    scratch = np.full((4, n), np.nan)
+    with np.errstate(invalid="ignore"):
+        want = {label: _volume_norm_oracle(geom, x, _embed(geom, u), parse_norm(label))
+                for label in _LABELS}
+        for order in itertools.permutations(_LABELS):
+            got = grid.norms(u, [parse_norm(label) for label in order], scratch)
+            assert list(map(repr, got)) == [repr(want[label]) for label in order], order
+    return want
+
+
+def test_live_spans_skip_one_run_of_zeros():
+    # the one run of zeros [a, b) is skipped but for _HALO = 2 nodes at
+    # each end; a run at an end leaves one span, an all-zero field none;
+    # two runs, a run shorter than the two halos and a field without zeros
+    # are computed whole
+    def mask(n, *runs):
+        zero = np.zeros(n, dtype=bool)
+        for a, b in runs:
+            zero[a:b] = True
+        return zero
+
+    assert _live_spans(mask(40, (10, 30))) == [slice(0, 12), slice(28, 40)]
+    assert _live_spans(mask(40, (0, 30))) == [slice(28, 40)]
+    assert _live_spans(mask(40, (10, 40))) == [slice(0, 12)]
+    assert _live_spans(mask(40, (0, 4))) == [slice(2, 40)]
+    assert _live_spans(mask(40, (36, 40))) == [slice(0, 38)]
+    assert _live_spans(mask(40, (0, 40))) == []
+    for runs in [(), ((20, 21),), ((0, 3),), ((37, 40),), ((10, 13),),
+                 ((5, 10), (20, 30)), ((0, 10), (39, 40))]:
+        assert _live_spans(mask(40, *runs)) == [slice(0, 40)]
+
+
+_N_RUN = 40
+
+
+@pytest.mark.parametrize("kind", [geo.FLAT_CHANNEL, geo.ANNULUS_GAP])
+@pytest.mark.parametrize("a, b", [
+    # the run starts 0 to 3 nodes from the first node or ends 0 to 3 nodes
+    # from the last, or both (0, 40: the whole field); it is 1 to 4 nodes
+    # at either end, where the one-sided rows reach 2 nodes in; one node
+    *[(a, 30) for a in range(4)],
+    *[(10, _N_RUN - e) for e in range(4)],
+    *[(a, _N_RUN - e) for a in range(4) for e in range(4)],
+    *[(0, b) for b in range(1, 5)], *[(_N_RUN - b, _N_RUN) for b in range(2, 5)],
+    (20, 21),
+])
+@pytest.mark.parametrize("zeros", ["+0", "-0", "+-0"])
+def test_norms_skip_a_run_of_zeros_bit_for_bit(kind, a, b, zeros):
+    # the run's terms are skipped and the field's norms keep the bits of
+    # the formulas over every node, in every order of the specs
+    u = _zero_run_field(_N_RUN, a, b, zeros, seed=a * _N_RUN + b)
+    got = _assert_norms_are_the_formulas(kind, u)
+    if (a, b) == (0, _N_RUN):
+        assert got == dict.fromkeys(_LABELS, 0.0)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(kind=st.sampled_from([geo.FLAT_CHANNEL, geo.ANNULUS_GAP]),
+       n=st.integers(3, 64), zeros=st.sampled_from(["+0", "-0", "+-0"]),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_norms_of_a_run_of_zeros_keep_nan_and_inf(kind, n, zeros, bad, seed, data):
+    # any run of zeros, and a NaN or +-inf before or past it, in the first
+    # or the second span: linf is an array max over the spans, so it is NaN
+    # for a NaN in either (the builtin max could drop one in the second)
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.integers(a + 1, n), label="b")
+    u = _zero_run_field(n, a, b, zeros, seed)
+    live = [i for i in range(n) if not a <= i < b]
+    if bad is not None and live:
+        u[data.draw(st.sampled_from(live), label="at")] = bad
+    got = _assert_norms_are_the_formulas(kind, u)
+    if bad is not None and live:
+        assert math.isnan(got["linf"]) if math.isnan(bad) else got["linf"] == math.inf
+
+
+@pytest.mark.parametrize("kind", [geo.FLAT_CHANNEL, geo.ANNULUS_GAP])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 9, 30, 39])
+def test_norms_keep_a_nan_or_inf_in_either_span(kind, bad, at):
+    # a run of zeros on [10, 30) and a NaN or +-inf at an end or an edge of
+    # the first span or the second
+    u = _zero_run_field(_N_RUN, 10, 30, "+0", seed=at)
+    u[at] = bad
+    got = _assert_norms_are_the_formulas(kind, u)
+    assert math.isnan(got["linf"]) if math.isnan(bad) else got["linf"] == math.inf
+
+
+def test_volume_norms_allocate_less_than_one_field(annulus):
+    # with the scratch given, a call at a study's n = 65,536 allocates less
+    # than one (n,) float array, the zero mask included (it lives in the
+    # scratch): intermediates allocated per call were handed back to the
+    # system and faulted in again at every call
+    n = 65_536
+    grid = VolumeGrid(annulus, annulus.volume_grid(n)).built()
+    scratch = np.empty((4, n))
+    specs = [parse_norm(label) for label in _LABELS]
+    rng = np.random.default_rng(0)
+    run = rng.normal(size=n)
+    run[n // 50:-n // 50] = 0.0
+    for u in (run, rng.normal(size=n)):
+        grid.norms(u, specs, scratch)
+        tracemalloc.start()
+        try:
+            grid.norms(u, specs, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8

@@ -586,27 +586,35 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
                                                   name, cuts):
     # on 1 to 4 cores the viscosities cut between parts march in two pieces
     # whose iterate crosses at the cut: each row is taken once, by the piece
-    # that stores it, and the rows and files are the bytes of one core's
-    # march
+    # that stores it, from the ansatz that piece assembled at its own times
+    # alone, and the rows and files are the bytes of one core's march.  A
+    # piece cut before the one store ("five") assembles no time at all
     cfg = _three_row_config() if name == "three" else _five_row_config(annulus)
     assert {march.stop for cores in (1, 2, 3, 4)
             for part in study.study_parts(cfg, cores=cores)
             for march in part if march.stop < 200} == cuts
-    taken = []
-    real = study._solve_one_nu
+    taken, assembled = [], []
+    real, real_ansatz = study._solve_one_nu, study.assemble_ansatz
 
     def spy(setup, profile, sol, times, u_approx):
         taken.extend((sol.nu, t) for t in times)
         return real(setup, profile, sol, times, u_approx)
 
+    def spy_ansatz(flow, profile, geom, nu, coords, times, u0):
+        assembled.extend((nu, t) for t in times)
+        return real_ansatz(flow, profile, geom, nu, coords, times=times, u0=u0)
+
     monkeypatch.setattr(study, "_solve_one_nu", spy)
+    monkeypatch.setattr(study, "assemble_ansatz", spy_ansatz)
     rows = []
     for cores in (1, 2, 3, 4):
         _on_cores(monkeypatch, cores)
         report = run_convergence_study(cfg)
         assert report.meta["failed_rows"] == {}
-        assert sorted(taken) == sorted((nu, t) for nu in cfg.nu_list for t in cfg.t_eval)
+        every = sorted((nu, t) for nu in cfg.nu_list for t in cfg.t_eval)
+        assert sorted(taken) == sorted(assembled) == every
         taken.clear()
+        assembled.clear()
         rows.append(report.rows)
         export_report(report, tmp_path / str(cores))
     assert all(got == rows[0] for got in rows)
