@@ -115,7 +115,7 @@ def check_energy_identity_order():
     res = []
     for dt in (5e-2, 2.5e-2):
         sol = solve_ns(geom, prof, nu=0.1, n=2048, dt=dt, t_end=2.0,
-                       store_every=1, rannacher=0)
+                       store_times=dt * np.arange(round(2.0 / dt) + 1), rannacher=0)
         res.append(float(np.max(energy_identity_residual(sol))))
     ratio = res[0] / res[1]
     ok = 3.0 < ratio < 5.5

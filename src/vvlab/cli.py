@@ -14,6 +14,7 @@ import sys
 
 from .errors import ConfigError, VvlabError
 from .layer import write_profile_snapshots
+from .ns import solve_ns
 from .study import (
     PRESETS,
     export_report,
@@ -21,7 +22,6 @@ from .study import (
     parse_config_file,
     run_convergence_study,
     solve_study_layer,
-    study_setup,
 )
 
 
@@ -51,12 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     study_p = sub.add_parser("study", help="convergence study commands")
     study_sub = study_p.add_subparsers(dest="subcommand", required=True)
-    rates_p = study_sub.add_parser("rates", help="run the viscosity sweep and fit rates")
-    common(rates_p)
-    rates_p.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility, at least 1, and "
-                         "ignored: a study runs its viscosities on one thread "
-                         "per core (the output does not depend on it)")
+    common(study_sub.add_parser("rates", help="run the viscosity sweep and fit rates"))
 
     return parser
 
@@ -103,7 +98,10 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "ns":
-            sol, = study_setup(config).ref.solve([config.ns.nu or config.nu_list[0]])
+            sol = solve_ns(config.geometry, config.euler.build(config.geometry).profile,
+                           config.ns.nu or config.nu_list[0], n=config.ns.n,
+                           dt=config.ns.dt, t_end=config.ns.t_end,
+                           store_times=config.t_eval)
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "ns_solution.dat")
             # the two components off the flow's are exactly zero; each
@@ -121,7 +119,7 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "study":
-            report = run_convergence_study(config, jobs=args.jobs)
+            report = run_convergence_study(config)
             paths = export_report(report, out_dir)
             for p in paths:
                 print(f"wrote {p}")

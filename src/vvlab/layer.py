@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import ConfigError, SolverError, StepSizeError
 from .euler import _CROSS_J, BaseFlow, boundary_data_g
-from .ns import _cn_march, _resolve_store_steps
+from .ns import _cn_steps, _resolve_store_steps, _symmetrise
 from .spaces import (
     FastGrid,
     ProfileField,
@@ -133,44 +133,52 @@ def _march_walls(flow: BaseFlow, terms: list, z: np.ndarray, dt: float,
     """March the walls ``terms`` together on the nodes below Z_max.
 
     The walls share one operator, so their columns, two a wall side by
-    side, are the right-hand sides of one _cn_march, and dpttrs solves each
-    column with the operations of its own march.  Returns u_b at
-    ``store_steps``, (n_store, n_z - 1, 2 len(terms)).  Without explicit
-    terms a steady flow has a constant source; a column whose g is exactly
-    0 then stays exactly +0.0, so only the live columns march, and none
-    when every datum vanishes.  Otherwise each step's source is filled,
-    Fortran-ordered like the iterate, from each wall's slice of it.
+    side, are the right-hand sides of one _cn_steps march in Fortran-ordered
+    arrays of its own, and dpttrs solves each column with the operations of
+    its own march.  Returns u_b at ``store_steps``, (n_store, n_z - 1,
+    2 len(terms)).  Without explicit terms a steady flow has a constant
+    source; a column whose g is exactly 0 then stays exactly +0.0, so only
+    the live columns march, and none when every datum vanishes.  Otherwise
+    each step's source is filled, Fortran-ordered like the iterate, from
+    each wall's slice of it.
     """
     op, h0 = _fast_diffusion_operator(z)
     n, cols = len(z) - 1, 2 * len(terms)
     where = f"layer {','.join(t.wall.wall_id for t in terms)} (nu-free, n={len(z)})"
+    out = np.zeros((len(store_steps), n, cols))
+    live = np.arange(cols)
     if flow.steady and not any(t.explicit for t in terms):
         # CN average of the ghost Neumann source 2 g / h0 at node 0
         src = np.zeros((n, cols))
         src[0] = np.concatenate([t.g[0] + t.g[1] for t in terms]) / h0
         live = np.flatnonzero(src.any(axis=0))
-        out = np.zeros((len(store_steps), n, cols))
-        if len(live):
-            out[..., live] = _cn_march(op, 0.5 * dt, dt, store_steps, src[:, live], where)
-        return out
-    dz_weights = _first_deriv_matrix_weights(z)
+        if not len(live):
+            return out
+        source = src[:, live]
+    else:
+        dz_weights = _first_deriv_matrix_weights(z)
 
-    def source(k, b):
-        src = np.zeros((n, cols), order="F")
-        for i, t in enumerate(terms):
-            part = src[:, 2 * i:2 * i + 2]
-            part[0] = (t.g[k] + t.g[k + 1]) / h0
-            if t.explicit:
-                col = np.zeros((2, len(z)))
-                col[:, :-1] = b[:, 2 * i:2 * i + 2].T
-                expl = -(t.f[k] * z) * _apply_first_deriv(dz_weights, col)
-                expl -= np.einsum("ij,jz->iz", t.a[k], col)
-                if flow.layer_forcing is not None:
-                    expl += flow.layer_forcing(k * dt + 0.5 * dt, t.wall.wall_id, z)
-                part += expl[:, :-1].T
-        return src
+        def source(k, b):
+            src = np.zeros((n, cols), order="F")
+            for i, t in enumerate(terms):
+                part = src[:, 2 * i:2 * i + 2]
+                part[0] = (t.g[k] + t.g[k + 1]) / h0
+                if t.explicit:
+                    col = np.zeros((2, len(z)))
+                    col[:, :-1] = b[:, 2 * i:2 * i + 2].T
+                    expl = -(t.f[k] * z) * _apply_first_deriv(dz_weights, col)
+                    expl -= np.einsum("ij,jz->iz", t.a[k], col)
+                    if flow.layer_forcing is not None:
+                        expl += flow.layer_forcing(k * dt + 0.5 * dt, t.wall.wall_id, z)
+                    part += expl[:, :-1].T
+            return src
 
-    return _cn_march(op, 0.5 * dt, dt, store_steps, source, where, columns=cols)
+    def each(i, x):
+        out[i][:, live] = x
+
+    _cn_steps(_symmetrise(op, where), 0.5 * dt, dt, store_steps, source, where,
+              tuple(np.zeros((n, len(live)), order="F") for _ in range(3)), each)
+    return out
 
 
 def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
@@ -188,7 +196,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
     """
     if not 0 < dt < math.inf:
         raise StepSizeError(f"dt must be finite and positive, got {dt}")
-    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times, None)
+    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times)
     z = grid.z
 
     # explicit advection stability factor: max z_j / local spacing

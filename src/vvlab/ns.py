@@ -28,9 +28,10 @@ Every Crank-Nicolson step is w <- 2 (I - a S)^{-1} (w + dt/2 src) - w,
 which is exact Crank-Nicolson because I + a S = 2 I - (I - a S).  The
 kernel factors B = (I - a S) / 2 once as L D L^T (LAPACK dpttrf); halving
 is exact, so a solve with B is the doubled solve bit for bit, and a step
-is one in-place solve between an addition and a subtraction into
-preallocated arrays.  The march runs one store segment at a time and stops
-at the last stored step.
+is one in-place solve between an addition and a subtraction in the
+caller's arrays.  The march runs one store segment at a time, stops at the
+last stored step and hands each stored iterate to a callback, its one
+store path.
 
 A study solves at many viscosities on one grid, so the viscosity-free part
 of a reference solve (u0 on the grid, the drive L(u0), the symmetrised
@@ -74,9 +75,8 @@ ctypes, which releases the GIL (_lapack.py); f2py's wrapper holds it.  On
 a 2-core host, two threads each solving 5,000 times on a system of their
 own (n = 10,240) took 1.53 s through f2py against 1.61 s one after the
 other, and 0.77 s through ctypes against 1.59 s (medians of 3).
-``ReferenceSetup.solve`` can hand each stored time to its caller as the
-march reaches it and keep no (n_t, m n) history, so a part holds one
-stored row.
+``ReferenceSetup.solve`` hands each stored time to its caller as the march
+reaches it and keeps no (n_t, m n) history, so a part holds one stored row.
 
 The pressure drops out of both manifolds' evolution and is not stored.
 """
@@ -167,7 +167,7 @@ def _drive_channel(y, prof) -> np.ndarray:
     return out
 
 
-def _resolve_store_steps(dt, t_end, store_times, store_every):
+def _resolve_store_steps(dt, t_end, store_times):
     if not 0 <= t_end < math.inf:
         raise ConfigError(f"t_end must be finite and >= 0, got {t_end}")
     n_steps = int(round(t_end / dt))
@@ -183,11 +183,7 @@ def _resolve_store_steps(dt, t_end, store_times, store_every):
                 raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
             steps.append(k)
         return n_steps, sorted(set(steps))
-    if store_every is not None and not (store_every >= 1
-                                        and float(store_every).is_integer()):
-        raise ConfigError(f"store_every must be a step count >= 1, got {store_every}")
-    every = int(store_every or max(1, n_steps // 8))
-    steps = list(range(0, n_steps + 1, every))
+    steps = list(range(0, n_steps + 1, max(1, n_steps // 8)))
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return n_steps, steps
@@ -225,38 +221,26 @@ def _symmetrise(op, where):
     return di, np.sqrt(prod), np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))
 
 
-def _cn_march(op, a, dt, store_steps, source, where, rannacher=0,
-              columns=None):
-    """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0,
-    S given by its (sub, main, super) diagonals ``op``: ``_cn_steps`` on
-    ``_symmetrise(op, where)``."""
-    return _cn_steps(_symmetrise(op, where), a, dt, store_steps, source,
-                     where, rannacher=rannacher, columns=columns)
-
-
-def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
-              columns=None, work=None, each=None, resume=None, stop=None):
+def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
+              resume=None, stop=None):
     """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
 
     ``sym`` is ``_symmetrise`` of the tridiagonal S, so each step solves
     (I - a S) w_new = (I + a S) w + dt src.  ``source`` is either the
-    constant src, shape (n,) or (n, m) for m columns sharing S, or a
-    callable ``source(k, w)`` giving the (n, columns) src of step k from
-    the current (n, columns) iterate.  The first ``rannacher`` steps are two
-    backward-Euler half steps each.  ``store_steps`` is sorted; the march
-    runs one store segment at a time and stops at the last one.  Returns w
-    at ``store_steps``, shape (n_store,) + the shape of src.  ``work`` is
-    (w, buf, out) of those shapes to march in and store into instead of
-    allocating them; the result is then ``out``.  ``each(i, x)``, when
-    given, is called with the stored w as the march reaches store i; ``out``
-    may then have fewer rows than stores, and store i goes to row i mod
-    len(out), so one row keeps no history.  ``resume`` (k, w) starts the
-    march at step k from the kernel's own iterate w (D w, below), which an
-    earlier march returned in ``work``, and ``stop`` ends it at that step,
-    by default the last store; a store is taken when it lies in (k, stop],
-    or at step 0 of a march from 0.  The half steps are those of the
-    absolute steps below ``rannacher``, so a march cut anywhere and resumed
-    takes the bits of one march.
+    constant src or a callable ``source(k, w)`` giving the src of step k
+    from the current iterate.  The march runs in the caller's ``work``, (w,
+    buf, stored) of the iterate's shape, (n,) or Fortran-ordered (n, m) for
+    m columns sharing S, and calls ``each(i, stored)`` with the stored w as
+    it reaches store i; the next store overwrites it.  The first
+    ``rannacher`` steps are two backward-Euler half steps each.
+    ``store_steps`` is sorted; the march runs one store segment at a time
+    and stops at the last one.  ``resume`` (k, w) starts the march at step k
+    from the kernel's own iterate w (D w, below), which an earlier march
+    left in its ``work``, and ``stop`` ends it at that step, by default the
+    last store; a store is taken when it lies in (k, stop], or at step 0 of
+    a march from 0.  The half steps are those of the absolute steps below
+    ``rannacher``, so a march cut anywhere and resumed takes the bits of
+    one march.
 
     ``a`` may also be a sequence of m coefficients, a group: the m systems
     I - a_j S are one block-diagonal system of m n rows, and the constant
@@ -292,16 +276,8 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
 
     varying = callable(source)
     half = 0.5 * dt
-    if work is None:
-        # a flat source marches 1-D arrays; columns march Fortran-ordered,
-        # the layout dpttrs solves in place and the fast one for numpy to
-        # combine
-        w = np.zeros((len(di), columns) if varying else np.shape(source), order="F")
-        buf = np.empty_like(w)
-        out = np.empty((len(store_steps),) + w.shape)
-    else:
-        w, buf, out = work
-        w.fill(0.0)
+    w, buf, stored = work
+    w.fill(0.0)
     start, w0 = resume or (0, None)
     if w0 is not None:
         w[...] = w0
@@ -330,15 +306,12 @@ def _cn_steps(sym, a, dt, store_steps, source, where, rannacher=0,
         k = end
         if i is None:
             break
-        stored = out[i % len(out)]
         np.divide(w, scale, out=stored)
         if not np.all(np.isfinite(stored)):
             raise SolverError(
                 f"{where}: non-finite iterate at step {end} "
                 f"(t = {end * dt:.6g})")
-        if each is not None:
-            each(i, stored)
-    return out
+        each(i, stored)
 
 
 @dataclass(eq=False)
@@ -349,8 +322,8 @@ class ReferenceSetup:
     times, so it builds this once (``reference_setup``) and calls ``solve``
     per group of viscosities: u0 on the grid, the drive L(u0), the
     symmetrised operator (``_symmetrise``) and the store steps are shared,
-    and every solve marches in the set-up's two (group n,) work arrays (and
-    stores into its one stored row when it keeps no history).
+    and every solve marches in the set-up's two (group n,) work arrays and
+    stores into its one stored row.
     ``with_arrays`` gives another thread arrays of its own.
     """
 
@@ -365,16 +338,14 @@ class ReferenceSetup:
     rannacher: int
     work: tuple                    # (w, buf, stored w); free between solves
 
-    def solve(self, nus, each=None, resume=None, stop=None) -> list | np.ndarray:
-        """The reference solutions at the viscosities ``nus``, marched as one
+    def solve(self, nus, each, resume=None, stop=None) -> np.ndarray:
+        """March the reference solutions at the viscosities ``nus`` as one
         group (module docstring): for each nu, u0 plus the march of the
-        drive nu*L(u0) at a = nu dt / 2.  Returns one ViscousSolution per
-        nu, in order, each with an (n_t, n) history of its own.  With
-        ``each``, the march keeps no history: at each store i in turn,
-        ``each(i, sols)`` receives the solutions there, one stored time
-        each, views of this set-up's stored row, which the next store
-        overwrites.  It then returns the kernel's iterate at the march's
-        last step, a view of this set-up's w, which the next solve
+        drive nu*L(u0) at a = nu dt / 2.  At each store i in turn,
+        ``each(i, sols)`` receives one ViscousSolution per nu, in order,
+        each of one stored time, views of this set-up's stored row, which
+        the next store overwrites.  Returns the kernel's iterate at the
+        march's last step, a view of this set-up's w, which the next solve
         overwrites; ``resume`` (k, that iterate) marches on from step k, and
         ``stop`` ends a march early, each seeing only the stores in between
         (``_cn_steps``)."""
@@ -384,38 +355,26 @@ class ReferenceSetup:
         if not 0 < m <= len(w) // n:
             raise ConfigError(
                 f"a reference group marches 1 to {len(w) // n} viscosities, got {m}")
-        if each is None and (resume is not None or stop is not None):
-            raise ConfigError("a march resumed or stopped early stores through each")
         where = (f"ns {'swirl' if self.geom.kind == geo.ANNULUS_GAP else 'channel'}"
                  f" (nu={','.join(f'{nu:g}' for nu in nus)}, n={n})")
-        times = self.times
 
-        def solutions(u, ts):
+        def hook(i, x):
             sols = []
             for j, nu in enumerate(nus):
-                uj = u[:, j * n:(j + 1) * n]
+                uj = x[None, j * n:(j + 1) * n]
                 uj += self.u0                # in place: w + u0 is u0 + w exactly
                 sols.append(ViscousSolution(nu=nu, geom=self.geom, coords=self.coords,
-                                            times=ts, u=uj))
-            return sols
+                                            times=self.times[i:i + 1], u=uj))
+            each(i, sols)
 
         # the source nu*L(u0) of each block is formed in buf, which the
         # kernel reads once, before its first step writes there
         source = buf[:m * n]
         np.multiply.outer(nus, self.drive, out=source.reshape(m, n))
-        if each is None:
-            out, hook = np.empty((len(times), m * n)), None
-        else:
-            out = stored[None, :m * n]
-
-            def hook(i, x):
-                each(i, solutions(x[None], times[i:i + 1]))
-
-        u = _cn_steps(self.sym, [0.5 * nu * self.dt for nu in nus], self.dt,
-                      self.store_steps, source, where, rannacher=self.rannacher,
-                      work=(w[:m * n], source, out), each=hook, resume=resume,
-                      stop=stop)
-        return solutions(u, times) if each is None else w[:m * n]
+        _cn_steps(self.sym, [0.5 * nu * self.dt for nu in nus], self.dt,
+                  self.store_steps, source, where, (w[:m * n], source, stored[:m * n]),
+                  hook, rannacher=self.rannacher, resume=resume, stop=stop)
+        return w[:m * n]
 
     def with_arrays(self, group: int) -> ReferenceSetup:
         """This set-up with march arrays of its own for groups of up to
@@ -448,8 +407,7 @@ def group_size(n: int) -> int:
 
 def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
                     dt: float, t_end: float, store_times=None,
-                    store_every=None, rannacher: int = 2,
-                    group: int = 1) -> ReferenceSetup:
+                    rannacher: int = 2, group: int = 1) -> ReferenceSetup:
     """Build the viscosity-free part of ``solve_ns`` on ``n`` points, with
     the march's arrays for groups of up to ``group`` viscosities, at most
     ``group_size(n)``: the geometry picks operator and drive, a bad n, dt
@@ -463,7 +421,7 @@ def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
     operator, drive_of = (_swirl_operator, _drive_swirl) if swirl \
         else (_channel_operator, _drive_channel)
     x = geom.volume_grid(n)
-    _, store_steps = _resolve_store_steps(dt, t_end, store_times, store_every)
+    _, store_steps = _resolve_store_steps(dt, t_end, store_times)
     return ReferenceSetup(geom=geom, coords=x, u0=u0_profile.value(x),
                           drive=drive_of(x, u0_profile),
                           sym=_symmetrise(operator(x), where), dt=dt,
@@ -473,7 +431,7 @@ def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
 
 
 def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
-             dt: float, t_end: float, store_times=None, store_every=None,
+             dt: float, t_end: float, store_times=None,
              rannacher: int = 2) -> ViscousSolution:
     """Reference solve with zero wall vorticity: azimuthal swirl u_theta in
     the annulus, parallel shear u_x in the channel (u_x' = 0 at both walls).
@@ -486,10 +444,17 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     even when it stays many orders below u0 (exact steady states then
     deviate only by the scheme's truncation, not by round-off of order-one
     arithmetic).  It is one ``ReferenceSetup.solve`` on a set-up of its
-    own, a group of one, so no later solve writes into the result.
+    own, a group of one, whose stores are copied into the (n_t, n) history.
     """
-    return reference_setup(geom, u0_profile, n, dt, t_end, store_times=store_times,
-                           store_every=store_every, rannacher=rannacher).solve([nu])[0]
+    ref = reference_setup(geom, u0_profile, n, dt, t_end, store_times=store_times,
+                          rannacher=rannacher)
+    u = np.empty((len(ref.times), n))
+
+    def keep(i, sols):
+        u[i] = sols[0].u[0]
+
+    ref.solve([nu], keep)
+    return ViscousSolution(nu=nu, geom=geom, coords=ref.coords, times=ref.times, u=u)
 
 
 # ---------------------------------------------------------------------------

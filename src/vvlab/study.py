@@ -458,8 +458,7 @@ def study_parts(config: StudyConfig, cores: int | None = None) -> list:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
     nus, size = config.nu_list, group_size(config.ns.n)
-    n_steps = _resolve_store_steps(config.ns.dt, config.ns.t_end, config.t_eval,
-                                   None)[1][-1]
+    n_steps = _resolve_store_steps(config.ns.dt, config.ns.t_end, config.t_eval)[1][-1]
     c = min(cores, len(nus))
     cuts = [(2 * j * len(nus) * n_steps + c) // (2 * c) for j in range(c + 1)]
     parts = []
@@ -475,36 +474,27 @@ def study_parts(config: StudyConfig, cores: int | None = None) -> list:
     return parts
 
 
-def _solve_one_nu(setup: StudySetup, profile: LayerProfile, sol: ViscousSolution,
-                  times=None, u_approx=None):
-    """Rows for a single viscosity at ``times``, by default
-    ``config.t_eval``, from its reference solution ``sol``, which stores
-    each of them: velocity-error and remainder norms.  ``u_approx`` is the
-    ansatz at ``times``, assembled here when not given.
+def _solve_one_nu(setup: StudySetup, sol: ViscousSolution, t: float,
+                  u_approx: np.ndarray) -> list:
+    """Rows for a single viscosity at the time ``t`` of the one store that
+    its reference solution ``sol`` holds, with ``u_approx`` the ansatz there:
+    velocity-error and remainder norms.
 
     u - u0, then R, is written into the set-up's (n,) buffer of the flow
-    component one time at a time.  R is tangential, so its "P" norms are
-    its own and its "I-P" norms are 0.0.
+    component.  R is tangential, so its "P" norms are its own and its "I-P"
+    norms are 0.0.
     """
-    config, nu = setup.config, sol.nu
-    times = np.asarray(config.t_eval if times is None else times)
-    u0, grid, row = setup.ref.u0, setup.grid, setup.row
-    if u_approx is None:
-        u_approx = assemble_ansatz(setup.flow, profile, config.geometry, nu,
-                                   sol.coords, times=times, u0=u0)
+    u, nu, row = sol.u[0], sol.nu, setup.row
+    specs = [parse_norm(s) for s in setup.config.norms]
     rows = []
-    specs = [parse_norm(s) for s in config.norms]
-    for jt, t in enumerate(times):
-        t = float(t)
-        u = sol.u[time_index(sol.times, t)]
-        np.subtract(u, u0, out=row)
-        for spec, value in zip(specs, grid.norms(row, specs, setup.scratch)):
-            rows.append((nu, t, spec.label, value, "u"))
-        np.subtract(u, u_approx[jt], out=row)
-        row /= nu
-        for spec, value in zip(specs, grid.norms(row, specs, setup.scratch)):
-            for part, v in (("full", value), ("P", value), ("I-P", 0.0)):
-                rows.append((nu, t, spec.label, v, f"R:{part}"))
+    np.subtract(u, setup.ref.u0, out=row)
+    for spec, value in zip(specs, setup.grid.norms(row, specs, setup.scratch)):
+        rows.append((nu, t, spec.label, value, "u"))
+    np.subtract(u, u_approx, out=row)
+    row /= nu
+    for spec, value in zip(specs, setup.grid.norms(row, specs, setup.scratch)):
+        for part, v in (("full", value), ("P", value), ("I-P", 0.0)):
+            rows.append((nu, t, spec.label, v, f"R:{part}"))
     return rows
 
 
@@ -548,8 +538,8 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
             try:
                 for k, jt in enumerate(own):
                     if store_of[jt] == i:
-                        rows[sol.nu][jt] = _solve_one_nu(
-                            setup, profile, sol, (t_eval[jt],), approx[sol.nu][k:k + 1])
+                        rows[sol.nu][jt] = _solve_one_nu(setup, sol, t_eval[jt],
+                                                         approx[sol.nu][k])
             except Exception as exc:
                 failed[sol.nu] = _failure(exc)
 
@@ -614,7 +604,9 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     ``t_eval`` order.
 
     ``jobs`` must be at least 1 and is otherwise ignored: a study runs on
-    every core this process may use.
+    every core this process may use.  It stays only because the benchmark
+    (``bench/run.py``, ``bench/make_reference.py``) passes ``jobs=1``; it
+    goes with the next change to the benchmark.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")

@@ -24,14 +24,6 @@ def test_nonexistent_config_file_exits_2(capsys):
     assert cli_main(["study", "rates", "--config", "/no/such.cfg"]) == 2
 
 
-def test_jobs_below_one_exits_2(tmp_path, capsys):
-    code = cli_main(["study", "rates", "--preset", "vortex-annulus",
-                     "--jobs", "0", "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def _readme_commands():
     """The ``vvlab ...`` lines of README's command block, comments stripped."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -144,9 +136,15 @@ def test_config_output_dir_used_without_out(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "elsewhere" / "errors.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [["check"], ["layer", "solve"], ["ns", "solve"]])
-def test_jobs_only_on_study_rates(argv, capsys):
-    assert cli_main(argv + ["--preset", "vortex-annulus", "--jobs", "7"]) == 2
+@pytest.mark.parametrize("argv", [["check"], ["layer", "solve"], ["ns", "solve"],
+                                  ["study", "rates"]])
+def test_no_command_takes_jobs(tmp_path, argv, capsys):
+    # a study runs on every core it may use; argparse refuses --jobs
+    code = cli_main(argv + ["--preset", "vortex-annulus", "--jobs", "1",
+                            "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("zmax", ["0", "nan", "inf"])

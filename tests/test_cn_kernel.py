@@ -162,6 +162,20 @@ def _oracle_cn_march(op, a, dt, n_steps, store_steps, source, where,
     return out[..., 0] if flat else out
 
 
+def kernel_history(sym, a, dt, steps, source, where, columns=None, **kwargs):
+    """``ns._cn_steps`` in arrays of its own, Fortran-ordered for columns,
+    its stores collected: (n_store,) + the iterate's shape."""
+    shape = (len(sym[0]), columns) if callable(source) else np.shape(source)
+    out = np.empty((len(steps),) + shape)
+
+    def keep(i, x):
+        out[i] = x
+
+    ns._cn_steps(sym, a, dt, steps, source, where,
+                 tuple(np.zeros(shape, order="F") for _ in range(3)), keep, **kwargs)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
@@ -187,7 +201,8 @@ def _swirl_march_case(columns):
 def test_kernel_matches_step_oracle_constant_source(columns, rannacher, store):
     op, a, dt, src = _swirl_march_case(columns)
     steps, n_steps = store
-    got = ns._cn_march(op, a, dt, steps, src, "test", rannacher=rannacher)
+    got = kernel_history(ns._symmetrise(op, "test"), a, dt, steps, src, "test",
+                         rannacher=rannacher)
     want = _oracle_cn_march(op, a, dt, n_steps, steps, src, "test",
                             rannacher=rannacher)
     assert got.shape == want.shape == (len(steps),) + src.shape
@@ -210,13 +225,14 @@ def test_grouped_march_equals_separate_marches(m, rannacher, store):
     drive = ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
     nus = GROUP_NUS[:m]
     steps, _ = store
-    got = ns._cn_steps(ns._symmetrise(op, "test"), [0.5 * nu * dt for nu in nus],
-                       dt, steps, np.multiply.outer(nus, drive).ravel(), "test",
-                       rannacher=rannacher)
+    sym = ns._symmetrise(op, "test")
+    got = kernel_history(sym, [0.5 * nu * dt for nu in nus], dt, steps,
+                         np.multiply.outer(nus, drive).ravel(), "test",
+                         rannacher=rannacher)
     assert got.shape == (len(steps), m * len(x))
     for j, nu in enumerate(nus):
-        want = ns._cn_march(op, 0.5 * nu * dt, dt, steps, nu * drive, "test",
-                            rannacher=rannacher)
+        want = kernel_history(sym, 0.5 * nu * dt, dt, steps, nu * drive, "test",
+                              rannacher=rannacher)
         assert np.any(want != 0.0)
         assert np.array_equal(got[:, j * len(x):(j + 1) * len(x)], want)
 
@@ -228,12 +244,12 @@ def test_non_finite_block_spreads_across_joins():
     n = len(src)
     joined = np.concatenate([src, src])
     joined[n // 2] = np.inf
-    w, buf, out = np.empty(2 * n), np.empty(2 * n), np.empty((1, 2 * n))
+    work = tuple(np.empty(2 * n) for _ in range(3))
     with pytest.raises(SolverError, match="test: non-finite iterate at step 1"), \
             np.errstate(invalid="ignore"):
         ns._cn_steps(ns._symmetrise(op, "test"), [a, a], dt, [1], joined, "test",
-                     work=(w, buf, out))
-    assert np.all(np.isnan(out[0, n:]))
+                     work, lambda i, x: None)
+    assert np.all(np.isnan(work[2][n:]))
 
 
 def _group_case(m):
@@ -259,8 +275,8 @@ def _march_parts_on_threads(sym, a, dt, steps, src, threads, fail=None):
     def march(i, blocks):
         rows = slice(blocks[0] * n, (blocks[-1] + 1) * n)
         try:
-            results[i] = ns._cn_steps(sym, [a[j] for j in blocks], dt, steps,
-                                      src[rows].copy(), "test", rannacher=2)
+            results[i] = kernel_history(sym, [a[j] for j in blocks], dt, steps,
+                                        src[rows].copy(), "test", rannacher=2)
         except SolverError as exc:
             results[i] = exc
 
@@ -284,7 +300,7 @@ def test_split_march_equals_one_thread_march(m, threads):
     sym, a, dt, src = _group_case(m)
     steps = STORE_SETS[0][0]
     assert steps[0] == 0
-    one = ns._cn_steps(sym, a, dt, steps, src, "test", rannacher=2)
+    one = kernel_history(sym, a, dt, steps, src, "test", rannacher=2)
     split = np.concatenate(_march_parts_on_threads(sym, a, dt, steps, src, threads),
                            axis=1)
     assert np.any(one != 0.0)
@@ -298,7 +314,7 @@ def test_non_finite_block_of_a_later_part_raises_after_every_part_ends():
     # part, marched apart at the same time, keeps the joint march's bits
     sym, a, dt, src = _group_case(3)
     n = len(src) // 3
-    want = ns._cn_steps(sym, a[:2], dt, [1], src[:2 * n], "test", rannacher=2)
+    want = kernel_history(sym, a[:2], dt, [1], src[:2 * n], "test", rannacher=2)
     src[2 * n + n // 2] = np.inf
     before = threading.active_count()
     with np.errstate(invalid="ignore"):
@@ -342,9 +358,9 @@ def test_reference_group_larger_than_its_arrays_is_a_config_error(annulus):
                                t_end=0.01, group=2)
     assert len(setup.work[0]) == 2 * 64
     with pytest.raises(ConfigError, match="1 to 2 viscosities, got 3"):
-        setup.solve([1e-2, 1e-3, 1e-4])
+        setup.solve([1e-2, 1e-3, 1e-4], lambda i, sols: None)
     with pytest.raises(ConfigError, match="got 0"):
-        setup.solve([])
+        setup.solve([], lambda i, sols: None)
 
 
 @pytest.mark.parametrize("cut", [1, 3, 40, 50, 99])
@@ -368,8 +384,6 @@ def test_march_resumed_at_any_step_stores_the_bits_of_one_march(annulus, cut):
     for i, u in whole.items():
         assert np.any(u != setup.u0)
         assert np.array_equal(pieces[i], u)
-    with pytest.raises(ConfigError, match="stores through each"):
-        setup.solve([1e-3], stop=cut)
 
 
 def test_group_size_keeps_the_march_arrays_in_cache():
@@ -383,19 +397,18 @@ def test_group_size_keeps_the_march_arrays_in_cache():
     assert all(a.ctypes.data % 64 == 0 for a in setup.work[:2])
 
 
-def _layer_kernel_calls(monkeypatch, flow, geom, store_times):
+def _layer_kernel_calls(monkeypatch, flow, geom, grid, store_times):
     """Run solve_layer and return the arguments of each of its kernel
     calls; the layer's source is a callable of (k, w) alone."""
     calls = []
-    real = layer._cn_march
+    real = layer._cn_steps
 
     def spy(*args, **kwargs):
-        calls.append((args, kwargs))
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(layer, "_cn_march", spy)
-    solve_layer(flow, geom, FastGrid(nz=64, zmax=12.0), dt=1e-3, t_end=0.1,
-                store_times=store_times)
+    monkeypatch.setattr(layer, "_cn_steps", spy)
+    solve_layer(flow, geom, grid, dt=1e-3, t_end=0.1, store_times=store_times)
     return calls
 
 
@@ -403,19 +416,22 @@ def _layer_kernel_calls(monkeypatch, flow, geom, store_times):
 @pytest.mark.parametrize("case", ["oscillating-shear", "layer-mms"])
 def test_kernel_matches_step_oracle_callable_source(monkeypatch, case, store_times):
     flow, geom, _ = _layer_cases()[case]
-    calls = _layer_kernel_calls(monkeypatch, flow, geom, store_times)
-    # both walls march as the four columns of one call
-    assert len(calls) == 1 and calls[0][1]["columns"] == 4
-    for (op, a, dt, steps, source, where), kwargs in calls:
-        assert callable(source)
-        for rannacher in (0, 2):
-            got = ns._cn_march(op, a, dt, steps, source, where,
-                               rannacher=rannacher, columns=kwargs["columns"])
-            want = _oracle_cn_march(op, a, dt, 100, steps, source, where,
-                                    rannacher=rannacher,
-                                    columns=kwargs["columns"])
-            assert np.any(got != 0.0)
-            assert np.array_equal(got, want)
+    grid = FastGrid(nz=64, zmax=12.0)
+    calls = _layer_kernel_calls(monkeypatch, flow, geom, grid, store_times)
+    # both walls march as the four columns of one call, in Fortran-ordered
+    # arrays of the layer's own
+    assert len(calls) == 1
+    sym, a, dt, steps, source, where, work, _ = calls[0]
+    assert all(x.shape == (grid.nz - 1, 4) and x.flags.f_contiguous for x in work)
+    assert callable(source)
+    op, _ = layer._fast_diffusion_operator(grid.z)
+    for rannacher in (0, 2):
+        got = kernel_history(sym, a, dt, steps, source, where, columns=4,
+                             rannacher=rannacher)
+        want = _oracle_cn_march(op, a, dt, 100, steps, source, where,
+                                rannacher=rannacher, columns=4)
+        assert np.any(got != 0.0)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rannacher", [0, 2])
@@ -432,7 +448,8 @@ def test_march_stops_at_last_store_step(monkeypatch, store, rannacher):
     monkeypatch.setattr(ns, "dpttrs", counting)
     op, a, dt, src = _swirl_march_case(None)
     steps, _ = store
-    ns._cn_march(op, a, dt, steps, src, "test", rannacher=rannacher)
+    kernel_history(ns._symmetrise(op, "test"), a, dt, steps, src, "test",
+                   rannacher=rannacher)
     assert len(calls) == steps[-1] + rannacher
 
 
@@ -553,7 +570,7 @@ def test_non_positive_off_diagonal_product_is_a_config_error():
     lo[3] = -0.5
     op = (lo, np.full(n, -2.0), np.full(n - 1, 1.0))
     with pytest.raises(ConfigError, match=r"ns swirl \(nu=0.01, n=8\).*row 3"):
-        ns._cn_march(op, 0.01, 0.1, [4], np.zeros(n), "ns swirl (nu=0.01, n=8)")
+        ns._symmetrise(op, "ns swirl (nu=0.01, n=8)")
 
 
 def test_failed_factorisation_is_a_solver_error(channel):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manufactured import oscillating_shear_case
+from test_study import study_rows
 from vvlab import expansion, study
 from vvlab.errors import AlignmentError, ConfigError
 from vvlab.euler import (
@@ -219,14 +220,15 @@ def test_remainder_per_time_equals_eager_formula(small_rigid):
     nu, geom = 3e-3, cfg.geometry
     flow = cfg.euler.build(geom)
     setup = study.study_setup(cfg)
-    sol, = setup.ref.solve([nu])
+    sol = solve_ns(geom, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+                   t_end=cfg.ns.t_end, store_times=cfg.t_eval)
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                                times=cfg.t_eval)
     idx = [time_index(sol.times, t) for t in cfg.t_eval]
     eager = {"u": sol.u[idx] - flow.profile.value(sol.coords),
              "R:full": (sol.u[idx] - u_approx) / nu}
     assert np.any(eager["R:full"] != 0.0)
-    got = _row_values(study._solve_one_nu(setup, profile, sol))
+    got = _row_values(study_rows(setup, sol, u_approx))
     for jt, t in enumerate(cfg.t_eval):
         for part, hist in eager.items():
             for label in cfg.norms:
@@ -245,7 +247,7 @@ def test_remainder_definition_identity(small_rigid):
     # the row reads u0 and the norm grid from its set-up, built on sol's grid
     setup = study.study_setup(dataclasses.replace(
         cfg, ns=dataclasses.replace(cfg.ns, n=len(coords))))
-    got = _row_values(study._solve_one_nu(setup, profile, sol))
+    got = _row_values(study_rows(setup, sol, u_approx))
     rem = [v for (_, _, part), v in got.items() if part.startswith("R:")]
     assert len(rem) == 3 * len(cfg.t_eval) * len(cfg.norms)
     assert all(v == 0.0 for v in rem)
@@ -283,10 +285,11 @@ def test_remainder_parts_are_the_projector_of_r(small_rigid):
     nu, geom = 1e-3, cfg.geometry
     flow = cfg.euler.build(geom)
     setup = study.study_setup(cfg)
-    sol, = setup.ref.solve([nu])
+    sol = solve_ns(geom, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+                   t_end=cfg.ns.t_end, store_times=cfg.t_eval)
     u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
                                times=cfg.t_eval)
-    got = _row_values(study._solve_one_nu(setup, profile, sol))
+    got = _row_values(study_rows(setup, sol, u_approx))
     for jt, t in enumerate(cfg.t_eval):
         rem = (sol.u[time_index(sol.times, t)] - u_approx[jt]) / nu
         embedded = _flow_field(geom, rem)

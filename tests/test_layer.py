@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erfc
 
 from manufactured import layer_mms_case, oscillating_shear_case
+from test_cn_kernel import kernel_history
 from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
@@ -18,7 +19,7 @@ from vvlab.layer import (
     wall_value,
     write_profile_snapshots,
 )
-from vvlab.ns import _cn_march, time_index
+from vvlab.ns import _cn_steps, _symmetrise, time_index
 from vvlab.spaces import (
     AnisotropicIndex,
     FastGrid,
@@ -63,8 +64,8 @@ def test_live_columns_match_the_two_column_march(monkeypatch, preset, marched):
 
     cfg = get_preset(preset)
     calls = []
-    monkeypatch.setattr(layer, "_cn_march",
-                        lambda *a, **k: calls.append(a[4].shape) or _cn_march(*a, **k))
+    monkeypatch.setattr(layer, "_cn_steps",
+                        lambda *a, **k: calls.append(a[4].shape) or _cn_steps(*a, **k))
     profile = solve_study_layer(cfg)
     assert calls == ([(cfg.layer.nz - 1, marched)] if marched else [])
     flow = cfg.euler.build(cfg.geometry)
@@ -76,8 +77,8 @@ def test_live_columns_match_the_two_column_march(monkeypatch, preset, marched):
         g = boundary_data_g(flow, w, t=0.0)
         src[0] = (g + g) / h0
         want = np.zeros((len(steps), 2, len(z)))
-        want[:, :, :-1] = _cn_march(op, 0.5 * dt, dt, steps, src,
-                                    "two columns").transpose(0, 2, 1)
+        want[:, :, :-1] = kernel_history(_symmetrise(op, "two columns"), 0.5 * dt, dt,
+                                         steps, src, "two columns").transpose(0, 2, 1)
         got = profile.walls[w.wall_id].ub
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

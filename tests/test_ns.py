@@ -17,6 +17,11 @@ from vvlab.ns import (
 )
 
 
+def _every(k, dt, t_end):
+    """The store times of every k-th step from 0 to t_end."""
+    return k * dt * np.arange(round(t_end / (k * dt)) + 1)
+
+
 def test_vortex_preserved(annulus):
     # the only drift is the O(h^2) wall response of the discrete vorticity
     # condition; at this resolution it sits below 1e-10 over the full horizon
@@ -50,7 +55,7 @@ def test_rigid_rotation_flux_balance(annulus):
     prof = LaurentProfile({1: 1.0})
     nu = 1e-3
     sol = solve_ns(annulus, prof, nu=nu, n=2048, dt=1e-4, t_end=0.2,
-                   store_every=100)
+                   store_times=_every(100, 1e-4, 0.2))
     times = sol.times
     w = annulus.quadrature_weights(sol.coords)
     mom = np.array([np.sum(w * sol.coords * sol.u[i]) for i in range(len(times))])
@@ -99,7 +104,7 @@ def test_energy_nonincreasing(annulus):
     prof = LaurentProfile({1: 1.0})
     for dt in (1e-3, 1e-2, 5e-2):
         sol = solve_ns(annulus, prof, nu=1e-2, n=256, dt=dt, t_end=0.5,
-                       store_every=1)
+                       store_times=_every(1, dt, 0.5))
         w = annulus.quadrature_weights(sol.coords)
         e = np.array([float(np.sum(w * sol.u[i] ** 2))
                       for i in range(len(sol.times))])
@@ -119,7 +124,7 @@ def test_energy_identity_vortex_trivial(annulus):
     # a solved run adds only the transient wall-defect decay, O(nu h^2)
     prof = LaurentProfile({-1: 1.0})
     solved = solve_ns(annulus, prof, nu=1e-2, n=512, dt=1e-3,
-                      t_end=0.1, store_every=10)
+                      t_end=0.1, store_times=_every(10, 1e-3, 0.1))
     assert np.max(energy_identity_residual(solved)) < 1e-6
 
 
@@ -128,7 +133,7 @@ def test_energy_identity_cn_order(channel):
     res = []
     for dt in (5e-2, 2.5e-2):
         sol = solve_ns(channel, prof, nu=0.1, n=2048, dt=dt,
-                       t_end=2.0, store_every=1, rannacher=0)
+                       t_end=2.0, store_times=_every(1, dt, 2.0), rannacher=0)
         res.append(np.max(energy_identity_residual(sol)))
     assert res[0] / res[1] == pytest.approx(4.0, abs=1.0)
 
@@ -152,7 +157,7 @@ def _energy_identity_loop(sol):
 def test_energy_identity_pass_equals_per_time_loop(request, geom_name, prof):
     geom = request.getfixturevalue(geom_name)
     sol = solve_ns(geom, prof, nu=0.1, n=2048, dt=5e-2, t_end=1.0,
-                   store_every=1, rannacher=0)
+                   store_times=_every(1, 5e-2, 1.0), rannacher=0)
     assert np.array_equal(energy_identity_residual(sol),
                           _energy_identity_loop(sol))
 
@@ -162,7 +167,7 @@ def test_energy_identity_rigid_defaults(annulus):
     # first stored intervals stiff; past it the identity holds to 1e-6
     prof = LaurentProfile({1: 1.0})
     sol = solve_ns(annulus, prof, nu=1e-2, n=2048, dt=2.5e-5,
-                   t_end=0.05, store_every=40)
+                   t_end=0.05, store_times=_every(40, 2.5e-5, 0.05))
     res = energy_identity_residual(sol)
     assert np.max(res[5:]) < 1e-6
     assert np.all(np.isfinite(res))
@@ -171,7 +176,7 @@ def test_energy_identity_rigid_defaults(annulus):
 def test_bc_residual_zero_flow(annulus):
     prof = LaurentProfile({})
     sol = solve_ns(annulus, prof, nu=1e-2, n=128, dt=1e-2, t_end=0.1,
-                   store_every=5)
+                   store_times=_every(5, 1e-2, 0.1))
     assert np.max(bc_residual(sol)) == 0.0
 
 
@@ -207,30 +212,17 @@ def test_config_errors(annulus, channel):
                  dt=1e-3, t_end=0.1, store_times=[0.0333])
 
 
-@pytest.mark.parametrize("t_end, store_every, named", [
+@pytest.mark.parametrize("t_end, store_times, named", [
     (-0.1, None, "t_end must be finite and >= 0, got -0.1"),
     (math.inf, None, "t_end must be finite and >= 0, got inf"),
-    (0.1, -1, "store_every must be a step count >= 1, got -1"),
-    (0.1, 0, "store_every must be a step count >= 1, got 0"),
-    (0.1, 2.5, "store_every must be a step count >= 1, got 2.5"),
-    (0.1, math.nan, "store_every must be a step count >= 1, got nan"),
-    (0.1, math.inf, "store_every must be a step count >= 1, got inf"),
+    pytest.param(0.1, [0.05, 0.2], r"store time 0.2 is not a step multiple within",
+                 id="store-time-past-t_end"),
 ])
 def test_bad_store_steps_are_config_errors_naming_the_value(channel, t_end,
-                                                            store_every, named):
+                                                            store_times, named):
     with pytest.raises(ConfigError, match=named):
         solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64, dt=1e-3,
-                 t_end=t_end, store_every=store_every)
-
-
-def test_integral_float_store_every_is_a_step_count(channel):
-    prof = ShearProfile(poly=(0.2, 1.0))
-    sol = solve_ns(channel, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
-                   store_every=25.0)
-    want = solve_ns(channel, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
-                    store_every=25)
-    assert np.array_equal(sol.times, want.times)
-    assert np.array_equal(sol.u, want.u)
+                 t_end=t_end, store_times=store_times)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -253,7 +245,7 @@ def test_non_flow_components_stay_zero(annulus, channel):
     for geom, prof, slot in ((annulus, LaurentProfile({1: 1.0, -1: 0.5}), 1),
                              (channel, ShearProfile(poly=(0.2, 1.0)), 0)):
         sol = solve_ns(geom, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.1,
-                       store_every=10)
+                       store_times=_every(10, 1e-3, 0.1))
         assert geom.flow_comp == slot
         assert sol.u.shape == (len(sol.times), len(sol.coords))
         assert np.array_equal(sol.u[0], prof.value(sol.coords))
@@ -312,11 +304,10 @@ def store_grids(draw):
 def test_store_steps_sorted_unique(grid):
     dt, n_steps, ks = grid
     t_end = n_steps * dt
-    got_n, steps = _resolve_store_steps(dt, t_end, [k * dt for k in ks], None)
+    got_n, steps = _resolve_store_steps(dt, t_end, [k * dt for k in ks])
     assert got_n == n_steps
     assert steps == sorted(set(ks))
-    _, with_zero = _resolve_store_steps(dt, t_end, [0.0] + [k * dt for k in ks],
-                                        None)
+    _, with_zero = _resolve_store_steps(dt, t_end, [0.0] + [k * dt for k in ks])
     assert with_zero[0] == 0
 
 
@@ -326,17 +317,16 @@ def test_store_time_off_grid_or_past_end_is_config_error(grid, frac, past):
     dt, n_steps, ks = grid
     t_end = n_steps * dt
     with pytest.raises(ConfigError):
-        _resolve_store_steps(dt, t_end, [k * dt for k in ks] + [(ks[0] + frac) * dt],
-                             None)
+        _resolve_store_steps(dt, t_end, [k * dt for k in ks] + [(ks[0] + frac) * dt])
     with pytest.raises(ConfigError):
-        _resolve_store_steps(dt, t_end, [(n_steps + past) * dt], None)
+        _resolve_store_steps(dt, t_end, [(n_steps + past) * dt])
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(grid=store_grids(), extra=st.integers(0, 1000))
 def test_time_index_finds_every_stored_stamp(grid, extra):
     dt, n_steps, ks = grid
-    _, steps = _resolve_store_steps(dt, n_steps * dt, [k * dt for k in ks], None)
+    _, steps = _resolve_store_steps(dt, n_steps * dt, [k * dt for k in ks])
     times = np.array([k * dt for k in steps])
     for i, t in enumerate(times):
         assert time_index(times, float(t)) == i

@@ -26,8 +26,8 @@ from vvlab.euler import (
     channel_base_flow,
     swirl_base_flow,
 )
-from vvlab.expansion import leray_project
-from vvlab.ns import ReferenceSetup, ViscousSolution, solve_ns
+from vvlab.expansion import assemble_ansatz, leray_project
+from vvlab.ns import ReferenceSetup, ViscousSolution, solve_ns, time_index
 from vvlab.spaces import VolumeGrid, parse_norm
 from vvlab.study import (
     EulerSpec,
@@ -48,6 +48,18 @@ STUDY_SPECS = [parse_norm(s) for s in ("l2", "h1", "linf", "lp:4")]
 
 RIGID_BANDS = {"l2": (0.70, 0.90), "h1": (0.20, 0.40),
                "linf": (0.45, 0.65), "lp:4": (0.57, 0.77)}
+
+
+def study_rows(setup, sol, u_approx):
+    """``study._solve_one_nu`` at each of the config's evaluation times, on
+    the matching store of the history ``sol`` and row of ``u_approx``, one
+    store at a time as a study takes them."""
+    rows = []
+    for jt, t in enumerate(setup.config.t_eval):
+        i = time_index(sol.times, t)
+        store = dataclasses.replace(sol, times=sol.times[i:i + 1], u=sol.u[i:i + 1])
+        rows += study._solve_one_nu(setup, store, t, u_approx[jt])
+    return rows
 
 
 def test_fit_rate_exact_power_law():
@@ -509,10 +521,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     )
     real = study_mod._solve_one_nu
 
-    def flaky(setup, profile, sol, *at):
+    def flaky(setup, sol, *at):
         if sol.nu == 3e-3:
             raise StepSizeError("synthetic failure")
-        return real(setup, profile, sol, *at)
+        return real(setup, sol, *at)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", flaky)
     with pytest.warns(UserWarning):
@@ -520,10 +532,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     assert list(report.meta["failed_rows"]) == [3e-3]
     assert len(report.norm_results["l2"]["rows"]) == 3
 
-    def broken(setup, profile, sol, *at):
+    def broken(setup, sol, *at):
         if sol.nu != 1e-2:
             raise StepSizeError("synthetic failure")
-        return real(setup, profile, sol, *at)
+        return real(setup, sol, *at)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", broken)
     with pytest.raises(SolverError), warnings.catch_warnings():
@@ -596,9 +608,9 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
     taken, assembled = [], []
     real, real_ansatz = study._solve_one_nu, study.assemble_ansatz
 
-    def spy(setup, profile, sol, times, u_approx):
-        taken.extend((sol.nu, t) for t in times)
-        return real(setup, profile, sol, times, u_approx)
+    def spy(setup, sol, t, u_approx):
+        taken.append((sol.nu, t))
+        return real(setup, sol, t, u_approx)
 
     def spy_ansatz(flow, profile, geom, nu, coords, times, u0):
         assembled.extend((nu, t) for t in times)
@@ -713,9 +725,12 @@ def test_failed_factorisation_fails_only_its_row(annulus):
     assert err.startswith("SolverError: ns swirl (nu=-1, n=256): dpttrf failed")
     for nu, rows, err in (out[0], out[2]):
         assert err is None
-        sol, = setup.ref.solve([nu])
+        sol = solve_ns(cfg.geometry, setup.flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+                       t_end=cfg.ns.t_end, store_times=cfg.t_eval)
+        u_approx = assemble_ansatz(setup.flow, profile, cfg.geometry, nu, sol.coords,
+                                   times=cfg.t_eval)
         rows = [row for at in rows for row in at]
-        assert rows == study._solve_one_nu(setup, profile, sol)
+        assert rows == study_rows(setup, sol, u_approx)
         assert any(v > 0.0 for _, _, _, v, _ in rows)
 
 
@@ -758,11 +773,11 @@ def test_failed_row_on_a_helper_thread_fails_only_that_row(monkeypatch, annulus)
     want = run_convergence_study(cfg).rows
     real = study._solve_one_nu
 
-    def broken(setup, profile, sol, *at):
+    def broken(setup, sol, *at):
         if sol.nu == 1e-4:
             assert threading.current_thread() is not threading.main_thread()
             raise ZeroDivisionError("synthetic row failure")
-        return real(setup, profile, sol, *at)
+        return real(setup, sol, *at)
 
     monkeypatch.setattr(study, "_solve_one_nu", broken)
     _on_cores(monkeypatch, 2)
@@ -1121,9 +1136,7 @@ def test_mask_shortcut_equals_explicit_split(data, preset, n):
         -1e6, 1e6, allow_nan=False, allow_infinity=False))) for _ in range(2))
     coords = geom.volume_grid(n)
     sol = ViscousSolution(nu=nu, geom=geom, coords=coords, times=times, u=u)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(study, "assemble_ansatz", lambda *args, **kwargs: u_approx)
-        rows = study._solve_one_nu(_setup_on(cfg, coords), None, sol)
+    rows = study_rows(_setup_on(cfg, coords), sol, u_approx)
     got = {(t, label, part): v for _, t, label, v, part in rows}
     grid = VolumeGrid(geom, coords)
     for jt, t in enumerate(times):
