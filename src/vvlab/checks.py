@@ -3,12 +3,18 @@
 Each check returns a CheckResult; the suite is deterministic (seeded RNG)
 and designed to finish in well under a minute.  When the selected preset is
 an exact-regime configuration the full trivial chain (viscous solve equals
-the base flow, remainder at round-off) is run as an additional check.
+the base flow, remainder at round-off) is run as an additional check.  The
+checks run on every core this process may use: this process and forked
+workers take them from one queue (``run_all``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 
@@ -26,7 +32,7 @@ from .spaces import (
     profile_from_callable,
     scaling_exponent_check,
 )
-from .study import StudyConfig, run_convergence_study
+from .study import StudyConfig, run_convergence_study, usable_cores
 
 
 @dataclass
@@ -255,19 +261,153 @@ def check_exact_regime_chain(config: StudyConfig):
     return ok, f"max velocity error {worst_u:.2e}, max remainder {worst_r:.2e}"
 
 
-def run_all(config: StudyConfig | None = None) -> list:
-    """Run the invariant suite; append the exact chain for exact presets."""
-    results = [
-        check_geometry_invariants(),
-        check_projector(),
-        check_energy_identity_order(),
-        check_erfc_oracle(),
-        check_scaling_exponents(),
-        check_hardy(),
-        check_gronwall_dominates_rk4(),
-        check_bc_residual_refinement(),
-        check_layer_zero_data(),
-    ]
-    if config is not None and config.exact_regime_expected:
-        results.append(check_exact_regime_chain(config))
+# the order the shared queue hands the checks out: longest first, so the
+# last to start is a short one (per-check medians of 9 suites on 2 cores, in
+# ms: Gronwall 66, erfc 31, energy identity 13, bc residual 10, scaling 6,
+# the rest under 2 each), the exact-regime chain, when it runs, before all
+LONGEST_FIRST = ("exact_regime_chain", "gronwall_dominates_rk4", "erfc_oracle",
+                 "energy_identity_order", "bc_residual_refinement",
+                 "scaling_exponents")
+
+
+def _send(out, record) -> None:
+    pickle.dump(record, out)
+    out.flush()
+
+
+def _drain(queue: int, calls: list, send=lambda record: None) -> dict:
+    """Run the checks whose indices this process takes from the ``queue``
+    pipe, one byte at a time, until it is empty; return their results by
+    index.  A forked worker also ``send``s each index as it takes it, and
+    the check's result as soon as it finishes."""
+    results = {}
+    while taken := os.read(queue, 1):
+        i = taken[0]
+        send(i)
+        results[i] = calls[i]()
+        send(results[i])
     return results
+
+
+def _fork_worker(queue: tuple, calls: list):
+    """Fork a worker that sends its pid to a pipe of its own, then drains
+    ``queue`` (read end, write end) into it; return (pid, the pipe's read
+    stream), or None when no worker starts."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except (OSError, DeprecationWarning):
+        # under -W error Python >= 3.12 raises its warning against forking a
+        # multi-threaded process once the child exists: the child names
+        # itself and is ended while the queue is still empty
+        os.close(write)
+        with os.fdopen(read, "rb") as stream:
+            try:
+                pid = pickle.load(stream)
+            except EOFError:
+                return None
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.close(queue[1])
+            with os.fdopen(write, "wb") as out:
+                _send(out, os.getpid())
+                _drain(queue[0], calls, functools.partial(_send, out))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _collect(stream, results: dict):
+    """Read a worker's results from its ``stream`` into ``results``; return
+    the index of the check it took and never reported, or None."""
+    taken = None
+    with stream:
+        try:
+            pickle.load(stream)                      # the worker's pid
+            while True:
+                record = pickle.load(stream)
+                if isinstance(record, int):
+                    taken = record
+                else:
+                    results[taken] = record
+                    taken = None
+        except (EOFError, pickle.UnpicklingError):
+            return taken
+
+
+def _died(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"error: its worker was killed by signal {-code}"
+    return f"error: its worker exited with status {code}"
+
+
+def run_all(config: StudyConfig | None = None) -> list:
+    """Run the invariant suite; append the exact chain for exact presets.
+    The results come in that order.
+
+    One worker process is forked for each core past the first that this
+    process may use (``usable_cores``).  Every worker, this process
+    included, takes the checks one at a time from a shared pipe of check
+    indices, longest first (``LONGEST_FIRST``), and sends each result back
+    as that check finishes, so a check's ``seconds`` are measured in the
+    worker that ran it.  A worker that dies fails the check it had taken,
+    naming its exit status.  On one core, or when no worker can be forked,
+    this process drains the queue alone.  Every worker is reaped before
+    this returns or raises.
+    """
+    suite = {"geometry_invariants": check_geometry_invariants,
+             "projector": check_projector,
+             "energy_identity_order": check_energy_identity_order,
+             "erfc_oracle": check_erfc_oracle,
+             "scaling_exponents": check_scaling_exponents,
+             "hardy": check_hardy,
+             "gronwall_dominates_rk4": check_gronwall_dominates_rk4,
+             "bc_residual_refinement": check_bc_residual_refinement,
+             "layer_zero_data": check_layer_zero_data}
+    if config is not None and config.exact_regime_expected:
+        suite["exact_regime_chain"] = functools.partial(check_exact_regime_chain,
+                                                        config)
+    names, calls = list(suite), list(suite.values())
+    order = [names.index(name) for name in LONGEST_FIRST if name in suite] + [
+        i for i, name in enumerate(names) if name not in LONGEST_FIRST]
+    queue = os.pipe()
+    workers, taken, statuses = {}, {}, {}
+    try:
+        try:
+            for _ in range(usable_cores() - 1):
+                worker = _fork_worker(queue, calls)
+                if worker is None:
+                    break
+                workers[worker[0]] = worker[1]
+            os.write(queue[1], bytes(order))
+        finally:
+            os.close(queue[1])
+        results = _drain(queue[0], calls)
+        for pid, stream in workers.items():
+            taken[pid] = _collect(stream, results)
+    except BaseException:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue[0])
+        for pid, stream in workers.items():
+            stream.close()
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    lost = {i: statuses[pid] for pid, i in taken.items() if i is not None}
+    dead = [status for status in statuses.values() if status]
+    for i, name in enumerate(names):
+        if i not in results:
+            # no worker names a check taken by one killed before it could
+            # send the index; that worker is one that did not exit cleanly
+            status = lost[i] if i in lost else dead[0]
+            results[i] = CheckResult(name, False, _died(status), 0.0)
+    return [results[i] for i in range(len(names))]

@@ -440,10 +440,17 @@ class March(NamedTuple):
     stop: int
 
 
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def study_parts(config: StudyConfig, cores: int | None = None) -> list:
     """The parts of a study, one thread each, as lists of ``March``: an
     equal share of the study's viscosity-steps for each of c = min(cores,
-    m) parts (by default the cores this process may run on).
+    m) parts (by default ``usable_cores()``).
 
     The m viscosities lie end to end as m N viscosity-steps, N the last
     store step, and the line is cut at the step nearest each j m N / c, so
@@ -455,8 +462,7 @@ def study_parts(config: StudyConfig, cores: int | None = None) -> list:
     viscosities march in the fewest groups of at most ``ns.group_size``,
     whose sizes differ by at most one, the larger first."""
     if cores is None:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-            else os.cpu_count() or 1
+        cores = usable_cores()
     nus, size = config.nu_list, group_size(config.ns.n)
     n_steps = _resolve_store_steps(config.ns.dt, config.ns.t_end, config.t_eval)[1][-1]
     c = min(cores, len(nus))
@@ -620,8 +626,13 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     outcomes = [None] * len(parts)
 
     def run(i, part_setup):
-        outcomes[i] = [out for march in parts[i] for out in _march_rows(
-            part_setup, profile, march, handoffs.get(march.nus))]
+        try:
+            outcomes[i] = [out for march in parts[i] for out in _march_rows(
+                part_setup, profile, march, handoffs.get(march.nus))]
+        except Exception as exc:
+            # raised outside the rows: each of the part's viscosities fails
+            outcomes[i] = [(nu, None, _failure(exc)) for march in parts[i]
+                           for nu in march.nus]
 
     helpers = [threading.Thread(target=run, args=(
         i, setup.for_part(max(len(march.nus) for march in parts[i]))))

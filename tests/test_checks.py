@@ -1,5 +1,7 @@
 import math
+import os
 import pathlib
+import select
 
 import numpy as np
 import pytest
@@ -50,16 +52,143 @@ def test_hardy_oracle_matches_closed_forms():
     assert rhs == pytest.approx(math.pi**2 / (2.0 * eta), rel=1e-12)
 
 
+GOLDEN = [line for line in (pathlib.Path(__file__).parent / "golden" /
+                            "check_details.txt").read_text().splitlines()
+          if not line.startswith("#")]
+
+
+def _golden(preset):
+    return [line for line in GOLDEN if line.startswith(preset + " ")]
+
+
+RIGID_CHECKS = [line.split()[1] for line in _golden("rigid-annulus")]
+
+
+def _lines(preset, results):
+    return [f"{preset} {r.name} {'PASS' if r.passed else 'FAIL'}: {r.detail}"
+            for r in results]
+
+
 def test_check_details_match_golden():
     # each check's name, pass flag and detail on the rigid and vortex
     # presets (the vortex one adds the exact-regime chain), without seconds
-    golden = pathlib.Path(__file__).parent / "golden" / "check_details.txt"
-    want = [line for line in golden.read_text().splitlines()
-            if not line.startswith("#")]
-    got = [f"{preset} {r.name} {'PASS' if r.passed else 'FAIL'}: {r.detail}"
-           for preset in ("rigid-annulus", "vortex-annulus")
-           for r in run_all(get_preset(preset))]
-    assert got == want
+    got = [line for preset in ("rigid-annulus", "vortex-annulus")
+           for line in _lines(preset, run_all(get_preset(preset)))]
+    assert got == GOLDEN
+
+
+def _on_cores(monkeypatch, cores):
+    """Run the suite on ``cores`` cores; return the pids it forks."""
+    monkeypatch.setattr(checks, "usable_cores", lambda: cores)
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cores", [4, 2, 1])
+def test_check_details_match_golden_on_every_core_count(monkeypatch, cores):
+    # one worker forked per core past the first, more workers than this
+    # host may have cores at 4, each reaped by the time run_all returns;
+    # every check runs once, and the details and their order do not depend
+    # on who ran which check
+    pids = _on_cores(monkeypatch, cores)
+    for preset in ("rigid-annulus", "vortex-annulus"):
+        got = _lines(preset, run_all(get_preset(preset)))
+        assert got == _golden(preset)
+    assert len(pids) == 2 * (cores - 1)
+    assert all(_reaped(pid) for pid in pids)
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_an_exception_in_one_check_fails_it_alone_on_every_core_count(
+        monkeypatch, cores):
+    pids = _on_cores(monkeypatch, cores)
+    monkeypatch.setattr(checks, "leray_project", _raise_value_error)
+    results = run_all(get_preset("rigid-annulus"))
+    assert [r.name for r in results] == RIGID_CHECKS
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        ("projector", "error: ValueError: injected")]
+    assert all(_reaped(pid) for pid in pids)
+
+
+@pytest.mark.parametrize("status", [3, 0])
+def test_a_worker_that_exits_inside_a_check_fails_that_check_alone(monkeypatch,
+                                                                   status):
+    # the worker exits inside the first check it takes, and this process
+    # waits in its own first check until it has; the check the worker took
+    # fails naming the exit status, even a clean one, and this process
+    # runs the other eight
+    pids = _on_cores(monkeypatch, 2)
+    parent, (took, tell) = os.getpid(), os.pipe()
+    waited = []
+
+    def exiting(check):
+        def run():
+            if os.getpid() != parent:
+                os.write(tell, b"x")
+                os._exit(status)
+            if not waited:
+                waited.append(select.select([took], [], [], 60.0)[0])
+            return check()
+        return run
+
+    for name in RIGID_CHECKS:
+        monkeypatch.setattr(checks, f"check_{name}",
+                            exiting(getattr(checks, f"check_{name}")))
+    try:
+        results = run_all(get_preset("rigid-annulus"))
+    finally:
+        os.close(took)
+        os.close(tell)
+    assert waited == [[took]], "the worker took no check in 60 s"
+    assert [r.name for r in results] == RIGID_CHECKS
+    wrong = [r for r, line, want in zip(results, _lines("rigid-annulus", results),
+                                        _golden("rigid-annulus")) if line != want]
+    assert [r.detail for r in wrong] == [f"error: its worker exited with status {status}"]
+    assert len(pids) == 1 and _reaped(pids[0])
+
+
+@pytest.mark.parametrize("error", [OSError, DeprecationWarning])
+def test_a_worker_that_cannot_start_leaves_every_check_to_this_process(
+        monkeypatch, error):
+    # an OSError comes before any child exists; Python >= 3.12 under -W
+    # error raises its warning against forking a multi-threaded process
+    # after the child does, and that child is ended and reaped before the
+    # suite runs here alone
+    monkeypatch.setattr(checks, "usable_cores", lambda: 2)
+    real, calls, made = os.fork, [], []
+
+    def fork():
+        calls.append(error)
+        if error is OSError:
+            raise OSError("synthetic: cannot fork")
+        pid = real()
+        if pid:
+            made.append(pid)
+            raise DeprecationWarning("synthetic: the process is multi-threaded")
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    got = _lines("rigid-annulus", run_all(get_preset("rigid-annulus")))
+    assert got == _golden("rigid-annulus")
+    assert len(calls) == 1
+    assert len(made) == (error is DeprecationWarning)
+    assert all(_reaped(pid) for pid in made)
 
 
 @pytest.mark.parametrize("field, value", [("y", math.nan), ("bound", math.nan),

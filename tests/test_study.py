@@ -787,6 +787,31 @@ def test_failed_row_on_a_helper_thread_fails_only_that_row(monkeypatch, annulus)
     assert report.rows == [row for row in want if row[0] != 1e-4]
 
 
+def test_a_part_that_raises_outside_its_rows_fails_each_of_its_viscosities(
+        monkeypatch, annulus):
+    # a MemoryError in the helper thread's part outside any row (in
+    # stores_taken) fails each viscosity of that part by name, the cut one
+    # included; the other part's three survive
+    cfg = dataclasses.replace(_five_row_config(annulus), nu_list=(
+        1e-2, 5e-3, 3e-3, 1e-3, 5e-4, 3e-4, 1e-4))
+    real = study.stores_taken
+
+    def broken(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(study, "stores_taken", broken)
+    _on_cores(monkeypatch, 2)
+    with pytest.warns(UserWarning, match="MemoryError: injected"):
+        report = run_convergence_study(cfg)
+    assert report.meta["ns_parts"] == [[1e-3, 1e-2, 5e-3, 3e-3],
+                                       [5e-4, 3e-4, 1e-4, 1e-3]]
+    assert report.meta["failed_rows"] == {
+        nu: "MemoryError: injected" for nu in (1e-3, 5e-4, 3e-4, 1e-4)}
+    assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [1e-2, 5e-3, 3e-3]
+
+
 def test_march_threads_share_the_cores():
     # one part per core this process may run on, never more parts than
     # viscosities; on 2 cores the middle viscosity's 80 steps are cut in
