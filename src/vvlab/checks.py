@@ -4,8 +4,9 @@ Each check returns a CheckResult; the suite is deterministic (seeded RNG)
 and designed to finish in well under a minute.  When the selected preset is
 an exact-regime configuration the full trivial chain (viscous solve equals
 the base flow, remainder at round-off) is run as an additional check.  The
-checks run on every core this process may use: this process and forked
-workers take them from one queue (``run_all``).
+checks run on every core this process may use: this process and the
+workers that ``study.run_forked`` forks take them from one queue
+(``run_all``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import pickle
-import signal
 import time
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .spaces import (
     profile_from_callable,
     scaling_exponent_check,
 )
-from .study import StudyConfig, run_convergence_study, usable_cores
+from .study import StudyConfig, _died, run_convergence_study, run_forked, usable_cores
 
 
 @dataclass
@@ -270,83 +269,18 @@ LONGEST_FIRST = ("exact_regime_chain", "gronwall_dominates_rk4", "erfc_oracle",
                  "scaling_exponents")
 
 
-def _send(out, record) -> None:
-    pickle.dump(record, out)
-    out.flush()
-
-
 def _drain(queue: int, calls: list, send=lambda record: None) -> dict:
     """Run the checks whose indices this process takes from the ``queue``
     pipe, one byte at a time, until it is empty; return their results by
     index.  A forked worker also ``send``s each index as it takes it, and
-    the check's result as soon as it finishes."""
+    (index, result) as soon as the check finishes."""
     results = {}
     while taken := os.read(queue, 1):
         i = taken[0]
         send(i)
         results[i] = calls[i]()
-        send(results[i])
+        send((i, results[i]))
     return results
-
-
-def _fork_worker(queue: tuple, calls: list):
-    """Fork a worker that sends its pid to a pipe of its own, then drains
-    ``queue`` (read end, write end) into it; return (pid, the pipe's read
-    stream), or None when no worker starts."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except (OSError, DeprecationWarning):
-        # under -W error Python >= 3.12 raises its warning against forking a
-        # multi-threaded process once the child exists: the child names
-        # itself and is ended while the queue is still empty
-        os.close(write)
-        with os.fdopen(read, "rb") as stream:
-            try:
-                pid = pickle.load(stream)
-            except EOFError:
-                return None
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            os.close(queue[1])
-            with os.fdopen(write, "wb") as out:
-                _send(out, os.getpid())
-                _drain(queue[0], calls, functools.partial(_send, out))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
-def _collect(stream, results: dict):
-    """Read a worker's results from its ``stream`` into ``results``; return
-    the index of the check it took and never reported, or None."""
-    taken = None
-    with stream:
-        try:
-            pickle.load(stream)                      # the worker's pid
-            while True:
-                record = pickle.load(stream)
-                if isinstance(record, int):
-                    taken = record
-                else:
-                    results[taken] = record
-                    taken = None
-        except (EOFError, pickle.UnpicklingError):
-            return taken
-
-
-def _died(status: int) -> str:
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        return f"error: its worker was killed by signal {-code}"
-    return f"error: its worker exited with status {code}"
 
 
 def run_all(config: StudyConfig | None = None) -> list:
@@ -354,14 +288,13 @@ def run_all(config: StudyConfig | None = None) -> list:
     The results come in that order.
 
     One worker process is forked for each core past the first that this
-    process may use (``usable_cores``).  Every worker, this process
-    included, takes the checks one at a time from a shared pipe of check
-    indices, longest first (``LONGEST_FIRST``), and sends each result back
-    as that check finishes, so a check's ``seconds`` are measured in the
-    worker that ran it.  A worker that dies fails the check it had taken,
-    naming its exit status.  On one core, or when no worker can be forked,
-    this process drains the queue alone.  Every worker is reaped before
-    this returns or raises.
+    process may use (``usable_cores``, ``run_forked``).  Every worker, this
+    process included, takes the checks one at a time from a shared pipe of
+    check indices, longest first (``LONGEST_FIRST``), and sends each result
+    back as that check finishes, so a check's ``seconds`` are measured in
+    the worker that ran it.  A worker that dies fails the check it had
+    taken, naming its exit status.  On one core, or when no worker can be
+    forked, this process drains the queue alone.
     """
     suite = {"geometry_invariants": check_geometry_invariants,
              "projector": check_projector,
@@ -378,36 +311,27 @@ def run_all(config: StudyConfig | None = None) -> list:
     names, calls = list(suite), list(suite.values())
     order = [names.index(name) for name in LONGEST_FIRST if name in suite] + [
         i for i, name in enumerate(names) if name not in LONGEST_FIRST]
-    queue = os.pipe()
-    workers, taken, statuses = {}, {}, {}
+    queue, write = os.pipe()
+    os.write(write, bytes(order))
+    os.close(write)
     try:
-        try:
-            for _ in range(usable_cores() - 1):
-                worker = _fork_worker(queue, calls)
-                if worker is None:
-                    break
-                workers[worker[0]] = worker[1]
-            os.write(queue[1], bytes(order))
-        finally:
-            os.close(queue[1])
-        results = _drain(queue[0], calls)
-        for pid, stream in workers.items():
-            taken[pid] = _collect(stream, results)
-    except BaseException:
-        for pid in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        results, workers = run_forked(usable_cores(),
+                                      lambda i, send: _drain(queue, calls, send),
+                                      lambda forked: _drain(queue, calls))
     finally:
-        os.close(queue[0])
-        for pid, stream in workers.items():
-            stream.close()
-            statuses[pid] = os.waitpid(pid, 0)[1]
-    lost = {i: statuses[pid] for pid, i in taken.items() if i is not None}
-    dead = [status for status in statuses.values() if status]
+        os.close(queue)
+    taken = {}
+    for records, status in workers.values():
+        for record in records:
+            if isinstance(record, int):
+                taken[record] = status
+            else:
+                results[record[0]] = record[1]
+    dead = [status for _, status in workers.values() if status]
     for i, name in enumerate(names):
         if i not in results:
             # no worker names a check taken by one killed before it could
             # send the index; that worker is one that did not exit cleanly
-            status = lost[i] if i in lost else dead[0]
-            results[i] = CheckResult(name, False, _died(status), 0.0)
+            status = taken[i] if i in taken else dead[0]
+            results[i] = CheckResult(name, False, f"error: {_died(status)}", 0.0)
     return [results[i] for i in range(len(names))]

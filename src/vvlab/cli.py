@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="path to a study config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
-                       help="built-in study preset")
+                       help="a study preset of the package")
         p.add_argument("--out", help="output directory (default: the "
                        "config's output_dir, else out)")
 

@@ -17,7 +17,7 @@ in z and first order in t whenever those terms are active.  The walls
 share one operator, so the two tangential components of every wall step
 together, as the columns of one march of the symmetrised tridiagonal
 kernel of ns.py on the nodes below Z_max (the Dirichlet node stays zero).
-The explicit terms are built only when the flow has a nonzero f, a nonzero
+The explicit terms are formed only when the flow has a nonzero f, a nonzero
 coupling or a manufactured forcing; otherwise they would add exact zeros,
 and a steady flow marches only the components whose datum g is nonzero
 (the others stay exactly +0.0).

@@ -31,11 +31,14 @@ is exact, so a solve with B is the doubled solve bit for bit, and a step
 is one in-place solve between an addition and a subtraction in the
 caller's arrays.  The march runs one store segment at a time, stops at the
 last stored step and hands each stored iterate to a callback, its one
-store path.
+store path.  The solve is f2py's ``dpttrs`` with ``overwrite_b``, in place
+in the caller's buf; f2py would solve a copy of a buf that is not a
+writeable float64 array contiguous in Fortran order and leave buf as it
+was, so the kernel refuses such a work array before its first step.
 
 A study solves at many viscosities on one grid, so the viscosity-free part
 of a reference solve (u0 on the grid, the drive L(u0), the symmetrised
-operator and the march's work arrays) is a ``ReferenceSetup`` built once;
+operator and the march's work arrays) is a ``ReferenceSetup`` made once;
 ``solve_ns`` is one solve on a set-up of its own.
 
 A set-up marches a group of viscosities together, as one tridiagonal
@@ -62,19 +65,12 @@ in place in buf, and with buf 16 or 48 bytes off the line a step of the
 joint rigid march took about 6% longer (medians of 9 x 1,000 steps, 97
 against 91 us); numpy's allocator gives no such alignment.
 
-Several set-ups may march at once on threads of their own: a study gives
-each core an equal share of its viscosity-steps, and each part marches on
-a copy of the set-up with work arrays of its own
-(``ReferenceSetup.with_arrays``) and shares the rest, read-only.  Each
-block takes its own operations, so every bit is the one-thread march's.
-A march may stop at any step and resume from the kernel's iterate there
-on another set-up, its half steps keyed on the absolute step, so a
-viscosity cut between two parts keeps its bits too.  The marches overlap because
-``dpttrs`` is called through ``cython_lapack``'s function pointer with
-ctypes, which releases the GIL (_lapack.py); f2py's wrapper holds it.  On
-a 2-core host, two threads each solving 5,000 times on a system of their
-own (n = 10,240) took 1.53 s through f2py against 1.61 s one after the
-other, and 0.77 s through ctypes against 1.59 s (medians of 3).
+A study marches its parts at once, each in a process of its own forked
+from the one that made the set-up (``study.run_forked``), so each part
+marches on its own copy-on-write copy of the set-up and every bit is the
+one-process march's.  A march may stop at any step and resume from the
+kernel's iterate there, its half steps keyed on the absolute step, so a
+viscosity cut between two parts keeps its bits too.
 ``ReferenceSetup.solve`` hands each stored time to its caller as the march
 reaches it and keeps no (n_t, m n) history, so a part holds one stored row.
 
@@ -84,13 +80,20 @@ The pressure drops out of both manifolds' evolution and is not stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import geometry as geo
 from ._lapack import dpttrf, dpttrs
-from .errors import AlignmentError, ConfigError, SolverError, StepSizeError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    InvalidParameterError,
+    SolverError,
+    StepSizeError,
+)
 from .spaces import diff_along
 
 MIN_POINTS = 32
@@ -277,6 +280,10 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
     varying = callable(source)
     half = 0.5 * dt
     w, buf, stored = work
+    if not (buf.dtype == np.float64 and buf.flags.f_contiguous and buf.flags.writeable):
+        raise InvalidParameterError(
+            f"{where}: the work array buf must be a writeable float64 array "
+            f"contiguous in Fortran order, which dpttrs solves in place")
     w.fill(0.0)
     start, w0 = resume or (0, None)
     if w0 is not None:
@@ -288,7 +295,7 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
 
     stop = store_steps[-1] if stop is None else stop
     ends = [(i, store_steps[i]) for i in stores_taken(store_steps, start, stop)]
-    solve = dpttrs(diag, off, buf)
+    solve = partial(dpttrs, diag, off, buf, overwrite_b=True)
     k = start
     for i, end in ends + [(None, stop)]:
         for k in range(k, end):
@@ -324,7 +331,6 @@ class ReferenceSetup:
     symmetrised operator (``_symmetrise``) and the store steps are shared,
     and every solve marches in the set-up's two (group n,) work arrays and
     stores into its one stored row.
-    ``with_arrays`` gives another thread arrays of its own.
     """
 
     geom: geo.GeometryDescriptor
@@ -376,18 +382,12 @@ class ReferenceSetup:
                   hook, rannacher=self.rannacher, resume=resume, stop=stop)
         return w[:m * n]
 
-    def with_arrays(self, group: int) -> ReferenceSetup:
-        """This set-up with march arrays of its own for groups of up to
-        ``group`` viscosities, at most ``group_size(n)``; everything else is
-        shared, read-only, so another thread may march on each at once."""
-        return replace(self, work=_march_arrays(len(self.coords), group))
-
 
 def _aligned_empty(size: int) -> np.ndarray:
     """An uninitialised (size,) float array whose data starts on a 64-byte
     cache line (module docstring)."""
     raw = np.empty(size + 7)
-    start = (-raw.ctypes.data % 64) // 8
+    start = (-raw.__array_interface__["data"][0] % 64) // 8
     return raw[start:start + size]
 
 
@@ -439,7 +439,7 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
     ``u0_profile`` is the initial profile, U(r) (a LaurentProfile) in the
     annulus or U(y) (a ShearProfile) in the channel; the other two velocity
     components stay zero.  The march runs in deviation form u = u0 + w,
-    w(0) = 0, with the constant drive nu*L(u0) as the source, built from
+    w(0) = 0, with the constant drive nu*L(u0) as the source, formed from
     the profile's exact derivatives, so w carries full relative precision
     even when it stays many orders below u0 (exact steady states then
     deviate only by the scheme's truncation, not by round-off of order-one

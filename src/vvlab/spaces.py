@@ -289,19 +289,13 @@ class VolumeGrid:
     norms share.
 
     The quadrature weights, the first-derivative weights and the squared
-    coordinates are built on first use, or all at once by ``built``, and
-    kept, so one grid serves every field of a study.
+    coordinates are formed on first use and kept, so one grid serves every
+    field of a study.
     """
 
     def __init__(self, geom: geo.GeometryDescriptor, coords: np.ndarray):
         self.geom = geom
         self.coords = np.asarray(coords, dtype=float)
-
-    def built(self) -> VolumeGrid:
-        """This grid with its constants built now: ``cached_property`` takes
-        no lock, so threads that share the grid could each build them."""
-        self.weights, self._deriv_weights, self._coords_sq
-        return self
 
     @cached_property
     def weights(self) -> np.ndarray:

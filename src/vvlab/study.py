@@ -3,10 +3,12 @@
 A study solves the layer once and builds the rest of what does not depend
 on the viscosity once (``StudySetup``), then solves the reference problem
 for a group of viscosities at a time in one joint march, each core taking
-an equal share of the viscosity-steps (``study_parts``: a viscosity cut
-between two cores marches in two pieces, its iterate handed across), and
-for each viscosity assembles the ansatz and records sup-over-time error
-norms of u_nu - u0 and remainder norms.
+an equal share of the viscosity-steps in a process of its own
+(``study_parts``, ``run_forked``: a viscosity cut between two cores
+marches in two pieces, its iterate handed across), and for each viscosity
+assembles the ansatz and records sup-over-time error norms of u_nu - u0
+and remainder norms.  ``run_forked`` also runs the invariant suite
+(checks.py) on every core.
 Both fields are the flow's one component, ``geometry.flow_comp``: the
 tangential R is its own Leray part (R:P = R:full) and its gradient part
 R:I-P is exactly 0.
@@ -30,11 +32,13 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import mmap
 import os
-import threading
+import pickle
+import signal
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -390,13 +394,14 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
 
 @dataclass(eq=False)
 class StudySetup:
-    """Everything a study's viscosity rows share, built once per study by
+    """Everything a study's viscosity rows share, made once per study by
     ``study_setup``: the base flow, the viscosity-free part of the
     reference solve (``ns.ReferenceSetup``: the grid, u0 on it, the drive
     L(u0), the symmetrised operator and the march's arrays), one
     ``VolumeGrid`` of the norms, the row's (n,) buffer and the norms'
     (4, n) scratch.  A group keeps only the work that depends on nu, and
-    reuses the arrays of the group before it."""
+    reuses the arrays of the group before it; a part in a forked worker
+    marches on its copy-on-write copy of them (``run_forked``)."""
 
     config: StudyConfig
     flow: BaseFlow
@@ -405,28 +410,20 @@ class StudySetup:
     row: np.ndarray                 # u - u0, then R, one time at a time
     scratch: np.ndarray             # the norms' intermediates
 
-    def for_part(self, group: int) -> StudySetup:
-        """This set-up with arrays of its own, for groups of up to
-        ``group`` viscosities: a part on another thread shares the rest,
-        read-only."""
-        ref = self.ref.with_arrays(group)
-        return replace(self, ref=ref, row=ref.work[1][:self.config.ns.n],
-                       scratch=np.empty_like(self.scratch))
-
 
 def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup:
     """The viscosity-free set-up of ``config``'s rows: the reference solve
     from the base flow's profile, the one form of u0 it takes (swirl in the
     annulus, shear in the channel), stored at ``config.t_eval``, with the
     march's arrays for a group of the whole ``nu_list``, at most
-    ``ns.group_size``, and the norms' grid with its constants built."""
+    ``ns.group_size``, and the norms' grid."""
     flow = flow or config.euler.build(config.geometry)
     ref = reference_setup(config.geometry, flow.profile, n=config.ns.n,
                           dt=config.ns.dt, t_end=config.ns.t_end,
                           store_times=config.t_eval, group=len(config.nu_list))
     # the row buffer is the march's scratch array, free at each store
     return StudySetup(config=config, flow=flow, ref=ref,
-                      grid=VolumeGrid(config.geometry, ref.coords).built(),
+                      grid=VolumeGrid(config.geometry, ref.coords),
                       row=ref.work[1][:config.ns.n],
                       scratch=np.empty((4, config.ns.n)))
 
@@ -447,8 +444,105 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_worker(i: int, work, go: tuple):
+    """Fork worker ``i`` of ``run_forked``: it sends its pid down a pipe of
+    its own, waits for the end of the ``go`` pipe (read end, write end),
+    which comes once every worker is forked, then runs ``work(i, send)``;
+    return (pid, the pipe's read stream), or None when no worker starts."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except (OSError, DeprecationWarning):
+        # under -W error Python >= 3.12 raises its warning against forking a
+        # multi-threaded process once the child exists: the child names
+        # itself and is ended before it may start
+        os.close(write)
+        with os.fdopen(read, "rb") as stream:
+            try:
+                pid = pickle.load(stream)
+            except EOFError:
+                return None
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.close(go[1])
+            with os.fdopen(write, "wb") as out:
+                def send(record):
+                    pickle.dump(record, out)
+                    out.flush()
+
+                send(os.getpid())
+                os.read(go[0], 1)
+                work(i, send)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _records(stream) -> list:
+    """The records a worker sent after its pid, up to the end of its pipe."""
+    records = []
+    with stream:
+        try:
+            pickle.load(stream)                      # the worker's pid
+            while True:
+                records.append(pickle.load(stream))
+        except (EOFError, pickle.UnpicklingError):
+            return records
+
+
+def _died(status: int) -> str:
+    """A worker's wait ``status`` in words."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"its worker was killed by signal {-code}"
+    return f"its worker exited with status {code}"
+
+
+def run_forked(count: int, work, here):
+    """Run ``work(i, send)`` in a worker forked for each i in 1, ...,
+    count - 1, then ``here(forked)`` in this process, ``forked`` the i that
+    have a worker; return here's value and {i: (records, wait status)} of
+    each worker.  ``send(record)`` pickles a record down the worker's pipe,
+    read once ``here`` returns, so a worker that dies leaves those it sent.
+    No worker starts before every one is forked, and forking stops at the
+    first that cannot start (``_fork_worker``).  A worker exits with status
+    0 once ``work`` returns; every worker is reaped before this returns or
+    raises, and killed first if ``here`` raises.
+    """
+    go = os.pipe()
+    workers, statuses = {}, {}
+    try:
+        try:
+            for i in range(1, count):
+                worker = _fork_worker(i, work, go)
+                if worker is None:
+                    break
+                workers[i] = worker
+        finally:
+            os.close(go[1])
+        value = here(set(workers))
+        records = {i: _records(stream) for i, (_, stream) in workers.items()}
+    except BaseException:
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(go[0])
+        for i, (pid, stream) in workers.items():
+            stream.close()
+            statuses[i] = os.waitpid(pid, 0)[1]
+    return value, {i: (records[i], statuses[i]) for i in workers}
+
+
 def study_parts(config: StudyConfig, cores: int | None = None) -> list:
-    """The parts of a study, one thread each, as lists of ``March``: an
+    """The parts of a study, one process each, as lists of ``March``: an
     equal share of the study's viscosity-steps for each of c = min(cores,
     m) parts (by default ``usable_cores()``).
 
@@ -521,7 +615,7 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
     fails (a non-finite value crosses the joins) re-marches its viscosities
     one at a time, so only the row at fault fails.  ``stop`` and ``resume``
     march a piece of a cut viscosity alone (``ReferenceSetup.solve``); a
-    first piece leaves a copy of its iterate in ``handoff``."""
+    first piece copies its iterate into ``handoff``, an (n,) array."""
     config, ref = setup.config, setup.ref
     t_eval = config.t_eval
     store_of = [time_index(ref.times, t) for t in t_eval]
@@ -556,58 +650,62 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
             return [(nus[0], None, _failure(exc))]
         return [out for nu in nus for out in _group_rows(setup, profile, (nu,))]
     if handoff is not None:
-        handoff.iterate = iterate.copy()
+        handoff[...] = iterate
     return [(nu, None, failed[nu]) if nu in failed else (nu, rows[nu], None)
             for nu in nus]
 
 
 class _Handoff:
-    """A cut viscosity's march at the cut, from the part that marches its
-    first piece to the part that marches its second: the kernel's iterate,
-    or the first piece's error, and the event that says either is there."""
+    """A cut viscosity's march at the cut, from the process that marches its
+    first piece, in part ``first``, to the one that marches its second: the
+    kernel's iterate, in memory mapped before the fork, and the first
+    piece's error or None, pickled down a pipe.  Only the first piece's
+    process keeps the pipe's write end, so if it ends without sending, the
+    second piece reads the end of the pipe and fails without marching."""
 
-    def __init__(self):
-        self.ready = threading.Event()
-        self.iterate = None
-        self.error = "RuntimeError: the first piece of its march did not finish"
+    def __init__(self, n: int, first: int):
+        self.iterate, self.first = np.frombuffer(mmap.mmap(-1, 8 * n)), first
+        read, write = os.pipe()
+        self.read, self.write = os.fdopen(read, "rb"), os.fdopen(write, "wb")
 
 
 def _march_rows(setup: StudySetup, profile: LayerProfile, march: March,
                 handoff: _Handoff | None) -> list:
     """The rows of one march of a part (``study_parts``), as
-    ``_group_rows``.  A cut viscosity's first piece hands its iterate, or
-    its error, across in ``handoff`` and sets its event whatever happens;
-    its second piece waits for that event and resumes from the iterate, or
-    fails with the first piece's error without marching."""
+    ``_group_rows``.  A cut viscosity's first piece hands its iterate and
+    its error across in ``handoff``, and closes its write end whatever
+    happens; the second piece resumes from the iterate, or fails with the
+    first piece's error without marching."""
     if handoff is None:
         return _group_rows(setup, profile, march.nus)
     if march.start:
-        handoff.ready.wait()
-        if handoff.error is not None:
-            return [(march.nus[0], None, handoff.error)]
+        try:
+            error = pickle.load(handoff.read)
+        except (EOFError, pickle.UnpicklingError):
+            error = "RuntimeError: the first piece of its march did not finish"
+        if error is not None:
+            return [(march.nus[0], None, error)]
         return _group_rows(setup, profile, march.nus,
                            resume=(march.start, handoff.iterate))
-    try:
+    with handoff.write:
         out = _group_rows(setup, profile, march.nus, stop=march.stop,
-                          handoff=handoff)
-        handoff.error = out[0][2]
-    finally:
-        handoff.ready.set()
+                          handoff=handoff.iterate)
+        pickle.dump(out[0][2], handoff.write)
     return out
 
 
 def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     """Sweep ``config.nu_list`` in parts of equal viscosity-steps
-    (``study_parts``), each on a thread of its own: a part marches its
-    groups and takes their rows at each stored time (``_group_rows``), and
-    a viscosity cut between two parts marches in two pieces whose iterate
-    crosses at the cut (``_march_rows``).  This thread runs the first part
-    on the study's set-up; every other part shares it but for the arrays
-    its viscosities change (``StudySetup.for_part``).  The marches overlap
-    because ``dpttrs`` releases the GIL, and every block takes its own
-    operations, so the report's bytes do not depend on the number of
-    cores: a cut viscosity's rows come from its two pieces, merged in
-    ``t_eval`` order.
+    (``study_parts``), each in a process of its own (``run_forked``): this
+    process runs the first part and forked worker i part i, each on its
+    copy-on-write copy of the study's set-up.  A part marches its groups and
+    takes their rows at each stored time (``_group_rows``), and a viscosity
+    cut between two parts marches in two pieces whose iterate crosses at
+    the cut (``_march_rows``).  Every block takes its own operations, so
+    the report's bytes do not depend on the number of cores: a cut
+    viscosity's rows come from its two pieces, merged in ``t_eval`` order.
+    A worker that dies fails each viscosity of its part, naming its exit
+    status; a part with no worker runs here after the first.
 
     ``jobs`` must be at least 1 and is otherwise ignored: a study runs on
     every core this process may use.  It stays only because the benchmark
@@ -621,38 +719,38 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     profile = solve_study_layer(config, flow)
     setup = study_setup(config, flow)
     parts = study_parts(config)
-    handoffs = {march.nus: _Handoff() for part in parts for march in part
-                if march.start}
-    outcomes = [None] * len(parts)
+    handoffs = {march.nus: _Handoff(config.ns.n, i - 1) for i, part in enumerate(parts)
+                for march in part if march.start}
 
-    def run(i, part_setup):
-        try:
-            outcomes[i] = [out for march in parts[i] for out in _march_rows(
-                part_setup, profile, march, handoffs.get(march.nus))]
-        except Exception as exc:
-            # raised outside the rows: each of the part's viscosities fails
-            outcomes[i] = [(nu, None, _failure(exc)) for march in parts[i]
-                           for nu in march.nus]
-
-    helpers = [threading.Thread(target=run, args=(
-        i, setup.for_part(max(len(march.nus) for march in parts[i]))))
-        for i in range(1, len(parts))]
-    try:
-        for helper in helpers:
-            helper.start()
-        run(0, setup)
-    except BaseException:
-        # a part that never ran would leave the next part waiting at its cut
+    def run(mine):
         for handoff in handoffs.values():
-            handoff.ready.set()
-        raise
+            if handoff.first not in mine:
+                handoff.write.close()
+        outcomes = {}
+        for i in mine:
+            try:
+                outcomes[i] = [out for march in parts[i] for out in _march_rows(
+                    setup, profile, march, handoffs.get(march.nus))]
+            except Exception as exc:
+                # raised outside the rows: each of the part's viscosities fails
+                outcomes[i] = [(nu, None, _failure(exc)) for march in parts[i]
+                               for nu in march.nus]
+        return outcomes
+
+    try:
+        outcomes, workers = run_forked(
+            len(parts), lambda i, send: send(run([i])[i]),
+            lambda forked: run([i for i in range(len(parts)) if i not in forked]))
     finally:
-        for helper in helpers:
-            if helper.ident is not None:
-                helper.join()
+        for handoff in handoffs.values():
+            handoff.read.close()
+            handoff.write.close()
+    for i, (records, status) in workers.items():
+        outcomes[i] = records[0] if records else [
+            (nu, None, _died(status)) for march in parts[i] for nu in march.nus]
 
     pieces, failed = {}, {}
-    for nu, rows, err in (out for part in outcomes for out in part):
+    for nu, rows, err in (out for i in sorted(outcomes) for out in outcomes[i]):
         if err is None:
             pieces.setdefault(nu, []).append(rows)
         else:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from vvlab import checks, geometry as geo
+from vvlab import checks, geometry as geo, study
 from vvlab.checks import _hardy_oracle, run_all
 from vvlab.cli import cli_main
 from vvlab.spaces import gronwall_rk4_trials
@@ -77,19 +77,25 @@ def test_check_details_match_golden():
     assert got == GOLDEN
 
 
-def _on_cores(monkeypatch, cores):
-    """Run the suite on ``cores`` cores; return the pids it forks."""
+def _on_cores(monkeypatch, tmp_path, cores):
+    """Run the suite, and any study it runs, on ``cores`` cores; return a
+    call that reads the pids forked so far, by this process or by a
+    worker, which appends them to a file (a worker's lists never come
+    back)."""
     monkeypatch.setattr(checks, "usable_cores", lambda: cores)
-    real, pids = os.fork, []
+    monkeypatch.setattr(study, "usable_cores", lambda: cores)
+    real, log = os.fork, tmp_path / "forks"
+    log.touch()
 
     def fork():
         pid = real()
         if pid:
-            pids.append(pid)
+            with open(log, "a") as fh:
+                fh.write(f"{pid}\n")
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    return pids
+    return lambda: [int(pid) for pid in log.read_text().split()]
 
 
 def _reaped(pid):
@@ -101,39 +107,42 @@ def _reaped(pid):
 
 
 @pytest.mark.parametrize("cores", [4, 2, 1])
-def test_check_details_match_golden_on_every_core_count(monkeypatch, cores):
+def test_check_details_match_golden_on_every_core_count(monkeypatch, tmp_path,
+                                                         cores):
     # one worker forked per core past the first, more workers than this
     # host may have cores at 4, each reaped by the time run_all returns;
     # every check runs once, and the details and their order do not depend
-    # on who ran which check
-    pids = _on_cores(monkeypatch, cores)
+    # on who ran which check.  The vortex exact-regime chain's own study
+    # forks one worker per core past the first too, in whichever process
+    # runs the chain
+    pids = _on_cores(monkeypatch, tmp_path, cores)
     for preset in ("rigid-annulus", "vortex-annulus"):
         got = _lines(preset, run_all(get_preset(preset)))
         assert got == _golden(preset)
-    assert len(pids) == 2 * (cores - 1)
-    assert all(_reaped(pid) for pid in pids)
+    assert len(pids()) == 3 * (cores - 1)
+    assert all(_reaped(pid) for pid in pids())
 
 
 @pytest.mark.parametrize("cores", [2, 1])
 def test_an_exception_in_one_check_fails_it_alone_on_every_core_count(
-        monkeypatch, cores):
-    pids = _on_cores(monkeypatch, cores)
+        monkeypatch, tmp_path, cores):
+    pids = _on_cores(monkeypatch, tmp_path, cores)
     monkeypatch.setattr(checks, "leray_project", _raise_value_error)
     results = run_all(get_preset("rigid-annulus"))
     assert [r.name for r in results] == RIGID_CHECKS
     assert [(r.name, r.detail) for r in results if not r.passed] == [
         ("projector", "error: ValueError: injected")]
-    assert all(_reaped(pid) for pid in pids)
+    assert all(_reaped(pid) for pid in pids())
 
 
 @pytest.mark.parametrize("status", [3, 0])
 def test_a_worker_that_exits_inside_a_check_fails_that_check_alone(monkeypatch,
-                                                                   status):
+                                                                   tmp_path, status):
     # the worker exits inside the first check it takes, and this process
     # waits in its own first check until it has; the check the worker took
     # fails naming the exit status, even a clean one, and this process
     # runs the other eight
-    pids = _on_cores(monkeypatch, 2)
+    pids = _on_cores(monkeypatch, tmp_path, 2)
     parent, (took, tell) = os.getpid(), os.pipe()
     waited = []
 
@@ -160,7 +169,7 @@ def test_a_worker_that_exits_inside_a_check_fails_that_check_alone(monkeypatch,
     wrong = [r for r, line, want in zip(results, _lines("rigid-annulus", results),
                                         _golden("rigid-annulus")) if line != want]
     assert [r.detail for r in wrong] == [f"error: its worker exited with status {status}"]
-    assert len(pids) == 1 and _reaped(pids[0])
+    assert len(pids()) == 1 and _reaped(pids()[0])
 
 
 @pytest.mark.parametrize("error", [OSError, DeprecationWarning])

@@ -11,7 +11,6 @@ does the same floating-point work, so the two agree bit for bit.
 """
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from manufactured import layer_mms_case, oscillating_shear_case
 from vvlab import geometry as geo
-from vvlab import layer, ns
+from vvlab import layer, ns, study
 from vvlab.errors import ConfigError, InvalidParameterError, SolverError
 from vvlab.euler import (
     LaurentProfile,
@@ -264,44 +263,43 @@ def _group_case(m):
             np.multiply.outer(nus, drive).ravel())
 
 
-def _march_parts_on_threads(sym, a, dt, steps, src, threads, fail=None):
-    """The group's blocks cut into at most ``threads`` contiguous parts, as
-    a study cuts its viscosities, each marched at once on a thread of its
-    own in arrays of its own; the parts' results and errors, in order."""
+def _march_parts_forked(sym, a, dt, steps, src, parts):
+    """The group's blocks cut into at most ``parts`` contiguous parts, as a
+    study cuts its viscosities, each marched at once in arrays of its own:
+    the first here, each other in a worker forked for it
+    (``study.run_forked``); the parts' results and errors, in order."""
     n = len(src) // len(a)
-    parts = np.array_split(np.arange(len(a)), min(threads, len(a)))
-    results = [None] * len(parts)
+    blocks = np.array_split(np.arange(len(a)), min(parts, len(a)))
 
-    def march(i, blocks):
-        rows = slice(blocks[0] * n, (blocks[-1] + 1) * n)
+    def march(i):
+        rows = slice(blocks[i][0] * n, (blocks[i][-1] + 1) * n)
         try:
-            results[i] = kernel_history(sym, [a[j] for j in blocks], dt, steps,
-                                        src[rows].copy(), "test", rannacher=2)
+            return kernel_history(sym, [a[j] for j in blocks[i]], dt, steps,
+                                  src[rows].copy(), "test", rannacher=2)
         except SolverError as exc:
-            results[i] = exc
+            return exc
 
-    helpers = [threading.Thread(target=march, args=(i, blocks))
-               for i, blocks in enumerate(parts)]
-    for helper in helpers:
-        helper.start()
-    for helper in helpers:
-        helper.join(timeout=60.0)
-    assert not any(helper.is_alive() for helper in helpers)
-    return results
+    first, workers = study.run_forked(len(blocks), lambda i, send: send(march(i)),
+                                      lambda forked: march(0))
+    # every worker sent its one result, exited cleanly and was reaped
+    assert sorted(workers) == list(range(1, len(blocks)))
+    assert all(len(records) == 1 and status == 0
+               for records, status in workers.values())
+    return [first] + [workers[i][0][0] for i in sorted(workers)]
 
 
 @pytest.mark.parametrize("threads", [2, 3, 8])
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_split_march_equals_one_thread_march(m, threads):
-    # each part of the blocks marches whole on its own thread, at the same
-    # time as the others, in arrays of its own; every bit is the joint
-    # one-thread march's, zeros' signs included, with Rannacher steps and a
-    # store at step 0
+    # each part of the blocks marches whole in a process of its own, at the
+    # same time as the others, in arrays of its own; every bit is the joint
+    # one-process march's, zeros' signs included, with Rannacher steps and
+    # a store at step 0
     sym, a, dt, src = _group_case(m)
     steps = STORE_SETS[0][0]
     assert steps[0] == 0
     one = kernel_history(sym, a, dt, steps, src, "test", rannacher=2)
-    split = np.concatenate(_march_parts_on_threads(sym, a, dt, steps, src, threads),
+    split = np.concatenate(_march_parts_forked(sym, a, dt, steps, src, threads),
                            axis=1)
     assert np.any(one != 0.0)
     assert np.array_equal(split, one)
@@ -309,48 +307,70 @@ def test_split_march_equals_one_thread_march(m, threads):
 
 
 def test_non_finite_block_of_a_later_part_raises_after_every_part_ends():
-    # blocks 0-1 march on one thread, block 2 on another whose source
-    # overflows: its SolverError is raised on its own thread, and the first
-    # part, marched apart at the same time, keeps the joint march's bits
+    # blocks 0-1 march here, block 2 in a forked worker whose source
+    # overflows: its SolverError comes back from the worker, which exits
+    # cleanly, and the first part, marched apart at the same time, keeps
+    # the joint march's bits
     sym, a, dt, src = _group_case(3)
     n = len(src) // 3
     want = kernel_history(sym, a[:2], dt, [1], src[:2 * n], "test", rannacher=2)
     src[2 * n + n // 2] = np.inf
-    before = threading.active_count()
     with np.errstate(invalid="ignore"):
-        first, last = _march_parts_on_threads(sym, a, dt, [1], src, 2)
-    assert threading.active_count() == before
+        first, last = _march_parts_forked(sym, a, dt, [1], src, 2)
     assert np.array_equal(first, want)
     assert isinstance(last, SolverError)
     assert str(last).startswith("test: non-finite iterate at step 1")
 
 
-@pytest.mark.parametrize("nrhs", [None, 2])
-def test_dpttrs_binding_equals_scipys_dpttrs(nrhs):
-    # the cython_lapack routine called through ctypes, in place, against
-    # f2py's wrapper of the same routine
+def _dpttrs_case(nrhs):
+    """dpttrf's factors of a random (n, n) system and a right-hand side,
+    (n,) or Fortran-ordered (n, nrhs)."""
     rng = np.random.default_rng(5)
     n = 300
     d, e, info = dpttrf(1.0 + rng.random(n), 0.4 * rng.standard_normal(n - 1))
     assert info == 0
-    b = np.asfortranarray(rng.standard_normal((n,) if nrhs is None else (n, nrhs)))
+    return d, e, np.asfortranarray(rng.standard_normal((n,) if nrhs is None else (n, nrhs)))
+
+
+@pytest.mark.parametrize("nrhs", [None, 2])
+def test_dpttrs_binding_equals_scipys_dpttrs(monkeypatch, nrhs):
+    # the kernel's dpttrs is scipy's, and solves in place in the kernel's
+    # buf, (n,) or Fortran (n, m): every solution it returns shares buf's
+    # memory, so the march reads it there
+    d, e, b = _dpttrs_case(nrhs)
+    assert ns.dpttrs is dpttrs
+    got, info = ns.dpttrs(d, e, b.copy(order="F"))
     want, info = dpttrs(d, e, b)
-    assert info == 0
-    got = b.copy(order="F")
-    ns.dpttrs(d, e, got)()
-    assert not np.array_equal(got, b)
+    assert info == 0 and not np.array_equal(want, b)
     assert np.array_equal(got, want)
+    shared = []
+
+    def spy(d, e, buf, **kw):
+        x, info = dpttrs(d, e, buf, **kw)
+        shared.append(np.shares_memory(x, buf) and info == 0)
+        return x, info
+
+    monkeypatch.setattr(ns, "dpttrs", spy)
+    op, a, dt, src = _swirl_march_case(nrhs)
+    kernel_history(ns._symmetrise(op, "test"), a, dt, [0, 3], src, "test", rannacher=2)
+    assert shared == [True] * 5
 
 
 @pytest.mark.parametrize("bad", ["strided", "c-order", "float32"])
 def test_dpttrs_binding_refuses_a_buffer_it_cannot_solve_in_place(bad):
-    # f2py solved a copy of such a b; a solve in place cannot
-    n = 16
-    d, e = np.full(n, 2.0), np.full(n - 1, 0.5)
-    b = {"strided": np.ones(2 * n)[::2], "c-order": np.ones((n, 2)),
-         "float32": np.ones(n, dtype=np.float32)}[bad]
-    with pytest.raises(InvalidParameterError, match="dpttrs: b must be"):
-        ns.dpttrs(d, e, b)
+    # f2py would solve a copy of such a buf and leave buf as it was; the
+    # kernel refuses it by name before its first step
+    op, a, dt, src = _swirl_march_case(None if bad != "c-order" else 2)
+    n = len(src)
+    buf = {"strided": np.zeros(2 * n)[::2], "c-order": np.zeros((n, 2)),
+           "float32": np.zeros(n, dtype=np.float32)}[bad]
+    work = (np.zeros_like(buf, dtype=float, order="F"), buf,
+            np.zeros_like(buf, dtype=float, order="F"))
+    with pytest.raises(InvalidParameterError,
+                       match="test: the work array buf must be a writeable float64"):
+        ns._cn_steps(ns._symmetrise(op, "test"), a, dt, [3], src, "test", work,
+                     lambda i, x: pytest.fail("a step was taken"))
+    assert not np.any(buf)
 
 
 def test_reference_group_larger_than_its_arrays_is_a_config_error(annulus):
@@ -379,7 +399,9 @@ def test_march_resumed_at_any_step_stores_the_bits_of_one_march(annulus, cut):
 
     iterate = setup.solve([1e-3], keep, stop=cut).copy()
     assert sorted(pieces) == [i for i, k in enumerate(setup.store_steps) if k <= cut]
-    setup.with_arrays(1).solve([1e-3], keep, resume=(cut, iterate))
+    other = ns.reference_setup(annulus, LaurentProfile({1: 1.0, -1: 0.5}), n=256,
+                               dt=1e-3, t_end=0.1, store_times=(0.003, 0.05, 0.1))
+    other.solve([1e-3], keep, resume=(cut, iterate))
     assert sorted(pieces) == sorted(whole) == [0, 1, 2]
     for i, u in whole.items():
         assert np.any(u != setup.u0)
@@ -441,9 +463,9 @@ def test_march_stops_at_last_store_step(monkeypatch, store, rannacher):
     calls = []
     real = ns.dpttrs
 
-    def counting(d, e, b):
-        solve = real(d, e, b)
-        return lambda: calls.append(1) or solve()
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(ns, "dpttrs", counting)
     op, a, dt, src = _swirl_march_case(None)

@@ -1,7 +1,6 @@
 """Every imported name in the package and the tests is used, every
 package definition has a reader, the command line imports no scipy module
-it does not need, and its LAPACK routines are scipy.linalg.lapack's own or,
-for dpttrs, cython_lapack's.
+it does not need, and its LAPACK routines are scipy.linalg.lapack's own.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
 appear as a name somewhere else in the same file, or be listed in the
@@ -121,15 +120,14 @@ def _fresh(code):
 
 def test_cli_import_loads_no_interpolate_or_special():
     # scipy.interpolate pulls in special, sparse and optimize at start-up;
-    # the package needs only scipy's compiled LAPACK extension, loaded
-    # without the scipy.linalg package, and a study runs on threads, not on
-    # a process pool
+    # the package needs only scipy's compiled f2py LAPACK extension, loaded
+    # without the scipy.linalg package or its cython_lapack, and a study
+    # forks its workers itself, with no process pool
     out = _fresh("import sys, vvlab.cli; print([m for m in "
                  "('scipy.interpolate', 'scipy.special', 'scipy.linalg', "
-                 "'concurrent.futures.process') if m in sys.modules], "
-                 "'scipy.linalg._flapack' in sys.modules, "
-                 "'scipy.linalg.cython_lapack' in sys.modules)")
-    assert out.strip() == "[] True True"
+                 "'scipy.linalg.cython_lapack', 'concurrent.futures.process') "
+                 "if m in sys.modules], 'scipy.linalg._flapack' in sys.modules)")
+    assert out.strip() == "[] True"
 
 
 def test_only_the_check_command_loads_the_invariant_suite():
@@ -142,13 +140,9 @@ def test_only_the_check_command_loads_the_invariant_suite():
                                    ("scipy.linalg.lapack", "vvlab.cli")],
                          ids=["vvlab-first", "scipy-first"])
 def test_lapack_routines_are_scipy_linalg_lapacks_in_either_order(order):
-    # dpttrs is called through cython_lapack's function pointer, not f2py's
-    # wrapper (vvlab._lapack's docstring)
     out = _fresh(f"import {order[0]}, {order[1]}, vvlab.ns, vvlab.spaces\n"
-                 "from scipy.linalg import cython_lapack, lapack\n"
-                 "from vvlab._lapack import capsule_pointer\n"
-                 "print(vvlab.ns.dpttrs.pointer == "
-                 "capsule_pointer(cython_lapack.__pyx_capi__['dpttrs']), "
+                 "from scipy.linalg import lapack\n"
+                 "print(vvlab.ns.dpttrs is lapack.dpttrs, "
                  "vvlab.ns.dpttrf is lapack.dpttrf, "
                  "vvlab.spaces.dgtsv is lapack.dgtsv)")
     assert out.split() == ["True"] * 3
@@ -158,25 +152,25 @@ def test_lapack_routines_are_scipy_linalg_lapacks_in_either_order(order):
                                    ("scipy.linalg.lapack", "vvlab.cli")],
                          ids=["vvlab-first", "scipy-first"])
 def test_lapack_extensions_are_registered_under_their_own_names(order):
-    # each extension is loaded once, as the module scipy.linalg itself uses
+    # the extension is loaded once, as the module scipy.linalg itself uses,
+    # and is scipy.linalg's _flapack attribute in either order
     out = _fresh(f"import sys, {order[0]}, {order[1]}\n"
-                 "import scipy.linalg.cython_lapack, scipy.linalg._flapack\n"
-                 "for name in ('_flapack', 'cython_lapack'):\n"
-                 "    full = 'scipy.linalg.' + name\n"
-                 "    mods = [k for k, m in list(sys.modules.items()) if "
+                 "import scipy.linalg._flapack\n"
+                 "full = 'scipy.linalg._flapack'\n"
+                 "mods = [k for k, m in list(sys.modules.items()) if "
                  "getattr(m, '__file__', '') == sys.modules[full].__file__]\n"
-                 "    print(mods == [full], sys.modules[full].__name__ == full)")
-    assert out.split() == ["True"] * 4
+                 "print(mods == [full], sys.modules[full].__name__ == full, "
+                 "scipy.linalg._flapack is sys.modules[full])")
+    assert out.split() == ["True"] * 3
 
 
 def test_lapack_extensions_are_attributes_of_scipy_linalg_imported_after_vvlab():
-    # vvlab registers both extensions before the scipy.linalg package
-    # exists; once it is imported they are its attributes, as they are when
-    # it is imported first
+    # vvlab registers the extension before the scipy.linalg package exists;
+    # once it is imported the extension is its attribute, as it is when it
+    # is imported first
     out = _fresh("import sys, vvlab.cli, scipy.linalg\n"
-                 "print(*(getattr(scipy.linalg, name) is sys.modules["
-                 "'scipy.linalg.' + name] for name in ('_flapack', 'cython_lapack')))")
-    assert out.split() == ["True"] * 2
+                 "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'])")
+    assert out.split() == ["True"]
 
 
 def test_lapack_loader_falls_back_to_the_public_routines(tmp_path):
@@ -184,12 +178,10 @@ def test_lapack_loader_falls_back_to_the_public_routines(tmp_path):
     # package; scipy's own directory reuses the extensions this process
     # already holds
     import scipy
-    from scipy.linalg import cython_lapack, lapack
+    from scipy.linalg import lapack
 
     from vvlab import _lapack
-    public = (lapack.dgtsv, lapack.dpttrf)
-    pointer = _lapack.capsule_pointer(cython_lapack.__pyx_capi__["dpttrs"])
+    public = (lapack.dgtsv, lapack.dpttrf, lapack.dpttrs)
     for linalg_dir in (tmp_path, Path(scipy.__file__).parent / "linalg"):
-        *got, dpttrs = _lapack.load(str(linalg_dir))
+        got = _lapack.load(str(linalg_dir))
         assert all(a is b for a, b in zip(got, public, strict=True))
-        assert dpttrs.pointer == pointer

@@ -916,7 +916,7 @@ def test_volume_norms_allocate_less_than_one_field(annulus):
     # scratch): intermediates allocated per call were handed back to the
     # system and faulted in again at every call
     n = 65_536
-    grid = VolumeGrid(annulus, annulus.volume_grid(n)).built()
+    grid = VolumeGrid(annulus, annulus.volume_grid(n))
     scratch = np.empty((4, n))
     specs = [parse_norm(label) for label in _LABELS]
     rng = np.random.default_rng(0)

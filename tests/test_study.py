@@ -1,13 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 import warnings
 
@@ -419,6 +419,57 @@ def _on_cores(monkeypatch, cores):
                         lambda config: _REAL_STUDY_PARTS(config, cores=cores))
 
 
+def _log(path, *record):
+    """Append ``record`` to the file ``path``: a spy in a forked worker
+    cannot append to a list of this process."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+
+def _logged(path):
+    """The records ``_log`` appended to ``path``, in order, as tuples."""
+    if not path.exists():
+        return []
+    return [tuple(json.loads(line)) for line in path.read_text().splitlines()]
+
+
+def _forks(monkeypatch, path):
+    """Log the pid of every worker forked from now on to ``path``."""
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            _log(path, pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError here if the block runs longer than ``seconds``; a
+    study that raises kills and reaps its workers first."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the study did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _three_row_config():
     # 200 steps, stores at steps 100 and 200
     return StudyConfig(
@@ -556,38 +607,35 @@ def _five_row_config(annulus):
     )
 
 
-def test_parts_share_the_studys_setup(monkeypatch, annulus):
-    # the set-up is built once; a part on another thread shares all of it
-    # but the arrays its viscosities change, and the rows come out as on
-    # one core
+def test_parts_share_the_studys_setup(tmp_path, monkeypatch, annulus):
+    # the set-up is built once, here; each part marches all its pieces and
+    # groups on it, a forked worker on its copy-on-write copy, at the same
+    # addresses, and the rows come out as on one core
     cfg = _five_row_config(annulus)
     builds = []
     real_setup = study.study_setup
     monkeypatch.setattr(study, "study_setup",
                         lambda *args: builds.append(1) or real_setup(*args))
-    setups = {}
+    log = tmp_path / "setups"
     real_rows = study._group_rows
 
     def spy(setup, profile, nus, **piece):
-        setups.setdefault(threading.current_thread() is threading.main_thread(),
-                          set()).add(setup)
+        _log(log, os.getpid(), id(setup), id(setup.ref), id(setup.grid),
+             *(a.__array_interface__["data"][0] for a in setup.ref.work + (
+                 setup.row, setup.scratch)))
         return real_rows(setup, profile, nus, **piece)
 
     monkeypatch.setattr(study, "_group_rows", spy)
     _on_cores(monkeypatch, 2)
-    threaded = run_convergence_study(cfg)
+    forked = run_convergence_study(cfg)
     assert builds == [1]
-    # each part marches all its pieces and groups on one set-up
-    (first,), (second,) = setups[True], setups[False]
-    for attr in ("config", "flow", "grid"):
-        assert getattr(first, attr) is getattr(second, attr)
-    for attr in ("coords", "u0", "drive", "sym"):
-        assert getattr(first.ref, attr) is getattr(second.ref, attr)
-    for mine, theirs in [(first.row, second.row), (first.scratch, second.scratch)] \
-            + list(zip(first.ref.work, second.ref.work)):
-        assert not np.shares_memory(mine, theirs)
+    seen = _logged(log)
+    # a piece and a group in each part, one part here and one in a worker
+    assert len(seen) == 4
+    assert len({pid for pid, *_ in seen}) == 2 and os.getpid() in {pid for pid, *_ in seen}
+    assert len({tuple(addresses) for _, *addresses in seen}) == 1
     _on_cores(monkeypatch, 1)
-    assert threaded.rows == run_convergence_study(cfg).rows
+    assert forked.rows == run_convergence_study(cfg).rows
 
 
 @pytest.mark.parametrize("name, cuts", [
@@ -605,15 +653,15 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
     assert {march.stop for cores in (1, 2, 3, 4)
             for part in study.study_parts(cfg, cores=cores)
             for march in part if march.stop < 200} == cuts
-    taken, assembled = [], []
     real, real_ansatz = study._solve_one_nu, study.assemble_ansatz
 
     def spy(setup, sol, t, u_approx):
-        taken.append((sol.nu, t))
+        _log(tmp_path / "taken", sol.nu, t)
         return real(setup, sol, t, u_approx)
 
     def spy_ansatz(flow, profile, geom, nu, coords, times, u0):
-        assembled.extend((nu, t) for t in times)
+        for t in times:
+            _log(tmp_path / "assembled", nu, t)
         return real_ansatz(flow, profile, geom, nu, coords, times=times, u0=u0)
 
     monkeypatch.setattr(study, "_solve_one_nu", spy)
@@ -624,9 +672,10 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
         report = run_convergence_study(cfg)
         assert report.meta["failed_rows"] == {}
         every = sorted((nu, t) for nu in cfg.nu_list for t in cfg.t_eval)
-        assert sorted(taken) == sorted(assembled) == every
-        taken.clear()
-        assembled.clear()
+        assert sorted(_logged(tmp_path / "taken")) == every
+        assert sorted(_logged(tmp_path / "assembled")) == every
+        (tmp_path / "taken").unlink()
+        (tmp_path / "assembled").unlink()
         rows.append(report.rows)
         export_report(report, tmp_path / str(cores))
     assert all(got == rows[0] for got in rows)
@@ -636,41 +685,36 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
 
 
 @pytest.mark.parametrize("piece", ["stop", "resume"])
-def test_a_failed_piece_fails_only_its_viscosity(monkeypatch, annulus, piece):
+def test_a_failed_piece_fails_only_its_viscosity(tmp_path, monkeypatch, annulus, piece):
     # on 2 cores 1e-3 is cut at step 100 of 200; its first piece ("stop")
     # or its second ("resume") raises: that row alone fails, a second piece
-    # does not march after a failed first, and every thread ends
+    # does not march after a failed first, nothing waits for more than 60 s
+    # and every worker is reaped
     cfg = _five_row_config(annulus)
     _on_cores(monkeypatch, 1)
     want = run_convergence_study(cfg).rows
     real = ReferenceSetup.solve
-    pieces = []
 
     def broken(ref, nus, each=None, **kw):
-        pieces.append([key for key, value in kw.items() if value is not None])
+        _log(tmp_path / "pieces", [key for key, value in kw.items() if value is not None])
         if kw[piece] is not None:
             raise ZeroDivisionError(f"synthetic failure at {piece}")
         return real(ref, nus, each, **kw)
 
     monkeypatch.setattr(ReferenceSetup, "solve", broken)
     _on_cores(monkeypatch, 2)
-    threads = threading.active_count()
-    box = {}
-    runner = threading.Thread(target=lambda: box.update(report=run_convergence_study(cfg)),
-                              daemon=True)
-    with pytest.warns(UserWarning, match="nu=0.001"):
-        runner.start()
-        runner.join(timeout=60.0)
-    assert not runner.is_alive(), "the study did not finish in 60 s"
-    assert threading.active_count() == threads
-    report = box["report"]
+    _forks(monkeypatch, tmp_path / "forks")
+    with pytest.warns(UserWarning, match="nu=0.001"), _within(60.0):
+        report = run_convergence_study(cfg)
+    pids = [pid for pid, in _logged(tmp_path / "forks")]
+    assert len(pids) == 1 and _reaped(pids[0])
     assert report.meta["failed_rows"] == {
         1e-3: f"ZeroDivisionError: synthetic failure at {piece}"}
     assert report.rows == [row for row in want if row[0] != 1e-3]
     # each part's group of whole viscosities, the first piece and, after a
     # first piece that did not fail, the second
     marched = [[], [], ["stop"]] if piece == "stop" else [[], [], ["resume"], ["stop"]]
-    assert sorted(pieces) == marched
+    assert sorted(pieces for pieces, in _logged(tmp_path / "pieces")) == marched
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -734,20 +778,19 @@ def test_failed_factorisation_fails_only_its_row(annulus):
         assert any(v > 0.0 for _, _, _, v, _ in rows)
 
 
-def test_failed_march_fails_only_its_row_on_threads(monkeypatch, annulus):
+def test_failed_march_fails_only_its_row_in_workers(tmp_path, monkeypatch, annulus):
     # 3e-4 marches as NaN, which factors but marches to NaN and crosses
-    # the joins: the helper thread's joint march fails, then each of its
+    # the joins: the forked worker's joint march fails, then each of its
     # viscosities re-marches alone there, and only the row at fault fails;
     # 1e-3, cut between the parts on its first store, keeps its rows
     cfg = _small_study(annulus, "rigid")
     _on_cores(monkeypatch, 1)
     want = run_convergence_study(cfg).rows
     real = ReferenceSetup.solve
-    marched = []
+    parent = os.getpid()
 
     def nan_at_3e4(ref, nus, each=None, **piece):
-        marched.append((threading.current_thread() is threading.main_thread(),
-                        tuple(nus)))
+        _log(tmp_path / "marched", os.getpid() == parent, nus)
         return real(ref, [math.nan if nu == 3e-4 else nu for nu in nus], each,
                     **piece)
 
@@ -756,26 +799,28 @@ def test_failed_march_fails_only_its_row_on_threads(monkeypatch, annulus):
     with pytest.warns(UserWarning, match="nu=0.0003"):
         report = run_convergence_study(cfg)
     assert report.meta["ns_parts"] == [[1e-3, 1e-2, 3e-3], [3e-4, 1e-4, 1e-3]]
-    assert [nus for main, nus in marched if main] == [(1e-3,), (1e-2, 3e-3)]
-    assert [nus for main, nus in marched if not main] == [
-        (3e-4, 1e-4), (3e-4,), (1e-4,), (1e-3,)]
+    marched = _logged(tmp_path / "marched")
+    assert [nus for here, nus in marched if here] == [[1e-3], [1e-2, 3e-3]]
+    assert [nus for here, nus in marched if not here] == [
+        [3e-4, 1e-4], [3e-4], [1e-4], [1e-3]]
     assert list(report.meta["failed_rows"]) == [3e-4]
     assert report.meta["failed_rows"][3e-4].startswith(
         "SolverError: ns swirl (nu=nan, n=256): non-finite iterate")
     assert report.rows == [row for row in want if row[0] != 3e-4]
 
 
-def test_failed_row_on_a_helper_thread_fails_only_that_row(monkeypatch, annulus):
-    # an exception in a row on the helper thread becomes a failed row that
-    # names it; the other part's rows, and the helper's other row, survive
+def test_failed_row_in_a_worker_fails_only_that_row(monkeypatch, annulus):
+    # an exception in a row in the forked worker becomes a failed row that
+    # names it; the other part's rows, and the worker's other row, survive
     cfg = _small_study(annulus, "rigid")
     _on_cores(monkeypatch, 1)
     want = run_convergence_study(cfg).rows
     real = study._solve_one_nu
+    parent = os.getpid()
 
     def broken(setup, sol, *at):
         if sol.nu == 1e-4:
-            assert threading.current_thread() is not threading.main_thread()
+            assert os.getpid() != parent
             raise ZeroDivisionError("synthetic row failure")
         return real(setup, sol, *at)
 
@@ -789,15 +834,16 @@ def test_failed_row_on_a_helper_thread_fails_only_that_row(monkeypatch, annulus)
 
 def test_a_part_that_raises_outside_its_rows_fails_each_of_its_viscosities(
         monkeypatch, annulus):
-    # a MemoryError in the helper thread's part outside any row (in
+    # a MemoryError in the forked worker's part outside any row (in
     # stores_taken) fails each viscosity of that part by name, the cut one
     # included; the other part's three survive
     cfg = dataclasses.replace(_five_row_config(annulus), nu_list=(
         1e-2, 5e-3, 3e-3, 1e-3, 5e-4, 3e-4, 1e-4))
     real = study.stores_taken
+    parent = os.getpid()
 
     def broken(*args):
-        if threading.current_thread() is not threading.main_thread():
+        if os.getpid() != parent:
             raise MemoryError("injected")
         return real(*args)
 
@@ -810,6 +856,100 @@ def test_a_part_that_raises_outside_its_rows_fails_each_of_its_viscosities(
     assert report.meta["failed_rows"] == {
         nu: "MemoryError: injected" for nu in (1e-3, 5e-4, 3e-4, 1e-4)}
     assert [nu for nu, _ in report.norm_results["l2"]["rows"]] == [1e-2, 5e-3, 3e-3]
+
+
+_CRASH_STUDY = """
+import json, os, signal, sys
+from vvlab import geometry as geo, study
+death, log, cores = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cfg = study.StudyConfig(geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
+                        euler=study.EulerSpec(family="rigid"),
+                        layer=study.LayerParams(nz=128, dt=1.25e-3),
+                        ns=study.NsParams(n=256, dt=2.5e-3, t_end=0.25),
+                        nu_list=(1e-2, 5e-3, 3e-3, 1e-3, 5e-4, 3e-4, 1e-4),
+                        t_eval=tuple(0.025 * k for k in range(1, 11)))
+parts, row, march_rows, fork = (study.study_parts, study._solve_one_nu,
+                                study._march_rows, os.fork)
+forked = []
+
+def dying_row(setup, sol, *at):
+    if sol.nu == 5e-4 and death == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if sol.nu == 5e-4 and death == "exit":
+        os._exit(0)
+    return row(setup, sol, *at)
+
+def logged_march_rows(setup, profile, march, handoff):
+    out = march_rows(setup, profile, march, handoff)
+    with open(log, "a") as fh:
+        fh.write(json.dumps([march.nus, march.start, [e for _, _, e in out]]) + "\\n")
+    return out
+
+def logged_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+
+study.study_parts = lambda config: parts(config, cores=cores)
+study._solve_one_nu, study._march_rows, os.fork = dying_row, logged_march_rows, logged_fork
+report = study.run_convergence_study(cfg)
+
+def reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+print(json.dumps({"rows": report.rows, "failed": list(report.meta["failed_rows"].items()),
+                  "forked": len(forked), "reaped": all(map(reaped, forked))}))
+"""
+
+
+def _crash_study(tmp_path, death, cores):
+    """The outcome of ``_CRASH_STUDY`` run in a session of its own, in at
+    most 60 s, and the pieces it logged; the whole session is killed at
+    the end, so no worker outlives a study that hangs."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")])))
+    log = tmp_path / f"{death}-{cores}.log"
+    proc = subprocess.Popen([sys.executable, "-W", "ignore", "-c", _CRASH_STUDY, death,
+                             str(log), str(cores)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60.0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 0, err
+    return json.loads(out), _logged(log)
+
+
+@pytest.mark.parametrize("death, words", [
+    ("kill", "its worker was killed by signal 9"),
+    ("exit", "its worker exited with status 0")], ids=["kill", "exit"])
+def test_a_worker_that_dies_in_a_row_fails_each_of_its_viscosities(tmp_path, death,
+                                                                   words):
+    # on 3 cores worker 1 marches the first piece of 5e-4, 1e-3 and the
+    # second piece of 3e-3, and dies (SIGKILL, or a clean exit) in the
+    # first row of 5e-4, before that piece ends: each of its viscosities
+    # fails naming its status, the second piece of 5e-4 in worker 2 reads
+    # the end of the pipe and fails by name without waiting, the other
+    # four viscosities keep the one-core rows and every worker is reaped.
+    # The study runs in a process of its own, which a death in a thread
+    # of it would end
+    want, _ = _crash_study(tmp_path, "none", 1)
+    got, pieces = _crash_study(tmp_path, death, 3)
+    assert got["failed"] == [[3e-3, words], [1e-3, words], [5e-4, words]]
+    assert ([5e-4], 67, ["RuntimeError: the first piece of its march did not finish"]) \
+        in pieces
+    survivors = {1e-2, 5e-3, 3e-4, 1e-4}
+    assert got["rows"] == [row for row in want["rows"] if row[0] in survivors]
+    assert got["forked"] == 2 and got["reaped"]
+    assert want["failed"] == [] and want["forked"] == 0
 
 
 def test_march_threads_share_the_cores():
@@ -1005,41 +1145,21 @@ def test_bad_reference_grid_fails_before_any_row(monkeypatch, channel):
         run_convergence_study(cfg)
 
 
-def test_more_parts_than_cores_write_the_one_core_rows(monkeypatch, annulus):
-    # a part per viscosity, more threads than cores, switching threads
-    # every microsecond: a row written to another part's buffers or a
-    # result lost between threads would move a value
+def test_more_parts_than_cores_write_the_one_core_rows(tmp_path, monkeypatch, annulus):
+    # a part per viscosity, more forked workers than cores, each reaped: a
+    # row written to another part's buffers or a result lost between
+    # processes would move a value
     cfg = _small_study(annulus, "rigid")
     _on_cores(monkeypatch, 1)
     want = run_convergence_study(cfg).rows
     _on_cores(monkeypatch, len(cfg.nu_list))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        t0 = time.perf_counter()
+    _forks(monkeypatch, tmp_path / "forks")
+    with _within(60.0):
         report = run_convergence_study(cfg)
-        assert time.perf_counter() - t0 < 60.0
-    finally:
-        sys.setswitchinterval(interval)
+    pids = [pid for pid, in _logged(tmp_path / "forks")]
+    assert len(pids) == len(cfg.nu_list) - 1 and all(_reaped(pid) for pid in pids)
     assert report.meta["ns_parts"] == [[nu] for nu in cfg.nu_list]
     assert report.rows == want
-
-
-def test_grid_constants_are_built_before_any_row(monkeypatch, annulus):
-    # cached_property takes no lock, so the parts' threads must find the
-    # norms' constants built
-    seen = []
-    real = study._group_rows
-
-    def spy(setup, profile, nus, **piece):
-        seen.append({"weights", "_deriv_weights", "_coords_sq"} <= set(vars(setup.grid)))
-        return real(setup, profile, nus, **piece)
-
-    monkeypatch.setattr(study, "_group_rows", spy)
-    _on_cores(monkeypatch, 2)
-    run_convergence_study(_small_study(annulus, "rigid"))
-    # a group and a piece of the cut viscosity in each part
-    assert seen == [True] * 4
 
 
 _PINNED_STUDY = """
