@@ -7,19 +7,21 @@ velocity by construction:
 * swirl   u0 = U(r) e_theta in the annulus, pressure balancing U^2/r;
 * shear   u0 = U(y) e_x in the channel, constant pressure.
 
-Each is its profile U, the one input of the reference solve and of the
-ansatz, in the one component ``GeometryDescriptor.flow_comp`` names.  For
-both families the stretching coefficient f = (u0 . n)/phi vanishes
-identically and the tangential projection of the layer coupling
-(u0 . grad u_b + u_b . grad u0) is zero; the piece that feeds the layer
-solver is therefore the wall data g = curl u0 x n, which points along
-that same component, so the layer moves only it.  The layer is one
-column per wall, so g, f, the coupling matrix and any manufactured forcing
-are evaluated at the wall.
-``BaseFlow`` also takes a nonzero f, couplings, time-dependent g and a
-layer forcing, which the manufactured layer cases of the tests
-(``tests/manufactured.py``) prescribe to exercise the layer solver; they
-have no profile and feed no study.
+One constructor, ``steady_base_flow``, builds both: the profile's type
+names the geometry (``LaurentProfile`` U(r) the annulus, ``ShearProfile``
+U(y) the channel) and its exact axial vorticity is the curl.  Each flow is
+its profile U, the one input of the reference solve and of the ansatz, in
+the one component ``GeometryDescriptor.flow_comp`` names.  For both
+families the stretching coefficient f = (u0 . n)/phi vanishes identically
+and the tangential projection of the layer coupling (u0 . grad u_b +
+u_b . grad u0) is zero; the piece that feeds the layer solver is
+therefore the wall data g = curl u0 x n, which points along that same
+component, so the layer moves only it.  The layer is one column per wall,
+so g, f, the coupling matrix and any manufactured forcing are evaluated
+at the wall.  ``BaseFlow`` also takes a nonzero f, couplings,
+time-dependent g and a layer forcing, which the manufactured layer cases
+of the tests (``tests/manufactured.py``) prescribe to exercise the layer
+solver; they have no profile and feed no study.
 """
 
 from __future__ import annotations
@@ -41,6 +43,20 @@ _CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # ---------------------------------------------------------------------------
 
 
+def _power_sum(x, terms, order=0):
+    """The order-th derivative of sum c x^k over the (k, c) ``terms``, each
+    term in exact form; order 0 is the sum itself (c * 1.0 is c)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for k, c in terms:
+        fac = 1.0
+        for j in range(order):
+            fac *= k - j
+        if fac != 0.0:
+            out = out + c * fac * x ** float(k - order)
+    return out
+
+
 @dataclass(frozen=True)
 class LaurentProfile:
     """U(r) = sum_k c_k r^k with integer powers k >= -1.
@@ -57,22 +73,10 @@ class LaurentProfile:
                 raise ConfigError("powers below r^-1 are not supported")
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for k, c in self.coeffs.items():
-            out = out + c * r ** float(k)
-        return out
+        return _power_sum(r, self.coeffs.items())
 
     def deriv(self, r, order=1):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for k, c in self.coeffs.items():
-            fac = 1.0
-            for j in range(order):
-                fac *= k - j
-            if fac != 0.0:
-                out = out + c * fac * r ** float(k - order)
-        return out
+        return _power_sum(r, self.coeffs.items(), order)
 
     def vorticity(self, r):
         """(1/r) d(r U)/dr as an exact series: sum c_k (k+1) r^(k-1).
@@ -80,12 +84,8 @@ class LaurentProfile:
         The k = -1 term drops symbolically, so the potential vortex is
         curl free to the bit, not merely to round-off.
         """
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for k, c in self.coeffs.items():
-            if k != -1:
-                out = out + c * (k + 1) * r ** float(k - 1)
-        return out
+        return _power_sum(r, [(k - 1, c * (k + 1)) for k, c in self.coeffs.items()
+                              if k != -1])
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,17 @@ class ShearProfile:
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for j, c in enumerate(self.poly):
-            out = out + c * y ** float(j)
+        out = _power_sum(y, enumerate(self.poly))
         for amp, k in self.cosines:
             out = out + amp * np.cos(k * math.pi * y / self.h)
         return out
 
     def deriv(self, y, order=1):
         y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for j, c in enumerate(self.poly):
-            fac = 1.0
-            for i in range(order):
-                fac *= j - i
-            if fac != 0.0:
-                out = out + c * fac * y ** float(j - order)
+        out = _power_sum(y, enumerate(self.poly), order)
         for amp, k in self.cosines:
             om = k * math.pi / self.h
-            phase = order % 4
-            trig = [np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin][phase]
+            trig = [np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin][order % 4]
             term = amp * om**order * trig(om * y)
             if order % 2:
                 # an odd order is a sine, exactly 0 where k y / h is an
@@ -126,6 +117,10 @@ class ShearProfile:
                 term = np.where(q == np.round(q), 0.0, term)
             out = out + term
         return out
+
+    def vorticity(self, y):
+        """The axial vorticity -U'(y) of U(y) e_x."""
+        return -self.deriv(y)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +162,20 @@ def _no_coupling(t, wall):
     return np.zeros((2, 2))
 
 
-def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> BaseFlow:
-    """u0 = U(r) e_theta: exact steady solution with d(pi0)/dr = U^2/r."""
-    if geom.kind != geo.ANNULUS_GAP:
-        raise ConfigError("swirl base flow requires the annulus geometry")
-    probe = np.linspace(geom.r1, geom.r2, 64)
-    if not np.all(np.isfinite(profile.value(probe))):
-        raise InvalidProfileError("swirl profile not finite on [r1, r2]")
+def steady_base_flow(profile: LaurentProfile | ShearProfile,
+                     geom: geo.GeometryDescriptor) -> BaseFlow:
+    """u0 = U(r) e_theta in the annulus, pressure balancing U^2/r, for a
+    LaurentProfile; u0 = U(y) e_x in the channel, constant pressure, for a
+    ShearProfile.  Its curl is the profile's axial vorticity."""
+    swirl = isinstance(profile, LaurentProfile)
+    if geom.kind != (geo.ANNULUS_GAP if swirl else geo.FLAT_CHANNEL):
+        raise ConfigError(f"{'swirl' if swirl else 'shear'} base flow requires the "
+                          f"{'annulus' if swirl else 'channel'} geometry")
+    lo, hi = geom.coord_bounds
+    if not np.all(np.isfinite(profile.value(np.linspace(lo, hi, 64)))):
+        raise InvalidProfileError(f"profile not finite on [{lo:g}, {hi:g}]")
 
     def curl(t, coords):
-        # curl(U e_theta) = (1/r) d(r U)/dr e_axial, exact series form
-        coords = np.asarray(coords, dtype=float)
         out = _zeros3(coords)
         out[2] = profile.vorticity(coords)
         return out
@@ -193,35 +191,11 @@ def swirl_base_flow(profile: LaurentProfile, geom: geo.GeometryDescriptor) -> Ba
 
 
 def rigid_rotation(omega: float, geom: geo.GeometryDescriptor) -> BaseFlow:
-    return swirl_base_flow(LaurentProfile({1: omega}), geom)
+    return steady_base_flow(LaurentProfile({1: omega}), geom)
 
 
 def potential_vortex(circulation: float, geom: geo.GeometryDescriptor) -> BaseFlow:
-    return swirl_base_flow(LaurentProfile({-1: circulation}), geom)
-
-
-def channel_base_flow(profile: ShearProfile, geom: geo.GeometryDescriptor) -> BaseFlow:
-    """u0 = U(y) e_x: exact steady parallel shear, constant pressure."""
-    if geom.kind != geo.FLAT_CHANNEL:
-        raise ConfigError("shear base flow requires the channel geometry")
-    probe = np.linspace(0.0, geom.h, 64)
-    if not np.all(np.isfinite(profile.value(probe))):
-        raise InvalidProfileError("shear profile not finite on [0, H]")
-
-    def curl(t, coords):
-        # curl(U(y) e_x) = -U'(y) e_z
-        out = _zeros3(coords)
-        out[2] = -profile.deriv(coords)
-        return out
-
-    return BaseFlow(
-        geom=geom,
-        steady=True,
-        curl=curl,
-        f_stretch=_no_stretch,
-        coupling_matrix=_no_coupling,
-        profile=profile,
-    )
+    return steady_base_flow(LaurentProfile({-1: circulation}), geom)
 
 
 # ---------------------------------------------------------------------------

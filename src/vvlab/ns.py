@@ -72,7 +72,9 @@ one-process march's.  A march may stop at any step and resume from the
 kernel's iterate there, its half steps keyed on the absolute step, so a
 viscosity cut between two parts keeps its bits too.
 ``ReferenceSetup.solve`` hands each stored time to its caller as the march
-reaches it and keeps no (n_t, m n) history, so a part holds one stored row.
+reaches it, as the stored (m, n) block with u0 added in place, one row per
+viscosity, and keeps no (n_t, m n) history, so a part holds one stored row.
+Only ``solve_ns`` builds a ``ViscousSolution``, its (n_t, n) history.
 
 The pressure drops out of both manifolds' evolution and is not stored.
 """
@@ -348,12 +350,12 @@ class ReferenceSetup:
         """March the reference solutions at the viscosities ``nus`` as one
         group (module docstring): for each nu, u0 plus the march of the
         drive nu*L(u0) at a = nu dt / 2.  At each store i in turn,
-        ``each(i, sols)`` receives one ViscousSolution per nu, in order,
-        each of one stored time, views of this set-up's stored row, which
-        the next store overwrites.  Returns the kernel's iterate at the
-        march's last step, a view of this set-up's w, which the next solve
-        overwrites; ``resume`` (k, that iterate) marches on from step k, and
-        ``stop`` ends a march early, each seeing only the stores in between
+        ``each(i, u)`` receives the stored (m, n) block, one row per nu in
+        order, a view of this set-up's stored row, which the next store
+        overwrites.  Returns the kernel's iterate at the march's last step,
+        a view of this set-up's w, which the next solve overwrites;
+        ``resume`` (k, that iterate) marches on from step k, and ``stop``
+        ends a march early, each seeing only the stores in between
         (``_cn_steps``)."""
         n = len(self.coords)
         w, buf, stored = self.work
@@ -365,13 +367,9 @@ class ReferenceSetup:
                  f" (nu={','.join(f'{nu:g}' for nu in nus)}, n={n})")
 
         def hook(i, x):
-            sols = []
-            for j, nu in enumerate(nus):
-                uj = x[None, j * n:(j + 1) * n]
-                uj += self.u0                # in place: w + u0 is u0 + w exactly
-                sols.append(ViscousSolution(nu=nu, geom=self.geom, coords=self.coords,
-                                            times=self.times[i:i + 1], u=uj))
-            each(i, sols)
+            u = x.reshape(m, n)
+            u += self.u0                     # in place: w + u0 is u0 + w exactly
+            each(i, u)
 
         # the source nu*L(u0) of each block is formed in buf, which the
         # kernel reads once, before its first step writes there
@@ -450,8 +448,8 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
                           rannacher=rannacher)
     u = np.empty((len(ref.times), n))
 
-    def keep(i, sols):
-        u[i] = sols[0].u[0]
+    def keep(i, block):
+        u[i] = block[0]
 
     ref.solve([nu], keep)
     return ViscousSolution(nu=nu, geom=geom, coords=ref.coords, times=ref.times, u=u)

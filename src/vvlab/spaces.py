@@ -181,13 +181,6 @@ class ProfileField:
         if not (z[0] == 0.0 and np.all(np.diff(z) > 0)):
             raise ConfigError("fast grid must increase strictly from 0")
 
-    @property
-    def n_comp(self) -> int:
-        return self.values.shape[-2]
-
-    def comp(self, name: str) -> np.ndarray:
-        return self.values[..., self.comp_names.index(name), :]
-
 
 def profile_from_callable(fn, grid: FastGrid, weight=1.0,
                           comp_names=("c0",)) -> ProfileField:

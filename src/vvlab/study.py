@@ -49,16 +49,14 @@ from .euler import (
     BaseFlow,
     LaurentProfile,
     ShearProfile,
-    channel_base_flow,
     potential_vortex,
     rigid_rotation,
-    swirl_base_flow,
+    steady_base_flow,
 )
 from .expansion import assemble_ansatz
 from .layer import LayerProfile, solve_layer
 from .ns import (
     ReferenceSetup,
-    ViscousSolution,
     _resolve_store_steps,
     group_size,
     reference_setup,
@@ -94,12 +92,12 @@ class EulerSpec:
             return potential_vortex(self.circulation, geom)
         if fam.startswith("swirl_poly"):
             coeffs = _parse_inline_coeffs(fam)
-            return swirl_base_flow(LaurentProfile(dict(enumerate(coeffs))), geom)
+            return steady_base_flow(LaurentProfile(dict(enumerate(coeffs))), geom)
         if fam.startswith("shear_poly"):
             coeffs = _parse_inline_coeffs(fam)
-            return channel_base_flow(ShearProfile(poly=coeffs, h=geom.h), geom)
+            return steady_base_flow(ShearProfile(poly=coeffs, h=geom.h), geom)
         if fam == "shear_cos":
-            return channel_base_flow(
+            return steady_base_flow(
                 ShearProfile(cosines=((self.omega, 1),), h=geom.h), geom)
         raise ConfigError(f"unknown euler family {fam!r}")
 
@@ -574,17 +572,17 @@ def study_parts(config: StudyConfig, cores: int | None = None) -> list:
     return parts
 
 
-def _solve_one_nu(setup: StudySetup, sol: ViscousSolution, t: float,
+def _solve_one_nu(setup: StudySetup, nu: float, u: np.ndarray, t: float,
                   u_approx: np.ndarray) -> list:
-    """Rows for a single viscosity at the time ``t`` of the one store that
-    its reference solution ``sol`` holds, with ``u_approx`` the ansatz there:
-    velocity-error and remainder norms.
+    """Rows for the viscosity ``nu`` at the time ``t`` of one store, with
+    ``u`` its reference solution there, an (n,) row of the store's block,
+    and ``u_approx`` the ansatz there: velocity-error and remainder norms.
 
     u - u0, then R, is written into the set-up's (n,) buffer of the flow
     component.  R is tangential, so its "P" norms are its own and its "I-P"
     norms are 0.0.
     """
-    u, nu, row = sol.u[0], sol.nu, setup.row
+    row = setup.row
     specs = [parse_norm(s) for s in setup.config.norms]
     rows = []
     np.subtract(u, setup.ref.u0, out=row)
@@ -631,17 +629,17 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
         except Exception as exc:
             failed[nu] = _failure(exc)
 
-    def each(i, sols):
-        for sol in sols:
-            if sol.nu in failed:
+    def each(i, u):
+        for nu, u_nu in zip(nus, u):
+            if nu in failed:
                 continue
             try:
                 for k, jt in enumerate(own):
                     if store_of[jt] == i:
-                        rows[sol.nu][jt] = _solve_one_nu(setup, sol, t_eval[jt],
-                                                         approx[sol.nu][k])
+                        rows[nu][jt] = _solve_one_nu(setup, nu, u_nu, t_eval[jt],
+                                                     approx[nu][k])
             except Exception as exc:
-                failed[sol.nu] = _failure(exc)
+                failed[nu] = _failure(exc)
 
     try:
         iterate = ref.solve(nus, each, resume=resume, stop=stop)

@@ -110,10 +110,10 @@ def test_criterion_5_exact_regime_chain(vortex_report):
 
 
 def test_criterion_6_flat_boundary_degeneracy(flat_report, channel):
-    from vvlab.euler import ShearProfile, channel_base_flow
+    from vvlab.euler import ShearProfile, steady_base_flow
 
-    flow = channel_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
-                             channel)
+    flow = steady_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
+                            channel)
     profile = solve_layer(flow, channel, FastGrid(nz=256), dt=1e-3,
                           t_end=0.5, store_times=[0.25, 0.5])
     rep = layer_norm_monitor(profile, [AnisotropicIndex(1, 0, 1, 2.0)])

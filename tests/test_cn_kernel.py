@@ -288,9 +288,9 @@ def _march_parts_forked(sym, a, dt, steps, src, parts):
     return [first] + [workers[i][0][0] for i in sorted(workers)]
 
 
-@pytest.mark.parametrize("threads", [2, 3, 8])
+@pytest.mark.parametrize("parts", [2, 3, 8])
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_split_march_equals_one_thread_march(m, threads):
+def test_split_march_equals_one_process_march(m, parts):
     # each part of the blocks marches whole in a process of its own, at the
     # same time as the others, in arrays of its own; every bit is the joint
     # one-process march's, zeros' signs included, with Rannacher steps and
@@ -299,7 +299,7 @@ def test_split_march_equals_one_thread_march(m, threads):
     steps = STORE_SETS[0][0]
     assert steps[0] == 0
     one = kernel_history(sym, a, dt, steps, src, "test", rannacher=2)
-    split = np.concatenate(_march_parts_forked(sym, a, dt, steps, src, threads),
+    split = np.concatenate(_march_parts_forked(sym, a, dt, steps, src, parts),
                            axis=1)
     assert np.any(one != 0.0)
     assert np.array_equal(split, one)
@@ -378,9 +378,9 @@ def test_reference_group_larger_than_its_arrays_is_a_config_error(annulus):
                                t_end=0.01, group=2)
     assert len(setup.work[0]) == 2 * 64
     with pytest.raises(ConfigError, match="1 to 2 viscosities, got 3"):
-        setup.solve([1e-2, 1e-3, 1e-4], lambda i, sols: None)
+        setup.solve([1e-2, 1e-3, 1e-4], lambda i, u: None)
     with pytest.raises(ConfigError, match="got 0"):
-        setup.solve([], lambda i, sols: None)
+        setup.solve([], lambda i, u: None)
 
 
 @pytest.mark.parametrize("cut", [1, 3, 40, 50, 99])
@@ -391,11 +391,11 @@ def test_march_resumed_at_any_step_stores_the_bits_of_one_march(annulus, cut):
     setup = ns.reference_setup(annulus, LaurentProfile({1: 1.0, -1: 0.5}), n=256,
                                dt=1e-3, t_end=0.1, store_times=(0.003, 0.05, 0.1))
     whole, pieces = {}, {}
-    setup.solve([1e-3], lambda i, sols: whole.setdefault(i, sols[0].u.copy()))
+    setup.solve([1e-3], lambda i, u: whole.setdefault(i, u[0].copy()))
 
-    def keep(i, sols):
+    def keep(i, u):
         assert i not in pieces
-        pieces[i] = sols[0].u.copy()
+        pieces[i] = u[0].copy()
 
     iterate = setup.solve([1e-3], keep, stop=cut).copy()
     assert sorted(pieces) == [i for i, k in enumerate(setup.store_steps) if k <= cut]

@@ -6,10 +6,9 @@ from vvlab.euler import (
     LaurentProfile,
     ShearProfile,
     boundary_data_g,
-    channel_base_flow,
     potential_vortex,
     rigid_rotation,
-    swirl_base_flow,
+    steady_base_flow,
 )
 from vvlab.layer import solve_layer
 from vvlab.spaces import FastGrid
@@ -31,15 +30,15 @@ def test_potential_vortex_curl_free(annulus):
 
 
 def test_channel_uniform_flow(channel):
-    flow = channel_base_flow(ShearProfile(poly=(1.0,)), channel)
+    flow = steady_base_flow(ShearProfile(poly=(1.0,)), channel)
     y = channel.volume_grid(64)
     assert np.allclose(flow.curl(0.0, y), 0.0)
 
 
 def test_channel_cosine_wall_curl(channel):
     # U = cos(pi y / H): U'(0) = U'(H) = 0, so the wall curl vanishes
-    flow = channel_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
-                             channel)
+    flow = steady_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
+                            channel)
     for w in channel.walls():
         assert np.allclose(boundary_data_g(flow, w), 0.0, atol=1e-14)
 
@@ -57,16 +56,31 @@ def test_cosine_odd_derivatives_vanish_exactly_at_integer_phases(channel):
         want = 0.0 + 0.7 * om**order * trig(om * y[[1, 3]])
         assert np.array_equal(got[[1, 3]], want)
     assert np.array_equal(prof.deriv(y, 2), 0.0 + 0.7 * om**2 * -np.cos(om * y))
-    flow = channel_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
-                             channel)
+    flow = steady_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
+                            channel)
     for w in channel.walls():
         assert np.all(boundary_data_g(flow, w) == 0.0)
+
+
+def test_shear_vorticity_is_minus_the_derivative_and_exactly_zero_at_integer_phases():
+    # -U'(y) bit for bit, with a polynomial part and two modes; the sine of
+    # a mode is exactly 0 where k y / h is an integer, so a pure cosine
+    # profile has no vorticity there at all
+    h = 1.5
+    prof = ShearProfile(poly=(0.3, -1.0, 0.25), cosines=((0.7, 2), (-0.2, 3)), h=h)
+    y = np.linspace(0.0, h, 37)
+    assert np.array_equal(prof.vorticity(y), -prof.deriv(y))
+    cos = ShearProfile(cosines=((0.7, 2),), h=h)
+    y = np.array([0.0, 0.3, h / 2, 1.1, h])
+    got = cos.vorticity(y)
+    assert np.all(got[[0, 2, 4]] == 0.0)
+    assert np.all(got[[1, 3]] != 0.0)
 
 
 def test_channel_parabola_wall_data(channel):
     # U = y (H - y): curl = -(H - 2y) e_z, nonzero at the walls
     h = channel.h
-    flow = channel_base_flow(ShearProfile(poly=(0.0, h, -1.0)), channel)
+    flow = steady_base_flow(ShearProfile(poly=(0.0, h, -1.0)), channel)
     for w in channel.walls():
         assert np.abs(boundary_data_g(flow, w)).max() == pytest.approx(h)
 
@@ -91,7 +105,7 @@ def test_boundary_data_rigid_signs(annulus):
 def test_boundary_data_matches_componentwise_cross(annulus):
     # brute-force cross product in the (rad, theta, axial) frame
     prof = LaurentProfile({1: 1.0, 2: 0.5})
-    flow = swirl_base_flow(prof, annulus)
+    flow = steady_base_flow(prof, annulus)
     for w in annulus.walls():
         cu = flow.curl(0.0, np.array([w.coord]))[:, 0]
         cross = np.array([
@@ -105,9 +119,9 @@ def test_boundary_data_matches_componentwise_cross(annulus):
 
 
 def test_boundary_data_linear_in_flow(annulus):
-    f1 = swirl_base_flow(LaurentProfile({1: 1.0}), annulus)
-    f2 = swirl_base_flow(LaurentProfile({2: 1.0}), annulus)
-    f12 = swirl_base_flow(LaurentProfile({1: 2.0, 2: -3.0}), annulus)
+    f1 = steady_base_flow(LaurentProfile({1: 1.0}), annulus)
+    f2 = steady_base_flow(LaurentProfile({2: 1.0}), annulus)
+    f12 = steady_base_flow(LaurentProfile({1: 2.0, 2: -3.0}), annulus)
     for w in annulus.walls():
         g1, g2 = boundary_data_g(f1, w), boundary_data_g(f2, w)
         assert np.allclose(boundary_data_g(f12, w), 2.0 * g1 - 3.0 * g2,
@@ -117,8 +131,8 @@ def test_boundary_data_linear_in_flow(annulus):
 def test_normal_velocity_zero_at_walls(annulus, channel):
     # u0 is its profile in the flow component, which no wall normal has
     for flow, geom in ((rigid_rotation(1.0, annulus), annulus),
-                       (channel_base_flow(ShearProfile(poly=(0.0, 1.0)),
-                                          channel), channel)):
+                       (steady_base_flow(ShearProfile(poly=(0.0, 1.0)),
+                                         channel), channel)):
         for w in geom.walls():
             u = np.zeros(3)
             u[geom.flow_comp] = flow.profile.value(np.array([w.coord]))[0]
@@ -149,7 +163,7 @@ def test_stretching_coefficient_vanishes(annulus):
 
 
 def test_coupling_matrix_vanishes_for_swirl(annulus):
-    flow = swirl_base_flow(LaurentProfile({-1: 1.0, 1: 2.0}), annulus)
+    flow = steady_base_flow(LaurentProfile({-1: 1.0, 1: 2.0}), annulus)
     for wall in ("inner", "outer"):
         a = flow.coupling_matrix(0.0, wall)
         assert a.shape == (2, 2)
@@ -157,10 +171,11 @@ def test_coupling_matrix_vanishes_for_swirl(annulus):
 
 
 def test_wrong_geometry_rejected(annulus, channel):
-    with pytest.raises(ConfigError):
-        swirl_base_flow(LaurentProfile({1: 1.0}), channel)
-    with pytest.raises(ConfigError):
-        channel_base_flow(ShearProfile(poly=(1.0,)), annulus)
+    # the profile's type names the geometry steady_base_flow needs
+    with pytest.raises(ConfigError, match="swirl base flow requires the annulus"):
+        steady_base_flow(LaurentProfile({1: 1.0}), channel)
+    with pytest.raises(ConfigError, match="shear base flow requires the channel"):
+        steady_base_flow(ShearProfile(poly=(1.0,)), annulus)
 
 
 def test_profile_validation():
@@ -169,7 +184,14 @@ def test_profile_validation():
 
 
 def test_nonfinite_profile_rejected(annulus, channel):
-    with pytest.raises(InvalidProfileError):
-        swirl_base_flow(LaurentProfile({1: float("inf")}), annulus)
-    with pytest.raises(InvalidProfileError):
-        channel_base_flow(ShearProfile(poly=(float("nan"),)), channel)
+    for geom, profile in (
+            (annulus, LaurentProfile({1: float("inf")})),
+            (channel, ShearProfile(poly=(float("nan"),))),
+            # finite at the first wall, overflowing further in: the whole
+            # gap is read
+            (annulus, LaurentProfile({2: 1e308})),
+            (channel, ShearProfile(poly=(0.0, 1e308, 1e308)))):
+        lo, hi = geom.coord_bounds
+        with pytest.raises(InvalidProfileError, match=rf"not finite on \[{lo:g}, {hi:g}\]"), \
+                np.errstate(over="ignore"):
+            steady_base_flow(profile, geom)

@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every
-package definition has a reader, the command line imports no scipy module
-it does not need, and its LAPACK routines are scipy.linalg.lapack's own.
+package definition, a class's methods and properties included, has a
+reader, the command line imports no scipy module it does not need, and its
+LAPACK routines are scipy.linalg.lapack's own.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
 appear as a name somewhere else in the same file, or be listed in the
@@ -71,7 +72,8 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [("math", 2), ("path", 4)]
 
 
-# top-level definitions that no package code reads, each with its reason
+# definitions, top-level or a class's methods and properties, that no
+# package code reads, each with its reason
 TEST_ONLY = {
     "remainder_bc_residual": "ROADMAP item 4 reports it in every run",
     "layer_norm_monitor": "ROADMAP item 10 reports it in every run",
@@ -81,20 +83,28 @@ TEST_ONLY = {
 
 
 def unread_definitions(sources):
-    """Top-level functions and classes of ``sources`` that no source loads
-    as a name or an attribute and no ``__all__`` lists."""
+    """Top-level functions and classes of ``sources``, and the methods and
+    properties of those classes, dunders left out, that no source loads as
+    a name or an attribute and no ``__all__`` lists; a method is named
+    ``Class.method``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, read = [], set()
     for source in sources:
         tree = ast.parse(source)
-        defined += [node.name for node in tree.body if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, defs):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, defs[:2])
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
         read |= _listed(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return sorted(name for name in defined if name not in read)
+    return sorted(name for name in defined if name.rsplit(".", 1)[-1] not in read)
 
 
 def test_every_package_definition_has_a_reader():
@@ -105,9 +115,13 @@ def test_every_package_definition_has_a_reader():
 
 def test_definition_checker_flags_an_unread_function():
     src = ("__all__ = ['listed']\ndef listed(): pass\ndef used(): pass\n"
-           "def dead(): pass\nclass Dead: pass\nx = used\n")
-    other = "import m\nm.attr_read()\ndef attr_read(): pass\ndead = 1\n"
-    assert unread_definitions([src, other]) == ["Dead", "dead"]
+           "def dead(): pass\nclass Dead: pass\nx = used\n"
+           "class Kept:\n    def __init__(self): pass\n    def read(self): pass\n"
+           "    @property\n    def size(self): pass\n    def unread(self): pass\n"
+           "Kept().read()\n")
+    other = ("import m\nm.attr_read()\ndef attr_read(): pass\ndead = 1\n"
+             "y = m.size\n")
+    assert unread_definitions([src, other]) == ["Dead", "Kept.unread", "dead"]
 
 
 def _fresh(code):

@@ -253,8 +253,8 @@ def test_eval_restriction_matches_full_grid(request, geom_name, grid):
     stacked = ProfileField(grid=grid,
                            values=np.stack([pf.values for pf in per_time]),
                            comp_names=("a", "b"))
-    assert stacked.n_comp == 2
-    assert np.array_equal(stacked.comp("b")[2], per_time[2].comp("b"))
+    assert stacked.values.shape[-2] == 2
+    assert np.array_equal(stacked.values[..., 1, :][2], per_time[2].values[..., 1, :])
     coords = geom.volume_grid(4097)
     for nu in (1e-2, 1e-4):
         for w in geom.walls():

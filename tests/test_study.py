@@ -20,12 +20,7 @@ from hypothesis.extra.numpy import arrays
 from vvlab import geometry as geo
 from vvlab import study
 from vvlab.errors import ConfigError, DegenerateFitError
-from vvlab.euler import (
-    LaurentProfile,
-    ShearProfile,
-    channel_base_flow,
-    swirl_base_flow,
-)
+from vvlab.euler import LaurentProfile, ShearProfile, steady_base_flow
 from vvlab.expansion import assemble_ansatz, leray_project
 from vvlab.ns import ReferenceSetup, ViscousSolution, solve_ns, time_index
 from vvlab.spaces import VolumeGrid, parse_norm
@@ -52,13 +47,12 @@ RIGID_BANDS = {"l2": (0.70, 0.90), "h1": (0.20, 0.40),
 
 def study_rows(setup, sol, u_approx):
     """``study._solve_one_nu`` at each of the config's evaluation times, on
-    the matching store of the history ``sol`` and row of ``u_approx``, one
-    store at a time as a study takes them."""
+    the matching row of the history ``sol`` and of ``u_approx``, one store at
+    a time as a study takes them."""
     rows = []
     for jt, t in enumerate(setup.config.t_eval):
-        i = time_index(sol.times, t)
-        store = dataclasses.replace(sol, times=sol.times[i:i + 1], u=sol.u[i:i + 1])
-        rows += study._solve_one_nu(setup, store, t, u_approx[jt])
+        u = sol.u[time_index(sol.times, t)]
+        rows += study._solve_one_nu(setup, sol.nu, u, t, u_approx[jt])
     return rows
 
 
@@ -228,9 +222,9 @@ CHANNEL_CFG = "kind = flat_channel\nh = 1.0\neta = 0.45"
 
 
 @pytest.mark.parametrize("family, geometry, expected", [
-    ("swirl_poly:0.5,1.0,-0.2", ANNULUS_CFG, lambda geom: swirl_base_flow(
+    ("swirl_poly:0.5,1.0,-0.2", ANNULUS_CFG, lambda geom: steady_base_flow(
         LaurentProfile({0: 0.5, 1: 1.0, 2: -0.2}), geom)),
-    ("shear_poly:0.2,1.0,-0.5", CHANNEL_CFG, lambda geom: channel_base_flow(
+    ("shear_poly:0.2,1.0,-0.5", CHANNEL_CFG, lambda geom: steady_base_flow(
         ShearProfile(poly=(0.2, 1.0, -0.5), h=geom.h), geom)),
 ])
 def test_poly_families_from_config_file(tmp_path, family, geometry, expected):
@@ -572,10 +566,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     )
     real = study_mod._solve_one_nu
 
-    def flaky(setup, sol, *at):
-        if sol.nu == 3e-3:
+    def flaky(setup, nu, *at):
+        if nu == 3e-3:
             raise StepSizeError("synthetic failure")
-        return real(setup, sol, *at)
+        return real(setup, nu, *at)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", flaky)
     with pytest.warns(UserWarning):
@@ -583,10 +577,10 @@ def test_failed_rows_recorded_and_too_few_fails(monkeypatch, annulus):
     assert list(report.meta["failed_rows"]) == [3e-3]
     assert len(report.norm_results["l2"]["rows"]) == 3
 
-    def broken(setup, sol, *at):
-        if sol.nu != 1e-2:
+    def broken(setup, nu, *at):
+        if nu != 1e-2:
             raise StepSizeError("synthetic failure")
-        return real(setup, sol, *at)
+        return real(setup, nu, *at)
 
     monkeypatch.setattr(study_mod, "_solve_one_nu", broken)
     with pytest.raises(SolverError), warnings.catch_warnings():
@@ -655,9 +649,9 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
             for march in part if march.stop < 200} == cuts
     real, real_ansatz = study._solve_one_nu, study.assemble_ansatz
 
-    def spy(setup, sol, t, u_approx):
-        _log(tmp_path / "taken", sol.nu, t)
-        return real(setup, sol, t, u_approx)
+    def spy(setup, nu, u, t, u_approx):
+        _log(tmp_path / "taken", nu, t)
+        return real(setup, nu, u, t, u_approx)
 
     def spy_ansatz(flow, profile, geom, nu, coords, times, u0):
         for t in times:
@@ -818,11 +812,11 @@ def test_failed_row_in_a_worker_fails_only_that_row(monkeypatch, annulus):
     real = study._solve_one_nu
     parent = os.getpid()
 
-    def broken(setup, sol, *at):
-        if sol.nu == 1e-4:
+    def broken(setup, nu, *at):
+        if nu == 1e-4:
             assert os.getpid() != parent
             raise ZeroDivisionError("synthetic row failure")
-        return real(setup, sol, *at)
+        return real(setup, nu, *at)
 
     monkeypatch.setattr(study, "_solve_one_nu", broken)
     _on_cores(monkeypatch, 2)
@@ -872,12 +866,12 @@ parts, row, march_rows, fork = (study.study_parts, study._solve_one_nu,
                                 study._march_rows, os.fork)
 forked = []
 
-def dying_row(setup, sol, *at):
-    if sol.nu == 5e-4 and death == "kill":
+def dying_row(setup, nu, *at):
+    if nu == 5e-4 and death == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    if sol.nu == 5e-4 and death == "exit":
+    if nu == 5e-4 and death == "exit":
         os._exit(0)
-    return row(setup, sol, *at)
+    return row(setup, nu, *at)
 
 def logged_march_rows(setup, profile, march, handoff):
     out = march_rows(setup, profile, march, handoff)
@@ -952,7 +946,7 @@ def test_a_worker_that_dies_in_a_row_fails_each_of_its_viscosities(tmp_path, dea
     assert want["failed"] == [] and want["forked"] == 0
 
 
-def test_march_threads_share_the_cores():
+def test_study_parts_share_the_cores():
     # one part per core this process may run on, never more parts than
     # viscosities; on 2 cores the middle viscosity's 80 steps are cut in
     # half, its first piece first in the first part and its second last in
@@ -1109,10 +1103,10 @@ def test_row_reference_histories_equal_standalone_solves(request, monkeypatch,
         assert piece == {"resume": None, "stop": None}
         marched.append(tuple(nus))
 
-        def keep(i, sols):
-            for sol in sols:
-                stored.setdefault(sol.nu, []).append((sol.times.copy(), sol.u.copy()))
-            each(i, sols)
+        def keep(i, u):
+            for nu, u_nu in zip(nus, u):
+                stored.setdefault(nu, []).append((ref.times[i:i + 1], u_nu[None].copy()))
+            each(i, u)
 
         return real(ref, nus, keep)
 
