@@ -48,8 +48,8 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     read-only broadcast, not a copy.
     The collars are disjoint and a wall's layer is exactly zero outside its
     own, so each point receives at most one nonzero layer term.  A flow
-    without a profile, or a layer that is nonzero off ``geom.flow_comp``,
-    is a ConfigError.
+    without a profile is a ConfigError, and so is a layer that is nonzero
+    off ``geom.flow_comp`` (``LayerProfile.profile`` refuses it).
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
@@ -60,7 +60,6 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     times = profile.times if times is None else np.asarray(times, dtype=float)
     idx = [time_index(profile.times, t) for t in times]
 
-    name = geom.comp_names[geom.flow_comp]
     if u0 is None:
         u0 = flow.profile.value(coords)
     u0 = np.broadcast_to(u0, (len(times), len(coords)))
@@ -69,15 +68,9 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
         pf = profile.profile(w.wall_id, idx)
         if not pf.values.any():
             continue
-        slot = w.tangent_names.index(name)
-        if pf.values[:, 1 - slot].any():
-            raise ConfigError(
-                f"layer on wall {w.wall_id!r} is nonzero off the flow "
-                f"component {name!r}")
         if u_approx is u0:
             u_approx = np.array(u0)
-        vals = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
-        u_approx += math.sqrt(nu) * vals[:, slot]
+        u_approx += math.sqrt(nu) * eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
     return u_approx
 
 

@@ -22,7 +22,9 @@ coupling or a manufactured forcing; otherwise they would add exact zeros,
 and a steady flow marches only the components whose datum g is nonzero
 (the others stay exactly +0.0).
 The coupling enters as A_eff = J A, the cross product of the coupling
-vector with n, where J is a quarter turn in the wall frame.
+vector with n, where J is a quarter turn in the wall frame.  A wall keeps
+both tangential components; ``LayerProfile.profile`` hands out the flow
+component's column, the only one a studied layer moves.
 """
 
 from __future__ import annotations
@@ -90,13 +92,18 @@ class LayerProfile:
     walls: dict
 
     def profile(self, wall: str, it) -> ProfileField:
-        """u_b on one wall as a column weighted by the collar measure.  A
-        sequence of stored indices ``it`` stacks those times on a leading
-        axis."""
+        """The flow component (``geom.flow_comp``) of u_b on one wall as a
+        column weighted by the collar measure.  A sequence of stored indices
+        ``it`` stacks those times on a leading axis.  A layer that is
+        nonzero off that component at those times is a ConfigError."""
         w = self.walls[wall]
-        return ProfileField(grid=self.grid, values=w.ub[it],
-                            weight=self.geom.collar_measure(wall),
-                            comp_names=w.tangent_names)
+        name = self.geom.comp_names[self.geom.flow_comp]
+        slot = w.tangent_names.index(name)
+        if w.ub[it, 1 - slot].any():
+            raise ConfigError(
+                f"layer on wall {wall!r} is nonzero off the flow component {name!r}")
+        return ProfileField(grid=self.grid, values=w.ub[it, slot],
+                            weight=self.geom.collar_measure(wall))
 
 
 @dataclass
@@ -182,14 +189,12 @@ def _march_walls(flow: BaseFlow, terms: list, z: np.ndarray, dt: float,
 
 
 def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
-                grid: FastGrid, dt: float, t_end: float,
-                store_times=None) -> LayerProfile:
-    """March the tangential layer system on every wall.
+                grid: FastGrid, dt: float, t_end: float, store_times) -> LayerProfile:
+    """March the tangential layer system on every wall to ``store_times``.
 
     Each wall marches one column whose coefficients are evaluated at the
     wall, and all walls march in one kernel call (``_march_walls``).
-    Without ``store_times`` about eight evenly spaced steps are stored,
-    t = 0 included.  Stability of the explicit stretching term requires
+    Stability of the explicit stretching term requires
     max |f| z dt / dz_loc <= 1 over the grid nodes (checked; the
     benchmarks have f = 0).  A non-finite iterate names the wall at fault:
     the joint march that hits one is re-run a wall at a time.
@@ -247,14 +252,8 @@ def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> float:
     """
     if profile.geom.kind != geo.ANNULUS_GAP:
         return 0.0
-    w = profile.walls[wall_id]
-    b_th = w.ub[it][w.tangent_names.index("theta"), 0]
+    b_th = profile.profile(wall_id, it).values[0]
     return float(b_th / profile.geom.wall(wall_id).coord)
-
-
-def wall_value(profile: LayerProfile, wall_id: str, it: int) -> np.ndarray:
-    """Tangential components of u_b at z = 0, shape (2,)."""
-    return profile.walls[wall_id].ub[it][:, 0]
 
 
 # ---------------------------------------------------------------------------

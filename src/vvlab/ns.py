@@ -178,20 +178,15 @@ def _resolve_store_steps(dt, t_end, store_times):
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(t_end, 1.0):
         raise ConfigError("t_end must be an integer multiple of dt")
-    if store_times is not None:
-        steps = []
-        for t in store_times:
-            if not math.isfinite(t):
-                raise ConfigError(f"store time {t} is not finite")
-            k = int(round(t / dt))
-            if abs(k * dt - t) > 1e-9 * max(t_end, 1.0) or not (0 <= k <= n_steps):
-                raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
-            steps.append(k)
-        return n_steps, sorted(set(steps))
-    steps = list(range(0, n_steps + 1, max(1, n_steps // 8)))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return n_steps, steps
+    steps = []
+    for t in store_times:
+        if not math.isfinite(t):
+            raise ConfigError(f"store time {t} is not finite")
+        k = int(round(t / dt))
+        if abs(k * dt - t) > 1e-9 * max(t_end, 1.0) or not (0 <= k <= n_steps):
+            raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
+        steps.append(k)
+    return n_steps, sorted(set(steps))
 
 
 def stores_taken(store_steps, start: int = 0, stop: int | None = None) -> list:
@@ -404,7 +399,7 @@ def group_size(n: int) -> int:
 
 
 def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
-                    dt: float, t_end: float, store_times=None,
+                    dt: float, t_end: float, store_times,
                     rannacher: int = 2, group: int = 1) -> ReferenceSetup:
     """Build the viscosity-free part of ``solve_ns`` on ``n`` points, with
     the march's arrays for groups of up to ``group`` viscosities, at most
@@ -429,7 +424,7 @@ def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
 
 
 def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
-             dt: float, t_end: float, store_times=None,
+             dt: float, t_end: float, store_times,
              rannacher: int = 2) -> ViscousSolution:
     """Reference solve with zero wall vorticity: azimuthal swirl u_theta in
     the annulus, parallel shear u_x in the channel (u_x' = 0 at both walls).
@@ -465,7 +460,7 @@ def vorticity(geom: geo.GeometryDescriptor, coords: np.ndarray,
     """Axial vorticity of the flow component u on ``coords``, the only
     nonzero component of its curl: (1/r) d(r u)/dr = u' + u/r in the
     annulus, -u' in the channel."""
-    d = diff_along(u, coords, axis=-1)
+    d = diff_along(u, coords)
     if geom.kind == geo.ANNULUS_GAP:
         return d + u / coords
     return -d

@@ -1,13 +1,14 @@
 """Norm engine: anisotropic weighted norms, layer evaluation maps, and the
 utility inequalities (Hardy, local Gronwall) as executable checks.
 
-A profile field is one wall column u(z) on a half-line fast grid: the
-layer does not vary along the wall.  The fast grid maps a uniform parameter
-xi through z = -L*log(1 - xi), clustering nodes near z = 0 while reaching a
-truncation height Z_max with exp(-Z_max) < 1e-14.  Derivatives are centered
-second-order differences on the mapped nodes (one-sided at the ends);
-integrals are trapezoid sums.  That discretization is the documented error
-model of every norm here.
+A profile field is one wall column u(z) of the flow component
+(``GeometryDescriptor.flow_comp``) on a half-line fast grid: the layer moves
+no other component and does not vary along the wall.  The fast grid maps a
+uniform parameter xi through z = -L*log(1 - xi), L = DEFAULT_FAST_L,
+clustering nodes near z = 0 while reaching a truncation height Z_max with
+exp(-Z_max) < 1e-14.  Derivatives are centered second-order differences on
+the mapped nodes (one-sided at the ends); integrals are trapezoid sums.
+That discretization is the documented error model of every norm here.
 
 A volume field is one (n,) array on a geometry's cross coordinates: the
 flow component (``GeometryDescriptor.flow_comp``) of a tangential flow,
@@ -67,19 +68,16 @@ class FastGrid:
 
     nz: int
     zmax: float = DEFAULT_ZMAX
-    stretch: float = DEFAULT_FAST_L
     z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nz < 8:
             raise ConfigError("fast grid needs nz >= 8")
-        for name in ("zmax", "stretch"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"fast grid {name} must be finite and positive, got {value}")
-        xi_max = 1.0 - math.exp(-self.zmax / self.stretch)
+        if not 0 < self.zmax < math.inf:
+            raise ConfigError(f"fast grid zmax must be finite and positive, got {self.zmax}")
+        xi_max = 1.0 - math.exp(-self.zmax / DEFAULT_FAST_L)
         xi = np.linspace(0.0, xi_max, self.nz)
-        z = -self.stretch * np.log1p(-xi)
+        z = -DEFAULT_FAST_L * np.log1p(-xi)
         z[0] = 0.0
         z[-1] = self.zmax
         object.__setattr__(self, "z", z)
@@ -114,11 +112,10 @@ def _first_deriv_matrix_weights(x: np.ndarray):
     return cl, c0, cr
 
 
-def diff_along(values: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """Second-order first derivative along ``axis`` on a nonuniform grid."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    d = _apply_first_deriv(_first_deriv_matrix_weights(np.asarray(x, dtype=float)), v)
-    return np.moveaxis(d, -1, axis)
+def diff_along(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Second-order first derivative along the last axis on a nonuniform grid."""
+    return _apply_first_deriv(_first_deriv_matrix_weights(np.asarray(x, dtype=float)),
+                              np.asarray(values, dtype=float))
 
 
 def _apply_first_deriv(weights, v: np.ndarray, out=None, tmp=None,
@@ -155,26 +152,23 @@ def _apply_first_deriv(weights, v: np.ndarray, out=None, tmp=None,
 
 @dataclass
 class ProfileField:
-    """Wall column u(z) on a half-line fast grid.
+    """Wall column u(z) of the flow component on a half-line fast grid.
 
-    ``values`` has shape (n_comp, n_z).  A wall's profiles at several stored
-    times stack as (n_t, n_comp, n_z); only the wall evaluator takes that
-    form.  ``weight`` is the measure of the wall's collar: the column does
-    not vary along it, so a collar integral is the weight times the z one.
+    ``values`` has shape (n_z,).  A wall's profiles at several stored times
+    stack as (n_t, n_z); only the wall evaluator takes that form.
+    ``weight`` is the measure of the wall's collar: the column does not vary
+    along it, so a collar integral is the weight times the z one.
     """
 
     grid: FastGrid
     values: np.ndarray
     weight: float = 1.0
-    comp_names: tuple = ("c0",)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim < 2 or self.values.shape[-1] != self.grid.nz:
-            raise ConfigError(
-                f"values shape {self.values.shape} does not match "
-                f"(n_comp, {self.grid.nz})"
-            )
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.nz:
+            raise ConfigError(f"values shape {self.values.shape} is neither "
+                              f"({self.grid.nz},) nor (n_t, {self.grid.nz})")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("profile values must be finite")
         z = self.grid.z
@@ -182,13 +176,9 @@ class ProfileField:
             raise ConfigError("fast grid must increase strictly from 0")
 
 
-def profile_from_callable(fn, grid: FastGrid, weight=1.0,
-                          comp_names=("c0",)) -> ProfileField:
-    """Sample ``fn(z)`` (scalar) or a list of callables onto a ProfileField."""
-    fns = fn if isinstance(fn, (list, tuple)) else [fn]
-    vals = np.stack([np.broadcast_to(f(grid.z), grid.z.shape) for f in fns])
-    names = tuple(comp_names[: len(fns)]) if len(fns) > 1 else (comp_names[0],)
-    return ProfileField(grid=grid, values=vals, weight=weight, comp_names=names)
+def profile_from_callable(fn, grid: FastGrid) -> ProfileField:
+    """Sample ``fn(z)`` onto a ProfileField of collar weight 1."""
+    return ProfileField(grid=grid, values=np.broadcast_to(fn(grid.z), grid.z.shape))
 
 
 def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
@@ -196,13 +186,13 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
 
     For finite p this is
     ( sum_{b<=l} w int (1+z^{2k}) |D_z^b u|^p dz )^{1/p},
-    with |.| the Euclidean magnitude over components, w the collar weight
+    with |.| the absolute value of the column, w the collar weight
     and the z integral a trapezoid sum on the mapped nodes.  For p = inf (k
     must be 0) it is the max over the fast orders of the sup norm.  A
     column does not vary along the wall, so its slow derivatives vanish and
     the slow order m adds no term.
     """
-    if pf.values.ndim != 2:
+    if pf.values.ndim != 1:
         raise ConfigError("a weighted norm takes one time's profile")
     sup = math.isinf(idx.p)
     if sup and idx.k > 0:
@@ -215,13 +205,13 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
     total = 0.0
     d_z = pf.values
     for b in range(idx.l + 1):
-        mag = np.sqrt(np.sum(d_z**2, axis=0))
+        mag = np.abs(d_z)
         if sup:
             total = max(total, float(mag.max(initial=0.0)))
         else:
             total += float(pf.weight * np.dot(wz, mag**idx.p))
         if b < idx.l:
-            d_z = diff_along(d_z, z, axis=-1)
+            d_z = diff_along(d_z, z)
     return total if sup else total ** (1.0 / idx.p)
 
 
@@ -390,7 +380,7 @@ def _live_spans(zero: np.ndarray) -> list:
 
 @dataclass
 class LayerEvalResult:
-    values: np.ndarray             # (n_comp, n) on the geometry's volume grid
+    values: np.ndarray             # (n,) on the geometry's volume grid
     norm: float | list             # a list, one per p, for a sequence of p
     p: float | tuple
     asymptotic_warning: bool
@@ -467,13 +457,12 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
     """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
 
     ``pf`` is a wall column: the layer does not vary along the collar.  Its
-    values may stack several times, (n_t, n_comp, n_z): the wall distance,
+    values may stack several times, (n_t, n_z): the wall distance,
     the live nodes and the cutoff are then computed once and one spline is
     fitted to all of them.  The spline (_not_a_knot_fit, bit for bit scipy's
     CubicSpline) is multiplied by the collar cutoff and is zero beyond Z_max
     and outside the collar, where only zeros would come out; it is
-    evaluated on the remaining nodes alone.  Returns (n_comp, n), or
-    (n_t, n_comp, n).
+    evaluated on the remaining nodes alone.  Returns (n,), or (n_t, n).
     """
     return _spline_on_wall(_not_a_knot_fit(pf.grid.z, pf.values), geom, wall_id,
                            coords, nu)
@@ -485,8 +474,8 @@ def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
     """Evaluate x -> U(x, phi(x)/sqrt(nu)) times the collar cutoff.
 
     Both walls contribute with their own exact distance; the collars are
-    disjoint so the contributions never overlap.  Components are treated as
-    passive scalars here; frame mapping belongs to the ansatz assembler.
+    disjoint so the contributions never overlap; their sum is one (n,)
+    field, whose norms are those of its absolute value.
     ``p`` may be a sequence of exponents: ``norm`` is then one norm per p,
     from one VolumeGrid.norms call, each the bits of the norm at that p.
     """
@@ -499,8 +488,8 @@ def _layer_eval(spline: _Spline, geom: geo.GeometryDescriptor, nu: float, p,
     if nu <= 0:
         raise InvalidParameterError("nu must be positive")
     coords = geom.volume_grid(n_points)
-    # (n_comp, n): a wall's values stacked over times do not add into it
-    total = np.zeros((spline.lead[-1], len(coords)))
+    # (n,): a wall's values stacked over times do not add into it
+    total = np.zeros(len(coords))
     for w in geom.walls():
         total += _spline_on_wall(spline, geom, w.wall_id, coords, nu)
     warn = math.sqrt(nu) > geom.eta / 4.0
@@ -509,8 +498,7 @@ def _layer_eval(spline: _Spline, geom: geo.GeometryDescriptor, nu: float, p,
     specs = [NormSpec(label="linf", kind="linf", p=q) if math.isinf(q)
              else NormSpec(label=f"lp:{q}", kind="lp", p=q)
              for q in map(float, np.atleast_1d(p))]
-    mag = np.sqrt(np.sum(total**2, axis=0))
-    nrm = VolumeGrid(geom, coords).norms(mag, specs)
+    nrm = VolumeGrid(geom, coords).norms(total, specs)
     return LayerEvalResult(values=total, norm=nrm if np.ndim(p) else nrm[0], p=p,
                            asymptotic_warning=warn)
 
@@ -564,16 +552,15 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
 
 
 def hardy_ratio(geom: geo.GeometryDescriptor, coords: np.ndarray,
-                u: np.ndarray, p: float, beta: float) -> float:
-    """Ratio int |u|^p / d^{p-beta} over int |grad u|^p d^beta.
+                u: np.ndarray) -> float:
+    """Ratio int |u|^2 / d^2 over int |grad u|^2: Hardy's inequality with
+    p = 2 and no distance weight (beta = 0).
 
     ``u`` is one component on the cross coordinates ``coords``; ``d`` is
     the raw distance to the nearest wall.  The field must vanish at the wall
     nodes (compact support up to quadratic contact is enough for the
     quadrature).  Gradients are plain cross-coordinate derivatives.
     """
-    if beta >= p - 1:
-        raise InvalidParameterError("Hardy needs beta < p - 1")
     coords = np.asarray(coords, dtype=float)
     d = geo.min_wall_distance(geom, coords)
     mag = np.abs(u)
@@ -584,9 +571,8 @@ def hardy_ratio(geom: geo.GeometryDescriptor, coords: np.ndarray,
         return 0.0
     w = geom.quadrature_weights(coords)
     interior = ~at_wall
-    lhs = float(np.sum(w[interior] * mag[interior] ** p / d[interior] ** (p - beta)))
-    dmag = np.abs(diff_along(u, coords, axis=-1))
-    rhs = float(np.sum(w * dmag**p * d**beta))
+    lhs = float(np.sum(w[interior] * mag[interior] ** 2 / d[interior] ** 2))
+    rhs = float(np.sum(w * diff_along(u, coords) ** 2))
     return lhs / rhs
 
 

@@ -19,7 +19,13 @@ from vvlab.euler import (
 from vvlab.expansion import assemble_ansatz, leray_project, remainder_bc_residual
 from vvlab.layer import solve_layer
 from vvlab.ns import ViscousSolution, solve_ns, time_index
-from vvlab.spaces import FastGrid, VolumeGrid, eval_profile_on_wall, parse_norm
+from vvlab.spaces import (
+    FastGrid,
+    ProfileField,
+    VolumeGrid,
+    eval_profile_on_wall,
+    parse_norm,
+)
 from vvlab.study import (
     EulerSpec,
     LayerParams,
@@ -76,7 +82,8 @@ def test_trivial_ansatz_reduces_to_base_flow(annulus):
 def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     # u_b is tangential and uniform along the collar, so the corrector v
     # driven by its slow divergence vanishes: the ansatz is exactly
-    # u0 + sqrt(nu) u_b in the swirl component, bit for bit
+    # u0 + sqrt(nu) u_b in the swirl component, bit for bit, each wall's
+    # theta column read from its record of both tangential components
     flow, profile = rigid_setup
     nu, coords = 1e-3, annulus.volume_grid(1024)
     u_approx = assemble_ansatz(flow, profile, annulus, nu, coords)
@@ -85,9 +92,10 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     layer = np.zeros_like(u_approx)
     for it in range(len(profile.times)):
         for w in annulus.walls():
-            vals = eval_profile_on_wall(profile.profile(w.wall_id, it), annulus,
-                                        w.wall_id, coords, nu)
-            layer[it] += math.sqrt(nu) * vals[w.tangent_names.index("theta")]
+            theta = profile.walls[w.wall_id].ub[it, w.tangent_names.index("theta")]
+            layer[it] += math.sqrt(nu) * eval_profile_on_wall(
+                ProfileField(grid=profile.grid, values=theta), annulus, w.wall_id,
+                coords, nu)
     assert np.any(layer != 0.0)
     assert np.array_equal(u_approx, flow.profile.value(coords) + layer)
 

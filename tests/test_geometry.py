@@ -58,7 +58,7 @@ def test_grad_phi_unit_on_collar_samples(annulus):
     # the wall's unit normal
     for w in annulus.walls():
         r = np.linspace(*_collar_ends(annulus, w), 32)
-        dphi = diff_along(geo.wall_distance(annulus, w.wall_id, r), r, axis=-1)
+        dphi = diff_along(geo.wall_distance(annulus, w.wall_id, r), r)
         assert np.allclose(dphi, w.normal[0], atol=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every
 package definition, a class's methods and properties included, has a
-reader, the command line imports no scipy module it does not need, and its
+reader, every default of a package function is overridden by some package
+call, the command line imports no scipy module it does not need, and its
 LAPACK routines are scipy.linalg.lapack's own.
 
 Each file is parsed with ``ast``; a name bound by an import statement must
@@ -122,6 +123,83 @@ def test_definition_checker_flags_an_unread_function():
     other = ("import m\nm.attr_read()\ndef attr_read(): pass\ndead = 1\n"
              "y = m.size\n")
     assert unread_definitions([src, other]) == ["Dead", "Kept.unread", "dead"]
+
+
+# defaulted parameters that no package call passes, each with its reason
+NOT_PASSED = {
+    "cli_main.argv": "tests call the command line with their own arguments",
+    "study_parts.cores": "tests and CI split a study for one core",
+    "run_convergence_study.jobs": "the benchmark sets a study's worker count",
+    "boundary_layer_eval.p": "the test-only oracle of the scaling check",
+    "boundary_layer_eval.n_points": "the test-only oracle of the scaling check",
+    "_BindToPackage.find_spec.target": "the import system's protocol passes it",
+}
+
+
+def _passes(call, at, param):
+    """Whether ``call`` passes ``param``, the positional parameter ``at``
+    (None for a keyword-only one): by its keyword, by position, or by a
+    ``*`` or ``**`` argument, which may pass any."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return at is not None and (len(call.args) > at or any(
+        isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_defaults(sources):
+    """Defaulted parameters of the top-level functions of ``sources`` and
+    of those classes' methods that no call in ``sources`` passes, named
+    ``function.param`` or ``Class.method.param``.  A call is matched to a
+    definition by the name it calls, plain or an attribute, so a method
+    counts every call of its name; ``Cls(...)`` calls ``Cls.__init__``, and
+    a method's first parameter is bound unless it is a staticmethod."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs, calls = [], {}
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, funcs):
+                defs.append((node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{item.name}",
+                          node.name if item.name == "__init__" else item.name, item,
+                          0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in item.decorator_list) else 1)
+                         for item in node.body if isinstance(item, funcs)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    out = []
+    for qual, callee, fn, bound in defs:
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(at, a.arg) for at, a in enumerate(positional) if at >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        out += [f"{qual}.{param}" for at, param in defaulted
+                if not any(_passes(call, at, param) for call in calls.get(callee, ()))]
+    return sorted(out)
+
+
+def test_every_package_default_is_passed():
+    # a default no package call overrides is either pinned, with its
+    # reason, or a constant in disguise
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "vvlab").glob("*.py"))]
+    assert unpassed_defaults(sources) == sorted(NOT_PASSED)
+
+
+def test_default_checker_flags_an_unpassed_default():
+    src = ("def f(a, b=1, *, c=2, d=3): pass\n"
+           "def g(x=0): pass\n"
+           "def h(y=0): pass\n"
+           "class K:\n    def __init__(self, size=1, fill=0): pass\n"
+           "    def put(self, v, at=None): pass\n"
+           "    @staticmethod\n    def make(n=1): pass\n"
+           "f(0, c=1)\nK(4).put(1)\nK.make(2)\n")
+    other = "import m\nm.f(0, 1)\nm.g(**opts)\nh(*ys)\n"
+    assert unpassed_defaults([src, other]) == ["K.__init__.fill", "K.put.at", "f.d"]
 
 
 def _fresh(code):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from vvlab.euler import (
 from vvlab.layer import (
     layer_norm_monitor,
     solve_layer,
-    wall_value,
     write_profile_snapshots,
 )
 from vvlab.ns import _cn_steps, _symmetrise, time_index
@@ -90,10 +90,27 @@ def test_erfc_wall_value(rigid_layer):
     it = time_index(profile.times, t)
     for wall_id in ("inner", "outer"):
         g = profile.walls[wall_id].g_used[it]
-        slot = int(np.argmax(np.abs(g)))
-        got = wall_value(profile, wall_id, it)[slot]
-        want = 2.0 * g[slot] * math.sqrt(t / math.pi)
+        got = profile.profile(wall_id, it).values[0]
+        want = 2.0 * g[np.argmax(np.abs(g))] * math.sqrt(t / math.pi)
         assert abs(got - want) / abs(want) < 1e-4
+
+
+def test_profile_refuses_a_layer_off_the_flow_component(rigid_layer):
+    # the rigid layer moves theta alone; a profile taken at a time whose
+    # axial column is nonzero is refused by the profile itself, naming the
+    # wall and the flow component, alone or stacked with a clean time
+    _, profile = rigid_layer
+    w = profile.walls["outer"]
+    ub = w.ub.copy()
+    ub[1, w.tangent_names.index("axial"), 3] = 1e-300
+    bad = dataclasses.replace(
+        profile, walls={**profile.walls, "outer": dataclasses.replace(w, ub=ub)})
+    assert np.array_equal(bad.profile("outer", 0).values,
+                          w.ub[0, w.tangent_names.index("theta")])
+    for it in (1, [0, 1]):
+        with pytest.raises(ConfigError, match="layer on wall 'outer' is nonzero "
+                                              "off the flow component 'theta'"):
+            bad.profile("outer", it)
 
 
 # squared L2 norms over the half-line of u_b = 2 g sqrt(t) ierfc(z / (2 sqrt(t)))
@@ -193,7 +210,7 @@ def test_neumann_datum_honored(rigid_layer):
     for wall_id in ("inner", "outer"):
         w = profile.walls[wall_id]
         g = w.g_used[it]
-        d = diff_along(w.ub[it], z, axis=-1)[:, 0]
+        d = diff_along(w.ub[it], z)[:, 0]
         assert np.allclose(d, -g, atol=1e-5 * max(1.0, np.abs(g).max()))
 
 
@@ -216,11 +233,11 @@ def test_step_size_errors(annulus):
     flow = rigid_rotation(1.0, annulus)
     with pytest.raises(StepSizeError):
         solve_layer(flow, annulus, FastGrid(nz=64), dt=-1e-3,
-                    t_end=0.1)
+                    t_end=0.1, store_times=[0.1])
     mflow = layer_mms_case(annulus, f0=50.0)
     with pytest.raises(StepSizeError):
         solve_layer(mflow, annulus, FastGrid(nz=256), dt=5e-2,
-                    t_end=0.1)
+                    t_end=0.1, store_times=[0.1])
 
 
 def test_store_times_must_be_step_multiples(annulus):
@@ -233,14 +250,16 @@ def test_store_times_must_be_step_multiples(annulus):
 def test_negative_t_end_is_a_config_error_naming_it(annulus):
     flow = rigid_rotation(1.0, annulus)
     with pytest.raises(ConfigError, match="t_end must be finite and >= 0, got -0.1"):
-        solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3, t_end=-0.1)
+        solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3, t_end=-0.1,
+                    store_times=[0.0])
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
 def test_bad_dt_is_a_step_size_error_naming_it(annulus, dt):
     flow = rigid_rotation(1.0, annulus)
     with pytest.raises(StepSizeError, match=f"dt must be finite and positive, got {dt}"):
-        solve_layer(flow, annulus, FastGrid(nz=64), dt=dt, t_end=0.1)
+        solve_layer(flow, annulus, FastGrid(nz=64), dt=dt, t_end=0.1,
+                    store_times=[0.1])
 
 
 def test_wall_curl_evaluated_once_per_wall_and_step(channel):
@@ -255,7 +274,7 @@ def test_wall_curl_evaluated_once_per_wall_and_step(channel):
 
     flow.curl = counted
     n_steps = 10
-    solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2, t_end=0.1)
+    solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2, t_end=0.1, store_times=[0.1])
     assert len(calls) == 2 * (n_steps + 1)
 
 

@@ -204,9 +204,9 @@ def test_bc_residual_refinement_order(annulus):
 def test_config_errors(annulus, channel):
     prof = LaurentProfile({1: 1.0})
     with pytest.raises(ConfigError):
-        solve_ns(annulus, prof, nu=1e-2, n=16, dt=1e-3, t_end=0.1)
+        solve_ns(annulus, prof, nu=1e-2, n=16, dt=1e-3, t_end=0.1, store_times=[0.1])
     with pytest.raises(StepSizeError):
-        solve_ns(annulus, prof, nu=1e-2, n=64, dt=0.0, t_end=0.1)
+        solve_ns(annulus, prof, nu=1e-2, n=64, dt=0.0, t_end=0.1, store_times=[0.1])
     with pytest.raises(ConfigError):
         solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64,
                  dt=1e-3, t_end=0.1, store_times=[0.0333])
@@ -236,7 +236,7 @@ def test_non_finite_store_time_is_a_config_error_naming_it(channel, t):
 def test_bad_dt_is_a_step_size_error_naming_it(channel, dt):
     with pytest.raises(StepSizeError, match=f"dt must be finite and positive, got {dt}"):
         solve_ns(channel, ShearProfile(poly=(1.0,)), nu=1e-2, n=64, dt=dt,
-                 t_end=0.1)
+                 t_end=0.1, store_times=[0.1])
 
 
 def test_non_flow_components_stay_zero(annulus, channel):
