@@ -136,7 +136,7 @@ def check_erfc_oracle():
                           store_times=[t])
     worst = 0.0
     for wall_id in ("inner", "outer"):
-        g = profile.walls[wall_id].g_used[0]
+        g = profile.walls[wall_id].g
         got = profile.profile(wall_id, 0).values[0]
         want = 2.0 * g[np.argmax(np.abs(g))] * math.sqrt(t / math.pi)
         worst = max(worst, abs(got - want) / abs(want))

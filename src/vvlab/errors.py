@@ -26,7 +26,7 @@ class InvalidProfileError(VvlabError):
 
 
 class StepSizeError(VvlabError):
-    """Time step invalid or violates the explicit stability bound."""
+    """Time step not finite and positive."""
 
 
 class AlignmentError(VvlabError):

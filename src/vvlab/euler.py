@@ -11,17 +11,10 @@ One constructor, ``steady_base_flow``, builds both: the profile's type
 names the geometry (``LaurentProfile`` U(r) the annulus, ``ShearProfile``
 U(y) the channel) and its exact axial vorticity is the curl.  Each flow is
 its profile U, the one input of the reference solve and of the ansatz, in
-the one component ``GeometryDescriptor.flow_comp`` names.  For both
-families the stretching coefficient f = (u0 . n)/phi vanishes identically
-and the tangential projection of the layer coupling (u0 . grad u_b +
-u_b . grad u0) is zero; the piece that feeds the layer solver is
-therefore the wall data g = curl u0 x n, which points along that same
-component, so the layer moves only it.  The layer is one column per wall,
-so g, f, the coupling matrix and any manufactured forcing are evaluated
-at the wall.  ``BaseFlow`` also takes a nonzero f, couplings,
-time-dependent g and a layer forcing, which the manufactured layer cases
-of the tests (``tests/manufactured.py``) prescribe to exercise the layer
-solver; they have no profile and feed no study.
+the one component ``GeometryDescriptor.flow_comp`` names.  The flows are
+steady and parallel, so the one piece that feeds the layer solver is the
+constant wall datum g = curl u0 x n, which points along that same
+component, so the layer moves only it.
 """
 
 from __future__ import annotations
@@ -33,10 +26,6 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError, InvalidProfileError
-
-# quarter-turn in the tangential wall frame: (a, b) -> (b, -a); the layer's
-# coupling is J A
-_CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # ---------------------------------------------------------------------------
 # radial / shear profiles with exact derivatives
@@ -130,36 +119,17 @@ class ShearProfile:
 
 @dataclass
 class BaseFlow:
-    """The inviscid base flow's profile, vorticity and layer coefficients.
+    """The inviscid base flow's profile and vorticity.
 
-    u0 itself is ``profile``, the one component ``geom.flow_comp`` it
-    carries.  ``curl`` takes (t, coords) with 1D cross coordinates and
-    returns the vorticity in the geometry component frame, shape (3, n).
+    u0 itself is ``profile``, U(r) or U(y), the one component
+    ``geom.flow_comp`` it carries.  ``curl`` takes 1D cross coordinates
+    and returns the vorticity in the geometry component frame, shape
+    (3, n).
     """
 
     geom: geo.GeometryDescriptor
-    steady: bool
     curl: callable
-    # layer-side coefficients, evaluated at the wall
-    f_stretch: callable            # f(t) -> float
-    coupling_matrix: callable      # A(t, wall) -> (2, 2), acts on tangential comps
-    layer_forcing: callable | None = None   # F(t, wall, z) -> (2, n_z), MMS only
-    # U(r) or U(y) of a steady family, the u0 of the reference solve; the
-    # manufactured cases have none
-    profile: LaurentProfile | ShearProfile | None = None
-
-
-def _zeros3(coords):
-    coords = np.asarray(coords, dtype=float)
-    return np.zeros((3, coords.size))
-
-
-def _no_stretch(t):
-    return 0.0
-
-
-def _no_coupling(t, wall):
-    return np.zeros((2, 2))
+    profile: LaurentProfile | ShearProfile
 
 
 def steady_base_flow(profile: LaurentProfile | ShearProfile,
@@ -175,19 +145,12 @@ def steady_base_flow(profile: LaurentProfile | ShearProfile,
     if not np.all(np.isfinite(profile.value(np.linspace(lo, hi, 64)))):
         raise InvalidProfileError(f"profile not finite on [{lo:g}, {hi:g}]")
 
-    def curl(t, coords):
-        out = _zeros3(coords)
+    def curl(coords):
+        out = np.zeros((3, np.size(coords)))
         out[2] = profile.vorticity(coords)
         return out
 
-    return BaseFlow(
-        geom=geom,
-        steady=True,
-        curl=curl,
-        f_stretch=_no_stretch,
-        coupling_matrix=_no_coupling,
-        profile=profile,
-    )
+    return BaseFlow(geom=geom, curl=curl, profile=profile)
 
 
 def rigid_rotation(omega: float, geom: geo.GeometryDescriptor) -> BaseFlow:
@@ -203,12 +166,12 @@ def potential_vortex(circulation: float, geom: geo.GeometryDescriptor) -> BaseFl
 # ---------------------------------------------------------------------------
 
 
-def boundary_data_g(flow: BaseFlow, wall: geo.Wall, t: float = 0.0) -> np.ndarray:
+def boundary_data_g(flow: BaseFlow, wall: geo.Wall) -> np.ndarray:
     """g = curl(u0) x n at ``wall``, shape (2,) in its tangential frame.
 
     Sign convention: the layer solver imposes d/dz u_b|_{z=0} = -g.
     """
-    cu = flow.curl(t, np.array([wall.coord]))[:, 0]
+    cu = flow.curl(np.array([wall.coord]))[:, 0]
     n = wall.normal                                # right-handed frames
     g_vec = (cu[1] * n[2] - cu[2] * n[1],
              cu[2] * n[0] - cu[0] * n[2],

@@ -47,16 +47,14 @@ def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
     nothing and is not evaluated; when no wall adds, the result is u0's
     read-only broadcast, not a copy.
     The collars are disjoint and a wall's layer is exactly zero outside its
-    own, so each point receives at most one nonzero layer term.  A flow
-    without a profile is a ConfigError, and so is a layer that is nonzero
-    off ``geom.flow_comp`` (``LayerProfile.profile`` refuses it).
+    own, so each point receives at most one nonzero layer term.  A layer
+    that is nonzero off ``geom.flow_comp`` is a ConfigError
+    (``LayerProfile.profile`` refuses it).
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
     if profile.geom.kind != geom.kind:
         raise ConfigError("profile geometry does not match")
-    if flow.profile is None:
-        raise ConfigError("the ansatz needs a base flow with a profile")
     times = profile.times if times is None else np.asarray(times, dtype=float)
     idx = [time_index(profile.times, t) for t in times]
 

@@ -1,30 +1,21 @@
 """Boundary-layer profile solver.
 
-The tangential profile u_b(t, z) is marched as one column per wall.  The
-evolution coefficients g, f, the coupling and any manufactured forcing are
-evaluated at the wall, so u_b does not vary along the collar and a wall
-whose data vanish produces the zero layer exactly.  The layer's pressure
-corrector is not computed: the ansatz u0 + sqrt(nu) u_b uses u_b alone.
-The evolution is
+The tangential profile u_b(t, z) is marched as one column per wall.  A
+studied flow is steady and parallel, so its layer is the heat equation
 
-    d/dt u_b = d2/dz2 u_b - f z d/dz u_b - A_eff u_b + F,
+    d/dt u_b = d2/dz2 u_b,
 
-with the wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n in the wall
-frame, decay u_b(Z_max) = 0, and zero initial data.  Diffusion is treated
-with Crank-Nicolson (unconditionally stable); the stretching term f z d/dz
-and the zeroth-order coupling are explicit, so the scheme is second order
-in z and first order in t whenever those terms are active.  The walls
-share one operator, so the two tangential components of every wall step
-together, as the columns of one march of the symmetrised tridiagonal
-kernel of ns.py on the nodes below Z_max (the Dirichlet node stays zero).
-The explicit terms are formed only when the flow has a nonzero f, a nonzero
-coupling or a manufactured forcing; otherwise they would add exact zeros,
-and a steady flow marches only the components whose datum g is nonzero
-(the others stay exactly +0.0).
-The coupling enters as A_eff = J A, the cross product of the coupling
-vector with n, where J is a quarter turn in the wall frame.  A wall keeps
-both tangential components; ``LayerProfile.profile`` hands out the flow
-component's column, the only one a studied layer moves.
+with the constant wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n in the
+wall frame, decay u_b(Z_max) = 0, and zero initial data: u_b does not vary
+along the collar, and a wall whose datum vanishes produces the zero layer
+exactly.  The layer's pressure corrector is not computed: the ansatz
+u0 + sqrt(nu) u_b uses u_b alone.  The walls share one operator, so the
+tangential components of every wall step together, as the columns of one
+Crank-Nicolson march of the symmetrised tridiagonal kernel of ns.py on the
+nodes below Z_max (the Dirichlet node stays zero); only the components
+whose datum g is nonzero march, the others stay exactly +0.0.  A wall
+keeps both tangential components; ``LayerProfile.profile`` hands out the
+flow component's column, the only one a studied layer moves.
 """
 
 from __future__ import annotations
@@ -36,15 +27,9 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError, SolverError, StepSizeError
-from .euler import _CROSS_J, BaseFlow, boundary_data_g
+from .euler import BaseFlow, boundary_data_g
 from .ns import _cn_steps, _resolve_store_steps, _symmetrise
-from .spaces import (
-    FastGrid,
-    ProfileField,
-    _apply_first_deriv,
-    _first_deriv_matrix_weights,
-    weighted_norm,
-)
+from .spaces import FastGrid, ProfileField, weighted_norm
 
 
 def _fast_diffusion_operator(z: np.ndarray):
@@ -66,16 +51,13 @@ def _fast_diffusion_operator(z: np.ndarray):
 
 @dataclass
 class WallLayerSeries:
-    """Stored layer data for one wall.
-
-    ``ub`` is one column per wall: the coefficients are frozen at the wall,
-    so the layer is the same at every collar sample.
-    """
+    """Stored layer data for one wall: ``ub`` is one column per wall, the
+    same at every collar sample, marched from the wall's datum ``g``."""
 
     wall_id: str
     tangent_names: tuple
     ub: np.ndarray                 # (n_t, 2, n_z)
-    g_used: np.ndarray             # (n_t, 2)
+    g: np.ndarray                  # (2,)
 
 
 @dataclass
@@ -106,136 +88,68 @@ class LayerProfile:
                             weight=self.geom.collar_measure(wall))
 
 
-@dataclass
-class _WallTerms:
-    """One wall's layer coefficients at every step k = 0 .. n_steps: the
-    datum g (n_steps + 1, 2), the stretching f and A_eff = J A; a steady
-    flow broadcasts its t = 0 values.  ``explicit`` says whether f, A or a
-    manufactured forcing adds anything."""
-
-    wall: geo.Wall
-    g: np.ndarray
-    f: np.ndarray
-    a: np.ndarray
-    explicit: bool
-
-
-def _wall_terms(flow: BaseFlow, w: geo.Wall, dt: float, n_steps: int) -> _WallTerms:
-    """g, f and A_eff of the wall ``w`` at every step of the march."""
-    def coeffs(t):
-        g = boundary_data_g(flow, w, t=t)
-        f = float(flow.f_stretch(t))
-        a = flow.coupling_matrix(t, w.wall_id)
-        return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
-
-    steps = [coeffs(k * dt) for k in range(1 if flow.steady else n_steps + 1)]
-    g, f, a = (np.broadcast_to(np.array(col), (n_steps + 1,) + np.shape(col[0]))
-               for col in zip(*steps))
-    explicit = flow.layer_forcing is not None or np.any(f != 0.0) or np.any(a != 0.0)
-    return _WallTerms(wall=w, g=g, f=f, a=a, explicit=bool(explicit))
-
-
-def _march_walls(flow: BaseFlow, terms: list, z: np.ndarray, dt: float,
+def _march_walls(walls: list, gs: list, z: np.ndarray, dt: float,
                  store_steps) -> np.ndarray:
-    """March the walls ``terms`` together on the nodes below Z_max.
+    """March the ``walls``, of constant data ``gs``, together on the nodes
+    below Z_max.
 
     The walls share one operator, so their columns, two a wall side by
     side, are the right-hand sides of one _cn_steps march in Fortran-ordered
     arrays of its own, and dpttrs solves each column with the operations of
     its own march.  Returns u_b at ``store_steps``, (n_store, n_z - 1,
-    2 len(terms)).  Without explicit terms a steady flow has a constant
-    source; a column whose g is exactly 0 then stays exactly +0.0, so only
-    the live columns march, and none when every datum vanishes.  Otherwise
-    each step's source is filled, Fortran-ordered like the iterate, from
-    each wall's slice of it.
+    2 len(walls)).  The source is constant; a column whose g is exactly 0
+    stays exactly +0.0, so only the live columns march, and none when every
+    datum vanishes.
     """
     op, h0 = _fast_diffusion_operator(z)
-    n, cols = len(z) - 1, 2 * len(terms)
-    where = f"layer {','.join(t.wall.wall_id for t in terms)} (nu-free, n={len(z)})"
-    out = np.zeros((len(store_steps), n, cols))
-    live = np.arange(cols)
-    if flow.steady and not any(t.explicit for t in terms):
-        # CN average of the ghost Neumann source 2 g / h0 at node 0
-        src = np.zeros((n, cols))
-        src[0] = np.concatenate([t.g[0] + t.g[1] for t in terms]) / h0
-        live = np.flatnonzero(src.any(axis=0))
-        if not len(live):
-            return out
-        source = src[:, live]
-    else:
-        dz_weights = _first_deriv_matrix_weights(z)
-
-        def source(k, b):
-            src = np.zeros((n, cols), order="F")
-            for i, t in enumerate(terms):
-                part = src[:, 2 * i:2 * i + 2]
-                part[0] = (t.g[k] + t.g[k + 1]) / h0
-                if t.explicit:
-                    col = np.zeros((2, len(z)))
-                    col[:, :-1] = b[:, 2 * i:2 * i + 2].T
-                    expl = -(t.f[k] * z) * _apply_first_deriv(dz_weights, col)
-                    expl -= np.einsum("ij,jz->iz", t.a[k], col)
-                    if flow.layer_forcing is not None:
-                        expl += flow.layer_forcing(k * dt + 0.5 * dt, t.wall.wall_id, z)
-                    part += expl[:, :-1].T
-            return src
+    n = len(z) - 1
+    where = f"layer {','.join(w.wall_id for w in walls)} (nu-free, n={len(z)})"
+    out = np.zeros((len(store_steps), n, 2 * len(walls)))
+    # CN average of the ghost Neumann source 2 g / h0 at node 0
+    src = np.zeros((n, 2 * len(walls)))
+    src[0] = np.concatenate([g + g for g in gs]) / h0
+    live = np.flatnonzero(src.any(axis=0))
+    if not len(live):
+        return out
 
     def each(i, x):
         out[i][:, live] = x
 
-    _cn_steps(_symmetrise(op, where), 0.5 * dt, dt, store_steps, source, where,
+    _cn_steps(_symmetrise(op, where), 0.5 * dt, dt, store_steps, src[:, live], where,
               tuple(np.zeros((n, len(live)), order="F") for _ in range(3)), each)
     return out
 
 
 def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
                 grid: FastGrid, dt: float, t_end: float, store_times) -> LayerProfile:
-    """March the tangential layer system on every wall to ``store_times``.
+    """March the tangential layer on every wall to ``store_times``.
 
-    Each wall marches one column whose coefficients are evaluated at the
-    wall, and all walls march in one kernel call (``_march_walls``).
-    Stability of the explicit stretching term requires
-    max |f| z dt / dz_loc <= 1 over the grid nodes (checked; the
-    benchmarks have f = 0).  A non-finite iterate names the wall at fault:
-    the joint march that hits one is re-run a wall at a time.
+    Each wall marches one column driven by its datum g, evaluated once at
+    the wall, and all walls march in one kernel call (``_march_walls``).  A
+    non-finite iterate names the wall at fault: the joint march that hits
+    one is re-run a wall at a time.
     """
     if not 0 < dt < math.inf:
         raise StepSizeError(f"dt must be finite and positive, got {dt}")
-    n_steps, store_steps = _resolve_store_steps(dt, t_end, store_times)
-    z = grid.z
-
-    # explicit advection stability factor: max z_j / local spacing
-    h_loc = np.minimum(z[1:-1] - z[:-2], z[2:] - z[1:-1])
-    cfl_factor = float(np.max(z[1:-1] / h_loc))
-
-    terms = [_wall_terms(flow, w, dt, n_steps) for w in geom.walls()]
-    for t in terms:
-        cfl = np.max(np.abs(t.f[:-1]), initial=0.0) * cfl_factor * dt
-        if cfl > 1.0:
-            raise StepSizeError(
-                f"explicit stretching term unstable: |f| z dt / dz = "
-                f"{cfl:.3g} > 1"
-            )
+    _, store_steps = _resolve_store_steps(dt, t_end, store_times)
+    walls = geom.walls()
+    gs = [boundary_data_g(flow, w) for w in walls]
     try:
-        series = _march_walls(flow, terms, z, dt, store_steps)
+        series = _march_walls(walls, gs, grid.z, dt, store_steps)
     except SolverError:
         # the columns are independent, so the wall at fault fails alone
-        for t in terms:
-            _march_walls(flow, [t], z, dt, store_steps)
+        for w, g in zip(walls, gs):
+            _march_walls([w], [g], grid.z, dt, store_steps)
         raise
 
-    walls = {}
-    for i, t in enumerate(terms):
+    out = {}
+    for i, (w, g) in enumerate(zip(walls, gs)):
         ub = np.zeros((len(store_steps), 2, grid.nz))
         ub[:, :, :-1] = series[..., 2 * i:2 * i + 2].transpose(0, 2, 1)
-        walls[t.wall.wall_id] = WallLayerSeries(
-            wall_id=t.wall.wall_id,
-            tangent_names=t.wall.tangent_names,
-            ub=ub,
-            g_used=t.g[store_steps],
-        )
+        out[w.wall_id] = WallLayerSeries(wall_id=w.wall_id, tangent_names=w.tangent_names,
+                                         ub=ub, g=g)
     times = np.array([k * dt for k in store_steps])
-    return LayerProfile(geom=geom, grid=grid, times=times, walls=walls)
+    return LayerProfile(geom=geom, grid=grid, times=times, walls=out)
 
 
 # ---------------------------------------------------------------------------

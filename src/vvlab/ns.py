@@ -227,10 +227,12 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
 
     ``sym`` is ``_symmetrise`` of the tridiagonal S, so each step solves
     (I - a S) w_new = (I + a S) w + dt src.  ``source`` is either the
-    constant src or a callable ``source(k, w)`` giving the src of step k
-    from the current iterate.  The march runs in the caller's ``work``, (w,
-    buf, stored) of the iterate's shape, (n,) or Fortran-ordered (n, m) for
-    m columns sharing S, and calls ``each(i, stored)`` with the stored w as
+    constant src, as every package march passes it, or a callable
+    ``source(k, w)`` giving the src of step k from the current iterate, as
+    the tests' manufactured layer march (``tests/manufactured.py``) passes
+    it.  The march runs in the caller's ``work``, (w, buf, stored) of the
+    iterate's shape, (n,) or Fortran-ordered (n, m) for m columns sharing
+    S, and calls ``each(i, stored)`` with the stored w as
     it reaches store i; the next store overwrites it.  The first
     ``rannacher`` steps are two backward-Euler half steps each.
     ``store_steps`` is sorted; the march runs one store segment at a time

@@ -1,75 +1,141 @@
-"""Manufactured layer cases: base flows that exercise the layer solver's
-explicit terms (a nonzero stretching f, couplings, a time-dependent wall
-datum g and a layer forcing).  They have no profile and feed no study;
-criterion 8, test_layer, test_expansion and test_cn_kernel march them.
+"""Manufactured layer cases and the explicit march that runs them.
+
+A studied layer is driven by a constant wall datum g alone (``vvlab.layer``).
+The layer equation of the paper also has a stretching f z d/dz b, a
+coupling J A b and, for a manufactured solution, a forcing F:
+
+    d/dt b = d2/dz2 b - f z d/dz b - J A b + F,   d/dz b(t, 0) = -g(t),
+
+with J the quarter turn (a, b) -> (b, -a) of the wall frame.
+``march_layer`` marches it on the layer's own operator and Crank-Nicolson
+kernel with the diffusion implicit and the other terms explicit, so it is
+second order in z and first order in t.  Criterion 8, test_layer and
+test_cn_kernel run it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from vvlab import geometry as geo
-from vvlab.errors import ConfigError
-from vvlab.euler import _CROSS_J, BaseFlow, _zeros3
+from vvlab import layer, ns
+from vvlab.euler import boundary_data_g
+from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights
+
+CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def oscillating_shear_case(geom: geo.GeometryDescriptor, amp=1.0, omega=2.0,
-                           f0=0.4) -> BaseFlow:
-    """Unsteady shear u0 = amp*cos(omega t)*cos(pi y/H) e_x, an exact forced
-    solution; supplies a time-dependent wall datum g, a nonzero smooth f for
-    the layer stretching term and a constant coupling matrix."""
-    if geom.kind != geo.FLAT_CHANNEL:
-        raise ConfigError("oscillating shear case requires the channel")
-    h = geom.h
+@dataclass
+class LayerCase:
+    """A layer's coefficients at an array of times t, on a leading axis:
+    the datum g(t, wall) (n_t, 2), the stretching f(t) (n_t,), the coupling
+    A(t, wall) (n_t, 2, 2) and the forcing F(t, wall, z) (n_t, 2, n_z);
+    ``exact(t, z)`` is the solution where it is known."""
 
-    def curl(t, coords):
-        coords = np.asarray(coords, dtype=float)
-        out = _zeros3(coords)
-        out[2] = amp * math.cos(omega * t) * math.pi / h * np.sin(math.pi * coords / h)
-        return out
-
-    return BaseFlow(
-        geom=geom,
-        steady=False,
-        curl=curl,
-        f_stretch=lambda t: f0 * math.cos(omega * t),
-        coupling_matrix=lambda t, wall: np.array([[0.3, 0.1], [0.0, -0.2]]),
-    )
+    g: callable
+    f: callable = np.zeros_like
+    a: callable = lambda t, wall: np.zeros((len(t), 2, 2))
+    forcing: callable = None
+    exact: callable = None
 
 
-def layer_mms_case(geom: geo.GeometryDescriptor, omega: float = 3.0,
-                   f0: float = 0.0, a_mat=None) -> BaseFlow:
-    """Manufactured layer solution b(t, z) = sin(omega t) exp(-z^2) w.
+def steady_case(flow) -> LayerCase:
+    """The layer of a studied flow: its constant datum alone."""
+    return LayerCase(g=lambda t, wall: np.tile(boundary_data_g(flow, wall), (len(t), 1)))
 
-    Zero initial data and zero wall datum (d/dz b(t,0) = 0, so curl = 0).
-    The forcing closes the layer equation with the coupling J A, so the
-    marched solution must converge to b at the solver's orders.
-    The returned flow carries b as ``exact_profile(t, z)``.
+
+def march_layer(case: LayerCase, walls, z, dt, store_steps) -> np.ndarray:
+    """The walls' layers at ``store_steps``, (n_store, n_z - 1, 2 len(walls)),
+    the columns laid out as in ``layer._march_walls``.  The coefficients
+    are formed for every step before the march; a step's explicit term is
+    formed for every wall at once."""
+    op, h0 = layer._fast_diffusion_operator(z)
+    n, cols = len(z) - 1, 2 * len(walls)
+    where = f"layer {','.join(w.wall_id for w in walls)} (nu-free, n={len(z)})"
+    t = dt * np.arange(store_steps[-1] + 1)
+    g = np.concatenate([case.g(t, w) for w in walls], axis=1)
+    ghost = (g[:-1] + g[1:]) / h0
+    stretch = -(case.f(t)[:, None] * z)
+    a_eff = np.stack([np.einsum("ij,tjk->tik", CROSS_J, case.a(t, w)) for w in walls], 1)
+    forcing = None if case.forcing is None else np.stack(
+        [case.forcing(t[:-1] + 0.5 * dt, w, z) for w in walls], 1)
+    weights = _first_deriv_matrix_weights(z)
+    col = np.zeros((len(walls), 2, len(z)))
+
+    def source(k, b):
+        col[..., :-1] = b.T.reshape(len(walls), 2, n)
+        expl = stretch[k] * _apply_first_deriv(weights, col)
+        expl -= np.einsum("wij,wjz->wiz", a_eff[k], col)
+        if forcing is not None:
+            expl += forcing[k]
+        src = np.zeros((n, cols))
+        src[0] = ghost[k]
+        src += expl[..., :-1].reshape(cols, n).T
+        return src
+
+    out = np.zeros((len(store_steps), n, cols))
+
+    def each(i, x):
+        out[i] = x
+
+    ns._cn_steps(ns._symmetrise(op, where), 0.5 * dt, dt, store_steps, source, where,
+                 tuple(np.zeros((n, cols), order="F") for _ in range(3)), each)
+    return out
+
+
+def march_profiles(case: LayerCase, geom, grid, dt, t_end, store_times) -> dict:
+    """``march_layer`` on every wall of ``geom`` to ``store_times``: wall id
+    -> u_b, (n_store, 2, n_z), as ``solve_layer`` stores it."""
+    _, steps = ns._resolve_store_steps(dt, t_end, store_times)
+    series = march_layer(case, geom.walls(), grid.z, dt, steps)
+    out = {}
+    for i, w in enumerate(geom.walls()):
+        out[w.wall_id] = np.zeros((len(steps), 2, grid.nz))
+        out[w.wall_id][..., :-1] = series[..., 2 * i:2 * i + 2].transpose(0, 2, 1)
+    return out
+
+
+def oscillating_shear_case(geom, amp=1.0, omega=2.0, f0=0.4) -> LayerCase:
+    """The layer of the unsteady shear amp cos(omega t) cos(pi y/H) e_x in
+    the channel, with the wall vorticity cos(2 t) (1 + y) added so that
+    its datum g(t) is nonzero, a stretching f0 cos(omega t) and a constant
+    coupling."""
+    def g(t, wall):
+        # (omega e_z) x n = omega (-n_y, 0, n_x) in the channel's (x, y, z)
+        y, n = wall.coord, wall.normal
+        vort = amp * np.cos(omega * t) * math.pi / geom.h * math.sin(math.pi * y / geom.h)
+        datum = {"x": -n[1], "z": n[0]}
+        return np.multiply.outer(vort + np.cos(2.0 * t) * (1.0 + y),
+                                 [datum[name] for name in wall.tangent_names])
+
+    return LayerCase(g=g, f=lambda t: f0 * np.cos(omega * t),
+                     a=lambda t, wall: np.tile([[0.3, 0.1], [0.0, -0.2]], (len(t), 1, 1)))
+
+
+def layer_mms_case(omega: float, f0: float, a_mat) -> LayerCase:
+    """The manufactured layer solution b(t, z) = sin(omega t) exp(-z^2) w.
+
+    Zero initial data and zero wall datum (d/dz b(t,0) = 0).  The forcing
+    closes the layer equation with the stretching f0 cos(omega t) and the
+    coupling J A, so the march must converge to b at its orders.
     """
     w_dir = np.array([1.0, 0.5])
-    a_mat = np.zeros((2, 2)) if a_mat is None else np.asarray(a_mat, dtype=float)
-    a_eff = _CROSS_J @ a_mat
+    a_mat = np.asarray(a_mat, dtype=float)
+    a_w = (CROSS_J @ a_mat) @ w_dir
 
     def exact(t, z):
         return math.sin(omega * t) * np.exp(-np.asarray(z) ** 2)[None, :] * w_dir[:, None]
 
-    def layer_forcing(t, wall, z):
+    def forcing(t, wall, z):
         # F = db/dt - d2b/dz2 + f z db/dz + A_eff b for the exact profile
-        z = np.asarray(z, dtype=float)
-        a = math.sin(omega * t)
-        da = omega * math.cos(omega * t)
+        a = np.sin(omega * t)[:, None, None]
+        da = omega * np.cos(omega * t)[:, None, None]
         shape = np.exp(-(z**2))
-        core = da - a * (4.0 * z**2 - 2.0) - 2.0 * f0 * math.cos(omega * t) * z**2 * a
-        return core[None, :] * w_dir[:, None] * shape[None, :] \
-            + a * (a_eff @ w_dir)[:, None] * shape[None, :]
+        core = da - a * (4.0 * z**2 - 2.0) - 2.0 * f0 * np.cos(omega * t)[:, None, None] \
+            * z**2 * a
+        return core * w_dir[:, None] * shape + a * a_w[:, None] * shape
 
-    flow = BaseFlow(
-        geom=geom,
-        steady=False,
-        curl=lambda t, coords: _zeros3(coords),
-        f_stretch=lambda t: f0 * math.cos(omega * t),
-        coupling_matrix=lambda t, wall: a_mat,
-        layer_forcing=layer_forcing,
-    )
-    flow.exact_profile = exact
-    return flow
+    return LayerCase(g=lambda t, wall: np.zeros((len(t), 2)),
+                     f=lambda t: f0 * np.cos(omega * t),
+                     a=lambda t, wall: np.broadcast_to(a_mat, (len(t), 2, 2)),
+                     forcing=forcing, exact=exact)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from manufactured import layer_mms_case
+from manufactured import layer_mms_case, march_profiles
 from vvlab.checks import run_all
 from vvlab.euler import rigid_rotation
 from vvlab.layer import layer_norm_monitor, solve_layer
@@ -32,8 +32,8 @@ def _report(name, detail):
 
 
 def test_criterion_1_erfc_layer_oracle(annulus):
-    # rigid rotation with couplings reduced (f = 0 and zero tangential
-    # coupling hold identically): wall value matches 2 g sqrt(t/pi)
+    # rigid rotation: the layer is the heat equation with a constant datum,
+    # whose wall value is 2 g sqrt(t/pi)
     t0 = time.perf_counter()
     flow = rigid_rotation(1.0, annulus)
     t = 0.25
@@ -41,7 +41,7 @@ def test_criterion_1_erfc_layer_oracle(annulus):
                           t_end=t, store_times=[t])
     worst = 0.0
     for wall_id in ("inner", "outer"):
-        g = profile.walls[wall_id].g_used[0]
+        g = profile.walls[wall_id].g
         got = profile.profile(wall_id, 0).values[0]
         want = 2.0 * g[np.argmax(np.abs(g))] * math.sqrt(t / math.pi)
         worst = max(worst, abs(got - want) / abs(want))
@@ -138,13 +138,11 @@ def test_criterion_8_manufactured_orders(channel):
     a_mat = np.array([[0.3, 0.1], [-0.05, -0.2]])
 
     def layer_err(nz, dt):
-        flow = layer_mms_case(channel, omega=3.0, f0=0.4, a_mat=a_mat)
+        case = layer_mms_case(omega=3.0, f0=0.4, a_mat=a_mat)
         grid = FastGrid(nz=nz, zmax=12.0)
-        prof = solve_layer(flow, channel, grid, dt=dt, t_end=0.2,
-                           store_times=[0.2])
-        exact = flow.exact_profile(0.2, grid.z)
-        return max(float(np.abs(w.ub[0] - exact).max())
-                   for w in prof.walls.values())
+        walls = march_profiles(case, channel, grid, dt, 0.2, [0.2])
+        exact = case.exact(0.2, grid.z)
+        return max(float(np.abs(ub[0] - exact).max()) for ub in walls.values())
 
     ez = [layer_err(nz, 2e-5) for nz in (32, 64, 128)]
     z_orders = [math.log2(ez[i] / ez[i + 1]) for i in range(2)]

@@ -10,6 +10,7 @@ allocated w + dt/2 src each step and marched to n_steps.  The lean kernel
 does the same floating-point work, so the two agree bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,14 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from manufactured import layer_mms_case, oscillating_shear_case
+from manufactured import (
+    CROSS_J,
+    layer_mms_case,
+    march_layer,
+    march_profiles,
+    oscillating_shear_case,
+    steady_case,
+)
 from vvlab import geometry as geo
 from vvlab import layer, ns, study
 from vvlab.errors import ConfigError, InvalidParameterError, SolverError
@@ -28,8 +36,9 @@ from vvlab.euler import (
     ShearProfile,
     boundary_data_g,
     rigid_rotation,
+    steady_base_flow,
 )
-from vvlab.layer import _CROSS_J, solve_layer
+from vvlab.layer import solve_layer
 from vvlab.spaces import FastGrid, diff_along
 
 # ---------------------------------------------------------------------------
@@ -78,8 +87,9 @@ def _oracle_fast_diffusion_matrix(z):
     return sp.diags([lo, di, up], [-1, 0, 1], format="csr"), h0
 
 
-def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps):
-    """ub per wall, (n_store, 2, n_z), from the sparse CN step."""
+def _oracle_layer_march(case, geom, grid, dt, n_steps, store_steps):
+    """ub per wall, (n_store, 2, n_z), from the sparse CN step of the
+    manufactured layer ``case``, its coefficients taken a step at a time."""
     z = grid.z
     d2, h0 = _oracle_fast_diffusion_matrix(z)
     eye = sp.identity(grid.nz, format="csr")
@@ -91,10 +101,9 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps):
     out = {}
     for w in geom.walls():
         def coeffs(t):
-            g = boundary_data_g(flow, w, t=t)
-            f = float(flow.f_stretch(t))
-            a = flow.coupling_matrix(t, w.wall_id)
-            return g, f, np.einsum("ij,jk->ik", _CROSS_J, a)
+            t = np.array([t])
+            return (case.g(t, w)[0], case.f(t)[0],
+                    np.einsum("ij,jk->ik", CROSS_J, case.a(t, w)[0]))
 
         b = np.zeros((2, grid.nz))
         ub = np.zeros((len(store_steps), 2, grid.nz))
@@ -102,12 +111,11 @@ def _oracle_layer_march(flow, geom, grid, dt, n_steps, store_steps):
         g_now, f_now, a_now = coeffs(0.0)
         for k in range(n_steps):
             t_now = k * dt
-            g_next, f_next, a_next = (g_now, f_now, a_now) if flow.steady \
-                else coeffs((k + 1) * dt)
+            g_next, f_next, a_next = coeffs((k + 1) * dt)
             expl = -(f_now * z) * diff_along(b, z)
             expl -= np.einsum("ij,jz->iz", a_now, b)
-            if flow.layer_forcing is not None:
-                expl += flow.layer_forcing(t_now + 0.5 * dt, w.wall_id, z)
+            if case.forcing is not None:
+                expl += case.forcing(np.array([t_now + 0.5 * dt]), w, z)[0]
             rhs = (m_plus @ b.T).T
             rhs += dt * expl
             rhs[:, 0] += dt * (g_now + g_next) / h0
@@ -419,29 +427,29 @@ def test_group_size_keeps_the_march_arrays_in_cache():
     assert all(a.ctypes.data % 64 == 0 for a in setup.work[:2])
 
 
-def _layer_kernel_calls(monkeypatch, flow, geom, grid, store_times):
-    """Run solve_layer and return the arguments of each of its kernel
-    calls; the layer's source is a callable of (k, w) alone."""
+def _layer_kernel_calls(monkeypatch, case, geom, grid, store_times):
+    """Run the manufactured march and return the arguments of each of its
+    kernel calls; its source is a callable of (k, w) alone."""
     calls = []
-    real = layer._cn_steps
+    real = ns._cn_steps
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(layer, "_cn_steps", spy)
-    solve_layer(flow, geom, grid, dt=1e-3, t_end=0.1, store_times=store_times)
+    monkeypatch.setattr(ns, "_cn_steps", spy)
+    march_profiles(case, geom, grid, 1e-3, 0.1, store_times)
     return calls
 
 
 @pytest.mark.parametrize("store_times", [[0.0, 0.003, 0.05, 0.1], [0.007, 0.04]])
 @pytest.mark.parametrize("case", ["oscillating-shear", "layer-mms"])
 def test_kernel_matches_step_oracle_callable_source(monkeypatch, case, store_times):
-    flow, geom, _ = _layer_cases()[case]
+    layer_case, geom, _ = _layer_cases()[case]
     grid = FastGrid(nz=64, zmax=12.0)
-    calls = _layer_kernel_calls(monkeypatch, flow, geom, grid, store_times)
+    calls = _layer_kernel_calls(monkeypatch, layer_case, geom, grid, store_times)
     # both walls march as the four columns of one call, in Fortran-ordered
-    # arrays of the layer's own
+    # arrays of the march's own
     assert len(calls) == 1
     sym, a, dt, steps, source, where, work, _ = calls[0]
     assert all(x.shape == (grid.nz - 1, 4) and x.flags.f_contiguous for x in work)
@@ -450,7 +458,7 @@ def test_kernel_matches_step_oracle_callable_source(monkeypatch, case, store_tim
     for rannacher in (0, 2):
         got = kernel_history(sym, a, dt, steps, source, where, columns=4,
                              rannacher=rannacher)
-        want = _oracle_cn_march(op, a, dt, 100, steps, source, where,
+        want = _oracle_cn_march(op, a, dt, steps[-1], steps, source, where,
                                 rannacher=rannacher, columns=4)
         assert np.any(got != 0.0)
         assert np.array_equal(got, want)
@@ -514,24 +522,17 @@ def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
 
 
 def _layer_cases():
+    """Each case's layer, geometry and zmax (None: the default); rigid is
+    a studied flow, marched by ``solve_layer``, and the others are
+    manufactured, marched by the tests' own march."""
     annulus = geo.annulus_gap(1.0, 2.0, eta=0.45)
     channel = geo.flat_channel(1.0, eta=0.45)
-    mms = layer_mms_case(channel, omega=3.0, f0=0.4,
-                         a_mat=np.array([[0.3, 0.1], [-0.05, -0.2]]))
-    shear = oscillating_shear_case(channel)
-    base_curl = shear.curl
-
-    def curl(t, coords):
-        # nonzero wall vorticity, so the unsteady datum g(t) drives the layer
-        out = base_curl(t, coords)
-        out[2] += math.cos(2.0 * t) * (1.0 + np.asarray(coords, dtype=float))
-        return out
-
-    shear.curl = curl
     return {
         "rigid": (rigid_rotation(1.0, annulus), annulus, 5.0 * math.sqrt(2)),
-        "oscillating-shear": (shear, channel, None),
-        "layer-mms": (mms, channel, 12.0),
+        "oscillating-shear": (oscillating_shear_case(channel), channel, None),
+        "layer-mms": (layer_mms_case(omega=3.0, f0=0.4,
+                                     a_mat=np.array([[0.3, 0.1], [-0.05, -0.2]])),
+                      channel, 12.0),
     }
 
 
@@ -541,38 +542,46 @@ def test_layer_march_matches_sparse_march(case):
     grid = FastGrid(nz=128) if zmax is None else FastGrid(nz=128, zmax=zmax)
     dt, t_end = 1e-3, 0.2
     store = [0.0, 0.05, 0.2]
-    profile = solve_layer(flow, geom, grid, dt=dt,
-                          t_end=t_end, store_times=store)
+    if case == "rigid":
+        got = {w: s.ub for w, s in solve_layer(flow, geom, grid, dt=dt, t_end=t_end,
+                                               store_times=store).walls.items()}
+        flow = steady_case(flow)
+    else:
+        got = march_profiles(flow, geom, grid, dt, t_end, store)
     want = _oracle_layer_march(flow, geom, grid, dt, int(round(t_end / dt)),
                                [int(round(t / dt)) for t in store])
     for wall_id, ub in want.items():
-        got = profile.walls[wall_id].ub
         scale = float(np.max(np.abs(ub)))
         assert scale > 0.0
-        assert float(np.max(np.abs(got - ub))) <= 1e-12 * scale
-        assert np.all(got[:, :, -1] == 0.0)
+        assert float(np.max(np.abs(got[wall_id] - ub))) <= 1e-12 * scale
+        assert np.all(got[wall_id][:, :, -1] == 0.0)
 
 
 @pytest.mark.parametrize("case", ["rigid", "oscillating-shear", "layer-mms"])
 def test_joint_wall_march_equals_per_wall_marches(case):
     # the walls march as the columns of one call; each wall's columns are
     # bit for bit the march of that wall alone, the signs of zeros included.
-    # Rigid takes the steady live-column path, the other two the explicit
+    # Rigid takes the layer's own march, the other two the tests' explicit
     # one; the manufactured forcing is made to differ between the walls
     flow, geom, zmax = _layer_cases()[case]
     if case == "layer-mms":
-        forcing = flow.layer_forcing
-        flow.layer_forcing = lambda t, wall, z: (
-            -0.5 if wall == "upper" else 1.0) * forcing(t, wall, z)
+        forcing = flow.forcing
+        flow.forcing = lambda t, wall, z: (
+            -0.5 if wall.wall_id == "upper" else 1.0) * forcing(t, wall, z)
     grid = FastGrid(nz=128) if zmax is None else FastGrid(nz=128, zmax=zmax)
-    dt, n_steps = 1e-3, 200
-    steps = [0, 7, 50, 200]
-    terms = [layer._wall_terms(flow, w, dt, n_steps) for w in geom.walls()]
-    assert [t.explicit for t in terms] == [case != "rigid"] * 2
-    joint = layer._march_walls(flow, terms, grid.z, dt, steps)
+    dt, steps = 1e-3, [0, 7, 50, 200]
+    walls = geom.walls()
+    if case == "rigid":
+        def march(ws):
+            return layer._march_walls(ws, [boundary_data_g(flow, w) for w in ws],
+                                      grid.z, dt, steps)
+    else:
+        def march(ws):
+            return march_layer(flow, ws, grid.z, dt, steps)
+    joint = march(walls)
     assert joint.shape == (len(steps), grid.nz - 1, 4)
-    for i, t in enumerate(terms):
-        alone = layer._march_walls(flow, [t], grid.z, dt, steps)
+    for i, w in enumerate(walls):
+        alone = march([w])
         assert np.any(alone != 0.0)
         got = joint[..., 2 * i:2 * i + 2]
         assert np.array_equal(got, alone)
@@ -610,9 +619,16 @@ def test_non_finite_iterate_is_a_solver_error(annulus):
                     store_times=[0.0, 0.05, 0.1])
 
 
+def _non_finite_on(channel, walls):
+    """A steady channel flow whose curl is infinite on the ``walls``."""
+    flow = steady_base_flow(ShearProfile(poly=(0.0, 1.0)), channel)
+    coords = {channel.wall(w).coord for w in walls}
+    return dataclasses.replace(flow, curl=lambda y: np.where(
+        np.isin(y, list(coords)), np.inf, flow.curl(y)))
+
+
 def test_non_finite_layer_iterate_names_the_wall(channel):
-    flow = layer_mms_case(channel)
-    flow.layer_forcing = lambda t, wall, z: np.full((2, len(z)), np.inf)
+    flow = _non_finite_on(channel, ["lower", "upper"])
     with pytest.raises(SolverError, match=r"layer lower \(nu-free, n=32\).*step 10"), \
             np.errstate(invalid="ignore"):
         solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2,
@@ -622,9 +638,7 @@ def test_non_finite_layer_iterate_names_the_wall(channel):
 def test_non_finite_layer_iterate_names_the_one_wall_at_fault(channel):
     # the joint march fails as a whole; re-marched a wall at a time, only
     # the upper wall fails, and the error names it
-    flow = layer_mms_case(channel)
-    flow.layer_forcing = lambda t, wall, z: np.full(
-        (2, len(z)), np.inf if wall == "upper" else 0.0)
+    flow = _non_finite_on(channel, ["upper"])
     with pytest.raises(SolverError, match=r"^layer upper \(nu-free, n=32\).*step 10"), \
             np.errstate(invalid="ignore"):
         solve_layer(flow, channel, FastGrid(nz=32), dt=1e-2,

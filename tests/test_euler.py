@@ -18,21 +18,21 @@ from vvlab.study import EulerSpec
 def test_rigid_rotation_curl(annulus):
     flow = rigid_rotation(2.5, annulus)
     r = annulus.volume_grid(64)
-    cu = flow.curl(0.0, r)
+    cu = flow.curl(r)
     assert np.allclose(cu[2], 5.0)          # (1/r) d(Omega r^2)/dr = 2 Omega
     assert np.allclose(cu[:2], 0.0)
 
 
 def test_potential_vortex_curl_free(annulus):
     flow = potential_vortex(1.0, annulus)
-    cu = flow.curl(0.0, annulus.volume_grid(64))
+    cu = flow.curl(annulus.volume_grid(64))
     assert np.allclose(cu, 0.0, atol=1e-14)
 
 
 def test_channel_uniform_flow(channel):
     flow = steady_base_flow(ShearProfile(poly=(1.0,)), channel)
     y = channel.volume_grid(64)
-    assert np.allclose(flow.curl(0.0, y), 0.0)
+    assert np.allclose(flow.curl(y), 0.0)
 
 
 def test_channel_cosine_wall_curl(channel):
@@ -107,7 +107,7 @@ def test_boundary_data_matches_componentwise_cross(annulus):
     prof = LaurentProfile({1: 1.0, 2: 0.5})
     flow = steady_base_flow(prof, annulus)
     for w in annulus.walls():
-        cu = flow.curl(0.0, np.array([w.coord]))[:, 0]
+        cu = flow.curl(np.array([w.coord]))[:, 0]
         cross = np.array([
             cu[1] * w.normal[2] - cu[2] * w.normal[1],
             cu[2] * w.normal[0] - cu[0] * w.normal[2],
@@ -156,19 +156,6 @@ def test_layer_moves_only_the_flow_component(annulus, channel, family):
         assert not w.ub[:, off].any()
     moved = any(w.ub.any() for w in profile.walls.values())
     assert moved == (family not in ("vortex", "shear_cos"))
-
-
-def test_stretching_coefficient_vanishes(annulus):
-    flow = rigid_rotation(1.0, annulus)
-    assert flow.f_stretch(0.0) == 0.0
-
-
-def test_coupling_matrix_vanishes_for_swirl(annulus):
-    flow = steady_base_flow(LaurentProfile({-1: 1.0, 1: 2.0}), annulus)
-    for wall in ("inner", "outer"):
-        a = flow.coupling_matrix(0.0, wall)
-        assert a.shape == (2, 2)
-        assert np.all(a == 0.0)
 
 
 def test_wrong_geometry_rejected(annulus, channel):

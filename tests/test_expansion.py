@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manufactured import oscillating_shear_case
 from test_study import study_rows
 from vvlab import expansion, study
 from vvlab.errors import AlignmentError, ConfigError
@@ -166,15 +165,6 @@ def test_steady_u0_is_evaluated_once(rigid_setup, annulus):
     assert len(calls) == 1
     assert np.array_equal(u_approx,
                           assemble_ansatz(flow, profile, annulus, 1e-3, coords))
-
-
-def test_ansatz_needs_a_profile(channel):
-    # the manufactured unsteady shear has no profile and feeds no study
-    flow = oscillating_shear_case(channel)
-    profile = solve_layer(flow, channel, FastGrid(nz=64), dt=1e-3,
-                          t_end=0.1, store_times=[0.1])
-    with pytest.raises(ConfigError, match="profile"):
-        assemble_ansatz(flow, profile, channel, 1e-3, channel.volume_grid(64))
 
 
 def test_layer_off_the_flow_component_is_config_error(rigid_setup, annulus):

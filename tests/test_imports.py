@@ -146,41 +146,61 @@ def _passes(call, at, param):
         isinstance(a, ast.Starred) for a in call.args))
 
 
+def _defaulted(fn, bound):
+    """(position, name) of the defaulted parameters of the def ``fn``, its
+    first ``bound`` parameters bound; a keyword-only one has position None."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[bound:]
+    first = len(positional) - len(args.defaults)
+    return [(at, a.arg) for at, a in enumerate(positional) if at >= first] + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _init_fields(cls):
+    """(position, name) of the defaulted ``__init__`` parameters of the
+    dataclass ``cls``: its annotated fields in order, bar those of
+    ``field(init=False)``; none when ``cls`` is not a dataclass."""
+    named = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in named):
+        return []
+    fields = [item for item in cls.body if isinstance(item, ast.AnnAssign) and not (
+        isinstance(item.value, ast.Call) and any(
+            k.arg == "init" and getattr(k.value, "value", True) is False
+            for k in item.value.keywords))]
+    return [(at, f.target.id) for at, f in enumerate(fields) if f.value is not None]
+
+
 def unpassed_defaults(sources):
-    """Defaulted parameters of the top-level functions of ``sources`` and
-    of those classes' methods that no call in ``sources`` passes, named
-    ``function.param`` or ``Class.method.param``.  A call is matched to a
-    definition by the name it calls, plain or an attribute, so a method
-    counts every call of its name; ``Cls(...)`` calls ``Cls.__init__``, and
-    a method's first parameter is bound unless it is a staticmethod."""
+    """Defaulted parameters of the top-level functions of ``sources``, of
+    those classes' methods and of their dataclasses' fields that no call in
+    ``sources`` passes, named ``function.param``, ``Class.method.param`` or
+    ``Class.field``.  A call is matched to a definition by the name it
+    calls, plain or an attribute, so a method counts every call of its
+    name; ``Cls(...)`` calls ``Cls.__init__``, or the dataclass's generated
+    one, whose parameters are its fields in order, and a method's first
+    parameter is bound unless it is a staticmethod."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs, calls = [], {}
     for source in sources:
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, funcs):
-                defs.append((node.name, node.name, node, 0))
+                defs.append((node.name, node.name, _defaulted(node, 0)))
             elif isinstance(node, ast.ClassDef):
                 defs += [(f"{node.name}.{item.name}",
-                          node.name if item.name == "__init__" else item.name, item,
-                          0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                   for d in item.decorator_list) else 1)
+                          node.name if item.name == "__init__" else item.name,
+                          _defaulted(item, 0 if any(
+                              isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in item.decorator_list) else 1))
                          for item in node.body if isinstance(item, funcs)]
+                defs.append((node.name, node.name, _init_fields(node)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
-    out = []
-    for qual, callee, fn, bound in defs:
-        args = fn.args
-        positional = (args.posonlyargs + args.args)[bound:]
-        first = len(positional) - len(args.defaults)
-        defaulted = [(at, a.arg) for at, a in enumerate(positional) if at >= first]
-        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                      if d is not None]
-        out += [f"{qual}.{param}" for at, param in defaulted
-                if not any(_passes(call, at, param) for call in calls.get(callee, ()))]
-    return sorted(out)
+    return sorted(f"{qual}.{param}" for qual, callee, defaulted in defs
+                  for at, param in defaulted
+                  if not any(_passes(call, at, param) for call in calls.get(callee, ())))
 
 
 def test_every_package_default_is_passed():
@@ -197,9 +217,16 @@ def test_default_checker_flags_an_unpassed_default():
            "class K:\n    def __init__(self, size=1, fill=0): pass\n"
            "    def put(self, v, at=None): pass\n"
            "    @staticmethod\n    def make(n=1): pass\n"
-           "f(0, c=1)\nK(4).put(1)\nK.make(2)\n")
+           "f(0, c=1)\nK(4).put(1)\nK.make(2)\n"
+           # a dataclass's fields are its __init__'s parameters, in order,
+           # bar field(init=False); a plain class's annotations are not
+           "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 1\n"
+           "    c: int = 2\n    d: list = field(init=False)\n    e: int = 3\n"
+           "@dataclasses.dataclass\nclass R:\n    x: int = 0\n"
+           "class Q:\n    y: int = 0\n"
+           "P(0, 1, 4)\nP(0, e=2)\n")
     other = "import m\nm.f(0, 1)\nm.g(**opts)\nh(*ys)\n"
-    assert unpassed_defaults([src, other]) == ["K.__init__.fill", "K.put.at", "f.d"]
+    assert unpassed_defaults([src, other]) == ["K.__init__.fill", "K.put.at", "R.x", "f.d"]
 
 
 def _fresh(code):
