@@ -98,7 +98,7 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "ns":
-            sol = solve_ns(config.geometry, config.euler.build(config.geometry).profile,
+            sol = solve_ns(config.geometry, config.euler.build(config.geometry),
                            config.ns.nu or config.nu_list[0], n=config.ns.n,
                            dt=config.ns.dt, t_end=config.ns.t_end,
                            store_times=config.t_eval)

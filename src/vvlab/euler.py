@@ -7,14 +7,14 @@ velocity by construction:
 * swirl   u0 = U(r) e_theta in the annulus, pressure balancing U^2/r;
 * shear   u0 = U(y) e_x in the channel, constant pressure.
 
-One constructor, ``steady_base_flow``, builds both: the profile's type
+One constructor, ``steady_base_flow``, checks both: the profile's type
 names the geometry (``LaurentProfile`` U(r) the annulus, ``ShearProfile``
-U(y) the channel) and its exact axial vorticity is the curl.  Each flow is
-its profile U, the one input of the reference solve and of the ansatz, in
-the one component ``GeometryDescriptor.flow_comp`` names.  The flows are
-steady and parallel, so the one piece that feeds the layer solver is the
-constant wall datum g = curl u0 x n, which points along that same
-component, so the layer moves only it.
+U(y) the channel) and the profile is the base flow, the one input of the
+reference solve and of the ansatz, in the one component
+``GeometryDescriptor.flow_comp`` names.  Its exact axial vorticity is the
+curl.  The flows are steady and parallel, so the one piece that feeds the
+layer solver is the constant wall datum g = curl u0 x n, one number per
+wall along that same component (``boundary_data_g``).
 """
 
 from __future__ import annotations
@@ -113,30 +113,16 @@ class ShearProfile:
 
 
 # ---------------------------------------------------------------------------
-# base flow container
+# base flows and their boundary data
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaseFlow:
-    """The inviscid base flow's profile and vorticity.
-
-    u0 itself is ``profile``, U(r) or U(y), the one component
-    ``geom.flow_comp`` it carries.  ``curl`` takes 1D cross coordinates
-    and returns the vorticity in the geometry component frame, shape
-    (3, n).
-    """
-
-    geom: geo.GeometryDescriptor
-    curl: callable
-    profile: LaurentProfile | ShearProfile
-
-
 def steady_base_flow(profile: LaurentProfile | ShearProfile,
-                     geom: geo.GeometryDescriptor) -> BaseFlow:
+                     geom: geo.GeometryDescriptor) -> LaurentProfile | ShearProfile:
     """u0 = U(r) e_theta in the annulus, pressure balancing U^2/r, for a
     LaurentProfile; u0 = U(y) e_x in the channel, constant pressure, for a
-    ShearProfile.  Its curl is the profile's axial vorticity."""
+    ShearProfile.  Returns ``profile``, checked against ``geom`` and for
+    finite values across the gap: the profile is the base flow."""
     swirl = isinstance(profile, LaurentProfile)
     if geom.kind != (geo.ANNULUS_GAP if swirl else geo.FLAT_CHANNEL):
         raise ConfigError(f"{'swirl' if swirl else 'shear'} base flow requires the "
@@ -144,37 +130,27 @@ def steady_base_flow(profile: LaurentProfile | ShearProfile,
     lo, hi = geom.coord_bounds
     if not np.all(np.isfinite(profile.value(np.linspace(lo, hi, 64)))):
         raise InvalidProfileError(f"profile not finite on [{lo:g}, {hi:g}]")
-
-    def curl(coords):
-        out = np.zeros((3, np.size(coords)))
-        out[2] = profile.vorticity(coords)
-        return out
-
-    return BaseFlow(geom=geom, curl=curl, profile=profile)
+    return profile
 
 
-def rigid_rotation(omega: float, geom: geo.GeometryDescriptor) -> BaseFlow:
+def rigid_rotation(omega: float, geom: geo.GeometryDescriptor) -> LaurentProfile:
     return steady_base_flow(LaurentProfile({1: omega}), geom)
 
 
-def potential_vortex(circulation: float, geom: geo.GeometryDescriptor) -> BaseFlow:
+def potential_vortex(circulation: float, geom: geo.GeometryDescriptor) -> LaurentProfile:
     return steady_base_flow(LaurentProfile({-1: circulation}), geom)
 
 
-# ---------------------------------------------------------------------------
-# boundary data
-# ---------------------------------------------------------------------------
+def boundary_data_g(profile: LaurentProfile | ShearProfile,
+                    geom: geo.GeometryDescriptor, wall: geo.Wall) -> float:
+    """g = curl(u0) x n at ``wall``, along the flow component, its only one.
 
-
-def boundary_data_g(flow: BaseFlow, wall: geo.Wall) -> np.ndarray:
-    """g = curl(u0) x n at ``wall``, shape (2,) in its tangential frame.
-
-    Sign convention: the layer solver imposes d/dz u_b|_{z=0} = -g.
+    The curl is the axial vorticity omega e_axial and n is into_domain
+    e_rad in the annulus, into_domain e_y in the channel, so g is
+    omega into_domain (e_axial x e_rad = e_theta) in the annulus and
+    -omega into_domain (e_z x e_y = -e_x) in the channel.  Sign convention:
+    the layer solver imposes d/dz u_b|_{z=0} = -g.
     """
-    cu = flow.curl(np.array([wall.coord]))[:, 0]
-    n = wall.normal                                # right-handed frames
-    g_vec = (cu[1] * n[2] - cu[2] * n[1],
-             cu[2] * n[0] - cu[0] * n[2],
-             cu[0] * n[1] - cu[1] * n[0])
-    names = flow.geom.comp_names
-    return np.array([g_vec[names.index(name)] for name in wall.tangent_names])
+    omega = float(profile.vorticity(np.array([wall.coord]))[0])
+    sign = 1.0 if geom.kind == geo.ANNULUS_GAP else -1.0
+    return sign * omega * wall.into_domain

@@ -27,43 +27,35 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError
-from .euler import BaseFlow
 from .layer import LayerProfile, slow_curl_at_wall
 from .ns import ViscousSolution, time_index, vorticity
 from .spaces import eval_profile_on_wall
 
 
-def assemble_ansatz(flow: BaseFlow, profile: LayerProfile,
-                    geom: geo.GeometryDescriptor, nu: float,
-                    coords: np.ndarray, times=None, u0=None) -> np.ndarray:
+def assemble_ansatz(u0: np.ndarray, layer: LayerProfile, nu: float,
+                    coords: np.ndarray, times=None) -> np.ndarray:
     """The (n_t, n) flow component of u0 + sqrt(nu) u_b at shared times.
 
     The order-nu corrector v is zero in these geometries (see the module
-    docstring).  u0 is ``flow.profile`` evaluated once, or ``u0``, its
-    values on ``coords`` where the caller has them (a study's set-up does),
-    and is broadcast over the times; sqrt(nu) u_b is added wall by wall
-    with one evaluation of each wall's stacked profiles.  A wall whose
-    profiles are all zero (the vortex and flat-shear layers: g = 0) adds
-    nothing and is not evaluated; when no wall adds, the result is u0's
-    read-only broadcast, not a copy.
+    docstring).  ``u0`` is the base flow's (n,) values on ``coords``,
+    broadcast over the times; sqrt(nu) u_b is added wall by wall of
+    ``layer.geom`` with one evaluation of each wall's stacked profiles.  A
+    wall whose profiles are all zero (the vortex and flat-shear layers:
+    g = 0) adds nothing and is not evaluated; when no wall adds, the result
+    is u0's read-only broadcast, not a copy.
     The collars are disjoint and a wall's layer is exactly zero outside its
-    own, so each point receives at most one nonzero layer term.  A layer
-    that is nonzero off ``geom.flow_comp`` is a ConfigError
-    (``LayerProfile.profile`` refuses it).
+    own, so each point receives at most one nonzero layer term.
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
-    if profile.geom.kind != geom.kind:
-        raise ConfigError("profile geometry does not match")
-    times = profile.times if times is None else np.asarray(times, dtype=float)
-    idx = [time_index(profile.times, t) for t in times]
+    geom = layer.geom
+    times = layer.times if times is None else np.asarray(times, dtype=float)
+    idx = [time_index(layer.times, t) for t in times]
 
-    if u0 is None:
-        u0 = flow.profile.value(coords)
     u0 = np.broadcast_to(u0, (len(times), len(coords)))
     u_approx = u0
     for w in geom.walls():
-        pf = profile.profile(w.wall_id, idx)
+        pf = layer.profile(w.wall_id, idx)
         if not pf.values.any():
             continue
         if u_approx is u0:

@@ -5,17 +5,16 @@ studied flow is steady and parallel, so its layer is the heat equation
 
     d/dt u_b = d2/dz2 u_b,
 
-with the constant wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n in the
-wall frame, decay u_b(Z_max) = 0, and zero initial data: u_b does not vary
-along the collar, and a wall whose datum vanishes produces the zero layer
-exactly.  The layer's pressure corrector is not computed: the ansatz
-u0 + sqrt(nu) u_b uses u_b alone.  The walls share one operator, so the
-tangential components of every wall step together, as the columns of one
-Crank-Nicolson march of the symmetrised tridiagonal kernel of ns.py on the
-nodes below Z_max (the Dirichlet node stays zero); only the components
-whose datum g is nonzero march, the others stay exactly +0.0.  A wall
-keeps both tangential components; ``LayerProfile.profile`` hands out the
-flow component's column, the only one a studied layer moves.
+with the constant wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n, one
+number along the flow component (``GeometryDescriptor.flow_comp``), decay
+u_b(Z_max) = 0, and zero initial data: u_b is that component alone, does
+not vary along the collar, and a wall whose datum vanishes produces the
+zero layer exactly.  The layer's pressure corrector is not computed: the
+ansatz u0 + sqrt(nu) u_b uses u_b alone.  The walls share one operator, so
+their columns step together, as the columns of one Crank-Nicolson march of
+the symmetrised tridiagonal kernel of ns.py on the nodes below Z_max (the
+Dirichlet node stays zero); only the walls whose datum g is nonzero march,
+the others stay exactly +0.0.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError, SolverError, StepSizeError
-from .euler import BaseFlow, boundary_data_g
+from .euler import boundary_data_g
 from .ns import _cn_steps, _resolve_store_steps, _symmetrise
 from .spaces import FastGrid, ProfileField, weighted_norm
 
@@ -51,13 +50,13 @@ def _fast_diffusion_operator(z: np.ndarray):
 
 @dataclass
 class WallLayerSeries:
-    """Stored layer data for one wall: ``ub`` is one column per wall, the
-    same at every collar sample, marched from the wall's datum ``g``."""
+    """Stored layer data for one wall: ``ub`` is the flow component's
+    column, the same at every collar sample, marched from the wall's datum
+    ``g``."""
 
     wall_id: str
-    tangent_names: tuple
-    ub: np.ndarray                 # (n_t, 2, n_z)
-    g: np.ndarray                  # (2,)
+    ub: np.ndarray                 # (n_t, n_z)
+    g: float
 
 
 @dataclass
@@ -76,15 +75,8 @@ class LayerProfile:
     def profile(self, wall: str, it) -> ProfileField:
         """The flow component (``geom.flow_comp``) of u_b on one wall as a
         column weighted by the collar measure.  A sequence of stored indices
-        ``it`` stacks those times on a leading axis.  A layer that is
-        nonzero off that component at those times is a ConfigError."""
-        w = self.walls[wall]
-        name = self.geom.comp_names[self.geom.flow_comp]
-        slot = w.tangent_names.index(name)
-        if w.ub[it, 1 - slot].any():
-            raise ConfigError(
-                f"layer on wall {wall!r} is nonzero off the flow component {name!r}")
-        return ProfileField(grid=self.grid, values=w.ub[it, slot],
+        ``it`` stacks those times on a leading axis."""
+        return ProfileField(grid=self.grid, values=self.walls[wall].ub[it],
                             weight=self.geom.collar_measure(wall))
 
 
@@ -93,21 +85,20 @@ def _march_walls(walls: list, gs: list, z: np.ndarray, dt: float,
     """March the ``walls``, of constant data ``gs``, together on the nodes
     below Z_max.
 
-    The walls share one operator, so their columns, two a wall side by
-    side, are the right-hand sides of one _cn_steps march in Fortran-ordered
-    arrays of its own, and dpttrs solves each column with the operations of
-    its own march.  Returns u_b at ``store_steps``, (n_store, n_z - 1,
-    2 len(walls)).  The source is constant; a column whose g is exactly 0
-    stays exactly +0.0, so only the live columns march, and none when every
-    datum vanishes.
+    The walls share one operator, so their columns, one a wall, are the
+    right-hand sides of one _cn_steps march in Fortran-ordered arrays of its
+    own, and dpttrs solves each column with the operations of its own march.
+    Returns u_b at ``store_steps``, (n_store, n_z - 1, len(walls)).  The
+    source is constant; a column whose g is exactly 0 stays exactly +0.0, so
+    only the live columns march, and none when every datum vanishes.
     """
     op, h0 = _fast_diffusion_operator(z)
     n = len(z) - 1
     where = f"layer {','.join(w.wall_id for w in walls)} (nu-free, n={len(z)})"
-    out = np.zeros((len(store_steps), n, 2 * len(walls)))
+    out = np.zeros((len(store_steps), n, len(walls)))
     # CN average of the ghost Neumann source 2 g / h0 at node 0
-    src = np.zeros((n, 2 * len(walls)))
-    src[0] = np.concatenate([g + g for g in gs]) / h0
+    src = np.zeros((n, len(walls)))
+    src[0] = 2.0 * np.array(gs) / h0
     live = np.flatnonzero(src.any(axis=0))
     if not len(live):
         return out
@@ -120,9 +111,10 @@ def _march_walls(walls: list, gs: list, z: np.ndarray, dt: float,
     return out
 
 
-def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
+def solve_layer(u0_profile, geom: geo.GeometryDescriptor,
                 grid: FastGrid, dt: float, t_end: float, store_times) -> LayerProfile:
-    """March the tangential layer on every wall to ``store_times``.
+    """March the tangential layer of the base flow ``u0_profile`` on every
+    wall to ``store_times``.
 
     Each wall marches one column driven by its datum g, evaluated once at
     the wall, and all walls march in one kernel call (``_march_walls``).  A
@@ -133,7 +125,7 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
         raise StepSizeError(f"dt must be finite and positive, got {dt}")
     _, store_steps = _resolve_store_steps(dt, t_end, store_times)
     walls = geom.walls()
-    gs = [boundary_data_g(flow, w) for w in walls]
+    gs = [boundary_data_g(u0_profile, geom, w) for w in walls]
     try:
         series = _march_walls(walls, gs, grid.z, dt, store_steps)
     except SolverError:
@@ -144,10 +136,9 @@ def solve_layer(flow: BaseFlow, geom: geo.GeometryDescriptor,
 
     out = {}
     for i, (w, g) in enumerate(zip(walls, gs)):
-        ub = np.zeros((len(store_steps), 2, grid.nz))
-        ub[:, :, :-1] = series[..., 2 * i:2 * i + 2].transpose(0, 2, 1)
-        out[w.wall_id] = WallLayerSeries(wall_id=w.wall_id, tangent_names=w.tangent_names,
-                                         ub=ub, g=g)
+        ub = np.zeros((len(store_steps), grid.nz))
+        ub[:, :-1] = series[..., i]
+        out[w.wall_id] = WallLayerSeries(wall_id=w.wall_id, ub=ub, g=g)
     times = np.array([k * dt for k in store_steps])
     return LayerProfile(geom=geom, grid=grid, times=times, walls=out)
 
@@ -216,20 +207,23 @@ def layer_norm_monitor(profile: LayerProfile, idx_list) -> MonitorReport:
 
 
 def write_profile_snapshots(profile: LayerProfile, path) -> None:
-    """Columnar text dump: wall, t, s, z, tangential components.
+    """Columnar text dump: wall, t, s, z, tangential components c0 c1 in
+    the order of ``Wall.tangent_names``.
 
-    One s per wall, the wall coordinate: the layer does not vary along the
-    collar.  Floats are written with repr (shortest round trip), so
-    identical runs produce bit-identical files.
+    The flow component's column is written in its tangent slot and the
+    other component, exactly zero, as 0.0.  One s per wall, the wall
+    coordinate: the layer does not vary along the collar.  Floats are
+    written with repr (shortest round trip), so identical runs produce
+    bit-identical files.
     """
-    lines = ["# wall t s z " + " ".join(
-        f"c{i}" for i in range(2))]
+    name = profile.geom.comp_names[profile.geom.flow_comp]
+    lines = ["# wall t s z c0 c1"]
     for wall_id in sorted(profile.walls):
-        w = profile.walls[wall_id]
-        s = float(profile.geom.wall(wall_id).coord)
-        for it, t in enumerate(profile.times):
-            for kz, zz in enumerate(profile.grid.z):
-                comps = " ".join(repr(float(w.ub[it][c, kz])) for c in range(2))
-                lines.append(f"{wall_id} {float(t)!r} {s!r} {float(zz)!r} {comps}")
+        wall = profile.geom.wall(wall_id)
+        s = float(wall.coord)
+        head, tail = ("", " 0.0") if wall.tangent_names.index(name) == 0 else ("0.0 ", "")
+        for t, ub in zip(profile.times.tolist(), profile.walls[wall_id].ub):
+            for zz, v in zip(profile.grid.z.tolist(), ub.tolist()):
+                lines.append(f"{wall_id} {t!r} {s!r} {zz!r} {head}{v!r}{tail}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

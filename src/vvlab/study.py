@@ -46,7 +46,6 @@ import numpy as np
 from . import geometry as geo
 from .errors import ConfigError, DegenerateFitError, SolverError
 from .euler import (
-    BaseFlow,
     LaurentProfile,
     ShearProfile,
     potential_vortex,
@@ -84,7 +83,7 @@ class EulerSpec:
     omega: float = 1.0
     circulation: float = 1.0
 
-    def build(self, geom: geo.GeometryDescriptor) -> BaseFlow:
+    def build(self, geom: geo.GeometryDescriptor) -> LaurentProfile | ShearProfile:
         fam = self.family
         if fam == "rigid":
             return rigid_rotation(self.omega, geom)
@@ -375,17 +374,17 @@ class RateReport:
     meta: dict
 
 
-def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
+def solve_study_layer(config: StudyConfig, u0_profile=None) -> LayerProfile:
     """Layer solve shared by every viscosity row (the system is nu free).
 
     The march is causal, so it stops at the last evaluation time.  The
     ansatz needs u_b only.
     """
-    flow = flow or config.euler.build(config.geometry)
+    u0_profile = u0_profile or config.euler.build(config.geometry)
     zmax = config.layer.zmax
     grid = FastGrid(nz=config.layer.nz,
                     zmax=DEFAULT_ZMAX if zmax is None else zmax)
-    return solve_layer(flow, config.geometry, grid,
+    return solve_layer(u0_profile, config.geometry, grid,
                        dt=config.layer.dt, t_end=max(config.t_eval),
                        store_times=config.t_eval)
 
@@ -393,34 +392,32 @@ def solve_study_layer(config: StudyConfig, flow=None) -> LayerProfile:
 @dataclass(eq=False)
 class StudySetup:
     """Everything a study's viscosity rows share, made once per study by
-    ``study_setup``: the base flow, the viscosity-free part of the
-    reference solve (``ns.ReferenceSetup``: the grid, u0 on it, the drive
-    L(u0), the symmetrised operator and the march's arrays), one
-    ``VolumeGrid`` of the norms, the row's (n,) buffer and the norms'
-    (4, n) scratch.  A group keeps only the work that depends on nu, and
+    ``study_setup``: the viscosity-free part of the reference solve
+    (``ns.ReferenceSetup``: the grid, u0 on it, the drive L(u0), the
+    symmetrised operator and the march's arrays), one ``VolumeGrid`` of the
+    norms, the row's (n,) buffer and the norms' (4, n) scratch.  A group keeps only the work that depends on nu, and
     reuses the arrays of the group before it; a part in a forked worker
     marches on its copy-on-write copy of them (``run_forked``)."""
 
     config: StudyConfig
-    flow: BaseFlow
     ref: ReferenceSetup
     grid: VolumeGrid
     row: np.ndarray                 # u - u0, then R, one time at a time
     scratch: np.ndarray             # the norms' intermediates
 
 
-def study_setup(config: StudyConfig, flow: BaseFlow | None = None) -> StudySetup:
+def study_setup(config: StudyConfig, u0_profile=None) -> StudySetup:
     """The viscosity-free set-up of ``config``'s rows: the reference solve
     from the base flow's profile, the one form of u0 it takes (swirl in the
     annulus, shear in the channel), stored at ``config.t_eval``, with the
     march's arrays for a group of the whole ``nu_list``, at most
     ``ns.group_size``, and the norms' grid."""
-    flow = flow or config.euler.build(config.geometry)
-    ref = reference_setup(config.geometry, flow.profile, n=config.ns.n,
+    u0_profile = u0_profile or config.euler.build(config.geometry)
+    ref = reference_setup(config.geometry, u0_profile, n=config.ns.n,
                           dt=config.ns.dt, t_end=config.ns.t_end,
                           store_times=config.t_eval, group=len(config.nu_list))
     # the row buffer is the march's scratch array, free at each store
-    return StudySetup(config=config, flow=flow, ref=ref,
+    return StudySetup(config=config, ref=ref,
                       grid=VolumeGrid(config.geometry, ref.coords),
                       row=ref.work[1][:config.ns.n],
                       scratch=np.empty((4, config.ns.n)))
@@ -624,8 +621,8 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
     failed = {}
     for nu in nus:
         try:
-            approx[nu] = assemble_ansatz(setup.flow, profile, config.geometry, nu,
-                                         ref.coords, times=np.take(t_eval, own), u0=ref.u0)
+            approx[nu] = assemble_ansatz(ref.u0, profile, nu, ref.coords,
+                                         times=np.take(t_eval, own))
         except Exception as exc:
             failed[nu] = _failure(exc)
 
@@ -713,9 +710,9 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
-    flow = config.euler.build(config.geometry)
-    profile = solve_study_layer(config, flow)
-    setup = study_setup(config, flow)
+    u0_profile = config.euler.build(config.geometry)
+    profile = solve_study_layer(config, u0_profile)
+    setup = study_setup(config, u0_profile)
     parts = study_parts(config)
     handoffs = {march.nus: _Handoff(config.ns.n, i - 1) for i, part in enumerate(parts)
                 for march in part if march.start}

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from vvlab import layer, ns
-from vvlab.euler import boundary_data_g
 from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights
 
 CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -39,14 +38,22 @@ class LayerCase:
     exact: callable = None
 
 
-def steady_case(flow) -> LayerCase:
-    """The layer of a studied flow: its constant datum alone."""
-    return LayerCase(g=lambda t, wall: np.tile(boundary_data_g(flow, wall), (len(t), 1)))
+def steady_case(u0_profile, geom) -> LayerCase:
+    """The layer of a studied flow: its constant datum alone, the curl
+    (0, 0, omega) crossed with the wall's normal in the geometry's frame,
+    in the wall's two tangential components."""
+    def g(t, wall):
+        omega = u0_profile.vorticity(np.array([wall.coord]))[0]
+        cross = dict(zip(geom.comp_names, np.cross([0.0, 0.0, omega], wall.normal)))
+        return np.tile([cross[name] for name in wall.tangent_names], (len(t), 1))
+
+    return LayerCase(g=g)
 
 
 def march_layer(case: LayerCase, walls, z, dt, store_steps) -> np.ndarray:
     """The walls' layers at ``store_steps``, (n_store, n_z - 1, 2 len(walls)),
-    the columns laid out as in ``layer._march_walls``.  The coefficients
+    both tangential components of a wall side by side, the walls' columns
+    in the order ``layer._march_walls`` marches them.  The coefficients
     are formed for every step before the march; a step's explicit term is
     formed for every wall at once."""
     op, h0 = layer._fast_diffusion_operator(z)
@@ -85,7 +92,8 @@ def march_layer(case: LayerCase, walls, z, dt, store_steps) -> np.ndarray:
 
 def march_profiles(case: LayerCase, geom, grid, dt, t_end, store_times) -> dict:
     """``march_layer`` on every wall of ``geom`` to ``store_times``: wall id
-    -> u_b, (n_store, 2, n_z), as ``solve_layer`` stores it."""
+    -> u_b, (n_store, 2, n_z), in the order of ``Wall.tangent_names``, with
+    the Dirichlet node at Z_max zero as ``solve_layer`` stores it."""
     _, steps = ns._resolve_store_steps(dt, t_end, store_times)
     series = march_layer(case, geom.walls(), grid.z, dt, steps)
     out = {}

@@ -43,7 +43,7 @@ def test_criterion_1_erfc_layer_oracle(annulus):
     for wall_id in ("inner", "outer"):
         g = profile.walls[wall_id].g
         got = profile.profile(wall_id, 0).values[0]
-        want = 2.0 * g[np.argmax(np.abs(g))] * math.sqrt(t / math.pi)
+        want = 2.0 * g * math.sqrt(t / math.pi)
         worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-4
@@ -108,6 +108,9 @@ def test_criterion_5_exact_regime_chain(vortex_report):
 
 
 def test_criterion_6_flat_boundary_degeneracy(flat_report, channel):
+    # the degeneracy comes from data that meet the slip condition (U' = 0 at
+    # the wall, so g = 0), not from the flat wall alone: shear_poly's
+    # nonzero U'(0) drives a layer in the same channel
     from vvlab.euler import ShearProfile, steady_base_flow
 
     flow = steady_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
@@ -120,7 +123,9 @@ def test_criterion_6_flat_boundary_degeneracy(flat_report, channel):
     slope = flat_report.norm_results["l2"]["slope"]
     assert slope >= 0.9
     _report("criterion 6 (flat-boundary degeneracy)",
-            f"layer norm {layer_norm:.1e} < 1e-14, l2 slope {slope:.3f} >= 0.9")
+            f"layer norm {layer_norm:.1e} < 1e-14, l2 slope {slope:.3f} >= 0.9; "
+            "from data that meet the slip condition (U' = 0 at the wall), "
+            "not from flatness alone")
 
 
 def test_criterion_7_invariant_suite():

@@ -246,3 +246,23 @@ def test_rigid_layer_solve_file_matches_golden(tmp_path):
     digest = hashlib.sha256((tmp_path / "layer_profile.dat").read_bytes()).hexdigest()
     golden = pathlib.Path(__file__).parent / "golden" / "rigid_layer.sha256"
     assert golden.read_text().split() == [digest, "layer_profile.dat"]
+
+
+def test_channel_layer_solve_file_matches_golden(tmp_path):
+    # layer_profile.dat of a channel shear whose datum is nonzero on the
+    # lower wall alone: each wall's column is written in the slot of x among
+    # its tangents, c1 on the lower wall (z, x) and c0 on the upper (x, z),
+    # and 0.0 in the other
+    cfg = tmp_path / "channel.cfg"
+    cfg.write_text(MINI_CFG.replace("family = shear_cos", "family = shear_poly:0.2,1.0,-0.5"))
+    assert cli_main(["layer", "solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "layer_profile.dat").read_bytes()
+    rows = [line.split() for line in data.decode().splitlines()[1:]]
+    lower = [row for row in rows if row[0] == "lower"]
+    assert {row[4] for row in lower} == {"0.0"}
+    assert any(float(row[5]) != 0.0 for row in lower)
+    assert {field for row in rows if row[0] == "upper" for field in row[4:]} == {"0.0"}
+    digest = hashlib.sha256(data).hexdigest()
+    golden = pathlib.Path(__file__).parent / "golden" / "channel_layer.sha256"
+    assert golden.read_text().split() == [digest, "layer_profile.dat"]

@@ -10,7 +10,6 @@ allocated w + dt/2 src each step and marched to n_steps.  The lean kernel
 does the same floating-point work, so the two agree bit for bit.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -543,9 +542,14 @@ def test_layer_march_matches_sparse_march(case):
     dt, t_end = 1e-3, 0.2
     store = [0.0, 0.05, 0.2]
     if case == "rigid":
-        got = {w: s.ub for w, s in solve_layer(flow, geom, grid, dt=dt, t_end=t_end,
-                                               store_times=store).walls.items()}
-        flow = steady_case(flow)
+        # the layer stores the theta column alone; the oracle marches both
+        # tangential components, and the axial one must stay zero
+        walls = solve_layer(flow, geom, grid, dt=dt, t_end=t_end, store_times=store).walls
+        got = {}
+        for w in geom.walls():
+            got[w.wall_id] = np.zeros((len(store), 2, grid.nz))
+            got[w.wall_id][:, w.tangent_names.index("theta")] = walls[w.wall_id].ub
+        flow = steady_case(flow, geom)
     else:
         got = march_profiles(flow, geom, grid, dt, t_end, store)
     want = _oracle_layer_march(flow, geom, grid, dt, int(round(t_end / dt)),
@@ -561,8 +565,9 @@ def test_layer_march_matches_sparse_march(case):
 def test_joint_wall_march_equals_per_wall_marches(case):
     # the walls march as the columns of one call; each wall's columns are
     # bit for bit the march of that wall alone, the signs of zeros included.
-    # Rigid takes the layer's own march, the other two the tests' explicit
-    # one; the manufactured forcing is made to differ between the walls
+    # Rigid takes the layer's own march, one column a wall, the other two
+    # the tests' explicit one, two columns a wall; the manufactured forcing
+    # is made to differ between the walls
     flow, geom, zmax = _layer_cases()[case]
     if case == "layer-mms":
         forcing = flow.forcing
@@ -573,17 +578,18 @@ def test_joint_wall_march_equals_per_wall_marches(case):
     walls = geom.walls()
     if case == "rigid":
         def march(ws):
-            return layer._march_walls(ws, [boundary_data_g(flow, w) for w in ws],
+            return layer._march_walls(ws, [boundary_data_g(flow, geom, w) for w in ws],
                                       grid.z, dt, steps)
     else:
         def march(ws):
             return march_layer(flow, ws, grid.z, dt, steps)
     joint = march(walls)
-    assert joint.shape == (len(steps), grid.nz - 1, 4)
+    per = 1 if case == "rigid" else 2
+    assert joint.shape == (len(steps), grid.nz - 1, per * len(walls))
     for i, w in enumerate(walls):
         alone = march([w])
         assert np.any(alone != 0.0)
-        got = joint[..., 2 * i:2 * i + 2]
+        got = joint[..., per * i:per * (i + 1)]
         assert np.array_equal(got, alone)
         assert np.array_equal(np.signbit(got), np.signbit(alone))
     if case == "layer-mms":
@@ -621,10 +627,13 @@ def test_non_finite_iterate_is_a_solver_error(annulus):
 
 def _non_finite_on(channel, walls):
     """A steady channel flow whose curl is infinite on the ``walls``."""
-    flow = steady_base_flow(ShearProfile(poly=(0.0, 1.0)), channel)
-    coords = {channel.wall(w).coord for w in walls}
-    return dataclasses.replace(flow, curl=lambda y: np.where(
-        np.isin(y, list(coords)), np.inf, flow.curl(y)))
+    coords = [channel.wall(w).coord for w in walls]
+
+    class NonFinite(ShearProfile):
+        def vorticity(self, y):
+            return np.where(np.isin(y, coords), np.inf, super().vorticity(y))
+
+    return steady_base_flow(NonFinite(poly=(0.0, 1.0)), channel)
 
 
 def test_non_finite_layer_iterate_names_the_wall(channel):

@@ -18,21 +18,19 @@ from vvlab.study import EulerSpec
 def test_rigid_rotation_curl(annulus):
     flow = rigid_rotation(2.5, annulus)
     r = annulus.volume_grid(64)
-    cu = flow.curl(r)
-    assert np.allclose(cu[2], 5.0)          # (1/r) d(Omega r^2)/dr = 2 Omega
-    assert np.allclose(cu[:2], 0.0)
+    # (1/r) d(Omega r^2)/dr = 2 Omega, the curl's one (axial) component
+    assert np.allclose(flow.vorticity(r), 5.0)
 
 
 def test_potential_vortex_curl_free(annulus):
     flow = potential_vortex(1.0, annulus)
-    cu = flow.curl(annulus.volume_grid(64))
-    assert np.allclose(cu, 0.0, atol=1e-14)
+    assert np.allclose(flow.vorticity(annulus.volume_grid(64)), 0.0, atol=1e-14)
 
 
 def test_channel_uniform_flow(channel):
     flow = steady_base_flow(ShearProfile(poly=(1.0,)), channel)
     y = channel.volume_grid(64)
-    assert np.allclose(flow.curl(y), 0.0)
+    assert np.allclose(flow.vorticity(y), 0.0)
 
 
 def test_channel_cosine_wall_curl(channel):
@@ -40,7 +38,7 @@ def test_channel_cosine_wall_curl(channel):
     flow = steady_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
                             channel)
     for w in channel.walls():
-        assert np.allclose(boundary_data_g(flow, w), 0.0, atol=1e-14)
+        assert np.allclose(boundary_data_g(flow, channel, w), 0.0, atol=1e-14)
 
 
 def test_cosine_odd_derivatives_vanish_exactly_at_integer_phases(channel):
@@ -59,7 +57,7 @@ def test_cosine_odd_derivatives_vanish_exactly_at_integer_phases(channel):
     flow = steady_base_flow(ShearProfile(cosines=((1.0, 1),), h=channel.h),
                             channel)
     for w in channel.walls():
-        assert np.all(boundary_data_g(flow, w) == 0.0)
+        assert boundary_data_g(flow, channel, w) == 0.0
 
 
 def test_shear_vorticity_is_minus_the_derivative_and_exactly_zero_at_integer_phases():
@@ -82,40 +80,46 @@ def test_channel_parabola_wall_data(channel):
     h = channel.h
     flow = steady_base_flow(ShearProfile(poly=(0.0, h, -1.0)), channel)
     for w in channel.walls():
-        assert np.abs(boundary_data_g(flow, w)).max() == pytest.approx(h)
+        assert abs(boundary_data_g(flow, channel, w)) == pytest.approx(h)
 
 
 def test_boundary_data_vortex_zero(annulus):
     flow = potential_vortex(1.0, annulus)
     for w in annulus.walls():
-        assert np.allclose(boundary_data_g(flow, w), 0.0, atol=1e-14)
+        assert np.allclose(boundary_data_g(flow, annulus, w), 0.0, atol=1e-14)
 
 
 def test_boundary_data_rigid_signs(annulus):
     # outer wall, n = -e_rad: curl x n = 2 Omega e_z x (-e_rad) = -2 Omega e_th
     flow = rigid_rotation(1.0, annulus)
-    outer = annulus.wall("outer")
-    slot = outer.tangent_names.index("theta")
-    assert boundary_data_g(flow, outer)[slot] == pytest.approx(-2.0)
-    inner = annulus.wall("inner")
-    slot = inner.tangent_names.index("theta")
-    assert boundary_data_g(flow, inner)[slot] == pytest.approx(2.0)
+    assert boundary_data_g(flow, annulus, annulus.wall("outer")) == pytest.approx(-2.0)
+    assert boundary_data_g(flow, annulus, annulus.wall("inner")) == pytest.approx(2.0)
 
 
-def test_boundary_data_matches_componentwise_cross(annulus):
-    # brute-force cross product in the (rad, theta, axial) frame
-    prof = LaurentProfile({1: 1.0, 2: 0.5})
-    flow = steady_base_flow(prof, annulus)
-    for w in annulus.walls():
-        cu = flow.curl(np.array([w.coord]))[:, 0]
-        cross = np.array([
-            cu[1] * w.normal[2] - cu[2] * w.normal[1],
-            cu[2] * w.normal[0] - cu[0] * w.normal[2],
-            cu[0] * w.normal[1] - cu[1] * w.normal[0],
-        ])
-        comp = {n: i for i, n in enumerate(annulus.comp_names)}
-        for slot, name in enumerate(w.tangent_names):
-            assert boundary_data_g(flow, w)[slot] == pytest.approx(cross[comp[name]])
+FAMILIES = ["rigid", "vortex", "swirl_poly:0.5,1.0,-0.2", "shear_poly:0.2,1.0,-0.5",
+            "shear_cos"]
+
+
+def test_boundary_data_matches_componentwise_cross(annulus, channel):
+    # brute-force cross product of the curl (0, 0, omega) with the normal in
+    # the geometry's frame, on every wall of every family: g is its flow
+    # component, bit for bit up to the sign of a zero, and the other two
+    # components are zero
+    for family in FAMILIES:
+        geom = channel if family.startswith("shear") else annulus
+        flow = EulerSpec(family=family).build(geom)
+        for w in geom.walls():
+            cu = np.array([0.0, 0.0, flow.vorticity(np.array([w.coord]))[0]])
+            n = w.normal
+            cross = np.array([
+                cu[1] * n[2] - cu[2] * n[1],
+                cu[2] * n[0] - cu[0] * n[2],
+                cu[0] * n[1] - cu[1] * n[0],
+            ])
+            g = boundary_data_g(flow, geom, w)
+            assert isinstance(g, float)
+            assert g == cross[geom.flow_comp], (family, w.wall_id)
+            assert not np.delete(cross, geom.flow_comp).any()
 
 
 def test_boundary_data_linear_in_flow(annulus):
@@ -123,9 +127,9 @@ def test_boundary_data_linear_in_flow(annulus):
     f2 = steady_base_flow(LaurentProfile({2: 1.0}), annulus)
     f12 = steady_base_flow(LaurentProfile({1: 2.0, 2: -3.0}), annulus)
     for w in annulus.walls():
-        g1, g2 = boundary_data_g(f1, w), boundary_data_g(f2, w)
-        assert np.allclose(boundary_data_g(f12, w), 2.0 * g1 - 3.0 * g2,
-                           atol=1e-13)
+        g1, g2 = boundary_data_g(f1, annulus, w), boundary_data_g(f2, annulus, w)
+        assert boundary_data_g(f12, annulus, w) == pytest.approx(2.0 * g1 - 3.0 * g2,
+                                                                abs=1e-13)
 
 
 def test_normal_velocity_zero_at_walls(annulus, channel):
@@ -135,25 +139,26 @@ def test_normal_velocity_zero_at_walls(annulus, channel):
                                          channel), channel)):
         for w in geom.walls():
             u = np.zeros(3)
-            u[geom.flow_comp] = flow.profile.value(np.array([w.coord]))[0]
+            u[geom.flow_comp] = flow.value(np.array([w.coord]))[0]
             assert abs(float(u @ w.normal)) == 0.0
 
 
-@pytest.mark.parametrize("family", ["rigid", "vortex", "swirl_poly:0.5,1.0,-0.2",
-                                    "shear_poly:0.2,1.0,-0.5", "shear_cos"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_layer_moves_only_the_flow_component(annulus, channel, family):
-    # g = curl u0 x n points along the flow component, so every family's
-    # solved layer is zero in the other tangent, to the bit
+    # g = curl u0 x n points along the flow component, a tangent of every
+    # wall, so every family's layer is one column a wall, moved where g is
+    # nonzero
     geom = channel if family.startswith("shear") else annulus
     flow = EulerSpec(family=family).build(geom)
     profile = solve_layer(flow, geom, FastGrid(nz=64), dt=1e-3, t_end=0.05,
                           store_times=[0.0, 0.025, 0.05])
     name = geom.comp_names[geom.flow_comp]
     assert geom.flow_comp != geom.normal_comp
-    for w in profile.walls.values():
-        off = [i for i, tangent in enumerate(w.tangent_names) if tangent != name]
-        assert len(off) == 1
-        assert not w.ub[:, off].any()
+    for w in geom.walls():
+        assert name in w.tangent_names
+        series = profile.walls[w.wall_id]
+        assert series.ub.shape == (3, 64)
+        assert series.ub.any() == (series.g != 0.0)
     moved = any(w.ub.any() for w in profile.walls.values())
     assert moved == (family not in ("vortex", "shear_cos"))
 

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -73,30 +72,30 @@ def test_trivial_ansatz_reduces_to_base_flow(annulus):
     profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.1])
     coords = annulus.volume_grid(512)
-    u_approx = assemble_ansatz(flow, profile, annulus, 1e-3, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, 1e-3, coords)
     assert u_approx.shape == (1, len(coords))
-    assert np.array_equal(u_approx[0], flow.profile.value(coords))
+    assert np.array_equal(u_approx[0], flow.value(coords))
 
 
 def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     # u_b is tangential and uniform along the collar, so the corrector v
     # driven by its slow divergence vanishes: the ansatz is exactly
     # u0 + sqrt(nu) u_b in the swirl component, bit for bit, each wall's
-    # theta column read from its record of both tangential components
+    # theta column read from its record
     flow, profile = rigid_setup
     nu, coords = 1e-3, annulus.volume_grid(1024)
-    u_approx = assemble_ansatz(flow, profile, annulus, nu, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords)
     # a layer term is added into a writable copy of u0's broadcast
     assert u_approx.flags.writeable
     layer = np.zeros_like(u_approx)
     for it in range(len(profile.times)):
         for w in annulus.walls():
-            theta = profile.walls[w.wall_id].ub[it, w.tangent_names.index("theta")]
+            theta = profile.walls[w.wall_id].ub[it]
             layer[it] += math.sqrt(nu) * eval_profile_on_wall(
                 ProfileField(grid=profile.grid, values=theta), annulus, w.wall_id,
                 coords, nu)
     assert np.any(layer != 0.0)
-    assert np.array_equal(u_approx, flow.profile.value(coords) + layer)
+    assert np.array_equal(u_approx, flow.value(coords) + layer)
 
 
 @pytest.fixture(scope="module")
@@ -143,39 +142,30 @@ def test_zero_layer_is_not_evaluated(monkeypatch):
     monkeypatch.setattr(expansion, "eval_profile_on_wall",
                         lambda *args: calls.append(args))
     coords = cfg.geometry.volume_grid(4096)
-    u_approx = assemble_ansatz(flow, profile, cfg.geometry, cfg.nu_list[-1],
-                               coords, times=cfg.t_eval)
+    u0 = flow.value(coords)
+    u_approx = assemble_ansatz(u0, profile, cfg.nu_list[-1], coords, times=cfg.t_eval)
     assert calls == []
-    # u0 itself, not a copy: the profile's read-only broadcast view
+    # u0 itself, not a copy: its read-only broadcast view
     assert u_approx.strides[0] == 0
     assert not u_approx.flags.writeable
-    u0 = flow.profile.value(coords)
+    assert np.shares_memory(u_approx, u0)
     assert all(np.array_equal(row, u0) for row in u_approx)
     assert all(np.array_equal(np.signbit(row), np.signbit(u0)) for row in u_approx)
 
 
 def test_steady_u0_is_evaluated_once(rigid_setup, annulus):
-    # u0 is one evaluation of the profile, broadcast over the times
+    # u0 is the caller's one evaluation of the profile, broadcast over the
+    # times and read, never written: each time's row is u0 plus its layer
     flow, profile = rigid_setup
     coords = annulus.volume_grid(1024)
-    calls = []
-    counted = dataclasses.replace(flow, profile=types.SimpleNamespace(
-        value=lambda x: calls.append(x) or flow.profile.value(x)))
-    u_approx = assemble_ansatz(counted, profile, annulus, 1e-3, coords)
-    assert len(calls) == 1
-    assert np.array_equal(u_approx,
-                          assemble_ansatz(flow, profile, annulus, 1e-3, coords))
-
-
-def test_layer_off_the_flow_component_is_config_error(rigid_setup, annulus):
-    flow, profile = rigid_setup
-    inner = profile.walls["inner"]
-    ub = inner.ub.copy()
-    ub[:, inner.tangent_names.index("axial"), 0] = 1e-3
-    bent = dataclasses.replace(profile, walls=dict(
-        profile.walls, inner=dataclasses.replace(inner, ub=ub)))
-    with pytest.raises(ConfigError, match="inner.*'theta'"):
-        assemble_ansatz(flow, bent, annulus, 1e-3, annulus.volume_grid(128))
+    u0 = flow.value(coords)
+    u0.flags.writeable = False
+    u_approx = assemble_ansatz(u0, profile, 1e-3, coords)
+    assert not np.shares_memory(u_approx, u0)
+    assert np.array_equal(u0, flow.value(coords))
+    for it in range(len(profile.times)):
+        once = assemble_ansatz(u0, profile, 1e-3, coords, times=profile.times[it:it + 1])
+        assert np.array_equal(u_approx[it], once[0])
 
 
 def test_rigid_ansatz_amplitude(rigid_setup, annulus):
@@ -183,8 +173,8 @@ def test_rigid_ansatz_amplitude(rigid_setup, annulus):
     flow, profile = rigid_setup
     nu, t = 1e-3, 0.25
     coords = annulus.volume_grid(2048)
-    u_approx = assemble_ansatz(flow, profile, annulus, nu, coords, times=[t])
-    dev = np.abs(u_approx[0] - flow.profile.value(coords)).max()
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords, times=[t])
+    dev = np.abs(u_approx[0] - flow.value(coords)).max()
     want = math.sqrt(nu) * 2.0 * 2.0 * math.sqrt(t / math.pi)
     assert dev == pytest.approx(want, rel=0.05)
 
@@ -192,8 +182,8 @@ def test_rigid_ansatz_amplitude(rigid_setup, annulus):
 def test_ansatz_time_alignment_error(rigid_setup, annulus):
     flow, profile = rigid_setup
     with pytest.raises(AlignmentError):
-        assemble_ansatz(flow, profile, annulus, 1e-3,
-                        annulus.volume_grid(128), times=[0.2])
+        coords = annulus.volume_grid(128)
+        assemble_ansatz(flow.value(coords), profile, 1e-3, coords, times=[0.2])
 
 
 def test_vortex_remainder_negligible(annulus):
@@ -204,7 +194,7 @@ def test_vortex_remainder_negligible(annulus):
     nu = 1e-3
     sol = solve_ns(annulus, prof, nu=nu, n=131072, dt=2.5e-3,
                    t_end=0.5, store_times=[0.25, 0.5])
-    u_approx = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
+    u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                times=[0.25, 0.5])
     rem = (sol.u - u_approx) / nu
     assert np.abs(rem).max() < 1e-8
@@ -218,12 +208,12 @@ def test_remainder_per_time_equals_eager_formula(small_rigid):
     nu, geom = 3e-3, cfg.geometry
     flow = cfg.euler.build(geom)
     setup = study.study_setup(cfg)
-    sol = solve_ns(geom, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+    sol = solve_ns(geom, flow, nu, n=cfg.ns.n, dt=cfg.ns.dt,
                    t_end=cfg.ns.t_end, store_times=cfg.t_eval)
-    u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
+    u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                times=cfg.t_eval)
     idx = [time_index(sol.times, t) for t in cfg.t_eval]
-    eager = {"u": sol.u[idx] - flow.profile.value(sol.coords),
+    eager = {"u": sol.u[idx] - flow.value(sol.coords),
              "R:full": (sol.u[idx] - u_approx) / nu}
     assert np.any(eager["R:full"] != 0.0)
     got = _row_values(study_rows(setup, sol, u_approx))
@@ -238,7 +228,7 @@ def test_remainder_definition_identity(small_rigid):
     cfg, profile = small_rigid
     nu, geom = 1e-3, cfg.geometry
     coords = geom.volume_grid(1024)
-    u_approx = assemble_ansatz(cfg.euler.build(geom), profile, geom, nu, coords,
+    u_approx = assemble_ansatz(cfg.euler.build(geom).value(coords), profile, nu, coords,
                                times=cfg.t_eval)
     sol = ViscousSolution(nu=nu, geom=geom, coords=coords,
                           times=np.array(cfg.t_eval), u=u_approx.copy())
@@ -256,8 +246,8 @@ def test_remainder_grid_mismatch(rigid_setup, annulus):
     # the wall identities check the ansatz against the solution's grid
     flow, profile = rigid_setup
     nu = 1e-3
-    u_approx = assemble_ansatz(flow, profile, annulus, nu,
-                               annulus.volume_grid(512))
+    coords = annulus.volume_grid(512)
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords)
     sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
                    dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
     with pytest.raises(ConfigError, match="256 points"):
@@ -270,7 +260,7 @@ def test_remainder_time_not_stored_is_alignment_error(rigid_setup, annulus):
     sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
                    dt=2.5e-3, t_end=0.25, store_times=[0.25])
     times = [0.125, 0.25]
-    u_approx = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
+    u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                times=times)
     with pytest.raises(AlignmentError, match="0.125"):
         remainder_bc_residual(sol, u_approx, times, profile)
@@ -283,9 +273,9 @@ def test_remainder_parts_are_the_projector_of_r(small_rigid):
     nu, geom = 1e-3, cfg.geometry
     flow = cfg.euler.build(geom)
     setup = study.study_setup(cfg)
-    sol = solve_ns(geom, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+    sol = solve_ns(geom, flow, nu, n=cfg.ns.n, dt=cfg.ns.dt,
                    t_end=cfg.ns.t_end, store_times=cfg.t_eval)
-    u_approx = assemble_ansatz(flow, profile, geom, nu, sol.coords,
+    u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                times=cfg.t_eval)
     got = _row_values(study_rows(setup, sol, u_approx))
     for jt, t in enumerate(cfg.t_eval):
@@ -361,7 +351,7 @@ def test_remainder_bc_vortex_trivial(annulus):
     nu = 1e-3
     sol = solve_ns(annulus, LaurentProfile({-1: 1.0}), nu=nu, n=65536,
                    dt=2.5e-3, t_end=0.5, store_times=[0.5])
-    u_approx = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
+    u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                times=[0.5])
     assert remainder_bc_residual(sol, u_approx, [0.5], profile) < 1e-4
 
@@ -377,7 +367,7 @@ def test_remainder_bc_rigid_refinement(annulus):
     for nr in (512, 1024, 2048):
         sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=nr,
                        dt=5e-5, t_end=0.25, store_times=[0.25])
-        u_approx = assemble_ansatz(flow, profile, annulus, nu, sol.coords,
+        u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                    times=[0.25])
         res.append(remainder_bc_residual(sol, u_approx, [0.25], profile))
     orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
@@ -390,7 +380,7 @@ def test_remainder_bc_definitional_case(rigid_setup, annulus):
     flow, profile = rigid_setup
     nu = 1e-3
     coords = annulus.volume_grid(2048)
-    u_approx = assemble_ansatz(flow, profile, annulus, nu, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords)
     sol = ViscousSolution(nu=nu, geom=annulus, coords=coords,
                           times=profile.times.copy(), u=u_approx.copy())
     assert np.isfinite(remainder_bc_residual(sol, u_approx, profile.times, profile))

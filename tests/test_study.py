@@ -231,9 +231,9 @@ def test_poly_families_from_config_file(tmp_path, family, geometry, expected):
     cfg = _config_file(tmp_path, geometry, f"family = {family}")
     flow = cfg.euler.build(cfg.geometry)
     want = expected(cfg.geometry)
-    assert flow.profile == want.profile
+    assert flow == want
     coords = cfg.geometry.volume_grid(257)
-    assert np.array_equal(flow.profile.value(coords), want.profile.value(coords))
+    assert np.array_equal(flow.value(coords), want.value(coords))
 
 
 @pytest.mark.parametrize("family, geometry", [
@@ -365,6 +365,21 @@ def test_flat_shear_superconvergence_flagged(flat_report):
     assert entry["slope"] >= 0.9
     assert entry["status"] == "pass"
     assert entry["superconvergent"]
+
+
+def test_flat_shear_rows_match_closed_form(flat_report):
+    # U = cos(pi y) meets the slip condition (U' = 0 at the walls), so g = 0,
+    # the layer is zero and the reference is the heat solution
+    # e^(-nu pi^2 t) cos(pi y): each u row is (1 - e^(-nu pi^2 t)) times a
+    # norm of cos(pi y) on the unit channel
+    norms = {"l2": math.sqrt(0.5), "linf": 1.0, "lp:4": 0.375 ** 0.25,
+             "h1": math.sqrt(0.5 + math.pi**2 / 2)}
+    bounds = {"l2": 3e-8, "lp:4": 3e-8, "linf": 6e-8, "h1": 1e-6}
+    rows = [row for row in flat_report.rows if row[4] == "u"]
+    assert len(rows) == 5 * 8 * 4
+    for nu, t, label, value, _ in rows:
+        want = -math.expm1(-nu * math.pi**2 * t) * norms[label]
+        assert abs(value - want) <= bounds[label] * want, (nu, t, label)
 
 
 def test_vortex_exact_regime_flag(vortex_report):
@@ -653,10 +668,10 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
         _log(tmp_path / "taken", nu, t)
         return real(setup, nu, u, t, u_approx)
 
-    def spy_ansatz(flow, profile, geom, nu, coords, times, u0):
+    def spy_ansatz(u0, profile, nu, coords, times):
         for t in times:
             _log(tmp_path / "assembled", nu, t)
-        return real_ansatz(flow, profile, geom, nu, coords, times=times, u0=u0)
+        return real_ansatz(u0, profile, nu, coords, times=times)
 
     monkeypatch.setattr(study, "_solve_one_nu", spy)
     monkeypatch.setattr(study, "assemble_ansatz", spy_ansatz)
@@ -754,6 +769,7 @@ def test_failed_factorisation_fails_only_its_row(annulus):
     # failed row, named as a march of its own; the rest of its group
     # marches without it, bit for bit the rows of standalone marches
     cfg = _small_study(annulus, "rigid")
+    flow = cfg.euler.build(cfg.geometry)
     profile = study.solve_study_layer(cfg)
     setup = study.study_setup(cfg)
     out = study._group_rows(setup, profile, (1e-2, -1.0, 1e-3))
@@ -763,9 +779,9 @@ def test_failed_factorisation_fails_only_its_row(annulus):
     assert err.startswith("SolverError: ns swirl (nu=-1, n=256): dpttrf failed")
     for nu, rows, err in (out[0], out[2]):
         assert err is None
-        sol = solve_ns(cfg.geometry, setup.flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+        sol = solve_ns(cfg.geometry, flow, nu, n=cfg.ns.n, dt=cfg.ns.dt,
                        t_end=cfg.ns.t_end, store_times=cfg.t_eval)
-        u_approx = assemble_ansatz(setup.flow, profile, cfg.geometry, nu, sol.coords,
+        u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
                                    times=cfg.t_eval)
         rows = [row for at in rows for row in at]
         assert rows == study_rows(setup, sol, u_approx)
@@ -1120,7 +1136,7 @@ def test_row_reference_histories_equal_standalone_solves(request, monkeypatch,
             for nu, at in stored.items()}
     kept = []
     for nu, (times, u) in seen.items():
-        want = solve_ns(cfg.geometry, flow.profile, nu, n=cfg.ns.n, dt=cfg.ns.dt,
+        want = solve_ns(cfg.geometry, flow, nu, n=cfg.ns.n, dt=cfg.ns.dt,
                         t_end=cfg.ns.t_end, store_times=cfg.t_eval)
         assert np.array_equal(times, want.times)
         assert np.array_equal(u, want.u)
@@ -1255,7 +1271,7 @@ def _setup_on(cfg, coords):
     reference solve is left on the config's grid."""
     setup = study.study_setup(cfg)
     ref = dataclasses.replace(setup.ref, coords=coords,
-                              u0=setup.flow.profile.value(coords))
+                              u0=cfg.euler.build(cfg.geometry).value(coords))
     return dataclasses.replace(setup, ref=ref, grid=VolumeGrid(cfg.geometry, coords),
                                row=np.empty(len(coords)),
                                scratch=np.empty((4, len(coords))))
