@@ -3,7 +3,7 @@
 Modules
 -------
 geometry   domain backends (flat channel, cylinder gap), wall distances, cutoff
-spaces     anisotropic weighted norms, layer evaluation maps, Hardy/Gronwall checks
+spaces     weighted layer norms, volume norms, layer evaluation, Hardy/Gronwall checks
 euler      exact inviscid base flows and their wall data
 layer      boundary-layer profile solver, wall traces and layer norms
 ns         viscous reference solver with vorticity-free slip walls

@@ -151,7 +151,7 @@ def check_scaling_exponents():
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     # one layer evaluation per nu gives every p; the bound takes p = 4's norms
     ps = (2.0, 4.0, 6.0)
-    results = scaling_exponent_check(pf, geom, [1e-2, 1e-3, 1e-4, 1e-5], p=ps,
+    results = scaling_exponent_check(pf, geom, [1e-2, 1e-3, 1e-4, 1e-5], ps,
                                      n_points=8193)
     worst = 0.0
     details = []

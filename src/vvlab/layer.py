@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import ConfigError, SolverError, StepSizeError
+from .errors import SolverError, StepSizeError
 from .euler import boundary_data_g
 from .ns import _cn_steps, _resolve_store_steps, _symmetrise
 from .spaces import FastGrid, ProfileField, weighted_norm
@@ -174,7 +174,8 @@ class MonitorReport:
 
 
 def layer_norm_monitor(profile: LayerProfile, idx_list) -> MonitorReport:
-    """Weighted norms of the layer at every stored time.
+    """Weighted norms of the layer at every stored time, one series per
+    AnisotropicIndex of ``idx_list``, labelled ``aniso:k,l,p``.
 
     Norms of the two walls combine in the p-mean.  A label is flagged when
     any later value exceeds 10 times the value at the first stored time
@@ -183,23 +184,15 @@ def layer_norm_monitor(profile: LayerProfile, idx_list) -> MonitorReport:
     series = {}
     flagged = {}
     for idx in idx_list:
-        if isinstance(idx, str):
-            from .spaces import parse_norm
-            spec = parse_norm(idx)
-            if spec.kind != "aniso":
-                raise ConfigError("layer monitor takes aniso norm strings")
-            label, aidx = idx, spec.idx
-        else:
-            aidx = idx
-            label = f"aniso:{aidx.k},{aidx.m},{aidx.l},{aidx.p:g}"
+        label = f"aniso:{idx.k},{idx.l},{idx.p:g}"
         vals = np.zeros(len(profile.times))
         for it in range(len(profile.times)):
-            per_wall = [weighted_norm(profile.profile(wid, it), aidx)
+            per_wall = [weighted_norm(profile.profile(wid, it), idx)
                         for wid in profile.walls]
-            if math.isinf(aidx.p):
+            if math.isinf(idx.p):
                 vals[it] = max(per_wall)
             else:
-                vals[it] = sum(v**aidx.p for v in per_wall) ** (1.0 / aidx.p)
+                vals[it] = sum(v**idx.p for v in per_wall) ** (1.0 / idx.p)
         series[label] = vals
         ref = vals[0]
         flagged[label] = bool(np.any(vals > 10.0 * ref + 1e-12))

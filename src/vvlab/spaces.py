@@ -1,5 +1,8 @@
-"""Norm engine: anisotropic weighted norms, layer evaluation maps, and the
-utility inequalities (Hardy, local Gronwall) as executable checks.
+"""Norm engine: the layer's weighted column norms, asked for by
+AnisotropicIndex(k, l, p); the volume norms, asked for by the strings l2,
+linf, h1 and lp:<p>; the layer's map onto a volume grid and its scaling
+check; and the utility inequalities (Hardy, local Gronwall) as executable
+checks.
 
 A profile field is one wall column u(z) of the flow component
 (``GeometryDescriptor.flow_comp``) on a half-line fast grid: the layer moves
@@ -36,7 +39,6 @@ from .geometry import trapezoid_weights
 
 DEFAULT_ZMAX = 33.0      # exp(-33) ~ 4.7e-15 < 1e-14
 DEFAULT_FAST_L = 2.0
-DEFAULT_EVAL_POINTS = 4097
 _HALO = 2                # a derivative row's reach: 1 node, 2 from the end rows
 
 
@@ -47,17 +49,16 @@ _HALO = 2                # a derivative row's reach: 1 node, 2 from the end rows
 
 @dataclass(frozen=True)
 class AnisotropicIndex:
-    """Index (k, m, l, p): decay weight (1+z^{2k}), m slow and l fast
-    derivatives, integrability p (math.inf for the sup norm)."""
+    """Index (k, l, p): decay weight (1+z^{2k}), l fast derivatives,
+    integrability p (math.inf for the sup norm)."""
 
     k: int = 0
-    m: int = 0
     l: int = 0
     p: float = 2.0
 
     def __post_init__(self):
-        if self.k < 0 or self.m < 0 or self.l < 0:
-            raise InvalidParameterError("k, m, l must be nonnegative")
+        if self.k < 0 or self.l < 0:
+            raise InvalidParameterError("k, l must be nonnegative")
         if self.p < 1:
             raise InvalidParameterError("p must be >= 1")
 
@@ -80,6 +81,11 @@ class FastGrid:
         z = -DEFAULT_FAST_L * np.log1p(-xi)
         z[0] = 0.0
         z[-1] = self.zmax
+        # a zmax too small for nz rounds nodes together: every derivative
+        # weight would divide by a zero spacing
+        if not np.all(np.diff(z) > 0):
+            raise ConfigError(f"fast grid with zmax = {self.zmax} and nz = {self.nz} "
+                              "does not increase strictly from 0")
         object.__setattr__(self, "z", z)
 
 
@@ -171,9 +177,6 @@ class ProfileField:
                               f"({self.grid.nz},) nor (n_t, {self.grid.nz})")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("profile values must be finite")
-        z = self.grid.z
-        if not (z[0] == 0.0 and np.all(np.diff(z) > 0)):
-            raise ConfigError("fast grid must increase strictly from 0")
 
 
 def profile_from_callable(fn, grid: FastGrid) -> ProfileField:
@@ -188,9 +191,7 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
     ( sum_{b<=l} w int (1+z^{2k}) |D_z^b u|^p dz )^{1/p},
     with |.| the absolute value of the column, w the collar weight
     and the z integral a trapezoid sum on the mapped nodes.  For p = inf (k
-    must be 0) it is the max over the fast orders of the sup norm.  A
-    column does not vary along the wall, so its slow derivatives vanish and
-    the slow order m adds no term.
+    must be 0) it is the max over the fast orders of the sup norm.
     """
     if pf.values.ndim != 1:
         raise ConfigError("a weighted norm takes one time's profile")
@@ -223,20 +224,12 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
 @dataclass(frozen=True)
 class NormSpec:
     label: str
-    kind: str               # "lp", "linf", "h1", "aniso"
+    kind: str               # "lp", "linf", "h1"
     p: float = 2.0
-    idx: AnisotropicIndex | None = None
-
-
-def _norm_number(cast, text: str, label: str):
-    try:
-        return cast(text)
-    except ValueError:
-        raise ConfigError(f"bad norm string {label!r}: {text!r} is not a number") from None
 
 
 def parse_norm(label: str) -> NormSpec:
-    """Parse a norm request string: l2 | linf | h1 | lp:<p> | aniso:k,m,l,p.
+    """Parse a norm request string: l2 | linf | h1 | lp:<p>.
 
     The spec's label is canonical: surrounding blanks are stripped and the
     exponent of lp is written in its shortest form, so "lp:4.0" is "lp:4".
@@ -249,21 +242,14 @@ def parse_norm(label: str) -> NormSpec:
     if s == "h1":
         return NormSpec(label=s, kind="h1", p=2.0)
     if s.startswith("lp:"):
-        p = _norm_number(float, s.split(":", 1)[1], label)
+        text = s.split(":", 1)[1]
+        try:
+            p = float(text)
+        except ValueError:
+            raise ConfigError(f"bad norm string {label!r}: {text!r} is not a number") from None
         if not 1 <= p < math.inf:
             raise ConfigError(f"lp needs a finite p >= 1 (sup norm: linf), got {label!r}")
         return NormSpec(label="lp:" + repr(p).removesuffix(".0"), kind="lp", p=p)
-    if s.startswith("aniso:"):
-        parts = s.split(":", 1)[1].split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"aniso norm needs k,m,l,p, got {label!r}")
-        k, m, l = (_norm_number(int, v, label) for v in parts[:3])
-        p = math.inf if parts[3] in ("inf", "infty") \
-            else _norm_number(float, parts[3], label)
-        if math.isnan(p):
-            raise ConfigError(f"aniso norm needs p >= 1 or inf (sup norm, as linf), got {label!r}")
-        return NormSpec(label=s, kind="aniso", p=p,
-                        idx=AnisotropicIndex(k=k, m=m, l=l, p=p))
     raise ConfigError(f"unknown norm string {label!r}")
 
 
@@ -336,7 +322,7 @@ class VolumeGrid:
                 for s in spans:
                     top = mag[s].max(initial=top)
                 out.append(float(top))
-            elif spec.kind in ("lp", "h1"):
+            else:
                 for s in spans:
                     d = dens[s]
                     if spec.kind == "h1":
@@ -351,9 +337,6 @@ class VolumeGrid:
                 total = np.sum(dens)
                 out.append(float(np.sqrt(total) if spec.kind == "h1"
                                  else total ** (1.0 / spec.p)))
-            else:
-                raise ConfigError(
-                    f"norm {spec.label!r} does not apply to volume fields")
         return out
 
 
@@ -374,16 +357,8 @@ def _live_spans(zero: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
-# boundary layer evaluation
+# boundary layer evaluation and its scaling check
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LayerEvalResult:
-    values: np.ndarray             # (n,) on the geometry's volume grid
-    norm: float | list             # a list, one per p, for a sequence of p
-    p: float | tuple
-    asymptotic_warning: bool
 
 
 @dataclass(frozen=True)
@@ -468,41 +443,6 @@ def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
                            coords, nu)
 
 
-def boundary_layer_eval(pf: ProfileField, geom: geo.GeometryDescriptor,
-                        nu: float, p=2.0,
-                        n_points: int = DEFAULT_EVAL_POINTS) -> LayerEvalResult:
-    """Evaluate x -> U(x, phi(x)/sqrt(nu)) times the collar cutoff.
-
-    Both walls contribute with their own exact distance; the collars are
-    disjoint so the contributions never overlap; their sum is one (n,)
-    field, whose norms are those of its absolute value.
-    ``p`` may be a sequence of exponents: ``norm`` is then one norm per p,
-    from one VolumeGrid.norms call, each the bits of the norm at that p.
-    """
-    return _layer_eval(_not_a_knot_fit(pf.grid.z, pf.values), geom, nu, p, n_points)
-
-
-def _layer_eval(spline: _Spline, geom: geo.GeometryDescriptor, nu: float, p,
-                n_points: int) -> LayerEvalResult:
-    """boundary_layer_eval of the profile ``spline`` is fitted to."""
-    if nu <= 0:
-        raise InvalidParameterError("nu must be positive")
-    coords = geom.volume_grid(n_points)
-    # (n,): a wall's values stacked over times do not add into it
-    total = np.zeros(len(coords))
-    for w in geom.walls():
-        total += _spline_on_wall(spline, geom, w.wall_id, coords, nu)
-    warn = math.sqrt(nu) > geom.eta / 4.0
-    if warn:
-        warnings.warn("sqrt(nu) exceeds eta/4: asymptotic collar regime violated")
-    specs = [NormSpec(label="linf", kind="linf", p=q) if math.isinf(q)
-             else NormSpec(label=f"lp:{q}", kind="lp", p=q)
-             for q in map(float, np.atleast_1d(p))]
-    nrm = VolumeGrid(geom, coords).norms(total, specs)
-    return LayerEvalResult(values=total, norm=nrm if np.ndim(p) else nrm[0], p=p,
-                           asymptotic_warning=warn)
-
-
 @dataclass
 class ScalingResult:
     nu_list: tuple
@@ -514,26 +454,40 @@ class ScalingResult:
 
 
 def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
-                           nu_list, p=2.0, n_points: int = DEFAULT_EVAL_POINTS):
-    """Fit the nu-exponent of the layer evaluation norm and give the ratios
-    that check the nu-uniform bound.
+                           nu_list, ps, n_points: int) -> tuple:
+    """Fit the nu-exponent of the layer evaluation norms and give the ratios
+    that check the nu-uniform bound: one ScalingResult per p of ``ps``, in
+    order (math.inf for the sup norm).
 
-    The slope is the least-squares fit of log ||U(x, phi/sqrt(nu))||_p
-    versus log nu (expected 1/(2p)); the ratios are the norms over the
-    anisotropic (k=1, l=1, p=2) profile norm, which must stay bounded.
-    ``p`` may be a sequence of exponents: the result is then one
-    ScalingResult per p, in order, from one layer evaluation per nu
-    (``boundary_layer_eval`` with every p) and one spline fit in all.
+    The layer evaluation x -> U(phi(x)/sqrt(nu)) times the collar cutoff is
+    the sum over the walls of eval_profile_on_wall, each with its own exact
+    distance; the collars are disjoint, so the contributions never overlap.
+    The slope is the least-squares fit of its log ||.||_p versus log nu
+    (expected 1/(2p)); the ratios are the norms over the anisotropic (k=1,
+    l=1, p=2) profile norm, which must stay bounded.  One spline fit and one
+    volume grid of ``n_points`` nodes serve every nu, and one norms call per
+    nu every p.
     """
     nu_list = sorted(float(v) for v in nu_list)
     if len(nu_list) < 3:
         raise ConfigError("need at least 3 viscosity values")
+    if nu_list[0] <= 0:
+        raise InvalidParameterError("nu must be positive")
     if math.log10(nu_list[-1] / nu_list[0]) < 2.0 - 1e-9:
         raise ConfigError("viscosity values must span at least 2 decades")
-    # one spline fit serves every nu, bit for bit a fit per evaluation
+    if math.sqrt(nu_list[-1]) > geom.eta / 4.0:
+        warnings.warn("sqrt(nu) exceeds eta/4: asymptotic collar regime violated")
     spline = _not_a_knot_fit(pf.grid.z, pf.values)
-    rows = [_layer_eval(spline, geom, nu, np.atleast_1d(p), n_points).norm
-            for nu in nu_list]
+    grid = VolumeGrid(geom, geom.volume_grid(n_points))
+    specs = [NormSpec(label=f"p={p}", kind="linf" if math.isinf(p) else "lp", p=p)
+             for p in map(float, ps)]
+    rows = []
+    for nu in nu_list:
+        # (n,): a wall's values stacked over times do not add into it
+        total = np.zeros(len(grid.coords))
+        for w in geom.walls():
+            total += _spline_on_wall(spline, geom, w.wall_id, grid.coords, nu)
+        rows.append(grid.norms(total, specs))
     ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0))
     x = np.log(np.asarray(nu_list))
     results = []
@@ -543,7 +497,7 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
             nu_list=tuple(nu_list), norms=norms, slope=float(slope),
             intercept=float(intercept), reference_norm=ref,
             ratios=tuple(n / ref for n in norms)))
-    return tuple(results) if np.ndim(p) else results[0]
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

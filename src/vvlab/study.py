@@ -156,10 +156,6 @@ class StudyConfig:
             raise ConfigError("max(nu_list) must be <= (eta/4)^2")
         self.nu_list = nus
         specs = [parse_norm(label) for label in self.norms]
-        if any(spec.kind == "aniso" for spec in specs):
-            raise ConfigError(
-                "study norms act on volume fields; aniso norms belong to "
-                "the layer monitor")
         # canonical labels, so "lp:4.0" keys the same rows and criteria as "lp:4"
         self.norms = tuple(spec.label for spec in specs)
         if len(set(self.norms)) < len(self.norms):
@@ -338,15 +334,13 @@ def fit_rate(pairs):
     return slope, float(intercept), float(r2)
 
 
-def theory_slope(norm_label: str):
+def theory_slope(norm_label: str) -> float:
     spec = parse_norm(norm_label)
     if spec.kind == "h1":
         return 0.25
     if spec.kind == "linf":
         return 0.5
-    if spec.kind == "lp":
-        return 0.5 + 0.5 / spec.p
-    return None
+    return 0.5 + 0.5 / spec.p
 
 
 def weaker_slope(norm_label: str):
@@ -799,13 +793,8 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
             slope, intercept, r2 = fit_rate(rows)
             entry.update(slope=slope, intercept=intercept, r2=r2)
             th = entry["theory"]
-            if th is None:
-                entry["status"] = "reported"
-                entry["superconvergent"] = False
-            else:
-                ok = slope >= th - PASS_MARGIN_LOW
-                entry["superconvergent"] = bool(slope > th + PASS_MARGIN_HIGH)
-                entry["status"] = "pass" if ok else "fail"
+            entry["superconvergent"] = bool(slope > th + PASS_MARGIN_HIGH)
+            entry["status"] = "pass" if slope >= th - PASS_MARGIN_LOW else "fail"
         norm_results[label] = entry
 
     remainder = {}

@@ -11,6 +11,10 @@ with J the quarter turn (a, b) -> (b, -a) of the wall frame.
 kernel with the diffusion implicit and the other terms explicit, so it is
 second order in z and first order in t.  Criterion 8, test_layer and
 test_cn_kernel run it.
+
+``ERFC_SQ_NORMS`` holds the closed forms of the erfc layer's norms, which
+test_layer checks the weighted norms against and test_study predicts the
+rigid study's rows with.
 """
 
 import math
@@ -22,6 +26,16 @@ from vvlab import layer, ns
 from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights
 
 CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+# squared L2 norms over the half-line of u_b = 2 g sqrt(t) ierfc(z / (2 sqrt(t))),
+# the layer of a constant datum g, and of its first two z derivatives, per
+# unit g^2 and collar weight; they use int_0^inf ierfc^2 = (sqrt(2) - 1) /
+# (3 sqrt(pi)) and int_0^inf erfc^2 = (2 - sqrt(2)) / sqrt(pi)
+ERFC_SQ_NORMS = (
+    lambda t: 8.0 * (math.sqrt(2.0) - 1.0) * t**1.5 / (3.0 * math.sqrt(math.pi)),
+    lambda t: 2.0 * (2.0 - math.sqrt(2.0)) * math.sqrt(t) / math.sqrt(math.pi),
+    lambda t: 1.0 / math.sqrt(2.0 * math.pi * t),
+)
 
 
 @dataclass

@@ -161,6 +161,38 @@ def test_zero_layer_zmax_is_a_config_error(tmp_path, capsys, zmax):
     assert not (tmp_path / "out" / "layer_profile.dat").exists()
 
 
+@pytest.mark.parametrize("argv", [["layer", "solve"], ["study", "rates"]])
+def test_degenerate_layer_grid_is_a_config_error(tmp_path, capsys, argv):
+    # zmax = 1e-20 puts every one of the 64 fast nodes but the last at 0.0;
+    # the grid is refused where it is made, before any divide-by-zero
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("nz = 64\n", "nz = 64\nzmax = 1e-20\n"))
+    code = cli_main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "zmax = 1e-20 and nz = 64 does not increase strictly" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_aniso_norm_string_is_a_config_error(tmp_path, capsys):
+    # a study reports volume norms only; the layer's weighted norms are
+    # asked for in code, by AnisotropicIndex
+    from vvlab import geometry as geo
+    from vvlab.errors import ConfigError
+    from vvlab.study import EulerSpec, StudyConfig
+
+    with pytest.raises(ConfigError, match="unknown norm string 'aniso:0,0,0,2'"):
+        StudyConfig(geometry=geo.annulus_gap(1.0, 2.0, eta=0.45),
+                    euler=EulerSpec(family="rigid"), norms=("l2", "aniso:0,0,0,2"))
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("norms = l2\n", "norms = l2, aniso:0,0,0,2\n"))
+    code = cli_main(["study", "rates", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    # the file's norms split at commas: the string's first piece is refused
+    assert "unknown norm string 'aniso:0'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key", [("euler", "family"), ("geometry", "eta"),
                                           ("geometry", "h")])
 def test_missing_config_key_exits_2_naming_it(tmp_path, capsys, section, key):

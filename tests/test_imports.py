@@ -78,8 +78,6 @@ def test_checker_flags_an_unused_import():
 TEST_ONLY = {
     "remainder_bc_residual": "ROADMAP item 4 reports it in every run",
     "layer_norm_monitor": "ROADMAP item 10 reports it in every run",
-    "boundary_layer_eval": "the oracle test_spaces holds the scaling check's "
-                           "norms to",
 }
 
 
@@ -130,8 +128,6 @@ NOT_PASSED = {
     "cli_main.argv": "tests call the command line with their own arguments",
     "study_parts.cores": "tests and CI split a study for one core",
     "run_convergence_study.jobs": "the benchmark sets a study's worker count",
-    "boundary_layer_eval.p": "the test-only oracle of the scaling check",
-    "boundary_layer_eval.n_points": "the test-only oracle of the scaling check",
     "_BindToPackage.find_spec.target": "the import system's protocol passes it",
 }
 

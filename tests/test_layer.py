@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from manufactured import layer_mms_case, march_profiles
+from manufactured import ERFC_SQ_NORMS, layer_mms_case, march_profiles
 from test_cn_kernel import kernel_history
 from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
@@ -24,7 +24,6 @@ from vvlab.spaces import (
     AnisotropicIndex,
     FastGrid,
     diff_along,
-    parse_norm,
     weighted_norm,
 )
 
@@ -95,17 +94,6 @@ def test_erfc_wall_value(rigid_layer):
         assert abs(got - want) / abs(want) < 1e-4
 
 
-# squared L2 norms over the half-line of u_b = 2 g sqrt(t) ierfc(z / (2 sqrt(t)))
-# and of its first two z derivatives, per unit g^2 and collar weight; they use
-# int_0^inf ierfc^2 = (sqrt(2) - 1) / (3 sqrt(pi)) and
-# int_0^inf erfc^2 = (2 - sqrt(2)) / sqrt(pi)
-ERFC_SQ_NORMS = (
-    lambda t: 8.0 * (math.sqrt(2.0) - 1.0) * t**1.5 / (3.0 * math.sqrt(math.pi)),
-    lambda t: 2.0 * (2.0 - math.sqrt(2.0)) * math.sqrt(t) / math.sqrt(math.pi),
-    lambda t: 1.0 / math.sqrt(2.0 * math.pi * t),
-)
-
-
 @pytest.fixture(scope="module")
 def rigid_study_layer():
     from vvlab.study import get_preset, solve_study_layer
@@ -113,14 +101,15 @@ def rigid_study_layer():
     return solve_study_layer(get_preset("rigid-annulus"))
 
 
-@pytest.mark.parametrize("label", ["aniso:0,0,0,2", "aniso:0,0,1,2",
-                                   "aniso:0,0,2,2", "aniso:0,0,0,inf"])
-def test_weighted_norms_match_erfc_closed_forms(rigid_study_layer, label):
+@pytest.mark.parametrize("idx", [AnisotropicIndex(0, 0, 2.0), AnisotropicIndex(0, 1, 2.0),
+                                 AnisotropicIndex(0, 2, 2.0),
+                                 AnisotropicIndex(0, 0, math.inf)],
+                         ids=lambda idx: f"aniso:{idx.k},{idx.l},{idx.p:g}")
+def test_weighted_norms_match_erfc_closed_forms(rigid_study_layer, idx):
     # the paper's first result bounds these norms; for the rigid preset's
     # constant wall datum the layer is erfc-shaped, so each has a closed
     # form: the collar weight times the sum of the squared fast-derivative
     # norms up to order l, or sup |u_b| = 2 |g| sqrt(t / pi)
-    idx = parse_norm(label).idx
     profile = rigid_study_layer
     checked = 0
     for wall_id, w in profile.walls.items():
@@ -265,7 +254,9 @@ def test_monitor_zero_profile(annulus):
     flow = potential_vortex(1.0, annulus)
     profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.05, 0.1])
-    rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 0, 2.0)])
+    rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 2.0),
+                                       AnisotropicIndex(0, 1, math.inf)])
+    assert list(rep.series) == ["aniso:0,0,2", "aniso:0,1,inf"]
     for series in rep.series.values():
         assert np.all(series == 0.0)
     assert not any(rep.flagged.values())
@@ -277,7 +268,7 @@ def test_monitor_growth_t34(annulus):
     times = [0.0625, 0.125, 0.25, 0.5]
     profile = solve_layer(flow, annulus, FastGrid(nz=256), dt=2.5e-4,
                           t_end=0.5, store_times=times)
-    rep = layer_norm_monitor(profile, [AnisotropicIndex(1, 0, 0, 2.0)])
+    rep = layer_norm_monitor(profile, [AnisotropicIndex(1, 0, 2.0)])
     series = next(iter(rep.series.values()))
     assert np.all(np.diff(series) > 0)
     rate = np.log(series[-1] / series[0]) / np.log(times[-1] / times[0])
@@ -291,7 +282,7 @@ def test_monitor_flags_large_growth(annulus):
     flow = rigid_rotation(1.0, annulus)
     profile = solve_layer(flow, annulus, FastGrid(nz=128), dt=1e-3,
                           t_end=0.5, store_times=[1e-3, 0.5])
-    rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 0, 2.0)])
+    rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 2.0)])
     assert all(rep.flagged.values())
 
 
@@ -300,7 +291,7 @@ def test_monitor_dz_norm_scale(annulus):
     flow = rigid_rotation(1.0, annulus)
     profile = solve_layer(flow, annulus, FastGrid(nz=512), dt=1e-4,
                           t_end=0.25, store_times=[0.25])
-    rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 0, 1, 2.0)])
+    rep = layer_norm_monitor(profile, [AnisotropicIndex(0, 1, 2.0)])
     series = next(iter(rep.series.values()))
     z = profile.grid.z
     g = 2.0

@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,13 +28,11 @@ from vvlab.spaces import (
     _GRONWALL_HIGH,
     _GRONWALL_LOW,
     _gronwall_bounds,
-    _layer_eval,
     _live_spans,
     _not_a_knot_eval,
     _not_a_knot_fit,
     _spline_on_wall,
     _uniform_bracket,
-    boundary_layer_eval,
     diff_along,
     eval_profile_on_wall,
     gronwall_local_bound,
@@ -64,6 +63,13 @@ def test_fast_grid_invariants(grid):
     assert math.exp(-grid.z[-1]) < 1e-14
 
 
+def test_fast_grid_refuses_nodes_rounded_together():
+    # 1 - exp(-zmax / L) rounds to 0, so every node but the last sits at
+    # 0.0; the grid is refused where it is made, naming both its sizes
+    with pytest.raises(ConfigError, match=r"zmax = 1e-20 and nz = 8 does not increase"):
+        FastGrid(nz=8, zmax=1e-20)
+
+
 @pytest.mark.parametrize("name, value", [("zmax", math.nan), ("zmax", math.inf)])
 def test_fast_grid_needs_finite_positive_zmax_and_stretch(name, value):
     # the stretch is the constant DEFAULT_FAST_L: zmax is the one checked
@@ -79,28 +85,28 @@ def test_profile_field_is_a_column_or_stacked_columns(grid):
 
 def test_zero_field_all_indices(grid):
     pf = profile_from_callable(lambda z: 0.0 * z, grid)
-    for idx in (AnisotropicIndex(0, 0, 0, 2.0), AnisotropicIndex(1, 1, 1, 4.0),
-                AnisotropicIndex(0, 0, 1, math.inf)):
+    for idx in (AnisotropicIndex(0, 0, 2.0), AnisotropicIndex(1, 1, 4.0),
+                AnisotropicIndex(0, 1, math.inf)):
         assert weighted_norm(pf, idx) == 0.0
 
 
 def test_exponential_l2_norm(exp_field):
     # int_0^inf exp(-2z) dz = 1/2
     want = math.sqrt(A_SLOW / 2.0)
-    got = weighted_norm(exp_field, AnisotropicIndex(0, 0, 0, 2.0))
+    got = weighted_norm(exp_field, AnisotropicIndex(0, 0, 2.0))
     assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_exponential_weighted_norm(exp_field):
     # int (1+z^2) exp(-2z) dz = 1/2 + Gamma(3)/2^3 = 3/4
     want = math.sqrt(A_SLOW * 0.75)
-    got = weighted_norm(exp_field, AnisotropicIndex(1, 0, 0, 2.0))
+    got = weighted_norm(exp_field, AnisotropicIndex(1, 0, 2.0))
     assert got == pytest.approx(want, rel=1e-5)
 
 
 def test_sup_norm_with_weight_rejected(exp_field):
     with pytest.raises(UnsupportedCombinationError):
-        weighted_norm(exp_field, AnisotropicIndex(1, 0, 0, math.inf))
+        weighted_norm(exp_field, AnisotropicIndex(1, 0, math.inf))
 
 
 def test_homogeneity(grid):
@@ -108,30 +114,25 @@ def test_homogeneity(grid):
     base = rng.normal(size=grid.nz)
     pf = ProfileField(grid=grid, values=base)
     pf5 = ProfileField(grid=grid, values=5.0 * base)
-    for idx in (AnisotropicIndex(0, 0, 0, 2.0), AnisotropicIndex(2, 0, 1, 3.0)):
+    for idx in (AnisotropicIndex(0, 0, 2.0), AnisotropicIndex(2, 1, 3.0)):
         assert weighted_norm(pf5, idx) == pytest.approx(
             5.0 * weighted_norm(pf, idx), rel=1e-13)
 
 
 def test_index_monotonicity(grid):
-    # raising k or l adds to the norm; a column's slow derivatives vanish,
-    # so raising m leaves it as it is
+    # raising k or l adds to the norm
     z = grid.z
     pf = ProfileField(grid=grid, values=np.exp(-z) * np.cos(z) + z * np.exp(-z),
                       weight=0.1)
-    small = weighted_norm(pf, AnisotropicIndex(0, 0, 0, 2.0))
-    for idx in (AnisotropicIndex(1, 0, 0, 2.0), AnisotropicIndex(0, 0, 1, 2.0),
-                AnisotropicIndex(2, 0, 1, 2.0)):
+    small = weighted_norm(pf, AnisotropicIndex(0, 0, 2.0))
+    for idx in (AnisotropicIndex(1, 0, 2.0), AnisotropicIndex(0, 1, 2.0),
+                AnisotropicIndex(2, 1, 2.0)):
         assert weighted_norm(pf, idx) > small
-    for k, l, p in ((0, 0, 2.0), (1, 1, 3.0), (0, 2, math.inf)):
-        flat = weighted_norm(pf, AnisotropicIndex(k, 0, l, p))
-        for m in (1, 2):
-            assert weighted_norm(pf, AnisotropicIndex(k, m, l, p)) == flat
 
 
-@pytest.mark.parametrize("idx", [AnisotropicIndex(0, 0, 0, 2.0), AnisotropicIndex(1, 0, 1, 1.0),
-                                 AnisotropicIndex(2, 1, 2, 3.5),
-                                 AnisotropicIndex(0, 0, 2, math.inf)])
+@pytest.mark.parametrize("idx", [AnisotropicIndex(0, 0, 2.0), AnisotropicIndex(1, 1, 1.0),
+                                 AnisotropicIndex(2, 2, 3.5),
+                                 AnisotropicIndex(0, 2, math.inf)])
 def test_weighted_norm_of_minus_profile_is_its_own(grid, idx):
     # |.| of a column and of its negative agree, and so do their
     # derivatives' (each operation is sign-symmetric): the same bits
@@ -144,54 +145,38 @@ def test_weighted_norm_of_minus_profile_is_its_own(grid, idx):
 
 def test_invalid_index():
     with pytest.raises(InvalidParameterError):
-        AnisotropicIndex(-1, 0, 0, 2.0)
+        AnisotropicIndex(-1, 0, 2.0)
     with pytest.raises(InvalidParameterError):
-        AnisotropicIndex(0, 0, 0, 0.5)
+        AnisotropicIndex(0, 0, 0.5)
 
 
 def _oracle_weighted_norm(values, s_weights, z, idx):
     """weighted_norm before a profile became one wall column: ``values``
-    (1, n_z) on a one-sample slow grid with quadrature ``s_weights``, with a
-    loop over the slow orders a <= m around the fast one."""
-
-    def d_slow(v):
-        # diff_along on a slow axis of a single sample returned zeros
-        return np.zeros_like(v)
-
+    (1, n_z) on a one-sample slow grid with quadrature ``s_weights``."""
     if math.isinf(idx.p):
         worst = 0.0
-        d_s = values
-        for a in range(idx.m + 1):
-            d_z = d_s
-            for b in range(idx.l + 1):
-                mag = np.abs(d_z)
-                worst = max(worst, float(mag.max(initial=0.0)))
-                if b < idx.l:
-                    d_z = diff_along(d_z, z)
-            if a < idx.m:
-                d_s = d_slow(d_s)
+        d_z = values
+        for b in range(idx.l + 1):
+            worst = max(worst, float(np.abs(d_z).max(initial=0.0)))
+            if b < idx.l:
+                d_z = diff_along(d_z, z)
         return worst
     weight = 1.0 + z ** (2 * idx.k) if idx.k > 0 else np.ones_like(z)
     wz = geo.trapezoid_weights(z) * weight
     total = 0.0
-    d_s = values
-    for a in range(idx.m + 1):
-        d_z = d_s
-        for b in range(idx.l + 1):
-            mag = np.abs(d_z)
-            total += float(np.einsum("s,z,sz->", s_weights, wz, mag**idx.p))
-            if b < idx.l:
-                d_z = diff_along(d_z, z)
-        if a < idx.m:
-            d_s = d_slow(d_s)
+    d_z = values
+    for b in range(idx.l + 1):
+        total += float(np.einsum("s,z,sz->", s_weights, wz, np.abs(d_z)**idx.p))
+        if b < idx.l:
+            d_z = diff_along(d_z, z)
     return total ** (1.0 / idx.p)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(data=st.data(), nz=st.integers(8, 64),
-       weight=st.floats(0.1, 10.0), k=st.integers(0, 2), m=st.integers(0, 2),
+       weight=st.floats(0.1, 10.0), k=st.integers(0, 2),
        l=st.integers(0, 2), p=st.sampled_from([1.0, 2.0, 3.5, math.inf]))
-def test_column_norm_matches_slow_grid_oracle(data, nz, weight, k, m, l, p):
+def test_column_norm_matches_slow_grid_oracle(data, nz, weight, k, l, p):
     # one column equals the old norm of the same values as a one-sample
     # collar at the wall, weighted by the collar measure
     if math.isinf(p):
@@ -199,7 +184,7 @@ def test_column_norm_matches_slow_grid_oracle(data, nz, weight, k, m, l, p):
     grid = FastGrid(nz=nz)
     values = data.draw(arrays(np.float64, nz, elements=st.floats(
         -10.0, 10.0, allow_nan=False, allow_infinity=False)))
-    idx = AnisotropicIndex(k, m, l, p)
+    idx = AnisotropicIndex(k, l, p)
     got = weighted_norm(ProfileField(grid=grid, values=values, weight=weight), idx)
     want = _oracle_weighted_norm(values[None, :], np.array([weight]),
                                  grid.z, idx)
@@ -220,37 +205,55 @@ def test_two_node_grid_is_a_config_error(channel):
 # ---------------------------------------------------------------------------
 
 
+def _layer_on_grid(pf, geom, coords, nu):
+    """The layer evaluation the scaling check measures: the sum over the
+    walls of eval_profile_on_wall."""
+    return sum(eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+               for w in geom.walls())
+
+
+def _norm(geom, coords, u, label):
+    """One volume norm of ``u``, from a one-spec VolumeGrid.norms call."""
+    return VolumeGrid(geom, coords).norms(u, [parse_norm(label)])[0]
+
+
 def test_eval_zero_profile(channel, grid):
     pf = profile_from_callable(lambda z: 0.0 * z, grid)
-    res = boundary_layer_eval(pf, channel, 1e-3)
-    assert np.all(res.values == 0.0)
-    assert res.norm == 0.0
+    coords = channel.volume_grid(4097)
+    values = _layer_on_grid(pf, channel, coords, 1e-3)
+    assert np.all(values == 0.0)
+    assert _norm(channel, coords, values, "l2") == 0.0
 
 
 def test_eval_exponential_squared_norm(channel, grid):
-    # two walls, each contributing int exp(-2 d/sqrt(nu)) dd ~ sqrt(nu)/2
+    # two walls, each contributing int exp(-2 d/sqrt(nu)) dd ~ sqrt(nu)/2;
+    # sqrt(nu) <= eta/4 at every nu, so the check does not warn
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
-    nu = 1e-4
-    res = boundary_layer_eval(pf, channel, nu, p=2.0, n_points=8193)
-    assert res.norm**2 == pytest.approx(2.0 * math.sqrt(nu) / 2.0, rel=1e-3)
-    assert not res.asymptotic_warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], (2.0,),
+                                      n_points=8193)
+    nu = res.nu_list[0]
+    assert nu == 1e-4
+    assert res.norms[0]**2 == pytest.approx(2.0 * math.sqrt(nu) / 2.0, rel=1e-3)
 
 
 def test_eval_support_halves_with_sqrt_nu(channel, grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
-    n1 = boundary_layer_eval(pf, channel, 4e-4, p=2.0, n_points=8193).norm
-    n2 = boundary_layer_eval(pf, channel, 1e-4, p=2.0, n_points=8193).norm
+    res, = scaling_exponent_check(pf, channel, [1e-4, 4e-4, 1e-2], (2.0,),
+                                  n_points=8193)
+    n2, n1 = res.norms[:2]
     # squared norm scales with the support width, i.e. with sqrt(nu)
     assert (n1 / n2) ** 2 == pytest.approx(2.0, rel=1e-3)
 
 
 def test_eval_z_independent_field_is_cutoff(channel, grid):
     pf = profile_from_callable(lambda z: 1.0 + 0.0 * z, grid)
-    res = boundary_layer_eval(pf, channel, 1e-3, n_points=513)
-    d = geo.min_wall_distance(channel, channel.volume_grid(513))
-    want = geo.collar_cutoff(channel, d)
-    assert res.values.shape == (513,)
-    assert np.allclose(res.values, want, atol=1e-12)
+    coords = channel.volume_grid(513)
+    values = _layer_on_grid(pf, channel, coords, 1e-3)
+    want = geo.collar_cutoff(channel, geo.min_wall_distance(channel, coords))
+    assert values.shape == (513,)
+    assert np.allclose(values, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("geom_name", ["channel", "annulus"])
@@ -316,7 +319,7 @@ def test_not_a_knot_is_scipy_cubic_spline_bit_for_bit(nz, fast_knots, lead, scal
 @pytest.mark.parametrize("geom_name", ["channel", "annulus"])
 def test_one_spline_fit_gives_the_per_call_values(request, geom_name, grid):
     # a fit made once and evaluated at each nu gives eval_profile_on_wall's
-    # and boundary_layer_eval's values, each of which fits on every call
+    # values, which fits on every call
     geom = request.getfixturevalue(geom_name)
     pf = profile_from_callable(lambda z: np.exp(-z) * np.cos(z) + z * np.exp(-z), grid)
     stacked = ProfileField(grid=grid, values=np.stack([pf.values, 2.0 * pf.values]))
@@ -329,58 +332,67 @@ def test_one_spline_fit_gives_the_per_call_values(request, geom_name, grid):
             assert np.array_equal(
                 _spline_on_wall(fit_stacked, geom, w.wall_id, coords, nu),
                 eval_profile_on_wall(stacked, geom, w.wall_id, coords, nu))
-        once = _layer_eval(fit, geom, nu, (2.0, 4.0), 2049)
-        per_call = boundary_layer_eval(pf, geom, nu, p=(2.0, 4.0), n_points=2049)
-        assert np.array_equal(once.values, per_call.values)
-        assert once.norm == per_call.norm
 
 
 def test_scaling_check_fits_its_profile_once(monkeypatch, channel, grid):
-    fits = []
+    # one spline fit and one volume grid serve every nu
+    fits, grids = [], []
 
     def counted(x, y):
         fits.append(y.shape)
         return _not_a_knot_fit(x, y)
 
+    def counted_grid(geom, coords):
+        grids.append(len(coords))
+        return VolumeGrid(geom, coords)
+
     monkeypatch.setattr(spaces, "_not_a_knot_fit", counted)
+    monkeypatch.setattr(spaces, "VolumeGrid", counted_grid)
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
-    scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4, 1e-5], p=(2.0, 4.0),
+    scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4, 1e-5], (2.0, 4.0),
                            n_points=2049)
     assert fits == [pf.values.shape]
+    assert grids == [2049]
 
 
 def test_weighted_norm_refuses_stacked_profiles(grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     stacked = ProfileField(grid=grid, values=np.stack([pf.values, pf.values]))
     with pytest.raises(ConfigError):
-        weighted_norm(stacked, AnisotropicIndex(k=0, m=0, l=0, p=2.0))
+        weighted_norm(stacked, AnisotropicIndex(k=0, l=0, p=2.0))
 
 
 def test_eval_warns_when_nu_too_large(channel, grid):
+    # sqrt(0.05) > eta/4: the collar regime is not asymptotic
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
-    with pytest.warns(UserWarning):
-        res = boundary_layer_eval(pf, channel, 0.05)
-    assert res.asymptotic_warning
+    with pytest.warns(UserWarning, match="eta/4"):
+        scaling_exponent_check(pf, channel, [5e-2, 5e-3, 5e-4], (2.0,), n_points=513)
+
+
+def test_scaling_check_needs_positive_viscosities(channel, grid):
+    pf = profile_from_callable(lambda z: np.exp(-z), grid)
+    with pytest.raises(InvalidParameterError, match="nu must be positive"):
+        scaling_exponent_check(pf, channel, [0.0, 1e-3, 1e-2], (2.0,), n_points=513)
 
 
 def test_scaling_exponent(channel, grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     for p, want in ((2.0, 0.25), (4.0, 0.125)):
-        res = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], p=p,
-                                     n_points=8193)
+        res, = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], (p,),
+                                      n_points=8193)
         assert res.slope == pytest.approx(want, abs=0.02)
 
 
 def test_scaling_needs_three_values(channel, grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     with pytest.raises(ConfigError):
-        scaling_exponent_check(pf, channel, [1e-2, 1e-4], p=2.0)
+        scaling_exponent_check(pf, channel, [1e-2, 1e-4], (2.0,), n_points=513)
 
 
 def test_scaling_bounded_mode(channel, grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
-    res = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], p=2.0,
-                                 n_points=8193)
+    res, = scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4], (2.0,),
+                                  n_points=8193)
     # ratios decrease as nu does (nu ascending in the result)
     assert max(res.ratios) <= res.ratios[-1] * 1.1
     assert all(np.isfinite(res.ratios))
@@ -390,21 +402,24 @@ def test_scaling_bounded_mode(channel, grid):
 def test_multi_p_scaling_check_gives_the_single_p_results(channel, grid, part):
     # one layer evaluation per nu serves every p: each p's rate part (norms
     # and fit) and bounded part (reference norm and ratios) are exactly
-    # those of its own check and of their oracles
+    # those of its own check and of their oracles, the norm of the walls'
+    # summed evaluation at that p alone
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     nus = [1e-2, 1e-3, 1e-4, 1e-5]
     ps = (2.0, 4.0, 6.0, math.inf)
-    multi = scaling_exponent_check(pf, channel, nus, p=ps, n_points=2049)
+    multi = scaling_exponent_check(pf, channel, nus, ps, n_points=2049)
     assert len(multi) == len(ps)
     ref = weighted_norm(pf, AnisotropicIndex(k=1, l=1, p=2.0))
+    coords = channel.volume_grid(2049)
     for p, res in zip(ps, multi):
-        single = scaling_exponent_check(pf, channel, nus, p=p, n_points=2049)
+        single, = scaling_exponent_check(pf, channel, nus, (p,), n_points=2049)
         if part == "rate":
             assert (res.nu_list, res.norms, res.slope, res.intercept) == (
                 single.nu_list, single.norms, single.slope, single.intercept)
-            assert res.norms == tuple(boundary_layer_eval(pf, channel, nu, p=p,
-                                                          n_points=2049).norm
-                                      for nu in sorted(nus))
+            label = "linf" if math.isinf(p) else f"lp:{p}"
+            assert res.norms == tuple(
+                _norm(channel, coords, _layer_on_grid(pf, channel, coords, nu), label)
+                for nu in sorted(nus))
         else:
             assert (res.reference_norm, res.ratios) == (single.reference_norm,
                                                         single.ratios)
@@ -648,8 +663,7 @@ def test_gronwall_trials_reject_degenerate_sizes(n_trials, n_samples, n_steps):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("label", ["lp:inf", "lp:Infinity", "lp:-inf", "lp:nan",
-                                   "aniso:0,0,0,nan", "aniso:1,0,1,NaN"])
+@pytest.mark.parametrize("label", ["lp:inf", "lp:Infinity", "lp:-inf", "lp:nan"])
 def test_parse_norm_rejects_non_finite_exponents(label):
     # lp:inf used to read 1.0 for every field and a NaN exponent NaN; the
     # sup norm has its own label
@@ -657,9 +671,9 @@ def test_parse_norm_rejects_non_finite_exponents(label):
         parse_norm(label)
 
 
-@pytest.mark.parametrize("label", ["lp:abc", "aniso:a,0,0,2", "aniso:0,0,0,x"])
+@pytest.mark.parametrize("label", ["lp:abc"])
 def test_non_numeric_norm_exponent_is_a_config_error(label):
-    # a bare ValueError from float() or int() escaped both the parser and a
+    # a bare ValueError from float() escaped both the parser and a
     # StudyConfig built in code; only the config-file path converted it
     import dataclasses
 
@@ -671,19 +685,13 @@ def test_non_numeric_norm_exponent_is_a_config_error(label):
         dataclasses.replace(get_preset("flat-shear"), norms=(label,))
 
 
-def test_parse_norm_keeps_the_aniso_sup_norm():
-    assert parse_norm("aniso:0,0,1,inf").idx.p == math.inf
-    assert parse_norm("aniso:0,0,0,infty").p == math.inf
-
-
 def test_parse_norm_strings():
     assert parse_norm("l2").p == 2.0
     assert parse_norm("linf").kind == "linf"
     assert parse_norm("lp:4").p == 4.0
-    spec = parse_norm("aniso:1,2,0,2")
-    assert (spec.idx.k, spec.idx.m, spec.idx.l, spec.idx.p) == (1, 2, 0, 2.0)
-    with pytest.raises(ConfigError):
-        parse_norm("h7")
+    for label in ("h7", "aniso:0,0,0,2"):
+        with pytest.raises(ConfigError, match="unknown norm string"):
+            parse_norm(label)
 
 
 def test_volume_norms(channel):
@@ -765,12 +773,6 @@ def test_volume_grid_matches_per_call_norms(request, geom_name, n):
         assert list(map(repr, got[name])) == list(map(repr, expected))
     assert all(math.isnan(v) for v in got["nan"])
     assert got["inf"][:3] == [math.inf] * 3
-
-
-def test_volume_grid_rejects_aniso(channel):
-    grid = VolumeGrid(channel, channel.volume_grid(9))
-    with pytest.raises(ConfigError):
-        grid.norms(np.ones(9), [parse_norm("aniso:0,0,0,2")])
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import erfc
 
+from manufactured import ERFC_SQ_NORMS
 from vvlab import geometry as geo
 from vvlab import study
 from vvlab.errors import ConfigError, DegenerateFitError
@@ -380,6 +382,49 @@ def test_flat_shear_rows_match_closed_form(flat_report):
     for nu, t, label, value, _ in rows:
         want = -math.expm1(-nu * math.pi**2 * t) * norms[label]
         assert abs(value - want) <= bounds[label] * want, (nu, t, label)
+
+
+def test_rigid_rows_match_the_erfc_layer_prediction(rigid_report):
+    # rigid rotation has the constant wall datum g = +-2 omega, so in each
+    # collar u - u0 ~ sqrt(nu) u_b(t, d / sqrt(nu)) with
+    # u_b = g 2 sqrt(t) ierfc(z / (2 sqrt(t))); a collar integral is the
+    # wall's length 2 pi r_w times sqrt(nu) times the z one.  The wall
+    # curvature the prediction leaves out shows most in linf, whose excess
+    # at T falls with nu
+    cfg = get_preset("rigid-annulus")
+    g = 2.0 * cfg.euler.omega
+    length = sum(2.0 * math.pi * w.coord for w in cfg.geometry.walls())
+    s = np.linspace(0.0, 10.0, 20001)
+    ierfc = np.exp(-s**2) / math.sqrt(math.pi) - s * erfc(s)
+    ierfc4 = np.trapezoid(ierfc**4, s)
+
+    def predict(nu, t, label):
+        if label == "linf":
+            return math.sqrt(nu) * 2.0 * g * math.sqrt(t / math.pi)
+        if label == "lp:4":
+            # int u_b^4 dz = g^4 (2 sqrt(t))^4 2 sqrt(t) int ierfc^4
+            return nu**0.625 * (length * g**4 * 32.0 * t**2.5 * ierfc4) ** 0.25
+        order = {"l2": 0, "h1": 1}[label]
+        return nu ** (0.75 - 0.5 * order) * g * math.sqrt(length * ERFC_SQ_NORMS[order](t))
+
+    bounds = {"l2": 0.005, "h1": 0.01, "lp:4": 0.015, "linf": 0.05}
+    rows = [row for row in rigid_report.rows if row[4] == "u"]
+    assert len(rows) == 5 * 8 * 4
+    ratio = {(nu, t, label): value / predict(nu, t, label)
+             for nu, t, label, value, _ in rows}
+    for (nu, t, label), r in ratio.items():
+        assert abs(r - 1.0) <= bounds[label], (nu, t, label, r)
+    t_end = max(cfg.t_eval)
+    excess = [abs(ratio[nu, t_end, "linf"] - 1.0) for nu in cfg.nu_list]
+    assert all(b < a for a, b in zip(excess, excess[1:])), excess
+    # the rows depend on nu and t through nu t alone: each viscosity's time
+    # exponent is the norm's nu-exponent
+    exponents = {"l2": 0.75, "h1": 0.25, "linf": 0.5, "lp:4": 0.625}
+    for nu in cfg.nu_list:
+        for label, want in exponents.items():
+            ts, vals = zip(*[(t, v) for n, t, lab, v, _ in rows if n == nu and lab == label])
+            slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
+            assert abs(slope - want) <= 0.02, (nu, label, slope)
 
 
 def test_vortex_exact_regime_flag(vortex_report):
