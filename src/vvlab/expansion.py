@@ -29,7 +29,7 @@ from . import geometry as geo
 from .errors import ConfigError
 from .layer import LayerProfile, slow_curl_at_wall
 from .ns import ViscousSolution, time_index, vorticity
-from .spaces import eval_profile_on_wall
+from .spaces import _spline_on_wall
 
 
 def assemble_ansatz(u0: np.ndarray, layer: LayerProfile, nu: float,
@@ -39,15 +39,16 @@ def assemble_ansatz(u0: np.ndarray, layer: LayerProfile, nu: float,
     The order-nu corrector v is zero in these geometries (see the module
     docstring).  ``u0`` is the base flow's (n,) values on ``coords``,
     broadcast over the times; sqrt(nu) u_b is added wall by wall of
-    ``layer.geom`` with one evaluation of each wall's stacked profiles.  A
+    ``layer.geom`` with one evaluation of the wall's fit at every stored
+    time (``WallLayerSeries.spline``), whose rows at ``times`` are taken.  A
     wall whose profiles are all zero (the vortex and flat-shear layers:
-    g = 0) adds nothing and is not evaluated; when no wall adds, the result
-    is u0's read-only broadcast, not a copy.
+    g = 0) has no fit, adds nothing and is not evaluated; when no wall adds,
+    the result is u0's read-only broadcast, not a copy.
     The collars are disjoint and a wall's layer is exactly zero outside its
     own, so each point receives at most one nonzero layer term.
     """
-    if nu <= 0:
-        raise ConfigError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ConfigError(f"nu must be positive and finite, got {nu}")
     geom = layer.geom
     times = layer.times if times is None else np.asarray(times, dtype=float)
     idx = [time_index(layer.times, t) for t in times]
@@ -55,12 +56,12 @@ def assemble_ansatz(u0: np.ndarray, layer: LayerProfile, nu: float,
     u0 = np.broadcast_to(u0, (len(times), len(coords)))
     u_approx = u0
     for w in geom.walls():
-        pf = layer.profile(w.wall_id, idx)
-        if not pf.values.any():
+        spline = layer.walls[w.wall_id].spline
+        if spline is None:
             continue
         if u_approx is u0:
             u_approx = np.array(u0)
-        u_approx += math.sqrt(nu) * eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+        u_approx += math.sqrt(nu) * _spline_on_wall(spline, geom, w.wall_id, coords, nu)[idx]
     return u_approx
 
 

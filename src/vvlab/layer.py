@@ -28,7 +28,7 @@ from . import geometry as geo
 from .errors import SolverError, StepSizeError
 from .euler import boundary_data_g
 from .ns import _cn_steps, _resolve_store_steps, _symmetrise
-from .spaces import FastGrid, ProfileField, weighted_norm
+from .spaces import FastGrid, ProfileField, _not_a_knot_fit, _Spline, weighted_norm
 
 
 def _fast_diffusion_operator(z: np.ndarray):
@@ -52,11 +52,13 @@ def _fast_diffusion_operator(z: np.ndarray):
 class WallLayerSeries:
     """Stored layer data for one wall: ``ub`` is the flow component's
     column, the same at every collar sample, marched from the wall's datum
-    ``g``."""
+    ``g``, and ``spline`` the one not-a-knot fit to its columns at every
+    stored time that the ansatz evaluates, None when they are all zero."""
 
     wall_id: str
     ub: np.ndarray                 # (n_t, n_z)
     g: float
+    spline: _Spline | None
 
 
 @dataclass
@@ -72,10 +74,9 @@ class LayerProfile:
     times: np.ndarray
     walls: dict
 
-    def profile(self, wall: str, it) -> ProfileField:
-        """The flow component (``geom.flow_comp``) of u_b on one wall as a
-        column weighted by the collar measure.  A sequence of stored indices
-        ``it`` stacks those times on a leading axis."""
+    def profile(self, wall: str, it: int) -> ProfileField:
+        """The flow component (``geom.flow_comp``) of u_b on one wall at the
+        stored index ``it``, as a column weighted by the collar measure."""
         return ProfileField(grid=self.grid, values=self.walls[wall].ub[it],
                             weight=self.geom.collar_measure(wall))
 
@@ -119,11 +120,12 @@ def solve_layer(u0_profile, geom: geo.GeometryDescriptor,
     Each wall marches one column driven by its datum g, evaluated once at
     the wall, and all walls march in one kernel call (``_march_walls``).  A
     non-finite iterate names the wall at fault: the joint march that hits
-    one is re-run a wall at a time.
+    one is re-run a wall at a time.  Each wall with a nonzero column is
+    fitted once, at every stored time, for the ansatz of every viscosity.
     """
     if not 0 < dt < math.inf:
         raise StepSizeError(f"dt must be finite and positive, got {dt}")
-    _, store_steps = _resolve_store_steps(dt, t_end, store_times)
+    store_steps = _resolve_store_steps(dt, t_end, store_times)
     walls = geom.walls()
     gs = [boundary_data_g(u0_profile, geom, w) for w in walls]
     try:
@@ -138,7 +140,8 @@ def solve_layer(u0_profile, geom: geo.GeometryDescriptor,
     for i, (w, g) in enumerate(zip(walls, gs)):
         ub = np.zeros((len(store_steps), grid.nz))
         ub[:, :-1] = series[..., i]
-        out[w.wall_id] = WallLayerSeries(wall_id=w.wall_id, ub=ub, g=g)
+        spline = _not_a_knot_fit(grid.z, ub) if ub.any() else None
+        out[w.wall_id] = WallLayerSeries(wall_id=w.wall_id, ub=ub, g=g, spline=spline)
     times = np.array([k * dt for k in store_steps])
     return LayerProfile(geom=geom, grid=grid, times=times, walls=out)
 

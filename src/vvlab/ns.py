@@ -186,14 +186,7 @@ def _resolve_store_steps(dt, t_end, store_times):
         if abs(k * dt - t) > 1e-9 * max(t_end, 1.0) or not (0 <= k <= n_steps):
             raise ConfigError(f"store time {t} is not a step multiple within [0, t_end]")
         steps.append(k)
-    return n_steps, sorted(set(steps))
-
-
-def stores_taken(store_steps, start: int = 0, stop: int | None = None) -> list:
-    """The stores, by index, of a march from step ``start`` to ``stop`` (by
-    default the last store): those in (start, stop], and step 0 from 0."""
-    stop = store_steps[-1] if stop is None else stop
-    return [i for i, s in enumerate(store_steps) if start < s <= stop or s == start == 0]
+    return sorted(set(steps))
 
 
 def time_index(times: np.ndarray, t: float) -> int:
@@ -293,7 +286,8 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
         hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
 
     stop = store_steps[-1] if stop is None else stop
-    ends = [(i, store_steps[i]) for i in stores_taken(store_steps, start, stop)]
+    # the stores this march takes: those in (start, stop], and step 0 from 0
+    ends = [(i, s) for i, s in enumerate(store_steps) if start < s <= stop or s == start == 0]
     solve = partial(dpttrs, diag, off, buf, overwrite_b=True)
     k = start
     for i, end in ends + [(None, stop)]:
@@ -416,7 +410,7 @@ def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
     operator, drive_of = (_swirl_operator, _drive_swirl) if swirl \
         else (_channel_operator, _drive_channel)
     x = geom.volume_grid(n)
-    _, store_steps = _resolve_store_steps(dt, t_end, store_times)
+    store_steps = _resolve_store_steps(dt, t_end, store_times)
     return ReferenceSetup(geom=geom, coords=x, u0=u0_profile.value(x),
                           drive=drive_of(x, u0_profile),
                           sym=_symmetrise(operator(x), where), dt=dt,

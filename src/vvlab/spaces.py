@@ -160,10 +160,9 @@ def _apply_first_deriv(weights, v: np.ndarray, out=None, tmp=None,
 class ProfileField:
     """Wall column u(z) of the flow component on a half-line fast grid.
 
-    ``values`` has shape (n_z,).  A wall's profiles at several stored times
-    stack as (n_t, n_z); only the wall evaluator takes that form.
-    ``weight`` is the measure of the wall's collar: the column does not vary
-    along it, so a collar integral is the weight times the z one.
+    ``values`` has shape (n_z,).  ``weight`` is the measure of the wall's
+    collar: the column does not vary along it, so a collar integral is the
+    weight times the z one.
     """
 
     grid: FastGrid
@@ -172,9 +171,8 @@ class ProfileField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.nz:
-            raise ConfigError(f"values shape {self.values.shape} is neither "
-                              f"({self.grid.nz},) nor (n_t, {self.grid.nz})")
+        if self.values.shape != (self.grid.nz,):
+            raise ConfigError(f"values shape {self.values.shape} is not ({self.grid.nz},)")
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("profile values must be finite")
 
@@ -193,8 +191,6 @@ def weighted_norm(pf: ProfileField, idx: AnisotropicIndex) -> float:
     and the z integral a trapezoid sum on the mapped nodes.  For p = inf (k
     must be 0) it is the max over the fast orders of the sup norm.
     """
-    if pf.values.ndim != 1:
-        raise ConfigError("a weighted norm takes one time's profile")
     sup = math.isinf(idx.p)
     if sup and idx.k > 0:
         raise UnsupportedCombinationError(
@@ -417,7 +413,17 @@ def _not_a_knot_eval(spline: _Spline, xq: np.ndarray) -> np.ndarray:
 
 def _spline_on_wall(spline: _Spline, geom: geo.GeometryDescriptor,
                     wall_id: str, coords: np.ndarray, nu: float) -> np.ndarray:
-    """eval_profile_on_wall of the profile ``spline`` is fitted to."""
+    """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
+
+    ``spline`` is fitted (_not_a_knot_fit, bit for bit scipy's CubicSpline)
+    to a wall's columns: the layer does not vary along the collar.  Its
+    values may stack several times, (n_t, n_z): the wall distance, the live
+    nodes and the cutoff are then computed once for all of them, and each
+    time gets the bits of a fit to its column alone.  The spline is
+    multiplied by the collar cutoff and is zero beyond Z_max and outside the
+    collar, where only zeros would come out; it is evaluated on the
+    remaining nodes alone.  Returns (n,), or (n_t, n).
+    """
     d = geo.wall_distance(geom, wall_id, coords)
     zq = d / math.sqrt(nu)
     live = (d < geom.eta) & (zq >= 0.0) & (zq <= spline.x[-1])
@@ -425,22 +431,6 @@ def _spline_on_wall(spline: _Spline, geom: geo.GeometryDescriptor,
     vals[..., live] = (_not_a_knot_eval(spline, zq[live])
                        * geo.collar_cutoff(geom, d[live]))
     return vals
-
-
-def eval_profile_on_wall(pf: ProfileField, geom: geo.GeometryDescriptor,
-                         wall_id: str, coords: np.ndarray, nu: float) -> np.ndarray:
-    """Evaluate U(d_w(x)/sqrt(nu)) for one wall on volume coordinates.
-
-    ``pf`` is a wall column: the layer does not vary along the collar.  Its
-    values may stack several times, (n_t, n_z): the wall distance,
-    the live nodes and the cutoff are then computed once and one spline is
-    fitted to all of them.  The spline (_not_a_knot_fit, bit for bit scipy's
-    CubicSpline) is multiplied by the collar cutoff and is zero beyond Z_max
-    and outside the collar, where only zeros would come out; it is
-    evaluated on the remaining nodes alone.  Returns (n,), or (n_t, n).
-    """
-    return _spline_on_wall(_not_a_knot_fit(pf.grid.z, pf.values), geom, wall_id,
-                           coords, nu)
 
 
 @dataclass
@@ -460,7 +450,7 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
     order (math.inf for the sup norm).
 
     The layer evaluation x -> U(phi(x)/sqrt(nu)) times the collar cutoff is
-    the sum over the walls of eval_profile_on_wall, each with its own exact
+    the sum over the walls of _spline_on_wall, each with its own exact
     distance; the collars are disjoint, so the contributions never overlap.
     The slope is the least-squares fit of its log ||.||_p versus log nu
     (expected 1/(2p)); the ratios are the norms over the anisotropic (k=1,
@@ -471,8 +461,8 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
     nu_list = sorted(float(v) for v in nu_list)
     if len(nu_list) < 3:
         raise ConfigError("need at least 3 viscosity values")
-    if nu_list[0] <= 0:
-        raise InvalidParameterError("nu must be positive")
+    if not all(0 < nu < math.inf for nu in nu_list):
+        raise InvalidParameterError(f"nu must be positive and finite, got {nu_list}")
     if math.log10(nu_list[-1] / nu_list[0]) < 2.0 - 1e-9:
         raise ConfigError("viscosity values must span at least 2 decades")
     if math.sqrt(nu_list[-1]) > geom.eta / 4.0:
@@ -483,7 +473,6 @@ def scaling_exponent_check(pf: ProfileField, geom: geo.GeometryDescriptor,
              for p in map(float, ps)]
     rows = []
     for nu in nu_list:
-        # (n,): a wall's values stacked over times do not add into it
         total = np.zeros(len(grid.coords))
         for w in geom.walls():
             total += _spline_on_wall(spline, geom, w.wall_id, grid.coords, nu)

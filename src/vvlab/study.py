@@ -1,14 +1,14 @@
 """Convergence-study driver: viscosity sweeps, rate fits, reports.
 
-A study solves the layer once and builds the rest of what does not depend
-on the viscosity once (``StudySetup``), then solves the reference problem
-for a group of viscosities at a time in one joint march, each core taking
-an equal share of the viscosity-steps in a process of its own
-(``study_parts``, ``run_forked``: a viscosity cut between two cores
-marches in two pieces, its iterate handed across), and for each viscosity
-assembles the ansatz and records sup-over-time error norms of u_nu - u0
-and remainder norms.  ``run_forked`` also runs the invariant suite
-(checks.py) on every core.
+A study builds what does not depend on the viscosity once, the layer and
+its one spline fit per wall included (``StudySetup``), then solves the
+reference problem for a group of viscosities at a time in one joint
+march, each core taking an equal share of the viscosity-steps in a
+process of its own (``study_parts``, ``run_forked``: a viscosity cut
+between two cores marches in two pieces, its iterate handed across), and
+for each viscosity assembles the ansatz and records sup-over-time error
+norms of u_nu - u0 and remainder norms.  ``run_forked`` also runs the
+invariant suite (checks.py) on every core.
 Both fields are the flow's one component, ``geometry.flow_comp``: the
 tangential R is its own Leray part (R:P = R:full) and its gradient part
 R:I-P is exactly 0.
@@ -59,7 +59,6 @@ from .ns import (
     _resolve_store_steps,
     group_size,
     reference_setup,
-    stores_taken,
     time_index,
 )
 from .spaces import DEFAULT_ZMAX, FastGrid, VolumeGrid, parse_norm
@@ -127,8 +126,8 @@ class NsParams:
     nu: float | None = None         # standalone solves only
 
     def __post_init__(self):
-        if self.nu is not None and self.nu <= 0:
-            raise ConfigError(f"ns nu must be positive, got {self.nu}")
+        if self.nu is not None and not 0 < self.nu < math.inf:
+            raise ConfigError(f"ns nu must be positive and finite, got {self.nu}")
 
 
 @dataclass
@@ -148,6 +147,9 @@ class StudyConfig:
         nus = tuple(float(v) for v in self.nu_list)
         if len(nus) < 3:
             raise ConfigError("nu_list needs at least 3 values")
+        bad = [v for v in nus if not 0 < v < math.inf]
+        if bad:
+            raise ConfigError(f"nu_list values must be finite and positive, got {bad}")
         if any(b >= a for a, b in zip(nus, nus[1:])):
             raise ConfigError("nu_list must be strictly decreasing")
         if math.log10(nus[0] / nus[-1]) < 2.0 - 1e-9:
@@ -386,33 +388,39 @@ def solve_study_layer(config: StudyConfig, u0_profile=None) -> LayerProfile:
 @dataclass(eq=False)
 class StudySetup:
     """Everything a study's viscosity rows share, made once per study by
-    ``study_setup``: the viscosity-free part of the reference solve
-    (``ns.ReferenceSetup``: the grid, u0 on it, the drive L(u0), the
-    symmetrised operator and the march's arrays), one ``VolumeGrid`` of the
-    norms, the row's (n,) buffer and the norms' (4, n) scratch.  A group keeps only the work that depends on nu, and
-    reuses the arrays of the group before it; a part in a forked worker
-    marches on its copy-on-write copy of them (``run_forked``)."""
+    ``study_setup``: the solved layer with each wall's one spline fit, the
+    viscosity-free part of the reference solve (``ns.ReferenceSetup``: the
+    grid, u0 on it, the drive L(u0), the symmetrised operator and the
+    march's arrays), one ``VolumeGrid`` of the norms and their parsed specs,
+    the row's (n,) buffer and the norms' (4, n) scratch.  A group keeps only
+    the work that depends on nu, and reuses the arrays of the group before
+    it; a part in a forked worker marches on its copy-on-write copy of them
+    (``run_forked``)."""
 
     config: StudyConfig
+    layer: LayerProfile
     ref: ReferenceSetup
     grid: VolumeGrid
+    specs: list                     # the parsed config.norms
     row: np.ndarray                 # u - u0, then R, one time at a time
     scratch: np.ndarray             # the norms' intermediates
 
 
-def study_setup(config: StudyConfig, u0_profile=None) -> StudySetup:
-    """The viscosity-free set-up of ``config``'s rows: the reference solve
-    from the base flow's profile, the one form of u0 it takes (swirl in the
-    annulus, shear in the channel), stored at ``config.t_eval``, with the
-    march's arrays for a group of the whole ``nu_list``, at most
-    ``ns.group_size``, and the norms' grid."""
-    u0_profile = u0_profile or config.euler.build(config.geometry)
+def study_setup(config: StudyConfig) -> StudySetup:
+    """The viscosity-free set-up of ``config``'s rows, from one build of the
+    base flow's profile: the layer (``solve_study_layer``), the reference
+    solve from the one form of u0 it takes (swirl in the annulus, shear in
+    the channel), stored at ``config.t_eval``, with the march's arrays for a
+    group of the whole ``nu_list``, at most ``ns.group_size``, and the
+    norms' grid."""
+    u0_profile = config.euler.build(config.geometry)
     ref = reference_setup(config.geometry, u0_profile, n=config.ns.n,
                           dt=config.ns.dt, t_end=config.ns.t_end,
                           store_times=config.t_eval, group=len(config.nu_list))
     # the row buffer is the march's scratch array, free at each store
-    return StudySetup(config=config, ref=ref,
-                      grid=VolumeGrid(config.geometry, ref.coords),
+    return StudySetup(config=config, layer=solve_study_layer(config, u0_profile),
+                      ref=ref, grid=VolumeGrid(config.geometry, ref.coords),
+                      specs=[parse_norm(s) for s in config.norms],
                       row=ref.work[1][:config.ns.n],
                       scratch=np.empty((4, config.ns.n)))
 
@@ -547,7 +555,7 @@ def study_parts(config: StudyConfig, cores: int | None = None) -> list:
     if cores is None:
         cores = usable_cores()
     nus, size = config.nu_list, group_size(config.ns.n)
-    n_steps = _resolve_store_steps(config.ns.dt, config.ns.t_end, config.t_eval)[1][-1]
+    n_steps = _resolve_store_steps(config.ns.dt, config.ns.t_end, config.t_eval)[-1]
     c = min(cores, len(nus))
     cuts = [(2 * j * len(nus) * n_steps + c) // (2 * c) for j in range(c + 1)]
     parts = []
@@ -573,8 +581,7 @@ def _solve_one_nu(setup: StudySetup, nu: float, u: np.ndarray, t: float,
     component.  R is tangential, so its "P" norms are its own and its "I-P"
     norms are 0.0.
     """
-    row = setup.row
-    specs = [parse_norm(s) for s in setup.config.norms]
+    row, specs = setup.row, setup.specs
     rows = []
     np.subtract(u, setup.ref.u0, out=row)
     for spec, value in zip(specs, setup.grid.norms(row, specs, setup.scratch)):
@@ -591,32 +598,29 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
-                resume=None, handoff=None) -> list:
+def _group_rows(setup: StudySetup, nus, stop=None, resume=None,
+                handoff=None) -> list:
     """One march group's rows, (nu, rows, error) per viscosity in order,
     where rows holds the rows at each evaluation time, None at a time the
     march does not store.
 
-    Each viscosity's ansatz is assembled first, at the times this march
-    stores; the march keeps no history, and the rows at a stored time are
-    taken as it reaches it.  Any exception becomes a failed row naming its
+    Each viscosity's ansatz is assembled first, at every evaluation time;
+    the march keeps no history, and the rows at a stored time are taken as
+    it reaches it.  Any exception becomes a failed row naming its
     type, so one bad row cannot abort the study.  A group whose joint march
     fails (a non-finite value crosses the joins) re-marches its viscosities
     one at a time, so only the row at fault fails.  ``stop`` and ``resume``
     march a piece of a cut viscosity alone (``ReferenceSetup.solve``); a
     first piece copies its iterate into ``handoff``, an (n,) array."""
-    config, ref = setup.config, setup.ref
-    t_eval = config.t_eval
+    ref, t_eval = setup.ref, setup.config.t_eval
     store_of = [time_index(ref.times, t) for t in t_eval]
-    taken = stores_taken(ref.store_steps, resume[0] if resume else 0, stop)
-    own = [jt for jt, i in enumerate(store_of) if i in taken]
     rows = {nu: [None] * len(t_eval) for nu in nus}
     approx = {}
     failed = {}
     for nu in nus:
         try:
-            approx[nu] = assemble_ansatz(ref.u0, profile, nu, ref.coords,
-                                         times=np.take(t_eval, own))
+            approx[nu] = assemble_ansatz(ref.u0, setup.layer, nu, ref.coords,
+                                         times=t_eval)
         except Exception as exc:
             failed[nu] = _failure(exc)
 
@@ -625,10 +629,10 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
             if nu in failed:
                 continue
             try:
-                for k, jt in enumerate(own):
+                for jt, t in enumerate(t_eval):
                     if store_of[jt] == i:
-                        rows[nu][jt] = _solve_one_nu(setup, nu, u_nu, t_eval[jt],
-                                                     approx[nu][k])
+                        rows[nu][jt] = _solve_one_nu(setup, nu, u_nu, t,
+                                                     approx[nu][jt])
             except Exception as exc:
                 failed[nu] = _failure(exc)
 
@@ -637,7 +641,7 @@ def _group_rows(setup: StudySetup, profile: LayerProfile, nus, stop=None,
     except Exception as exc:
         if len(nus) == 1:
             return [(nus[0], None, _failure(exc))]
-        return [out for nu in nus for out in _group_rows(setup, profile, (nu,))]
+        return [out for nu in nus for out in _group_rows(setup, (nu,))]
     if handoff is not None:
         handoff[...] = iterate
     return [(nu, None, failed[nu]) if nu in failed else (nu, rows[nu], None)
@@ -658,15 +662,14 @@ class _Handoff:
         self.read, self.write = os.fdopen(read, "rb"), os.fdopen(write, "wb")
 
 
-def _march_rows(setup: StudySetup, profile: LayerProfile, march: March,
-                handoff: _Handoff | None) -> list:
+def _march_rows(setup: StudySetup, march: March, handoff: _Handoff | None) -> list:
     """The rows of one march of a part (``study_parts``), as
     ``_group_rows``.  A cut viscosity's first piece hands its iterate and
     its error across in ``handoff``, and closes its write end whatever
     happens; the second piece resumes from the iterate, or fails with the
     first piece's error without marching."""
     if handoff is None:
-        return _group_rows(setup, profile, march.nus)
+        return _group_rows(setup, march.nus)
     if march.start:
         try:
             error = pickle.load(handoff.read)
@@ -674,11 +677,9 @@ def _march_rows(setup: StudySetup, profile: LayerProfile, march: March,
             error = "RuntimeError: the first piece of its march did not finish"
         if error is not None:
             return [(march.nus[0], None, error)]
-        return _group_rows(setup, profile, march.nus,
-                           resume=(march.start, handoff.iterate))
+        return _group_rows(setup, march.nus, resume=(march.start, handoff.iterate))
     with handoff.write:
-        out = _group_rows(setup, profile, march.nus, stop=march.stop,
-                          handoff=handoff.iterate)
+        out = _group_rows(setup, march.nus, stop=march.stop, handoff=handoff.iterate)
         pickle.dump(out[0][2], handoff.write)
     return out
 
@@ -704,9 +705,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
-    u0_profile = config.euler.build(config.geometry)
-    profile = solve_study_layer(config, u0_profile)
-    setup = study_setup(config, u0_profile)
+    setup = study_setup(config)
     parts = study_parts(config)
     handoffs = {march.nus: _Handoff(config.ns.n, i - 1) for i, part in enumerate(parts)
                 for march in part if march.start}
@@ -719,7 +718,7 @@ def run_convergence_study(config: StudyConfig, jobs: int = 1) -> RateReport:
         for i in mine:
             try:
                 outcomes[i] = [out for march in parts[i] for out in _march_rows(
-                    setup, profile, march, handoffs.get(march.nus))]
+                    setup, march, handoffs.get(march.nus))]
             except Exception as exc:
                 # raised outside the rows: each of the part's viscosities fails
                 outcomes[i] = [(nu, None, _failure(exc)) for march in parts[i]

@@ -108,7 +108,7 @@ def march_profiles(case: LayerCase, geom, grid, dt, t_end, store_times) -> dict:
     """``march_layer`` on every wall of ``geom`` to ``store_times``: wall id
     -> u_b, (n_store, 2, n_z), in the order of ``Wall.tangent_names``, with
     the Dirichlet node at Z_max zero as ``solve_layer`` stores it."""
-    _, steps = ns._resolve_store_steps(dt, t_end, store_times)
+    steps = ns._resolve_store_steps(dt, t_end, store_times)
     series = march_layer(case, geom.walls(), grid.z, dt, steps)
     out = {}
     for i, w in enumerate(geom.walls()):

@@ -207,9 +207,10 @@ def test_missing_config_key_exits_2_naming_it(tmp_path, capsys, section, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("nu", ["0", "-1e-3"])
+@pytest.mark.parametrize("nu", ["0", "-1e-3", "nan", "inf"])
 def test_non_positive_ns_nu_is_a_config_error(tmp_path, capsys, nu):
-    # nu = 0 must not fall back to the first value of nu_list
+    # nu = 0 must not fall back to the first value of nu_list; a NaN nu
+    # marched to a non-finite iterate (exit 1)
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(MINI_CFG.replace("ny = 256\n", f"ny = 256\nnu = {nu}\n"))
     code = cli_main(["ns", "solve", "--config", str(cfg),
@@ -217,6 +218,24 @@ def test_non_positive_ns_nu_is_a_config_error(tmp_path, capsys, nu):
     assert code == 2
     assert "nu must be positive" in capsys.readouterr().err
     assert not (tmp_path / "out" / "ns_solution.dat").exists()
+
+
+@pytest.mark.parametrize("nu_list, bad", [("1e-2, 1e-3, 0", "0.0"),
+                                           ("1e-2, 1e-3, -1e-4", "-0.0001"),
+                                           ("1e-2, nan, 1e-4", "nan")])
+def test_non_positive_or_non_finite_study_nu_is_a_config_error(tmp_path, capsys,
+                                                                nu_list, bad):
+    # refused by name before the span's log10, which raised ZeroDivisionError
+    # or "math domain error" (exit 1), or let a NaN viscosity through
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG.replace("nu_list = 1e-2, 1e-3, 1e-4\n",
+                                    f"nu_list = {nu_list}\n"))
+    code = cli_main(["study", "rates", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"nu_list values must be finite and positive, got [{bad}]" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["ny", "nr"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_spaces import _on_wall
 from test_study import study_rows
 from vvlab import expansion, study
 from vvlab.errors import AlignmentError, ConfigError
@@ -19,9 +20,8 @@ from vvlab.layer import solve_layer
 from vvlab.ns import ViscousSolution, solve_ns, time_index
 from vvlab.spaces import (
     FastGrid,
-    ProfileField,
     VolumeGrid,
-    eval_profile_on_wall,
+    _spline_on_wall,
     parse_norm,
 )
 from vvlab.study import (
@@ -91,9 +91,8 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     for it in range(len(profile.times)):
         for w in annulus.walls():
             theta = profile.walls[w.wall_id].ub[it]
-            layer[it] += math.sqrt(nu) * eval_profile_on_wall(
-                ProfileField(grid=profile.grid, values=theta), annulus, w.wall_id,
-                coords, nu)
+            layer[it] += math.sqrt(nu) * _on_wall(profile.grid, theta, annulus,
+                                                  w.wall_id, coords, nu)
     assert np.any(layer != 0.0)
     assert np.array_equal(u_approx, flow.value(coords) + layer)
 
@@ -101,13 +100,13 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
 @pytest.fixture(scope="module")
 def rigid_study_layer():
     """The rigid preset's layer at its 8 evaluation times, its grid, and
-    each wall's evaluation with all 8 times stacked, per viscosity."""
+    each wall's evaluation of the layer's one fit to all 8 times, per
+    viscosity."""
     cfg = study.get_preset("rigid-annulus")
     profile = solve_study_layer(cfg)
     coords = cfg.geometry.volume_grid(cfg.ns.n)
-    every = list(range(len(cfg.t_eval)))
-    stacked = {(nu, w.wall_id): eval_profile_on_wall(profile.profile(w.wall_id, every),
-                                                     cfg.geometry, w.wall_id, coords, nu)
+    stacked = {(nu, w.wall_id): _spline_on_wall(profile.walls[w.wall_id].spline,
+                                                cfg.geometry, w.wall_id, coords, nu)
                for nu in cfg.nu_list for w in cfg.geometry.walls()}
     return cfg, profile, coords, stacked
 
@@ -117,14 +116,13 @@ def rigid_study_layer():
        nu_at=st.integers(0, 4), wall_at=st.integers(0, 1))
 def test_stacked_evaluation_gives_each_time_its_own_bits(rigid_study_layer, times,
                                                          nu_at, wall_at):
-    # a wall's profiles at any times, in any order, stacked in one
-    # evaluation give each time the bits, signs included, it has stacked
-    # with every evaluation time: a cut viscosity's piece may assemble its
-    # ansatz at its own times alone
+    # a wall's profiles at any times, in any order, stacked in one fit
+    # give each time the bits, signs included, of the layer's one fit to
+    # every evaluation time: the study fits each wall once for all its times
     cfg, profile, coords, stacked = rigid_study_layer
     nu, w = cfg.nu_list[nu_at], cfg.geometry.walls()[wall_at]
-    got = eval_profile_on_wall(profile.profile(w.wall_id, times), cfg.geometry,
-                               w.wall_id, coords, nu)
+    got = _on_wall(profile.grid, profile.walls[w.wall_id].ub[times], cfg.geometry,
+                   w.wall_id, coords, nu)
     want = stacked[nu, w.wall_id][times]
     assert np.any(want != 0.0)
     assert np.array_equal(got, want)
@@ -132,14 +130,15 @@ def test_stacked_evaluation_gives_each_time_its_own_bits(rigid_study_layer, time
 
 
 def test_zero_layer_is_not_evaluated(monkeypatch):
-    # the vortex layer is exactly zero (g = 0): no wall is evaluated and
-    # the ansatz is u0 itself
+    # the vortex layer is exactly zero (g = 0): no wall is fitted or
+    # evaluated and the ansatz is u0 itself
     cfg = preset_vortex_annulus()
     flow = cfg.euler.build(cfg.geometry)
     profile = solve_study_layer(cfg, flow)
     assert not any(w.ub.any() for w in profile.walls.values())
+    assert all(w.spline is None for w in profile.walls.values())
     calls = []
-    monkeypatch.setattr(expansion, "eval_profile_on_wall",
+    monkeypatch.setattr(expansion, "_spline_on_wall",
                         lambda *args: calls.append(args))
     coords = cfg.geometry.volume_grid(4096)
     u0 = flow.value(coords)
@@ -177,6 +176,15 @@ def test_rigid_ansatz_amplitude(rigid_setup, annulus):
     dev = np.abs(u_approx[0] - flow.value(coords)).max()
     want = math.sqrt(nu) * 2.0 * 2.0 * math.sqrt(t / math.pi)
     assert dev == pytest.approx(want, rel=0.05)
+
+
+@pytest.mark.parametrize("nu", [0.0, -1e-3, math.nan, math.inf])
+def test_ansatz_refuses_a_nonpositive_or_non_finite_viscosity(rigid_setup, annulus, nu):
+    # a NaN viscosity made every value of the ansatz NaN without a word
+    flow, profile = rigid_setup
+    coords = annulus.volume_grid(128)
+    with pytest.raises(ConfigError, match=f"nu must be positive and finite, got {nu}"):
+        assemble_ansatz(flow.value(coords), profile, nu, coords)
 
 
 def test_ansatz_time_alignment_error(rigid_setup, annulus):

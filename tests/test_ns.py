@@ -304,10 +304,13 @@ def store_grids(draw):
 def test_store_steps_sorted_unique(grid):
     dt, n_steps, ks = grid
     t_end = n_steps * dt
-    got_n, steps = _resolve_store_steps(dt, t_end, [k * dt for k in ks])
-    assert got_n == n_steps
+    steps = _resolve_store_steps(dt, t_end, [k * dt for k in ks])
     assert steps == sorted(set(ks))
-    _, with_zero = _resolve_store_steps(dt, t_end, [0.0] + [k * dt for k in ks])
+    # t_end itself resolves to the last step, and must be a step multiple
+    assert _resolve_store_steps(dt, t_end, [t_end]) == [n_steps]
+    with pytest.raises(ConfigError, match="integer multiple of dt"):
+        _resolve_store_steps(dt, t_end + 0.5 * dt, [])
+    with_zero = _resolve_store_steps(dt, t_end, [0.0] + [k * dt for k in ks])
     assert with_zero[0] == 0
 
 
@@ -326,7 +329,7 @@ def test_store_time_off_grid_or_past_end_is_config_error(grid, frac, past):
 @given(grid=store_grids(), extra=st.integers(0, 1000))
 def test_time_index_finds_every_stored_stamp(grid, extra):
     dt, n_steps, ks = grid
-    _, steps = _resolve_store_steps(dt, n_steps * dt, [k * dt for k in ks])
+    steps = _resolve_store_steps(dt, n_steps * dt, [k * dt for k in ks])
     times = np.array([k * dt for k in steps])
     for i, t in enumerate(times):
         assert time_index(times, float(t)) == i

@@ -34,7 +34,6 @@ from vvlab.spaces import (
     _spline_on_wall,
     _uniform_bracket,
     diff_along,
-    eval_profile_on_wall,
     gronwall_local_bound,
     gronwall_rk4_trials,
     hardy_ratio,
@@ -77,9 +76,10 @@ def test_fast_grid_needs_finite_positive_zmax_and_stretch(name, value):
         FastGrid(nz=64, **{name: value})
 
 
-def test_profile_field_is_a_column_or_stacked_columns(grid):
-    for shape in ((grid.nz - 1,), (2, 2, grid.nz), ()):
-        with pytest.raises(ConfigError, match="is neither"):
+def test_profile_field_is_one_column(grid):
+    # a column of the grid's length: stacked columns are refused too
+    for shape in ((grid.nz - 1,), (2, grid.nz), (2, 2, grid.nz), ()):
+        with pytest.raises(ConfigError, match=rf"is not \({grid.nz},\)"):
             ProfileField(grid=grid, values=np.zeros(shape))
 
 
@@ -205,10 +205,16 @@ def test_two_node_grid_is_a_config_error(channel):
 # ---------------------------------------------------------------------------
 
 
+def _on_wall(grid, columns, geom, wall_id, coords, nu):
+    """One wall's evaluation of ``columns``, (n_z,) or stacked (n_t, n_z),
+    from a fit made for this call alone."""
+    return _spline_on_wall(_not_a_knot_fit(grid.z, columns), geom, wall_id, coords, nu)
+
+
 def _layer_on_grid(pf, geom, coords, nu):
     """The layer evaluation the scaling check measures: the sum over the
-    walls of eval_profile_on_wall."""
-    return sum(eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+    walls of each wall's evaluation."""
+    return sum(_on_wall(pf.grid, pf.values, geom, w.wall_id, coords, nu)
                for w in geom.walls())
 
 
@@ -269,20 +275,18 @@ def test_eval_restriction_matches_full_grid(request, geom_name, grid):
                               + (1.0 + t) * z * np.exp(-z), grid)
         for t in (0.0, 0.125, 0.3, 1.0)
     ]
-    stacked = ProfileField(grid=grid, values=np.stack([pf.values for pf in per_time]))
-    assert stacked.values.shape == (len(per_time), grid.nz)
-    assert np.array_equal(stacked.values[2], per_time[2].values)
+    stacked = np.stack([pf.values for pf in per_time])
     coords = geom.volume_grid(4097)
     for nu in (1e-2, 1e-4):
         for w in geom.walls():
             d = geo.wall_distance(geom, w.wall_id, coords)
-            got_stacked = eval_profile_on_wall(stacked, geom, w.wall_id, coords, nu)
+            got_stacked = _on_wall(grid, stacked, geom, w.wall_id, coords, nu)
             assert got_stacked.shape == (len(per_time), len(coords))
             for jt, pf in enumerate(per_time):
                 spl = CubicSpline(grid.z, pf.values, axis=-1, extrapolate=False)
                 full = np.nan_to_num(spl(d / math.sqrt(nu)), nan=0.0)
                 want = full * geo.collar_cutoff(geom, d)
-                got = eval_profile_on_wall(pf, geom, w.wall_id, coords, nu)
+                got = _on_wall(grid, pf.values, geom, w.wall_id, coords, nu)
                 assert np.any(want != 0.0)
                 assert np.array_equal(got, want)
                 assert np.array_equal(got_stacked[jt], want)
@@ -318,20 +322,26 @@ def test_not_a_knot_is_scipy_cubic_spline_bit_for_bit(nz, fast_knots, lead, scal
 
 @pytest.mark.parametrize("geom_name", ["channel", "annulus"])
 def test_one_spline_fit_gives_the_per_call_values(request, geom_name, grid):
-    # a fit made once and evaluated at each nu gives eval_profile_on_wall's
-    # values, which fits on every call
+    # a fit made once and evaluated at each nu gives the values of a fit
+    # made on every call; a fit of two stacked columns gives each column
+    # the values of a fit to it alone
     geom = request.getfixturevalue(geom_name)
     pf = profile_from_callable(lambda z: np.exp(-z) * np.cos(z) + z * np.exp(-z), grid)
-    stacked = ProfileField(grid=grid, values=np.stack([pf.values, 2.0 * pf.values]))
-    fit, fit_stacked = (_not_a_knot_fit(grid.z, f.values) for f in (pf, stacked))
+    stacked = np.stack([pf.values, 2.0 * pf.values])
+    fit, fit_stacked = (_not_a_knot_fit(grid.z, v) for v in (pf.values, stacked))
     coords = geom.volume_grid(2049)
     for nu in (1e-2, 1e-3, 1e-4, 1e-5):
         for w in geom.walls():
-            assert np.array_equal(_spline_on_wall(fit, geom, w.wall_id, coords, nu),
-                                  eval_profile_on_wall(pf, geom, w.wall_id, coords, nu))
-            assert np.array_equal(
-                _spline_on_wall(fit_stacked, geom, w.wall_id, coords, nu),
-                eval_profile_on_wall(stacked, geom, w.wall_id, coords, nu))
+            once = _spline_on_wall(fit, geom, w.wall_id, coords, nu)
+            assert np.any(once != 0.0)
+            assert np.array_equal(once, _on_wall(grid, pf.values, geom, w.wall_id,
+                                                 coords, nu))
+            got_stacked = _spline_on_wall(fit_stacked, geom, w.wall_id, coords, nu)
+            assert np.array_equal(got_stacked, _on_wall(grid, stacked, geom, w.wall_id,
+                                                        coords, nu))
+            for values, got in zip(stacked, got_stacked):
+                assert np.array_equal(got, _on_wall(grid, values, geom, w.wall_id,
+                                                    coords, nu))
 
 
 def test_scaling_check_fits_its_profile_once(monkeypatch, channel, grid):
@@ -355,13 +365,6 @@ def test_scaling_check_fits_its_profile_once(monkeypatch, channel, grid):
     assert grids == [2049]
 
 
-def test_weighted_norm_refuses_stacked_profiles(grid):
-    pf = profile_from_callable(lambda z: np.exp(-z), grid)
-    stacked = ProfileField(grid=grid, values=np.stack([pf.values, pf.values]))
-    with pytest.raises(ConfigError):
-        weighted_norm(stacked, AnisotropicIndex(k=0, l=0, p=2.0))
-
-
 def test_eval_warns_when_nu_too_large(channel, grid):
     # sqrt(0.05) > eta/4: the collar regime is not asymptotic
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
@@ -373,6 +376,10 @@ def test_scaling_check_needs_positive_viscosities(channel, grid):
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     with pytest.raises(InvalidParameterError, match="nu must be positive"):
         scaling_exponent_check(pf, channel, [0.0, 1e-3, 1e-2], (2.0,), n_points=513)
+    # a NaN was refused as a span of under two decades
+    with pytest.raises(InvalidParameterError, match="nu must be positive and finite"):
+        scaling_exponent_check(pf, channel, [1e-2, math.nan, 1e-4, 1e-3], (2.0,),
+                               n_points=513)
 
 
 def test_scaling_exponent(channel, grid):

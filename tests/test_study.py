@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from scipy.special import erfc
 
 from manufactured import ERFC_SQ_NORMS
 from vvlab import geometry as geo
-from vvlab import study
+from vvlab import layer as layer_mod
+from vvlab import spaces, study
 from vvlab.errors import ConfigError, DegenerateFitError
 from vvlab.euler import LaurentProfile, ShearProfile, steady_base_flow
 from vvlab.expansion import assemble_ansatz, leray_project
@@ -154,6 +156,17 @@ def test_config_validation(annulus):
     with pytest.raises(ConfigError, match="t_end"):
         StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"),
                     ns=NsParams(t_end=0.2), t_eval=(0.1, 0.3))
+
+
+@pytest.mark.parametrize("nu_list, bad", [
+    ((1e-2, 1e-3, 0.0), [0.0]), ((1e-2, 1e-3, -0.0), [-0.0]),
+    ((1e-2, 1e-3, -1e-4), [-1e-4]), ((1e-2, -1e-3, -1e-4), [-1e-3, -1e-4]),
+    ((1e-2, math.nan, 1e-4), [math.nan]), ((math.inf, 1e-2, 1e-4), [math.inf])])
+def test_config_refuses_non_positive_or_non_finite_viscosities(annulus, nu_list, bad):
+    # every such value is named, before the span's log10 divides by it
+    with pytest.raises(ConfigError, match=re.escape(
+            f"nu_list values must be finite and positive, got {bad}")):
+        StudyConfig(geometry=annulus, euler=EulerSpec(family="rigid"), nu_list=nu_list)
 
 
 @pytest.mark.parametrize("norm", ["lp:inf", "lp:nan"])
@@ -673,11 +686,11 @@ def test_parts_share_the_studys_setup(tmp_path, monkeypatch, annulus):
     log = tmp_path / "setups"
     real_rows = study._group_rows
 
-    def spy(setup, profile, nus, **piece):
-        _log(log, os.getpid(), id(setup), id(setup.ref), id(setup.grid),
+    def spy(setup, nus, **piece):
+        _log(log, os.getpid(), id(setup), id(setup.layer), id(setup.ref), id(setup.grid),
              *(a.__array_interface__["data"][0] for a in setup.ref.work + (
                  setup.row, setup.scratch)))
-        return real_rows(setup, profile, nus, **piece)
+        return real_rows(setup, nus, **piece)
 
     monkeypatch.setattr(study, "_group_rows", spy)
     _on_cores(monkeypatch, 2)
@@ -692,6 +705,33 @@ def test_parts_share_the_studys_setup(tmp_path, monkeypatch, annulus):
     assert forked.rows == run_convergence_study(cfg).rows
 
 
+@pytest.mark.parametrize("geom_name, family, fits", [
+    ("annulus", "rigid", 2), ("annulus", "vortex", 0), ("channel", "shear_cos", 0)])
+def test_a_study_fits_each_live_wall_once_before_its_parts_fork(
+        request, tmp_path, monkeypatch, geom_name, family, fits):
+    # each wall whose layer is nonzero is fitted once, in this process and
+    # before any part forks, and every viscosity on 1 or 2 cores, the two
+    # pieces of a cut one included, reads that fit; a zero layer (vortex,
+    # flat shear: g = 0) is not fitted at all
+    cfg = _small_study(request.getfixturevalue(geom_name), family)
+    assert any(march.start for part in _REAL_STUDY_PARTS(cfg, cores=2) for march in part)
+    real = spaces._not_a_knot_fit
+
+    def counted(x, y):
+        _log(tmp_path / "fits", os.getpid())
+        return real(x, y)
+
+    monkeypatch.setattr(spaces, "_not_a_knot_fit", counted)
+    monkeypatch.setattr(layer_mod, "_not_a_knot_fit", counted)
+    for cores in (1, 2):
+        _on_cores(monkeypatch, cores)
+        report = run_convergence_study(cfg)
+        assert report.meta["failed_rows"] == {}
+        assert len(report.meta["ns_parts"]) == cores
+        assert _logged(tmp_path / "fits") == [(os.getpid(),)] * fits
+        (tmp_path / "fits").unlink(missing_ok=True)
+
+
 @pytest.mark.parametrize("name, cuts", [
     ("three", {100}),                   # on the store at step 100
     ("five", {50, 67, 100, 133, 150}),  # between step 0 and the one store
@@ -699,10 +739,10 @@ def test_parts_share_the_studys_setup(tmp_path, monkeypatch, annulus):
 def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus,
                                                   name, cuts):
     # on 1 to 4 cores the viscosities cut between parts march in two pieces
-    # whose iterate crosses at the cut: each row is taken once, by the piece
-    # that stores it, from the ansatz that piece assembled at its own times
-    # alone, and the rows and files are the bytes of one core's march.  A
-    # piece cut before the one store ("five") assembles no time at all
+    # whose iterate crosses at the cut: each piece assembles its ansatz at
+    # every evaluation time once, each row is taken once, by the piece that
+    # stores it, and the rows and files are the bytes of one core's march.
+    # A piece cut before the one store ("five") takes no row
     cfg = _three_row_config() if name == "three" else _five_row_config(annulus)
     assert {march.stop for cores in (1, 2, 3, 4)
             for part in study.study_parts(cfg, cores=cores)
@@ -727,7 +767,9 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
         assert report.meta["failed_rows"] == {}
         every = sorted((nu, t) for nu in cfg.nu_list for t in cfg.t_eval)
         assert sorted(_logged(tmp_path / "taken")) == every
-        assert sorted(_logged(tmp_path / "assembled")) == every
+        pieces = sorted((nu, t) for nus in report.meta["ns_groups"] for nu in nus
+                        for t in cfg.t_eval)
+        assert sorted(_logged(tmp_path / "assembled")) == pieces
         (tmp_path / "taken").unlink()
         (tmp_path / "assembled").unlink()
         rows.append(report.rows)
@@ -815,9 +857,8 @@ def test_failed_factorisation_fails_only_its_row(annulus):
     # marches without it, bit for bit the rows of standalone marches
     cfg = _small_study(annulus, "rigid")
     flow = cfg.euler.build(cfg.geometry)
-    profile = study.solve_study_layer(cfg)
     setup = study.study_setup(cfg)
-    out = study._group_rows(setup, profile, (1e-2, -1.0, 1e-3))
+    out = study._group_rows(setup, (1e-2, -1.0, 1e-3))
     assert [nu for nu, _, _ in out] == [1e-2, -1.0, 1e-3]
     _, rows, err = out[1]
     assert rows is None
@@ -826,7 +867,7 @@ def test_failed_factorisation_fails_only_its_row(annulus):
         assert err is None
         sol = solve_ns(cfg.geometry, flow, nu, n=cfg.ns.n, dt=cfg.ns.dt,
                        t_end=cfg.ns.t_end, store_times=cfg.t_eval)
-        u_approx = assemble_ansatz(flow.value(sol.coords), profile, nu, sol.coords,
+        u_approx = assemble_ansatz(flow.value(sol.coords), setup.layer, nu, sol.coords,
                                    times=cfg.t_eval)
         rows = [row for at in rows for row in at]
         assert rows == study_rows(setup, sol, u_approx)
@@ -890,11 +931,11 @@ def test_failed_row_in_a_worker_fails_only_that_row(monkeypatch, annulus):
 def test_a_part_that_raises_outside_its_rows_fails_each_of_its_viscosities(
         monkeypatch, annulus):
     # a MemoryError in the forked worker's part outside any row (in
-    # stores_taken) fails each viscosity of that part by name, the cut one
-    # included; the other part's three survive
+    # time_index, as a march finds its stores) fails each viscosity of that
+    # part by name, the cut one included; the other part's three survive
     cfg = dataclasses.replace(_five_row_config(annulus), nu_list=(
         1e-2, 5e-3, 3e-3, 1e-3, 5e-4, 3e-4, 1e-4))
-    real = study.stores_taken
+    real = study.time_index
     parent = os.getpid()
 
     def broken(*args):
@@ -902,7 +943,7 @@ def test_a_part_that_raises_outside_its_rows_fails_each_of_its_viscosities(
             raise MemoryError("injected")
         return real(*args)
 
-    monkeypatch.setattr(study, "stores_taken", broken)
+    monkeypatch.setattr(study, "time_index", broken)
     _on_cores(monkeypatch, 2)
     with pytest.warns(UserWarning, match="MemoryError: injected"):
         report = run_convergence_study(cfg)
@@ -934,8 +975,8 @@ def dying_row(setup, nu, *at):
         os._exit(0)
     return row(setup, nu, *at)
 
-def logged_march_rows(setup, profile, march, handoff):
-    out = march_rows(setup, profile, march, handoff)
+def logged_march_rows(setup, march, handoff):
+    out = march_rows(setup, march, handoff)
     with open(log, "a") as fh:
         fh.write(json.dumps([march.nus, march.start, [e for _, _, e in out]]) + "\\n")
     return out
@@ -1280,12 +1321,11 @@ def test_viscosity_row_peaks_under_3_75_live_component_histories():
     # source; three stored components would add three by themselves
     cfg = get_preset("vortex-annulus")
     cfg.ns = NsParams(n=4096, dt=cfg.ns.dt, t_end=cfg.ns.t_end)
-    profile = study.solve_study_layer(cfg)
     setup = study.study_setup(cfg)
     nu = cfg.nu_list[-1]
 
     def row():
-        (_, rows, err), = study._group_rows(setup, profile, (nu,))
+        (_, rows, err), = study._group_rows(setup, (nu,))
         assert err is None
         return [row for at in rows for row in at]
 
