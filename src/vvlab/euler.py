@@ -146,11 +146,10 @@ def boundary_data_g(profile: LaurentProfile | ShearProfile,
     """g = curl(u0) x n at ``wall``, along the flow component, its only one.
 
     The curl is the axial vorticity omega e_axial and n is into_domain
-    e_rad in the annulus, into_domain e_y in the channel, so g is
-    omega into_domain (e_axial x e_rad = e_theta) in the annulus and
-    -omega into_domain (e_z x e_y = -e_x) in the channel.  Sign convention:
-    the layer solver imposes d/dz u_b|_{z=0} = -g.
+    times the cross unit vector, so g is orientation omega into_domain
+    (``GeometryDescriptor.orientation``: e_axial x e_rad = e_theta in the
+    annulus, e_z x e_y = -e_x in the channel).  Sign convention: the layer
+    solver imposes d/dz u_b|_{z=0} = -g.
     """
     omega = float(profile.vorticity(np.array([wall.coord]))[0])
-    sign = 1.0 if geom.kind == geo.ANNULUS_GAP else -1.0
-    return sign * omega * wall.into_domain
+    return geom.orientation * omega * wall.into_domain

@@ -12,6 +12,12 @@ slope into the domain, and a cutoff that confines the layer to the collar
 {d < eta} of its wall.  Each wall carries its inward unit normal.  Vector
 components are stored in the orthonormal right-handed frame of the
 geometry: (x, y, z) for the channel and (rad, theta, axial) for the annulus.
+
+The channel is the annulus's flat limit: each cross-section formula is
+written once, in the frame's radius r (``GeometryDescriptor.radius``, +inf
+in the channel, where every 1/r term is +-0.0) and its orientation (+1 in
+the annulus, -1 in the channel): the flow component u has the axial
+vorticity orientation (u' + u/r).
 """
 
 from __future__ import annotations
@@ -97,6 +103,16 @@ class GeometryDescriptor:
         """Index of the one component a studied flow and its layer carry:
         x for the channel shear, theta for the annulus swirl."""
         return 0 if self.kind == FLAT_CHANNEL else 1
+
+    @property
+    def orientation(self) -> float:
+        """(e_axial x e_cross) . e_flow: +1 in the annulus, -1 in the channel."""
+        return 1.0 if self.kind == ANNULUS_GAP else -1.0
+
+    def radius(self, coords):
+        """The frame's radius at ``coords``: coords itself in the annulus,
+        the same array, and +inf in the channel."""
+        return coords if self.kind == ANNULUS_GAP else np.full(np.shape(coords), np.inf)
 
     @property
     def gap(self) -> float:

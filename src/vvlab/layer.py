@@ -155,13 +155,12 @@ def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> float:
     """Axial component of curl_x of the tangential profile at z = 0, its
     only nonzero one.
 
-    u_b does not vary along the collar, so only the curvature term of the
-    annulus remains: b_th / r.  The channel gives zero.
+    u_b does not vary along the collar, so only the curvature term
+    remains: b / r at the wall, +-0.0 in the channel (r = +inf).
     """
-    if profile.geom.kind != geo.ANNULUS_GAP:
-        return 0.0
-    b_th = profile.profile(wall_id, it).values[0]
-    return float(b_th / profile.geom.wall(wall_id).coord)
+    geom = profile.geom
+    b = profile.profile(wall_id, it).values[0]
+    return float(b / geom.radius(geom.wall(wall_id).coord))
 
 
 # ---------------------------------------------------------------------------

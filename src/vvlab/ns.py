@@ -3,22 +3,23 @@
 The studied flows are exact invariant manifolds of the slip-wall problem,
 so the solver reduces to one parabolic equation in the cross coordinate:
 
-* annulus swirl:  d/dt u_th = nu (u_th'' + u_th'/r - u_th/r^2), with
-  (1/r) d(r u_th)/dr = 0 at r1 and r2 (zero wall vorticity);
-* channel shear:  d/dt u_x = nu u_x'', with u_x' = 0 at both walls.
+    d/dt u = nu (u'' + u'/r - u/r^2),  u' + u/r = 0 at both walls,
 
-One solver, ``solve_ns``, serves both: the geometry picks the operator and
-the drive, everything else is shared.  The solution stores only the one
-component the flow carries (``GeometryDescriptor.flow_comp``), an (n_t, n)
-history; the other two velocity components are exactly zero and are never
-formed.  Its vorticity is the axial one alone, ``vorticity``.
+zero wall vorticity, with r the frame's radius: the cross coordinate for
+the swirl u_theta of the annulus, +inf for the shear u_x of the channel
+(u_x'' with u_x' = 0), where every 1/r term is +-0.0.  So one operator,
+one drive and one solver, ``solve_ns``, serve both.  The solution stores
+only the one component the flow carries (``GeometryDescriptor.flow_comp``),
+an (n_t, n) history; the other two velocity components are exactly zero
+and are never formed.  Its vorticity is the axial one alone,
+``vorticity``.
 
 Time stepping is Crank-Nicolson, second order in space; the wall condition
 is folded into the operator through a ghost node eliminated with the
-second-order centered stencil of the vorticity (channel: mirror ghost).
-The first steps may be taken as backward-Euler half steps to damp the
-incompatible start (the initial vorticity does not satisfy the wall
-condition), which keeps the scheme second order globally.
+second-order centered stencil of the vorticity (a mirror ghost when
+r = +inf).  The first steps may be taken as backward-Euler half steps to
+damp the incompatible start (the initial vorticity does not satisfy the
+wall condition), which keeps the scheme second order globally.
 
 Both the reference solve and the layer march (layer.py) step with
 ``_cn_steps``.  Their tridiagonal operators S have positive off-diagonal
@@ -102,6 +103,8 @@ MIN_POINTS = 32
 # a reference march joins at most GROUP_POINTS // n viscosities (module
 # docstring): the five (m n,) arrays a step reads then fit a 2 MiB L2 cache
 GROUP_POINTS = 2**15
+# the flow each geometry carries, as the solver's errors name it
+_FLOW_NAMES = {geo.ANNULUS_GAP: "swirl", geo.FLAT_CHANNEL: "channel"}
 
 
 @dataclass
@@ -113,11 +116,12 @@ class ViscousSolution:
     u: np.ndarray                  # (n_t, n): the flow component, geom.flow_comp
 
 
-def _swirl_operator(r: np.ndarray):
-    """u'' + u'/r - u/r^2 with the zero-vorticity ghost rows folded in, as
-    the (sub, main, super) diagonals."""
-    n = len(r)
-    h = r[1] - r[0]
+def _operator(x: np.ndarray, r: np.ndarray):
+    """u'' + u'/r - u/r^2 on ``x``, of radius ``r``, with the
+    zero-vorticity ghost rows folded in, as the (sub, main, super)
+    diagonals; at r = +inf, exactly u'' with mirror ghost rows."""
+    n = len(x)
+    h = x[1] - x[0]
     lo = np.empty(n - 1)
     di = np.empty(n)
     up = np.empty(n - 1)
@@ -134,41 +138,23 @@ def _swirl_operator(r: np.ndarray):
     return lo, di, up
 
 
-def _channel_operator(y: np.ndarray):
-    """u'' with mirror-ghost Neumann rows (u' = 0 at both walls)."""
-    n = len(y)
-    h = y[1] - y[0]
-    lo = np.full(n - 1, 1.0 / h**2)
-    di = np.full(n, -2.0 / h**2)
-    up = np.full(n - 1, 1.0 / h**2)
-    up[0] = 2.0 / h**2
-    lo[-1] = 2.0 / h**2
-    return lo, di, up
-
-
-def _drive_swirl(r, prof) -> np.ndarray:
-    """nu-free drive L(u0) for the deviation-form march, swirl case.
+def _drive(x, r, prof) -> np.ndarray:
+    """nu-free drive L(u0) for the deviation-form march, on ``x`` of
+    radius ``r`` (``_operator``).
 
     Interior rows use the exact profile derivatives (the centered stencil
     applied to order-one values loses all significant digits on fine grids
     because the true residual is O(h^2)); the ghost wall rows, whose values
     are genuinely large for incompatible data, use the discrete formula.
+    At r = +inf the 1/r terms add +-0.0 to values never -0.0: the bits of
+    U'' with ghost rows 2 (v_1 - v_0) / h^2.
     """
-    h = r[1] - r[0]
-    v = prof.value(r)
-    out = prof.deriv(r, 2) + prof.deriv(r, 1) / r - v / r**2
+    h = x[1] - x[0]
+    v = prof.value(x)
+    out = prof.deriv(x, 2) + prof.deriv(x, 1) / r - v / r**2
     out[0] = 2.0 * (v[1] - v[0]) / h**2 + 2.0 * v[0] / (h * r[0]) - 2.0 * v[0] / r[0] ** 2
     out[-1] = 2.0 * (v[-2] - v[-1]) / h**2 - 2.0 * v[-1] / (h * r[-1]) \
         - 2.0 * v[-1] / r[-1] ** 2
-    return out
-
-
-def _drive_channel(y, prof) -> np.ndarray:
-    h = y[1] - y[0]
-    v = prof.value(y)
-    out = prof.deriv(y, 2)
-    out[0] = 2.0 * (v[1] - v[0]) / h**2
-    out[-1] = 2.0 * (v[-2] - v[-1]) / h**2
     return out
 
 
@@ -354,7 +340,7 @@ class ReferenceSetup:
         if not 0 < m <= len(w) // n:
             raise ConfigError(
                 f"a reference group marches 1 to {len(w) // n} viscosities, got {m}")
-        where = (f"ns {'swirl' if self.geom.kind == geo.ANNULUS_GAP else 'channel'}"
+        where = (f"ns {_FLOW_NAMES[self.geom.kind]}"
                  f" (nu={','.join(f'{nu:g}' for nu in nus)}, n={n})")
 
         def hook(i, x):
@@ -399,21 +385,19 @@ def reference_setup(geom: geo.GeometryDescriptor, u0_profile, n: int,
                     rannacher: int = 2, group: int = 1) -> ReferenceSetup:
     """Build the viscosity-free part of ``solve_ns`` on ``n`` points, with
     the march's arrays for groups of up to ``group`` viscosities, at most
-    ``group_size(n)``: the geometry picks operator and drive, a bad n, dt
-    or store time is refused here, before any viscosity."""
-    swirl = geom.kind == geo.ANNULUS_GAP
-    where = f"ns {'swirl' if swirl else 'channel'} (n={n})"
+    ``group_size(n)``: the operator and drive at the geometry's radius,
+    a bad n, dt or store time refused here, before any viscosity."""
+    where = f"ns {_FLOW_NAMES[geom.kind]} (n={n})"
     if n < MIN_POINTS:
         raise ConfigError(f"{where}: n must be >= {MIN_POINTS}")
     if not 0 < dt < math.inf:
         raise StepSizeError(f"{where}: dt must be finite and positive, got {dt}")
-    operator, drive_of = (_swirl_operator, _drive_swirl) if swirl \
-        else (_channel_operator, _drive_channel)
     x = geom.volume_grid(n)
+    r = geom.radius(x)
     store_steps = _resolve_store_steps(dt, t_end, store_times)
     return ReferenceSetup(geom=geom, coords=x, u0=u0_profile.value(x),
-                          drive=drive_of(x, u0_profile),
-                          sym=_symmetrise(operator(x), where), dt=dt,
+                          drive=_drive(x, r, u0_profile),
+                          sym=_symmetrise(_operator(x, r), where), dt=dt,
                           store_steps=store_steps,
                           times=np.array([k * dt for k in store_steps]),
                           rannacher=rannacher, work=_march_arrays(n, group))
@@ -454,12 +438,10 @@ def solve_ns(geom: geo.GeometryDescriptor, u0_profile, nu: float, n: int,
 def vorticity(geom: geo.GeometryDescriptor, coords: np.ndarray,
               u: np.ndarray) -> np.ndarray:
     """Axial vorticity of the flow component u on ``coords``, the only
-    nonzero component of its curl: (1/r) d(r u)/dr = u' + u/r in the
-    annulus, -u' in the channel."""
-    d = diff_along(u, coords)
-    if geom.kind == geo.ANNULUS_GAP:
-        return d + u / coords
-    return -d
+    nonzero component of its curl: orientation (u' + u/r), that is
+    (1/r) d(r u)/dr in the annulus and -u' (r = +inf) in the channel, where
+    an exact zero may take either sign."""
+    return geom.orientation * (diff_along(u, coords) + u / geom.radius(coords))
 
 
 def energy_identity_residual(sol: ViscousSolution) -> np.ndarray:
@@ -499,16 +481,14 @@ def bc_residual(sol: ViscousSolution) -> np.ndarray:
     the one imposing the condition, so this reflects the solution's true
     boundary error, not the scheme's algebraic identity).  u is the flow
     component alone, which no wall normal has, so u . n = 0 and
-    |curl u x n| is the wall vorticity: (1/r) d(r u)/dr in the annulus,
-    du/dy in the channel.
+    |curl u x n| is the wall vorticity's magnitude |u' + u/r| (r = +inf in
+    the channel).
     """
     h = sol.coords[1] - sol.coords[0]
-    swirl = sol.geom.kind == geo.ANNULUS_GAP
+    r = sol.geom.radius(sol.coords)
     out = np.zeros(len(sol.times))
     for it, u in enumerate(sol.u):
         for left, i in ((True, 0), (False, -1)):
-            omega = _one_sided_deriv(u, h, left)
-            if swirl:
-                omega += u[i] / sol.coords[i]
+            omega = _one_sided_deriv(u, h, left) + u[i] / r[i]
             out[it] = max(out[it], abs(omega))
     return out

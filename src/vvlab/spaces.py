@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -254,25 +253,17 @@ class VolumeGrid:
     norms share.
 
     The quadrature weights, the first-derivative weights and the squared
-    coordinates are formed on first use and kept, so one grid serves every
-    field of a study.
+    coordinates are formed when the grid is built, so one grid serves every
+    field of a study and a forked part inherits it finished.  A grid of
+    fewer than 3 nodes has no first derivative and is refused.
     """
 
     def __init__(self, geom: geo.GeometryDescriptor, coords: np.ndarray):
         self.geom = geom
         self.coords = np.asarray(coords, dtype=float)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return self.geom.quadrature_weights(self.coords)
-
-    @cached_property
-    def _deriv_weights(self):
-        return _first_deriv_matrix_weights(self.coords)
-
-    @cached_property
-    def _coords_sq(self) -> np.ndarray:
-        return self.coords**2
+        self.weights = geom.quadrature_weights(self.coords)
+        self._deriv_weights = _first_deriv_matrix_weights(self.coords)
+        self._coords_sq = self.coords**2
 
     def grad_sq(self, u: np.ndarray, sq: np.ndarray | None = None,
                 out=None, tmp=None, rows=slice(None)) -> np.ndarray:
@@ -284,6 +275,8 @@ class VolumeGrid:
         out = _apply_first_deriv(self._deriv_weights, u, out, tmp, rows)
         r = out[rows]
         np.square(r, out=r)
+        # not u^2 / radius^2: a norm's field may be infinite, and the
+        # channel's inf / inf would turn its inf into NaN
         if self.geom.kind == geo.ANNULUS_GAP:
             r += np.divide(u[rows]**2 if sq is None else sq[rows], self._coords_sq[rows],
                            out=None if tmp is None else tmp[rows])

@@ -195,10 +195,10 @@ def _swirl_march_case(columns):
     geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
     x = geom.volume_grid(256)
     nu, dt = 1e-2, 1e-3
-    drive = nu * ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
+    drive = nu * ns._drive(x, x, LaurentProfile({1: 1.0, -1: 0.5}))
     src = drive if columns is None else np.stack(
         [drive, 0.3 * drive + np.cos(4.0 * x)], axis=1)
-    return ns._swirl_operator(x), 0.5 * nu * dt, dt, src
+    return ns._operator(x, x), 0.5 * nu * dt, dt, src
 
 
 @pytest.mark.parametrize("store", STORE_SETS)
@@ -227,8 +227,8 @@ def test_grouped_march_equals_separate_marches(m, rannacher, store):
     # joins: every block is bit for bit its own march
     geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
     x = geom.volume_grid(256)
-    op, dt = ns._swirl_operator(x), 1e-3
-    drive = ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
+    op, dt = ns._operator(x, x), 1e-3
+    drive = ns._drive(x, x, LaurentProfile({1: 1.0, -1: 0.5}))
     nus = GROUP_NUS[:m]
     steps, _ = store
     sym = ns._symmetrise(op, "test")
@@ -263,9 +263,9 @@ def _group_case(m):
     geom = geo.annulus_gap(1.0, 2.0, eta=0.45)
     x = geom.volume_grid(256)
     dt = 1e-3
-    drive = ns._drive_swirl(x, LaurentProfile({1: 1.0, -1: 0.5}))
+    drive = ns._drive(x, x, LaurentProfile({1: 1.0, -1: 0.5}))
     nus = GROUP_NUS[:m]
-    return (ns._symmetrise(ns._swirl_operator(x), "test"),
+    return (ns._symmetrise(ns._operator(x, x), "test"),
             [0.5 * nu * dt for nu in nus], dt,
             np.multiply.outer(nus, drive).ravel())
 
@@ -483,11 +483,9 @@ def test_march_stops_at_last_store_step(monkeypatch, store, rannacher):
 
 
 NS_CASES = {
-    "swirl": (geo.annulus_gap(1.0, 2.0, eta=0.45), LaurentProfile({1: 1.0, -1: 0.5}),
-              ns._swirl_operator, ns._drive_swirl, 1),
+    "swirl": (geo.annulus_gap(1.0, 2.0, eta=0.45), LaurentProfile({1: 1.0, -1: 0.5}), 1),
     "channel": (geo.flat_channel(1.0, eta=0.45),
-                ShearProfile(poly=(0.2, 1.0), cosines=((1.0, 1),)),
-                ns._channel_operator, ns._drive_channel, 0),
+                ShearProfile(poly=(0.2, 1.0), cosines=((1.0, 1),)), 0),
 }
 
 
@@ -497,10 +495,10 @@ NS_CASES = {
 # from the profile's exact derivatives
 @pytest.mark.parametrize("with_drive", [True])
 def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
-    geom, prof, operator, drive_of, comp = NS_CASES[case]
+    geom, prof, comp = NS_CASES[case]
     n, nu, dt, t_end = 256, 1e-2, 1e-3, 0.1
     x = geom.volume_grid(n)
-    op = operator(x)
+    op = ns._operator(x, geom.radius(x))
     # some modes have a * lambda < -1: the CN amplification is negative
     lam = eigvalsh_tridiagonal(op[1], np.sqrt(op[0] * op[2]))
     assert 0.5 * nu * dt * lam.min() < -1.0
@@ -511,7 +509,7 @@ def test_reference_solve_matches_sparse_march(case, rannacher, with_drive):
     want = _oracle_ns_march(sp.diags(op, [-1, 0, 1], format="csc"), u0, nu,
                             dt, int(round(t_end / dt)),
                             [int(round(t / dt)) for t in store], rannacher,
-                            drive=drive_of(x, prof))
+                            drive=ns._drive(x, geom.radius(x), prof))
     assert geom.flow_comp == comp
     got = sol.u
     assert np.array_equal(got[0], u0)

@@ -79,3 +79,15 @@ def test_cutoff_plateau_and_support(annulus):
     assert chi[0] == 1.0 and chi[1] == 1.0
     assert 0.0 < chi[3] < 1.0
     assert chi[4] == 0.0 and chi[5] == 0.0
+
+
+def test_radius_and_orientation_of_the_flat_limit(annulus, channel):
+    # the annulus's radius is its coordinate array itself; the channel is
+    # its flat limit, r = +inf, with the opposite orientation
+    x = annulus.volume_grid(33)
+    assert annulus.radius(x) is x
+    y = channel.volume_grid(33)
+    r = channel.radius(y)
+    assert r.shape == y.shape and np.all(r == np.inf)
+    assert channel.radius(0.5) == np.inf
+    assert (annulus.orientation, channel.orientation) == (1.0, -1.0)

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from vvlab.errors import AlignmentError, ConfigError, StepSizeError
 from vvlab.euler import LaurentProfile, ShearProfile
+from vvlab.layer import slow_curl_at_wall, solve_layer
 from vvlab.ns import (
+    _drive,
+    _one_sided_deriv,
+    _operator,
     _resolve_store_steps,
     bc_residual,
     energy_identity_residual,
@@ -15,6 +19,7 @@ from vvlab.ns import (
     time_index,
     vorticity,
 )
+from vvlab.spaces import FastGrid, diff_along
 
 
 def _every(k, dt, t_end):
@@ -263,6 +268,76 @@ def test_vorticity_is_the_axial_curl(request, geom_name, prof):
     want = prof.deriv(x, 1) + prof.value(x) / x if geom_name == "annulus" \
         else -prof.deriv(x, 1)
     assert np.abs(vorticity(geom, x, prof.value(x)) - want).max() < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the channel is the annulus's flat limit: at r = +inf every 1/r term is
+# +-0.0, and the one operator, drive and vorticity give the channel's own
+# formulas bit for bit
+# ---------------------------------------------------------------------------
+
+SHEARS = [ShearProfile(poly=(0.2, 1.0)),
+          ShearProfile(poly=(0.0, 0.0, 1.0, -0.5)),
+          ShearProfile(cosines=((1.0, 1), (0.3, 3))),
+          ShearProfile(poly=(0.7,), cosines=((-0.4, 2),))]
+
+
+def _bits_up_to_zero_sign(x):
+    """The bits of ``x`` with -0.0 read as +0.0 (x + 0.0 moves no other bit)."""
+    return (np.asarray(x, dtype=float) + 0.0).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [33, 256, 4097])
+def test_flat_operator_is_the_mirror_ghost_second_difference(channel, n):
+    y = channel.volume_grid(n)
+    h = y[1] - y[0]
+    lo, di, up = _operator(y, channel.radius(y))
+    want_lo = np.full(n - 1, 1.0 / h**2)
+    want_up = np.full(n - 1, 1.0 / h**2)
+    want_lo[-1] = want_up[0] = 2.0 / h**2
+    for got, want in ((lo, want_lo), (di, np.full(n, -2.0 / h**2)), (up, want_up)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [33, 256, 4097])
+@pytest.mark.parametrize("prof", SHEARS)
+def test_flat_drive_is_the_profile_second_derivative(channel, prof, n):
+    y = channel.volume_grid(n)
+    h = y[1] - y[0]
+    v = prof.value(y)
+    want = prof.deriv(y, 2)
+    want[0] = 2.0 * (v[1] - v[0]) / h**2
+    want[-1] = 2.0 * (v[-2] - v[-1]) / h**2
+    got = _drive(y, channel.radius(y), prof)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("prof", SHEARS)
+def test_flat_vorticity_and_bc_residual_are_the_channel_formulas(channel, prof):
+    # -u' and max |u'| at the walls, up to the sign of an exact zero, which
+    # every caller squares or takes the absolute value of
+    sol = solve_ns(channel, prof, nu=1e-2, n=64, dt=1e-3, t_end=0.05,
+                   store_times=[0.0, 0.05])
+    y, h = sol.coords, sol.coords[1] - sol.coords[0]
+    got = vorticity(channel, y, sol.u)
+    want = -diff_along(sol.u, y)
+    assert np.array_equal(_bits_up_to_zero_sign(got), _bits_up_to_zero_sign(want))
+    want = [max(abs(_one_sided_deriv(u, h, left)) for left in (True, False))
+            for u in sol.u]
+    assert np.array_equal(bc_residual(sol).view(np.int64),
+                          np.array(want).view(np.int64))
+
+
+def test_flat_slow_curl_is_zero(channel):
+    # b / r at r = +inf: an exact zero where the old channel gave 0.0, on a
+    # layer whose wall columns are nonzero
+    profile = solve_layer(SHEARS[0], channel, FastGrid(nz=64), dt=1e-3, t_end=0.05,
+                          store_times=[0.0, 0.05])
+    for wall_id, series in profile.walls.items():
+        assert series.ub[-1, 0] != 0.0
+        for it in range(len(profile.times)):
+            got = slow_curl_at_wall(profile, wall_id, it)
+            assert _bits_up_to_zero_sign(got) == _bits_up_to_zero_sign(0.0)
 
 
 def test_compatible_shear_semigroup_rate(channel):
