@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -253,17 +254,25 @@ class VolumeGrid:
     norms share.
 
     The quadrature weights, the first-derivative weights and the squared
-    coordinates are formed when the grid is built, so one grid serves every
-    field of a study and a forked part inherits it finished.  A grid of
-    fewer than 3 nodes has no first derivative and is refused.
+    coordinates are formed on first use and kept, so one grid serves every
+    field of a study.
     """
 
     def __init__(self, geom: geo.GeometryDescriptor, coords: np.ndarray):
         self.geom = geom
         self.coords = np.asarray(coords, dtype=float)
-        self.weights = geom.quadrature_weights(self.coords)
-        self._deriv_weights = _first_deriv_matrix_weights(self.coords)
-        self._coords_sq = self.coords**2
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.geom.quadrature_weights(self.coords)
+
+    @cached_property
+    def _deriv_weights(self):
+        return _first_deriv_matrix_weights(self.coords)
+
+    @cached_property
+    def _coords_sq(self) -> np.ndarray:
+        return self.coords**2
 
     def grad_sq(self, u: np.ndarray, sq: np.ndarray | None = None,
                 out=None, tmp=None, rows=slice(None)) -> np.ndarray:

@@ -572,11 +572,10 @@ def study_parts(config: StudyConfig, cores: int | None = None) -> list:
 
 
 def _solve_one_nu(setup: StudySetup, nu: float, u: np.ndarray, t: float,
-                  u_approx: np.ndarray | None) -> list:
+                  u_approx: np.ndarray) -> list:
     """Rows for the viscosity ``nu`` at the time ``t`` of one store, with
     ``u`` its reference solution there, an (n,) row of the store's block,
-    and ``u_approx`` the ansatz there, None when it is u0: velocity-error
-    and remainder norms.
+    and ``u_approx`` the ansatz there: velocity-error and remainder norms.
 
     u - u0, then R, is written into the set-up's (n,) buffer of the flow
     component.  R is tangential, so its "P" norms are its own and its "I-P"
@@ -587,8 +586,7 @@ def _solve_one_nu(setup: StudySetup, nu: float, u: np.ndarray, t: float,
     np.subtract(u, setup.ref.u0, out=row)
     for spec, value in zip(specs, setup.grid.norms(row, specs, setup.scratch)):
         rows.append((nu, t, spec.label, value, "u"))
-    if u_approx is not None:
-        np.subtract(u, u_approx, out=row)
+    np.subtract(u, u_approx, out=row)
     row /= nu
     for spec, value in zip(specs, setup.grid.norms(row, specs, setup.scratch)):
         for part, v in (("full", value), ("P", value), ("I-P", 0.0)):
@@ -619,12 +617,10 @@ def _group_rows(setup: StudySetup, nus, stop=None, resume=None,
     rows = {nu: [None] * len(t_eval) for nu in nus}
     approx = {}
     failed = {}
-    # a layer with no fit adds nothing: the ansatz is u0 (_solve_one_nu)
-    fitted = any(w.spline is not None for w in setup.layer.walls.values())
     for nu in nus:
         try:
-            approx[nu] = (assemble_ansatz(ref.u0, setup.layer, nu, ref.coords, times=t_eval)
-                          if fitted else [None] * len(t_eval))
+            approx[nu] = assemble_ansatz(ref.u0, setup.layer, nu, ref.coords,
+                                         times=t_eval)
         except Exception as exc:
             failed[nu] = _failure(exc)
 

@@ -742,8 +742,7 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
     # whose iterate crosses at the cut: each piece assembles its ansatz at
     # every evaluation time once, each row is taken once, by the piece that
     # stores it, and the rows and files are the bytes of one core's march.
-    # A piece cut before the one store ("five") takes no row.  The vortex
-    # layer of "five" has no fit, so its ansatz is u0 and none is assembled
+    # A piece cut before the one store ("five") takes no row
     cfg = _three_row_config() if name == "three" else _five_row_config(annulus)
     assert {march.stop for cores in (1, 2, 3, 4)
             for part in study.study_parts(cfg, cores=cores)
@@ -770,9 +769,9 @@ def test_cut_viscosities_write_the_one_core_bytes(tmp_path, monkeypatch, annulus
         assert sorted(_logged(tmp_path / "taken")) == every
         pieces = sorted((nu, t) for nus in report.meta["ns_groups"] for nu in nus
                         for t in cfg.t_eval)
-        assert sorted(_logged(tmp_path / "assembled")) == (pieces if name == "three" else [])
+        assert sorted(_logged(tmp_path / "assembled")) == pieces
         (tmp_path / "taken").unlink()
-        (tmp_path / "assembled").unlink(missing_ok=True)
+        (tmp_path / "assembled").unlink()
         rows.append(report.rows)
         export_report(report, tmp_path / str(cores))
     assert all(got == rows[0] for got in rows)
