@@ -1,20 +1,22 @@
 """Boundary-layer profile solver.
 
-The tangential profile u_b(t, z) is marched as one column per wall.  A
-studied flow is steady and parallel, so its layer is the heat equation
+The tangential profile u_b(t, z) is one column per wall.  A studied flow
+is steady and parallel, so its layer is the heat equation
 
     d/dt u_b = d2/dz2 u_b,
 
 with the constant wall datum d/dz u_b|_{z=0} = -g, g = curl(u0) x n, one
 number along the flow component (``GeometryDescriptor.flow_comp``), decay
-u_b(Z_max) = 0, and zero initial data: u_b is that component alone, does
-not vary along the collar, and a wall whose datum vanishes produces the
-zero layer exactly.  The layer's pressure corrector is not computed: the
-ansatz u0 + sqrt(nu) u_b uses u_b alone.  The walls share one operator, so
-their columns step together, as the columns of one Crank-Nicolson march of
-the symmetrised tridiagonal kernel of ns.py on the nodes below Z_max (the
-Dirichlet node stays zero); only the walls whose datum g is nonzero march,
-the others stay exactly +0.0.
+u_b(Z_max) = 0, and zero initial data: u_b is that component alone and
+does not vary along the collar.  The layer's pressure corrector is not
+computed: the ansatz u0 + sqrt(nu) u_b uses u_b alone.  The problem is
+linear in g, so u_b = g U_1, with U_1 the layer of the unit datum,
+2 sqrt(t) ierfc(z / (2 sqrt(t))) in the continuum.  U_1 is marched once,
+by the Crank-Nicolson kernel of ns.py (``_cn_steps``) on the nodes below
+Z_max (the Dirichlet node stays zero), and only when some wall's datum is
+nonzero; a wall whose datum vanishes keeps the zero layer exactly.
+Scaling by a power of two is exact, so the rigid layer's u_b (g = +-2)
+has the bits of a march of its own datum.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ def _fast_diffusion_operator(z: np.ndarray):
 @dataclass
 class WallLayerSeries:
     """Stored layer data for one wall: ``ub`` is the flow component's
-    column, the same at every collar sample, marched from the wall's datum
-    ``g``, and ``spline`` the one not-a-knot fit to its columns at every
-    stored time that the ansatz evaluates, None when they are all zero."""
+    column, the same at every collar sample, the wall's datum ``g`` times
+    the unit layer U_1 (``solve_layer``), and ``spline`` the one not-a-knot
+    fit to its columns at every stored time that the ansatz evaluates, None
+    when they are all zero."""
 
     wall_id: str
     ub: np.ndarray                 # (n_t, n_z)
@@ -81,65 +84,48 @@ class LayerProfile:
                             weight=self.geom.collar_measure(wall))
 
 
-def _march_walls(walls: list, gs: list, z: np.ndarray, dt: float,
-                 store_steps) -> np.ndarray:
-    """March the ``walls``, of constant data ``gs``, together on the nodes
-    below Z_max.
-
-    The walls share one operator, so their columns, one a wall, are the
-    right-hand sides of one _cn_steps march in Fortran-ordered arrays of its
-    own, and dpttrs solves each column with the operations of its own march.
-    Returns u_b at ``store_steps``, (n_store, n_z - 1, len(walls)).  The
-    source is constant; a column whose g is exactly 0 stays exactly +0.0, so
-    only the live columns march, and none when every datum vanishes.
-    """
-    op, h0 = _fast_diffusion_operator(z)
-    n = len(z) - 1
-    where = f"layer {','.join(w.wall_id for w in walls)} (nu-free, n={len(z)})"
-    out = np.zeros((len(store_steps), n, len(walls)))
-    # CN average of the ghost Neumann source 2 g / h0 at node 0
-    src = np.zeros((n, len(walls)))
-    src[0] = 2.0 * np.array(gs) / h0
-    live = np.flatnonzero(src.any(axis=0))
-    if not len(live):
-        return out
-
-    def each(i, x):
-        out[i][:, live] = x
-
-    _cn_steps(_symmetrise(op, where), 0.5 * dt, dt, store_steps, src[:, live], where,
-              tuple(np.zeros((n, len(live)), order="F") for _ in range(3)), each)
-    return out
-
-
 def solve_layer(u0_profile, geom: geo.GeometryDescriptor,
                 grid: FastGrid, dt: float, t_end: float, store_times) -> LayerProfile:
     """March the tangential layer of the base flow ``u0_profile`` on every
     wall to ``store_times``.
 
-    Each wall marches one column driven by its datum g, evaluated once at
-    the wall, and all walls march in one kernel call (``_march_walls``).  A
-    non-finite iterate names the wall at fault: the joint march that hits
-    one is re-run a wall at a time.  Each wall with a nonzero column is
-    fitted once, at every stored time, for the ansatz of every viscosity.
+    The layer is linear in the wall datum g, evaluated once at each wall,
+    so u_b = g U_1 with U_1 the layer of the unit datum, marched once, in
+    one kernel call of source (2 / h0) e_0, when some wall's g is nonzero.
+    A wall whose g is not finite is named before any march, and a wall
+    whose g is 0 keeps u_b = +0.0 exactly.  Each wall with a nonzero
+    column is fitted once, at every stored time, for the ansatz of every
+    viscosity.
     """
     if not 0 < dt < math.inf:
         raise StepSizeError(f"dt must be finite and positive, got {dt}")
     store_steps = _resolve_store_steps(dt, t_end, store_times)
     walls = geom.walls()
     gs = [boundary_data_g(u0_profile, geom, w) for w in walls]
-    try:
-        series = _march_walls(walls, gs, grid.z, dt, store_steps)
-    except SolverError:
-        # the columns are independent, so the wall at fault fails alone
-        for w, g in zip(walls, gs):
-            _march_walls([w], [g], grid.z, dt, store_steps)
-        raise
+    for w, g in zip(walls, gs):
+        if not math.isfinite(g):
+            raise SolverError(f"layer {w.wall_id} (nu-free, n={grid.nz}): "
+                              f"wall datum g = {g} is not finite")
+    unit = np.zeros((len(store_steps), grid.nz - 1))
+    if any(gs):
+        op, h0 = _fast_diffusion_operator(grid.z)
+        where = f"layer (nu-free, n={grid.nz})"
+        # CN average of the ghost Neumann source 2 g / h0 at node 0, g = 1
+        src = np.zeros(grid.nz - 1)
+        src[0] = 2.0 / h0
+
+        def each(i, x):
+            unit[i] = x
+
+        _cn_steps(_symmetrise(op, where), [0.5 * dt], dt, store_steps, src, where,
+                  tuple(np.zeros_like(src) for _ in range(3)), each)
 
     out = {}
-    for i, (w, g) in enumerate(zip(walls, gs)):
+    for w, g in zip(walls, gs):
+        # the Dirichlet node at Z_max stays +0.0, and so does a zero datum's layer
         ub = np.zeros((len(store_steps), grid.nz))
-        ub[:, :-1] = series[..., i]
+        if g:
+            np.multiply(g, unit, out=ub[:, :-1])
         spline = _not_a_knot_fit(grid.z, ub) if ub.any() else None
         out[w.wall_id] = WallLayerSeries(wall_id=w.wall_id, ub=ub, g=g, spline=spline)
     times = np.array([k * dt for k in store_steps])

@@ -21,10 +21,13 @@ r = +inf).  The first steps may be taken as backward-Euler half steps to
 damp the incompatible start (the initial vorticity does not satisfy the
 wall condition), which keeps the scheme second order globally.
 
-Both the reference solve and the layer march (layer.py) step with
-``_cn_steps``.  Their tridiagonal operators S have positive off-diagonal
-products, so a diagonal scaling makes I - a S symmetric positive definite
-(``_symmetrise``, which does not depend on the viscosity).
+Both the reference solve and the layer's one march of the unit datum
+(layer.py) step with ``_cn_steps``, whose iterate is one (m n,) array,
+the concatenation of m blocks of n rows (m = 1 for the layer), and whose
+source is one constant array.  Their tridiagonal operators S have
+positive off-diagonal products, so a diagonal scaling makes I - a S
+symmetric positive definite (``_symmetrise``, which does not depend on
+the viscosity).
 Every Crank-Nicolson step is w <- 2 (I - a S)^{-1} (w + dt/2 src) - w,
 which is exact Crank-Nicolson because I + a S = 2 I - (I - a S).  The
 kernel factors B = (I - a S) / 2 once as L D L^T (LAPACK dpttrf); halving
@@ -34,8 +37,8 @@ caller's arrays.  The march runs one store segment at a time, stops at the
 last stored step and hands each stored iterate to a callback, its one
 store path.  The solve is f2py's ``dpttrs`` with ``overwrite_b``, in place
 in the caller's buf; f2py would solve a copy of a buf that is not a
-writeable float64 array contiguous in Fortran order and leave buf as it
-was, so the kernel refuses such a work array before its first step.
+writeable contiguous float64 array and leave buf as it was, so the kernel
+refuses such a work array before its first step.
 
 A study solves at many viscosities on one grid, so the viscosity-free part
 of a reference solve (u0 on the grid, the drive L(u0), the symmetrised
@@ -205,71 +208,58 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
     """Crank-Nicolson march of dw/dt = (2 a / dt) S w + src from w(0) = 0.
 
     ``sym`` is ``_symmetrise`` of the tridiagonal S, so each step solves
-    (I - a S) w_new = (I + a S) w + dt src.  ``source`` is either the
-    constant src, as every package march passes it, or a callable
-    ``source(k, w)`` giving the src of step k from the current iterate, as
-    the tests' manufactured layer march (``tests/manufactured.py``) passes
-    it.  The march runs in the caller's ``work``, (w, buf, stored) of the
-    iterate's shape, (n,) or Fortran-ordered (n, m) for m columns sharing
-    S, and calls ``each(i, stored)`` with the stored w as
-    it reaches store i; the next store overwrites it.  The first
+    (I - a S) w_new = (I + a S) w + dt src, with ``source`` the constant
+    src.  ``a`` is a sequence of m coefficients, a group: the m systems
+    I - a_j S are one block-diagonal system of m n rows, and ``source`` and
+    every iterate are the blocks' (m n,) concatenation; a single march is
+    the group of one.  The march runs in the caller's ``work``, (w, buf,
+    stored) of that shape, and calls ``each(i, stored)`` with the stored w
+    as it reaches store i; the next store overwrites it.  The first
     ``rannacher`` steps are two backward-Euler half steps each.
     ``store_steps`` is sorted; the march runs one store segment at a time
     and stops at the last one.  ``resume`` (k, w) starts the march at step k
     from the kernel's own iterate w (D w, below), which an earlier march
-    left in its ``work``, and ``stop`` ends it at that step, by default the
-    last store; a store is taken when it lies in (k, stop], or at step 0 of
-    a march from 0.  The half steps are those of the absolute steps below
-    ``rannacher``, so a march cut anywhere and resumed takes the bits of
-    one march.
-
-    ``a`` may also be a sequence of m coefficients, a group: the m systems
-    I - a_j S are one block-diagonal system of m n rows, and the constant
-    ``source`` is the blocks' (m n,) concatenation, as is each stored w.
+    left in its ``work``, the returned view of that w included, and
+    ``stop`` ends it at that step, by default the last store; a store is
+    taken when it lies in (k, stop], or at step 0 of a march from 0.  The
+    half steps are those of the absolute steps below ``rannacher``, so a
+    march cut anywhere and resumed takes the bits of one march.
 
     D (I - a S) D^{-1} is symmetric with off-diagonal -a sqrt(up_i lo_i);
     the march runs on D w against one dpttrf factorisation of
     B = (I - a S) / 2.  Halving is exact, so B's factors are exactly half of
     those of I - a S and a dpttrs solve with B returns 2 (I - a S)^{-1} v
     bit for bit: a step is buf <- w + dt/2 src, buf <- B^{-1} buf,
-    w <- buf - w, in place, and a half step scales the solve by 0.5.  A
-    group factors each block alone and joins the factors with a 0.0
+    w <- buf - w, in place, and a half step scales the solve by 0.5.  Each
+    block is factored alone and the factors are joined with a 0.0
     off-diagonal at each join, which keeps every block's bits (module
     docstring).  ``where`` names the stage, nu and n in the errors: a failed
     factorisation or a non-finite stored iterate (SolverError).
     """
     di, sym_off, scale = sym
-    factors = []
-    for aj in np.atleast_1d(a):
-        d, e, info = dpttrf(0.5 * (1.0 - aj * di), -0.5 * aj * sym_off,
-                            overwrite_d=True, overwrite_e=True)
+    n = len(di)
+    # each block's factors go straight into their slice of the joined ones,
+    # with no second copy kept; the joins stay 0.0
+    diag = np.empty(len(a) * n)
+    off = np.zeros(len(a) * n - 1)
+    for j, aj in enumerate(a):
+        diag[j * n:(j + 1) * n], off[j * n:(j + 1) * n - 1], info = dpttrf(
+            0.5 * (1.0 - aj * di), -0.5 * aj * sym_off, overwrite_d=True, overwrite_e=True)
         if info != 0:
             raise SolverError(
                 f"{where}: dpttrf failed (info = {info}); I - a S is not "
                 f"positive definite at a = {aj:.3g}")
-        factors.append((d, e))
-    if len(factors) == 1:
-        diag, off = factors[0]
-    else:
-        diag = np.concatenate([d for d, _ in factors])
-        off = np.concatenate([np.append(e, 0.0) for _, e in factors])[:-1]
-        scale = np.tile(scale, len(factors))
 
-    varying = callable(source)
     half = 0.5 * dt
     w, buf, stored = work
-    if not (buf.dtype == np.float64 and buf.flags.f_contiguous and buf.flags.writeable):
+    if not (buf.dtype == np.float64 and buf.flags.c_contiguous and buf.flags.writeable):
         raise InvalidParameterError(
-            f"{where}: the work array buf must be a writeable float64 array "
-            f"contiguous in Fortran order, which dpttrs solves in place")
-    w.fill(0.0)
-    start, w0 = resume or (0, None)
-    if w0 is not None:
-        w[...] = w0
-    if w.ndim == 2:
-        scale = scale[:, None]
-    if not varying:
-        hsrc = np.asfortranarray(half * scale * np.asarray(source, dtype=float))
+            f"{where}: the work array buf must be a writeable contiguous "
+            f"float64 array, which dpttrs solves in place")
+    start, w0 = resume or (0, 0.0)
+    # w0 may be w itself, the iterate an earlier march returned
+    w[...] = w0
+    hsrc = (half * scale * source.reshape(-1, n)).ravel()
 
     stop = store_steps[-1] if stop is None else stop
     # the stores this march takes: those in (start, stop], and step 0 from 0
@@ -278,8 +268,6 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
     k = start
     for i, end in ends + [(None, stop)]:
         for k in range(k, end):
-            if varying:
-                hsrc = half * scale * source(k, w / scale)
             np.add(w, hsrc, out=buf)
             solve()
             if k < rannacher:
@@ -292,7 +280,7 @@ def _cn_steps(sym, a, dt, store_steps, source, where, work, each, rannacher=0,
         k = end
         if i is None:
             break
-        np.divide(w, scale, out=stored)
+        np.divide(w.reshape(-1, n), scale, out=stored.reshape(-1, n))
         if not np.all(np.isfinite(stored)):
             raise SolverError(
                 f"{where}: non-finite iterate at step {end} "

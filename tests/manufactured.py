@@ -7,10 +7,13 @@ coupling J A b and, for a manufactured solution, a forcing F:
     d/dt b = d2/dz2 b - f z d/dz b - J A b + F,   d/dz b(t, 0) = -g(t),
 
 with J the quarter turn (a, b) -> (b, -a) of the wall frame.
-``march_layer`` marches it on the layer's own operator and Crank-Nicolson
-kernel with the diffusion implicit and the other terms explicit, so it is
-second order in z and first order in t.  Criterion 8, test_layer and
-test_cn_kernel run it.
+``march_layer`` marches it on the layer's own operator with the diffusion
+implicit and the other terms explicit, so it is second order in z and
+first order in t.  It steps with the tests' step oracle,
+``_oracle_cn_march``, the Crank-Nicolson loop the package kernel
+``ns._cn_steps`` replaced, which takes a source formed from the current
+iterate a step at a time, as no package march does.  Criterion 8,
+test_layer and test_cn_kernel run it.
 
 ``ERFC_SQ_NORMS`` holds the closed forms of the erfc layer's norms, which
 test_layer checks the weighted norms against and test_study predicts the
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from vvlab import layer, ns
 from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights
@@ -64,15 +68,56 @@ def steady_case(u0_profile, geom) -> LayerCase:
     return LayerCase(g=g)
 
 
+def _oracle_cn_march(op, a, dt, n_steps, store_steps, source, rannacher=0,
+                     columns=None):
+    """The package kernel's loop before it factored (I - a S) / 2 and
+    marched by store segment: one I - a S factorisation, a fresh
+    w + dt/2 src, a doubling and a subtraction per step, and a march to
+    n_steps.  ``source`` is the constant src, (n,) or (n, m), or a callable
+    ``source(k, w)`` giving the (n, columns) src of step k from the current
+    iterate.  Returns w at ``store_steps``, (n_store,) + w's shape."""
+    lo, di, up = (np.asarray(x, dtype=float) for x in op)
+    n = len(di)
+    diag, off, info = dpttrf(1.0 - a * di, -a * np.sqrt(lo * up))
+    assert info == 0
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(up / lo))))[:, None]
+
+    varying = callable(source)
+    half = 0.5 * dt
+    if varying:
+        flat = False
+        w = np.zeros((n, columns), order="F")
+    else:
+        source = np.asarray(source, dtype=float)
+        flat = source.ndim == 1
+        hsrc = half * scale * source.reshape(n, -1)
+        w = np.zeros(hsrc.shape, order="F")
+    out = np.zeros((len(store_steps),) + w.shape)
+    out_idx = {k: i for i, k in enumerate(store_steps)}
+    for k in range(n_steps):
+        if varying:
+            hsrc = half * scale * source(k, w / scale)
+        if k < rannacher:
+            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+            w, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+        else:
+            y, _ = dpttrs(diag, off, w + hsrc, overwrite_b=True)
+            y *= 2.0
+            y -= w
+            w = y
+        if (k + 1) in out_idx:
+            out[out_idx[k + 1]] = w / scale
+    return out[..., 0] if flat else out
+
+
 def march_layer(case: LayerCase, walls, z, dt, store_steps) -> np.ndarray:
     """The walls' layers at ``store_steps``, (n_store, n_z - 1, 2 len(walls)),
     both tangential components of a wall side by side, the walls' columns
-    in the order ``layer._march_walls`` marches them.  The coefficients
-    are formed for every step before the march; a step's explicit term is
-    formed for every wall at once."""
+    in the order of ``walls``, marched together by the step oracle.  The
+    coefficients are formed for every step before the march; a step's
+    explicit term is formed for every wall at once."""
     op, h0 = layer._fast_diffusion_operator(z)
     n, cols = len(z) - 1, 2 * len(walls)
-    where = f"layer {','.join(w.wall_id for w in walls)} (nu-free, n={len(z)})"
     t = dt * np.arange(store_steps[-1] + 1)
     g = np.concatenate([case.g(t, w) for w in walls], axis=1)
     ghost = (g[:-1] + g[1:]) / h0
@@ -94,14 +139,8 @@ def march_layer(case: LayerCase, walls, z, dt, store_steps) -> np.ndarray:
         src += expl[..., :-1].reshape(cols, n).T
         return src
 
-    out = np.zeros((len(store_steps), n, cols))
-
-    def each(i, x):
-        out[i] = x
-
-    ns._cn_steps(ns._symmetrise(op, where), 0.5 * dt, dt, store_steps, source, where,
-                 tuple(np.zeros((n, cols), order="F") for _ in range(3)), each)
-    return out
+    return _oracle_cn_march(op, 0.5 * dt, dt, store_steps[-1], store_steps, source,
+                            columns=cols)
 
 
 def march_profiles(case: LayerCase, geom, grid, dt, t_end, store_times) -> dict:

@@ -290,8 +290,9 @@ def test_ns_solve_file_matches_golden(tmp_path, capsys, name, text):
 
 
 def test_rigid_layer_solve_file_matches_golden(tmp_path):
-    # layer_profile.dat of the rigid preset, both walls marched in one
-    # kernel call, byte for byte the file of one march per wall
+    # layer_profile.dat of the rigid preset, each wall its datum g = +-2
+    # times one march of the unit datum, byte for byte the file of one
+    # march per wall
     assert cli_main(["layer", "solve", "--preset", "rigid-annulus",
                      "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "layer_profile.dat").read_bytes()).hexdigest()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
     LaurentProfile,
-    boundary_data_g,
     potential_vortex,
     rigid_rotation,
 )
@@ -51,36 +51,92 @@ def test_zero_data_gives_zero_profile(annulus):
         assert np.all(w.ub == 0.0)
 
 
-@pytest.mark.parametrize("preset, marched", [("rigid-annulus", 2),
-                                             ("vortex-annulus", 0),
-                                             ("flat-shear", 0)])
-def test_live_columns_match_the_two_column_march(monkeypatch, preset, marched):
-    # a layer marches only the walls whose datum g is nonzero, every live
-    # column in one call; every wall's column equals the flow component of
-    # the march of its own two columns, the other datum zero, bit for bit
-    # and in the sign of its zeros
-    from vvlab.study import get_preset, solve_study_layer
+def _own_datum_march(z, dt, steps, g):
+    """The kernel's march of the layer of the datum g alone, source
+    (2 g / h0) e_0, with the Dirichlet node at Z_max +0.0: (n_store, n_z)."""
+    op, h0 = layer._fast_diffusion_operator(z)
+    src = np.zeros(len(z) - 1)
+    src[0] = 2.0 * g / h0
+    out = np.zeros((len(steps), len(z)))
+    out[:, :-1] = kernel_history(_symmetrise(op, "own datum"), [0.5 * dt], dt, steps,
+                                 src, "own datum")
+    return out
 
-    cfg = get_preset(preset)
+
+def _study_layer_spied(monkeypatch, cfg):
+    """The study's layer and the arguments of each of its kernel calls."""
+    from vvlab.study import solve_study_layer
+
     calls = []
     monkeypatch.setattr(layer, "_cn_steps",
-                        lambda *a, **k: calls.append(a[4].shape) or _cn_steps(*a, **k))
-    profile = solve_study_layer(cfg)
-    assert calls == ([(cfg.layer.nz - 1, marched)] if marched else [])
-    flow = cfg.euler.build(cfg.geometry)
+                        lambda *a, **k: calls.append(a) or _cn_steps(*a, **k))
+    return solve_study_layer(cfg), calls
+
+
+def _preset(name):
+    # "channel-shear": the channel_layer golden's flow, g = 1 on the lower
+    # wall and 0 on the upper
+    from vvlab.study import EulerSpec, get_preset
+
+    if name != "channel-shear":
+        return get_preset(name)
+    return dataclasses.replace(get_preset("flat-shear"),
+                               euler=EulerSpec(family="shear_poly:0.2,1.0,-0.5"))
+
+
+# each preset's wall data g
+PRESET_DATA = {"rigid-annulus": {2.0, -2.0}, "channel-shear": {1.0, 0.0},
+               "vortex-annulus": {0.0}, "flat-shear": {0.0}}
+
+
+@pytest.mark.parametrize("preset", list(PRESET_DATA))
+def test_each_wall_is_its_datum_times_one_unit_march(monkeypatch, preset):
+    # one kernel call marches the unit datum U_1 of source (2 / h0) e_0, and
+    # none when every datum is 0; each wall stores g U_1, bit for bit and in
+    # the sign of its zeros, which for these powers of two is the march of
+    # its own datum; a zero datum keeps +0.0 and no fit
+    cfg = _preset(preset)
+    profile, calls = _study_layer_spied(monkeypatch, cfg)
     z, dt = profile.grid.z, cfg.layer.dt
-    op, h0 = layer._fast_diffusion_operator(z)
     steps = [int(round(t / dt)) for t in profile.times]
-    for w in cfg.geometry.walls():
-        src = np.zeros((len(z) - 1, 2))
-        g = boundary_data_g(flow, cfg.geometry, w)
-        src[0, 0] = (g + g) / h0
-        want = np.zeros((len(steps), len(z)))
-        want[:, :-1] = kernel_history(_symmetrise(op, "two columns"), 0.5 * dt, dt,
-                                      steps, src, "two columns")[..., 0]
-        got = profile.walls[w.wall_id].ub
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert {w.g for w in profile.walls.values()} == PRESET_DATA[preset]
+    assert len(calls) == (1 if any(PRESET_DATA[preset]) else 0)
+    unit = _own_datum_march(z, dt, steps, 1.0)
+    for call in calls:
+        sym, a, step, store_steps, src, where = call[:6]
+        assert a == [0.5 * dt] and store_steps == steps
+        assert src.shape == (len(z) - 1,) and src[0] == 2.0 / (z[1] - z[0])
+        assert not np.any(src[1:])
+    for w in profile.walls.values():
+        if w.g == 0.0:
+            assert np.all(w.ub == 0.0) and not np.any(np.signbit(w.ub))
+            assert w.spline is None
+            continue
+        want = w.g * unit
+        want[:, -1] = 0.0
+        assert np.array_equal(w.ub, want)
+        assert np.array_equal(np.signbit(w.ub), np.signbit(want))
+        own = _own_datum_march(z, dt, steps, w.g)
+        assert np.array_equal(w.ub, own)
+        assert np.array_equal(np.signbit(w.ub), np.signbit(own))
+        assert w.spline is not None
+
+
+@pytest.mark.parametrize("omega", [0.3, 1.75, -2.5])
+def test_unit_march_scales_to_the_march_of_any_datum(annulus, omega):
+    # rigid rotation at omega has g = +-2 omega: +-0.6, +-3.5 and -+5, none a
+    # power of two, so g U_1 and the march of g itself may round apart, by a
+    # few ulps of the layer's largest value
+    flow = rigid_rotation(omega, annulus)
+    dt, steps = 1e-3, [62, 125, 250]
+    profile = solve_layer(flow, annulus, FastGrid(nz=256), dt=dt, t_end=0.25,
+                          store_times=[k * dt for k in steps])
+    for w in profile.walls.values():
+        assert abs(w.g) == pytest.approx(2.0 * abs(omega), rel=1e-15)
+        own = _own_datum_march(profile.grid.z, dt, steps, w.g)
+        scale = float(np.abs(own).max())
+        assert scale > 0.0
+        assert float(np.abs(w.ub - own).max()) <= 1e-13 * scale
 
 
 def test_erfc_wall_value(rigid_layer):

@@ -386,15 +386,24 @@ def test_flat_shear_rows_match_closed_form(flat_report):
     # U = cos(pi y) meets the slip condition (U' = 0 at the walls), so g = 0,
     # the layer is zero and the reference is the heat solution
     # e^(-nu pi^2 t) cos(pi y): each u row is (1 - e^(-nu pi^2 t)) times a
-    # norm of cos(pi y) on the unit channel
+    # norm of cos(pi y) on the unit channel.  The ansatz is u0, so
+    # R = (u - u0) / nu and each R:full row is its u row's value over nu,
+    # within the same bounds; R is the flow's one tangential component, so
+    # R:P is R:full and R:I-P is exactly 0
     norms = {"l2": math.sqrt(0.5), "linf": 1.0, "lp:4": 0.375 ** 0.25,
              "h1": math.sqrt(0.5 + math.pi**2 / 2)}
     bounds = {"l2": 3e-8, "lp:4": 3e-8, "linf": 6e-8, "h1": 1e-6}
-    rows = [row for row in flat_report.rows if row[4] == "u"]
-    assert len(rows) == 5 * 8 * 4
-    for nu, t, label, value, _ in rows:
+    parts = {}
+    for nu, t, label, value, part in flat_report.rows:
+        parts.setdefault(part, {})[(nu, t, label)] = value
+    assert len(parts["u"]) == len(parts["R:full"]) == 5 * 8 * 4
+    assert parts["R:P"] == parts["R:full"]
+    assert parts["R:I-P"] == dict.fromkeys(parts["R:full"], 0.0)
+    for (nu, t, label), value in parts["u"].items():
         want = -math.expm1(-nu * math.pi**2 * t) * norms[label]
         assert abs(value - want) <= bounds[label] * want, (nu, t, label)
+        remainder = parts["R:full"][(nu, t, label)]
+        assert abs(remainder - want / nu) <= bounds[label] * want / nu, (nu, t, label)
 
 
 def test_rigid_rows_match_the_erfc_layer_prediction(rigid_report):
