@@ -508,13 +508,16 @@ def test_layer_march_matches_sparse_march(case):
         assert np.all(got[wall_id][:, :, -1] == 0.0)
 
 
-@pytest.mark.parametrize("case", ["oscillating-shear", "layer-mms"])
+@pytest.mark.parametrize("case", ["rigid", "oscillating-shear", "layer-mms"])
 def test_joint_wall_march_equals_per_wall_marches(case):
     # the tests' march takes the walls as the columns of one oracle march;
     # each wall's columns are bit for bit the march of that wall alone, the
-    # signs of zeros included.  The manufactured forcing is made to differ
-    # between the walls
+    # signs of zeros included.  Rigid marches its constant datum alone, of
+    # opposite signs on the two walls; the manufactured forcing is made to
+    # differ between the walls
     flow, geom, zmax = _layer_cases()[case]
+    if case == "rigid":
+        flow = steady_case(flow, geom)
     if case == "layer-mms":
         forcing = flow.forcing
         flow.forcing = lambda t, wall, z: (

@@ -11,6 +11,7 @@ from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
 from vvlab.euler import (
     LaurentProfile,
+    boundary_data_g,
     potential_vortex,
     rigid_rotation,
 )
@@ -82,6 +83,36 @@ def _preset(name):
         return get_preset(name)
     return dataclasses.replace(get_preset("flat-shear"),
                                euler=EulerSpec(family="shear_poly:0.2,1.0,-0.5"))
+
+
+@pytest.mark.parametrize("preset, marched", [("rigid-annulus", 2),
+                                             ("vortex-annulus", 0),
+                                             ("flat-shear", 0)])
+def test_live_columns_match_the_two_column_march(monkeypatch, preset, marched):
+    # a layer marches once when some of its walls (``marched`` of them) have
+    # a nonzero datum g, and not at all otherwise; every wall's column equals
+    # the flow component of the kernel's march of its own two columns, the
+    # other datum zero, bit for bit and in the sign of its zeros
+    cfg = _preset(preset)
+    profile, calls = _study_layer_spied(monkeypatch, cfg)
+    flow = cfg.euler.build(cfg.geometry)
+    gs = {w.wall_id: boundary_data_g(flow, cfg.geometry, w) for w in cfg.geometry.walls()}
+    assert sum(g != 0.0 for g in gs.values()) == marched
+    assert len(calls) == (1 if marched else 0)
+    z, dt = profile.grid.z, cfg.layer.dt
+    op, h0 = layer._fast_diffusion_operator(z)
+    steps = [int(round(t / dt)) for t in profile.times]
+    for wall_id, g in gs.items():
+        # the two columns are two blocks of the kernel, the datum's first
+        n = len(z) - 1
+        src = np.zeros(2 * n)
+        src[0] = (g + g) / h0
+        want = np.zeros((len(steps), len(z)))
+        want[:, :-1] = kernel_history(_symmetrise(op, "two columns"), [0.5 * dt] * 2, dt,
+                                      steps, src, "two columns")[:, :n]
+        got = profile.walls[wall_id].ub
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # each preset's wall data g
