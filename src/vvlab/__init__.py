@@ -3,12 +3,13 @@
 Modules
 -------
 geometry   domain backends (flat channel, cylinder gap), wall distances, cutoff
-spaces     weighted layer norms, volume norms, layer evaluation, Hardy/Gronwall checks
+spaces     weighted layer norms, volume norms, layer evaluation
 euler      exact inviscid base flows and their wall data
 layer      boundary-layer profile solver, wall traces and layer norms
 ns         viscous reference solver with vorticity-free slip walls
 expansion  ansatz assembly, the remainder's wall identity, Weyl/Leray projection
 study      viscosity sweeps, rate fits, reports, presets, CLI backend
+checks     the invariant suite and its Hardy, Gronwall and scaling tools
 
 Every studied flow is tangential and carries one component
 (``GeometryDescriptor.flow_comp``), so a volume field, the reference

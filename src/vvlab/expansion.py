@@ -33,7 +33,7 @@ from .spaces import _spline_on_wall
 
 
 def assemble_ansatz(u0: np.ndarray, layer: LayerProfile, nu: float,
-                    coords: np.ndarray, times=None) -> np.ndarray:
+                    coords: np.ndarray, times) -> np.ndarray:
     """The (n_t, n) flow component of u0 + sqrt(nu) u_b at shared times.
 
     The order-nu corrector v is zero in these geometries (see the module
@@ -50,7 +50,6 @@ def assemble_ansatz(u0: np.ndarray, layer: LayerProfile, nu: float,
     if not 0 < nu < math.inf:
         raise ConfigError(f"nu must be positive and finite, got {nu}")
     geom = layer.geom
-    times = layer.times if times is None else np.asarray(times, dtype=float)
     idx = [time_index(layer.times, t) for t in times]
 
     u0 = np.broadcast_to(u0, (len(times), len(coords)))

@@ -111,8 +111,9 @@ class GeometryDescriptor:
 
     def radius(self, coords):
         """The frame's radius at ``coords``: coords itself in the annulus,
-        the same array, and +inf in the channel."""
-        return coords if self.kind == ANNULUS_GAP else np.full(np.shape(coords), np.inf)
+        the same array, and +inf in the channel, a read-only broadcast."""
+        return (coords if self.kind == ANNULUS_GAP
+                else np.broadcast_to(np.inf, np.shape(coords)))
 
     @property
     def gap(self) -> float:

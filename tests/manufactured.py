@@ -17,7 +17,10 @@ test_layer and test_cn_kernel run it.
 
 ``ERFC_SQ_NORMS`` holds the closed forms of the erfc layer's norms, which
 test_layer checks the weighted norms against and test_study predicts the
-rigid study's rows with.
+rigid study's rows with.  ``ierfc`` and ``i2erfc`` are erfc's first two
+repeated integrals, and ``remainder_limit`` is R_1, the O(nu) term of
+u - u0 beyond the layer's sqrt(nu) b, with which test_study predicts the
+rigid study's u rows to the reference's own error.
 """
 
 import math
@@ -25,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.special import erfc
 
+from vvlab import geometry as geo
 from vvlab import layer, ns
 from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights
 
@@ -40,6 +45,43 @@ ERFC_SQ_NORMS = (
     lambda t: 2.0 * (2.0 - math.sqrt(2.0)) * math.sqrt(t) / math.sqrt(math.pi),
     lambda t: 1.0 / math.sqrt(2.0 * math.pi * t),
 )
+
+
+def ierfc(s):
+    """int_s^inf erfc = e^(-s^2) / sqrt(pi) - s erfc(s) (Abramowitz & Stegun
+    7.2)."""
+    return np.exp(-s**2) / math.sqrt(math.pi) - s * erfc(s)
+
+
+def i2erfc(s):
+    """int_s^inf ierfc = ((1 + 2 s^2) erfc(s) - 2 s e^(-s^2) / sqrt(pi)) / 4
+    (Abramowitz & Stegun 7.2)."""
+    return ((1.0 + 2.0 * s**2) * erfc(s)
+            - 2.0 * s * np.exp(-s**2) / math.sqrt(math.pi)) / 4.0
+
+
+def remainder_limit(profile, geom, nu, t, x):
+    """R_1(x, t), the limit of (u - u0 - sqrt(nu) b) / nu as nu -> 0, on the
+    cross coordinates ``x`` of ``geom``, for the base flow ``profile``:
+
+        R_1 = t L U0 + sum_w (omega0(r_w) / r_w) 2 t [i2erfc(eta_w) - eta_w ierfc(eta_w)],
+
+    with L U0 = U0'' + U0'/r - U0/r^2 the reference's operator, omega0 =
+    U0' + U0/r, r_w the radius of wall w and eta_w = d_w / (2 sqrt(nu t)).
+    The first term is the interior's O(nu) drift; the second is the wall
+    curvature's corrector c = t F(eta), which solves d/dt c = d2/dz2 c +
+    (n / r_w) d/dz b with d/dz c(0) = -n b(0) / r_w from zero.  In the
+    channel r = +inf and R_1 = t U0''.
+    """
+    r = geom.radius(x)
+    out = t * (profile.deriv(x, 2) + profile.deriv(x, 1) / r - profile.value(x) / r**2)
+    for w in geom.walls():
+        at = np.array([w.coord])
+        r_w = geom.radius(at)
+        curl = float(((profile.deriv(at, 1) + profile.value(at) / r_w) / r_w)[0])
+        eta = geo.wall_distance(geom, w.wall_id, x) / (2.0 * math.sqrt(nu * t))
+        out = out + curl * 2.0 * t * (i2erfc(eta) - eta * ierfc(eta))
+    return out
 
 
 @dataclass

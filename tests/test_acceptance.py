@@ -12,15 +12,10 @@ import numpy as np
 import pytest
 
 from manufactured import layer_mms_case, march_profiles
-from vvlab.checks import run_all
+from vvlab.checks import run_all, scaling_exponent_check
 from vvlab.euler import rigid_rotation
 from vvlab.layer import layer_norm_monitor, solve_layer
-from vvlab.spaces import (
-    AnisotropicIndex,
-    FastGrid,
-    profile_from_callable,
-    scaling_exponent_check,
-)
+from vvlab.spaces import AnisotropicIndex, FastGrid, profile_from_callable
 from vvlab.study import get_preset
 
 RIGID_BANDS = {"l2": (0.70, 0.90), "h1": (0.20, 0.40),

@@ -8,9 +8,8 @@ import pytest
 from scipy.special import sici
 
 from vvlab import checks, geometry as geo, study
-from vvlab.checks import _hardy_oracle, run_all
+from vvlab.checks import _hardy_oracle, gronwall_rk4_trials, run_all
 from vvlab.cli import cli_main
-from vvlab.spaces import gronwall_rk4_trials
 from vvlab.study import get_preset
 
 

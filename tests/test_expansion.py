@@ -72,7 +72,8 @@ def test_trivial_ansatz_reduces_to_base_flow(annulus):
     profile = solve_layer(flow, annulus, FastGrid(nz=64), dt=1e-3,
                           t_end=0.1, store_times=[0.1])
     coords = annulus.volume_grid(512)
-    u_approx = assemble_ansatz(flow.value(coords), profile, 1e-3, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, 1e-3, coords,
+                               times=profile.times)
     assert u_approx.shape == (1, len(coords))
     assert np.array_equal(u_approx[0], flow.value(coords))
 
@@ -84,7 +85,8 @@ def test_ansatz_has_no_order_nu_corrector(rigid_setup, annulus):
     # theta column read from its record
     flow, profile = rigid_setup
     nu, coords = 1e-3, annulus.volume_grid(1024)
-    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords,
+                               times=profile.times)
     # a layer term is added into a writable copy of u0's broadcast
     assert u_approx.flags.writeable
     layer = np.zeros_like(u_approx)
@@ -159,7 +161,7 @@ def test_steady_u0_is_evaluated_once(rigid_setup, annulus):
     coords = annulus.volume_grid(1024)
     u0 = flow.value(coords)
     u0.flags.writeable = False
-    u_approx = assemble_ansatz(u0, profile, 1e-3, coords)
+    u_approx = assemble_ansatz(u0, profile, 1e-3, coords, times=profile.times)
     assert not np.shares_memory(u_approx, u0)
     assert np.array_equal(u0, flow.value(coords))
     for it in range(len(profile.times)):
@@ -184,7 +186,7 @@ def test_ansatz_refuses_a_nonpositive_or_non_finite_viscosity(rigid_setup, annul
     flow, profile = rigid_setup
     coords = annulus.volume_grid(128)
     with pytest.raises(ConfigError, match=f"nu must be positive and finite, got {nu}"):
-        assemble_ansatz(flow.value(coords), profile, nu, coords)
+        assemble_ansatz(flow.value(coords), profile, nu, coords, times=profile.times)
 
 
 def test_ansatz_time_alignment_error(rigid_setup, annulus):
@@ -255,7 +257,8 @@ def test_remainder_grid_mismatch(rigid_setup, annulus):
     flow, profile = rigid_setup
     nu = 1e-3
     coords = annulus.volume_grid(512)
-    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords,
+                               times=profile.times)
     sol = solve_ns(annulus, LaurentProfile({1: 1.0}), nu=nu, n=256,
                    dt=2.5e-3, t_end=0.25, store_times=[0.125, 0.25])
     with pytest.raises(ConfigError, match="256 points"):
@@ -388,7 +391,8 @@ def test_remainder_bc_definitional_case(rigid_setup, annulus):
     flow, profile = rigid_setup
     nu = 1e-3
     coords = annulus.volume_grid(2048)
-    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords)
+    u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords,
+                               times=profile.times)
     sol = ViscousSolution(nu=nu, geom=annulus, coords=coords,
                           times=profile.times.copy(), u=u_approx.copy())
     assert np.isfinite(remainder_bc_residual(sol, u_approx, profile.times, profile))

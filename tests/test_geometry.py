@@ -91,3 +91,12 @@ def test_radius_and_orientation_of_the_flat_limit(annulus, channel):
     assert r.shape == y.shape and np.all(r == np.inf)
     assert channel.radius(0.5) == np.inf
     assert (annulus.orientation, channel.orientation) == (1.0, -1.0)
+
+
+def test_channel_radius_owns_no_buffer(channel):
+    # the channel's radius is a broadcast of one +inf: every reader only
+    # reads it, so no call allocates an (n,) array
+    y = channel.volume_grid(4097)
+    r = channel.radius(y)
+    assert r.strides == (0,) and not r.flags.owndata and not r.flags.writeable
+    assert r.base.nbytes <= 8

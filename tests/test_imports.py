@@ -251,6 +251,25 @@ def test_only_the_check_command_loads_the_invariant_suite():
     assert out.strip() == "False"
 
 
+# the invariant suite's analytic tools, which only the check command loads
+SUITE_TOOLS = ("ScalingResult", "scaling_exponent_check", "hardy_ratio",
+               "gronwall_local_bound", "GronwallTrials", "_GRONWALL_LOW",
+               "_GRONWALL_HIGH", "_GRONWALL_BLOCK", "_GRONWALL_ROWS",
+               "_uniform_bracket", "_gronwall_bounds", "gronwall_rk4_trials")
+
+
+def test_the_norm_engine_holds_none_of_the_suites_tools():
+    # a command line import loads the norm engine without the suite, and
+    # the engine defines none of the suite's tools, which checks.py holds
+    out = _fresh("import sys, vvlab.cli\n"
+                 f"names = {SUITE_TOOLS!r}\n"
+                 "print('vvlab.checks' in sys.modules, "
+                 "[n for n in names if hasattr(sys.modules['vvlab.spaces'], n)])\n"
+                 "import vvlab.checks\n"
+                 "print(all(hasattr(vvlab.checks, n) for n in names))")
+    assert out.split("\n")[:2] == ["False []", "True"]
+
+
 @pytest.mark.parametrize("order", [("vvlab.cli", "scipy.linalg.lapack"),
                                    ("scipy.linalg.lapack", "vvlab.cli")],
                          ids=["vvlab-first", "scipy-first"])

@@ -11,8 +11,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
+from vvlab import checks
 from vvlab import geometry as geo
-from vvlab import spaces
+from vvlab.checks import (
+    _GRONWALL_BLOCK,
+    _GRONWALL_HIGH,
+    _GRONWALL_LOW,
+    _gronwall_bounds,
+    _uniform_bracket,
+    gronwall_local_bound,
+    gronwall_rk4_trials,
+    hardy_ratio,
+    scaling_exponent_check,
+)
 from vvlab.errors import (
     BlowupHorizonError,
     ConfigError,
@@ -24,22 +35,13 @@ from vvlab.spaces import (
     FastGrid,
     ProfileField,
     VolumeGrid,
-    _GRONWALL_BLOCK,
-    _GRONWALL_HIGH,
-    _GRONWALL_LOW,
-    _gronwall_bounds,
     _live_spans,
     _not_a_knot_eval,
     _not_a_knot_fit,
     _spline_on_wall,
-    _uniform_bracket,
     diff_along,
-    gronwall_local_bound,
-    gronwall_rk4_trials,
-    hardy_ratio,
     parse_norm,
     profile_from_callable,
-    scaling_exponent_check,
     weighted_norm,
 )
 
@@ -356,8 +358,8 @@ def test_scaling_check_fits_its_profile_once(monkeypatch, channel, grid):
         grids.append(len(coords))
         return VolumeGrid(geom, coords)
 
-    monkeypatch.setattr(spaces, "_not_a_knot_fit", counted)
-    monkeypatch.setattr(spaces, "VolumeGrid", counted_grid)
+    monkeypatch.setattr(checks, "_not_a_knot_fit", counted)
+    monkeypatch.setattr(checks, "VolumeGrid", counted_grid)
     pf = profile_from_callable(lambda z: np.exp(-z), grid)
     scaling_exponent_check(pf, channel, [1e-2, 1e-3, 1e-4, 1e-5], (2.0, 4.0),
                            n_points=2049)
@@ -810,7 +812,7 @@ def test_live_component_norms_equal_all_component_formula(kind, n, flow, rows, s
     assert grid.norms(u, specs) == [_volume_norm_oracle(geom, x, values, spec)
                                     for spec in specs]
     want = _grad_sq_oracle(geom, x, values)
-    got = grid.grad_sq(u)
+    got = grid.grad_sq(u, u**2, np.empty(n), np.empty(n), slice(None))
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
