@@ -1,8 +1,10 @@
-"""Ansatz assembly, the remainder's wall identity, and the Weyl/Leray split.
+"""Ansatz assembly and the Weyl/Leray split.
 
 The approximate field is u0 + sqrt(nu) u_b(x, phi/sqrt(nu)) + nu v, layer
 terms cut off inside the collar; the remainder R = (u_nu - ansatz)/nu is
-what the convergence theory bounds uniformly.  The corrector v is driven by
+what the convergence theory bounds uniformly.  The wall identity of R,
+``remainder_bc_residual``, is a test oracle in ``tests/manufactured.py``:
+no command reports it.  The corrector v is driven by
 the slow divergence of u_b, which vanishes here: u_b is tangential and does
 not vary along the wall or across the collar, so v = 0 and the ansatz is
 u0 + sqrt(nu) u_b.  Every studied flow carries one component,
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import ConfigError
-from .layer import LayerProfile, slow_curl_at_wall
-from .ns import ViscousSolution, time_index, vorticity
+from .layer import LayerProfile
+from .ns import time_index
 from .spaces import _spline_on_wall
 
 
@@ -83,38 +85,3 @@ def leray_project(geom: geo.GeometryDescriptor, values: np.ndarray):
     grad_vals[nc] = values[nc]
     return values - grad_vals, grad_vals
 
-
-# ---------------------------------------------------------------------------
-# remainder
-# ---------------------------------------------------------------------------
-
-
-def remainder_bc_residual(sol: ViscousSolution, u_approx: np.ndarray, times,
-                          profile: LayerProfile) -> float:
-    """Max-norm residual of the remainder's tangential wall identity.
-
-    R = (u_nu - ansatz)/nu is formed at each of ``times`` from the
-    solution's stored time (an AlignmentError if it was not stored) and the
-    matching row of ``u_approx``, the (n_t, n) ansatz on the solution's
-    grid.  The identity is curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n
-    + curl_x v|_{z=0} x n = 0; the corrector v is zero here (see the module
-    docstring).  Both curls are axial and n is a unit wall normal, so the
-    residual is |omega_R + b_theta / (r sqrt(nu))|, with omega_R the axial
-    vorticity of R and the layer term zero in the channel.  The normal
-    identity R . n + v . n = 0 holds exactly: R is the flow component
-    alone, which no wall normal has.
-    """
-    times = np.asarray(times, dtype=float)
-    if np.shape(u_approx) != (len(times), len(sol.coords)):
-        raise ConfigError(
-            f"ansatz of shape {np.shape(u_approx)} does not match "
-            f"{len(times)} times on the solution's {len(sol.coords)} points")
-    res = 0.0
-    for it, t in enumerate(times):
-        ip = time_index(profile.times, t)
-        rem = (sol.u[time_index(sol.times, t)] - u_approx[it]) / sol.nu
-        omega = vorticity(sol.geom, sol.coords, rem)
-        for i, w in zip((0, -1), sol.geom.walls()):
-            layer = slow_curl_at_wall(profile, w.wall_id, ip) / math.sqrt(sol.nu)
-            res = max(res, abs(float(omega[i]) + layer))
-    return res

@@ -17,6 +17,10 @@ Z_max (the Dirichlet node stays zero), and only when some wall's datum is
 nonzero; a wall whose datum vanishes keeps the zero layer exactly.
 Scaling by a power of two is exact, so the rigid layer's u_b (g = +-2)
 has the bits of a march of its own datum.
+
+The layer's wall curl ``slow_curl_at_wall`` and its norm monitor
+``layer_norm_monitor`` (with ``MonitorReport``) are test oracles in
+``tests/manufactured.py``: no command reports them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from . import geometry as geo
 from .errors import SolverError, StepSizeError
 from .euler import boundary_data_g
 from .ns import _cn_steps, _resolve_store_steps, _symmetrise
-from .spaces import FastGrid, ProfileField, _not_a_knot_fit, _Spline, weighted_norm
+from .spaces import FastGrid, ProfileField, _not_a_knot_fit, _Spline
 
 
 def _fast_diffusion_operator(z: np.ndarray):
@@ -133,58 +137,8 @@ def solve_layer(u0_profile, geom: geo.GeometryDescriptor,
 
 
 # ---------------------------------------------------------------------------
-# wall traces
+# output
 # ---------------------------------------------------------------------------
-
-
-def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> float:
-    """Axial component of curl_x of the tangential profile at z = 0, its
-    only nonzero one.
-
-    u_b does not vary along the collar, so only the curvature term
-    remains: b / r at the wall, +-0.0 in the channel (r = +inf).
-    """
-    geom = profile.geom
-    b = profile.profile(wall_id, it).values[0]
-    return float(b / geom.radius(geom.wall(wall_id).coord))
-
-
-# ---------------------------------------------------------------------------
-# monitoring and output
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MonitorReport:
-    times: np.ndarray
-    series: dict                   # label -> (n_t,) array
-    flagged: dict                  # label -> bool, growth beyond 10x first value
-
-
-def layer_norm_monitor(profile: LayerProfile, idx_list) -> MonitorReport:
-    """Weighted norms of the layer at every stored time, one series per
-    AnisotropicIndex of ``idx_list``, labelled ``aniso:k,l,p``.
-
-    Norms of the two walls combine in the p-mean.  A label is flagged when
-    any later value exceeds 10 times the value at the first stored time
-    (plus a round-off floor), the discrete non-blow-up check.
-    """
-    series = {}
-    flagged = {}
-    for idx in idx_list:
-        label = f"aniso:{idx.k},{idx.l},{idx.p:g}"
-        vals = np.zeros(len(profile.times))
-        for it in range(len(profile.times)):
-            per_wall = [weighted_norm(profile.profile(wid, it), idx)
-                        for wid in profile.walls]
-            if math.isinf(idx.p):
-                vals[it] = max(per_wall)
-            else:
-                vals[it] = sum(v**idx.p for v in per_wall) ** (1.0 / idx.p)
-        series[label] = vals
-        ref = vals[0]
-        flagged[label] = bool(np.any(vals > 10.0 * ref + 1e-12))
-    return MonitorReport(times=profile.times.copy(), series=series, flagged=flagged)
 
 
 def write_profile_snapshots(profile: LayerProfile, path) -> None:

@@ -18,9 +18,19 @@ test_layer and test_cn_kernel run it.
 ``ERFC_SQ_NORMS`` holds the closed forms of the erfc layer's norms, which
 test_layer checks the weighted norms against and test_study predicts the
 rigid study's rows with.  ``ierfc`` and ``i2erfc`` are erfc's first two
-repeated integrals, and ``remainder_limit`` is R_1, the O(nu) term of
-u - u0 beyond the layer's sqrt(nu) b, with which test_study predicts the
-rigid study's u rows to the reference's own error.
+repeated integrals, ``erfc_solution`` is the erfc layer of a constant
+datum, 2 g sqrt(t) ierfc(z / (2 sqrt(t))), and ``remainder_limit`` is R_1,
+the O(nu) term of u - u0 beyond the layer's sqrt(nu) b, with which
+test_study predicts the rigid study's u and R rows.
+
+Three oracles read the package's records and no command reports them:
+``remainder_bc_residual``, the wall identity of the remainder R =
+(u_nu - u0 - sqrt(nu) u_b)/nu, with the layer's wall curl
+``slow_curl_at_wall``; and ``layer_norm_monitor``, the layer's weighted
+norms at every stored time in a ``MonitorReport``.  The ansatz's order-nu
+corrector v is zero in the studied geometries (``vvlab.expansion``), so
+the identity has no v term.  test_expansion, test_layer, test_ns and
+criterion 6 read them.
 """
 
 import math
@@ -32,7 +42,10 @@ from scipy.special import erfc
 
 from vvlab import geometry as geo
 from vvlab import layer, ns
-from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights
+from vvlab.errors import ConfigError
+from vvlab.layer import LayerProfile
+from vvlab.ns import ViscousSolution, time_index, vorticity
+from vvlab.spaces import _apply_first_deriv, _first_deriv_matrix_weights, weighted_norm
 
 CROSS_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -60,6 +73,11 @@ def i2erfc(s):
             - 2.0 * s * np.exp(-s**2) / math.sqrt(math.pi)) / 4.0
 
 
+def erfc_solution(g, t, z):
+    """Half-line heat solution with dz u(t, 0) = -g, zero initial data."""
+    return 2.0 * g * np.sqrt(t) * ierfc(z / (2.0 * np.sqrt(t)))
+
+
 def remainder_limit(profile, geom, nu, t, x):
     """R_1(x, t), the limit of (u - u0 - sqrt(nu) b) / nu as nu -> 0, on the
     cross coordinates ``x`` of ``geom``, for the base flow ``profile``:
@@ -82,6 +100,82 @@ def remainder_limit(profile, geom, nu, t, x):
         eta = geo.wall_distance(geom, w.wall_id, x) / (2.0 * math.sqrt(nu * t))
         out = out + curl * 2.0 * t * (i2erfc(eta) - eta * ierfc(eta))
     return out
+
+
+def slow_curl_at_wall(profile: LayerProfile, wall_id: str, it: int) -> float:
+    """Axial component of curl_x of the tangential profile at z = 0, its
+    only nonzero one.
+
+    u_b does not vary along the collar, so only the curvature term
+    remains: b / r at the wall, +-0.0 in the channel (r = +inf).
+    """
+    geom = profile.geom
+    b = profile.profile(wall_id, it).values[0]
+    return float(b / geom.radius(geom.wall(wall_id).coord))
+
+
+def remainder_bc_residual(sol: ViscousSolution, u_approx: np.ndarray, times,
+                          profile: LayerProfile) -> float:
+    """Max-norm residual of the remainder's tangential wall identity.
+
+    R = (u_nu - ansatz)/nu is formed at each of ``times`` from the
+    solution's stored time (an AlignmentError if it was not stored) and the
+    matching row of ``u_approx``, the (n_t, n) ansatz on the solution's
+    grid.  The identity is curl R x n + nu^{-1/2} curl_x u_b|_{z=0} x n
+    + curl_x v|_{z=0} x n = 0; the corrector v is zero here (see the module
+    docstring).  Both curls are axial and n is a unit wall normal, so the
+    residual is |omega_R + b_theta / (r sqrt(nu))|, with omega_R the axial
+    vorticity of R and the layer term zero in the channel.  The normal
+    identity R . n + v . n = 0 holds exactly: R is the flow component
+    alone, which no wall normal has.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.shape(u_approx) != (len(times), len(sol.coords)):
+        raise ConfigError(
+            f"ansatz of shape {np.shape(u_approx)} does not match "
+            f"{len(times)} times on the solution's {len(sol.coords)} points")
+    res = 0.0
+    for it, t in enumerate(times):
+        ip = time_index(profile.times, t)
+        rem = (sol.u[time_index(sol.times, t)] - u_approx[it]) / sol.nu
+        omega = vorticity(sol.geom, sol.coords, rem)
+        for i, w in zip((0, -1), sol.geom.walls()):
+            layer = slow_curl_at_wall(profile, w.wall_id, ip) / math.sqrt(sol.nu)
+            res = max(res, abs(float(omega[i]) + layer))
+    return res
+
+
+@dataclass
+class MonitorReport:
+    times: np.ndarray
+    series: dict                   # label -> (n_t,) array
+    flagged: dict                  # label -> bool, growth beyond 10x first value
+
+
+def layer_norm_monitor(profile: LayerProfile, idx_list) -> MonitorReport:
+    """Weighted norms of the layer at every stored time, one series per
+    AnisotropicIndex of ``idx_list``, labelled ``aniso:k,l,p``.
+
+    Norms of the two walls combine in the p-mean.  A label is flagged when
+    any later value exceeds 10 times the value at the first stored time
+    (plus a round-off floor), the discrete non-blow-up check.
+    """
+    series = {}
+    flagged = {}
+    for idx in idx_list:
+        label = f"aniso:{idx.k},{idx.l},{idx.p:g}"
+        vals = np.zeros(len(profile.times))
+        for it in range(len(profile.times)):
+            per_wall = [weighted_norm(profile.profile(wid, it), idx)
+                        for wid in profile.walls]
+            if math.isinf(idx.p):
+                vals[it] = max(per_wall)
+            else:
+                vals[it] = sum(v**idx.p for v in per_wall) ** (1.0 / idx.p)
+        series[label] = vals
+        ref = vals[0]
+        flagged[label] = bool(np.any(vals > 10.0 * ref + 1e-12))
+    return MonitorReport(times=profile.times.copy(), series=series, flagged=flagged)
 
 
 @dataclass

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from manufactured import layer_mms_case, march_profiles
+from manufactured import erfc_solution, layer_mms_case, layer_norm_monitor, march_profiles
 from vvlab.checks import run_all, scaling_exponent_check
 from vvlab.euler import rigid_rotation
-from vvlab.layer import layer_norm_monitor, solve_layer
+from vvlab.layer import solve_layer
 from vvlab.spaces import AnisotropicIndex, FastGrid, profile_from_callable
 from vvlab.study import get_preset
 
@@ -28,7 +28,7 @@ def _report(name, detail):
 
 def test_criterion_1_erfc_layer_oracle(annulus):
     # rigid rotation: the layer is the heat equation with a constant datum,
-    # whose wall value is 2 g sqrt(t/pi)
+    # whose wall value is 2 g sqrt(t) ierfc(0) = 2 g sqrt(t/pi)
     t0 = time.perf_counter()
     flow = rigid_rotation(1.0, annulus)
     t = 0.25
@@ -38,7 +38,7 @@ def test_criterion_1_erfc_layer_oracle(annulus):
     for wall_id in ("inner", "outer"):
         g = profile.walls[wall_id].g
         got = profile.profile(wall_id, 0).values[0]
-        want = 2.0 * g * math.sqrt(t / math.pi)
+        want = erfc_solution(g, t, 0.0)
         worst = max(worst, abs(got - want) / abs(want))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-4

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manufactured import erfc_solution, remainder_bc_residual
 from test_spaces import _on_wall
 from test_study import study_rows
 from vvlab import expansion, study
@@ -15,7 +16,7 @@ from vvlab.euler import (
     potential_vortex,
     rigid_rotation,
 )
-from vvlab.expansion import assemble_ansatz, leray_project, remainder_bc_residual
+from vvlab.expansion import assemble_ansatz, leray_project
 from vvlab.layer import solve_layer
 from vvlab.ns import ViscousSolution, solve_ns, time_index
 from vvlab.spaces import (
@@ -176,7 +177,7 @@ def test_rigid_ansatz_amplitude(rigid_setup, annulus):
     coords = annulus.volume_grid(2048)
     u_approx = assemble_ansatz(flow.value(coords), profile, nu, coords, times=[t])
     dev = np.abs(u_approx[0] - flow.value(coords)).max()
-    want = math.sqrt(nu) * 2.0 * 2.0 * math.sqrt(t / math.pi)
+    want = math.sqrt(nu) * erfc_solution(2.0, t, 0.0)
     assert dev == pytest.approx(want, rel=0.05)
 
 

@@ -73,14 +73,6 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [("math", 2), ("path", 4)]
 
 
-# definitions, top-level or a class's methods and properties, that no
-# package code reads, each with its reason
-TEST_ONLY = {
-    "remainder_bc_residual": "ROADMAP item 4 reports it in every run",
-    "layer_norm_monitor": "ROADMAP item 10 reports it in every run",
-}
-
-
 def unread_definitions(sources):
     """Top-level functions and classes of ``sources``, and the methods and
     properties of those classes, dunders left out, that no source loads as
@@ -107,9 +99,10 @@ def unread_definitions(sources):
 
 
 def test_every_package_definition_has_a_reader():
-    # a definition only tests read is either pinned, with its reason, or dead
+    # a definition only tests read belongs with the tests' oracles in
+    # tests/manufactured.py, or is dead
     sources = [p.read_text() for p in sorted((ROOT / "src" / "vvlab").glob("*.py"))]
-    assert unread_definitions(sources) == sorted(TEST_ONLY)
+    assert unread_definitions(sources) == []
 
 
 def test_definition_checker_flags_an_unread_function():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from manufactured import ERFC_SQ_NORMS, layer_mms_case, march_profiles
+from manufactured import (
+    ERFC_SQ_NORMS,
+    erfc_solution,
+    layer_mms_case,
+    layer_norm_monitor,
+    march_profiles,
+)
 from test_cn_kernel import kernel_history
 from vvlab import layer
 from vvlab.errors import ConfigError, StepSizeError
@@ -15,11 +21,7 @@ from vvlab.euler import (
     potential_vortex,
     rigid_rotation,
 )
-from vvlab.layer import (
-    layer_norm_monitor,
-    solve_layer,
-    write_profile_snapshots,
-)
+from vvlab.layer import solve_layer, write_profile_snapshots
 from vvlab.ns import _cn_steps, _symmetrise, time_index
 from vvlab.spaces import (
     AnisotropicIndex,
@@ -27,12 +29,6 @@ from vvlab.spaces import (
     diff_along,
     weighted_norm,
 )
-
-
-def erfc_solution(g, t, z):
-    """Half-line heat solution with dz u(t, 0) = -g, zero initial data."""
-    return g * (2.0 * np.sqrt(t / np.pi) * np.exp(-(z**2) / (4.0 * t))
-                - z * erfc(z / (2.0 * np.sqrt(t))))
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +173,7 @@ def test_erfc_wall_value(rigid_layer):
     for wall_id in ("inner", "outer"):
         g = profile.walls[wall_id].g
         got = profile.profile(wall_id, it).values[0]
-        want = 2.0 * g * math.sqrt(t / math.pi)
+        want = erfc_solution(g, t, 0.0)
         assert abs(got - want) / abs(want) < 1e-4
 
 
@@ -207,7 +203,7 @@ def test_weighted_norms_match_erfc_closed_forms(rigid_study_layer, idx):
             g = abs(w.g)
             assert g > 0.0
             if math.isinf(idx.p):
-                want = 2.0 * g * math.sqrt(t / math.pi)
+                want = erfc_solution(g, t, 0.0)
             else:
                 want = g * math.sqrt(pf.weight * sum(
                     f(t) for f in ERFC_SQ_NORMS[: idx.l + 1]))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manufactured import slow_curl_at_wall
 from vvlab.errors import AlignmentError, ConfigError, StepSizeError
 from vvlab.euler import LaurentProfile, ShearProfile
-from vvlab.layer import slow_curl_at_wall, solve_layer
+from vvlab.layer import solve_layer
 from vvlab.ns import (
     _drive,
     _one_sided_deriv,

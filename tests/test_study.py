@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from manufactured import ERFC_SQ_NORMS, ierfc, remainder_limit
+from manufactured import ERFC_SQ_NORMS, erfc_solution, ierfc, remainder_limit
 from vvlab import geometry as geo
 from vvlab import layer as layer_mod
 from vvlab import spaces, study
@@ -420,7 +420,7 @@ def test_rigid_rows_match_the_erfc_layer_prediction(rigid_report):
 
     def predict(nu, t, label):
         if label == "linf":
-            return math.sqrt(nu) * 2.0 * g * math.sqrt(t / math.pi)
+            return math.sqrt(nu) * erfc_solution(g, t, 0.0)
         if label == "lp:4":
             # int u_b^4 dz = g^4 (2 sqrt(t))^4 2 sqrt(t) int ierfc^4
             return nu**0.625 * (length * g**4 * 32.0 * t**2.5 * ierfc4) ** 0.25
@@ -474,6 +474,56 @@ def test_rigid_u_rows_match_the_layer_and_its_order_nu_term(rigid_report):
             for spec, value in zip(specs, grid.norms(want, specs)):
                 ratio = rows[nu, t, spec.label] / value
                 assert abs(ratio - 1.0) <= bound, (nu, t, spec.label, ratio)
+
+
+def test_rigid_r_rows_match_the_remainder_limit(rigid_report):
+    # R = (u - u0 - sqrt(nu) b) / nu tends to R_1 (manufactured.
+    # remainder_limit), normed on the reference's grid by the package's
+    # norms.  What is left is the expansion's next term, which falls like
+    # sqrt(nu); below nu = 3e-3 the reference's own error, divided by nu,
+    # takes over
+    cfg = get_preset("rigid-annulus")
+    geom = cfg.geometry
+    profile = cfg.euler.build(geom)
+    x = geom.volume_grid(cfg.ns.n)
+    grid = VolumeGrid(geom, x)
+    specs = [parse_norm(s) for s in cfg.norms]
+    rows = {(nu, t, label): value
+            for nu, t, label, value, part in rigid_report.rows if part == "R:full"}
+    assert len(rows) == 5 * 8 * 4
+    bounds = {"l2": 0.03, "h1": 0.005, "linf": 0.03, "lp:4": 0.03}
+    large = [nu for nu in cfg.nu_list if nu >= 3e-3]
+    checked = 0
+    for nu in large:
+        for t in cfg.t_eval:
+            want = remainder_limit(profile, geom, nu, t, x)
+            for spec, value in zip(specs, grid.norms(want, specs)):
+                ratio = rows[nu, t, spec.label] / value
+                assert abs(ratio - 1.0) <= bounds[spec.label], (nu, t, spec.label, ratio)
+                checked += 1
+    assert checked == len(large) * 8 * 4 == 2 * 8 * 4
+
+
+def test_vortex_remainder_limit_is_zero():
+    # the potential vortex has L U0 = 0 and omega0 = 0, so R_1 = 0: the
+    # vortex's R rows (criterion 5) measure only the discrete wall defect.
+    # t L U0 is zero to round-off, which the h1 norm's difference quotient
+    # amplifies by 1/h (1.2e-12 of |u0|_h1 at the preset's n = 65,536)
+    cfg = get_preset("vortex-annulus")
+    geom = cfg.geometry
+    profile = cfg.euler.build(geom)
+    x = geom.volume_grid(cfg.ns.n)
+    grid = VolumeGrid(geom, x)
+    specs = [parse_norm(s) for s in cfg.norms]
+    base = grid.norms(profile.value(x), specs)
+    assert min(base) > 0.0
+    bounds = {label: 1e-12 for label in cfg.norms}
+    bounds["h1"] = np.finfo(float).eps / (x[1] - x[0])
+    for nu in cfg.nu_list:
+        for t in cfg.t_eval:
+            limit = grid.norms(remainder_limit(profile, geom, nu, t, x), specs)
+            for spec, value, scale in zip(specs, limit, base):
+                assert value < bounds[spec.label] * scale, (nu, t, spec.label, value)
 
 
 def test_vortex_exact_regime_flag(vortex_report):
